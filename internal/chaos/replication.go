@@ -72,15 +72,14 @@ func (a *auditReader) ReadObject(object string, env *storage.Env) ([]byte, error
 		var blobs [][]byte
 		a.disks(func(_ int, d storage.Target) bool {
 			if data, err := d.ReadObject(object, env); err == nil {
-				if _, perr := erasure.ParseShard(data); perr == nil {
-					blobs = append(blobs, data)
-				}
+				blobs = append(blobs, data)
 			}
 			return true
 		})
 		// DecodeAny: shards stranded by an old placement or a partial
-		// re-encode may join the gather; the best consistent group wins.
-		data, err := erasure.DecodeAny(blobs)
+		// re-encode may join the gather; the best consistent group wins,
+		// and blobs that are not valid shards are dropped as it parses.
+		data, _, err := erasure.DecodeAny(blobs)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s (%v)", storage.ErrNotFound, object, err)
 		}

@@ -2,7 +2,9 @@ package erasure
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 )
@@ -52,6 +54,13 @@ func TestRoundTripAllErasurePatterns(t *testing.T) {
 				}
 				if !bytes.Equal(got, data) {
 					t.Fatalf("round trip mismatch k=%d m=%d size=%d keep=%v", geo.k, geo.m, size, keep)
+				}
+				anyGot, solved, err := DecodeAny(subset)
+				if err != nil || !bytes.Equal(anyGot, data) {
+					t.Fatalf("DecodeAny k=%d m=%d size=%d keep=%v: %v", geo.k, geo.m, size, keep, err)
+				}
+				if want := keep[len(keep)-1] >= geo.k; solved != want {
+					t.Fatalf("DecodeAny k=%d m=%d keep=%v: solved=%v, want %v", geo.k, geo.m, keep, solved, want)
 				}
 			})
 		}
@@ -201,6 +210,24 @@ func FuzzErasureRoundTrip(f *testing.F) {
 		if !bytes.Equal(got, data) {
 			t.Fatalf("round trip mismatch k=%d m=%d len=%d", k, m, len(data))
 		}
+		// DecodeAny must agree with the strict decoder on one encoding, and
+		// report a solve exactly when one of the k shards it used (the
+		// first k survivors, in order) is a parity shard.
+		anyGot, solved, err := DecodeAny(subset)
+		if err != nil || !bytes.Equal(anyGot, got) {
+			t.Fatalf("DecodeAny disagrees with DecodeObject k=%d m=%d len=%d: %v", k, m, len(data), err)
+		}
+		wantSolved, used := false, 0
+		for i, b := range subset {
+			if b == nil || used == k {
+				continue
+			}
+			used++
+			wantSolved = wantSolved || i >= k
+		}
+		if solved != wantSolved {
+			t.Fatalf("DecodeAny solved=%v, want %v (k=%d m=%d dropMask=%#x)", solved, wantSolved, k, m, dropMask)
+		}
 		// ParseShard must be total on arbitrary mutations.
 		if len(shards[0]) > 0 {
 			mut := append([]byte(nil), shards[0]...)
@@ -234,14 +261,17 @@ func TestDecodeAnyMixedEncodings(t *testing.T) {
 	if _, err := DecodeObject(mixed); err == nil {
 		t.Fatal("strict decode accepted mixed encodings")
 	}
-	got, err := DecodeAny(mixed)
+	got, solved, err := DecodeAny(mixed)
 	if err != nil || !bytes.Equal(got, cur) {
 		t.Fatalf("DecodeAny on mixed gather: %v", err)
+	}
+	if solved {
+		t.Fatal("DecodeAny solved although both current data shards were present")
 	}
 
 	// Both groups decodable: the larger origLen wins deterministically.
 	both := [][]byte{oldShards[0], oldShards[1], curShards[0], curShards[1]}
-	got, err = DecodeAny(both)
+	got, _, err = DecodeAny(both)
 	if err != nil || !bytes.Equal(got, cur) {
 		t.Fatalf("DecodeAny did not prefer the larger encoding: %v", err)
 	}
@@ -249,12 +279,173 @@ func TestDecodeAnyMixedEncodings(t *testing.T) {
 	// Only the stale group reaches k: it still decodes (better a stale
 	// restorable image than none).
 	staleOnly := [][]byte{oldShards[0], oldShards[1], curShards[2]}
-	got, err = DecodeAny(staleOnly)
+	got, _, err = DecodeAny(staleOnly)
 	if err != nil || !bytes.Equal(got, old) {
 		t.Fatalf("DecodeAny with only the stale group decodable: %v", err)
 	}
 
-	if _, err := DecodeAny(nil); err == nil {
+	if _, _, err := DecodeAny(nil); err == nil {
 		t.Fatal("DecodeAny on empty gather succeeded")
 	}
+}
+
+// encodeReference is the byte-at-a-time encoder the table-driven one
+// replaced: planes copied out of data, parity accumulated one gmul per
+// byte, each shard sealed by copying its payload behind a fresh header.
+// It pins the shard format — EncodeObject must match it byte for byte.
+func encodeReference(data []byte, k, m int) [][]byte {
+	shardLen := (len(data) + k - 1) / k
+	planes := make([][]byte, k)
+	for i := range planes {
+		planes[i] = make([]byte, shardLen)
+		if lo := i * shardLen; lo < len(data) {
+			copy(planes[i], data[lo:])
+		}
+	}
+	mat := codingMatrix(k, m)
+	shards := make([][]byte, k+m)
+	for r := range shards {
+		payload := make([]byte, shardLen)
+		if r < k {
+			copy(payload, planes[r])
+		} else {
+			for c := 0; c < k; c++ {
+				for i := range payload {
+					payload[i] ^= gmul(mat[r][c], planes[c][i])
+				}
+			}
+		}
+		b := make([]byte, headerLen+shardLen)
+		b[0], b[1], b[2] = shardMagic0, shardMagic1, shardVersion
+		b[3], b[4], b[5] = byte(r), byte(k), byte(m)
+		binary.BigEndian.PutUint32(b[6:], uint32(len(data)))
+		binary.BigEndian.PutUint32(b[10:], crc32.ChecksumIEEE(payload))
+		copy(b[headerLen:], payload)
+		shards[r] = b
+	}
+	return shards
+}
+
+// TestEncodeMatchesReference: the in-place, kernel-driven encoder emits
+// exactly the reference encoder's shards at every geometry and at the
+// sizes where padding and plane boundaries bite.
+func TestEncodeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, geo := range []struct{ k, m int }{{1, 1}, {2, 1}, {2, 2}, {3, 2}, {4, 3}, {5, 1}, {10, 4}} {
+		kn := geo.k * (geo.k + geo.m)
+		sizes := []int{0, 1, 7, kn - 1, kn + 1}
+		if !testing.Short() {
+			sizes = append(sizes, 4<<20+13)
+		}
+		for _, size := range sizes {
+			data := make([]byte, size)
+			rng.Read(data)
+			got, err := EncodeObject(data, geo.k, geo.m)
+			if err != nil {
+				t.Fatalf("encode k=%d m=%d size=%d: %v", geo.k, geo.m, size, err)
+			}
+			want := encodeReference(data, geo.k, geo.m)
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("k=%d m=%d size=%d: shard %d differs from the reference encoder", geo.k, geo.m, size, i)
+				}
+			}
+		}
+	}
+}
+
+// TestMulAddMatchesGmul checks the kernel against the log/antilog
+// multiply: every (c, x) product, then every length 0..67 at unaligned
+// offsets for the skip (c=0), XOR (c=1) and lookup paths — without
+// touching a byte of dst past len(src).
+func TestMulAddMatchesGmul(t *testing.T) {
+	src := make([]byte, 256)
+	for x := range src {
+		src[x] = byte(x)
+	}
+	for c := 0; c < 256; c++ {
+		dst := make([]byte, 256)
+		mulAdd(dst, src, byte(c))
+		for x := range dst {
+			if want := gmul(byte(c), byte(x)); dst[x] != want {
+				t.Fatalf("mulAdd c=%d x=%d: got %d, want %d", c, x, dst[x], want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	buf := make([]byte, 80)
+	rng.Read(buf)
+	for _, c := range []byte{0, 1, 2, 3, 0x8e, 0xff} {
+		for n := 0; n <= 67; n++ {
+			for off := 0; off < 3; off++ {
+				src := buf[off : off+n]
+				dst := make([]byte, 80)
+				rng.Read(dst)
+				orig := append([]byte(nil), dst...)
+				mulAdd(dst[off+1:], src, c)
+				for i := range dst {
+					want := orig[i]
+					if j := i - off - 1; j >= 0 && j < n {
+						want ^= gmul(c, src[j])
+					}
+					if dst[i] != want {
+						t.Fatalf("mulAdd c=%d n=%d off=%d: byte %d = %d, want %d", c, n, off, i, dst[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Codec benchmarks at the replicated store's default geometry (2+1) and
+// a 4 MiB object: encode, a healthy read (both data shards present, the
+// concatenation fast path), and a degraded read (data shard 0 lost, a
+// parity solve).
+const benchSize = 4 << 20
+
+func benchData() []byte {
+	data := make([]byte, benchSize)
+	rand.New(rand.NewSource(6)).Read(data)
+	return data
+}
+
+func benchShards(b *testing.B) [][]byte {
+	shards, err := EncodeObject(benchData(), 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return shards
+}
+
+func BenchmarkEncode(b *testing.B) {
+	data := benchData()
+	b.SetBytes(benchSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeObject(data, 2, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func benchDecode(b *testing.B, blobs [][]byte) {
+	b.SetBytes(benchSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := DecodeAny(blobs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeHealthy(b *testing.B) {
+	benchDecode(b, benchShards(b))
+}
+
+func BenchmarkDecodeDegraded(b *testing.B) {
+	shards := benchShards(b)
+	shards[0] = nil
+	benchDecode(b, shards)
 }

@@ -7,14 +7,24 @@
 // replica count), at the price of a matrix solve on degraded reads.
 package erasure
 
+import (
+	"crypto/subtle"
+	"encoding/binary"
+)
+
 // GF(256) arithmetic under the primitive polynomial x^8+x^4+x^3+x^2+1
-// (0x11d, the classic Reed–Solomon field). Multiplication goes through
-// log/antilog tables built once at init; the antilog table is doubled so
-// gmul never reduces mod 255.
+// (0x11d, the classic Reed–Solomon field). Scalar multiplication (gmul,
+// used to build and invert the small coding matrices) goes through
+// log/antilog tables; the antilog table is doubled so gmul never reduces
+// mod 255. Bulk payload work goes through one kernel, mulAdd, which
+// reads a 64 KiB product table: mulTable[c][x] = c·x, so multiplying a
+// byte is a single lookup into c's 256-byte row. All tables are built
+// once at init.
 
 var (
 	expTable [512]byte
 	logTable [256]byte
+	mulTable [256][256]byte
 )
 
 func init() {
@@ -29,6 +39,11 @@ func init() {
 	}
 	for i := 255; i < 512; i++ {
 		expTable[i] = expTable[i-255]
+	}
+	for c := 1; c < 256; c++ {
+		for x := 1; x < 256; x++ {
+			mulTable[c][x] = gmul(byte(c), byte(x))
+		}
 	}
 }
 
@@ -56,4 +71,33 @@ func gpow(base byte, exp int) byte {
 		return 0
 	}
 	return expTable[(int(logTable[base])*exp)%255]
+}
+
+// mulAdd sets dst[i] ^= c·src[i] for every i < len(src); dst must be at
+// least as long as src. Coefficient 0 is a no-op and coefficient 1 is a
+// plain XOR done a machine word (or vector) at a time; any other
+// coefficient is one row lookup per byte, with eight products packed
+// into a word so dst is read and written eight bytes at a time.
+func mulAdd(dst, src []byte, c byte) {
+	switch c {
+	case 0:
+		return
+	case 1:
+		subtle.XORBytes(dst, dst[:len(src)], src)
+		return
+	}
+	row := &mulTable[c]
+	for len(src) >= 8 && len(dst) >= 8 {
+		s := src[:8:8]
+		p := uint64(row[s[0]]) | uint64(row[s[1]])<<8 |
+			uint64(row[s[2]])<<16 | uint64(row[s[3]])<<24 |
+			uint64(row[s[4]])<<32 | uint64(row[s[5]])<<40 |
+			uint64(row[s[6]])<<48 | uint64(row[s[7]])<<56
+		binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(dst)^p)
+		src, dst = src[8:], dst[8:]
+	}
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] ^= row[x]
+	}
 }

@@ -68,40 +68,33 @@ func codingMatrix(k, m int) matrix {
 // EncodeObject splits data into k equal data shards (zero-padded) plus m
 // parity shards. Each returned shard is self-describing (header + CRC),
 // so a reader holding an arbitrary subset can validate and decode.
+//
+// The shards are built in place: data is copied once into the data
+// shards' payloads, parity is accumulated straight from those payloads
+// into the parity shards', and each header (with its payload CRC) is
+// written last.
 func EncodeObject(data []byte, k, m int) ([][]byte, error) {
 	if k < 1 || m < 0 || k+m > MaxShards || k+m < 2 {
 		return nil, fmt.Errorf("%w: k=%d m=%d", ErrBadParameters, k, m)
 	}
 	shardLen := (len(data) + k - 1) / k
 	shards := make([][]byte, k+m)
-	planes := make([][]byte, k)
-	for i := 0; i < k; i++ {
-		p := make([]byte, shardLen)
-		lo := i * shardLen
-		if lo < len(data) {
-			copy(p, data[lo:])
+	for i := range shards {
+		b := make([]byte, headerLen+shardLen)
+		if lo := i * shardLen; i < k && lo < len(data) {
+			copy(b[headerLen:], data[lo:])
 		}
-		planes[i] = p
+		shards[i] = b
 	}
 	mat := codingMatrix(k, m)
-	for r := 0; r < k+m; r++ {
-		var payload []byte
-		if r < k {
-			payload = planes[r]
-		} else {
-			payload = make([]byte, shardLen)
-			for c := 0; c < k; c++ {
-				coef := mat[r][c]
-				if coef == 0 {
-					continue
-				}
-				src := planes[c]
-				for i := range payload {
-					payload[i] ^= gmul(coef, src[i])
-				}
-			}
+	for r := k; r < k+m; r++ {
+		parity := shards[r][headerLen:]
+		for c := 0; c < k; c++ {
+			mulAdd(parity, shards[c][headerLen:], mat[r][c])
 		}
-		shards[r] = sealShard(r, k, m, len(data), payload)
+	}
+	for i, b := range shards {
+		sealHeader(b, i, k, m, len(data))
 	}
 	return shards, nil
 }
@@ -117,14 +110,13 @@ func ShardLen(origLen, k int) int {
 	return headerLen + (origLen+k-1)/k
 }
 
-func sealShard(idx, k, m, origLen int, payload []byte) []byte {
-	b := make([]byte, headerLen+len(payload))
+// sealHeader writes the header of blob b, whose payload is already in
+// place after it.
+func sealHeader(b []byte, idx, k, m, origLen int) {
 	b[0], b[1], b[2] = shardMagic0, shardMagic1, shardVersion
 	b[3], b[4], b[5] = byte(idx), byte(k), byte(m)
 	binary.BigEndian.PutUint32(b[6:], uint32(origLen))
-	binary.BigEndian.PutUint32(b[10:], crc32.ChecksumIEEE(payload))
-	copy(b[headerLen:], payload)
-	return b
+	binary.BigEndian.PutUint32(b[10:], crc32.ChecksumIEEE(b[headerLen:]))
 }
 
 // ParseShard validates a shard blob. A short, mismagicked, or
@@ -144,10 +136,10 @@ func ParseShard(b []byte) (Shard, error) {
 	if s.K < 1 || s.K+s.M > MaxShards || s.Index >= s.K+s.M {
 		return Shard{}, ErrBadShard
 	}
-	if crc32.ChecksumIEEE(s.Payload) != binary.BigEndian.Uint32(b[10:]) {
+	if want := (s.OrigLen + s.K - 1) / s.K; len(s.Payload) != want {
 		return Shard{}, ErrBadShard
 	}
-	if want := (s.OrigLen + s.K - 1) / s.K; len(s.Payload) != want {
+	if crc32.ChecksumIEEE(s.Payload) != binary.BigEndian.Uint32(b[10:]) {
 		return Shard{}, ErrBadShard
 	}
 	return s, nil
@@ -158,8 +150,20 @@ func ParseShard(b []byte) (Shard, error) {
 // treated as missing; extra valid shards beyond k are ignored. The
 // shards may arrive in any order — each carries its own index.
 func DecodeObject(blobs [][]byte) ([]byte, error) {
+	got, err := gather(blobs)
+	if err != nil {
+		return nil, err
+	}
+	data, _, err := decode(got)
+	return data, err
+}
+
+// gather parses blobs in order until it holds k distinct shards of one
+// encoding, the strict DecodeObject contract: a valid shard from a
+// different encoding is ErrInconsistent, fewer than k is ErrInsufficient.
+func gather(blobs [][]byte) ([]Shard, error) {
 	var got []Shard
-	seen := make(map[int]bool)
+	var seen [MaxShards]bool
 	for _, b := range blobs {
 		if b == nil {
 			continue
@@ -186,19 +190,10 @@ func DecodeObject(blobs [][]byte) ([]byte, error) {
 	if len(got) == 0 {
 		return nil, ErrInsufficient
 	}
-	k, origLen, shardLen := got[0].K, got[0].OrigLen, len(got[0].Payload)
-	if len(got) < k {
+	if k := got[0].K; len(got) < k {
 		return nil, fmt.Errorf("%w: have %d, need %d", ErrInsufficient, len(got), k)
 	}
-	planes, err := solvePlanes(got, k, shardLen)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, k*shardLen)
-	for i, p := range planes {
-		copy(out[i*shardLen:], p)
-	}
-	return out[:origLen], nil
+	return got, nil
 }
 
 // DecodeAny decodes in the presence of stale shards: when a same-named
@@ -209,106 +204,137 @@ func DecodeObject(blobs [][]byte) ([]byte, error) {
 // decodes the best one — most distinct shard indices first, ties broken
 // toward the larger original length (re-encodes under one name only
 // ever fold deltas into fuller images), then the larger geometry, all
-// deterministic. Fails only when no group reaches its own k.
-func DecodeAny(blobs [][]byte) ([]byte, error) {
-	type groupKey struct{ k, m, origLen, shardLen int }
-	groups := make(map[groupKey][][]byte)
-	seen := make(map[groupKey]map[int]bool)
+// deterministic. Within the chosen group the first k distinct shards in
+// blob order are used. Fails only when no group reaches its own k.
+//
+// Every blob is parsed (and CRC-checked) exactly once. solved reports
+// whether a parity shard was among the k used, i.e. whether the decode
+// needed a matrix solve rather than concatenating the data shards.
+func DecodeAny(blobs [][]byte) (data []byte, solved bool, err error) {
+	type groupKey struct{ k, m, origLen int }
+	type group struct {
+		key    groupKey
+		shards []Shard
+		seen   [MaxShards]bool
+	}
+	var groups []*group // first-seen order; a gather rarely holds more than two
 	for _, b := range blobs {
 		if b == nil {
 			continue
 		}
-		s, err := ParseShard(b)
-		if err != nil {
+		s, perr := ParseShard(b)
+		if perr != nil {
 			continue
 		}
-		key := groupKey{s.K, s.M, s.OrigLen, len(s.Payload)}
-		if seen[key] == nil {
-			seen[key] = make(map[int]bool)
+		// ParseShard pins the payload length to (k, origLen), so the
+		// header triple identifies an encoding.
+		key := groupKey{s.K, s.M, s.OrigLen}
+		var g *group
+		for _, cand := range groups {
+			if cand.key == key {
+				g = cand
+				break
+			}
 		}
-		if seen[key][s.Index] {
+		if g == nil {
+			g = &group{key: key}
+			groups = append(groups, g)
+		}
+		if g.seen[s.Index] {
 			continue
 		}
-		seen[key][s.Index] = true
-		groups[key] = append(groups[key], b)
+		g.seen[s.Index] = true
+		g.shards = append(g.shards, s)
 	}
-	var best groupKey
-	found := false
-	better := func(key, cur groupKey) bool {
-		a, b := groups[key], groups[cur]
-		ad, bd := len(a) >= key.k, len(b) >= cur.k
+	better := func(a, b *group) bool {
+		ad, bd := len(a.shards) >= a.key.k, len(b.shards) >= b.key.k
 		switch {
 		case ad != bd:
 			return ad // a decodable group always beats an undecodable one
-		case len(a) != len(b):
-			return len(a) > len(b)
-		case key.origLen != cur.origLen:
-			return key.origLen > cur.origLen
-		case key.k != cur.k:
-			return key.k > cur.k
+		case len(a.shards) != len(b.shards):
+			return len(a.shards) > len(b.shards)
+		case a.key.origLen != b.key.origLen:
+			return a.key.origLen > b.key.origLen
+		case a.key.k != b.key.k:
+			return a.key.k > b.key.k
 		}
-		return key.m > cur.m
+		return a.key.m > b.key.m
 	}
-	for key := range groups {
-		if !found || better(key, best) {
-			best, found = key, true
+	var best *group
+	for _, g := range groups {
+		if best == nil || better(g, best) {
+			best = g
 		}
 	}
-	if !found {
-		return nil, ErrInsufficient
+	if best == nil {
+		return nil, false, ErrInsufficient
 	}
-	return DecodeObject(groups[best])
+	if have, k := len(best.shards), best.key.k; have < k {
+		return nil, false, fmt.Errorf("%w: have %d, need %d", ErrInsufficient, have, k)
+	}
+	return decode(best.shards)
 }
 
 // ReconstructShards returns a full, freshly sealed shard set from any k
 // valid shards — the repair path when a replica holding one shard is
 // lost. The decode solves for the data planes, then re-encodes.
 func ReconstructShards(blobs [][]byte) ([][]byte, error) {
-	data, err := DecodeObject(blobs)
+	got, err := gather(blobs)
 	if err != nil {
 		return nil, err
 	}
-	for _, b := range blobs {
-		if b == nil {
-			continue
-		}
-		if s, perr := ParseShard(b); perr == nil {
-			return EncodeObject(data, s.K, s.M)
-		}
+	data, _, err := decode(got)
+	if err != nil {
+		return nil, err
 	}
-	return nil, ErrInsufficient
+	return EncodeObject(data, got[0].K, got[0].M)
 }
 
-// solvePlanes recovers the k data planes from k shards of mixed
-// data/parity rows: take the k generator-matrix rows the shards
-// correspond to, invert that k×k system, and apply it to the payloads.
-func solvePlanes(got []Shard, k, shardLen int) ([][]byte, error) {
-	m := got[0].M
-	full := codingMatrix(k, m)
-	sub := newMatrix(k, k)
-	for r, s := range got[:k] {
-		copy(sub[r], full[s.Index])
-	}
-	inv, err := sub.invert()
-	if err != nil {
-		return nil, fmt.Errorf("erasure: unsolvable shard set: %w", err)
-	}
-	planes := make([][]byte, k)
-	for r := 0; r < k; r++ {
-		p := make([]byte, shardLen)
-		for c := 0; c < k; c++ {
-			coef := inv[r][c]
-			if coef == 0 {
-				continue
-			}
-			src := got[c].Payload
-			for i := range p {
-				p[i] ^= gmul(coef, src[i])
-			}
+// decode recovers the object from the first k of shards, which must be
+// distinct, parsed shards of one encoding. Data shards among them are
+// copied straight into the output; only the missing data planes are
+// solved for — take the k generator-matrix rows the shards correspond
+// to, invert that k×k system, and apply its rows to the payloads,
+// accumulating into the output in place. solved reports whether any
+// plane needed the solve.
+func decode(shards []Shard) (data []byte, solved bool, err error) {
+	k, origLen, shardLen := shards[0].K, shards[0].OrigLen, len(shards[0].Payload)
+	use := shards[:k]
+	planes := make([][]byte, k) // data shard r's payload, when it is in use
+	for _, s := range use {
+		if s.Index < k {
+			planes[s.Index] = s.Payload
+		} else {
+			solved = true
 		}
-		planes[r] = p
 	}
-	return planes, nil
+	var inv matrix
+	if solved {
+		full := codingMatrix(k, shards[0].M)
+		sub := newMatrix(k, k)
+		for r, s := range use {
+			copy(sub[r], full[s.Index])
+		}
+		if inv, err = sub.invert(); err != nil {
+			return nil, false, fmt.Errorf("erasure: unsolvable shard set: %w", err)
+		}
+	}
+	out := make([]byte, origLen)
+	for r := 0; r < k; r++ {
+		lo := r * shardLen
+		if lo >= origLen {
+			break // the rest of the planes are all padding
+		}
+		dst := out[lo:min(lo+shardLen, origLen)]
+		if planes[r] != nil {
+			copy(dst, planes[r])
+			continue
+		}
+		for c, s := range use {
+			mulAdd(dst, s.Payload[:len(dst)], inv[r][c])
+		}
+	}
+	return out, solved, nil
 }
 
 // --- dense GF(256) matrices ---

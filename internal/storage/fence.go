@@ -13,8 +13,11 @@
 package storage
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/trace"
@@ -32,12 +35,20 @@ var ErrFenced = errors.New("storage: writer fenced off (stale epoch)")
 // tells a live incarnation from a zombie one.
 type FenceDomain struct {
 	name string
+	id   uint64 // creation order: the fixed order multi-domain holders lock in
 	// epoch is read concurrently by every fenced replica writer while the
 	// supervisor advances it at failover; atomic keeps the -race suite's
 	// concurrent-writer scenarios honest.
 	epoch atomic.Uint64
-	ctr   *trace.Counters
+	// mu makes a multi-member commit atomic with respect to Advance: a
+	// Replicated fan-out read-holds it across its whole member loop and
+	// Advance takes it exclusively, so an epoch bump lands before or after
+	// the loop, never between two members.
+	mu  sync.RWMutex
+	ctr *trace.Counters
 }
+
+var fenceDomainIDs atomic.Uint64
 
 // NewFenceDomain creates a domain at epoch 0 (no writer admitted yet);
 // fence.* counters land in ctr (created when nil).
@@ -45,14 +56,17 @@ func NewFenceDomain(name string, ctr *trace.Counters) *FenceDomain {
 	if ctr == nil {
 		ctr = trace.NewCounters()
 	}
-	return &FenceDomain{name: name, ctr: ctr}
+	return &FenceDomain{name: name, id: fenceDomainIDs.Add(1), ctr: ctr}
 }
 
 // Advance bumps the epoch and returns the new value. Everything
 // published under earlier epochs keeps its committed images; every
-// writer still holding an earlier epoch is fenced off from here on.
+// writer still holding an earlier epoch is fenced off from here on. It
+// waits for any in-flight replicated commit to finish its member loop.
 func (d *FenceDomain) Advance() uint64 {
+	d.mu.Lock()
 	e := d.epoch.Add(1)
+	d.mu.Unlock()
 	d.ctr.Inc("fence.epochs", 1)
 	return e
 }
@@ -75,6 +89,32 @@ type fencedTarget struct {
 // the bytes it wants); only Publish — the commit point — is guarded.
 func FencedAt(t Target, dom *FenceDomain, epoch uint64) Target {
 	return fencedTarget{Target: t, dom: dom, epoch: epoch}
+}
+
+// fenceDomain lets a fan-out over members find the domain to hold.
+func (f fencedTarget) fenceDomain() *FenceDomain { return f.dom }
+
+// holdFences read-locks the distinct fence domains of the fence-wrapped
+// replicas, in creation order so concurrent holders cannot deadlock
+// against a pending Advance, and returns the matching unlock.
+func holdFences(reps []Replica) (release func()) {
+	var doms []*FenceDomain
+	for _, rep := range reps {
+		f, ok := rep.T.(interface{ fenceDomain() *FenceDomain })
+		if !ok || slices.Contains(doms, f.fenceDomain()) {
+			continue
+		}
+		doms = append(doms, f.fenceDomain())
+	}
+	slices.SortFunc(doms, func(a, b *FenceDomain) int { return cmp.Compare(a.id, b.id) })
+	for _, d := range doms {
+		d.mu.RLock()
+	}
+	return func() {
+		for _, d := range doms {
+			d.mu.RUnlock()
+		}
+	}
 }
 
 // Publish implements Target: the rename happens only if the writer's

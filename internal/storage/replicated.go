@@ -56,7 +56,7 @@ func (r ReplicaRole) String() string {
 const (
 	ReadSourceLocal       = 0 // served from the owner's own disk
 	ReadSourceBuddy       = 1 // served from a buddy replica
-	ReadSourceShards      = 2 // erasure: all data shards present, no solve
+	ReadSourceShards      = 2 // erasure: decoded from the data shards alone, no solve
 	ReadSourceReconstruct = 3 // erasure: parity solve required
 	ReadSourceRemote      = 4 // served from the shared server
 )
@@ -286,12 +286,15 @@ func writeMember(t Target, object string, data []byte, env *Env) error {
 // here); success needs at least quorum renames. Any fenced member wins
 // over a numeric quorum — the write belongs to a superseded incarnation
 // and must not be acknowledged, and looping every member first lets each
-// fence clean its own stale staging object.
+// fence clean its own stale staging object. The members' fence domains
+// are held for the whole call, so a concurrent epoch advance fences all
+// of the members or none of them.
 func (r *Replicated) Publish(staging, final string, env *Env) error {
 	env = orNop(env)
 	ok, fenced := 0, false
 	var firstErr error
 	var maxWait simtime.Duration
+	defer holdFences(r.reps)()
 	for _, rep := range r.reps {
 		f := newFanEnv(env)
 		err := rep.T.Publish(staging, final, f.env)
@@ -391,11 +394,11 @@ func (r *Replicated) observeRead(source int) {
 }
 
 // readErasure gathers surviving shards in parallel (max-wait accounting)
-// and decodes. "Shards" means every data shard answered and the decode
-// is a straight concatenation; "reconstruct" means at least one parity
-// solve happened.
+// and decodes, parsing and CRC-checking each shard once. The source is
+// the decoder's own verdict: "shards" means the k shards it used were
+// the data shards and the decode was a straight concatenation;
+// "reconstruct" means a parity shard stood in and a solve happened.
 func (r *Replicated) readErasure(object string, env *Env) ([]byte, error) {
-	k, _, _ := r.Erasure()
 	blobs := make([][]byte, len(r.reps))
 	var maxWait simtime.Duration
 	sawNotFound, sawDown := false, false
@@ -422,7 +425,7 @@ func (r *Replicated) readErasure(object string, env *Env) ([]byte, error) {
 	// this name (a chain fold that missed a member) leaves one stale
 	// shard in the gather, and the strict decode would refuse the k good
 	// ones alongside it.
-	data, err := erasure.DecodeAny(blobs)
+	data, solved, err := erasure.DecodeAny(blobs)
 	if err != nil {
 		r.cfg.Counters.Inc("repl.read_failed", 1)
 		if sawDown {
@@ -433,16 +436,13 @@ func (r *Replicated) readErasure(object string, env *Env) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("storage: %s/%s: %w", r.name, object, err)
 	}
-	source := ReadSourceShards
-	for i := 0; i < k; i++ {
-		if s, perr := erasure.ParseShard(blobs[i]); perr != nil || s.Index != i {
-			source = ReadSourceReconstruct
-			break
-		}
-	}
-	// The solve itself is in-memory; the time is the shard transfers,
+	// The decode itself is in-memory; the time is the shard transfers,
 	// already charged above.
-	r.observeRead(source)
+	if solved {
+		r.observeRead(ReadSourceReconstruct)
+	} else {
+		r.observeRead(ReadSourceShards)
+	}
 	return data, nil
 }
 
@@ -501,9 +501,10 @@ func (r *Replicated) List() []string {
 // ErrTargetUnavailable) so GC sweeps retry instead of stranding a copy
 // that would resurface when the node returns. A fenced member vetoes the
 // whole delete — a stale incarnation must not GC the live chain on any
-// replica.
+// replica; as in Publish, the fence domains are held for the whole call.
 func (r *Replicated) Delete(object string) error {
 	found, down, fenced := false, false, false
+	defer holdFences(r.reps)()
 	for _, rep := range r.reps {
 		err := rep.T.Delete(object)
 		switch {

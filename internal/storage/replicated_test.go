@@ -187,6 +187,83 @@ func TestReplicatedErasureReadAndReconstruct(t *testing.T) {
 	}
 }
 
+// TestReplicatedErasureReadSourceTable: the read-source class comes from
+// the decoder's own solve verdict. Reads decoded from the data shards
+// alone count repl.read_shards; reads that needed parity count
+// repl.read_reconstruct — exactly one count and one histogram
+// observation per read, for single reads and batched ones alike.
+func TestReplicatedErasureReadSourceTable(t *testing.T) {
+	cases := []struct {
+		name   string
+		down   int // slot taken offline before reading, -1 = none
+		ctr    string
+		source int
+	}{
+		{"all members up", -1, "repl.read_shards", ReadSourceShards},
+		{"parity slot down", 2, "repl.read_shards", ReadSourceShards},
+		{"slot 0 down", 0, "repl.read_reconstruct", ReadSourceReconstruct},
+		{"slot 1 down", 1, "repl.read_reconstruct", ReadSourceReconstruct},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cm := costmodel.Default2005()
+			up := []bool{true, true, true}
+			var reps []Replica
+			for i := range up {
+				i := i
+				reps = append(reps, Replica{
+					T:    NewLocal(fmt.Sprintf("d%d", i), cm, func() bool { return up[i] }),
+					Role: RoleShard,
+				})
+			}
+			m := trace.NewMetrics()
+			r, err := NewReplicated("ec", reps, ReplicatedConfig{
+				DataShards: 2, ParityShards: 1, Counters: m.Counters, Metrics: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloads := map[string][]byte{
+				"a": bytes.Repeat([]byte("shard source "), 257),
+				"b": bytes.Repeat([]byte{0xEE}, 4097),
+			}
+			for name, p := range payloads {
+				if err := Write(r, name, p, WriteOptions{Atomic: true}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.down >= 0 {
+				up[tc.down] = false
+			}
+			const reads = 3
+			for i := 0; i < reads; i++ {
+				got, err := r.ReadObject("a", nil)
+				if err != nil || !bytes.Equal(got, payloads["a"]) {
+					t.Fatalf("read %d: %v", i, err)
+				}
+			}
+			batch, err := r.ReadBatch([]string{"a", "b"}, nil)
+			if err != nil || !bytes.Equal(batch[0], payloads["a"]) || !bytes.Equal(batch[1], payloads["b"]) {
+				t.Fatalf("batch read: %v", err)
+			}
+			const total = reads + 2
+			if n := m.Counters.Get(tc.ctr); n != total {
+				t.Fatalf("%s = %d, want %d", tc.ctr, n, total)
+			}
+			other := "repl.read_reconstruct"
+			if tc.ctr == other {
+				other = "repl.read_shards"
+			}
+			if n := m.Counters.Get(other); n != 0 {
+				t.Fatalf("%s = %d, want 0", other, n)
+			}
+			snap := m.Hist("repl.read_source").Snapshot()
+			if snap.N != total || snap.Min != float64(tc.source) || snap.Max != float64(tc.source) {
+				t.Fatalf("repl.read_source = %v, want %d observations of %d", snap, total, tc.source)
+			}
+		})
+	}
+}
+
 // TestReplicatedObjectSizeErasure: the parent-durability probe reports
 // the original length and requires a decodable (>= k shards) object.
 func TestReplicatedObjectSizeErasure(t *testing.T) {
