@@ -89,7 +89,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 40m ./...
 
 # Short, budgeted runs of every fuzz target (Go runs one -fuzz target per
 # invocation). The nightly CI job runs these longer plus a 10k-seed chaos

@@ -55,194 +55,141 @@ import (
 	"repro/internal/trace"
 )
 
+// benchMode is one machine-readable bench: -flag FILE runs it, writes
+// its result to FILE as indented JSON, prints the report, and exits
+// nonzero when the bench's gate fails.
+type benchMode struct {
+	flag, usage string
+	run         func(quick bool) (result any, pass bool)
+	report      func(result any)
+}
+
+// benchModes in precedence order: when several flags are set, the first
+// listed here runs.
+var benchModes = []benchMode{
+	{"bench10", "write the E20 policy bench to this JSON file and exit",
+		func(quick bool) (any, bool) { s := experiments.E20Bench(quick); return s, s.GatePass },
+		func(v any) {
+			s := v.(experiments.E20Summary)
+			for _, c := range []experiments.E20CadenceSummary{s.Fixed, s.YoungDaly} {
+				fmt.Printf("%-10s completed=%v failures=%d work-lost %.2f ms, %d ckpts, %d recomputes, final interval %.3f ms\n",
+					c.Policy, c.Completed, c.Failures, c.WorkLostMs, c.Checkpoints, c.Recomputes, c.FinalIntervalMs)
+			}
+			fmt.Printf("work-lost ratio youngdaly/fixed %.2fx (gate <= 0.8x), fingerprints match=%v\n",
+				s.WorkLostRatio, s.FingerprintsMatch)
+			lv := s.Liveness
+			fmt.Printf("liveness chain %d bytes vs baseline %d (%.2fx, gate <= 0.9x), excluded %d, live digest match=%v, fingerprints at reference=%v\n",
+				lv.FilteredBytes, lv.BaselineBytes, lv.BytesRatio, lv.ExcludedBytes, lv.LiveDigestMatch, lv.FingerprintMatch)
+		}},
+	{"bench9", "write the E19 lazy-restore bench to this JSON file and exit",
+		func(quick bool) (any, bool) { s := experiments.E19Bench(quick); return s, s.GatePass },
+		func(v any) {
+			s := v.(experiments.E19Summary)
+			for _, p := range s.Points {
+				fmt.Printf("w=%d: eager %.2f ms, ttfi %.2f ms (%.2fx), drained %.2f ms, digest==eager %v\n",
+					p.Workers, p.EagerMs, p.TTFIMs, p.VsEager, p.DrainedMs, p.DigestMatch)
+			}
+			fmt.Printf("cluster twins: eager restore p50 %.2f ms vs lazy first-instr p50 %.2f ms (%d lazy restores, %d faults served, %d prefetched); fingerprints match=%v\n",
+				s.Eager.RestoreP50Ms, s.Lazy.FirstInstrP50Ms,
+				s.Lazy.LazyRestores, s.Lazy.FaultsServed, s.Lazy.Prefetched, s.FingerprintsMatch)
+		}},
+	{"bench8", "write the E18 fleet-scale bench to this JSON file and exit",
+		func(quick bool) (any, bool) { s := experiments.E18Bench(quick); return s, s.AllPass && s.RatioWithin2x },
+		func(v any) {
+			s := v.(experiments.E18Summary)
+			for _, p := range s.Points {
+				fmt.Printf("%-10s %5d nodes / %2d shards: %8.0f events/s, detect p99 %.2f ms, failover p99 %.2f ms, %d timers, pass=%v\n",
+					p.Name, p.Nodes, p.Shards, p.EventsPerSec, p.DetectP99Ms, p.FailoverP99Ms, p.Timers, p.Pass)
+			}
+			fmt.Printf("1k→10k detect p99 ratio %.2fx (gate: <= 2x): %v\n", s.DetectRatio, s.RatioWithin2x)
+		}},
+	{"bench7", "write the E17 replication bench to this JSON file and exit",
+		func(quick bool) (any, bool) { s := experiments.E17Bench(quick); return s, s.DegradedWithin2x },
+		func(v any) {
+			s := v.(experiments.E17Summary)
+			for i, w := range s.Write {
+				r := s.Restore[i]
+				fmt.Printf("%-7s publish %.2f ms (%.2fx), stored %.2fx, restore healthy %.2f ms degraded %.2f ms\n",
+					w.Mode, w.PublishMs, w.Overhead, w.Redundancy, r.HealthyMs, r.DegradedMs)
+			}
+			for _, c := range s.Clusters {
+				fmt.Printf("cluster %-7s restore p50 %.2f ms p99 %.2f ms over %d failover(s); reads l/b/s/rc/r = %d/%d/%d/%d/%d\n",
+					c.Mode, c.P50Ms, c.P99Ms, c.Restores,
+					c.ReadLocal, c.ReadBuddy, c.ReadShards, c.ReadReconstruct, c.ReadRemote)
+			}
+			fmt.Printf("degraded restore within 2x of the BENCH_6-style baseline (%.2f ms): %v\n",
+				s.BaselineP50Ms, s.DegradedWithin2x)
+		}},
+	{"bench6", "write the E16 restore bench to this JSON file and exit",
+		func(quick bool) (any, bool) { return experiments.E16Bench(quick), true },
+		func(v any) {
+			s := v.(experiments.E16Summary)
+			fmt.Printf("full read baseline: %.2f ms\n", s.FullReadMs)
+			for _, pt := range s.Points {
+				fmt.Printf("restore %2d delta(s) × %d worker(s): %.2f ms (%.2fx vs full)\n",
+					pt.Deltas, pt.Workers, pt.LatencyMs, pt.VsFull)
+			}
+			fmt.Printf("after fold (%d deltas → chain of %d): %.2f ms (%.2fx vs full)\n",
+				s.Compacted.DeltasBefore, s.Compacted.ChainLen, s.Compacted.LatencyMs, s.Compacted.VsFull)
+			fmt.Printf("cluster (CompactAfter=%d): restore p50 %.2f ms, p99 %.2f ms over %d failover(s); %d fold(s), %d delta(s) retired\n",
+				s.Cluster.CompactAfter, s.Cluster.P50Ms, s.Cluster.P99Ms, s.Cluster.Restores,
+				s.Cluster.Folds, s.Cluster.FoldedDeltas)
+		}},
+	{"bench5", "write the E15 parallel-capture bench to this JSON file and exit",
+		func(quick bool) (any, bool) { return experiments.E15Bench(quick), true },
+		func(v any) {
+			s := v.(experiments.E15Summary)
+			for _, pt := range s.Capture {
+				fmt.Printf("capture %d worker(s): %.2f ms, %.1f MB/s (%.2fx)\n",
+					pt.Workers, pt.LatencyMs, pt.ThroughputMBs, pt.Speedup)
+			}
+			fmt.Printf("publish latency: p50 %.2f ms, p99 %.2f ms over %d publishes (%d batched, %d stalls)\n",
+				s.Publish.P50Ms, s.Publish.P99Ms, s.Publish.N, s.Publish.Batched, s.Publish.Stalls)
+			fmt.Printf("restore: chain of %d read in %.2f ms\n", s.Restore.ChainLen, s.Restore.ReadMs)
+		}},
+	{"benchckpt", "write the E14 incremental-shipping bench to this JSON file and exit",
+		func(quick bool) (any, bool) { return experiments.E14Bench(quick), true },
+		func(v any) {
+			for _, s := range v.([]experiments.E14Summary) {
+				fmt.Printf("dirty %.2f: full %.1f KiB/ckpt, delta %.1f KiB/ckpt (reduction %.0f%%), restore %.2f ms vs %.2f ms\n",
+					s.DirtyRate, s.FullBytesPerCkpt/1024, s.DeltaBytesPerCkpt/1024,
+					100*s.Reduction, s.FullRestoreMs, s.DeltaRestoreMs)
+			}
+		}},
+}
+
+// writeJSON writes v to path as indented JSON with a trailing newline.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
 func main() {
 	sel := flag.String("e", "", "comma-separated experiment numbers (default: all)")
 	quick := flag.Bool("quick", false, "smaller parameters")
-	benchCkpt := flag.String("benchckpt", "", "write the E14 incremental-shipping bench to this JSON file and exit")
-	bench5 := flag.String("bench5", "", "write the E15 parallel-capture bench to this JSON file and exit")
-	bench6 := flag.String("bench6", "", "write the E16 restore bench to this JSON file and exit")
-	bench7 := flag.String("bench7", "", "write the E17 replication bench to this JSON file and exit")
-	bench8 := flag.String("bench8", "", "write the E18 fleet-scale bench to this JSON file and exit")
-	bench9 := flag.String("bench9", "", "write the E19 lazy-restore bench to this JSON file and exit")
-	bench10 := flag.String("bench10", "", "write the E20 policy bench to this JSON file and exit")
+	outs := make([]*string, len(benchModes))
+	for i, b := range benchModes {
+		outs[i] = flag.String(b.flag, "", b.usage)
+	}
 	flag.Parse()
 
-	if *bench10 != "" {
-		s := experiments.E20Bench(*quick)
-		data, err := json.MarshalIndent(s, "", "  ")
-		if err != nil {
+	for i, b := range benchModes {
+		if *outs[i] == "" {
+			continue
+		}
+		result, pass := b.run(*quick)
+		if err := writeJSON(*outs[i], result); err != nil {
 			fmt.Fprintln(os.Stderr, "crbench:", err)
 			os.Exit(1)
 		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*bench10, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "crbench:", err)
+		b.report(result)
+		fmt.Println("wrote", *outs[i])
+		if !pass {
 			os.Exit(1)
 		}
-		for _, c := range []experiments.E20CadenceSummary{s.Fixed, s.YoungDaly} {
-			fmt.Printf("%-10s completed=%v failures=%d work-lost %.2f ms, %d ckpts, %d recomputes, final interval %.3f ms\n",
-				c.Policy, c.Completed, c.Failures, c.WorkLostMs, c.Checkpoints, c.Recomputes, c.FinalIntervalMs)
-		}
-		fmt.Printf("work-lost ratio youngdaly/fixed %.2fx (gate <= 0.8x), fingerprints match=%v\n",
-			s.WorkLostRatio, s.FingerprintsMatch)
-		lv := s.Liveness
-		fmt.Printf("liveness chain %d bytes vs baseline %d (%.2fx, gate <= 0.9x), excluded %d, live digest match=%v, fingerprints at reference=%v\n",
-			lv.FilteredBytes, lv.BaselineBytes, lv.BytesRatio, lv.ExcludedBytes, lv.LiveDigestMatch, lv.FingerprintMatch)
-		fmt.Println("wrote", *bench10)
-		if !s.GatePass {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bench9 != "" {
-		s := experiments.E19Bench(*quick)
-		data, err := json.MarshalIndent(s, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crbench:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*bench9, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "crbench:", err)
-			os.Exit(1)
-		}
-		for _, p := range s.Points {
-			fmt.Printf("w=%d: eager %.2f ms, ttfi %.2f ms (%.2fx), drained %.2f ms, digest==eager %v\n",
-				p.Workers, p.EagerMs, p.TTFIMs, p.VsEager, p.DrainedMs, p.DigestMatch)
-		}
-		fmt.Printf("cluster twins: eager restore p50 %.2f ms vs lazy first-instr p50 %.2f ms (%d lazy restores, %d faults served, %d prefetched); fingerprints match=%v\n",
-			s.Eager.RestoreP50Ms, s.Lazy.FirstInstrP50Ms,
-			s.Lazy.LazyRestores, s.Lazy.FaultsServed, s.Lazy.Prefetched, s.FingerprintsMatch)
-		fmt.Println("wrote", *bench9)
-		if !s.GatePass {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bench8 != "" {
-		s := experiments.E18Bench(*quick)
-		data, err := json.MarshalIndent(s, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crbench:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*bench8, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "crbench:", err)
-			os.Exit(1)
-		}
-		for _, p := range s.Points {
-			fmt.Printf("%-10s %5d nodes / %2d shards: %8.0f events/s, detect p99 %.2f ms, failover p99 %.2f ms, %d timers, pass=%v\n",
-				p.Name, p.Nodes, p.Shards, p.EventsPerSec, p.DetectP99Ms, p.FailoverP99Ms, p.Timers, p.Pass)
-		}
-		fmt.Printf("1k→10k detect p99 ratio %.2fx (gate: <= 2x): %v\n", s.DetectRatio, s.RatioWithin2x)
-		fmt.Println("wrote", *bench8)
-		if !s.AllPass || !s.RatioWithin2x {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bench7 != "" {
-		s := experiments.E17Bench(*quick)
-		data, err := json.MarshalIndent(s, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crbench:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*bench7, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "crbench:", err)
-			os.Exit(1)
-		}
-		for i, w := range s.Write {
-			r := s.Restore[i]
-			fmt.Printf("%-7s publish %.2f ms (%.2fx), stored %.2fx, restore healthy %.2f ms degraded %.2f ms\n",
-				w.Mode, w.PublishMs, w.Overhead, w.Redundancy, r.HealthyMs, r.DegradedMs)
-		}
-		for _, c := range s.Clusters {
-			fmt.Printf("cluster %-7s restore p50 %.2f ms p99 %.2f ms over %d failover(s); reads l/b/s/rc/r = %d/%d/%d/%d/%d\n",
-				c.Mode, c.P50Ms, c.P99Ms, c.Restores,
-				c.ReadLocal, c.ReadBuddy, c.ReadShards, c.ReadReconstruct, c.ReadRemote)
-		}
-		fmt.Printf("degraded restore within 2x of the BENCH_6-style baseline (%.2f ms): %v\n",
-			s.BaselineP50Ms, s.DegradedWithin2x)
-		fmt.Println("wrote", *bench7)
-		if !s.DegradedWithin2x {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bench6 != "" {
-		s := experiments.E16Bench(*quick)
-		data, err := json.MarshalIndent(s, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crbench:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*bench6, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "crbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("full read baseline: %.2f ms\n", s.FullReadMs)
-		for _, pt := range s.Points {
-			fmt.Printf("restore %2d delta(s) × %d worker(s): %.2f ms (%.2fx vs full)\n",
-				pt.Deltas, pt.Workers, pt.LatencyMs, pt.VsFull)
-		}
-		fmt.Printf("after fold (%d deltas → chain of %d): %.2f ms (%.2fx vs full)\n",
-			s.Compacted.DeltasBefore, s.Compacted.ChainLen, s.Compacted.LatencyMs, s.Compacted.VsFull)
-		fmt.Printf("cluster (CompactAfter=%d): restore p50 %.2f ms, p99 %.2f ms over %d failover(s); %d fold(s), %d delta(s) retired\n",
-			s.Cluster.CompactAfter, s.Cluster.P50Ms, s.Cluster.P99Ms, s.Cluster.Restores,
-			s.Cluster.Folds, s.Cluster.FoldedDeltas)
-		fmt.Println("wrote", *bench6)
-		return
-	}
-
-	if *bench5 != "" {
-		s := experiments.E15Bench(*quick)
-		data, err := json.MarshalIndent(s, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crbench:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*bench5, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "crbench:", err)
-			os.Exit(1)
-		}
-		for _, pt := range s.Capture {
-			fmt.Printf("capture %d worker(s): %.2f ms, %.1f MB/s (%.2fx)\n",
-				pt.Workers, pt.LatencyMs, pt.ThroughputMBs, pt.Speedup)
-		}
-		fmt.Printf("publish latency: p50 %.2f ms, p99 %.2f ms over %d publishes (%d batched, %d stalls)\n",
-			s.Publish.P50Ms, s.Publish.P99Ms, s.Publish.N, s.Publish.Batched, s.Publish.Stalls)
-		fmt.Printf("restore: chain of %d read in %.2f ms\n", s.Restore.ChainLen, s.Restore.ReadMs)
-		fmt.Println("wrote", *bench5)
-		return
-	}
-
-	if *benchCkpt != "" {
-		summaries := experiments.E14Bench(*quick)
-		data, err := json.MarshalIndent(summaries, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crbench:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*benchCkpt, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "crbench:", err)
-			os.Exit(1)
-		}
-		for _, s := range summaries {
-			fmt.Printf("dirty %.2f: full %.1f KiB/ckpt, delta %.1f KiB/ckpt (reduction %.0f%%), restore %.2f ms vs %.2f ms\n",
-				s.DirtyRate, s.FullBytesPerCkpt/1024, s.DeltaBytesPerCkpt/1024,
-				100*s.Reduction, s.FullRestoreMs, s.DeltaRestoreMs)
-		}
-		fmt.Println("wrote", *benchCkpt)
 		return
 	}
 

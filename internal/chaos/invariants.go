@@ -179,7 +179,7 @@ func (c *ackedDurabilityChecker) Finish(a *Audit) []Violation {
 
 // chainViolations walks the final acked leaf's ancestry on the server:
 // every hop must be readable, decodable, unretired, and the walk must
-// end at a full image. This is the invariant GC and PutChained together
+// end at a full image. This is the invariant GC and the chained Write together
 // promise — a restore from the recovery pointer can always replay an
 // intact chain.
 func (c *ackedDurabilityChecker) chainViolations(a *Audit) []Violation {

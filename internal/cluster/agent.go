@@ -11,7 +11,7 @@
 // With Supervisor.Incremental set the agent ships delta chains instead
 // of full images: it arms one dirty-page tracker per incarnation, sends
 // only the ranges written since the previous checkpoint (chained onto
-// it), and every rebaseEvery-th round publishes a fresh full image that
+// it), and every RebaseEvery-th round publishes a fresh full image that
 // bounds the chain — at which point everything the new full supersedes
 // is garbage-collected through the same fenced target the publishes go
 // through.
@@ -58,7 +58,7 @@ type ckptAgent struct {
 func (s *Supervisor) armAgent(node int, pid proc.PID, epoch uint64) {
 	s.agents = append(s.agents, &ckptAgent{
 		s: s, node: node, pid: pid, epoch: epoch,
-		nextAt: s.C.Now().Add(s.agentInterval()),
+		nextAt: s.C.Now().Add(s.Policy.Interval()),
 	})
 }
 
@@ -139,9 +139,9 @@ func (a *ckptAgent) pump() {
 		return
 	}
 	// Consult the interval policy afresh each pump: adaptive intervals
-	// shorten as the MTBF estimate drops, which an arm-time snapshot of
-	// s.Interval would never see.
-	a.nextAt = now.Add(a.s.agentInterval())
+	// shorten as the MTBF estimate drops, which an arm-time snapshot
+	// would never see.
+	a.nextAt = now.Add(a.s.Policy.Interval())
 	p, err := n.K.Procs.Lookup(a.pid)
 	if err != nil {
 		a.stop() // rebooted under us: the process is gone
@@ -160,7 +160,7 @@ func (a *ckptAgent) pump() {
 		// complete memory image, byte-identical to an eager restore's.
 		a.s.settleLazy()
 	}
-	m, err := a.s.mech(a.node)
+	m, err := a.s.mechs.For(a.node)
 	if err != nil {
 		a.s.Counters.Inc("agent.mech_failed", 1)
 		return
@@ -200,7 +200,7 @@ func (a *ckptAgent) pump() {
 // capture takes one checkpoint: a full image through the mechanism's
 // plain path, or — with incremental shipping on and a capable mechanism
 // — a tracker-driven delta chained onto the previous capture, rebased
-// to a fresh full image every rebaseEvery rounds.
+// to a fresh full image every RebaseEvery rounds.
 func (a *ckptAgent) capture(m mechanism.Mechanism, n *Node, p *proc.Process, tgt storage.Target) (*mechanism.Ticket, error) {
 	dr, ok := m.(mechanism.DeltaRequester)
 	if !a.s.Incremental || !ok {
@@ -227,7 +227,7 @@ func (a *ckptAgent) capture(m mechanism.Mechanism, n *Node, p *proc.Process, tgt
 	// stays untouched until this full image supersedes it). A pipelined
 	// ship failure also forces one — the dropped tail left the published
 	// chain without its newest links, so the next image must stand alone.
-	rebase := a.acked%a.s.rebaseEvery() == 0 || a.forceRebase
+	rebase := a.acked%a.s.RebaseEvery == 0 || a.forceRebase
 	var trk checkpoint.Tracker
 	switch {
 	case a.trk == nil:

@@ -184,37 +184,19 @@ func TestGangPreemptResume(t *testing.T) {
 
 func TestSupervisorSurvivesFailuresWithRemoteStorage(t *testing.T) {
 	prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 31}
-	// Reference fingerprint.
-	cRef := newCluster(t, 1, prog)
-	pr, _ := cRef.Node(0).K.Spawn(prog.Name())
-	workload.SetIterations(pr, 60)
-	cRef.RunUntil(func() bool { return pr.State == proc.StateZombie }, simtime.Minute)
-	want := workload.Fingerprint(pr)
+	want := referenceFingerprint(t, prog, 200)
 
 	c := newCluster(t, 3, prog)
 	sup := MustNewSupervisor(SupervisorConfig{
 		C:          c,
 		MkMech:     func() mechanism.Mechanism { return syslevel.NewCRAK() },
 		Prog:       prog,
-		Iterations: 60,
+		Iterations: 200,
 		Policy:     policy.Fixed(5 * simtime.Millisecond),
 	})
-	// Kill the job's node twice, mid-run.
-	killAt := []simtime.Duration{12 * simtime.Millisecond, 30 * simtime.Millisecond}
-	go func() {}() // no goroutines needed; we fail via injected steps below
-	done := make(chan struct{})
-	_ = done
-	// Drive failures manually: run supervisor in segments.
-	errCh := func() error {
-		// Interleave: we can't run Supervisor.Run and fail nodes at exact
-		// times without hooks, so use the injector instead.
-		inj := NewInjector(Exponential{Mean: 25 * simtime.Millisecond}, 2*simtime.Millisecond, 7, 3)
-		c.SetInjector(inj)
-		_ = killAt
-		return sup.Run(2 * simtime.Second)
-	}()
-	if errCh != nil {
-		t.Fatal(errCh)
+	c.SetInjector(NewInjector(Exponential{Mean: 15 * simtime.Millisecond}, 2*simtime.Millisecond, 7, 3))
+	if err := sup.Run(2 * simtime.Second); err != nil {
+		t.Fatal(err)
 	}
 	if !sup.Completed {
 		t.Fatalf("job did not complete (ckpts=%d restarts=%d)", sup.Checkpoints, sup.Restarts)
@@ -224,6 +206,41 @@ func TestSupervisorSurvivesFailuresWithRemoteStorage(t *testing.T) {
 	}
 	if sup.Checkpoints == 0 {
 		t.Fatal("no checkpoints were taken")
+	}
+	if sup.Restarts == 0 {
+		t.Fatal("no failure hit the job — scenario did not exercise recovery")
+	}
+	assertOracleRestartTrail(t, sup)
+}
+
+// assertOracleRestartTrail checks the oracle loop's restart log: every
+// restart logs exactly one event at epoch 0 — EvRestore naming the
+// newest acked image (the one restored), or EvScratch.
+func assertOracleRestartTrail(t *testing.T, sup *Supervisor) {
+	t.Helper()
+	var restores, scratches int
+	lastAck := ""
+	for _, ev := range sup.Events {
+		switch ev.Kind {
+		case EvAck:
+			lastAck = ev.Object
+		case EvRestore, EvScratch:
+			if ev.Kind == EvRestore {
+				restores++
+				if ev.Object != lastAck {
+					t.Errorf("%v restored %q, newest ack was %q", ev, ev.Object, lastAck)
+				}
+			} else {
+				scratches++
+			}
+			if ev.Epoch != 0 {
+				t.Errorf("%v: oracle restarts carry epoch 0", ev)
+			}
+		}
+	}
+	if restores+scratches != sup.Restarts || scratches != sup.FromScratch {
+		t.Errorf("%d restore + %d scratch events for %d restarts (%d from scratch)",
+			restores, scratches, sup.Restarts, sup.FromScratch)
 	}
 }
 
@@ -453,6 +470,17 @@ func TestMechPoolCachesPerNode(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("factory called %d times, want 2", calls)
 	}
+	// A reboot replaces node 0's kernel: the cached instance is bound to
+	// the dead one, so the pool must install a fresh mechanism.
+	c.Fail(0)
+	c.Reboot(0)
+	m0c, err := pool.For(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m0c == m0a || calls != 3 {
+		t.Fatalf("after reboot: same instance %v, factory calls %d (want a fresh install, 3)", m0c == m0a, calls)
+	}
 }
 
 func TestSupervisorLocalDiskLosesProgressOnPermanentFailure(t *testing.T) {
@@ -481,6 +509,7 @@ func TestSupervisorLocalDiskLosesProgressOnPermanentFailure(t *testing.T) {
 	if sup.Restarts > 0 && sup.FromScratch == 0 {
 		t.Fatalf("restarts %d happened but none were from scratch — local checkpoints should have died with their node", sup.Restarts)
 	}
+	assertOracleRestartTrail(t, sup)
 }
 
 func TestNodeRemoteSharesServer(t *testing.T) {

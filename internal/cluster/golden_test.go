@@ -1,0 +1,255 @@
+package cluster
+
+import (
+	"hash/fnv"
+	"strings"
+	"testing"
+
+	"repro/internal/detector"
+	"repro/internal/mechanism"
+	"repro/internal/policy"
+	"repro/internal/simtime"
+	"repro/internal/syslevel"
+	"repro/internal/workload"
+)
+
+// goldenRow is one fixed-seed supervisor run whose event log is pinned
+// by count and FNV-64 hash.
+type goldenRow struct {
+	name string
+	// oracle rows hash the log without restore/scratch lines: the oracle
+	// loop's restart trail is checked by its own tests, and everything
+	// else it logs must stay byte-identical.
+	oracle bool
+	run    func(t *testing.T) *Supervisor
+	events int
+	hash   uint64
+}
+
+// goldenAutonomic runs one job on a four-node cluster (workers 0-2,
+// control and observer on 3) under a seeded worker failure schedule.
+func goldenAutonomic(t *testing.T, seed int64, mtbf simtime.Duration, mutate func(*SupervisorConfig)) *Supervisor {
+	t.Helper()
+	prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: uint64(seed)}
+	c := newClusterSeed(t, 4, seed, prog)
+	c.SetInjector(NewInjector(Exponential{Mean: mtbf}, 2*simtime.Millisecond, seed, 3))
+	mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
+		detector.Config{Period: 200 * simtime.Microsecond, Observer: 3}, c.Counters)
+	cfg := SupervisorConfig{
+		C:           c,
+		MkMech:      func() mechanism.Mechanism { return syslevel.NewCRAK() },
+		Prog:        prog,
+		Iterations:  80,
+		Policy:      policy.Fixed(2 * simtime.Millisecond),
+		Detector:    mon,
+		ControlNode: 3,
+	}
+	mutate(&cfg)
+	sup := MustNewSupervisor(cfg)
+	if err := sup.Run(2 * simtime.Second); err != nil {
+		t.Fatal(err)
+	}
+	return sup
+}
+
+var goldenRows = []goldenRow{
+	{name: "eager-full", events: 25, hash: 0xa670aa4ac7cc278c, run: func(t *testing.T) *Supervisor {
+		return goldenAutonomic(t, 61, 20*simtime.Millisecond, func(*SupervisorConfig) {})
+	}},
+	{name: "incremental-compact", events: 46, hash: 0x435717a13467cd5f, run: func(t *testing.T) *Supervisor {
+		return goldenAutonomic(t, 62, 20*simtime.Millisecond, func(cfg *SupervisorConfig) {
+			cfg.Incremental = true
+			cfg.RebaseEvery = 6
+			cfg.CompactAfter = 2
+		})
+	}},
+	{name: "lazy-buddy", events: 29, hash: 0x087e6f1d8bd8d583, run: func(t *testing.T) *Supervisor {
+		// The bench job-failover configuration.
+		return goldenAutonomic(t, 63, 15*simtime.Millisecond, func(cfg *SupervisorConfig) {
+			cfg.Iterations = 200
+			cfg.Policy = policy.YoungDaly(5 * simtime.Millisecond)
+			cfg.Incremental = true
+			cfg.RebaseEvery = 8
+			cfg.CompactAfter = 6
+			cfg.LazyRestore = true
+			cfg.Replication = &ReplicationConfig{Mode: ReplBuddy}
+		})
+	}},
+	{name: "erasure-2+1", events: 25, hash: 0x7bb3de75e90373cd, run: func(t *testing.T) *Supervisor {
+		return goldenAutonomic(t, 64, 20*simtime.Millisecond, func(cfg *SupervisorConfig) {
+			cfg.Incremental = true
+			cfg.Replication = &ReplicationConfig{Mode: ReplErasure, DataShards: 2, ParityShards: 1}
+		})
+	}},
+	{name: "pipeline", events: 31, hash: 0x484d63affcfeab28, run: func(t *testing.T) *Supervisor {
+		return goldenAutonomic(t, 65, 120*simtime.Millisecond, func(cfg *SupervisorConfig) {
+			cfg.Iterations = 300
+			cfg.Policy = policy.Fixed(1500 * simtime.Microsecond)
+			cfg.Incremental = true
+			cfg.RebaseEvery = 3
+			cfg.Pipeline = &PipelineConfig{}
+		})
+	}},
+	{name: "no-fencing", events: 14, hash: 0x35d442e858881c11, run: func(t *testing.T) *Supervisor {
+		// A partition of the job's first node makes a live incarnation
+		// look dead; without the fence its commits land.
+		prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 31}
+		c := newCluster(t, 4, prog)
+		np := c.EnableNetFaults(NetFaultConfig{})
+		mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
+			detector.Config{Period: 200 * simtime.Microsecond, Observer: 3}, c.Counters)
+		cut := false
+		c.OnStep(func() {
+			if !cut && c.Now() >= simtime.Time(7*simtime.Millisecond) {
+				cut = true
+				np.Partition("island", 0)
+			}
+			if cut && c.Now() >= simtime.Time(17*simtime.Millisecond) {
+				np.Heal("island")
+			}
+		})
+		sup := MustNewSupervisor(SupervisorConfig{
+			C:           c,
+			MkMech:      func() mechanism.Mechanism { return syslevel.NewCRAK() },
+			Prog:        prog,
+			Iterations:  60,
+			Policy:      policy.Fixed(3 * simtime.Millisecond),
+			Detector:    mon,
+			ControlNode: 3,
+			NoFencing:   true,
+		})
+		if err := sup.Run(2 * simtime.Second); err != nil {
+			t.Fatal(err)
+		}
+		return sup
+	}},
+	{name: "relaunch", events: 16, hash: 0x15040d6ade23a0ef, run: func(t *testing.T) *Supervisor {
+		// Node 0 is cut off from the control plane and the job fails
+		// over to node 1. Later both workers are cut off, so the next
+		// failover finds every spare suspected and Run gives up; the
+		// caller relaunches it, as the chaos harness does. The relaunch
+		// lands on node 0, whose kernel outlived the first Run.
+		prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 8}
+		c := newCluster(t, 3, prog)
+		np := c.EnableNetFaults(NetFaultConfig{})
+		mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
+			detector.Config{Period: 200 * simtime.Microsecond, Observer: 2}, c.Counters)
+		cuts := []struct {
+			at     simtime.Duration
+			heal   bool
+			island []int
+		}{
+			{7 * simtime.Millisecond, false, []int{0}},
+			{12 * simtime.Millisecond, true, nil},
+			{20 * simtime.Millisecond, false, []int{0, 1}},
+			{26 * simtime.Millisecond, true, nil},
+		}
+		c.OnStep(func() {
+			if len(cuts) == 0 || c.Now() < simtime.Time(cuts[0].at) {
+				return
+			}
+			if cuts[0].heal {
+				np.Heal("island")
+			} else {
+				np.Partition("island", cuts[0].island...)
+			}
+			cuts = cuts[1:]
+		})
+		sup := MustNewSupervisor(SupervisorConfig{
+			C:           c,
+			MkMech:      func() mechanism.Mechanism { return syslevel.NewCRAK() },
+			Prog:        prog,
+			Iterations:  60,
+			Policy:      policy.Fixed(3 * simtime.Millisecond),
+			Detector:    mon,
+			ControlNode: 2,
+		})
+		relaunches := 0
+		err := sup.Run(2 * simtime.Second)
+		for ; err != nil && relaunches < 5; relaunches++ {
+			c.RunFor(2 * simtime.Millisecond)
+			err = sup.Run(2 * simtime.Second)
+		}
+		if relaunches == 0 {
+			t.Fatal("Run never gave up: the row no longer exercises a relaunch")
+		}
+		return sup
+	}},
+	{name: "oracle-remote", oracle: true, events: 12, hash: 0xe69fddd6b8d9919f, run: func(t *testing.T) *Supervisor {
+		prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 31}
+		c := newCluster(t, 3, prog)
+		c.SetInjector(NewInjector(Exponential{Mean: 15 * simtime.Millisecond}, 2*simtime.Millisecond, 7, 3))
+		sup := MustNewSupervisor(SupervisorConfig{
+			C:          c,
+			MkMech:     func() mechanism.Mechanism { return syslevel.NewCRAK() },
+			Prog:       prog,
+			Iterations: 200,
+			Policy:     policy.Fixed(5 * simtime.Millisecond),
+		})
+		if err := sup.Run(2 * simtime.Second); err != nil {
+			t.Fatal(err)
+		}
+		return sup
+	}},
+	{name: "oracle-local-permanent", oracle: true, events: 21, hash: 0xb1bdf80162ccc401, run: func(t *testing.T) *Supervisor {
+		prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 41}
+		c := newCluster(t, 3, prog)
+		inj := NewInjector(Exponential{Mean: 30 * simtime.Millisecond}, 2*simtime.Millisecond, 3, 3)
+		inj.PermanentFrac = 1.0
+		c.SetInjector(inj)
+		sup := MustNewSupervisor(SupervisorConfig{
+			C:            c,
+			MkMech:       func() mechanism.Mechanism { return syslevel.NewCRAK() },
+			Prog:         prog,
+			Iterations:   400,
+			Policy:       policy.Fixed(4 * simtime.Millisecond),
+			UseLocalDisk: true,
+		})
+		// All failures are permanent, so the run may end out of spares;
+		// the log up to that point is what is pinned.
+		_ = sup.Run(2 * simtime.Second)
+		if sup.FromScratch == 0 {
+			t.Fatal("no scratch restart: the row no longer exercises the lost-local-disk path")
+		}
+		return sup
+	}},
+}
+
+// TestSupervisorEventLogGolden pins the single-job supervisor's event
+// log across refactors: each fixed-seed row must reproduce the recorded
+// event count and FNV-64 of FormatEvents exactly. Every row restarts the
+// job at least once, so the restart paths are on the hashed trail.
+func TestSupervisorEventLogGolden(t *testing.T) {
+	for _, row := range goldenRows {
+		t.Run(row.name, func(t *testing.T) {
+			sup := row.run(t)
+			if sup.Restarts == 0 {
+				t.Fatal("no restart: the row no longer exercises a restart path")
+			}
+			evs := sup.Events
+			if row.oracle {
+				evs = nil
+				for _, ev := range sup.Events {
+					if ev.Kind != EvRestore && ev.Kind != EvScratch {
+						evs = append(evs, ev)
+					}
+				}
+			}
+			h := fnv.New64()
+			h.Write([]byte(FormatEvents(evs)))
+			if len(evs) != row.events || h.Sum64() != row.hash {
+				t.Errorf("event log changed: %d events hash %#x, want %d events hash %#x\n%s",
+					len(evs), h.Sum64(), row.events, row.hash, tail(FormatEvents(evs), 12))
+			}
+		})
+	}
+}
+
+// tail returns the last n lines of s.
+func tail(s string, n int) string {
+	lines := strings.Split(strings.TrimSuffix(s, "\n"), "\n")
+	if len(lines) > n {
+		lines = lines[len(lines)-n:]
+	}
+	return strings.Join(lines, "\n")
+}

@@ -1,15 +1,16 @@
 // Lazy failover: restart before read. With Supervisor.LazyRestore set,
-// recoverFenced restores the job from the leaf image alone — registers,
-// layout, and the tracker's last dirty set — and returns control as soon
-// as those hot pages are applied. The rest of the chain materializes on
-// demand through checkpoint.LazySession: first-touch faults batch-read
-// the ancestors through the same fenced target, and the supervisor's
-// step hook drains the remaining plan oldest-first as a background
-// prefetcher. A session superseded by a later failover aborts instead of
-// serving state (the demand-fault service's self-fencing), and every GC
-// that could unlink the session's ancestors — the new incarnation's
-// first capture, a retire sweep, a server-side compaction — settles the
-// session first, so lazy restore never trades durability for latency.
+// the autonomic failover restores the job from the leaf image alone —
+// registers, layout, and the tracker's last dirty set — and returns
+// control as soon as those hot pages are applied. The rest of the chain
+// materializes on demand through checkpoint.LazySession: first-touch
+// faults batch-read the ancestors through the same fenced target, and
+// the supervisor's step hook drains the remaining plan oldest-first as
+// a background prefetcher. A session superseded by a later failover
+// aborts instead of serving state (the demand-fault service's
+// self-fencing), and every GC that could unlink the session's ancestors
+// — the new incarnation's first capture, a retire sweep, a server-side
+// compaction — settles the session first, so lazy restore never trades
+// durability for latency.
 
 package cluster
 
@@ -39,28 +40,24 @@ type lazyRun struct {
 	chainLen int
 }
 
-// recoverLazy attempts the restart-before-read failover. It returns
-// ok=false — no process, no error — when the lazy preconditions do not
-// hold (no manifest for the recovery pointer, a mechanism without
-// RestartLazy, an unreadable or torn leaf): the caller then falls back
-// to the eager path, which re-discovers ancestry by walking parent
-// links and classifies the storage failure itself.
-func (s *Supervisor) recoverLazy(src storage.Target, spare int, epoch uint64, manifest []string) (*proc.Process, bool, error) {
+// recoverLazy attempts the restart-before-read failover. It returns a
+// nil process and no error when the lazy preconditions do not hold (no
+// manifest for the recovery pointer, a mechanism without RestartLazy,
+// an unreadable or torn leaf): restartOn then falls back to the eager
+// path, which re-discovers ancestry by walking parent links and
+// classifies the storage failure itself.
+func (s *Supervisor) recoverLazy(src storage.Target, spare int, epoch uint64, manifest []string) (*proc.Process, error) {
 	n := len(manifest)
 	if s.lastLeaf == "" || src == nil || !src.Available() || n == 0 || manifest[n-1] != s.lastLeaf {
-		return nil, false, nil
+		return nil, nil
 	}
-	m, err := s.mech(spare)
+	m, _, err := s.prepareOn(spare)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	lr, ok := m.(mechanism.LazyRestarter)
 	if !ok {
-		return nil, false, nil
-	}
-	prepared := m.Prepare(s.Prog)
-	if _, err := s.C.Node(spare).K.Registry.Lookup(prepared.Name()); err != nil {
-		s.C.Node(spare).K.Registry.MustRegister(prepared)
+		return nil, nil
 	}
 
 	// Only the leaf is read on the critical path; its wait is the read
@@ -70,12 +67,12 @@ func (s *Supervisor) recoverLazy(src storage.Target, spare int, epoch uint64, ma
 		Wait: func(d simtime.Duration, _ string) { leafWait += d }}
 	blob, err := src.ReadObject(s.lastLeaf, env)
 	if err != nil {
-		return nil, false, nil
+		return nil, nil
 	}
 	leaf, err := checkpoint.Decode(blob)
 	if err != nil {
 		s.Counters.Inc("ckpt.torn", 1)
-		return nil, false, nil
+		return nil, nil
 	}
 
 	p, sess, err := lr.RestartLazy(s.C.Node(spare).K, leaf, checkpoint.LazyOptions{
@@ -86,22 +83,20 @@ func (s *Supervisor) recoverLazy(src storage.Target, spare int, epoch uint64, ma
 	})
 	if err != nil {
 		if errors.Is(err, checkpoint.ErrNeedsChain) {
-			return nil, false, nil // manifest inconsistent with the leaf's mode
+			return nil, nil // manifest inconsistent with the leaf's mode
 		}
-		return nil, false, err
+		return nil, err
 	}
 
 	st := sess.Stats()
-	ttfi := leafWait + checkpoint.RestoreCost(st.HotBytes, s.restoreWorkers())
-	if s.Metrics != nil {
-		s.Metrics.Hist("restore.first_instr_latency").Observe(float64(ttfi.Millis()))
-		s.Metrics.Hist("restore.chain_len").Observe(float64(n))
-	}
+	ttfi := leafWait + checkpoint.RestoreCost(st.HotBytes, s.RestoreWorkers)
+	s.Metrics.Hist("restore.first_instr_latency").Observe(float64(ttfi.Millis()))
+	s.Metrics.Hist("restore.chain_len").Observe(float64(n))
 	s.Counters.Inc("restore.count", 1)
 	s.Counters.Inc("restore.lazy", 1)
 	s.emit(EvRestore, spare, epoch, s.lastLeaf+" lazy")
 	s.lazy = &lazyRun{sess: sess, epoch: epoch, leafWait: leafWait, chainLen: n}
-	return p, true, nil
+	return p, nil
 }
 
 // pumpLazy advances the background prefetcher one batch per cluster
@@ -151,11 +146,8 @@ func (s *Supervisor) finishLazy() {
 	s.lazy = nil
 	st := lr.sess.Stats()
 	lr.sess.Close()
-	if s.Metrics != nil {
-		lat := lr.leafWait + st.PlanWait +
-			checkpoint.RestoreCost(st.PlanBytes, s.restoreWorkers())
-		s.Metrics.Hist("restore.latency").Observe(float64(lat.Millis()))
-	}
+	lat := lr.leafWait + st.PlanWait + checkpoint.RestoreCost(st.PlanBytes, s.RestoreWorkers)
+	s.Metrics.Hist("restore.latency").Observe(float64(lat.Millis()))
 	s.Counters.Inc("restore.deltas_replayed", int64(lr.chainLen-1))
 }
 

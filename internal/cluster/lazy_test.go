@@ -324,7 +324,7 @@ func TestRecoveryRefreshesManifestAfterConcurrentCompaction(t *testing.T) {
 		}
 	}
 
-	s := &Supervisor{Counters: trace.NewCounters()}
+	s := &Supervisor{SupervisorConfig: SupervisorConfig{Counters: trace.NewCounters()}}
 	s.lastLeaf = leaf.ObjectName()
 	s.lastFull = full.ObjectName()
 	s.chainObjs = append([]string(nil), objs...)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/simos/proc"
 	"repro/internal/simtime"
 	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 // FailureDetector is the suspicion service an autonomic supervisor
@@ -39,24 +38,34 @@ var ErrSuspected = errors.New("cluster: node is suspected by the failure detecto
 type MechPool struct {
 	C      *Cluster
 	Mk     func() mechanism.Mechanism
-	byNode map[int]mechanism.Mechanism
+	byNode map[int]nodeMech
+}
+
+// nodeMech remembers which kernel a cached mechanism was installed on: a
+// reboot replaces the node's kernel, and a mechanism bound to the dead
+// kernel fails every request from then on.
+type nodeMech struct {
+	k *kernel.Kernel
+	m mechanism.Mechanism
 }
 
 // NewMechPool wraps a mechanism factory for use across c's nodes.
 func NewMechPool(c *Cluster, mk func() mechanism.Mechanism) *MechPool {
-	return &MechPool{C: c, Mk: mk, byNode: make(map[int]mechanism.Mechanism)}
+	return &MechPool{C: c, Mk: mk, byNode: make(map[int]nodeMech)}
 }
 
-// For returns the node's mechanism, installing it on first use.
+// For returns the node's mechanism, installing a fresh one on first use
+// and again whenever the node has rebooted since.
 func (mp *MechPool) For(node int) (mechanism.Mechanism, error) {
-	if m, ok := mp.byNode[node]; ok {
-		return m, nil
+	k := mp.C.Node(node).K
+	if nm, ok := mp.byNode[node]; ok && nm.k == k {
+		return nm.m, nil
 	}
 	m := mp.Mk()
-	if err := m.Install(mp.C.Node(node).K); err != nil {
+	if err := m.Install(k); err != nil {
 		return nil, err
 	}
-	mp.byNode[node] = m
+	mp.byNode[node] = nodeMech{k, m}
 	return m, nil
 }
 
@@ -132,14 +141,13 @@ type GangMember struct {
 // outage or maintenance" uses of §1.
 type Gang struct {
 	C       *Cluster
-	MkMech  func() mechanism.Mechanism
 	Members []GangMember
 	// Det, when set, vetoes preemption/resume touching a suspected node
 	// (ErrSuspected) — the gang controller trusts the detector, not the
 	// simulator's oracle.
 	Det FailureDetector
 
-	mechs  map[int]mechanism.Mechanism
+	mechs  *MechPool
 	images map[int]*checkpoint.Image // keyed by member index
 	frozen bool
 }
@@ -147,22 +155,10 @@ type Gang struct {
 // NewGang wraps a member set for safe preemption.
 func NewGang(c *Cluster, mk func() mechanism.Mechanism, members []GangMember) *Gang {
 	return &Gang{
-		C: c, MkMech: mk, Members: members,
-		mechs:  make(map[int]mechanism.Mechanism),
+		C: c, Members: members,
+		mechs:  NewMechPool(c, mk),
 		images: make(map[int]*checkpoint.Image),
 	}
-}
-
-func (g *Gang) mech(node int) (mechanism.Mechanism, error) {
-	if m, ok := g.mechs[node]; ok {
-		return m, nil
-	}
-	m := g.MkMech()
-	if err := m.Install(g.C.Node(node).K); err != nil {
-		return nil, err
-	}
-	g.mechs[node] = m
-	return m, nil
 }
 
 // Preempt checkpoints every member and kills it, freeing the nodes for
@@ -190,7 +186,7 @@ func (g *Gang) Preempt() error {
 			return fmt.Errorf("cluster: gang preempt member %d on node %d: %w", i, mb.Node, ErrSuspected)
 		}
 		n := g.C.Node(mb.Node)
-		m, err := g.mech(mb.Node)
+		m, err := g.mechs.For(mb.Node)
 		if err != nil {
 			return err
 		}
@@ -228,7 +224,7 @@ func (g *Gang) Resume() ([]*proc.Process, error) {
 		if img == nil {
 			return nil, fmt.Errorf("cluster: no image for member %d", i)
 		}
-		m, err := g.mech(mb.Node)
+		m, err := g.mechs.For(mb.Node)
 		if err != nil {
 			return nil, err
 		}
@@ -247,120 +243,33 @@ func (g *Gang) Resume() ([]*proc.Process, error) {
 // under fail-stop failures: it checkpoints periodically through a real
 // mechanism to the checkpoint server (or local disk) and restarts the job
 // on a spare node after failures — the whole §1 story end to end.
+// Construct it with NewSupervisor; both the oracle and the autonomic
+// loop restart the job through one path, restartOn.
 type Supervisor struct {
-	C      *Cluster
-	MkMech func() mechanism.Mechanism
-	Prog   kernel.Program
-	// Iterations bounds the workload.
-	Iterations uint64
-	// Policy is the job's checkpoint policy engine: it owns the cadence
-	// (fixed, or recomputed from measured capture cost and the online
-	// MTBF estimate) and the delta content policy. NewSupervisor always
-	// provides one; Run refuses to start without it.
+	// SupervisorConfig is the validated configuration with every default
+	// resolved by NewSupervisor. Its fields are the supervisor's own:
+	// sup.Incremental, sup.Fence, sup.OnEvent and the rest read and write
+	// through it.
+	SupervisorConfig
+	// Policy is the job's checkpoint policy engine, built from
+	// SupervisorConfig.Policy: it owns the cadence (fixed, or recomputed
+	// from measured capture cost and the online MTBF estimate) and the
+	// delta content policy. It deliberately shadows the config's
+	// policy.Spec field of the same name — callers read the engine as
+	// sup.Policy and the spec it runs as sup.Policy.Spec(). Run refuses to
+	// start without it.
 	Policy *policy.Engine
-	// UseLocalDisk stores checkpoints on the running node instead of the
-	// server — the E5 contrast.
-	UseLocalDisk bool
-	// Estimator is the policy engine's MTBF estimator, exposed for
-	// callers that read Failures/Estimate directly.
-	Estimator *MTBFEstimator
-
-	// MaxRetries bounds per-round checkpoint retries against the primary
-	// target (0 means the default of 3; negative disables retries).
-	MaxRetries int
-	// RetryBackoff is the first retry delay, doubled per attempt (default
-	// 1ms of simulated time).
-	RetryBackoff simtime.Duration
-	// LocalFallback writes the round's checkpoint to the node-local disk
-	// when every retry against the remote server fails — degraded
-	// protection (the image dies with the node) beats none.
-	LocalFallback bool
-	// UnsafeCommit disables atomic image commit (legacy in-place writes)
-	// — the torn-image contrast for experiments and tests.
-	UnsafeCommit bool
-	// Incremental makes the node-local agents ship delta chains: each
-	// incarnation arms a dirty-page tracker and publishes only the pages
-	// written since the previous checkpoint, chained onto it. Requires a
-	// mechanism implementing mechanism.DeltaRequester; others silently
-	// fall back to full images. Autonomic mode only.
-	Incremental bool
-	// RebaseEvery bounds the chain when Incremental is set: every Nth
-	// checkpoint is a fresh full image (default 8), bounding both restore
-	// latency and the blast radius of a lost delta. The first checkpoint
-	// of every incarnation is always full — chains never span
-	// incarnations.
-	RebaseEvery int
-	// Counters receives ckpt.* orchestration counters (defaults to the
-	// cluster's shared counter set).
-	Counters *trace.Counters
-	// Metrics layers latency histograms (pipe.publish_latency) over
-	// Counters. NewSupervisor always provides one; with literal
-	// construction it may be nil, in which case distributions are simply
-	// not recorded.
-	Metrics *trace.Metrics
-
-	// Detector switches Run into autonomic mode: liveness verdicts come
-	// from heartbeat-driven suspicion instead of the simulator's
-	// fail-stop oracle, checkpoints are taken by node-local agents, and
-	// every failover is fenced through Fence.
-	Detector FailureDetector
-	// Fence is the job's epoch domain (created by Run when nil). Each
-	// incarnation publishes through a target fenced at its admission
-	// epoch; Advance-before-restart makes a stale incarnation's commits
-	// rejectable no matter how wrong the suspicion was.
-	Fence *storage.FenceDomain
-	// NoFencing disables the fenced target — the split-brain contrast.
-	// Double commits by stale incarnations then succeed and are counted
-	// under fence.double_commits.
-	NoFencing bool
-	// ControlNode is where the supervisor (and its status probes)
-	// originate in autonomic mode; it should match the detector's
-	// observer node. The job is never placed there.
-	ControlNode int
-	// Pipeline, when non-nil, makes the node-local agents capture into
-	// memory and ship asynchronously through a bounded in-flight queue,
-	// overlapping capture of epoch N+1 with the transfer of epoch N (see
-	// pipeline.go). Autonomic mode only.
-	Pipeline *PipelineConfig
-	// Replication, when non-nil, fans every checkpoint out to a placement
-	// set (buddy mirrors or erasure shards — see replication.go) and
-	// restores from the nearest surviving replica. Autonomic mode only.
-	Replication *ReplicationConfig
-	// CompactAfter, when positive with Incremental, bounds the live chain
-	// on the server: whenever an ack leaves more than CompactAfter deltas
-	// behind the full head, the supervisor folds the chain into a fresh
-	// full image under the leaf's own name (storage.CompactChain) and
-	// retires the folded deltas. Unlike RebaseEvery — which bounds the
-	// chain by making the agent ship a periodic full — compaction is
-	// server-side: no capture traffic, and restore never replays more
-	// than CompactAfter deltas. Autonomic mode only; 0 disables.
-	CompactAfter int
-	// RestoreWorkers shards chain replay on every restart through
-	// mechanism.RestoreParallelizer (0 = follow the pipeline's capture
-	// width, or sequential without a pipeline). Restored memory is
-	// byte-identical at any width.
-	RestoreWorkers int
-	// LazyRestore switches autonomic failover to restart-before-read
-	// (see lazy.go): only the leaf image is read before the job resumes;
-	// the rest of the chain materializes on demand and via a background
-	// prefetcher. Requires a mechanism implementing
-	// mechanism.LazyRestarter; others fall back to eager restarts. The
-	// fully drained memory is byte-identical to an eager restore.
-	LazyRestore bool
 	// OracleReads counts decision-path reads of simulator ground truth
 	// (Alive / direct process-table inspection). Autonomic mode performs
 	// none: its tests assert this stays zero.
 	OracleReads int
 
-	// Events is the orchestration event log (see events.go); OnEvent,
-	// when set, additionally receives each event as it is emitted — the
-	// chaos harness's invariant checkers observe the run through it.
-	Events  []Event
-	OnEvent func(Event)
+	// Events is the orchestration event log (see events.go).
+	Events []Event
 
+	mechs     *MechPool
 	node      int
 	pid       proc.PID
-	mechAt    map[int]nodeMech
 	lastLeaf  string
 	lastNode  int
 	lastLocal bool // last good image is on lastNode's local disk
@@ -406,16 +315,16 @@ func (s *Supervisor) Run(budget simtime.Duration) error {
 	if s.Policy == nil {
 		return errors.New("cluster: Supervisor needs a policy engine — construct with NewSupervisor")
 	}
-	if s.Estimator == nil {
-		s.Estimator = s.Policy.Estimator()
-	}
-	if s.Counters == nil {
-		s.Counters = s.C.Counters
-	}
+	// Each Run starts from an empty mechanism pool, so a Run relaunched
+	// after an abort installs new instances rather than reusing the
+	// abandoned ones. On a node whose kernel survived, a kernel-thread
+	// mechanism's Install then finds its module loaded and leaves the new
+	// instance unbound, so that node's captures fail until it reboots.
+	// Relaunched runs' event logs depend on this.
+	s.mechs = NewMechPool(s.C, s.mechs.Mk)
 	if s.Detector != nil {
 		return s.runAutonomic(budget)
 	}
-	s.mechAt = make(map[int]nodeMech)
 	start := s.C.Now()
 	if err := s.start(0); err != nil {
 		return err
@@ -423,7 +332,9 @@ func (s *Supervisor) Run(budget simtime.Duration) error {
 	deadline := s.C.Now().Add(budget)
 	lastObs := s.C.Now()
 	for s.C.Now() < deadline {
-		s.C.RunFor(s.agentInterval())
+		// The policy engine answers the cadence afresh each round, so a
+		// shrinking MTBF estimate shortens the very next checkpoint gap.
+		s.C.RunFor(s.Policy.Interval())
 		s.Policy.ObserveUptime(s.C.Now().Sub(lastObs))
 		lastObs = s.C.Now()
 
@@ -473,17 +384,6 @@ func (s *Supervisor) Run(budget simtime.Duration) error {
 	return nil
 }
 
-// agentInterval is the single checkpoint-cadence seam, consulted by the
-// classic loop each round and by the node-local agents each pump. The
-// policy engine answers: the fixed interval, the legacy per-call
-// adaptive Young recompute, or the youngdaly strategy's live cadence
-// recomputed on observation events (§1's self-adjusting behaviour). A
-// shrinking MTBF estimate therefore shortens the very next checkpoint
-// gap in every mode.
-func (s *Supervisor) agentInterval() simtime.Duration {
-	return s.Policy.Interval()
-}
-
 // noteFailure feeds one observed failure into the policy engine (moving
 // the MTBF estimate and, under youngdaly, the live cadence) and records
 // the work lost to it: the simulated time since the job's durable state
@@ -491,34 +391,11 @@ func (s *Supervisor) agentInterval() simtime.Duration {
 // to bound, and the chaos work-lost invariant reads it back.
 func (s *Supervisor) noteFailure() {
 	s.Policy.ObserveFailure()
-	if s.Metrics != nil {
-		lost := s.C.Now().Sub(s.lastProgressAt)
-		if lost < 0 {
-			lost = 0
-		}
-		s.Metrics.Hist("policy.work_lost").Observe(lost.Millis())
+	lost := s.C.Now().Sub(s.lastProgressAt)
+	if lost < 0 {
+		lost = 0
 	}
-}
-
-// rebaseEvery returns the configured chain bound (default 8).
-func (s *Supervisor) rebaseEvery() int {
-	if s.RebaseEvery > 0 {
-		return s.RebaseEvery
-	}
-	return 8
-}
-
-// restoreWorkers returns the replay pool width for restarts: the
-// explicit RestoreWorkers, else the pipeline's capture width (a node
-// provisioned to shard captures can shard replays), else sequential.
-func (s *Supervisor) restoreWorkers() int {
-	if s.RestoreWorkers > 0 {
-		return s.RestoreWorkers
-	}
-	if s.Pipeline != nil {
-		return s.Pipeline.captureWorkers()
-	}
-	return 1
+	s.Metrics.Hist("policy.work_lost").Observe(lost.Millis())
 }
 
 // LastLeaf returns the object name of the newest acknowledged
@@ -529,30 +406,6 @@ func (s *Supervisor) LastLeaf() string { return s.lastLeaf }
 // supervisor holds (stopped agents are compacted out by pumpAgents).
 func (s *Supervisor) LiveAgents() int { return len(s.agents) }
 
-// nodeMech remembers which kernel a cached mechanism was installed on: a
-// reboot replaces the node's kernel, and a mechanism bound to the dead
-// kernel fails every request from then on.
-type nodeMech struct {
-	k *kernel.Kernel
-	m mechanism.Mechanism
-}
-
-func (s *Supervisor) mech(node int) (mechanism.Mechanism, error) {
-	n := s.C.Node(node)
-	if nm, ok := s.mechAt[node]; ok && nm.k == n.K {
-		return nm.m, nil
-	}
-	m := s.MkMech()
-	if err := m.Install(n.K); err != nil {
-		return nil, err
-	}
-	if rp, ok := m.(mechanism.RestoreParallelizer); ok {
-		rp.SetRestoreParallelism(s.restoreWorkers())
-	}
-	s.mechAt[node] = nodeMech{n.K, m}
-	return m, nil
-}
-
 func (s *Supervisor) target(node int) storage.Target {
 	if s.UseLocalDisk {
 		return s.C.Node(node).Disk
@@ -560,17 +413,29 @@ func (s *Supervisor) target(node int) storage.Target {
 	return s.C.Node(node).Remote()
 }
 
+// prepareOn returns node's mechanism with the job's program, as the
+// mechanism wraps it, registered on the node's kernel.
+func (s *Supervisor) prepareOn(node int) (mechanism.Mechanism, kernel.Program, error) {
+	m, err := s.mechs.For(node)
+	if err != nil {
+		return nil, nil, err
+	}
+	prepared := m.Prepare(s.Prog)
+	reg := s.C.Node(node).K.Registry
+	if _, err := reg.Lookup(prepared.Name()); err != nil {
+		reg.MustRegister(prepared)
+	}
+	return m, prepared, nil
+}
+
+// start spawns a fresh incarnation of the job on node.
 func (s *Supervisor) start(node int) error {
 	s.node = node
-	m, err := s.mech(node)
+	m, prepared, err := s.prepareOn(node)
 	if err != nil {
 		return err
 	}
-	prepared := m.Prepare(s.Prog)
 	n := s.C.Node(node)
-	if _, err := n.K.Registry.Lookup(prepared.Name()); err != nil {
-		n.K.Registry.MustRegister(prepared)
-	}
 	p, err := n.K.Spawn(prepared.Name())
 	if err != nil {
 		return err
@@ -596,7 +461,7 @@ func (s *Supervisor) commitTarget(t storage.Target) storage.Target {
 
 // attempt runs one checkpoint against tgt and records the result.
 func (s *Supervisor) attempt(p *proc.Process, tgt storage.Target, local bool) error {
-	m, err := s.mech(s.node)
+	m, err := s.mechs.For(s.node)
 	if err != nil {
 		return err
 	}
@@ -619,17 +484,7 @@ func (s *Supervisor) attempt(p *proc.Process, tgt storage.Target, local bool) er
 // node-local disk. Injected storage faults thus cost retries and degraded
 // placement, not lost rounds.
 func (s *Supervisor) checkpoint(p *proc.Process) error {
-	retries := s.MaxRetries
-	if retries == 0 {
-		retries = 3
-	}
-	if retries < 0 {
-		retries = 0
-	}
-	backoff := s.RetryBackoff
-	if backoff <= 0 {
-		backoff = simtime.Millisecond
-	}
+	retries := max(s.MaxRetries, 0) // negative disables retries
 	local := s.UseLocalDisk
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -644,7 +499,7 @@ func (s *Supervisor) checkpoint(p *proc.Process) error {
 		// Back off in simulated time (doubling), then revalidate: the node
 		// or the process may have died while we waited, in which case the
 		// main loop — not this retry loop — must handle it.
-		s.C.RunFor(backoff << uint(attempt))
+		s.C.RunFor(s.RetryBackoff << uint(attempt))
 		s.OracleReads += 2
 		if !s.C.Node(s.node).Alive() {
 			return lastErr
@@ -665,47 +520,62 @@ func (s *Supervisor) checkpoint(p *proc.Process) error {
 	return lastErr
 }
 
-// recover restarts the job on a spare node from the best reachable
-// checkpoint — or from scratch when the only copies died with the node.
+// recover is the oracle loop's failover: restart the job on a spare node
+// the simulator reports alive, reading the checkpoint from wherever the
+// last good image went — the server, or a local disk that is unreachable
+// if its node is down.
 func (s *Supervisor) recover() error {
 	s.OracleReads++ // FindSpare scans ground-truth liveness
 	spare := s.C.FindSpare(s.node)
 	if spare < 0 {
 		return errors.New("cluster: no spare node")
 	}
-	var src storage.Target
+	var src storage.Target = s.C.Node(spare).Remote()
 	if s.lastLocal {
-		src = s.C.Node(s.lastNode).Disk // unreachable if that node is down
-	} else {
-		src = s.C.Node(spare).Remote()
+		src = s.C.Node(s.lastNode).Disk
 	}
-	chain, readWait := s.loadRecoveryChain(src, s.chainObjs)
-	if chain == nil {
-		// Nothing recoverable: start over (the paper's warning about
-		// local-only storage).
-		s.FromScratch++
-		s.lastLeaf = ""
-		s.lastFull = ""
-		s.Restarts++
-		return s.start(spare)
-	}
-	m, err := s.mech(spare)
-	if err != nil {
-		return err
-	}
-	// Make sure the (possibly wrapped) program exists on the spare.
-	prepared := m.Prepare(s.Prog)
-	if _, err := s.C.Node(spare).K.Registry.Lookup(prepared.Name()); err != nil {
-		s.C.Node(spare).K.Registry.MustRegister(prepared)
-	}
-	p, err := m.Restart(s.C.Node(spare).K, chain, true)
-	if err != nil {
-		return err
-	}
-	s.observeRestore(chain, readWait)
-	s.node = spare
-	s.pid = p.PID
+	return s.restartOn(spare, src, s.chainObjs, 0)
+}
+
+// restartOn is the one restart path both loops share: it restarts the
+// job on node from the newest checkpoint src serves — restart-before-
+// read when LazyRestore is set and its preconditions hold, else an eager
+// restore of the whole chain, else from scratch when nothing is
+// recoverable (the paper's warning about local-only storage). It logs
+// EvRestore or EvScratch under epoch (0 in oracle mode). manifest is the
+// caller's snapshot of the chain's acked object names.
+func (s *Supervisor) restartOn(node int, src storage.Target, manifest []string, epoch uint64) error {
 	s.Restarts++
+	var p *proc.Process
+	if s.LazyRestore {
+		var err error
+		if p, err = s.recoverLazy(src, node, epoch, manifest); err != nil {
+			return err
+		}
+		// A nil process means the lazy preconditions did not hold: fall
+		// through to the eager path below.
+	}
+	if p == nil {
+		chain, readWait := s.loadRecoveryChain(src, manifest)
+		if chain == nil {
+			s.FromScratch++
+			s.lastLeaf = ""
+			s.lastFull = ""
+			s.emit(EvScratch, node, epoch, "")
+			return s.start(node)
+		}
+		m, _, err := s.prepareOn(node)
+		if err != nil {
+			return err
+		}
+		s.emit(EvRestore, node, epoch, chain[len(chain)-1].ObjectName())
+		if p, err = m.Restart(s.C.Node(node).K, chain, true); err != nil {
+			return err
+		}
+		s.observeRestore(chain, readWait)
+	}
+	s.node = node
+	s.pid = p.PID
 	s.lastProgressAt = s.C.Now()
 	return nil
 }
@@ -809,13 +679,9 @@ func sameManifest(a, b []string) bool {
 // across nodes and the observation itself never perturbs the cluster's
 // deterministic schedule.
 func (s *Supervisor) observeRestore(chain []*checkpoint.Image, readWait simtime.Duration) {
-	if s.Metrics == nil {
-		return
-	}
-	workers := s.restoreWorkers()
 	lat := readWait
 	if n, err := checkpoint.ReplayBytes(chain); err == nil {
-		lat += checkpoint.RestoreCost(n, workers)
+		lat += checkpoint.RestoreCost(n, s.RestoreWorkers)
 	}
 	s.Metrics.Hist("restore.latency").Observe(float64(lat.Millis()))
 	s.Metrics.Hist("restore.chain_len").Observe(float64(len(chain)))
@@ -834,7 +700,6 @@ func (s *Supervisor) runAutonomic(budget simtime.Duration) error {
 	if s.Fence == nil {
 		s.Fence = storage.NewFenceDomain("job", s.Counters)
 	}
-	s.mechAt = make(map[int]nodeMech)
 	s.C.OnStep(s.pumpAgents)
 
 	start := s.C.Now()
@@ -935,9 +800,7 @@ func (s *Supervisor) recoverFenced() error {
 	// Snapshot the chain manifest before the bookkeeping below clears
 	// it: the manifest is what makes the batched-read fast path (and the
 	// lazy restore's ancestor list) possible, and it describes exactly
-	// the chain this failover restores from. Clearing first made the
-	// fast path dead on every autonomic failover — recovery always paid
-	// the seek-per-link parent walk.
+	// the chain this failover restores from.
 	manifest := append([]string(nil), s.chainObjs...)
 	// The superseded incarnation's chain is still the recovery pointer's
 	// ancestry: it must survive on the server until the next
@@ -953,55 +816,9 @@ func (s *Supervisor) recoverFenced() error {
 	// recoveryTarget reads through the placement the acked chain was
 	// written under; the new incarnation's first capture re-anchors
 	// placement at the spare afterwards.
-	src := s.recoveryTarget(spare)
-	if s.LazyRestore {
-		p, ok, err := s.recoverLazy(src, spare, epoch, manifest)
-		if err != nil {
-			return err
-		}
-		if ok {
-			s.Restarts++
-			s.node = spare
-			s.pid = p.PID
-			s.lastProgressAt = s.C.Now()
-			s.armAgent(spare, s.pid, epoch)
-			s.emit(EvAdmit, spare, epoch, "")
-			return nil
-		}
-		// Preconditions not met (no manifest, incapable mechanism,
-		// unreadable leaf): fall through to the eager path below.
-	}
-	chain, readWait := s.loadRecoveryChain(src, manifest)
-	s.Restarts++
-	if chain == nil {
-		s.FromScratch++
-		s.lastLeaf = ""
-		s.lastFull = ""
-		s.emit(EvScratch, spare, epoch, "")
-		if err := s.start(spare); err != nil {
-			return err
-		}
-		s.armAgent(spare, s.pid, epoch)
-		s.emit(EvAdmit, spare, epoch, "")
-		return nil
-	}
-	m, err := s.mech(spare)
-	if err != nil {
+	if err := s.restartOn(spare, s.recoveryTarget(spare), manifest, epoch); err != nil {
 		return err
 	}
-	prepared := m.Prepare(s.Prog)
-	if _, err := s.C.Node(spare).K.Registry.Lookup(prepared.Name()); err != nil {
-		s.C.Node(spare).K.Registry.MustRegister(prepared)
-	}
-	s.emit(EvRestore, spare, epoch, chain[len(chain)-1].ObjectName())
-	p, err := m.Restart(s.C.Node(spare).K, chain, true)
-	if err != nil {
-		return err
-	}
-	s.observeRestore(chain, readWait)
-	s.node = spare
-	s.pid = p.PID
-	s.lastProgressAt = s.C.Now()
 	s.armAgent(spare, s.pid, epoch)
 	s.emit(EvAdmit, spare, epoch, "")
 	return nil

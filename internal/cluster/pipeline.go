@@ -247,9 +247,7 @@ func (a *ckptAgent) publishUnit(n *Node, u *shipUnit) bool {
 	for i := range u.imgs[:published] {
 		si := &u.imgs[i]
 		s.Counters.Inc("pipe.shipped", 1)
-		if s.Metrics != nil {
-			s.Metrics.Hist("pipe.publish_latency").Observe(float64(now.Sub(si.capturedAt)))
-		}
+		s.Metrics.Hist("pipe.publish_latency").Observe(float64(now.Sub(si.capturedAt)))
 		if a.epoch == s.Fence.Epoch() {
 			s.noteAckObject(a, si.obj, si.full, len(si.data), si.captureDur, tgt)
 		} else {

@@ -2,8 +2,9 @@
 // crash-consistency, autonomic, and incremental-shipping work, and every
 // caller built it as a bare struct literal — so an invalid combination
 // (zero interval, nil cluster, out-of-range control node) only surfaced
-// mid-run, often as a hang. NewSupervisor moves that failure to
-// construction time and gives defaults one authoritative home.
+// mid-run, often as a hang. NewSupervisor is the only constructor: it
+// moves that failure to construction time and resolves every default
+// once, so the running Supervisor reads its embedded config directly.
 
 package cluster
 
@@ -19,95 +20,127 @@ import (
 	"repro/internal/trace"
 )
 
-// SupervisorConfig configures NewSupervisor. (The name is not
-// cluster.Config only because that is already the Cluster's own
-// construction config.) Zero values mean "use the default" wherever a
-// default exists; the required fields are C, MkMech, Prog, Iterations,
-// and Policy.
+// SupervisorConfig configures NewSupervisor, and the Supervisor embeds
+// it with every default resolved. (The name is not cluster.Config only
+// because that is already the Cluster's own construction config.) Zero
+// values mean "use the default" wherever a default exists; the required
+// fields are C, MkMech, Prog, Iterations, and Policy.
 type SupervisorConfig struct {
 	// Required.
-	C          *Cluster
-	MkMech     func() mechanism.Mechanism
-	Prog       kernel.Program
+	C      *Cluster
+	MkMech func() mechanism.Mechanism
+	Prog   kernel.Program
+	// Iterations bounds the workload.
 	Iterations uint64
 	// Policy is the job's checkpoint policy: the cadence strategy
 	// (fixed / youngdaly / adaptive) with its parameters, plus the delta
-	// content policy (everything dirty, or live pages only). Validated
-	// here with policy's typed errors; policy.Fixed(d) reproduces the
-	// old fixed-Interval behaviour exactly.
+	// content policy (everything dirty, or live pages only). NewSupervisor
+	// builds the policy engine from it (Supervisor.Policy) and rejects it
+	// with policy's typed errors.
 	Policy policy.Spec
 
-	// Interval and Adaptive are deprecated: the pre-policy cadence
-	// knobs, kept for one release. A zero Policy with Interval set maps
-	// onto policy.Fixed(Interval) — or the adaptive strategy when
-	// Adaptive is also set — with behaviour identical to the old fields
-	// (asserted by TestDeprecatedIntervalAlias). Setting both Policy and
-	// Interval is a configuration error.
-	//
-	// Deprecated: set Policy instead.
-	Interval simtime.Duration
-	// Deprecated: set Policy (strategy "adaptive") instead.
-	Adaptive bool
-
+	// UseLocalDisk stores checkpoints on the running node instead of the
+	// server — the E5 contrast.
 	UseLocalDisk bool
 	// Estimator, when non-nil, seeds the policy engine's MTBF estimator
-	// (experiments pre-train one across runs).
+	// (experiments pre-train one across runs). After construction it is
+	// the engine's estimator, for callers that read Failures/Estimate.
 	Estimator *MTBFEstimator
 
-	// MaxRetries bounds per-round checkpoint retries (0 = default 3;
-	// negative disables retries). RetryBackoff is the first retry delay,
-	// doubled per attempt (0 = default 1ms).
-	MaxRetries    int
-	RetryBackoff  simtime.Duration
+	// MaxRetries bounds per-round checkpoint retries against the primary
+	// target (0 = default 3; negative disables retries).
+	MaxRetries int
+	// RetryBackoff is the first retry delay, doubled per attempt
+	// (default 1ms of simulated time when not positive).
+	RetryBackoff simtime.Duration
+	// LocalFallback writes the round's checkpoint to the node-local disk
+	// when every retry against the remote server fails — degraded
+	// protection (the image dies with the node) beats none.
 	LocalFallback bool
-	UnsafeCommit  bool
+	// UnsafeCommit disables atomic image commit (legacy in-place writes)
+	// — the torn-image contrast for experiments and tests.
+	UnsafeCommit bool
 
-	// Incremental ships delta chains from the node-local agents;
-	// RebaseEvery bounds the chain (0 = default 8).
+	// Incremental makes the node-local agents ship delta chains: each
+	// incarnation arms a dirty-page tracker and publishes only the pages
+	// written since the previous checkpoint, chained onto it. Requires a
+	// mechanism implementing mechanism.DeltaRequester; others silently
+	// fall back to full images. Autonomic mode only.
 	Incremental bool
+	// RebaseEvery bounds the chain when Incremental is set: every Nth
+	// checkpoint is a fresh full image (0 = default 8), bounding both
+	// restore latency and the blast radius of a lost delta. The first
+	// checkpoint of every incarnation is always full — chains never span
+	// incarnations.
 	RebaseEvery int
-	// CompactAfter, when positive with Incremental, additionally bounds
-	// the chain server-side: past that many deltas the supervisor folds
-	// the chain into one full image on the server and retires the folded
-	// deltas (no capture traffic). 0 disables.
+	// CompactAfter, when positive with Incremental, bounds the live chain
+	// on the server: whenever an ack leaves more than CompactAfter deltas
+	// behind the full head, the supervisor folds the chain into a fresh
+	// full image under the leaf's own name (storage.CompactChain) and
+	// retires the folded deltas. Unlike RebaseEvery — which bounds the
+	// chain by making the agent ship a periodic full — compaction is
+	// server-side: no capture traffic, and restore never replays more
+	// than CompactAfter deltas. Autonomic mode only; 0 disables.
 	CompactAfter int
-	// RestoreWorkers shards chain replay on restarts (0 = follow the
-	// pipeline's capture width, else sequential).
+	// RestoreWorkers shards chain replay on every restart through
+	// mechanism.RestoreParallelizer (0 = follow the pipeline's capture
+	// width, or sequential without a pipeline). Restored memory is
+	// byte-identical at any width.
 	RestoreWorkers int
-	// LazyRestore switches failover to restart-before-read: only the
-	// leaf image is read before the job resumes; remaining pages are
-	// served on demand and by a background prefetcher (see lazy.go).
+	// LazyRestore switches autonomic failover to restart-before-read
+	// (see lazy.go): only the leaf image is read before the job resumes;
+	// the rest of the chain materializes on demand and via a background
+	// prefetcher. Requires a mechanism implementing
+	// mechanism.LazyRestarter; others fall back to eager restarts. The
+	// fully drained memory is byte-identical to an eager restore.
 	// Autonomic mode only.
 	LazyRestore bool
 
-	// Counters defaults to the cluster's shared counter set. Metrics
-	// (latency histograms) defaults to a bundle sharing those counters.
+	// Counters receives ckpt.* orchestration counters (defaults to the
+	// cluster's shared counter set). Metrics layers latency histograms
+	// over them (defaults to a bundle sharing those counters).
 	Counters *trace.Counters
 	Metrics  *trace.Metrics
 
-	// Autonomic mode (heartbeat suspicion, fenced failover).
-	Detector    FailureDetector
-	Fence       *storage.FenceDomain
-	NoFencing   bool
+	// Detector switches Run into autonomic mode: liveness verdicts come
+	// from heartbeat-driven suspicion instead of the simulator's
+	// fail-stop oracle, checkpoints are taken by node-local agents, and
+	// every failover is fenced through Fence.
+	Detector FailureDetector
+	// Fence is the job's epoch domain (created by Run when nil). Each
+	// incarnation publishes through a target fenced at its admission
+	// epoch; Advance-before-restart makes a stale incarnation's commits
+	// rejectable no matter how wrong the suspicion was.
+	Fence *storage.FenceDomain
+	// NoFencing disables the fenced target — the split-brain contrast.
+	// Double commits by stale incarnations then succeed and are counted
+	// under fence.double_commits.
+	NoFencing bool
+	// ControlNode is where the supervisor (and its status probes)
+	// originate in autonomic mode; it should match the detector's
+	// observer node. The job is never placed there.
 	ControlNode int
 
-	// Pipeline, when non-nil, overlaps capture of epoch N+1 with shipping
-	// of epoch N in the node-local agents. Autonomic mode only.
+	// Pipeline, when non-nil, makes the node-local agents capture into
+	// memory and ship asynchronously through a bounded in-flight queue,
+	// overlapping capture of epoch N+1 with the transfer of epoch N (see
+	// pipeline.go). Autonomic mode only.
 	Pipeline *PipelineConfig
-
-	// Replication, when non-nil, fans every checkpoint out to a replica
-	// placement set (buddy mirrors or erasure shards, see
-	// ReplicationConfig) instead of the server alone, and restores from
-	// the nearest surviving replica. Autonomic mode only.
+	// Replication, when non-nil, fans every checkpoint out to a placement
+	// set (buddy mirrors or erasure shards — see replication.go) instead
+	// of the server alone, and restores from the nearest surviving
+	// replica. Autonomic mode only.
 	Replication *ReplicationConfig
 
-	// OnEvent receives each orchestration event as it is emitted.
+	// OnEvent, when set, receives each orchestration event as it is
+	// emitted — the chaos harness's invariant checkers observe the run
+	// through it.
 	OnEvent func(Event)
 }
 
-// NewSupervisor validates cfg, applies defaults, and returns a ready
-// Supervisor. Misconfigurations that previously surfaced mid-run — or
-// never, as a silent hang — are rejected here.
+// NewSupervisor validates cfg, resolves its defaults, and returns a
+// ready Supervisor. Misconfigurations that previously surfaced mid-run —
+// or never, as a silent hang — are rejected here.
 func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	switch {
 	case cfg.C == nil:
@@ -121,24 +154,15 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	case cfg.ControlNode < 0 || cfg.ControlNode >= cfg.C.NumNodes():
 		return nil, fmt.Errorf("cluster: NewSupervisor: ControlNode %d outside [0,%d)",
 			cfg.ControlNode, cfg.C.NumNodes())
-	}
-	pol, err := cfg.policySpec()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.RebaseEvery < 0 {
+	case cfg.RebaseEvery < 0:
 		return nil, fmt.Errorf("cluster: NewSupervisor: negative RebaseEvery %d", cfg.RebaseEvery)
-	}
-	if cfg.CompactAfter < 0 {
+	case cfg.CompactAfter < 0:
 		return nil, fmt.Errorf("cluster: NewSupervisor: negative CompactAfter %d", cfg.CompactAfter)
-	}
-	if cfg.CompactAfter > 0 && !cfg.Incremental {
+	case cfg.CompactAfter > 0 && !cfg.Incremental:
 		return nil, errors.New("cluster: NewSupervisor: CompactAfter without Incremental (nothing to fold)")
-	}
-	if cfg.RestoreWorkers < 0 {
+	case cfg.RestoreWorkers < 0:
 		return nil, fmt.Errorf("cluster: NewSupervisor: negative RestoreWorkers %d", cfg.RestoreWorkers)
-	}
-	if cfg.LazyRestore && cfg.Detector == nil {
+	case cfg.LazyRestore && cfg.Detector == nil:
 		return nil, errors.New("cluster: NewSupervisor: LazyRestore requires a Detector (autonomic failover)")
 	}
 	if cfg.Pipeline != nil {
@@ -159,43 +183,16 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		}
 	}
 
-	s := &Supervisor{
-		C:              cfg.C,
-		MkMech:         cfg.MkMech,
-		Prog:           cfg.Prog,
-		Iterations:     cfg.Iterations,
-		UseLocalDisk:   cfg.UseLocalDisk,
-		MaxRetries:     cfg.MaxRetries,
-		RetryBackoff:   cfg.RetryBackoff,
-		LocalFallback:  cfg.LocalFallback,
-		UnsafeCommit:   cfg.UnsafeCommit,
-		Incremental:    cfg.Incremental,
-		RebaseEvery:    cfg.RebaseEvery,
-		CompactAfter:   cfg.CompactAfter,
-		RestoreWorkers: cfg.RestoreWorkers,
-		LazyRestore:    cfg.LazyRestore,
-		Counters:       cfg.Counters,
-		Metrics:        cfg.Metrics,
-		Detector:       cfg.Detector,
-		Fence:          cfg.Fence,
-		NoFencing:      cfg.NoFencing,
-		ControlNode:    cfg.ControlNode,
-		Pipeline:       cfg.Pipeline,
-		Replication:    cfg.Replication,
-		OnEvent:        cfg.OnEvent,
-	}
-	// Defaults, applied eagerly so a constructed Supervisor is fully
-	// specified before Run.
+	s := &Supervisor{SupervisorConfig: cfg}
 	if s.Counters == nil {
 		s.Counters = s.C.Counters
 	}
 	if s.Metrics == nil {
 		s.Metrics = trace.NewMetricsWith(s.Counters)
 	}
-	// The policy engine needs the final metrics bundle, so it is built
-	// after the defaults above. Its estimator doubles as the legacy
-	// Supervisor.Estimator field.
-	eng, err := policy.NewEngine(pol, cfg.Estimator, s.Metrics)
+	// The policy engine validates the spec and needs the final metrics
+	// bundle, so it is built after the defaults above.
+	eng, err := policy.NewEngine(cfg.Policy, cfg.Estimator, s.Metrics)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: NewSupervisor: %w", err)
 	}
@@ -204,47 +201,27 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if s.MaxRetries == 0 {
 		s.MaxRetries = 3
 	}
-	if s.RetryBackoff == 0 {
+	if s.RetryBackoff <= 0 {
 		s.RetryBackoff = simtime.Millisecond
 	}
 	if s.RebaseEvery == 0 {
 		s.RebaseEvery = 8
 	}
-	// Run reinitializes this, but a constructed Supervisor should also be
-	// usable for driving agents directly (white-box tests, probes).
-	s.mechAt = make(map[int]nodeMech)
-	return s, nil
-}
-
-// policySpec resolves the configured policy: the new Policy field, or —
-// while the deprecation alias lasts — the legacy Interval/Adaptive pair
-// mapped onto the equivalent strategy. Both at once is a configuration
-// error, and so is neither.
-func (cfg SupervisorConfig) policySpec() (policy.Spec, error) {
-	legacy := cfg.Interval != 0 || cfg.Adaptive
-	switch {
-	case cfg.Policy != (policy.Spec{}) && legacy:
-		return policy.Spec{}, errors.New(
-			"cluster: NewSupervisor: both Policy and deprecated Interval/Adaptive set")
-	case cfg.Policy != (policy.Spec{}):
-		if err := cfg.Policy.Validate(); err != nil {
-			return policy.Spec{}, fmt.Errorf("cluster: NewSupervisor: %w", err)
+	if s.RestoreWorkers == 0 {
+		// A node provisioned to shard captures can shard replays.
+		s.RestoreWorkers = 1
+		if s.Pipeline != nil {
+			s.RestoreWorkers = s.Pipeline.captureWorkers()
 		}
-		if cfg.Policy.Interval <= 0 {
-			return policy.Spec{}, fmt.Errorf("cluster: NewSupervisor: %w: Policy.Interval %v",
-				policy.ErrNonPositiveInterval, cfg.Policy.Interval)
-		}
-		return cfg.Policy, nil
-	case cfg.Interval <= 0:
-		return policy.Spec{}, fmt.Errorf("cluster: NewSupervisor: %w: Interval %v",
-			policy.ErrNonPositiveInterval, cfg.Interval)
-	case cfg.Adaptive:
-		sp := policy.AdaptiveYoung(0)
-		sp.Interval = cfg.Interval
-		return sp, nil
-	default:
-		return policy.Fixed(cfg.Interval), nil
 	}
+	s.mechs = NewMechPool(s.C, func() mechanism.Mechanism {
+		m := s.MkMech()
+		if rp, ok := m.(mechanism.RestoreParallelizer); ok {
+			rp.SetRestoreParallelism(s.RestoreWorkers)
+		}
+		return m
+	})
+	return s, nil
 }
 
 // MustNewSupervisor is NewSupervisor for call sites whose config is

@@ -94,12 +94,6 @@ func TestNewSupervisorRejectsInvalidConfigs(t *testing.T) {
 		{"unknown strategy", func(cfg *SupervisorConfig) {
 			cfg.Policy = policy.Spec{Strategy: "sometimes", Interval: simtime.Millisecond}
 		}, "unknown strategy"},
-		{"policy plus deprecated interval", func(cfg *SupervisorConfig) {
-			cfg.Interval = simtime.Millisecond
-		}, "deprecated"},
-		{"policy plus deprecated adaptive", func(cfg *SupervisorConfig) {
-			cfg.Adaptive = true
-		}, "deprecated"},
 		{"inverted clamp", func(cfg *SupervisorConfig) {
 			cfg.Policy = policy.Spec{
 				Strategy:    policy.StrategyYoungDaly,
@@ -128,62 +122,6 @@ func TestNewSupervisorRejectsInvalidConfigs(t *testing.T) {
 			t.Errorf("%s: no error", tc.name)
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
-	}
-}
-
-// TestDeprecatedIntervalAlias pins the deprecation contract: a config
-// using the legacy Interval/Adaptive fields must behave identically to
-// the policy.Spec it documents as its replacement — same resolved
-// engine spec, and bit-identical run outcomes on the same seeded fault
-// schedule. This is the one place the deprecated fields may appear.
-func TestDeprecatedIntervalAlias(t *testing.T) {
-	prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 9}
-	run := func(mutate func(*SupervisorConfig)) *Supervisor {
-		c := newClusterSeed(t, 3, 77, prog)
-		c.SetInjector(NewInjector(Exponential{Mean: 20 * simtime.Millisecond}, 2*simtime.Millisecond, 5, 2))
-		cfg := SupervisorConfig{
-			C:          c,
-			MkMech:     func() mechanism.Mechanism { return syslevel.NewCRAK() },
-			Prog:       prog,
-			Iterations: 40,
-		}
-		mutate(&cfg)
-		sup, err := NewSupervisor(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sup.Run(2 * simtime.Second); err != nil {
-			t.Fatal(err)
-		}
-		if !sup.Completed {
-			t.Fatal("job did not complete")
-		}
-		return sup
-	}
-
-	for name, pair := range map[string][2]func(*SupervisorConfig){
-		"fixed": {
-			func(cfg *SupervisorConfig) { cfg.Interval = 5 * simtime.Millisecond },
-			func(cfg *SupervisorConfig) { cfg.Policy = policy.Fixed(5 * simtime.Millisecond) },
-		},
-		"adaptive": {
-			func(cfg *SupervisorConfig) { cfg.Interval = 5 * simtime.Millisecond; cfg.Adaptive = true },
-			func(cfg *SupervisorConfig) {
-				cfg.Policy = policy.Spec{Strategy: policy.StrategyAdaptive, Interval: 5 * simtime.Millisecond}
-			},
-		},
-	} {
-		old := run(pair[0])
-		neu := run(pair[1])
-		if old.Policy.Spec() != neu.Policy.Spec() {
-			t.Errorf("%s: resolved specs differ: %+v vs %+v", name, old.Policy.Spec(), neu.Policy.Spec())
-		}
-		if old.Fingerprint != neu.Fingerprint || old.Makespan != neu.Makespan ||
-			old.Checkpoints != neu.Checkpoints || old.Restarts != neu.Restarts {
-			t.Errorf("%s: legacy and policy runs diverged: fp %#x/%#x makespan %v/%v ckpts %d/%d restarts %d/%d",
-				name, old.Fingerprint, neu.Fingerprint, old.Makespan, neu.Makespan,
-				old.Checkpoints, neu.Checkpoints, old.Restarts, neu.Restarts)
 		}
 	}
 }

@@ -51,7 +51,7 @@ type Job struct {
 	MkMech func() mechanism.Mechanism
 
 	ranks []*rankState
-	mechs map[int]mechanism.Mechanism
+	mechs *cluster.MechPool
 
 	// Coordination state.
 	ckptAtIter  uint64 // 0 = no checkpoint requested
@@ -70,7 +70,11 @@ type Job struct {
 
 // NewJob creates a job shell; Launch places and starts the ranks.
 func NewJob(c *cluster.Cluster, nRanks int, mk func() mechanism.Mechanism) *Job {
-	return &Job{C: c, NRanks: nRanks, MkMech: mk, mechs: make(map[int]mechanism.Mechanism)}
+	j := &Job{C: c, NRanks: nRanks, MkMech: mk}
+	// The pool reads MkMech per install, so a factory set after NewJob
+	// still takes effect.
+	j.mechs = cluster.NewMechPool(c, func() mechanism.Mechanism { return j.MkMech() })
+	return j
 }
 
 // Launch registers the rank programs (one per rank, parameterized by the
@@ -113,18 +117,10 @@ func (j *Job) Launch(template HaloRing) error {
 }
 
 func (j *Job) mech(node int) (mechanism.Mechanism, error) {
-	if m, ok := j.mechs[node]; ok {
-		return m, nil
-	}
 	if j.MkMech == nil {
 		return nil, errors.New("mpi: no mechanism factory")
 	}
-	m := j.MkMech()
-	if err := m.Install(j.C.Node(node).K); err != nil {
-		return nil, err
-	}
-	j.mechs[node] = m
-	return m, nil
+	return j.mechs.For(node)
 }
 
 // proc returns the live process of rank r.

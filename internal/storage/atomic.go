@@ -56,26 +56,3 @@ func IsUnsafe(t Target) bool {
 	_, ok := t.(unsafeTarget)
 	return ok
 }
-
-// Put writes data under object with legacy in-place semantics: the bytes
-// stream straight to the final name and the commit takes no durability
-// barrier. A mid-write crash leaves a torn object under the final name,
-// and the target's fault policy may silently truncate the object even
-// after a successful return.
-//
-// Deprecated: use Write with a zero WriteOptions (in-place is the
-// default only for contrast experiments; real callers want Atomic).
-func Put(t Target, object string, data []byte, env *Env) error {
-	return Write(t, object, data, WriteOptions{Env: env})
-}
-
-// PutAtomic writes data under a staging name and publishes it to object
-// only after the full payload, CRC trailer included, is durable. Any
-// failure — write crash, commit error, failed publish — leaves the
-// previously committed object untouched, so the operation is all-or-
-// nothing from a reader's point of view and safe to retry.
-//
-// Deprecated: use Write with WriteOptions{Atomic: true}.
-func PutAtomic(t Target, object string, data []byte, env *Env) error {
-	return Write(t, object, data, WriteOptions{Atomic: true, Env: env})
-}

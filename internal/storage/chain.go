@@ -4,7 +4,7 @@
 // whose parent was never published — or was later deleted — is a silent
 // hole that only surfaces at the worst time, during failover. The two
 // rules live here: a delta may only be published onto a durable parent
-// (PutChained), and reclaiming a superseded chain goes through the same
+// (Write with a Parent), and reclaiming a superseded chain goes through the same
 // epoch fence as publishing (fencedTarget.Delete), so a stale
 // incarnation can no more unlink the live chain's images than overwrite
 // them.
@@ -18,19 +18,6 @@ import (
 // ErrBrokenChain reports an attempt to publish a delta whose parent
 // object is not durably present on the target.
 var ErrBrokenChain = errors.New("storage: delta parent not durable")
-
-// PutChained atomically publishes an incremental image after verifying
-// its parent is durably committed on t. The parent check runs against
-// the same target the delta lands on, so an acknowledged delta always
-// had its full ancestry intact at publish time; combined with
-// retire-after-rebase GC (RetireChain is only called on objects no
-// acknowledged leaf can reach) that invariant holds for the chain's
-// whole lifetime. An empty parent degenerates to an atomic write.
-//
-// Deprecated: use Write with WriteOptions{Atomic: true, Parent: parent}.
-func PutChained(t Target, object, parent string, data []byte, env *Env) error {
-	return Write(t, object, data, WriteOptions{Atomic: true, Parent: parent, Env: env})
-}
 
 // RetireChain garbage-collects a superseded chain, deleting objects in
 // order. Deleting through a fenced target is deliberate: GC is a

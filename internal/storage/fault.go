@@ -34,7 +34,7 @@ type FaultPolicy struct {
 	// SilentTear is the per-commit probability that a *non-durable*
 	// commit silently loses a uniform tail of the object: the write call
 	// chain reported success but the data never fully reached the
-	// platters. Commits behind the durability barrier (PutAtomic's
+	// platters. Commits behind the durability barrier (an atomic Write's
 	// sync-before-publish) are immune — that barrier is the fix.
 	SilentTear float64
 	// PublishFault is the per-Publish probability that the atomic rename

@@ -95,7 +95,7 @@ func TestSilentTearHitsOnlyNonDurableCommits(t *testing.T) {
 		t.Fatalf("Tears = %d", fp.Tears)
 	}
 
-	// PutAtomic commits behind the durability barrier: immune.
+	// An atomic Write commits behind the durability barrier: immune.
 	if err := Write(l, "safe", data, WriteOptions{Atomic: true, Env: NopEnv()}); err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,7 @@ type Target interface {
 	// Publish atomically renames a fully-written staging object to its
 	// final name, replacing any previous object under that name. The
 	// rename either happens completely or not at all (a failed Publish
-	// leaves both names as they were), which is what PutAtomic builds
+	// leaves both names as they were), which is what an atomic Write builds
 	// its all-or-nothing commit on.
 	Publish(staging, final string, env *Env) error
 }

@@ -1,11 +1,9 @@
-// Unified write entry point. The commit protocol grew up in three
-// generations — Put (legacy in-place), PutAtomic (stage + durable commit
-// + publish), PutChained (parent check + atomic) — and every caller had
-// to pick the right one, which meant the dispatch logic ("unsafe target?
-// incremental? parent durable?") was duplicated at each call site. Write
-// collapses the three into one function with options, so optimizations
-// like batched publishes land behind a single seam instead of touching
-// every caller. The old three survive as thin deprecated wrappers.
+// Unified write entry point. The commit protocol has three forms —
+// legacy in-place, atomic (stage + durable commit + publish), and
+// chained (parent check + atomic) — and Write selects among them with
+// options, so the dispatch logic ("unsafe target? incremental? parent
+// durable?") and optimizations like batched publishes live behind a
+// single seam instead of at every call site.
 
 package storage
 

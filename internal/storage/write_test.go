@@ -42,29 +42,6 @@ func TestWriteDispatch(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappers pins the legacy entry points to the unified
-// implementation: same staging discipline, same chain rule.
-func TestDeprecatedWrappers(t *testing.T) {
-	l := NewLocal("d", costmodel.Default2005(), nil)
-	if err := Put(l, "p", []byte("p"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := PutAtomic(l, "pa", []byte("pa"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := PutChained(l, "pc", "pa", []byte("pc"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := PutChained(l, "bad", "nope", []byte("x"), nil); !errors.Is(err, ErrBrokenChain) {
-		t.Fatalf("PutChained missing parent: %v", err)
-	}
-	for _, o := range []string{"p", "pa", "pc"} {
-		if _, err := l.ObjectSize(o); err != nil {
-			t.Errorf("%s not stored: %v", o, err)
-		}
-	}
-}
-
 func TestWriteBatchPublishesInOrder(t *testing.T) {
 	l := NewLocal("d", costmodel.Default2005(), nil)
 	if err := Write(l, "full", []byte("full"), WriteOptions{Atomic: true}); err != nil {
