@@ -43,8 +43,7 @@ func TestCodecRoundTripEpoch(t *testing.T) {
 }
 
 // Pre-chain version-1 images (no Epoch field) must still decode, with
-// Epoch zero. The fixture is built by surgery on a v2 encoding: patch
-// the version word, splice out the 8 epoch bytes, recompute the CRC.
+// Epoch zero.
 func TestDecodeLegacyV1(t *testing.T) {
 	img := sampleImage(rand.New(rand.NewSource(12)))
 	img.Epoch = 0
@@ -52,17 +51,7 @@ func TestDecodeLegacyV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Header layout: magic u32, version u16, Mechanism str, Hostname str,
-	// TakenAt i64, Seq u64, then the v2 Epoch u64.
-	epochOff := 4 + 2 + (4 + len(img.Mechanism)) + (4 + len(img.Hostname)) + 8 + 8
-	body := data[:len(data)-8]
-	v1 := make([]byte, 0, len(body)-8)
-	v1 = append(v1, body[:epochOff]...)
-	v1 = append(v1, body[epochOff+8:]...)
-	binary.LittleEndian.PutUint16(v1[4:6], 1)
-	var trailer [8]byte
-	binary.LittleEndian.PutUint64(trailer[:], crc64.Checksum(v1, crcTable))
-	v1 = append(v1, trailer[:]...)
+	v1 := legacyV1(img, data)
 
 	got, err := Decode(v1)
 	if err != nil {
@@ -82,6 +71,23 @@ func TestDecodeLegacyV1(t *testing.T) {
 	if _, err := Decode(data); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("future version err = %v, want ErrCorrupt", err)
 	}
+}
+
+// legacyV1 builds the version-1 encoding of img (Epoch zero) from its
+// v2 encoding data by surgery: patch the version word, splice out the 8
+// epoch bytes, recompute the CRC.
+func legacyV1(img *Image, data []byte) []byte {
+	// Header layout: magic u32, version u16, Mechanism str, Hostname str,
+	// TakenAt i64, Seq u64, then the v2 Epoch u64.
+	epochOff := 4 + 2 + (4 + len(img.Mechanism)) + (4 + len(img.Hostname)) + 8 + 8
+	body := data[:len(data)-8]
+	v1 := make([]byte, 0, len(body)-8)
+	v1 = append(v1, body[:epochOff]...)
+	v1 = append(v1, body[epochOff+8:]...)
+	binary.LittleEndian.PutUint16(v1[4:6], 1)
+	var trailer [8]byte
+	binary.LittleEndian.PutUint64(trailer[:], crc64.Checksum(v1, crcTable))
+	return append(v1, trailer[:]...)
 }
 
 // stubTracker hands out a scripted range set per Collect.

@@ -1,0 +1,86 @@
+package checkpoint
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/simos/mem"
+)
+
+// benchImageBytes is the memory payload of the codec benchmarks' image.
+const benchImageBytes = 4 << 20
+
+// benchImage returns a 4 MiB image shaped like the two captures the
+// workloads ship: one VMA captured as a single contiguous run (a full
+// image) and one captured page by page (a dirty-page delta), plus the
+// corpus image's metadata sections.
+func benchImage() *Image {
+	rng := rand.New(rand.NewSource(4))
+	img := corpusImage()
+	run := make([]byte, benchImageBytes/2)
+	rng.Read(run)
+	img.VMAs = []VMASection{
+		{Start: 0x1000_0000, Length: uint64(len(run)), Kind: mem.KindHeap, Name: "[heap]", Prot: mem.ProtRW,
+			Extents: []Extent{{Addr: 0x1000_0000, Data: run}}},
+		{Start: 0x2000_0000, Length: 2 * benchImageBytes, Kind: mem.KindAnon, Name: "arena", Prot: mem.ProtRW},
+	}
+	pages := &img.VMAs[1]
+	for p := 0; p < benchImageBytes/2/mem.PageSize; p++ {
+		data := make([]byte, mem.PageSize)
+		rng.Read(data)
+		pages.Extents = append(pages.Extents, Extent{Addr: pages.Start + mem.Addr(2*p*mem.PageSize), Data: data})
+	}
+	return img
+}
+
+func BenchmarkDecode(b *testing.B) {
+	data, err := benchImage().EncodeBytes()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEncodeBytes(b *testing.B) {
+	img := benchImage()
+	b.SetBytes(benchImageBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := img.EncodeBytes(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEncodeParallelBytes(b *testing.B) {
+	img := benchImage()
+	b.SetBytes(benchImageBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := img.EncodeParallelBytes(2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCRC64Combine folds the span CRCs of a sharded 4 MiB encode:
+// one combine per shardTargetBytes piece.
+func BenchmarkCRC64Combine(b *testing.B) {
+	b.ReportAllocs()
+	var crc uint64
+	for i := 0; i < b.N; i++ {
+		crc = crc64Combine(crc, uint64(i), shardTargetBytes)
+	}
+	sinkCRC = crc
+}
+
+var sinkCRC uint64

@@ -4,37 +4,48 @@
 // span, and the spans fold left-to-right with crc64Combine instead of a
 // second sequential pass over the whole payload.
 //
-// A CRC is linear over GF(2): CRC(A || B) can be computed from CRC(A),
-// CRC(B), and len(B) alone, by advancing CRC(A) through len(B) zero
-// bytes (a matrix power, built by repeated squaring of the one-zero-bit
-// operator) and XORing CRC(B). The pre/post inversion Go's hash/crc64
-// applies (init ^0, xorout ^0) cancels out of the identity, so the fold
-// works directly on Checksum-style values. This is the classic zlib
-// crc32_combine construction lifted to 64 bits.
+// A CRC is linear over GF(2): CRC(A || B) = CRC(A)·x^(8·len(B)) ⊕ CRC(B)
+// mod P, so it can be computed from CRC(A), CRC(B), and len(B) alone. The
+// pre/post inversion Go's hash/crc64 applies (init ^0, xorout ^0) cancels
+// out of the identity, so the fold works directly on Checksum-style
+// values. This is zlib's crc32_combine (1.2.12 and later) lifted to 64
+// bits: a table of x^(8·2^k) mod P turns the shift into one polynomial
+// multiply per set bit of len(B).
 
 package checkpoint
 
 import "hash/crc64"
 
-// gf2MatrixTimes multiplies the 64x64 GF(2) matrix mat by the bit vector
-// vec.
-func gf2MatrixTimes(mat *[64]uint64, vec uint64) uint64 {
-	var sum uint64
-	for i := 0; vec != 0; vec >>= 1 {
-		if vec&1 != 0 {
-			sum ^= mat[i]
+// multmodp returns a·b mod P for the image codec's polynomial
+// (crc64.ECMA) in the reflected domain, where bit 63 holds x^0.
+func multmodp(a, b uint64) uint64 {
+	var p uint64
+	for m := uint64(1) << 63; m != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+			if a&(m-1) == 0 {
+				break
+			}
 		}
-		i++
+		if b&1 != 0 {
+			b = b>>1 ^ crc64.ECMA
+		} else {
+			b >>= 1
+		}
 	}
-	return sum
+	return p
 }
 
-// gf2MatrixSquare sets square = mat * mat.
-func gf2MatrixSquare(square, mat *[64]uint64) {
-	for n := 0; n < 64; n++ {
-		square[n] = gf2MatrixTimes(mat, mat[n])
+// x8Pow2Table[k] is x^(8·2^k) mod P: the operator that advances a CRC
+// through 2^k zero bytes.
+var x8Pow2Table = func() (t [64]uint64) {
+	p := uint64(1) << (63 - 8) // x^8
+	for k := range t {
+		t[k] = p
+		p = multmodp(p, p)
 	}
-}
+	return t
+}()
 
 // crc64Combine returns the CRC of the concatenation A||B given
 // crc1 = CRC(A), crc2 = CRC(B), and len2 = len(B), for the table the
@@ -43,39 +54,11 @@ func crc64Combine(crc1, crc2 uint64, len2 int) uint64 {
 	if len2 <= 0 {
 		return crc1
 	}
-	var even, odd [64]uint64
-
-	// odd = the operator advancing a CRC by one zero *bit* (reflected
-	// polynomial in row 0, shift in the rest).
-	odd[0] = crc64.ECMA
-	row := uint64(1)
-	for n := 1; n < 64; n++ {
-		odd[n] = row
-		row <<= 1
-	}
-	gf2MatrixSquare(&even, &odd) // two zero bits
-	gf2MatrixSquare(&odd, &even) // four zero bits
-
-	// Square up to one zero byte, then apply operators for each set bit
-	// of len2, squaring as the bit weight doubles.
-	n := len2
-	for {
-		gf2MatrixSquare(&even, &odd)
-		if n&1 != 0 {
-			crc1 = gf2MatrixTimes(&even, crc1)
-		}
-		n >>= 1
-		if n == 0 {
-			break
-		}
-		gf2MatrixSquare(&odd, &even)
-		if n&1 != 0 {
-			crc1 = gf2MatrixTimes(&odd, crc1)
-		}
-		n >>= 1
-		if n == 0 {
-			break
+	shift := uint64(1) << 63 // x^0
+	for k := 0; len2 != 0; k, len2 = k+1, len2>>1 {
+		if len2&1 != 0 {
+			shift = multmodp(x8Pow2Table[k], shift)
 		}
 	}
-	return crc1 ^ crc2
+	return multmodp(shift, crc1) ^ crc2
 }

@@ -10,7 +10,6 @@ package checkpoint
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -63,39 +62,18 @@ func (img *Image) planPieces(base int) (pieces []encPiece, total int) {
 }
 
 // encodePiece writes one piece into its span of buf and records its CRC.
-func (img *Image) encodePiece(p *encPiece, buf []byte) error {
-	sw := &sliceWriter{buf: buf[p.off : p.off+p.size]}
-	c := &cw{w: sw}
+func (img *Image) encodePiece(p *encPiece, buf []byte) (err error) {
 	v := &img.VMAs[p.vma]
-	if p.header {
-		encodeVMAHeader(c, v)
+	p.crc, err = encodeSpan(buf[p.off:p.off+p.size], func(c *cw) {
+		if p.header {
+			encodeVMAHeader(c, v)
+		}
+		encodeExtents(c, v.Extents[p.extLo:p.extHi])
+	})
+	if err != nil {
+		return fmt.Errorf("checkpoint: piece vma=%d [%d:%d): %w", p.vma, p.extLo, p.extHi, err)
 	}
-	encodeExtents(c, v.Extents[p.extLo:p.extHi])
-	if c.err != nil {
-		return c.err
-	}
-	if c.n != p.size {
-		return fmt.Errorf("checkpoint: piece vma=%d [%d:%d) wrote %d bytes, planned %d",
-			p.vma, p.extLo, p.extHi, c.n, p.size)
-	}
-	p.crc = c.crc
 	return nil
-}
-
-// sliceWriter writes into a fixed preallocated span; overflow is a
-// planning bug, reported rather than silently clobbering a neighbour.
-type sliceWriter struct {
-	buf []byte
-	n   int
-}
-
-func (s *sliceWriter) Write(p []byte) (int, error) {
-	if s.n+len(p) > len(s.buf) {
-		return 0, errors.New("checkpoint: parallel encode span overflow")
-	}
-	copy(s.buf[s.n:], p)
-	s.n += len(p)
-	return len(p), nil
 }
 
 // EncodeParallelBytes encodes the image with section payloads sharded
@@ -106,25 +84,22 @@ func (img *Image) EncodeParallelBytes(workers int) ([]byte, error) {
 		return img.EncodeBytes()
 	}
 
-	// Head and tail are metadata-sized; encode them sequentially.
-	headW := &growWriter{}
-	hc := &cw{w: headW}
-	img.encodeHead(hc)
-	if hc.err != nil {
-		return nil, hc.err
-	}
-	tailW := &growWriter{}
-	tc := &cw{w: tailW}
-	img.encodeTail(tc)
-	if tc.err != nil {
-		return nil, tc.err
-	}
-
-	pieces, bodySize := img.planPieces(len(headW.buf))
-	total := len(headW.buf) + bodySize + len(tailW.buf) + 8
+	// Head and tail are metadata-sized: size them with a sizing pass,
+	// lay the sections out between them, and encode both sequentially
+	// into their final spans.
+	headSize := encodedSize(img.encodeHead)
+	pieces, bodySize := img.planPieces(headSize)
+	tailOff, tailSize := headSize+bodySize, encodedSize(img.encodeTail)
+	total := tailOff + tailSize + 8
 	buf := make([]byte, total)
-	copy(buf, headW.buf)
-	copy(buf[len(headW.buf)+bodySize:], tailW.buf)
+	headCRC, err := encodeSpan(buf[:headSize], img.encodeHead)
+	if err != nil {
+		return nil, err
+	}
+	tailCRC, err := encodeSpan(buf[tailOff:tailOff+tailSize], img.encodeTail)
+	if err != nil {
+		return nil, err
+	}
 
 	if workers > len(pieces) && len(pieces) > 0 {
 		workers = len(pieces)
@@ -157,24 +132,11 @@ func (img *Image) EncodeParallelBytes(workers int) ([]byte, error) {
 
 	// Fold the span CRCs in layout order; the seed 0 is the CRC of the
 	// empty prefix, so the head folds like any other span.
-	crc := crc64Combine(0, hc.crc, len(headW.buf))
+	crc := crc64Combine(0, headCRC, headSize)
 	for i := range pieces {
 		crc = crc64Combine(crc, pieces[i].crc, pieces[i].size)
 	}
-	crc = crc64Combine(crc, tc.crc, tailW.n)
+	crc = crc64Combine(crc, tailCRC, tailSize)
 	binary.LittleEndian.PutUint64(buf[total-8:], crc)
 	return buf, nil
 }
-
-// growWriter is an appending writer that keeps its buffer accessible.
-type growWriter struct {
-	buf []byte
-	n   int
-}
-
-func (g *growWriter) Write(p []byte) (int, error) {
-	g.buf = append(g.buf, p...)
-	g.n += len(p)
-	return len(p), nil
-}
-

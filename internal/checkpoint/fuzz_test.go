@@ -88,12 +88,17 @@ func FuzzImageDecode(f *testing.F) {
 // FuzzImageRoundTrip asserts the decode→encode→decode fixed point: any
 // input the decoder accepts must re-encode to bytes that decode to the
 // same image, and the second encoding must equal the first (canonical
-// form).
+// form). Decode parses in place, so it must also leave its input
+// untouched, accepted or not.
 func FuzzImageRoundTrip(f *testing.F) {
 	f.Add(corpusBytes(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		orig := append([]byte(nil), data...)
 		img, err := Decode(data)
+		if !bytes.Equal(data, orig) {
+			t.Fatal("Decode modified its input")
+		}
 		if err != nil {
 			return
 		}

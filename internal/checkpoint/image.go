@@ -7,7 +7,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -181,15 +180,23 @@ var ErrCorrupt = errors.New("checkpoint: corrupt image")
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
+// cw writes the sectioned format to w, keeping the running CRC-64 of
+// everything written. A nil w makes it a sizing pass: it counts the
+// bytes the same calls would write without checksumming or storing them.
 type cw struct {
 	w   io.Writer
 	crc uint64
 	n   int
 	err error
+	tmp [8]byte // scratch for fixed-width fields
 }
 
 func (c *cw) write(p []byte) {
 	if c.err != nil {
+		return
+	}
+	if c.w == nil {
+		c.n += len(p)
 		return
 	}
 	c.crc = crc64.Update(c.crc, crcTable, p)
@@ -198,10 +205,10 @@ func (c *cw) write(p []byte) {
 	c.err = err
 }
 
-func (c *cw) u8(v uint8)   { c.write([]byte{v}) }
-func (c *cw) u16(v uint16) { var b [2]byte; binary.LittleEndian.PutUint16(b[:], v); c.write(b[:]) }
-func (c *cw) u32(v uint32) { var b [4]byte; binary.LittleEndian.PutUint32(b[:], v); c.write(b[:]) }
-func (c *cw) u64(v uint64) { var b [8]byte; binary.LittleEndian.PutUint64(b[:], v); c.write(b[:]) }
+func (c *cw) u8(v uint8)   { c.tmp[0] = v; c.write(c.tmp[:1]) }
+func (c *cw) u16(v uint16) { binary.LittleEndian.PutUint16(c.tmp[:], v); c.write(c.tmp[:2]) }
+func (c *cw) u32(v uint32) { binary.LittleEndian.PutUint32(c.tmp[:], v); c.write(c.tmp[:4]) }
+func (c *cw) u64(v uint64) { binary.LittleEndian.PutUint64(c.tmp[:], v); c.write(c.tmp[:8]) }
 func (c *cw) i64(v int64)  { c.u64(uint64(v)) }
 func (c *cw) str(s string) { c.u32(uint32(len(s))); c.write([]byte(s)) }
 func (c *cw) blob(b []byte) {
@@ -217,27 +224,47 @@ func (c *cw) blobOpt(b []byte) {
 	c.blob(b)
 }
 
+// cr parses a body whose checksum has already been verified, in place:
+// a blob is a capacity-clipped sub-slice of the body, not a copy.
 type cr struct {
-	r   *bytes.Reader
-	crc uint64
-	err error
+	body []byte
+	off  int
+	err  error
 }
 
-func (c *cr) read(p []byte) {
+// next consumes and returns the next n bytes of the body.
+func (c *cr) next(n int) []byte {
 	if c.err != nil {
-		return
+		return nil
 	}
-	if _, err := io.ReadFull(c.r, p); err != nil {
-		c.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-		return
+	if rest := len(c.body) - c.off; n > rest {
+		eof := io.ErrUnexpectedEOF
+		if rest == 0 {
+			eof = io.EOF
+		}
+		c.err = fmt.Errorf("%w: %v", ErrCorrupt, eof)
+		return nil
 	}
-	c.crc = crc64.Update(c.crc, crcTable, p)
+	// The three-index slice clips capacity, so an append to one field
+	// reallocates instead of writing over the next.
+	b := c.body[c.off : c.off+n : c.off+n]
+	c.off += n
+	return b
 }
 
-func (c *cr) u8() uint8   { var b [1]byte; c.read(b[:]); return b[0] }
-func (c *cr) u16() uint16 { var b [2]byte; c.read(b[:]); return binary.LittleEndian.Uint16(b[:]) }
-func (c *cr) u32() uint32 { var b [4]byte; c.read(b[:]); return binary.LittleEndian.Uint32(b[:]) }
-func (c *cr) u64() uint64 { var b [8]byte; c.read(b[:]); return binary.LittleEndian.Uint64(b[:]) }
+// fixed returns the next n bytes, or n zero bytes once parsing failed,
+// so a field read past a short body yields 0.
+func (c *cr) fixed(n int) []byte {
+	if b := c.next(n); b != nil {
+		return b
+	}
+	return make([]byte, n)
+}
+
+func (c *cr) u8() uint8   { return c.fixed(1)[0] }
+func (c *cr) u16() uint16 { return binary.LittleEndian.Uint16(c.fixed(2)) }
+func (c *cr) u32() uint32 { return binary.LittleEndian.Uint32(c.fixed(4)) }
+func (c *cr) u64() uint64 { return binary.LittleEndian.Uint64(c.fixed(8)) }
 func (c *cr) i64() int64  { return int64(c.u64()) }
 func (c *cr) str() string { return string(c.blob()) }
 func (c *cr) blob() []byte {
@@ -245,13 +272,11 @@ func (c *cr) blob() []byte {
 	if c.err != nil {
 		return nil
 	}
-	if int(n) > c.r.Len() {
+	if uint64(n) > uint64(len(c.body)-c.off) {
 		c.err = fmt.Errorf("%w: blob length %d exceeds remaining input", ErrCorrupt, n)
 		return nil
 	}
-	b := make([]byte, n)
-	c.read(b)
-	return b
+	return c.next(int(n))
 }
 func (c *cr) blobOpt() []byte {
 	if c.u8() == 0 {
@@ -266,6 +291,12 @@ func (c *cr) blobOpt() []byte {
 // sections sharded across workers — both paths produce identical bytes.
 func (img *Image) Encode(w io.Writer) (int, error) {
 	c := &cw{w: w}
+	img.encode(c)
+	return c.n, c.err
+}
+
+// encode writes the whole image, trailer included, in one CRC pass.
+func (img *Image) encode(c *cw) {
 	img.encodeHead(c)
 	for i := range img.VMAs {
 		encodeVMAHeader(c, &img.VMAs[i])
@@ -273,15 +304,44 @@ func (img *Image) Encode(w io.Writer) (int, error) {
 	}
 	img.encodeTail(c)
 
-	// CRC trailer (not itself CRC'd).
-	if c.err == nil {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], c.crc)
-		n, err := c.w.Write(b[:])
-		c.n += n
-		c.err = err
+	// CRC trailer, not itself covered: the running CRC is final here,
+	// and what writing the trailer folds into it is never read.
+	c.u64(c.crc)
+}
+
+// encodeSpan runs enc into span, which must be exactly as long as what
+// enc writes, and returns the CRC of the written bytes. A size mismatch
+// in either direction is a sizing bug, reported rather than shipped.
+func encodeSpan(span []byte, enc func(*cw)) (uint64, error) {
+	c := &cw{w: &sliceWriter{buf: span}}
+	enc(c)
+	if c.err == nil && c.n != len(span) {
+		c.err = fmt.Errorf("checkpoint: encode wrote %d bytes into a planned %d", c.n, len(span))
 	}
-	return c.n, c.err
+	return c.crc, c.err
+}
+
+// sliceWriter writes into a fixed preallocated span; overflow is a
+// sizing bug, reported rather than silently clobbering a neighbour.
+type sliceWriter struct {
+	buf []byte
+	n   int
+}
+
+func (s *sliceWriter) Write(p []byte) (int, error) {
+	if s.n+len(p) > len(s.buf) {
+		return 0, errors.New("checkpoint: encode span overflow")
+	}
+	copy(s.buf[s.n:], p)
+	s.n += len(p)
+	return len(p), nil
+}
+
+// encodedSize returns how many bytes enc writes, from a sizing pass.
+func encodedSize(enc func(*cw)) int {
+	c := &cw{}
+	enc(c)
+	return c.n
 }
 
 // encodeHead writes everything before the VMA sections, up to and
@@ -392,16 +452,25 @@ func (img *Image) encodeTail(c *cw) {
 	}
 }
 
-// EncodeBytes returns the encoded image.
+// EncodeBytes returns the encoded image. A sizing pass over the
+// metadata fixes the exact length first, so the buffer is allocated once
+// at its final size (cap == len) and the bytes are written, and
+// checksummed, in a single pass.
 func (img *Image) EncodeBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := img.Encode(&buf); err != nil {
+	buf := make([]byte, encodedSize(img.encode))
+	if _, err := encodeSpan(buf, img.encode); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
-// Decode parses an encoded image, verifying the CRC trailer.
+// Decode parses an encoded image. The CRC-64 trailer is checked over the
+// whole body before any field is parsed, and parsing then reads the
+// verified bytes in place: every extent's Data, every Shm value and
+// every FD's Contents is a sub-slice of data, with capacity clipped to
+// its length so an append to one field cannot reach another. The
+// returned image therefore aliases data, and the caller must not modify
+// data afterwards. Strings are copied.
 func Decode(data []byte) (*Image, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("%w: too short", ErrCorrupt)
@@ -411,7 +480,7 @@ func Decode(data []byte) (*Image, error) {
 	if crc64.Checksum(body, crcTable) != wantCRC {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	c := &cr{r: bytes.NewReader(body)}
+	c := &cr{body: body}
 	if c.u32() != imageMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
@@ -515,7 +584,7 @@ func Decode(data []byte) (*Image, error) {
 		// could possibly hold (each entry costs at least two u32 length
 		// prefixes): a forged count must not allocate ahead of the bytes
 		// backing it.
-		hint := c.r.Len() / 8
+		hint := (len(c.body) - c.off) / 8
 		if int(nShm) < hint {
 			hint = int(nShm)
 		}

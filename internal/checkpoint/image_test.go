@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc64"
 	"math/rand"
 	"reflect"
@@ -213,5 +214,113 @@ func TestDecodeTruncatedWithFixedCRC(t *testing.T) {
 	mut := append(append([]byte(nil), body...), trailer[:]...)
 	if _, err := Decode(mut); err == nil {
 		t.Fatal("structurally truncated image accepted")
+	}
+}
+
+// TestDecodeAliasesAreCapacityClipped pins the in-place parse contract:
+// every byte field Decode returns is a sub-slice of the verified input
+// with cap == len, so appending to one reallocates instead of writing
+// over the input or the field encoded after it.
+func TestDecodeAliasesAreCapacityClipped(t *testing.T) {
+	data := corpusBytes(t)
+	orig := append([]byte(nil), data...)
+	img, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Decode(append([]byte(nil), data...))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fields := map[string][]byte{}
+	for i, v := range img.VMAs {
+		for j, e := range v.Extents {
+			fields[fmt.Sprintf("VMAs[%d].Extents[%d].Data", i, j)] = e.Data
+		}
+	}
+	for k, v := range img.Shm {
+		fields[fmt.Sprintf("Shm[%q]", k)] = v
+	}
+	for i, f := range img.FDs {
+		if f.Contents != nil {
+			fields[fmt.Sprintf("FDs[%d].Contents", i)] = f.Contents
+		}
+	}
+	if len(fields) < 5 {
+		t.Fatalf("corpus decoded only %d byte fields; want every kind covered", len(fields))
+	}
+	for name, b := range fields {
+		if cap(b) != len(b) {
+			t.Errorf("%s: cap %d, len %d", name, cap(b), len(b))
+		}
+		_ = append(b, 0xAA, 0x55, 0xAA, 0x55, 0xAA, 0x55, 0xAA, 0x55)
+	}
+	if !bytes.Equal(data, orig) {
+		t.Fatal("appending to a decoded field changed the input")
+	}
+	if !reflect.DeepEqual(img, want) {
+		t.Fatal("appending to a decoded field changed another field")
+	}
+}
+
+// TestEncodeBytesExactSize pins the exact-size encode: over the codec
+// corpus, EncodeBytes returns exactly what Encode streams into a
+// bytes.Buffer, in a buffer with no spare capacity, and the sharded
+// encoder agrees at every width.
+func TestEncodeBytesExactSize(t *testing.T) {
+	corpus := map[string]*Image{"corpus": corpusImage()}
+	for seed := int64(0); seed < 20; seed++ {
+		corpus[fmt.Sprintf("quick-%d", seed)] = sampleImage(rand.New(rand.NewSource(seed)))
+	}
+
+	v1src := sampleImage(rand.New(rand.NewSource(12)))
+	v1src.Epoch = 0
+	enc, err := v1src.EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if corpus["v1-reencoded"], err = Decode(legacyV1(v1src, enc)); err != nil {
+		t.Fatal(err)
+	}
+
+	zeroExt := sampleImage(rand.New(rand.NewSource(21)))
+	for i := range zeroExt.VMAs {
+		zeroExt.VMAs[i].Extents = nil
+	}
+	corpus["zero-extent"] = zeroExt
+	emptyVMA := sampleImage(rand.New(rand.NewSource(22)))
+	emptyVMA.VMAs = nil
+	corpus["empty-vma"] = emptyVMA
+	corpus["shm"] = &Image{Shm: map[string][]byte{"a": {1, 2, 3}, "b": nil, "c": make([]byte, 3*shardTargetBytes)}}
+	corpus["deleted-fd"] = &Image{FDs: []FDRecord{
+		{FD: 3, Path: "/gone", Deleted: true, Contents: make([]byte, shardTargetBytes+5)},
+		{FD: 4, Path: "/empty", Deleted: true, Contents: []byte{}},
+	}}
+
+	for name, img := range corpus {
+		var buf bytes.Buffer
+		if _, err := img.Encode(&buf); err != nil {
+			t.Fatalf("%s: Encode: %v", name, err)
+		}
+		got, err := img.EncodeBytes()
+		if err != nil {
+			t.Fatalf("%s: EncodeBytes: %v", name, err)
+		}
+		if !bytes.Equal(got, buf.Bytes()) {
+			t.Fatalf("%s: EncodeBytes (%d bytes) differs from Encode (%d bytes)", name, len(got), buf.Len())
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("%s: EncodeBytes cap %d, len %d", name, cap(got), len(got))
+		}
+		for w := 1; w <= 8; w++ {
+			par, err := img.EncodeParallelBytes(w)
+			if err != nil {
+				t.Fatalf("%s: EncodeParallelBytes(%d): %v", name, w, err)
+			}
+			if !bytes.Equal(par, got) {
+				t.Fatalf("%s: EncodeParallelBytes(%d) differs from EncodeBytes", name, w)
+			}
+		}
 	}
 }
