@@ -18,13 +18,16 @@ test:
 	$(GO) test ./...
 
 # Root-package benchmarks, then the per-layer erasure codec benchmarks
-# (4 MiB object, 2+1: encode, healthy read, degraded read) and the
+# (4 MiB object, 2+1: encode, healthy read, degraded read), the
 # checkpoint image codec benchmarks (4 MiB image: decode, sequential and
-# 2-worker encode, CRC-64 combine) in ns/op, MB/s and allocs/op.
+# 2-worker encode, CRC-64 combine) and the storage target benchmarks
+# (4 MiB atomic write and 4 MiB batched chain read, local and remote) in
+# ns/op, MB/s and allocs/op.
 bench:
 	$(GO) test -bench=. -benchmem
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/storage/erasure
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/checkpoint
+	$(GO) test -run '^$$' -bench 'Store' -benchmem ./internal/storage
 
 # Incremental-shipping bench: full images vs delta chains across dirty
 # rates (experiment E14), emitted machine-readable for trend tracking.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/simos/kernel"
 	"repro/internal/simos/mem"
 	"repro/internal/simos/proc"
-	"repro/internal/simos/sig"
 )
 
 // HybridTracker composes the two incremental techniques the paper
@@ -127,83 +126,3 @@ func (t *HybridTracker) Close() {
 }
 
 var _ Tracker = (*HybridTracker)(nil)
-
-// Coalesce merges a verified restore chain into a single equivalent full
-// image: the leaf's metadata with the union of all extents, later deltas
-// overwriting earlier data. Mechanisms use it to bound chain length (and
-// so restart latency) without losing any state — restoring the coalesced
-// image is equivalent to restoring the chain.
-func Coalesce(chain []*Image) (*Image, error) {
-	if err := VerifyChain(chain); err != nil {
-		return nil, err
-	}
-	leaf := chain[len(chain)-1]
-
-	// Materialize the chain into a scratch address space, replaying
-	// extents oldest-first.
-	as := mem.NewAddressSpace()
-	for _, v := range leaf.VMAs {
-		if _, err := as.Map(v.Start, v.Length, mem.ProtRW, v.Kind, v.Name); err != nil {
-			return nil, fmt.Errorf("checkpoint: coalesce map: %w", err)
-		}
-	}
-	for _, img := range chain {
-		for _, v := range img.VMAs {
-			for _, e := range v.Extents {
-				if as.Find(e.Addr) == nil {
-					continue // region unmapped by the time of the leaf
-				}
-				if err := as.WriteDirect(e.Addr, e.Data); err != nil {
-					return nil, fmt.Errorf("checkpoint: coalesce write: %w", err)
-				}
-			}
-		}
-	}
-
-	out := &Image{
-		Mechanism:  leaf.Mechanism,
-		Hostname:   leaf.Hostname,
-		TakenAt:    leaf.TakenAt,
-		Seq:        leaf.Seq,
-		Parent:     "",
-		Mode:       ModeFull,
-		PID:        leaf.PID,
-		PPID:       leaf.PPID,
-		VPID:       leaf.VPID,
-		Exe:        leaf.Exe,
-		Args:       append([]string(nil), leaf.Args...),
-		Brk:        leaf.Brk,
-		Threads:    append([]ThreadRecord(nil), leaf.Threads...),
-		FDs:        append([]FDRecord(nil), leaf.FDs...),
-		SigDisps:   append([]SigDispRecord(nil), leaf.SigDisps...),
-		SigPending: append([]sig.Signal(nil), leaf.SigPending...),
-		SigBlocked: append([]sig.Signal(nil), leaf.SigBlocked...),
-		Sockets:    append([]SocketRecord(nil), leaf.Sockets...),
-		handlers:   leaf.handlers,
-	}
-	if leaf.Shm != nil {
-		out.Shm = make(map[string][]byte, len(leaf.Shm))
-		for k, v := range leaf.Shm {
-			out.Shm[k] = append([]byte(nil), v...)
-		}
-	}
-	for _, v := range leaf.VMAs {
-		sec := VMASection{Start: v.Start, Length: v.Length, Kind: v.Kind, Name: v.Name, Prot: v.Prot}
-		vma := as.Find(v.Start)
-		var pages []mem.PageNum
-		for _, pi := range as.ResidentPages() {
-			if pi.VMA == vma && pi.Page.Data() != nil {
-				pages = append(pages, pi.Num)
-			}
-		}
-		for _, r := range pagesToRanges(pages) {
-			data := make([]byte, r.Length)
-			if err := as.ReadDirect(r.Addr, data); err != nil {
-				return nil, err
-			}
-			sec.Extents = append(sec.Extents, Extent{Addr: r.Addr, Data: data})
-		}
-		out.VMAs = append(out.VMAs, sec)
-	}
-	return out, nil
-}

@@ -210,7 +210,7 @@ func TestCoalesceEquivalentToChain(t *testing.T) {
 		k.Wake(p)
 	}
 
-	single, err := Coalesce(chain)
+	single, err := FoldChain(chain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,13 +245,13 @@ func TestCoalesceEquivalentToChain(t *testing.T) {
 }
 
 func TestCoalesceRejectsBrokenChain(t *testing.T) {
-	if _, err := Coalesce(nil); err == nil {
+	if _, err := FoldChain(nil); err == nil {
 		t.Fatal("empty chain accepted")
 	}
 	bad := validImage()
 	bad.Mode = ModeIncremental
 	bad.Parent = "x"
-	if _, err := Coalesce([]*Image{bad}); err == nil {
+	if _, err := FoldChain([]*Image{bad}); err == nil {
 		t.Fatal("incremental-head chain accepted")
 	}
 }

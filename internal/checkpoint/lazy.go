@@ -333,29 +333,9 @@ func (s *LazySession) ensurePlanLocked() error {
 				}
 			}
 		}
-		var blobs [][]byte
-		if br, ok := s.src.(storage.BatchReader); ok {
-			b, err := br.ReadBatch(s.objs, env)
-			if err != nil {
-				return fmt.Errorf("checkpoint: lazy plan load: %w", err)
-			}
-			blobs = b
-		} else {
-			for _, name := range s.objs {
-				data, err := s.src.ReadObject(name, env)
-				if err != nil {
-					return fmt.Errorf("checkpoint: lazy plan load %s: %w", name, err)
-				}
-				blobs = append(blobs, data)
-			}
-		}
-		chain = make([]*Image, 0, len(blobs)+1)
-		for i, data := range blobs {
-			img, err := Decode(data)
-			if err != nil {
-				return fmt.Errorf("checkpoint: lazy plan decode %s: %w", s.objs[i], err)
-			}
-			chain = append(chain, img)
+		var err error
+		if chain, err = readChain(s.src, env, s.objs); err != nil {
+			return fmt.Errorf("checkpoint: lazy plan: %w", err)
 		}
 		chain = append(chain, s.leaf)
 	}

@@ -125,6 +125,21 @@ func LoadChainManifest(t storage.Target, env *storage.Env, objects []string) ([]
 	if env == nil {
 		env = storage.NopEnv()
 	}
+	chain, err := readChain(t, env, objects)
+	if err != nil {
+		return nil, err
+	}
+	if err := VerifyChain(chain); err != nil {
+		return nil, err
+	}
+	return chain, nil
+}
+
+// readChain reads and decodes the named chain objects in order: one
+// batched pass when t is a storage.BatchReader, else one ReadObject per
+// name. The result has room for one more image, so a caller holding the
+// leaf separately can append it without copying.
+func readChain(t storage.Target, env *storage.Env, objects []string) ([]*Image, error) {
 	var blobs [][]byte
 	if br, ok := t.(storage.BatchReader); ok {
 		b, err := br.ReadBatch(objects, env)
@@ -133,24 +148,22 @@ func LoadChainManifest(t storage.Target, env *storage.Env, objects []string) ([]
 		}
 		blobs = b
 	} else {
-		for _, name := range objects {
+		blobs = make([][]byte, len(objects))
+		for i, name := range objects {
 			data, err := t.ReadObject(name, env)
 			if err != nil {
 				return nil, fmt.Errorf("checkpoint: load %s: %w", name, err)
 			}
-			blobs = append(blobs, data)
+			blobs[i] = data
 		}
 	}
-	chain := make([]*Image, len(blobs))
+	chain := make([]*Image, len(blobs), len(blobs)+1)
 	for i, data := range blobs {
 		img, err := Decode(data)
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: decode %s: %w", objects[i], err)
 		}
 		chain[i] = img
-	}
-	if err := VerifyChain(chain); err != nil {
-		return nil, err
 	}
 	return chain, nil
 }

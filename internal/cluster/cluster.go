@@ -27,8 +27,8 @@ import (
 type Node struct {
 	Name string
 	K    *kernel.Kernel
-	Disk *storage.Local
-	RAM  *storage.Memory
+	Disk *storage.Store
+	RAM  *storage.Store
 
 	alive    bool
 	failures int
@@ -44,7 +44,7 @@ func (n *Node) Alive() bool { return n.alive }
 func (n *Node) Failures() int { return n.failures }
 
 // Remote returns a client for the cluster's checkpoint server.
-func (n *Node) Remote() *storage.Remote {
+func (n *Node) Remote() *storage.Store {
 	return storage.NewRemote(n.Name+"→"+"server", n.cl.Server)
 }
 
@@ -357,7 +357,7 @@ func (c *Cluster) Reboot(i int) {
 	// The new kernel's clock starts at the cluster barrier.
 	k.Eng.Clock.AdvanceTo(c.now)
 	n.K = k
-	n.RAM.Drop()
+	n.RAM.Wipe()
 	if n.lastKind == Permanent {
 		n.Disk.Wipe()
 	}

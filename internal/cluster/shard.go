@@ -64,7 +64,7 @@ type shardSup struct {
 
 	prefix string // object-name namespace, "s<id>/"
 	fence  *storage.FenceDomain
-	store  *storage.Memory
+	store  *storage.Store
 	det    detector.Detector
 	ingest *detector.DigestIngest
 	rng    *rand.Rand

@@ -29,7 +29,7 @@ func newMachine(name string, progs ...kernel.Program) *kernel.Kernel {
 	return kernel.New(kernel.DefaultConfig(name), costmodel.Default2005(), reg)
 }
 
-func localDisk() *storage.Local {
+func localDisk() *storage.Store {
 	return storage.NewLocal("disk", costmodel.Default2005(), nil)
 }
 

@@ -24,14 +24,6 @@ func StagingName(object string) string { return object + stagingSuffix }
 // crashed write that was never published).
 func IsStaging(name string) bool { return strings.HasSuffix(name, stagingSuffix) }
 
-// tearable is implemented by targets whose non-durable commits can be
-// silently torn by their fault policy (the write chain reported success
-// but the tail never became durable).
-type tearable interface {
-	faultsOf() *FaultPolicy
-	tearObject(object string, keepFrac float64)
-}
-
 // unsafeTarget marks a target for legacy in-place commit (no staging, no
 // durability barrier). It exists so the contrast experiment can disable
 // atomic commit without threading a flag through every mechanism.

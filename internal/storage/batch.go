@@ -1,7 +1,5 @@
 package storage
 
-import "fmt"
-
 // BatchReader is implemented by targets that can serve several objects
 // in one scheduled pass. A chain restore that already holds the full
 // object list (the supervisor's chain manifest) pays one positioning
@@ -15,54 +13,4 @@ type BatchReader interface {
 	// missing object fails the whole batch — a chain with a hole is not
 	// restorable, so there is no partial success to report.
 	ReadBatch(objects []string, env *Env) ([][]byte, error)
-}
-
-// ReadBatch implements BatchReader: one disk seek, then every object
-// streamed off the platter in sequence.
-func (l *Local) ReadBatch(objects []string, env *Env) ([][]byte, error) {
-	env = orNop(env)
-	if !l.Available() {
-		return nil, fmt.Errorf("%w: %s", ErrUnavailable, l.name)
-	}
-	out := make([][]byte, len(objects))
-	for i, name := range objects {
-		data, ok := l.store.get(name)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, l.name, name)
-		}
-		if i == 0 {
-			env.Wait(l.cm.DiskSeek, "disk-seek")
-		}
-		env.Wait(l.cm.DiskStream(len(data)), "disk-read")
-		out[i] = data
-	}
-	return out, nil
-}
-
-// ReadBatch implements BatchReader: one server-side seek, then every
-// object streamed over the network in sequence.
-func (r *Remote) ReadBatch(objects []string, env *Env) ([][]byte, error) {
-	env = orNop(env)
-	if !r.Available() {
-		return nil, fmt.Errorf("%w: %s", ErrUnavailable, r.name)
-	}
-	out := make([][]byte, len(objects))
-	for i, name := range objects {
-		data, ok := r.srv.store.get(name)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, r.name, name)
-		}
-		if i == 0 {
-			env.Wait(r.cm.DiskSeek, "server-seek")
-		}
-		for off := 0; off < len(data); off += chunk {
-			n := len(data) - off
-			if n > chunk {
-				n = chunk
-			}
-			env.Wait(r.cm.NetTransfer(n)+r.cm.DiskStream(n), "net-read")
-		}
-		out[i] = data
-	}
-	return out, nil
 }

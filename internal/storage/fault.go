@@ -8,7 +8,7 @@ import (
 
 // ErrFault reports an injected storage fault: the transfer crashed
 // mid-flight and whatever bytes were already streamed are left behind as
-// a torn object. Callers distinguish it from ErrUnavailable because the
+// a torn object. Callers distinguish it from ErrTargetUnavailable because the
 // target itself may still be up (a lone bad write, not an outage).
 var ErrFault = errors.New("storage: injected write fault")
 

@@ -120,8 +120,8 @@ func TestRemoteWriteCrashCanEscalateToOutage(t *testing.T) {
 	r := NewRemote("n0→srv", srv)
 
 	err := Write(r, "img", payload(4096), WriteOptions{Env: NopEnv()})
-	if !errors.Is(err, ErrFault) || !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("err = %v, want ErrFault and ErrUnavailable", err)
+	if !errors.Is(err, ErrFault) || !errors.Is(err, ErrTargetUnavailable) {
+		t.Fatalf("err = %v, want ErrFault and ErrTargetUnavailable", err)
 	}
 	if r.Available() {
 		t.Fatal("server still available after mid-transfer outage")
@@ -130,7 +130,7 @@ func TestRemoteWriteCrashCanEscalateToOutage(t *testing.T) {
 		t.Fatalf("outage hooks: cb=%d counter=%d", outages, fp.Outages)
 	}
 	// Down means down: new writes are refused until recovery.
-	if _, err := r.Create("img2", NopEnv()); !errors.Is(err, ErrUnavailable) {
+	if _, err := r.Create("img2", NopEnv()); !errors.Is(err, ErrTargetUnavailable) {
 		t.Fatalf("Create during outage: %v", err)
 	}
 	srv.Recover()

@@ -78,7 +78,7 @@ func TestReplicatedQuorumAckWithOneReplicaDown(t *testing.T) {
 	if n := r.cfg.Counters.Get("repl.partial_publish"); n != 1 {
 		t.Fatalf("repl.partial_publish = %d", n)
 	}
-	srv := reps[2].T.(*Remote).srv
+	srv := reps[2].T.(*Store).srv
 	srv.Fail() // server down too: only the owner disk remains
 	err = Write(r, "img2", []byte("y"), WriteOptions{Atomic: true})
 	if !errors.Is(err, ErrQuorum) {

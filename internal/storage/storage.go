@@ -1,9 +1,13 @@
-// Package storage models stable storage for checkpoint data: node-local
-// disk, a remote checkpoint server reached over the interconnect, and a
-// memory target (Software Suspend's standby mode). Table 1's "Stable
-// storage" column — local, remote, or none — is the Kind a mechanism
-// writes to, and §4.1's fault-tolerance argument hinges on the difference:
-// node-local checkpoints become unavailable when the node fails.
+// Package storage models stable storage for checkpoint data. Table 1's
+// "Stable storage" column — local, remote, or none — is the Kind of the
+// Store a mechanism writes to, and one Store type implements all three:
+// node-local disk, a client of a remote checkpoint server reached over
+// the interconnect, and a memory target (Software Suspend's standby
+// mode). The kinds share every byte-handling path and differ only in
+// price (what a seek, a stream, a whole-object read and a publish cost)
+// and liveness (whose failure makes the bytes unreachable). §4.1's
+// fault-tolerance argument hinges on that second difference: node-local
+// checkpoints become unavailable when the node fails, a server's do not.
 package storage
 
 import (
@@ -58,11 +62,14 @@ func NopEnv() *Env {
 	return &Env{Bill: costmodel.Discard{}, Wait: func(simtime.Duration, string) {}}
 }
 
+// nopEnv is the shared discarding Env behind orNop; it is never mutated.
+var nopEnv = NopEnv()
+
 // orNop substitutes a discarding Env for nil, so callers that do not care
 // about accounting can pass nil everywhere.
 func orNop(env *Env) *Env {
 	if env == nil {
-		return NopEnv()
+		return nopEnv
 	}
 	return env
 }
@@ -85,10 +92,6 @@ var (
 	// configured write quorum; the object must not be acked.
 	ErrQuorum = errors.New("storage: replica write quorum not met")
 )
-
-// ErrUnavailable is the historical name for ErrTargetUnavailable; the
-// two are the same value, so errors.Is matches either way.
-var ErrUnavailable = ErrTargetUnavailable
 
 // Writer receives checkpoint bytes. Commit makes the object durable and
 // visible; Abort discards it.
@@ -198,6 +201,13 @@ func (s *objectStore) tear(object string, keepFrac float64) {
 	s.objects[object] = data[:keep]
 }
 
+// clear discards every object.
+func (s *objectStore) clear() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.objects = make(map[string][]byte)
+}
+
 func (s *objectStore) list() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -209,183 +219,81 @@ func (s *objectStore) list() []string {
 	return names
 }
 
-// --- Local disk ---
+// --- Store: every target kind ---
 
-// Local is a node-local disk target. Liveness is delegated to the owning
-// node: when the node is down the checkpoints are unreachable, which is
-// exactly why Table 1 flags local-only mechanisms as weak fault tolerance.
-type Local struct {
+// Store is a storage target of kind local, remote or memory. The kinds
+// share one object store, writer and read path; they differ in price
+// (open, stream, readCost and publishCost below) and in where liveness
+// and the fault policy come from:
+//
+//   - local: a node's disk, alive while the node is. Checkpoints on it
+//     are unreachable while the node is down, which is exactly why
+//     Table 1 flags local-only mechanisms as weak fault tolerance.
+//   - remote: a node's client view of a Server. Every byte crosses the
+//     interconnect and then the server's disk; the server's liveness,
+//     fault policy and objects are shared by all its clients, and only
+//     this kind's write crashes may escalate to a server outage.
+//   - memory: zero-latency RAM (Software Suspend's standby
+//     functionality: "saving the image to memory rather than to disk").
+//     Its contents do not survive a power-down.
+type Store struct {
 	name   string
+	kind   Kind
 	cm     *costmodel.Model
 	store  *objectStore
 	alive  func() bool
 	faults *FaultPolicy
+	srv    *Server // remote clients only
+}
+
+// Local is an alias of Store, kept for callers that name the local-disk
+// kind.
+type Local = Store
+
+func alwaysAlive() bool { return true }
+
+func newStore(name string, kind Kind, cm *costmodel.Model, alive func() bool) *Store {
+	if alive == nil {
+		alive = alwaysAlive
+	}
+	return &Store{name: name, kind: kind, cm: cm, store: newObjectStore(), alive: alive}
 }
 
 // NewLocal creates a local-disk target; alive reports node liveness
 // (nil = always alive).
-func NewLocal(name string, cm *costmodel.Model, alive func() bool) *Local {
-	if alive == nil {
-		alive = func() bool { return true }
-	}
-	return &Local{name: name, cm: cm, store: newObjectStore(), alive: alive}
+func NewLocal(name string, cm *costmodel.Model, alive func() bool) *Store {
+	return newStore(name, KindLocal, cm, alive)
 }
 
-// SetFaults installs a per-operation fault-injection policy (nil
-// disables injection).
-func (l *Local) SetFaults(fp *FaultPolicy) { l.faults = fp }
-
-func (l *Local) faultsOf() *FaultPolicy { return l.faults }
-
-func (l *Local) tearObject(object string, keepFrac float64) { l.store.tear(object, keepFrac) }
-
-// Wipe discards all contents — the blank disk of a replacement machine
-// after a permanent node failure (§4.1's local-storage caveat).
-func (l *Local) Wipe() { l.store = newObjectStore() }
-
-// Name implements Target.
-func (l *Local) Name() string { return l.name }
-
-// Kind implements Target.
-func (l *Local) Kind() Kind { return KindLocal }
-
-// Available implements Target.
-func (l *Local) Available() bool { return l.alive() }
-
-// Create implements Target.
-func (l *Local) Create(object string, env *Env) (Writer, error) {
-	env = orNop(env)
-	if !l.Available() {
-		return nil, fmt.Errorf("%w: %s", ErrUnavailable, l.name)
-	}
-	// One seek to start the file.
-	env.Wait(l.cm.DiskSeek, "disk-seek")
-	return &localWriter{l: l, object: object, env: env}, nil
+// NewMemory creates a memory target; alive is the owning node's liveness
+// (nil = always alive).
+func NewMemory(name string, alive func() bool) *Store {
+	return newStore(name, KindMemory, nil, alive)
 }
 
-type localWriter struct {
-	l       *Local
-	object  string
-	env     *Env
-	buf     []byte
-	done    bool
-	crashed bool
+// NewRemote returns a client for srv, charging transfers with the
+// server's cost model.
+func NewRemote(name string, srv *Server) *Store {
+	return &Store{name: name, kind: KindRemote, cm: srv.cm, store: srv.store, alive: srv.up, srv: srv}
 }
-
-func (w *localWriter) Write(p []byte) (int, error) {
-	if w.done {
-		return 0, errors.New("storage: write after commit")
-	}
-	if !w.l.Available() {
-		return 0, fmt.Errorf("%w: %s", ErrUnavailable, w.l.name)
-	}
-	if frac, _, crash := w.l.faults.crashWrite(false); crash {
-		keep := int(frac * float64(len(p)))
-		w.env.Wait(w.l.cm.DiskStream(keep), "disk-write")
-		w.buf = append(w.buf, p[:keep]...)
-		// The crash leaves whatever streamed so far on disk as a torn
-		// object; nobody is alive to clean it up.
-		w.l.store.put(w.object, append([]byte(nil), w.buf...))
-		w.done, w.crashed = true, true
-		return keep, fmt.Errorf("%w: %s/%s", ErrFault, w.l.name, w.object)
-	}
-	w.env.Wait(w.l.cm.DiskStream(len(p)), "disk-write")
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-func (w *localWriter) Commit() error {
-	if w.done {
-		return errors.New("storage: double commit")
-	}
-	if !w.l.Available() {
-		return fmt.Errorf("%w: %s", ErrUnavailable, w.l.name)
-	}
-	w.done = true
-	w.l.store.put(w.object, w.buf)
-	return nil
-}
-
-func (w *localWriter) Abort() {
-	w.done = true
-	if w.crashed {
-		return // the torn object is already on disk; a crash has no undo
-	}
-	w.buf = nil
-}
-
-// ReadObject implements Target.
-func (l *Local) ReadObject(object string, env *Env) ([]byte, error) {
-	env = orNop(env)
-	if !l.Available() {
-		return nil, fmt.Errorf("%w: %s", ErrUnavailable, l.name)
-	}
-	data, ok := l.store.get(object)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, l.name, object)
-	}
-	env.Wait(l.cm.DiskWrite(len(data)), "disk-read") // seek + stream
-	return data, nil
-}
-
-// List implements Target.
-func (l *Local) List() []string { return l.store.list() }
-
-// Delete implements Target. A dead node's disk cannot be mutated — the
-// typed unavailability error lets GC sweeps keep the object pending
-// instead of mistaking "node down" for "already gone".
-func (l *Local) Delete(object string) error {
-	if !l.Available() {
-		return fmt.Errorf("%w: %s", ErrTargetUnavailable, l.name)
-	}
-	if !l.store.remove(object) {
-		return fmt.Errorf("%w: %s/%s", ErrNotFound, l.name, object)
-	}
-	return nil
-}
-
-// ObjectSize implements Target.
-func (l *Local) ObjectSize(object string) (int, error) {
-	if !l.Available() {
-		return 0, fmt.Errorf("%w: %s", ErrTargetUnavailable, l.name)
-	}
-	n, ok := l.store.size(object)
-	if !ok {
-		return 0, fmt.Errorf("%w: %s/%s", ErrNotFound, l.name, object)
-	}
-	return n, nil
-}
-
-// Publish implements Target. The one seek covers the metadata write and
-// the sync that makes the rename durable.
-func (l *Local) Publish(staging, final string, env *Env) error {
-	env = orNop(env)
-	if !l.Available() {
-		return fmt.Errorf("%w: %s", ErrUnavailable, l.name)
-	}
-	if l.faults.failPublish() {
-		return fmt.Errorf("%w: publish %s/%s", ErrFault, l.name, final)
-	}
-	env.Wait(l.cm.DiskSeek, "publish")
-	return l.store.rename(staging, final)
-}
-
-// --- Remote checkpoint server ---
 
 // Server is the shared remote checkpoint store (e.g. a parallel
 // filesystem or dedicated checkpoint server). It survives compute-node
 // failures; Fail/Recover model server outages for failure-injection tests.
 type Server struct {
-	name   string
 	cm     *costmodel.Model
 	store  *objectStore
+	up     func() bool
 	failed atomic.Bool
 	faults *FaultPolicy
 }
 
-// NewServer creates a remote checkpoint server.
-func NewServer(name string, cm *costmodel.Model) *Server {
-	return &Server{name: name, cm: cm, store: newObjectStore()}
+// NewServer creates a remote checkpoint server. Only its clients carry
+// names; the server's name documents the call site.
+func NewServer(_ string, cm *costmodel.Model) *Server {
+	s := &Server{cm: cm, store: newObjectStore()}
+	s.up = func() bool { return !s.failed.Load() }
+	return s
 }
 
 // Fail takes the server down; Recover brings it back with data intact.
@@ -395,43 +303,119 @@ func (s *Server) Fail() { s.failed.Store(true) }
 func (s *Server) Recover() { s.failed.Store(false) }
 
 // SetFaults installs a per-operation fault-injection policy, shared by
-// every Remote client of this server (nil disables injection).
+// every remote client of this server (nil disables injection).
 func (s *Server) SetFaults(fp *FaultPolicy) { s.faults = fp }
 
-// Remote is a node's client view of a Server: every byte crosses the
-// interconnect (charged per chunk) and then the server's disk.
-type Remote struct {
-	name string
-	srv  *Server
-	cm   *costmodel.Model
+// SetFaults installs a per-operation fault-injection policy (nil
+// disables injection). A remote client's policy is its server's.
+func (s *Store) SetFaults(fp *FaultPolicy) {
+	if s.srv != nil {
+		s.srv.SetFaults(fp)
+		return
+	}
+	s.faults = fp
 }
 
-// NewRemote returns a client for srv, charging transfers with cm.
-func NewRemote(name string, srv *Server) *Remote {
-	return &Remote{name: name, srv: srv, cm: srv.cm}
+func (s *Store) policy() *FaultPolicy {
+	if s.srv != nil {
+		return s.srv.faults
+	}
+	return s.faults
 }
+
+// Wipe discards all contents: the blank disk of a replacement machine
+// after a permanent node failure (§4.1's local-storage caveat), or RAM
+// after power loss. On a remote client it wipes the server's store.
+func (s *Store) Wipe() { s.store.clear() }
 
 // Name implements Target.
-func (r *Remote) Name() string { return r.name }
+func (s *Store) Name() string { return s.name }
 
 // Kind implements Target.
-func (r *Remote) Kind() Kind { return KindRemote }
+func (s *Store) Kind() Kind { return s.kind }
 
 // Available implements Target.
-func (r *Remote) Available() bool { return !r.srv.failed.Load() }
+func (s *Store) Available() bool { return s.alive() }
 
-// Create implements Target.
-func (r *Remote) Create(object string, env *Env) (Writer, error) {
-	env = orNop(env)
-	if !r.Available() {
-		return nil, fmt.Errorf("%w: %s", ErrUnavailable, r.name)
-	}
-	env.Wait(r.cm.DiskSeek, "server-seek")
-	return &remoteWriter{r: r, object: object, env: env}, nil
+func (s *Store) unavailable() error { return fmt.Errorf("%w: %s", ErrTargetUnavailable, s.name) }
+
+func (s *Store) notFound(object string) error {
+	return fmt.Errorf("%w: %s/%s", ErrNotFound, s.name, object)
 }
 
-type remoteWriter struct {
-	r       *Remote
+// --- Prices: the only place the kinds differ in cost ---
+
+// open charges the positioning that starts a transfer: one disk seek,
+// locally or on the server. RAM needs none.
+func (s *Store) open(env *Env) {
+	switch s.kind {
+	case KindLocal:
+		env.Wait(s.cm.DiskSeek, "disk-seek")
+	case KindRemote:
+		env.Wait(s.cm.DiskSeek, "server-seek")
+	}
+}
+
+// stream charges n bytes of an open transfer: one sequential disk
+// stream, or chunk-sized transfers that each cross the interconnect and
+// the server's disk.
+func (s *Store) stream(env *Env, n int, write bool) {
+	switch s.kind {
+	case KindLocal:
+		what := "disk-read"
+		if write {
+			what = "disk-write"
+		}
+		env.Wait(s.cm.DiskStream(n), what)
+	case KindRemote:
+		what := "net-read"
+		if write {
+			what = "net-write"
+		}
+		for off := 0; off < n; off += chunk {
+			c := min(n-off, chunk)
+			env.Wait(s.cm.NetTransfer(c)+s.cm.DiskStream(c), what)
+		}
+	}
+}
+
+// readCost charges a whole-object read of n bytes: a local disk pays its
+// seek and stream as one wait.
+func (s *Store) readCost(env *Env, n int) {
+	if s.kind == KindLocal {
+		env.Wait(s.cm.DiskWrite(n), "disk-read") // seek + stream
+		return
+	}
+	s.open(env)
+	s.stream(env, n, false)
+}
+
+// publishCost charges an atomic rename: one seek covers the local
+// metadata write and its sync; a server adds the round-trip to reach it.
+// RAM renames are free.
+func (s *Store) publishCost(env *Env) {
+	switch s.kind {
+	case KindLocal:
+		env.Wait(s.cm.DiskSeek, "publish")
+	case KindRemote:
+		env.Wait(s.cm.NetTransfer(64)+s.cm.DiskSeek, "publish")
+	}
+}
+
+// --- Target ---
+
+// Create implements Target.
+func (s *Store) Create(object string, env *Env) (Writer, error) {
+	if !s.alive() {
+		return nil, s.unavailable()
+	}
+	env = orNop(env)
+	s.open(env)
+	return &storeWriter{s: s, object: object, env: env}, nil
+}
+
+type storeWriter struct {
+	s       *Store
 	object  string
 	env     *Env
 	buf     []byte
@@ -439,244 +423,128 @@ type remoteWriter struct {
 	crashed bool
 }
 
-func (w *remoteWriter) Write(p []byte) (int, error) {
+func (w *storeWriter) Write(p []byte) (int, error) {
+	s := w.s
 	if w.done {
 		return 0, errors.New("storage: write after commit")
 	}
-	if !w.r.Available() {
-		return 0, fmt.Errorf("%w: %s", ErrUnavailable, w.r.name)
+	if !s.alive() {
+		return 0, s.unavailable()
 	}
-	srv := w.r.srv
-	if frac, outage, crash := srv.faults.crashWrite(true); crash {
+	fp := s.policy()
+	if frac, outage, crash := fp.crashWrite(s.kind == KindRemote); crash {
 		keep := int(frac * float64(len(p)))
-		w.chargeTransfer(keep)
+		s.stream(w.env, keep, true)
 		w.buf = append(w.buf, p[:keep]...)
-		// The prefix that crossed the wire is on the server as a torn
-		// object; the client's connection is gone.
-		srv.store.put(w.object, append([]byte(nil), w.buf...))
+		// Whatever streamed so far stays behind as a torn object: the
+		// writer is gone and nobody is alive to clean it up.
+		s.store.put(w.object, append([]byte(nil), w.buf...))
 		w.done, w.crashed = true, true
 		if outage {
 			// The crash was the server going down mid-transfer.
-			srv.Fail()
-			if srv.faults.OnOutage != nil {
-				srv.faults.OnOutage()
+			s.srv.Fail()
+			if fp.OnOutage != nil {
+				fp.OnOutage()
 			}
-			return keep, fmt.Errorf("%w: %s/%s: %w", ErrFault, w.r.name, w.object, ErrUnavailable)
+			return keep, fmt.Errorf("%w: %s/%s: %w", ErrFault, s.name, w.object, ErrTargetUnavailable)
 		}
-		return keep, fmt.Errorf("%w: %s/%s", ErrFault, w.r.name, w.object)
+		return keep, fmt.Errorf("%w: %s/%s", ErrFault, s.name, w.object)
 	}
-	w.chargeTransfer(len(p))
+	s.stream(w.env, len(p), true)
 	w.buf = append(w.buf, p...)
 	return len(p), nil
 }
 
-// chargeTransfer bills n bytes of interconnect + server-disk time in
-// chunk-sized transfers.
-func (w *remoteWriter) chargeTransfer(n int) {
-	for off := 0; off < n; off += chunk {
-		c := n - off
-		if c > chunk {
-			c = chunk
-		}
-		w.env.Wait(w.r.cm.NetTransfer(c)+w.r.cm.DiskStream(c), "net-write")
-	}
-}
-
-func (w *remoteWriter) Commit() error {
+func (w *storeWriter) Commit() error {
 	if w.done {
 		return errors.New("storage: double commit")
 	}
-	if !w.r.Available() {
-		return fmt.Errorf("%w: %s", ErrUnavailable, w.r.name)
+	if !w.s.alive() {
+		return w.s.unavailable()
 	}
 	w.done = true
-	w.r.srv.store.put(w.object, w.buf)
+	w.s.store.put(w.object, w.buf)
 	return nil
 }
 
-func (w *remoteWriter) Abort() {
+func (w *storeWriter) Abort() {
 	w.done = true
-	if w.crashed {
-		return // the torn object already reached the server
+	if !w.crashed { // a crash's torn object is already stored; it has no undo
+		w.buf = nil
 	}
-	w.buf = nil
 }
 
 // ReadObject implements Target.
-func (r *Remote) ReadObject(object string, env *Env) ([]byte, error) {
-	env = orNop(env)
-	if !r.Available() {
-		return nil, fmt.Errorf("%w: %s", ErrUnavailable, r.name)
+func (s *Store) ReadObject(object string, env *Env) ([]byte, error) {
+	if !s.alive() {
+		return nil, s.unavailable()
 	}
-	data, ok := r.srv.store.get(object)
+	data, ok := s.store.get(object)
 	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, r.name, object)
+		return nil, s.notFound(object)
 	}
-	env.Wait(r.cm.DiskSeek, "server-seek")
-	for off := 0; off < len(data); off += chunk {
-		n := len(data) - off
-		if n > chunk {
-			n = chunk
-		}
-		env.Wait(r.cm.NetTransfer(n)+r.cm.DiskStream(n), "net-read")
-	}
+	s.readCost(orNop(env), len(data))
 	return data, nil
 }
 
-// List implements Target.
-func (r *Remote) List() []string { return r.srv.store.list() }
-
-// Delete implements Target. During a server outage the object's fate is
-// unknown, so the typed unavailability error keeps GC sweeps retrying.
-func (r *Remote) Delete(object string) error {
-	if !r.Available() {
-		return fmt.Errorf("%w: %s", ErrTargetUnavailable, r.name)
+// ReadBatch implements BatchReader: one positioning cost, then every
+// object streamed in sequence.
+func (s *Store) ReadBatch(objects []string, env *Env) ([][]byte, error) {
+	if !s.alive() {
+		return nil, s.unavailable()
 	}
-	if !r.srv.store.remove(object) {
-		return fmt.Errorf("%w: %s/%s", ErrNotFound, r.name, object)
+	env = orNop(env)
+	out := make([][]byte, len(objects))
+	for i, name := range objects {
+		data, ok := s.store.get(name)
+		if !ok {
+			return nil, s.notFound(name)
+		}
+		if i == 0 {
+			s.open(env)
+		}
+		s.stream(env, len(data), false)
+		out[i] = data
+	}
+	return out, nil
+}
+
+// List implements Target.
+func (s *Store) List() []string { return s.store.list() }
+
+// Delete implements Target. An unreachable target cannot be mutated, and
+// the object's fate is unknown: the typed unavailability error lets GC
+// sweeps keep it pending instead of mistaking "down" for "already gone".
+func (s *Store) Delete(object string) error {
+	if !s.alive() {
+		return s.unavailable()
+	}
+	if !s.store.remove(object) {
+		return s.notFound(object)
 	}
 	return nil
 }
 
 // ObjectSize implements Target.
-func (r *Remote) ObjectSize(object string) (int, error) {
-	if !r.Available() {
-		return 0, fmt.Errorf("%w: %s", ErrTargetUnavailable, r.name)
+func (s *Store) ObjectSize(object string) (int, error) {
+	if !s.alive() {
+		return 0, s.unavailable()
 	}
-	n, ok := r.srv.store.size(object)
+	n, ok := s.store.size(object)
 	if !ok {
-		return 0, fmt.Errorf("%w: %s/%s", ErrNotFound, r.name, object)
+		return 0, s.notFound(object)
 	}
 	return n, nil
 }
 
-// Publish implements Target: one server-side metadata round-trip.
-func (r *Remote) Publish(staging, final string, env *Env) error {
-	env = orNop(env)
-	if !r.Available() {
-		return fmt.Errorf("%w: %s", ErrUnavailable, r.name)
+// Publish implements Target.
+func (s *Store) Publish(staging, final string, env *Env) error {
+	if !s.alive() {
+		return s.unavailable()
 	}
-	if r.srv.faults.failPublish() {
-		return fmt.Errorf("%w: publish %s/%s", ErrFault, r.name, final)
+	if s.policy().failPublish() {
+		return fmt.Errorf("%w: publish %s/%s", ErrFault, s.name, final)
 	}
-	env.Wait(r.cm.NetTransfer(64)+r.cm.DiskSeek, "publish")
-	return r.srv.store.rename(staging, final)
-}
-
-func (r *Remote) faultsOf() *FaultPolicy { return r.srv.faults }
-
-func (r *Remote) tearObject(object string, keepFrac float64) { r.srv.store.tear(object, keepFrac) }
-
-// --- Memory target ---
-
-// Memory is a zero-latency in-RAM target (Software Suspend's standby
-// functionality: "saving the image to memory rather than to disk"). Its
-// contents do not survive a node failure or power-down.
-type Memory struct {
-	name  string
-	store *objectStore
-	alive func() bool
-}
-
-// NewMemory creates a memory target; alive is the owning node's liveness.
-func NewMemory(name string, alive func() bool) *Memory {
-	if alive == nil {
-		alive = func() bool { return true }
-	}
-	return &Memory{name: name, store: newObjectStore(), alive: alive}
-}
-
-// Name implements Target.
-func (m *Memory) Name() string { return m.name }
-
-// Kind implements Target.
-func (m *Memory) Kind() Kind { return KindMemory }
-
-// Available implements Target.
-func (m *Memory) Available() bool { return m.alive() }
-
-// Drop destroys all contents (power loss).
-func (m *Memory) Drop() { m.store = newObjectStore() }
-
-// Create implements Target.
-func (m *Memory) Create(object string, env *Env) (Writer, error) {
-	env = orNop(env)
-	if !m.Available() {
-		return nil, fmt.Errorf("%w: %s", ErrUnavailable, m.name)
-	}
-	return &memWriter{m: m, object: object, env: env}, nil
-}
-
-type memWriter struct {
-	m      *Memory
-	object string
-	env    *Env
-	buf    []byte
-	done   bool
-}
-
-func (w *memWriter) Write(p []byte) (int, error) {
-	if w.done {
-		return 0, errors.New("storage: write after commit")
-	}
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-func (w *memWriter) Commit() error {
-	if w.done {
-		return errors.New("storage: double commit")
-	}
-	w.done = true
-	w.m.store.put(w.object, w.buf)
-	return nil
-}
-
-func (w *memWriter) Abort() { w.done = true; w.buf = nil }
-
-// ReadObject implements Target.
-func (m *Memory) ReadObject(object string, env *Env) ([]byte, error) {
-	env = orNop(env)
-	if !m.Available() {
-		return nil, fmt.Errorf("%w: %s", ErrUnavailable, m.name)
-	}
-	data, ok := m.store.get(object)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, m.name, object)
-	}
-	return data, nil
-}
-
-// List implements Target.
-func (m *Memory) List() []string { return m.store.list() }
-
-// Delete implements Target.
-func (m *Memory) Delete(object string) error {
-	if !m.Available() {
-		return fmt.Errorf("%w: %s", ErrTargetUnavailable, m.name)
-	}
-	if !m.store.remove(object) {
-		return fmt.Errorf("%w: %s/%s", ErrNotFound, m.name, object)
-	}
-	return nil
-}
-
-// ObjectSize implements Target.
-func (m *Memory) ObjectSize(object string) (int, error) {
-	if !m.Available() {
-		return 0, fmt.Errorf("%w: %s", ErrTargetUnavailable, m.name)
-	}
-	n, ok := m.store.size(object)
-	if !ok {
-		return 0, fmt.Errorf("%w: %s/%s", ErrNotFound, m.name, object)
-	}
-	return n, nil
-}
-
-// Publish implements Target. RAM renames are free and never faulted.
-func (m *Memory) Publish(staging, final string, _ *Env) error {
-	if !m.Available() {
-		return fmt.Errorf("%w: %s", ErrUnavailable, m.name)
-	}
-	return m.store.rename(staging, final)
+	s.publishCost(orNop(env))
+	return s.store.rename(staging, final)
 }

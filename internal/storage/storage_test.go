@@ -7,14 +7,22 @@ import (
 	"repro/internal/costmodel"
 )
 
-func targets(t *testing.T) map[string]Target {
+// testTarget is one row of the target table: the target and the switch
+// that takes it down (its node's liveness, or its server's outage).
+type testTarget struct {
+	T    Target
+	down func()
+}
+
+func targets(t *testing.T) map[string]testTarget {
 	t.Helper()
 	cm := costmodel.Default2005()
 	srv := NewServer("ckpt-srv", cm)
-	return map[string]Target{
-		"local":  NewLocal("disk0", cm, nil),
-		"remote": NewRemote("net0", srv),
-		"memory": NewMemory("ram0", nil),
+	diskUp, ramUp := true, true
+	return map[string]testTarget{
+		"local":  {NewLocal("disk0", cm, func() bool { return diskUp }), func() { diskUp = false }},
+		"remote": {NewRemote("net0", srv), srv.Fail},
+		"memory": {NewMemory("ram0", func() bool { return ramUp }), func() { ramUp = false }},
 	}
 }
 
@@ -33,7 +41,8 @@ func writeObject(t *testing.T, tgt Target, name string, data []byte, env *Env) {
 }
 
 func TestRoundTripAllTargets(t *testing.T) {
-	for kind, tgt := range targets(t) {
+	for kind, tc := range targets(t) {
+		tgt := tc.T
 		data := []byte("checkpoint image " + kind)
 		writeObject(t, tgt, "obj1", data, NopEnv())
 		got, err := tgt.ReadObject("obj1", NopEnv())
@@ -62,7 +71,8 @@ func TestRoundTripAllTargets(t *testing.T) {
 }
 
 func TestAbortDiscards(t *testing.T) {
-	for kind, tgt := range targets(t) {
+	for kind, tc := range targets(t) {
+		tgt := tc.T
 		w, _ := tgt.Create("x", NopEnv())
 		w.Write([]byte("partial"))
 		w.Abort()
@@ -89,6 +99,56 @@ func TestCommitIsAtomic(t *testing.T) {
 	}
 }
 
+// TestDownTargetRefusesEveryOperation: once a target goes down, every
+// operation fails with ErrTargetUnavailable on every kind — including
+// Write and Commit on a writer opened while it was still up.
+func TestDownTargetRefusesEveryOperation(t *testing.T) {
+	for kind, tc := range targets(t) {
+		tgt := tc.T
+		writeObject(t, tgt, "ck", []byte("data"), NopEnv())
+		writeObject(t, tgt, StagingName("st"), []byte("staged"), NopEnv())
+		wWrite, err := tgt.Create("late-write", NopEnv())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wCommit, err := tgt.Create("late-commit", NopEnv())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wCommit.Write([]byte("bytes")); err != nil {
+			t.Fatal(err)
+		}
+		tc.down()
+		if tgt.Available() {
+			t.Fatalf("%s: down target available", kind)
+		}
+		_, createErr := tgt.Create("new", NopEnv())
+		_, readErr := tgt.ReadObject("ck", NopEnv())
+		_, sizeErr := tgt.ObjectSize("ck")
+		_, writeErr := wWrite.Write([]byte("bytes"))
+		var batchErr error
+		if br, ok := tgt.(BatchReader); ok {
+			_, batchErr = br.ReadBatch([]string{"ck"}, NopEnv())
+		} else {
+			batchErr = errors.New("not a BatchReader")
+		}
+		for op, err := range map[string]error{
+			"Create":     createErr,
+			"ReadObject": readErr,
+			"ReadBatch":  batchErr,
+			"Delete":     tgt.Delete("ck"),
+			"ObjectSize": sizeErr,
+			"Publish":    tgt.Publish(StagingName("st"), "st", NopEnv()),
+			"Write":      writeErr,
+			"Commit":     wCommit.Commit(),
+		} {
+			if !errors.Is(err, ErrTargetUnavailable) {
+				t.Errorf("%s: %s on a down target: %v", kind, op, err)
+			}
+		}
+	}
+}
+
 func TestLocalDiesWithNode(t *testing.T) {
 	alive := true
 	tgt := NewLocal("disk0", costmodel.Default2005(), func() bool { return alive })
@@ -97,10 +157,10 @@ func TestLocalDiesWithNode(t *testing.T) {
 	if tgt.Available() {
 		t.Fatal("dead node's disk available")
 	}
-	if _, err := tgt.ReadObject("ck", NopEnv()); !errors.Is(err, ErrUnavailable) {
+	if _, err := tgt.ReadObject("ck", NopEnv()); !errors.Is(err, ErrTargetUnavailable) {
 		t.Fatalf("read from dead node: %v", err)
 	}
-	if _, err := tgt.Create("new", NopEnv()); !errors.Is(err, ErrUnavailable) {
+	if _, err := tgt.Create("new", NopEnv()); !errors.Is(err, ErrTargetUnavailable) {
 		t.Fatal("create on dead node accepted")
 	}
 	// Node comes back (reboot): data intact — restart after power outage,
@@ -136,7 +196,7 @@ func TestRemoteSurvivesWriterDeath(t *testing.T) {
 func TestMemoryDropsOnPowerLoss(t *testing.T) {
 	m := NewMemory("ram", nil)
 	writeObject(t, m, "standby", []byte("x"), NopEnv())
-	m.Drop()
+	m.Wipe()
 	if _, err := m.ReadObject("standby", NopEnv()); !errors.Is(err, ErrNotFound) {
 		t.Fatal("memory target survived power loss")
 	}

@@ -139,9 +139,9 @@ func putInPlace(t Target, object string, data []byte, env *Env) error {
 		return err
 	}
 	// No durability barrier: the commit may have silently lost its tail.
-	if tt, ok := t.(tearable); ok {
-		if frac, tear := tt.faultsOf().tearCommit(); tear {
-			tt.tearObject(object, frac)
+	if s, ok := t.(*Store); ok {
+		if frac, tear := s.policy().tearCommit(); tear {
+			s.store.tear(object, frac)
 		}
 	}
 	return nil

@@ -62,7 +62,7 @@ func captureKernel(k *kernel.Kernel, self, target *proc.Process, tgt storage.Tar
 	}
 
 	if tgt != nil && !tgt.Available() {
-		finish(nil, checkpoint.Stats{}, fmt.Errorf("syslevel: %s: storage: %w", opts.mech, storage.ErrUnavailable))
+		finish(nil, checkpoint.Stats{}, fmt.Errorf("syslevel: %s: storage: %w", opts.mech, storage.ErrTargetUnavailable))
 		return
 	}
 

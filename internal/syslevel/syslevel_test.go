@@ -23,11 +23,11 @@ func newMachine(name string, progs ...kernel.Program) *kernel.Kernel {
 	return kernel.New(kernel.DefaultConfig(name), costmodel.Default2005(), reg)
 }
 
-func localTarget() *storage.Local {
+func localTarget() *storage.Store {
 	return storage.NewLocal("disk0", costmodel.Default2005(), nil)
 }
 
-func remoteTarget() *storage.Remote {
+func remoteTarget() *storage.Store {
 	srv := storage.NewServer("srv", costmodel.Default2005())
 	return storage.NewRemote("net0", srv)
 }

@@ -41,7 +41,7 @@ type TICK struct {
 	DeferInterrupts bool
 	// MaxChain bounds the incremental chain: after this many deltas the
 	// next checkpoint is full again, bounding restart latency (the role
-	// chain coalescing plays offline — see checkpoint.Coalesce).
+	// chain coalescing plays offline — see checkpoint.FoldChain).
 	MaxChain int
 
 	trackers map[proc.PID]*checkpoint.KernelWPTracker

@@ -83,7 +83,7 @@ func (m *userCore) captureInProcess(ctx *kernel.Context, req *pendingReq) {
 		return
 	}
 	if req.tgt != nil && !req.tgt.Available() {
-		finish(nil, checkpoint.Stats{}, fmt.Errorf("userlevel: %s: storage: %w", m.name, storage.ErrUnavailable))
+		finish(nil, checkpoint.Stats{}, fmt.Errorf("userlevel: %s: storage: %w", m.name, storage.ErrTargetUnavailable))
 		return
 	}
 

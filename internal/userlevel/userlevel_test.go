@@ -23,7 +23,7 @@ func newMachine(name string, progs ...kernel.Program) *kernel.Kernel {
 	return kernel.New(kernel.DefaultConfig(name), costmodel.Default2005(), reg)
 }
 
-func localTarget() *storage.Local {
+func localTarget() *storage.Store {
 	return storage.NewLocal("disk0", costmodel.Default2005(), nil)
 }
 

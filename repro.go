@@ -81,13 +81,13 @@ func NewMachine(hostname string, reg *Registry) *Kernel {
 }
 
 // NewLocalDisk returns an always-available local disk target.
-func NewLocalDisk(name string) *storage.Local {
+func NewLocalDisk(name string) *storage.Store {
 	return storage.NewLocal(name, costmodel.Default2005(), nil)
 }
 
 // NewCheckpointServer returns a remote checkpoint server and a client for
 // it (the paper's "remote" stable storage).
-func NewCheckpointServer(name string) (*storage.Server, *storage.Remote) {
+func NewCheckpointServer(name string) (*storage.Server, *storage.Store) {
 	srv := storage.NewServer(name, costmodel.Default2005())
 	return srv, storage.NewRemote(name+"-client", srv)
 }
@@ -109,7 +109,7 @@ func VerifyChain(chain []*Image) error { return checkpoint.VerifyChain(chain) }
 
 // Coalesce merges a restore chain into one equivalent full image,
 // bounding restart latency without losing state.
-func Coalesce(chain []*Image) (*Image, error) { return checkpoint.Coalesce(chain) }
+func Coalesce(chain []*Image) (*Image, error) { return checkpoint.FoldChain(chain) }
 
 // Fingerprint returns a workload's observable result register; two runs
 // are equivalent iff their fingerprints match.
