@@ -29,7 +29,7 @@
 //
 // The survey's Figure 1 (taxonomy) and Table 1 (feature matrix) are
 // regenerated from the live implementations by cmd/crsurvey; the
-// experiments derived from the paper's qualitative claims (E1–E10 in
+// experiments derived from the paper's qualitative claims (E1–E20 in
 // DESIGN.md) are run by cmd/crbench and the benchmarks in bench_test.go.
 //
 // Quick start

@@ -1,10 +1,12 @@
 package checkpoint
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/simos/mem"
+	"repro/internal/workload"
 )
 
 // benchImageBytes is the memory payload of the codec benchmarks' image.
@@ -84,3 +86,50 @@ func BenchmarkCRC64Combine(b *testing.B) {
 }
 
 var sinkCRC uint64
+
+// benchChain loads a 17-image chain (one full, 16 deltas) for the
+// replay benchmarks.
+func benchChain(b *testing.B) []*Image {
+	remote, leaf := buildChain(b, 17)
+	chain, err := LoadChain(remote, nil, leaf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return chain
+}
+
+func BenchmarkPlanReplay(b *testing.B) {
+	chain := benchChain(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := planReplay(chain); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkApplyPlan replays the chain's plan into an address space
+// whose pages a first restore already materialized.
+func BenchmarkApplyPlan(b *testing.B) {
+	chain := benchChain(b)
+	plan, err := planReplay(chain)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := Restore(newMachine("dst", workload.Sparse{MiB: 2, WriteFrac: 0.15, Seed: 42}), chain, RestoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.SetBytes(int64(plan.copied))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := applyPlan(p.AS, &plan, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -18,13 +18,20 @@ import (
 // workload onto the returned target and returns the leaf name.
 func buildTestChain(t *testing.T) (storage.Target, string) {
 	t.Helper()
+	return buildChain(t, 3)
+}
+
+// buildChain captures a chain of links images (one full, then deltas)
+// of buildTestChain's workload, three iterations apart.
+func buildChain(t testing.TB, links int) (storage.Target, string) {
+	t.Helper()
 	prog := workload.Sparse{MiB: 2, WriteFrac: 0.15, Seed: 42}
 	k := newMachine("src", prog)
 	p, err := k.Spawn(prog.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	workload.SetIterations(p, 50)
+	workload.SetIterations(p, uint64(max(50, 3*links+3))) // outlives the chain
 	srv := storage.NewServer("srv", costmodel.Default2005())
 	remote := storage.NewRemote("net", srv)
 	env := storage.NopEnv()
@@ -35,7 +42,7 @@ func buildTestChain(t *testing.T) (storage.Target, string) {
 	defer trk.Close()
 
 	var parent string
-	for seq := uint64(1); seq <= 3; seq++ {
+	for seq := uint64(1); seq <= uint64(links); seq++ {
 		target := p.Regs().PC + 3
 		for p.Regs().PC < target && p.State != proc.StateZombie {
 			k.RunFor(simtime.Millisecond)

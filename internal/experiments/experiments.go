@@ -1,7 +1,9 @@
-// Package experiments implements E1–E10 from DESIGN.md: each function
-// reproduces one figure, table, or measured claim of the paper and
-// returns the result as a rendered table. cmd/crbench prints them; the
-// repository-root benchmarks wrap them for `go test -bench`.
+// Package experiments implements E1–E20 from DESIGN.md. E1–E13 each
+// reproduce one figure, table, or measured claim of the paper and return
+// the result as a rendered table; E14–E20 each return their measurements
+// as Records, which Check judges against the Gates table. cmd/crbench
+// prints them; the repository-root benchmarks wrap E1–E11 for
+// `go test -bench`.
 package experiments
 
 import (

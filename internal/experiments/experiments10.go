@@ -7,90 +7,54 @@ import (
 	"repro/internal/trace"
 )
 
-// E18Scale measures the fleet-scale control plane at the two anchors of
-// the scale pair — the fleet-1k and fleet-10k catalog scenarios, both
-// run with identical tick, detector bound, and fault density — and
-// reports orchestration throughput, detection-latency, and failover
-// tails at each scale. The acceptance line is the ratio row: the sharded
-// digest architecture's claim is that detection latency does not grow
-// with fleet size, gated as 10k-node detect p99 within 2x of the
-// 1k-node p99.
-func E18Scale(quick bool) *trace.Table {
-	s := E18Bench(quick)
-	tb := trace.NewTable(
-		"E18 — fleet scale: detection and failover latency vs fleet size",
-		"scenario", "nodes", "shards", "pass", "events/s", "detect p99(ms)", "failover p99(ms)", "timers")
-	for _, p := range s.Points {
-		tb.Row(p.Name, fmt.Sprint(p.Nodes), fmt.Sprint(p.Shards), fmt.Sprint(p.Pass),
-			fmt.Sprintf("%.0f", p.EventsPerSec), fmt.Sprintf("%.2f", p.DetectP99Ms),
-			fmt.Sprintf("%.2f", p.FailoverP99Ms), fmt.Sprint(p.Timers))
-	}
-	tb.Note(fmt.Sprintf("1k→10k detect p99 ratio %.2fx (gate: <= 2x): %v", s.DetectRatio, s.RatioWithin2x))
-	tb.Note("timers = armed recurring timers: one digest tick per shard, not one per node")
-	return tb
-}
-
-// E18ScalePoint is one scenario's measured summary.
-type E18ScalePoint struct {
-	Name          string   `json:"name"`
-	Nodes         int      `json:"nodes"`
-	Shards        int      `json:"shards"`
-	Jobs          int      `json:"jobs"`
-	Pass          bool     `json:"pass"`
-	Failures      []string `json:"failures,omitempty"`
-	EventsPerSec  float64  `json:"events_per_sec"`
-	WallMs        float64  `json:"wall_ms"`
-	DetectP50Ms   float64  `json:"detect_p50_ms"`
-	DetectP99Ms   float64  `json:"detect_p99_ms"`
-	FailoverP99Ms float64  `json:"failover_p99_ms"`
-	Detections    int      `json:"detections"`
-	Checkpoints   int64    `json:"checkpoints"`
-	Migrations    int64    `json:"migrations"`
-	Timers        int      `json:"timers"`
-}
-
-// E18Summary is the payload of BENCH_8.json.
-type E18Summary struct {
-	Points []E18ScalePoint `json:"points"`
-	// DetectRatio is fleet-10k's detect p99 over fleet-1k's — the number
-	// the scale claim stands on.
-	DetectRatio   float64 `json:"detect_p99_ratio_10k_vs_1k"`
-	RatioWithin2x bool    `json:"ratio_within_2x"`
-	AllPass       bool    `json:"all_pass"`
-}
-
-// E18Bench runs the scale pair and returns the machine-readable summary
-// (the bench-scale make target). The quick flag is accepted for CLI
-// symmetry with the other benches but changes nothing: the whole pair is
-// simulated-time work that completes in under a second of wall clock, so
-// CI always measures the real 10k-node scenario.
-func E18Bench(quick bool) E18Summary {
+// E18 measures the fleet-scale control plane at the two anchors of the
+// scale pair — the fleet-1k and fleet-10k catalog scenarios, both run
+// with identical tick, detector bound, and fault density — and records
+// orchestration throughput, detection latency, and failover tails at
+// each scale. The sharded digest architecture's claim is that detection
+// latency does not grow with fleet size, gated as the 10k-node detect
+// tail within 2x of the 1k-node tail; timers counts armed recurring
+// timers, one digest tick per shard, not one per node. quick changes
+// nothing: the pair is simulated-time work that completes in under a
+// second of wall clock, so every run measures the real 10k-node
+// scenario.
+func E18(quick bool) []Record {
 	_ = quick
-	out := E18Summary{AllPass: true}
-	var p99 [2]float64
+	rec := &recorder{exp: "E18"}
+	var detect [2]trace.HistSnapshot
 	for i, name := range []string{"fleet-1k", "fleet-10k"} {
 		sc, ok := scenario.Find(name)
 		if !ok {
-			panic("E18: scenario " + name + " missing from catalog")
+			rec.check(fmt.Errorf("e18: scenario %s missing from catalog", name))
+			continue
 		}
 		res := scenario.Run(sc)
-		out.Points = append(out.Points, E18ScalePoint{
-			Name: res.Name, Nodes: sc.Config.Nodes, Shards: sc.Config.Shards, Jobs: sc.Config.Jobs,
-			Pass: res.Pass, Failures: res.Failures,
-			EventsPerSec: res.EventsPerSec, WallMs: res.WallMillis,
-			DetectP50Ms: res.Stats.DetectP50, DetectP99Ms: res.Stats.DetectP99,
-			FailoverP99Ms: res.Stats.FailoverP99,
-			Detections:    res.Stats.Detections, Checkpoints: res.Stats.Checkpoints,
-			Migrations: res.Stats.Migrations, Timers: res.Stats.Timers,
-		})
-		p99[i] = res.Stats.DetectP99
-		if !res.Pass {
-			out.AllPass = false
-		}
+		st := res.Stats
+		rec.flag(name, "pass", res.Pass)
+		rec.count(name, "shards", int64(sc.Config.Shards))
+		rec.count(name, "timers", int64(st.Timers))
+		rec.count(name, "detections", int64(st.Detections))
+		rec.count(name, "checkpoints", st.Checkpoints)
+		rec.count(name, "migrations", st.Migrations)
+		// FleetStats keeps the p50 and p99 of each histogram; below
+		// minTailN samples the p99's nearest-rank index is the last, so
+		// it is the exact maximum.
+		detect[i] = trace.HistSnapshot{N: st.Detections, P50: st.DetectP50, P99: st.DetectP99, Max: st.DetectP99}
+		rec.dist(name, "detect_ms", "ms", detect[i])
+		// The failover sample count is not kept; it is at most one per
+		// failover or migration event.
+		nf := int(st.Failovers + st.Migrations)
+		rec.dist(name, "failover_ms", "ms", trace.HistSnapshot{N: nf, P50: st.FailoverP50, P99: st.FailoverP99, Max: st.FailoverP99})
+		rec.recs = append(rec.recs,
+			Record{Exp: rec.exp, Case: name, Metric: "events_per_s", Unit: "1/s", Clock: "host", N: 1, Value: res.EventsPerSec},
+			Record{Exp: rec.exp, Case: name, Metric: "wall_ms", Unit: "ms", Clock: "host", N: 1, Value: res.WallMillis})
 	}
-	if p99[0] > 0 {
-		out.DetectRatio = p99[1] / p99[0]
+	l1, v1 := tail(detect[0])
+	l10, v10 := tail(detect[1])
+	if l1 != l10 {
+		rec.check(fmt.Errorf("e18: detect tails %s and %s are not comparable", l1, l10))
+	} else {
+		rec.ratio("10k vs 1k", "detect_ms."+l10+"_ratio", "x", v10, v1)
 	}
-	out.RatioWithin2x = out.DetectRatio > 0 && out.DetectRatio <= 2.0
-	return out
+	return rec.done()
 }

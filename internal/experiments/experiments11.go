@@ -5,256 +5,125 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
-	"repro/internal/costmodel"
-	"repro/internal/detector"
-	"repro/internal/mechanism"
 	"repro/internal/policy"
-	"repro/internal/simos/kernel"
 	"repro/internal/simtime"
-	"repro/internal/storage"
-	"repro/internal/syslevel"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
-// E19Lazy measures lazy page-granular restore (restart-before-read):
+// E19 measures lazy page-granular restore (restart-before-read):
 // time-to-first-instruction versus the eager full restore of the same
 // 16-delta chain across replay widths, with the fully drained memory
 // checksummed against the eager restore's — the byte-equivalence claim.
-// The cluster pair runs the same scripted failover schedule eagerly and
-// lazily and compares completion fingerprints plus the new
+// TTFI is the leaf read plus the hot-set replay; drained is the leaf
+// plus the deferred ancestor reads plus the full plan replay. The
+// cluster twins run the same scripted failover schedule eagerly and
+// lazily and compare completion fingerprints plus the
 // restore.first_instr_latency distribution.
-func E19Lazy(quick bool) *trace.Table {
-	s := E19Bench(quick)
-	tb := trace.NewTable(
-		fmt.Sprintf("E19 — lazy restore: TTFI vs eager full restore (sparse %d MiB, %d deltas)", s.MiB, s.Deltas),
-		"workers", "eager(ms)", "ttfi(ms)", "ttfi/eager", "drained(ms)", "digest==eager")
-	for _, pt := range s.Points {
-		tb.Row(pt.Workers, fmt.Sprintf("%.2f", pt.EagerMs), fmt.Sprintf("%.2f", pt.TTFIMs),
-			fmt.Sprintf("%.2fx", pt.VsEager), fmt.Sprintf("%.2f", pt.DrainedMs), pt.DigestMatch)
-	}
-	tb.Note("ttfi = leaf read + hot-set replay; drained = leaf + deferred ancestor reads + full plan replay")
-	tb.Note(fmt.Sprintf("gate: ttfi <= 0.25x eager at every width, digests byte-identical: pass=%v", s.GatePass))
-	if s.Lazy.Completed {
-		tb.Note(fmt.Sprintf("cluster lazy run: %d lazy restore(s), first-instr p50 %.2f ms vs eager restore p50 %.2f ms; %d fault(s) served, %d prefetched; fingerprints match=%v",
-			s.Lazy.LazyRestores, s.Lazy.FirstInstrP50Ms, s.Eager.RestoreP50Ms,
-			s.Lazy.FaultsServed, s.Lazy.Prefetched, s.FingerprintsMatch))
-	}
-	return tb
-}
-
-// E19Point is one replay-width sample of the lazy-vs-eager comparison.
-type E19Point struct {
-	Workers     int     `json:"workers"`
-	EagerMs     float64 `json:"eager_ms"`
-	TTFIMs      float64 `json:"ttfi_ms"`
-	VsEager     float64 `json:"vs_eager"`
-	DrainedMs   float64 `json:"drained_ms"`
-	HotPages    int     `json:"hot_pages"`
-	PlanBytes   int     `json:"plan_bytes"`
-	DigestMatch bool    `json:"digest_match"`
-}
-
-// E19ClusterSummary is one autonomic run of the scripted-failover
-// schedule (eager or lazy failover path).
-type E19ClusterSummary struct {
-	Completed       bool    `json:"completed"`
-	Fingerprint     uint64  `json:"fingerprint"`
-	Restores        int     `json:"restores"`
-	LazyRestores    int64   `json:"lazy_restores"`
-	FaultsServed    int64   `json:"faults_served"`
-	Prefetched      int64   `json:"prefetched"`
-	FirstInstrP50Ms float64 `json:"first_instr_p50_ms,omitempty"`
-	RestoreP50Ms    float64 `json:"restore_p50_ms"`
-}
-
-// E19Summary is the payload of BENCH_9.json.
-type E19Summary struct {
-	MiB               int               `json:"mib"`
-	Deltas            int               `json:"deltas"`
-	Points            []E19Point        `json:"points"`
-	Eager             E19ClusterSummary `json:"cluster_eager"`
-	Lazy              E19ClusterSummary `json:"cluster_lazy"`
-	FingerprintsMatch bool              `json:"fingerprints_match"`
-	GatePass          bool              `json:"gate_pass"`
-}
-
-// E19Bench runs the lazy-restore comparison and returns the
-// machine-readable summary (the bench-lazy make target). GatePass
-// asserts the acceptance line: 16-delta-chain TTFI at or below 0.25x
-// the eager full restore, with the drained memory image byte-identical
-// to the eager restore's, at every measured width.
-func E19Bench(quick bool) E19Summary {
+func E19(quick bool) []Record {
 	mib := 4
 	if quick {
 		mib = 2
 	}
-	const deltas = 16
-	out := E19Summary{MiB: mib, Deltas: deltas, GatePass: true}
-
-	ch, err := e16Chain(mib, deltas)
-	if err != nil {
-		out.GatePass = false
-		return out
-	}
-	prog := workload.Sparse{MiB: mib, WriteFrac: 0.02, Seed: 16}
-	for _, w := range []int{1, 4, 8} {
-		pt, ok := e19Compare(ch, prog, w)
-		if !ok {
-			out.GatePass = false
-			continue
-		}
-		out.Points = append(out.Points, pt)
-		if !pt.DigestMatch || pt.VsEager > 0.25 {
-			out.GatePass = false
+	rec := &recorder{exp: "E19"}
+	if ch, err := e16Chain(mib, 16); rec.check(err) {
+		for _, w := range []int{1, 4, 8} {
+			rec.check(e19Compare(rec, ch, w))
 		}
 	}
-
-	out.Eager = e19Cluster(quick, false)
-	out.Lazy = e19Cluster(quick, true)
-	out.FingerprintsMatch = out.Eager.Completed && out.Lazy.Completed &&
-		out.Eager.Fingerprint == out.Lazy.Fingerprint
-	if !out.FingerprintsMatch || out.Lazy.LazyRestores == 0 {
-		out.GatePass = false
-	}
-	return out
+	eager := e19Cluster(rec, quick, false)
+	lazy := e19Cluster(rec, quick, true)
+	rec.flag("twins", "fingerprints_match", eager.matches(lazy))
+	return rec.done()
 }
 
 // e19Compare restores ch's chain both ways at one replay width: eagerly
 // on one fresh machine, lazily (leaf only, then a full drain) on
 // another, and checksums the two memory images against each other.
-func e19Compare(ch e16ChainResult, prog kernel.Program, workers int) (E19Point, bool) {
-	pt := E19Point{Workers: workers}
-
+func e19Compare(rec *recorder, ch e16ChainResult, workers int) error {
 	// Eager: batched chain read + full replay before control returns.
-	var eagerWait simtime.Duration
-	env := &storage.Env{Bill: costmodel.Discard{},
-		Wait: func(d simtime.Duration, _ string) { eagerWait += d }}
+	env, eagerWait := waitEnv()
 	chain, err := checkpoint.LoadChainManifest(ch.tgt, env, ch.objects)
 	if err != nil {
-		return pt, false
+		return err
 	}
-	ke := newMachine("e19-eager", prog)
+	ke := newMachine("e19-eager", ch.prog)
 	pe, err := checkpoint.Restore(ke, chain, checkpoint.RestoreOptions{Parallelism: workers})
 	if err != nil {
-		return pt, false
+		return err
 	}
-	eagerLat := eagerWait
+	eagerLat := *eagerWait
 	if n, err := checkpoint.ReplayBytes(chain); err == nil {
 		eagerLat += checkpoint.RestoreCost(n, workers)
 	}
-	pt.EagerMs = eagerLat.Millis()
 
 	// Lazy: only the leaf is read before control returns.
-	var leafWait simtime.Duration
-	lenv := &storage.Env{Bill: costmodel.Discard{},
-		Wait: func(d simtime.Duration, _ string) { leafWait += d }}
+	lenv, leafWait := waitEnv()
 	blob, err := ch.tgt.ReadObject(ch.leaf, lenv)
 	if err != nil {
-		return pt, false
+		return err
 	}
 	leaf, err := checkpoint.Decode(blob)
 	if err != nil {
-		return pt, false
+		return err
 	}
-	kl := newMachine("e19-lazy", prog)
+	kl := newMachine("e19-lazy", ch.prog)
 	pl, sess, err := checkpoint.LazyRestore(kl, leaf, checkpoint.LazyOptions{
 		RestoreOptions: checkpoint.RestoreOptions{Parallelism: workers},
 		Source:         ch.tgt,
 		Ancestors:      ch.objects[:len(ch.objects)-1],
 	})
 	if err != nil {
-		return pt, false
+		return err
 	}
+	hot := sess.Stats()
+	ttfi := (*leafWait + checkpoint.RestoreCost(hot.HotBytes, workers)).Millis()
+	err = sess.DrainAll()
 	st := sess.Stats()
-	pt.HotPages = st.HotPages
-	pt.TTFIMs = (leafWait + checkpoint.RestoreCost(st.HotBytes, workers)).Millis()
-	pt.VsEager = pt.TTFIMs / pt.EagerMs
-
-	if err := sess.DrainAll(); err != nil {
-		return pt, false
-	}
-	st = sess.Stats()
-	pt.PlanBytes = st.PlanBytes
-	pt.DrainedMs = (leafWait + st.PlanWait + checkpoint.RestoreCost(st.PlanBytes, workers)).Millis()
 	sess.Close()
-	pt.DigestMatch = pl.AS.Checksum() == pe.AS.Checksum()
-	return pt, true
+	if err != nil {
+		return err
+	}
+
+	cs := fmt.Sprintf("workers=%d", workers)
+	rec.ms(cs, "eager_ms", eagerLat.Millis())
+	rec.ms(cs, "ttfi_ms", ttfi)
+	rec.ratio(cs, "ttfi_vs_eager", "x", ttfi, eagerLat.Millis())
+	rec.ms(cs, "drained_ms", (*leafWait + st.PlanWait + checkpoint.RestoreCost(st.PlanBytes, workers)).Millis())
+	rec.count(cs, "hot_pages", int64(hot.HotPages))
+	rec.add(cs, "plan_bytes", "B", 1, float64(st.PlanBytes))
+	rec.flag(cs, "digest_match", pl.AS.Checksum() == pe.AS.Checksum())
+	return nil
 }
 
 // e19Cluster drives one autonomic job with incremental shipping and two
-// scripted transient failures — the same schedule either way — and
-// reads back the failover restore telemetry. With lazy set, failover
-// takes the restart-before-read path and the run must still complete
-// with the same workload fingerprint as the eager twin.
-func e19Cluster(quick, lazy bool) E19ClusterSummary {
-	iters := 2000
-	if quick {
-		iters = 500
-	}
-	prog := workload.Sparse{MiB: 1, WriteFrac: 0.1, Seed: 19}
-	reg := kernel.NewRegistry()
-	reg.MustRegister(prog)
-	c := cluster.New(cluster.Config{Nodes: 4, Seed: 19, KernelCfg: kernel.DefaultConfig("")},
-		costmodel.Default2005(), reg)
-	mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
-		detector.Config{Period: 200 * simtime.Microsecond, Observer: 3}, c.Counters)
-	sup := cluster.MustNewSupervisor(cluster.SupervisorConfig{
-		C:           c,
-		MkMech:      func() mechanism.Mechanism { return syslevel.NewCRAK() },
-		Prog:        prog,
-		Iterations:  uint64(iters),
+// scripted transient failures once a few checkpoints have acked — the
+// same schedule either way — and records the failover restore
+// telemetry. With lazy set, failover takes the restart-before-read path
+// and the run must still complete with the same workload fingerprint as
+// the eager twin.
+func e19Cluster(rec *recorder, quick, lazy bool) twin {
+	c, sup := newJob(19, 0.1, clusterIters(quick), cluster.SupervisorConfig{
 		Policy:      policy.Fixed(simtime.Millisecond),
-		Detector:    mon,
-		ControlNode: 3,
 		Incremental: true,
 		RebaseEvery: 8,
 		LazyRestore: lazy,
 	})
-
-	// Scripted failures so both runs measure real failover restores of
-	// delta chains: kill the job's node once a few checkpoints have
-	// acked, and again 15ms later (cf. e16Cluster's schedule).
-	jobNode := 0
-	acks := 0
-	sup.OnEvent = func(ev cluster.Event) {
-		switch ev.Kind {
-		case cluster.EvAdmit:
-			jobNode = ev.Node
-		case cluster.EvAck:
-			acks++
-		}
-	}
-	fails := 0
-	var nextFail simtime.Time
-	rebootNode, rebootAt := -1, simtime.Time(0)
-	c.OnStep(func() {
-		if rebootNode >= 0 && c.Now() >= rebootAt {
-			c.Reboot(rebootNode)
-			rebootNode = -1
-		}
-		armed := (fails == 0 && acks >= 3) || (fails == 1 && c.Now() >= nextFail)
-		if fails < 2 && armed && c.NodeAlive(jobNode) {
-			fails++
-			c.Fail(jobNode)
-			rebootNode, rebootAt = jobNode, c.Now().Add(2*simtime.Millisecond)
-			nextFail = c.Now().Add(15 * simtime.Millisecond)
-		}
-	})
+	killTwice(c, sup, cluster.EvAck, 3)
 	err := sup.Run(10 * simtime.Second)
 
-	lat := sup.Metrics.Hist("restore.latency").Snapshot()
-	s := E19ClusterSummary{
-		Completed:    err == nil && sup.Completed,
-		Fingerprint:  sup.Fingerprint,
-		Restores:     lat.N,
-		LazyRestores: c.Counters.Get("restore.lazy"),
-		FaultsServed: c.Counters.Get("restore.fault_served"),
-		Prefetched:   c.Counters.Get("restore.prefetched"),
-		RestoreP50Ms: lat.P50,
-	}
+	cs := "cluster eager"
 	if lazy {
-		s.FirstInstrP50Ms = sup.Metrics.Hist("restore.first_instr_latency").Snapshot().P50
+		cs = "cluster lazy"
 	}
-	return s
+	run := twin{completed: err == nil && sup.Completed, fingerprint: sup.Fingerprint}
+	rec.flag(cs, "completed", run.completed)
+	lat := sup.Metrics.Hist("restore.latency").Snapshot()
+	rec.count(cs, "restores", int64(lat.N))
+	rec.dist(cs, "restore_ms", "ms", lat)
+	rec.count(cs, "lazy_restores", c.Counters.Get("restore.lazy"))
+	rec.count(cs, "faults_served", c.Counters.Get("restore.fault_served"))
+	rec.count(cs, "prefetched", c.Counters.Get("restore.prefetched"))
+	if lazy {
+		rec.dist(cs, "first_instr_ms", "ms", sup.Metrics.Hist("restore.first_instr_latency").Snapshot())
+	}
+	return run
 }

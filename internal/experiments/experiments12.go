@@ -6,142 +6,39 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
-	"repro/internal/costmodel"
-	"repro/internal/detector"
-	"repro/internal/mechanism"
 	"repro/internal/policy"
 	"repro/internal/simos/kernel"
 	"repro/internal/simos/mem"
 	"repro/internal/simos/proc"
 	"repro/internal/simtime"
-	"repro/internal/syslevel"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// E20Policy measures what the policy layer buys: the Young/Daly cadence
+// E20 measures what the policy layer buys: the Young/Daly cadence
 // engine against a fixed-interval twin on the same random fault
 // schedule (work lost to failures, §4's dominant cost term), and the
 // liveness content policy against a plain write-protect tracker on a
 // twin delta chain (bytes shipped, with the restored live state proved
-// byte-identical). Both halves are the BENCH_10 acceptance gates.
-func E20Policy(quick bool) *trace.Table {
-	s := E20Bench(quick)
-	tb := trace.NewTable(
-		"E20 — policy-driven cadence and content vs fixed/full twins",
-		"variant", "completed", "failures", "work lost(ms)", "ckpts", "recomputes", "final interval(ms)")
-	for _, c := range []E20CadenceSummary{s.Fixed, s.YoungDaly} {
-		tb.Row(c.Policy, c.Completed, c.Failures, fmt.Sprintf("%.2f", c.WorkLostMs),
-			c.Checkpoints, c.Recomputes, fmt.Sprintf("%.3f", c.FinalIntervalMs))
-	}
-	tb.Note(fmt.Sprintf("work-lost ratio youngdaly/fixed %.2fx (gate: <= %.1fx); fingerprints match=%v",
-		s.WorkLostRatio, e20WorkLostGate, s.FingerprintsMatch))
-	lv := s.Liveness
-	tb.Note(fmt.Sprintf("liveness chain %d bytes vs tracker baseline %d (%.2fx, gate: <= %.1fx); excluded %d bytes over %d epochs",
-		lv.FilteredBytes, lv.BaselineBytes, lv.BytesRatio, e20BytesGate, lv.ExcludedBytes, lv.Epochs))
-	tb.Note(fmt.Sprintf("restored live state byte-identical=%v (digest %#x), restored fingerprints at reference=%v; overall pass=%v",
-		lv.LiveDigestMatch, lv.FilteredDigest, lv.FingerprintMatch, s.GatePass))
-	return tb
-}
-
-// Acceptance bounds for BENCH_10: the adaptive cadence must lose at
-// most 0.8x the fixed twin's work on the same fault schedule, and the
-// liveness chain must ship at most 0.9x the tracker baseline's bytes.
-const (
-	e20WorkLostGate = 0.8
-	e20BytesGate    = 0.9
-)
-
-// E20CadenceSummary is one autonomic run under a cadence policy.
-type E20CadenceSummary struct {
-	Policy          string  `json:"policy"`
-	Completed       bool    `json:"completed"`
-	Fingerprint     uint64  `json:"fingerprint"`
-	Checkpoints     int     `json:"checkpoints"`
-	Restarts        int     `json:"restarts"`
-	Failures        int     `json:"failures"`
-	WorkLostMs      float64 `json:"work_lost_ms"`
-	Recomputes      int     `json:"recomputes"`
-	FinalIntervalMs float64 `json:"final_interval_ms"`
-}
-
-// E20LivenessSummary is the twin-chain content-policy comparison.
-type E20LivenessSummary struct {
-	Epochs           int     `json:"epochs"`
-	FilteredBytes    int     `json:"filtered_bytes"`
-	BaselineBytes    int     `json:"baseline_bytes"`
-	BytesRatio       float64 `json:"bytes_ratio"`
-	ExcludedBytes    int     `json:"excluded_bytes"`
-	FilteredDigest   uint64  `json:"filtered_live_digest"`
-	BaselineDigest   uint64  `json:"baseline_live_digest"`
-	LiveDigestMatch  bool    `json:"live_digest_match"`
-	FingerprintMatch bool    `json:"fingerprint_match"`
-}
-
-// E20Summary is the payload of BENCH_10.json.
-type E20Summary struct {
-	Fixed             E20CadenceSummary  `json:"cluster_fixed"`
-	YoungDaly         E20CadenceSummary  `json:"cluster_youngdaly"`
-	WorkLostRatio     float64            `json:"work_lost_ratio"`
-	FingerprintsMatch bool               `json:"fingerprints_match"`
-	Liveness          E20LivenessSummary `json:"liveness"`
-	GatePass          bool               `json:"gate_pass"`
-}
-
-// E20Bench runs both halves and returns the machine-readable summary
-// (the bench-policy make target). GatePass asserts the acceptance line:
-// youngdaly work lost at or below 0.8x the fixed twin with matching
-// completion fingerprints, and liveness delta bytes at or below 0.9x
-// the tracker baseline with the restored live state byte-identical.
-func E20Bench(quick bool) E20Summary {
-	out := E20Summary{GatePass: true}
-
-	out.Fixed = e20Cluster(quick, policy.Fixed(12*simtime.Millisecond))
-	out.YoungDaly = e20Cluster(quick, policy.YoungDaly(12*simtime.Millisecond))
-	if out.Fixed.WorkLostMs > 0 {
-		out.WorkLostRatio = out.YoungDaly.WorkLostMs / out.Fixed.WorkLostMs
-	}
-	out.FingerprintsMatch = out.Fixed.Completed && out.YoungDaly.Completed &&
-		out.Fixed.Fingerprint == out.YoungDaly.Fingerprint
-	if !out.FingerprintsMatch || out.Fixed.WorkLostMs == 0 ||
-		out.WorkLostRatio > e20WorkLostGate || out.YoungDaly.Recomputes == 0 {
-		out.GatePass = false
-	}
-
-	out.Liveness = e20Liveness(quick)
-	lv := out.Liveness
-	if !lv.LiveDigestMatch || !lv.FingerprintMatch ||
-		lv.ExcludedBytes == 0 || lv.BytesRatio > e20BytesGate {
-		out.GatePass = false
-	}
-	return out
+// byte-identical).
+func E20(quick bool) []Record {
+	rec := &recorder{exp: "E20"}
+	fixed, fixedLost := e20Cluster(rec, quick, policy.Fixed(12*simtime.Millisecond))
+	yd, ydLost := e20Cluster(rec, quick, policy.YoungDaly(12*simtime.Millisecond))
+	const cs = "youngdaly vs fixed"
+	rec.ratio(cs, "work_lost_ratio", "x", ydLost, fixedLost)
+	rec.flag(cs, "fingerprints_match", fixed.matches(yd))
+	rec.check(e20Liveness(rec, quick))
+	return rec.done()
 }
 
 // e20Cluster drives one autonomic job under the given cadence policy
 // with a seeded random failure injector. The injector's schedule is a
 // function of its own RNG and the simulated clock only, so the fixed
 // and youngdaly twins face the same fault arrivals; what differs is how
-// much work each cadence abandons per failure.
-func e20Cluster(quick bool, spec policy.Spec) E20CadenceSummary {
-	iters := 2000
-	if quick {
-		iters = 500
-	}
-	prog := workload.Sparse{MiB: 1, WriteFrac: 0.1, Seed: 20}
-	reg := kernel.NewRegistry()
-	reg.MustRegister(prog)
-	c := cluster.New(cluster.Config{Nodes: 4, Seed: 20, KernelCfg: kernel.DefaultConfig("")},
-		costmodel.Default2005(), reg)
-	mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
-		detector.Config{Period: 200 * simtime.Microsecond, Observer: 3}, c.Counters)
-	sup := cluster.MustNewSupervisor(cluster.SupervisorConfig{
-		C:           c,
-		MkMech:      func() mechanism.Mechanism { return syslevel.NewCRAK() },
-		Prog:        prog,
-		Iterations:  uint64(iters),
+// much work each cadence abandons per failure, returned in ms.
+func e20Cluster(rec *recorder, quick bool, spec policy.Spec) (twin, float64) {
+	c, sup := newJob(20, 0.1, clusterIters(quick), cluster.SupervisorConfig{
 		Policy:      spec,
-		Detector:    mon,
-		ControlNode: 3,
 		Incremental: true,
 		RebaseEvery: 8,
 	})
@@ -149,23 +46,22 @@ func e20Cluster(quick bool, spec policy.Spec) E20CadenceSummary {
 	// node against the fixed 12ms cadence: long enough that the fixed
 	// twin still completes, short enough that Young's optimum (roughly
 	// sqrt(2*cost*MTBF)) sits well below the base interval.
-	inj := cluster.NewInjector(cluster.Exponential{Mean: 10 * simtime.Millisecond},
-		simtime.Millisecond, 20, 3)
-	c.SetInjector(inj)
+	c.SetInjector(cluster.NewInjector(cluster.Exponential{Mean: 10 * simtime.Millisecond},
+		simtime.Millisecond, 20, 3))
 	err := sup.Run(20 * simtime.Second)
 
+	cs := string(sup.Policy.Spec().Strategy)
 	lost := sup.Metrics.Hist("policy.work_lost").Snapshot()
-	return E20CadenceSummary{
-		Policy:          string(sup.Policy.Spec().Strategy),
-		Completed:       err == nil && sup.Completed,
-		Fingerprint:     sup.Fingerprint,
-		Checkpoints:     sup.Checkpoints,
-		Restarts:        sup.Restarts,
-		Failures:        lost.N,
-		WorkLostMs:      lost.Mean * float64(lost.N),
-		Recomputes:      sup.Policy.Recomputes(),
-		FinalIntervalMs: sup.Policy.Interval().Millis(),
-	}
+	run := twin{completed: err == nil && sup.Completed, fingerprint: sup.Fingerprint}
+	workLostMs := lost.Mean * float64(lost.N)
+	rec.flag(cs, "completed", run.completed)
+	rec.count(cs, "checkpoints", int64(sup.Checkpoints))
+	rec.count(cs, "restarts", int64(sup.Restarts))
+	rec.count(cs, "failures", int64(lost.N))
+	rec.add(cs, "work_lost_ms", "ms", lost.N, workLostMs)
+	rec.count(cs, "recomputes", int64(sup.Policy.Recomputes()))
+	rec.ms(cs, "final_interval_ms", sup.Policy.Interval().Millis())
+	return run, workLostMs
 }
 
 // e20Driver steps a workload by direct program calls so the filtered
@@ -220,7 +116,7 @@ func (d *e20Driver) capture(trk checkpoint.Tracker, seq uint64, parent string) (
 // tracker did not explicitly declare dead is byte-identical between the
 // restores, and that both restored processes still run to the reference
 // fingerprint.
-func e20Liveness(quick bool) E20LivenessSummary {
+func e20Liveness(rec *recorder, quick bool) error {
 	mib := 2
 	if quick {
 		mib = 1
@@ -229,58 +125,67 @@ func e20Liveness(quick bool) E20LivenessSummary {
 	const baseAt = 2
 	const epochs = 5
 	prog := workload.Sparse{MiB: mib, WriteFrac: 0.3, Seed: 21}
-	out := E20LivenessSummary{Epochs: epochs}
+	const cs = "liveness"
 
 	// Undisturbed reference fingerprint.
 	kr := newMachine("e20-ref", prog)
 	pr, err := kr.Spawn(prog.Name())
 	if err != nil {
-		return out
+		return err
 	}
 	workload.SetIterations(pr, iters)
 	if !kr.RunUntilExit(pr, kr.Now().Add(10*simtime.Minute)) {
-		return out
+		return fmt.Errorf("e20: reference run did not exit")
 	}
 	want := workload.Fingerprint(pr)
 
 	df, err := e20NewDriver("e20-flt", prog, iters)
 	if err != nil {
-		return out
+		return err
 	}
 	db, err := e20NewDriver("e20-all", prog, iters)
 	if err != nil {
-		return out
+		return err
 	}
-	if df.step(baseAt) != nil || db.step(baseAt) != nil {
-		return out
+	if err := df.step(baseAt); err != nil {
+		return err
+	}
+	if err := db.step(baseAt); err != nil {
+		return err
 	}
 	ftrk := checkpoint.NewKernelLivenessTracker(df.k, df.p, checkpoint.DefaultDeadStreak)
 	btrk := checkpoint.NewKernelWPTracker(db.k, db.p)
-	if ftrk.Arm() != nil || btrk.Arm() != nil {
-		return out
+	if err := ftrk.Arm(); err != nil {
+		return err
 	}
 	defer ftrk.Close()
+	if err := btrk.Arm(); err != nil {
+		return err
+	}
 	defer btrk.Close()
 
 	fimg, err := df.capture(ftrk, 1, "")
 	if err != nil {
-		return out
+		return err
 	}
 	bimg, err := db.capture(btrk, 1, "")
 	if err != nil {
-		return out
+		return err
 	}
 	fchain, bchain := []*checkpoint.Image{fimg}, []*checkpoint.Image{bimg}
 	excluded := make(map[mem.PageNum]bool)
 	for e := 0; e < epochs; e++ {
-		if df.step(1) != nil || db.step(1) != nil {
-			return out
+		if err := df.step(1); err != nil {
+			return err
+		}
+		if err := db.step(1); err != nil {
+			return err
 		}
 		if fimg, err = df.capture(ftrk, uint64(e+2), fchain[len(fchain)-1].ObjectName()); err != nil {
-			return out
+			return err
 		}
 		if bimg, err = db.capture(btrk, uint64(e+2), bchain[len(bchain)-1].ObjectName()); err != nil {
-			return out
+			return err
 		}
 		fchain, bchain = append(fchain, fimg), append(bchain, bimg)
 		for _, r := range ftrk.LastExcluded() {
@@ -289,41 +194,42 @@ func e20Liveness(quick bool) E20LivenessSummary {
 			}
 		}
 	}
-	for _, img := range fchain {
-		out.FilteredBytes += img.PayloadBytes()
+	var filtered, baseline int
+	for i := range fchain {
+		filtered += fchain[i].PayloadBytes()
+		baseline += bchain[i].PayloadBytes()
 	}
-	for _, img := range bchain {
-		out.BaselineBytes += img.PayloadBytes()
-	}
-	out.BytesRatio = float64(out.FilteredBytes) / float64(out.BaselineBytes)
-	out.ExcludedBytes = int(ftrk.Stats().ExcludedBytes)
+	rec.add(cs, "filtered_bytes", "B", 1, float64(filtered))
+	rec.add(cs, "baseline_bytes", "B", 1, float64(baseline))
+	rec.ratio(cs, "bytes_ratio", "x", float64(filtered), float64(baseline))
+	rec.add(cs, "excluded_bytes", "B", 1, float64(ftrk.Stats().ExcludedBytes))
 
 	mf := newMachine("e20-dst-flt", prog)
 	pf, err := checkpoint.Restore(mf, fchain, checkpoint.RestoreOptions{Enqueue: true})
 	if err != nil {
-		return out
+		return err
 	}
 	mb := newMachine("e20-dst-all", prog)
 	pb, err := checkpoint.Restore(mb, bchain, checkpoint.RestoreOptions{Enqueue: true})
 	if err != nil {
-		return out
+		return err
 	}
-	out.FilteredDigest, err = e20LiveDigest(pf, excluded)
+	fdigest, err := e20LiveDigest(pf, excluded)
 	if err != nil {
-		return out
+		return err
 	}
-	out.BaselineDigest, err = e20LiveDigest(pb, excluded)
+	bdigest, err := e20LiveDigest(pb, excluded)
 	if err != nil {
-		return out
+		return err
 	}
-	out.LiveDigestMatch = out.FilteredDigest == out.BaselineDigest
+	rec.flag(cs, "live_digest_match", fdigest == bdigest)
 
 	if !mf.RunUntilExit(pf, mf.Now().Add(10*simtime.Minute)) ||
 		!mb.RunUntilExit(pb, mb.Now().Add(10*simtime.Minute)) {
-		return out
+		return fmt.Errorf("e20: restored runs did not exit")
 	}
-	out.FingerprintMatch = workload.Fingerprint(pf) == want && workload.Fingerprint(pb) == want
-	return out
+	rec.flag(cs, "fingerprints_match", workload.Fingerprint(pf) == want && workload.Fingerprint(pb) == want)
+	return nil
 }
 
 // e20LiveDigest hashes every arena page outside the declared-dead set.

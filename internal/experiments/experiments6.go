@@ -3,39 +3,30 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/checkpoint"
 	"repro/internal/cluster"
-	"repro/internal/costmodel"
-	"repro/internal/detector"
-	"repro/internal/mechanism"
 	"repro/internal/policy"
-	"repro/internal/simos/kernel"
 	"repro/internal/simtime"
-	"repro/internal/storage"
-	"repro/internal/syslevel"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
-// E14Incremental measures what delta-chain shipping buys the cluster
-// path: the same autonomic job — identical seeds, failure schedule, and
-// detector — run at several dirty rates, once shipping full images every
-// interval and once shipping delta chains at two rebase cadences. The
-// two costs that trade against each other are bytes over the wire per
-// checkpoint (deltas win, and win hardest at low dirty rates) and the
-// storage read time a recovery pays to load the chain (fulls win: their
-// chain is one image long).
-func E14Incremental(quick bool) *trace.Table {
+// E14 measures what delta-chain shipping buys the cluster path: the
+// same autonomic job — identical seeds, failure schedule, and detector —
+// run at several dirty rates, once shipping full images every interval
+// and once shipping delta chains at two rebase cadences. The two costs
+// that trade against each other are bytes shipped per checkpoint (deltas
+// win, and win hardest at low dirty rates) and the storage read time a
+// recovery pays to load the final chain (fulls win: their chain is one
+// image long). The interval scales with the dirty rate (floor 1 ms) so
+// each checkpoint covers comparable progress: Sparse's iteration cost
+// scales with its writes, so a fixed wall-clock interval sees the same
+// page flux at every WriteFrac and would hide the rate.
+func E14(quick bool) []Record {
 	dirty := []float64{0.02, 0.1, 0.4}
 	iters := 500
 	if quick {
 		dirty = []float64{0.02, 0.4}
 		iters = 250
 	}
-	tb := trace.NewTable(
-		"E14 — incremental shipping vs full images: bytes shipped and restore latency across dirty rates",
-		"config", "dirty", "completed", "ckpts", "restarts", "shipped(KiB)",
-		"KiB/ckpt", "deltas", "fulls", "retired", "chain-len", "restore-read(ms)")
+	rec := &recorder{exp: "E14"}
 	for _, d := range dirty {
 		for _, cfg := range []struct {
 			name        string
@@ -43,25 +34,25 @@ func E14Incremental(quick bool) *trace.Table {
 			rebase      int
 		}{
 			{"full", false, 0},
-			{"delta/rebase=4", true, 4},
-			{"delta/rebase=16", true, 16},
+			{"rebase=4", true, 4},
+			{"rebase=16", true, 16},
 		} {
 			r := e14Run(d, cfg.incremental, cfg.rebase, iters)
-			tb.Row(cfg.name, d, r.completed, r.ckpts, r.restarts,
-				fmt.Sprintf("%.1f", r.bytesShipped/1024),
-				fmt.Sprintf("%.1f", r.bytesPerCkpt()/1024),
-				r.deltaAcks, r.fullAcks, r.retired, r.chainLen,
-				fmt.Sprintf("%.3f", r.restoreMs))
+			cs := fmt.Sprintf("dirty=%g %s", d, cfg.name)
+			rec.check(r.err)
+			rec.flag(cs, "completed", r.completed)
+			rec.count(cs, "ckpts", int64(r.ckpts))
+			rec.count(cs, "restarts", int64(r.restarts))
+			rec.add(cs, "shipped_bytes", "B", 1, r.bytesShipped)
+			rec.add(cs, "bytes_per_ckpt", "B", r.ckpts, r.bytesPerCkpt())
+			rec.count(cs, "delta_acks", r.deltaAcks)
+			rec.count(cs, "full_acks", r.fullAcks)
+			rec.count(cs, "retired", r.retired)
+			rec.count(cs, "chain_len", int64(r.chainLen))
+			rec.ms(cs, "restore_read_ms", r.restoreMs)
 		}
 	}
-	tb.Note("identical seeds and failure schedule per dirty rate: the only delta is the shipping policy")
-	tb.Note("interval scales with the dirty rate (floor 1ms) so each checkpoint covers comparable progress:")
-	tb.Note("  Sparse's iteration cost scales with its writes, so a fixed wall-clock interval sees the")
-	tb.Note("  same page flux at every WriteFrac and would hide the rate")
-	tb.Note("shipped = ckpt.bytes_shipped (encoded image bytes acknowledged by the server)")
-	tb.Note("chain-len / restore-read = length and storage read time of the final recovery chain")
-	tb.Note("longer rebase periods ship fewer bytes but leave longer chains for recovery to replay")
-	return tb
+	return rec.done()
 }
 
 // e14Result is one E14 cell: the counters and recovery-chain costs of a
@@ -76,6 +67,7 @@ type e14Result struct {
 	retired      int64
 	chainLen     int
 	restoreMs    float64
+	err          error // reading the final recovery chain back failed
 }
 
 func (r e14Result) bytesPerCkpt() float64 {
@@ -85,41 +77,22 @@ func (r e14Result) bytesPerCkpt() float64 {
 	return r.bytesShipped / float64(r.ckpts)
 }
 
-// e14Run drives one autonomic job — 4 nodes, timeout detector, real
-// transient failures — and measures the shipping and restore costs. The
-// checkpoint interval scales with the dirty rate so every configuration
-// checkpoints after a comparable amount of workload progress: Sparse's
-// iteration cost scales with its per-iteration write count, so
-// per-progress intervals are what make WriteFrac behave as a dirty rate
-// (a fixed wall-clock interval sees the same page flux at every
-// WriteFrac).
+// e14Run drives one autonomic job with real transient failures and
+// measures the shipping and restore costs. The checkpoint interval
+// scales with the dirty rate so every configuration checkpoints after a
+// comparable amount of workload progress.
 func e14Run(dirtyFrac float64, incremental bool, rebaseEvery, iters int) e14Result {
-	prog := workload.Sparse{MiB: 1, WriteFrac: dirtyFrac, Seed: 14}
-	reg := kernel.NewRegistry()
-	reg.MustRegister(prog)
-	c := cluster.New(cluster.Config{Nodes: 4, Seed: 14, KernelCfg: kernel.DefaultConfig("")},
-		costmodel.Default2005(), reg)
-	mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
-		detector.Config{Period: 200 * simtime.Microsecond, Observer: 3}, c.Counters)
-	inj := cluster.NewInjector(cluster.Exponential{Mean: 100 * simtime.Millisecond},
-		3*simtime.Millisecond, 33, 3)
-	c.SetInjector(inj)
-
 	interval := simtime.Duration(dirtyFrac * float64(25*simtime.Millisecond))
 	if interval < simtime.Millisecond {
 		interval = simtime.Millisecond
 	}
-	sup := cluster.MustNewSupervisor(cluster.SupervisorConfig{
-		C:           c,
-		MkMech:      func() mechanism.Mechanism { return syslevel.NewCRAK() },
-		Prog:        prog,
-		Iterations:  uint64(iters),
+	c, sup := newJob(14, dirtyFrac, iters, cluster.SupervisorConfig{
 		Policy:      policy.Fixed(interval),
-		Detector:    mon,
-		ControlNode: 3,
 		Incremental: incremental,
 		RebaseEvery: rebaseEvery,
 	})
+	c.SetInjector(cluster.NewInjector(cluster.Exponential{Mean: 100 * simtime.Millisecond},
+		3*simtime.Millisecond, 33, 3))
 	err := sup.Run(5 * simtime.Second)
 
 	r := e14Result{
@@ -131,62 +104,6 @@ func e14Run(dirtyFrac float64, incremental bool, rebaseEvery, iters int) e14Resu
 		fullAcks:     c.Counters.Get("ckpt.full_acks"),
 		retired:      c.Counters.Get("ckpt.retired"),
 	}
-	// The restore cost a failure at end-of-run would pay: read the whole
-	// recovery chain back from the server, accumulating the modeled
-	// storage time. (The chain is replayed oldest-first at restore; the
-	// read dominates the modeled cost.)
-	if leaf := sup.LastLeaf(); leaf != "" {
-		var wait simtime.Duration
-		env := &storage.Env{Bill: costmodel.Discard{},
-			Wait: func(d simtime.Duration, _ string) { wait += d }}
-		if chain, cerr := checkpoint.LoadChain(c.Node(3).Remote(), env, leaf); cerr == nil {
-			r.chainLen = len(chain)
-			r.restoreMs = wait.Millis()
-		}
-	}
+	r.chainLen, r.restoreMs, r.err = finalChain(c, sup)
 	return r
-}
-
-// E14Summary is the machine-readable digest of one E14 dirty rate — the
-// payload of BENCH_incremental.json (the bench-ckpt make target).
-type E14Summary struct {
-	DirtyRate         float64 `json:"dirty_rate"`
-	RebaseEvery       int     `json:"rebase_every"`
-	FullBytesPerCkpt  float64 `json:"full_bytes_per_ckpt"`
-	DeltaBytesPerCkpt float64 `json:"delta_bytes_per_ckpt"`
-	Reduction         float64 `json:"reduction"`
-	FullRestoreMs     float64 `json:"full_restore_ms"`
-	DeltaRestoreMs    float64 `json:"delta_restore_ms"`
-	DeltaChainLen     int     `json:"delta_chain_len"`
-}
-
-// E14Bench runs the full-vs-delta comparison at each dirty rate and
-// returns the per-rate summaries.
-func E14Bench(quick bool) []E14Summary {
-	dirty := []float64{0.02, 0.1, 0.4}
-	iters := 500
-	if quick {
-		dirty = []float64{0.02, 0.4}
-		iters = 250
-	}
-	const rebase = 8
-	var out []E14Summary
-	for _, d := range dirty {
-		full := e14Run(d, false, 0, iters)
-		delta := e14Run(d, true, rebase, iters)
-		s := E14Summary{
-			DirtyRate:         d,
-			RebaseEvery:       rebase,
-			FullBytesPerCkpt:  full.bytesPerCkpt(),
-			DeltaBytesPerCkpt: delta.bytesPerCkpt(),
-			FullRestoreMs:     full.restoreMs,
-			DeltaRestoreMs:    delta.restoreMs,
-			DeltaChainLen:     delta.chainLen,
-		}
-		if s.FullBytesPerCkpt > 0 {
-			s.Reduction = 1 - s.DeltaBytesPerCkpt/s.FullBytesPerCkpt
-		}
-		out = append(out, s)
-	}
-	return out
 }

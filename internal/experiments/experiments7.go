@@ -5,61 +5,51 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
-	"repro/internal/costmodel"
-	"repro/internal/detector"
-	"repro/internal/mechanism"
 	"repro/internal/policy"
-	"repro/internal/simos/kernel"
 	"repro/internal/simtime"
-	"repro/internal/storage"
-	"repro/internal/syslevel"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// E15Parallel measures the tentpole of the parallel-capture work: the
-// same stopped process captured with 1, 2, 4, and 8 shard workers. The
-// image bytes are identical by construction (the parallel encoder is
-// byte-stable; see checkpoint.EncodeParallel), so the only thing the
-// sweep can change is the simulated read+encode time — which is the
-// point: worker count buys capture throughput, not a different artifact.
-func E15Parallel(quick bool) *trace.Table {
+// E15 measures parallel capture: the same stopped dense process
+// captured with 1, 2, 4, and 8 shard workers. The image bytes are
+// identical by construction (the parallel encoder is byte-stable; see
+// checkpoint.EncodeParallel), so worker count can only move the
+// simulated read+encode time. Workers are a fixed request parameter,
+// never the host's core count, so runs are machine-independent. A
+// pipelined cluster run then reports the publish-latency distribution
+// and the end-of-run recovery chain read.
+func E15(quick bool) []Record {
 	mib := 16
 	if quick {
 		mib = 8
 	}
-	tb := trace.NewTable(
-		fmt.Sprintf("E15 — sharded capture throughput vs worker count (dense %d MiB)", mib),
-		"workers", "latency(ms)", "throughput(MB/s)", "speedup")
+	rec := &recorder{exp: "E15"}
 	var base simtime.Duration
 	for _, w := range []int{1, 2, 4, 8} {
-		dur, payload := e15Capture(mib, w)
+		dur, payload, err := e15Capture(mib, w)
+		if !rec.check(err) {
+			continue
+		}
 		if w == 1 {
 			base = dur
 		}
-		tb.Row(w, dur.Millis(),
-			fmt.Sprintf("%.1f", e15Throughput(payload, dur)),
-			fmt.Sprintf("%.2fx", float64(base)/float64(dur)))
+		cs := fmt.Sprintf("workers=%d", w)
+		rec.ms(cs, "capture_ms", dur.Millis())
+		rec.ratio(cs, "throughput_mb_s", "MB/s", float64(payload)/1e6, dur.Seconds())
+		rec.ratio(cs, "speedup", "x", float64(base), float64(dur))
 	}
-	p := e15Pipelined(quick)
-	tb.Note("identical image bytes at every width; only the simulated capture time moves")
-	tb.Note("workers are a fixed request parameter, never the host's core count (machine-independent runs)")
-	if p.Completed {
-		tb.Note(fmt.Sprintf("pipelined cluster run: publish latency p50 %.2f ms, p99 %.2f ms over %d publishes (%d batched, %d stalls)",
-			p.Publish.P50Ms, p.Publish.P99Ms, p.Publish.N, p.Publish.Batched, p.Publish.Stalls))
-		tb.Note(fmt.Sprintf("end-of-run restore: chain of %d read back in %.2f ms", p.Restore.ChainLen, p.Restore.ReadMs))
-	}
-	return tb
+	e15Pipelined(rec, quick)
+	return rec.done()
 }
 
 // e15Capture stops a dense process and captures it once with the given
 // worker count, returning the simulated capture duration and payload.
-func e15Capture(mib, workers int) (simtime.Duration, int) {
+func e15Capture(mib, workers int) (simtime.Duration, int, error) {
 	prog := workload.Dense{MiB: mib}
 	k := newMachine("e15", prog)
 	p, err := k.Spawn(prog.Name())
 	if err != nil {
-		return 0, 0
+		return 0, 0, err
 	}
 	workload.SetIterations(p, 1<<30)
 	runTo(k, p, 1) // materialize the working set
@@ -70,146 +60,41 @@ func e15Capture(mib, workers int) (simtime.Duration, int) {
 		Mechanism: "e15", Hostname: "e15", Seq: 1, Now: t0, Parallelism: workers,
 	})
 	if err != nil {
-		return 0, 0
+		return 0, 0, err
 	}
-	return k.Now().Sub(t0), st.PayloadBytes
+	return k.Now().Sub(t0), st.PayloadBytes, nil
 }
 
-// e15Throughput converts one capture into MB/s of simulated time.
-func e15Throughput(payload int, dur simtime.Duration) float64 {
-	if dur <= 0 {
-		return 0
-	}
-	return float64(payload) / 1e6 / dur.Seconds()
-}
-
-// E15CapturePoint is one worker-count sample of the capture sweep.
-type E15CapturePoint struct {
-	Workers       int     `json:"workers"`
-	LatencyMs     float64 `json:"latency_ms"`
-	ThroughputMBs float64 `json:"throughput_mb_s"`
-	Speedup       float64 `json:"speedup"`
-}
-
-// E15PublishSummary summarizes the pipelined run's publish-latency
-// histogram (capture-to-durable, per image).
-type E15PublishSummary struct {
-	N       int     `json:"n"`
-	P50Ms   float64 `json:"p50_ms"`
-	P99Ms   float64 `json:"p99_ms"`
-	MeanMs  float64 `json:"mean_ms"`
-	Shipped int64   `json:"shipped"`
-	Batched int64   `json:"batched"`
-	Stalls  int64   `json:"stalls"`
-}
-
-// E15RestoreSummary is the restore cost a failure at end-of-run would
-// pay: the modeled storage time to read the recovery chain back.
-type E15RestoreSummary struct {
-	ChainLen int     `json:"chain_len"`
-	ReadMs   float64 `json:"read_ms"`
-}
-
-// E15Summary is the payload of BENCH_5.json: the capture-throughput
-// sweep plus the pipelined cluster run's publish and restore latencies.
-type E15Summary struct {
-	Capture   []E15CapturePoint `json:"capture_throughput"`
-	Completed bool              `json:"completed"`
-	Publish   E15PublishSummary `json:"publish_latency"`
-	Restore   E15RestoreSummary `json:"restore_latency"`
-}
-
-// E15Bench runs the sweep and the pipelined cluster job and returns the
-// machine-readable summary (the bench-parallel make target).
-func E15Bench(quick bool) E15Summary {
-	mib := 16
-	if quick {
-		mib = 8
-	}
-	var out E15Summary
-	var base simtime.Duration
-	for _, w := range []int{1, 2, 4, 8} {
-		dur, payload := e15Capture(mib, w)
-		if w == 1 {
-			base = dur
-		}
-		pt := E15CapturePoint{
-			Workers:       w,
-			LatencyMs:     dur.Millis(),
-			ThroughputMBs: e15Throughput(payload, dur),
-		}
-		if dur > 0 {
-			pt.Speedup = float64(base) / float64(dur)
-		}
-		out.Capture = append(out.Capture, pt)
-	}
-	p := e15Pipelined(quick)
-	out.Completed = p.Completed
-	out.Publish = p.Publish
-	out.Restore = p.Restore
-	return out
-}
-
-// e15ClusterResult carries the pipelined run's summaries.
-type e15ClusterResult struct {
-	Completed bool
-	Publish   E15PublishSummary
-	Restore   E15RestoreSummary
-}
-
-// e15Pipelined drives one autonomic job — 4 nodes, timeout detector,
-// real transient failures, delta chains — through the pipelined shipping
-// path and reads back its latency distributions.
-func e15Pipelined(quick bool) e15ClusterResult {
+// e15Pipelined drives one autonomic job — real transient failures,
+// delta chains — through the pipelined shipping path and records its
+// publish-latency distribution and final recovery chain.
+func e15Pipelined(rec *recorder, quick bool) {
 	// Long enough that many delta publishes complete behind the ~25ms
 	// full-image transfers; rebases kept sparse for the same reason.
-	iters := 2000
-	if quick {
-		iters = 500
-	}
-	prog := workload.Sparse{MiB: 1, WriteFrac: 0.1, Seed: 15}
-	reg := kernel.NewRegistry()
-	reg.MustRegister(prog)
-	c := cluster.New(cluster.Config{Nodes: 4, Seed: 15, KernelCfg: kernel.DefaultConfig("")},
-		costmodel.Default2005(), reg)
-	mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
-		detector.Config{Period: 200 * simtime.Microsecond, Observer: 3}, c.Counters)
-	inj := cluster.NewInjector(cluster.Exponential{Mean: 100 * simtime.Millisecond},
-		3*simtime.Millisecond, 33, 3)
-	c.SetInjector(inj)
-
-	sup := cluster.MustNewSupervisor(cluster.SupervisorConfig{
-		C:           c,
-		MkMech:      func() mechanism.Mechanism { return syslevel.NewCRAK() },
-		Prog:        prog,
-		Iterations:  uint64(iters),
+	c, sup := newJob(15, 0.1, clusterIters(quick), cluster.SupervisorConfig{
 		Policy:      policy.Fixed(simtime.Millisecond),
-		Detector:    mon,
-		ControlNode: 3,
 		Incremental: true,
 		RebaseEvery: 16,
 		Pipeline:    &cluster.PipelineConfig{MaxInFlight: 4},
 	})
+	c.SetInjector(cluster.NewInjector(cluster.Exponential{Mean: 100 * simtime.Millisecond},
+		3*simtime.Millisecond, 33, 3))
 	err := sup.Run(10 * simtime.Second)
 
-	r := e15ClusterResult{Completed: err == nil && sup.Completed}
+	const cs = "pipelined"
+	rec.flag(cs, "completed", err == nil && sup.Completed)
 	snap := sup.Metrics.Hist("pipe.publish_latency").Snapshot()
-	r.Publish = E15PublishSummary{
-		N:       snap.N,
-		P50Ms:   snap.P50 / 1e6,
-		P99Ms:   snap.P99 / 1e6,
-		MeanMs:  snap.Mean / 1e6,
-		Shipped: c.Counters.Get("pipe.shipped"),
-		Batched: c.Counters.Get("pipe.batched"),
-		Stalls:  c.Counters.Get("pipe.stalls"),
+	// The histogram holds nanoseconds.
+	snap.P50, snap.P99, snap.Max, snap.Mean = snap.P50/1e6, snap.P99/1e6, snap.Max/1e6, snap.Mean/1e6
+	rec.dist(cs, "publish_ms", "ms", snap)
+	rec.add(cs, "publish_ms.mean", "ms", snap.N, snap.Mean)
+	rec.count(cs, "publishes", int64(snap.N))
+	rec.count(cs, "shipped", c.Counters.Get("pipe.shipped"))
+	rec.count(cs, "batched", c.Counters.Get("pipe.batched"))
+	rec.count(cs, "stalls", c.Counters.Get("pipe.stalls"))
+	n, ms, err := finalChain(c, sup)
+	if rec.check(err) {
+		rec.count(cs, "chain_len", int64(n))
+		rec.ms(cs, "restore_read_ms", ms)
 	}
-	if leaf := sup.LastLeaf(); leaf != "" {
-		var wait simtime.Duration
-		env := &storage.Env{Bill: costmodel.Discard{},
-			Wait: func(d simtime.Duration, _ string) { wait += d }}
-		if chain, cerr := checkpoint.LoadChain(c.Node(3).Remote(), env, leaf); cerr == nil {
-			r.Restore = E15RestoreSummary{ChainLen: len(chain), ReadMs: wait.Millis()}
-		}
-	}
-	return r
 }

@@ -6,129 +6,78 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/costmodel"
-	"repro/internal/detector"
-	"repro/internal/mechanism"
 	"repro/internal/policy"
 	"repro/internal/simos/kernel"
 	"repro/internal/simos/proc"
 	"repro/internal/simtime"
 	"repro/internal/storage"
-	"repro/internal/syslevel"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// E16Restore measures the restore fast path: modeled recovery latency as
-// the delta chain deepens, at replay widths 1/4/8, against the one-full-
-// image baseline — then the same 16-delta chain after a server-side fold.
-// The claim under test is the bugfix's acceptance line: with last-writer-
-// wins pruning and parallel replay, a 16-delta restore stays within ~2x
-// of reading a single full image, and compaction closes the rest of the
-// gap entirely.
-func E16Restore(quick bool) *trace.Table {
-	s := E16Bench(quick)
-	tb := trace.NewTable(
-		fmt.Sprintf("E16 — restore latency vs chain depth and replay width (sparse %d MiB)", s.MiB),
-		"deltas", "workers", "latency(ms)", "vs full read")
-	tb.Row(0, 1, fmt.Sprintf("%.2f", s.FullReadMs), "1.00x")
-	for _, pt := range s.Points {
-		tb.Row(pt.Deltas, pt.Workers, fmt.Sprintf("%.2f", pt.LatencyMs), fmt.Sprintf("%.2fx", pt.VsFull))
-	}
-	tb.Row(fmt.Sprintf("%d(folded)", s.Compacted.DeltasBefore), s.Compacted.Workers,
-		fmt.Sprintf("%.2f", s.Compacted.LatencyMs), fmt.Sprintf("%.2fx", s.Compacted.VsFull))
-	tb.Note("latency = modeled storage read time for the chain + modeled copy time for the pruned replay plan")
-	tb.Note("identical restored bytes at every width; workers only move the simulated copy time")
-	if s.Cluster.Completed {
-		tb.Note(fmt.Sprintf("autonomic run (CompactAfter=%d): restore p50 %.2f ms, p99 %.2f ms over %d failover(s); %d fold(s) retired %d delta(s)",
-			s.Cluster.CompactAfter, s.Cluster.P50Ms, s.Cluster.P99Ms, s.Cluster.Restores,
-			s.Cluster.Folds, s.Cluster.FoldedDeltas))
-	}
-	return tb
-}
-
-// E16Point is one (chain depth, replay width) sample.
-type E16Point struct {
-	Deltas    int     `json:"deltas"`
-	Workers   int     `json:"workers"`
-	ChainLen  int     `json:"chain_len"`
-	LatencyMs float64 `json:"latency_ms"`
-	VsFull    float64 `json:"vs_full"`
-}
-
-// E16Compacted is the 16-delta chain re-measured after one server-side
-// fold: chain length collapses to 1 and the restore pays the full-image
-// price again.
-type E16Compacted struct {
-	DeltasBefore int     `json:"deltas_before"`
-	Workers      int     `json:"workers"`
-	ChainLen     int     `json:"chain_len"`
-	LatencyMs    float64 `json:"latency_ms"`
-	VsFull       float64 `json:"vs_full"`
-}
-
-// E16ClusterSummary is the failover-measured restore.latency histogram
-// from an autonomic run with background compaction enabled.
-type E16ClusterSummary struct {
-	Completed    bool    `json:"completed"`
-	CompactAfter int     `json:"compact_after"`
-	Restores     int     `json:"restores"`
-	P50Ms        float64 `json:"p50_ms"`
-	P99Ms        float64 `json:"p99_ms"`
-	Folds        int64   `json:"folds"`
-	FoldedDeltas int64   `json:"folded_deltas"`
-	FinalChain   int     `json:"final_chain_len"`
-}
-
-// E16Summary is the payload of BENCH_6.json.
-type E16Summary struct {
-	MiB        int               `json:"mib"`
-	FullReadMs float64           `json:"full_read_ms"`
-	Points     []E16Point        `json:"restore_latency"`
-	Compacted  E16Compacted      `json:"compacted"`
-	Cluster    E16ClusterSummary `json:"cluster"`
-}
-
-// E16Bench runs the sweep and the compacted/cluster variants and returns
-// the machine-readable summary (the bench-restore make target).
-func E16Bench(quick bool) E16Summary {
+// E16 measures the restore fast path: modeled recovery latency as the
+// delta chain deepens, at replay widths 1/4/8, against the one-full-
+// image baseline — then the same 16-delta chain after a server-side
+// fold. The claim under test: with last-writer-wins pruning and parallel
+// replay, a 16-delta restore stays within ~2x of reading a single full
+// image, and compaction closes the rest of the gap. Latency is the
+// modeled storage read time for the chain plus the modeled copy time for
+// the pruned replay plan; the restored bytes are identical at every
+// width. An autonomic run with background compaction then reports the
+// failover-measured restore latency.
+func E16(quick bool) []Record {
 	mib := 4
 	if quick {
 		mib = 2
 	}
-	out := E16Summary{MiB: mib}
+	rec := &recorder{exp: "E16"}
 
 	// Baseline: a chain of one full image — pure read + full-size copy.
-	base, _ := e16Chain(mib, 0)
-	_, out.FullReadMs = e16RestoreLatency(base.tgt, base.objects, 1)
-
+	var fullMs float64
+	if base, err := e16Chain(mib, 0); rec.check(err) {
+		n, ms, err := e16RestoreLatency(base.tgt, base.objects, 1)
+		if rec.check(err) {
+			fullMs = ms
+			rec.count("full", "chain_len", int64(n))
+			rec.ms("full", "restore_ms", ms)
+		}
+	}
+	point := func(cs string, tgt storage.Target, objects []string, workers int) {
+		n, ms, err := e16RestoreLatency(tgt, objects, workers)
+		if !rec.check(err) {
+			return
+		}
+		rec.count(cs, "chain_len", int64(n))
+		rec.ms(cs, "restore_ms", ms)
+		rec.ratio(cs, "vs_full", "x", ms, fullMs)
+	}
 	for _, deltas := range []int{4, 8, 16} {
-		ch, _ := e16Chain(mib, deltas)
+		ch, err := e16Chain(mib, deltas)
+		if !rec.check(err) {
+			continue
+		}
 		for _, w := range []int{1, 4, 8} {
-			n, ms := e16RestoreLatency(ch.tgt, ch.objects, w)
-			out.Points = append(out.Points, E16Point{
-				Deltas: deltas, Workers: w, ChainLen: n,
-				LatencyMs: ms, VsFull: ms / out.FullReadMs,
-			})
+			point(fmt.Sprintf("deltas=%d workers=%d", deltas, w), ch.tgt, ch.objects, w)
 		}
 		if deltas == 16 {
 			// Fold the deep chain server-side and re-measure: the restore
 			// should land back on the full-image baseline.
-			if st, err := storage.CompactChain(ch.tgt, ch.objects, checkpoint.FoldEncodedChain, nil); err == nil && st.Folded != "" {
-				n, ms := e16RestoreLatency(ch.tgt, []string{st.Folded}, 8)
-				out.Compacted = E16Compacted{
-					DeltasBefore: deltas, Workers: 8, ChainLen: n,
-					LatencyMs: ms, VsFull: ms / out.FullReadMs,
-				}
+			st, err := storage.CompactChain(ch.tgt, ch.objects, checkpoint.FoldEncodedChain, nil)
+			if err == nil && st.Folded == "" {
+				err = fmt.Errorf("e16: compaction folded nothing")
+			}
+			if rec.check(err) {
+				point("deltas=16 folded workers=8", ch.tgt, []string{st.Folded}, 8)
 			}
 		}
 	}
-	out.Cluster = e16Cluster(quick)
-	return out
+	e16Cluster(rec, quick)
+	return rec.done()
 }
 
-// e16ChainResult is a built chain: its target, every object name in
-// chain order, and the leaf.
+// e16ChainResult is a built chain: the workload it captured, its
+// target, every object name in chain order, and the leaf.
 type e16ChainResult struct {
+	prog    kernel.Program
 	tgt     storage.Target
 	objects []string
 	leaf    string
@@ -149,7 +98,7 @@ func e16Chain(mib, nDeltas int) (e16ChainResult, error) {
 	}
 	workload.SetIterations(p, 1<<30)
 	srv := storage.NewServer("e16-srv", costmodel.Default2005())
-	res := e16ChainResult{tgt: storage.NewRemote("e16-net", srv)}
+	res := e16ChainResult{prog: prog, tgt: storage.NewRemote("e16-net", srv)}
 
 	trk := checkpoint.NewKernelWPTracker(k, p)
 	if err := trk.Arm(); err != nil {
@@ -189,103 +138,48 @@ func e16Chain(mib, nDeltas int) (e16ChainResult, error) {
 // supervisor's restore.latency accounting, measured on a quiet target.
 // The manifest may be stale after a fold (ancestors retired); reload it
 // from the leaf like the supervisor's fallback walk would.
-func e16RestoreLatency(tgt storage.Target, objects []string, workers int) (int, float64) {
-	var wait simtime.Duration
-	env := &storage.Env{Bill: costmodel.Discard{},
-		Wait: func(d simtime.Duration, _ string) { wait += d }}
+func e16RestoreLatency(tgt storage.Target, objects []string, workers int) (int, float64, error) {
+	env, wait := waitEnv()
 	chain, err := checkpoint.LoadChainManifest(tgt, env, objects)
 	if err != nil {
-		wait = 0
-		chain, err = checkpoint.LoadChain(tgt, env, objects[len(objects)-1])
-		if err != nil {
-			return 0, 0
+		*wait = 0
+		if chain, err = checkpoint.LoadChain(tgt, env, objects[len(objects)-1]); err != nil {
+			return 0, 0, err
 		}
 	}
-	lat := wait
+	lat := *wait
 	if n, err := checkpoint.ReplayBytes(chain); err == nil {
 		lat += checkpoint.RestoreCost(n, workers)
 	}
-	return len(chain), lat.Millis()
+	return len(chain), lat.Millis(), nil
 }
 
-// e16Cluster drives one autonomic job with incremental shipping, real
-// transient failures, and background compaction, and reads back the
-// failover-measured restore latency distribution.
-func e16Cluster(quick bool) E16ClusterSummary {
-	iters := 2000
-	if quick {
-		iters = 500
-	}
-	prog := workload.Sparse{MiB: 1, WriteFrac: 0.1, Seed: 16}
-	reg := kernel.NewRegistry()
-	reg.MustRegister(prog)
-	c := cluster.New(cluster.Config{Nodes: 4, Seed: 16, KernelCfg: kernel.DefaultConfig("")},
-		costmodel.Default2005(), reg)
-	mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
-		detector.Config{Period: 200 * simtime.Microsecond, Observer: 3}, c.Counters)
+// e16Cluster drives one autonomic job with incremental shipping,
+// background compaction, and two scripted failures — the first right
+// after the first server-side fold, so each restore replays a
+// folded-or-short chain, the steady state compaction maintains — and
+// records the failover-measured restore latency distribution.
+func e16Cluster(rec *recorder, quick bool) {
 	const compactAfter = 4
-	sup := cluster.MustNewSupervisor(cluster.SupervisorConfig{
-		C:            c,
-		MkMech:       func() mechanism.Mechanism { return syslevel.NewCRAK() },
-		Prog:         prog,
-		Iterations:   uint64(iters),
+	c, sup := newJob(16, 0.1, clusterIters(quick), cluster.SupervisorConfig{
 		Policy:       policy.Fixed(simtime.Millisecond),
-		Detector:     mon,
-		ControlNode:  3,
 		Incremental:  true,
 		RebaseEvery:  64, // sparse rebases: compaction owns the chain bound
 		CompactAfter: compactAfter,
 		Pipeline:     &cluster.PipelineConfig{MaxInFlight: 4},
 	})
-
-	// Scripted failures (not a stochastic injector) so the bench always
-	// measures real failover restores: kill the job's node right after
-	// the first server-side fold, and again 15ms later — each restore
-	// then replays a folded-or-short chain, the steady state compaction
-	// maintains. Failing earlier would race the ~25ms first full-image
-	// publish and measure scratch restarts instead of restores.
-	jobNode := 0
-	folds := 0
-	sup.OnEvent = func(ev cluster.Event) {
-		switch ev.Kind {
-		case cluster.EvAdmit:
-			jobNode = ev.Node
-		case cluster.EvCompact:
-			folds++
-		}
-	}
-	fails := 0
-	var nextFail simtime.Time
-	rebootNode, rebootAt := -1, simtime.Time(0)
-	c.OnStep(func() {
-		if rebootNode >= 0 && c.Now() >= rebootAt {
-			c.Reboot(rebootNode)
-			rebootNode = -1
-		}
-		armed := (fails == 0 && folds > 0) || (fails == 1 && c.Now() >= nextFail)
-		if fails < 2 && armed && c.NodeAlive(jobNode) {
-			fails++
-			c.Fail(jobNode)
-			rebootNode, rebootAt = jobNode, c.Now().Add(2*simtime.Millisecond)
-			nextFail = c.Now().Add(15 * simtime.Millisecond)
-		}
-	})
+	killTwice(c, sup, cluster.EvCompact, 1)
 	err := sup.Run(10 * simtime.Second)
 
+	cs := fmt.Sprintf("cluster compact=%d", compactAfter)
+	rec.flag(cs, "completed", err == nil && sup.Completed)
 	snap := sup.Metrics.Hist("restore.latency").Snapshot()
-	s := E16ClusterSummary{
-		Completed:    err == nil && sup.Completed,
-		CompactAfter: compactAfter,
-		Restores:     snap.N,
-		P50Ms:        snap.P50,
-		P99Ms:        snap.P99,
-		Folds:        c.Counters.Get("compact.folds"),
-		FoldedDeltas: c.Counters.Get("compact.folded_deltas"),
+	rec.count(cs, "restores", int64(snap.N))
+	rec.dist(cs, "restore_ms", "ms", snap)
+	rec.count(cs, "folds", c.Counters.Get("compact.folds"))
+	rec.count(cs, "folded_deltas", c.Counters.Get("compact.folded_deltas"))
+	n, _, err := finalChain(c, sup)
+	if rec.check(err) {
+		rec.count(cs, "final_chain_len", int64(n))
 	}
-	if leaf := sup.LastLeaf(); leaf != "" {
-		if chain, cerr := checkpoint.LoadChain(c.Node(3).Remote(), nil, leaf); cerr == nil {
-			s.FinalChain = len(chain)
-		}
-	}
-	return s
 }

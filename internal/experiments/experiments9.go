@@ -6,164 +6,86 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/costmodel"
-	"repro/internal/detector"
-	"repro/internal/mechanism"
 	"repro/internal/policy"
-	"repro/internal/simos/kernel"
 	"repro/internal/simos/proc"
 	"repro/internal/simtime"
 	"repro/internal/storage"
-	"repro/internal/syslevel"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// E17Replication measures what checkpoint replication costs and what it
-// buys, against the BENCH_6 single-server baseline: the healthy-path
-// publish overhead of fanning a capture out to a buddy pair or a 2+1
-// erasure set, the restore latency when the owner's disk is gone and the
-// read ladder falls back to the nearest surviving replica (or a parity
-// reconstruction), and the failover-measured restore.latency p50 of a
-// full autonomic run under each placement mode. The acceptance line is
-// the last column: degraded-restore p50 within 2x of the unreplicated
-// healthy restore.
-func E17Replication(quick bool) *trace.Table {
-	s := E17Bench(quick)
-	tb := trace.NewTable(
-		fmt.Sprintf("E17 — replication write overhead and degraded restore (sparse %d MiB)", s.MiB),
-		"mode", "publish(ms)", "overhead", "stored", "healthy restore(ms)", "degraded restore(ms)")
-	for i, w := range s.Write {
-		r := s.Restore[i]
-		deg := "—"
-		if r.DegradedMs > 0 {
-			deg = fmt.Sprintf("%.2f (%.2fx)", r.DegradedMs, r.VsBaseline)
-		}
-		tb.Row(w.Mode, fmt.Sprintf("%.2f", w.PublishMs), fmt.Sprintf("%.2fx", w.Overhead),
-			fmt.Sprintf("%.2fx", w.Redundancy), fmt.Sprintf("%.2f", r.HealthyMs), deg)
-	}
-	tb.Note("overhead = publish wait vs the unreplicated server write; stored = total bytes on disk vs object size")
-	tb.Note("degraded = owner disk lost: buddy reads the mirror over the wire, erasure reconstructs from k survivors")
-	for _, c := range s.Clusters {
-		tb.Note(fmt.Sprintf("cluster %s: restore p50 %.2f ms over %d failover(s) (baseline %.2f ms, %.2fx; within 2x: %v); reads local/buddy/shards/reconstruct/remote = %d/%d/%d/%d/%d",
-			c.Mode, c.P50Ms, c.Restores, s.BaselineP50Ms, c.P50Ms/s.BaselineP50Ms, c.P50Ms <= 2*s.BaselineP50Ms,
-			c.ReadLocal, c.ReadBuddy, c.ReadShards, c.ReadReconstruct, c.ReadRemote))
-	}
-	return tb
-}
-
-// E17WritePoint is the healthy-path publish cost of one placement mode.
-type E17WritePoint struct {
-	Mode        string  `json:"mode"`
-	PublishMs   float64 `json:"publish_ms"`
-	Overhead    float64 `json:"overhead_vs_none"`
-	StoredBytes int     `json:"stored_bytes"`
-	Redundancy  float64 `json:"redundancy"`
-}
-
-// E17RestorePoint is the restore cost of one placement mode, healthy and
-// with the owner's disk masked. VsBaseline compares the degraded read to
-// the unreplicated healthy restore — the BENCH_6 comparison the
-// acceptance criterion names.
-type E17RestorePoint struct {
-	Mode       string  `json:"mode"`
-	HealthyMs  float64 `json:"healthy_ms"`
-	DegradedMs float64 `json:"degraded_ms"`
-	VsBaseline float64 `json:"degraded_vs_baseline"`
-}
-
-// E17ClusterSummary is one autonomic run's failover-measured restore
-// distribution plus the replication counters that explain it.
-type E17ClusterSummary struct {
-	Mode            string  `json:"mode"`
-	Completed       bool    `json:"completed"`
-	Restores        int     `json:"restores"`
-	P50Ms           float64 `json:"p50_ms"`
-	P99Ms           float64 `json:"p99_ms"`
-	Repaired        int64   `json:"repl_repaired"`
-	Rebuddies       int64   `json:"repl_rebuddy"`
-	ReadLocal       int64   `json:"read_local"`
-	ReadBuddy       int64   `json:"read_buddy"`
-	ReadShards      int64   `json:"read_shards"`
-	ReadReconstruct int64   `json:"read_reconstruct"`
-	ReadRemote      int64   `json:"read_remote"`
-}
-
-// E17Summary is the payload of BENCH_7.json.
-type E17Summary struct {
-	MiB              int                 `json:"mib"`
-	Write            []E17WritePoint     `json:"write_overhead"`
-	Restore          []E17RestorePoint   `json:"restore"`
-	BaselineP50Ms    float64             `json:"baseline_p50_ms"`
-	Clusters         []E17ClusterSummary `json:"clusters"`
-	DegradedWithin2x bool                `json:"degraded_within_2x"`
-}
-
-// E17Bench runs the micro write/restore sweep and the three cluster
-// variants (none / buddy / erasure) and returns the machine-readable
-// summary (the bench-replication make target).
-func E17Bench(quick bool) E17Summary {
+// E17 measures what checkpoint replication costs and what it buys,
+// against the unreplicated single-server restore of E16: the
+// healthy-path publish overhead of fanning a capture out to a buddy
+// pair or a 2+1 erasure set (stored = total bytes on disk vs object
+// size), the restore latency when the owner's disk is gone and the read
+// ladder falls back to the mirror over the wire or a k-of-n
+// reconstruction, and the failover-measured restore.latency p50 of a
+// full autonomic run under each placement mode. The acceptance line:
+// each replicated run's restore p50 within 2x of the unreplicated
+// baseline run's.
+func E17(quick bool) []Record {
 	mib := 4
 	if quick {
 		mib = 2
 	}
-	out := E17Summary{MiB: mib}
+	rec := &recorder{exp: "E17"}
 
 	// Micro bench: one full-image capture through each placement, publish
 	// wait measured; then the restore with every holder up and with the
 	// owner's disk dead. The unreplicated server write is both the write
 	// and restore baseline.
-	base := e17Capture(mib, "none")
-	for _, mode := range []string{"none", "buddy", "erasure"} {
-		m := base
-		if mode != "none" {
-			m = e17Capture(mib, mode)
+	base, err := e17Capture(mib, "none")
+	if rec.check(err) {
+		for _, mode := range []string{"none", "buddy", "erasure"} {
+			m := base
+			if mode != "none" {
+				if m, err = e17Capture(mib, mode); !rec.check(err) {
+					continue
+				}
+			}
+			rec.ms(mode, "publish_ms", m.publishMs)
+			rec.ratio(mode, "publish_vs_none", "x", m.publishMs, base.publishMs)
+			rec.add(mode, "stored_bytes", "B", 1, float64(m.storedBytes))
+			rec.ratio(mode, "redundancy", "x", float64(m.storedBytes), float64(base.objectBytes))
+			healthy, err := m.restoreMs(false)
+			if !rec.check(err) {
+				continue
+			}
+			rec.ms(mode, "healthy_restore_ms", healthy)
+			if mode == "none" {
+				continue
+			}
+			degraded, err := m.restoreMs(true)
+			if !rec.check(err) {
+				continue
+			}
+			rec.ms(mode, "degraded_restore_ms", degraded)
+			if baseMs, err := base.restoreMs(false); rec.check(err) {
+				rec.ratio(mode, "degraded_vs_baseline", "x", degraded, baseMs)
+			}
 		}
-		out.Write = append(out.Write, E17WritePoint{
-			Mode: mode, PublishMs: m.publishMs,
-			Overhead:    m.publishMs / base.publishMs,
-			StoredBytes: m.storedBytes,
-			Redundancy:  float64(m.storedBytes) / float64(base.objectBytes),
-		})
-		rp := E17RestorePoint{Mode: mode, HealthyMs: m.restoreMs(false)}
-		if mode != "none" {
-			rp.DegradedMs = m.restoreMs(true)
-			rp.VsBaseline = rp.DegradedMs / base.restoreMs(false)
-		}
-		out.Restore = append(out.Restore, rp)
 	}
 
-	// Cluster bench: the BENCH_6 scenario (incremental shipping, scripted
-	// failovers, background compaction) re-run under each placement mode.
-	// The no-replication run IS the BENCH_6 methodology; its p50 anchors
-	// the 2x acceptance bound for the replicated (degraded-read) runs.
-	baseline := e17Cluster(quick, "none", nil)
-	out.BaselineP50Ms = baseline.P50Ms
-	out.Clusters = append(out.Clusters, baseline)
-	out.DegradedWithin2x = true
-	for _, mode := range []string{"buddy", "erasure"} {
-		var rc *cluster.ReplicationConfig
-		if mode == "buddy" {
-			rc = &cluster.ReplicationConfig{Mode: cluster.ReplBuddy}
-		} else {
-			rc = &cluster.ReplicationConfig{Mode: cluster.ReplErasure, DataShards: 2, ParityShards: 1}
-		}
-		cs := e17Cluster(quick, mode, rc)
-		out.Clusters = append(out.Clusters, cs)
-		if !cs.Completed || cs.Restores == 0 || cs.P50Ms > 2*out.BaselineP50Ms {
-			out.DegradedWithin2x = false
-		}
+	// Cluster bench: the E16 autonomic scenario (incremental shipping,
+	// scripted failovers, background compaction) re-run under each
+	// placement mode. The unreplicated run's p50 anchors the 2x bound
+	// for the replicated (degraded-read) runs.
+	baseP50 := e17Cluster(rec, quick, "baseline cluster", nil)
+	for _, rc := range []*cluster.ReplicationConfig{
+		{Mode: cluster.ReplBuddy},
+		{Mode: cluster.ReplErasure, DataShards: 2, ParityShards: 1},
+	} {
+		p50 := e17Cluster(rec, quick, "replicated "+string(rc.Mode), rc)
+		rec.ratio("replicated "+string(rc.Mode), "restore_p50_vs_baseline", "x", p50, baseP50)
 	}
-	return out
+	return rec.done()
 }
 
-// e17Capture captures one full image of a sparse workload through the
-// given placement mode and measures the modeled publish wait, the bytes
-// stored across all replicas, and the restore wait with and without the
-// owner's disk.
+// e17Result is one full image captured through a placement mode: the
+// modeled publish wait, the object's size, and the bytes stored across
+// all replicas.
 type e17Result struct {
-	mode        string
 	tgt         storage.Target
-	members     []storage.Target
 	ownerUp     *bool
 	leaf        string
 	objectBytes int
@@ -171,27 +93,28 @@ type e17Result struct {
 	publishMs   float64
 }
 
-func e17Capture(mib int, mode string) *e17Result {
+func e17Capture(mib int, mode string) (*e17Result, error) {
 	cm := costmodel.Default2005()
-	res := &e17Result{mode: mode}
+	res := &e17Result{}
 	up := true
 	res.ownerUp = &up
 	srv := storage.NewServer("e17-srv", cm)
+	var members []storage.Target
 	switch mode {
 	case "none":
 		res.tgt = storage.NewRemote("e17-net", srv)
-		res.members = []storage.Target{res.tgt}
+		members = []storage.Target{res.tgt}
 	case "buddy":
 		owner := storage.NewLocal("e17-n0", cm, func() bool { return up })
 		buddy := storage.NewLocal("e17-n1", cm, nil)
-		res.members = []storage.Target{owner, buddy, storage.NewRemote("e17-net", srv)}
+		members = []storage.Target{owner, buddy, storage.NewRemote("e17-net", srv)}
 		r, err := storage.NewReplicated("e17-repl", []storage.Replica{
 			{T: owner, Role: storage.RoleLocal},
 			{T: storage.OverWire(buddy, cm), Role: storage.RoleBuddy},
 			{T: storage.NewRemote("e17-net", srv), Role: storage.RoleRemote},
 		}, storage.ReplicatedConfig{Quorum: 2})
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		res.tgt = r
 	case "erasure":
@@ -199,7 +122,7 @@ func e17Capture(mib int, mode string) *e17Result {
 		for i := 0; i < 3; i++ {
 			i := i
 			d := storage.NewLocal(fmt.Sprintf("e17-n%d", i), cm, func() bool { return i != 0 || up })
-			res.members = append(res.members, d)
+			members = append(members, d)
 			t := storage.Target(d)
 			if i != 0 {
 				t = storage.OverWire(d, cm)
@@ -208,7 +131,7 @@ func e17Capture(mib int, mode string) *e17Result {
 		}
 		r, err := storage.NewReplicated("e17-repl", reps, storage.ReplicatedConfig{DataShards: 2, ParityShards: 1})
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		res.tgt = r
 	}
@@ -217,129 +140,75 @@ func e17Capture(mib int, mode string) *e17Result {
 	k := newMachine("e17", prog)
 	p, err := k.Spawn(prog.Name())
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	workload.SetIterations(p, 1<<30)
 	k.RunFor(50 * simtime.Microsecond)
 	k.Stop(p)
 	if p.State == proc.StateZombie {
-		panic("e17: workload exited before capture")
+		return nil, fmt.Errorf("e17: workload exited before capture")
 	}
-	var wait simtime.Duration
-	env := &storage.Env{Bill: costmodel.Discard{},
-		Wait: func(d simtime.Duration, _ string) { wait += d }}
+	env, wait := waitEnv()
 	img, _, err := checkpoint.Capture(checkpoint.Request{
 		Acc:    &checkpoint.KernelAccessor{K: k, P: p},
 		Target: res.tgt, Env: env,
 		Mechanism: "e17", Hostname: "e17", Seq: 1, Now: k.Now(),
 	})
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	res.leaf = img.ObjectName()
 	res.publishMs = wait.Millis()
 	if n, err := res.tgt.ObjectSize(res.leaf); err == nil {
 		res.objectBytes = n
 	}
-	for _, m := range res.members {
+	for _, m := range members {
 		if n, err := m.ObjectSize(res.leaf); err == nil {
 			res.storedBytes += n
 		}
 	}
-	return res
+	return res, nil
 }
 
 // restoreMs loads the captured chain back through the replica ladder and
 // returns the modeled read wait; degraded masks the owner's disk first
 // (and restores it after), so the read comes from the nearest surviving
 // replica — the mirror over the wire, or a k-of-n reconstruction.
-func (res *e17Result) restoreMs(degraded bool) float64 {
+func (res *e17Result) restoreMs(degraded bool) (float64, error) {
 	if degraded {
 		*res.ownerUp = false
 		defer func() { *res.ownerUp = true }()
 	}
-	var wait simtime.Duration
-	env := &storage.Env{Bill: costmodel.Discard{},
-		Wait: func(d simtime.Duration, _ string) { wait += d }}
+	env, wait := waitEnv()
 	if _, err := checkpoint.LoadChain(res.tgt, env, res.leaf); err != nil {
-		return 0
+		return 0, err
 	}
-	return wait.Millis()
+	return wait.Millis(), nil
 }
 
-// e17Cluster is the BENCH_6 autonomic scenario (e16Cluster) re-run under
-// a placement mode: incremental shipping, background compaction, and two
-// scripted kills of the job's node, so every measured restore after the
-// first failover is a real degraded read from the surviving replicas.
-func e17Cluster(quick bool, mode string, repl *cluster.ReplicationConfig) E17ClusterSummary {
-	iters := 2000
-	if quick {
-		iters = 500
-	}
-	prog := workload.Sparse{MiB: 1, WriteFrac: 0.1, Seed: 17}
-	reg := kernel.NewRegistry()
-	reg.MustRegister(prog)
-	c := cluster.New(cluster.Config{Nodes: 4, Seed: 17, KernelCfg: kernel.DefaultConfig("")},
-		costmodel.Default2005(), reg)
-	mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
-		detector.Config{Period: 200 * simtime.Microsecond, Observer: 3}, c.Counters)
-	sup := cluster.MustNewSupervisor(cluster.SupervisorConfig{
-		C:            c,
-		MkMech:       func() mechanism.Mechanism { return syslevel.NewCRAK() },
-		Prog:         prog,
-		Iterations:   uint64(iters),
+// e17Cluster is the E16 autonomic scenario re-run under a placement
+// mode: incremental shipping, background compaction, and two scripted
+// kills of the job's node once a few checkpoints have acked, so every
+// measured restore is a replicated chain read rather than a
+// from-scratch restart. It returns the restore latency p50.
+func e17Cluster(rec *recorder, quick bool, cs string, repl *cluster.ReplicationConfig) float64 {
+	c, sup := newJob(17, 0.1, clusterIters(quick), cluster.SupervisorConfig{
 		Policy:       policy.Fixed(simtime.Millisecond),
-		Detector:     mon,
-		ControlNode:  3,
 		Incremental:  true,
 		RebaseEvery:  64,
 		CompactAfter: 4,
 		Replication:  repl,
 	})
-
-	jobNode := 0
-	acks := 0
-	sup.OnEvent = func(ev cluster.Event) {
-		switch ev.Kind {
-		case cluster.EvAdmit:
-			jobNode = ev.Node
-		case cluster.EvAck:
-			acks++
-		}
-	}
-	fails := 0
-	var nextFail simtime.Time
-	rebootNode, rebootAt := -1, simtime.Time(0)
-	c.OnStep(func() {
-		if rebootNode >= 0 && c.Now() >= rebootAt {
-			c.Reboot(rebootNode)
-			rebootNode = -1
-		}
-		// Kill the owner only after a few acks, so the restore measures a
-		// replicated chain read rather than a from-scratch restart.
-		armed := (fails == 0 && acks >= 3) || (fails == 1 && c.Now() >= nextFail)
-		if fails < 2 && armed && c.NodeAlive(jobNode) {
-			fails++
-			c.Fail(jobNode)
-			rebootNode, rebootAt = jobNode, c.Now().Add(2*simtime.Millisecond)
-			nextFail = c.Now().Add(15 * simtime.Millisecond)
-		}
-	})
+	killTwice(c, sup, cluster.EvAck, 3)
 	err := sup.Run(10 * simtime.Second)
 
 	snap := sup.Metrics.Hist("restore.latency").Snapshot()
-	return E17ClusterSummary{
-		Mode:            mode,
-		Completed:       err == nil && sup.Completed,
-		Restores:        snap.N,
-		P50Ms:           snap.P50,
-		P99Ms:           snap.P99,
-		Repaired:        c.Counters.Get("repl.repaired"),
-		Rebuddies:       c.Counters.Get("repl.rebuddy"),
-		ReadLocal:       c.Counters.Get("repl.read_local"),
-		ReadBuddy:       c.Counters.Get("repl.read_buddy"),
-		ReadShards:      c.Counters.Get("repl.read_shards"),
-		ReadReconstruct: c.Counters.Get("repl.read_reconstruct"),
-		ReadRemote:      c.Counters.Get("repl.read_remote"),
+	rec.flag(cs, "completed", err == nil && sup.Completed)
+	rec.count(cs, "restores", int64(snap.N))
+	rec.dist(cs, "restore_ms", "ms", snap)
+	for _, name := range []string{"repaired", "rebuddy", "read_local", "read_buddy",
+		"read_shards", "read_reconstruct", "read_remote"} {
+		rec.count(cs, "repl_"+name, c.Counters.Get("repl."+name))
 	}
+	return snap.P50
 }

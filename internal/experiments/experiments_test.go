@@ -393,29 +393,33 @@ func TestE13ChaosSweepContrast(t *testing.T) {
 // pipelined cluster run completes with a real publish-latency
 // distribution and a replayable recovery chain behind it.
 func TestE15ParallelCaptureScales(t *testing.T) {
-	s := E15Bench(true)
-	if len(s.Capture) != 4 {
-		t.Fatalf("capture points = %d, want 4", len(s.Capture))
+	got := map[string]Record{}
+	for _, r := range quickRecords() {
+		if r.Exp == "E15" {
+			got[r.Case+" "+r.Metric] = r
+		}
 	}
-	byWorkers := map[int]E15CapturePoint{}
-	for _, pt := range s.Capture {
-		byWorkers[pt.Workers] = pt
+	for _, w := range []string{"1", "2", "4", "8"} {
+		if _, ok := got["workers="+w+" throughput_mb_s"]; !ok {
+			t.Fatalf("no capture point for %s worker(s)", w)
+		}
 	}
-	w1, w4 := byWorkers[1], byWorkers[4]
-	if w1.ThroughputMBs <= 0 {
-		t.Fatalf("1-worker throughput %.1f MB/s", w1.ThroughputMBs)
+	w1, w4 := got["workers=1 throughput_mb_s"].Value, got["workers=4 throughput_mb_s"].Value
+	if w1 <= 0 {
+		t.Fatalf("1-worker throughput %.1f MB/s", w1)
 	}
-	if w4.ThroughputMBs < 2*w1.ThroughputMBs {
-		t.Fatalf("4-worker throughput %.1f MB/s < 2x 1-worker %.1f MB/s",
-			w4.ThroughputMBs, w1.ThroughputMBs)
+	if w4 < 2*w1 {
+		t.Fatalf("4-worker throughput %.1f MB/s < 2x 1-worker %.1f MB/s", w4, w1)
 	}
-	if !s.Completed {
+	if got["pipelined completed"].Value != 1 {
 		t.Fatal("pipelined cluster run did not complete")
 	}
-	if s.Publish.N == 0 || s.Publish.P50Ms <= 0 || s.Publish.P99Ms < s.Publish.P50Ms {
-		t.Fatalf("degenerate publish-latency summary: %+v", s.Publish)
+	p50, pmax := got["pipelined publish_ms.p50"], got["pipelined publish_ms.max"]
+	if p50.N == 0 || p50.Value <= 0 || pmax.Value < p50.Value {
+		t.Fatalf("degenerate publish-latency records: %v, %v", p50, pmax)
 	}
-	if s.Restore.ChainLen < 1 || s.Restore.ReadMs <= 0 {
-		t.Fatalf("degenerate restore summary: %+v", s.Restore)
+	if got["pipelined chain_len"].Value < 1 || got["pipelined restore_read_ms"].Value <= 0 {
+		t.Fatalf("degenerate restore records: %v, %v",
+			got["pipelined chain_len"], got["pipelined restore_read_ms"])
 	}
 }
