@@ -98,6 +98,36 @@ func benchChain(b *testing.B) []*Image {
 	return chain
 }
 
+// benchChainBlobs returns the stored encodings of benchChain's images,
+// oldest first.
+func benchChainBlobs(tb testing.TB) [][]byte {
+	remote, leaf := buildChain(tb, 17)
+	chain, err := LoadChain(remote, nil, leaf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	blobs := make([][]byte, len(chain))
+	for i, img := range chain {
+		if blobs[i], err = remote.ReadObject(img.ObjectName(), nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return blobs
+}
+
+// BenchmarkFoldEncodedChain folds the 17-image chain into one full
+// image: decode every link, fold, re-encode.
+func BenchmarkFoldEncodedChain(b *testing.B) {
+	blobs := benchChainBlobs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FoldEncodedChain(blobs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkPlanReplay(b *testing.B) {
 	chain := benchChain(b)
 	b.ReportAllocs()
