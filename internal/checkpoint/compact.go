@@ -36,22 +36,20 @@ func FoldChain(chain []*Image) (*Image, error) {
 		return nil, fmt.Errorf("checkpoint: fold: %w", err)
 	}
 
-	// Materialize each touched page's final contents and its covered
-	// byte intervals, then emit extents over exactly the covered bytes:
-	// uncaptured bytes of a mapped page are zero after either restore
-	// path, so covering more would change nothing and covering less
-	// would lose a write.
+	// Find each touched page's covered byte intervals, then emit extents
+	// over exactly the covered bytes: uncaptured bytes of a mapped page
+	// are zero after either restore path, so covering more would change
+	// nothing and covering less would lose a write.
 	type run struct {
-		addr mem.Addr
-		data []byte
+		addr   mem.Addr
+		lo, hi int        // the covered interval within the page
+		spans  []pageSpan // the page's writes, in chain order
 	}
 	var runs []run
 	for _, j := range plan.jobs {
-		var content [mem.PageSize]byte
 		type iv struct{ lo, hi int }
 		var covered []iv
 		for _, s := range j.spans {
-			copy(content[s.off:], s.data)
 			covered = append(covered, iv{s.off, s.off + len(s.data)})
 		}
 		// Merge the covered intervals (spans may overlap arbitrarily).
@@ -74,7 +72,7 @@ func FoldChain(chain []*Image) (*Image, error) {
 		}
 		base := j.page.Base()
 		for _, c := range covered {
-			runs = append(runs, run{addr: base + mem.Addr(c.lo), data: append([]byte(nil), content[c.lo:c.hi]...)})
+			runs = append(runs, run{addr: base + mem.Addr(c.lo), lo: c.lo, hi: c.hi, spans: j.spans})
 		}
 	}
 	// Address order, then coalesce adjacent runs so page-granular chains
@@ -90,25 +88,38 @@ func FoldChain(chain []*Image) (*Image, error) {
 		secs[i] = v
 		secs[i].Extents = nil
 	}
-	for _, r := range runs {
+	for i := 0; i < len(runs); {
 		si := -1
-		for i := range secs {
-			if r.addr >= secs[i].Start && r.addr < secs[i].Start+mem.Addr(secs[i].Length) {
-				si = i
+		for k := range secs {
+			if runs[i].addr >= secs[k].Start && runs[i].addr < secs[k].Start+mem.Addr(secs[k].Length) {
+				si = k
 				break
 			}
 		}
 		if si < 0 {
 			// planReplay only plans pages mapped in the leaf layout.
-			return nil, fmt.Errorf("checkpoint: fold: run %#x outside leaf layout", uint64(r.addr))
+			return nil, fmt.Errorf("checkpoint: fold: run %#x outside leaf layout", uint64(runs[i].addr))
 		}
-		exts := secs[si].Extents
-		if n := len(exts); n > 0 && exts[n-1].Addr+mem.Addr(len(exts[n-1].Data)) == r.addr {
-			exts[n-1].Data = append(exts[n-1].Data, r.data...)
-			secs[si].Extents = exts
-			continue
+		// Size the extent first: the runs that follow on without a gap,
+		// up to the section's end. Then allocate it once and fill it.
+		start, end := runs[i].addr, secs[si].Start+mem.Addr(secs[si].Length)
+		n, j := 0, i
+		for ; j < len(runs) && runs[j].addr == start+mem.Addr(n) && runs[j].addr < end; j++ {
+			n += runs[j].hi - runs[j].lo
 		}
-		secs[si].Extents = append(exts, Extent{Addr: r.addr, Data: r.data})
+		data := make([]byte, n)
+		for _, r := range runs[i:j] {
+			dst := data[r.addr-start:]
+			// Every span lies wholly inside one covered interval, and
+			// applying them in chain order makes the last writer win.
+			for _, s := range r.spans {
+				if r.lo <= s.off && s.off < r.hi {
+					copy(dst[s.off-r.lo:], s.data)
+				}
+			}
+		}
+		secs[si].Extents = append(secs[si].Extents, Extent{Addr: start, Data: data})
+		i = j
 	}
 	folded.VMAs = secs
 

@@ -11,6 +11,7 @@ package storage
 type BatchReader interface {
 	// ReadBatch returns the objects' contents in input order. Any
 	// missing object fails the whole batch — a chain with a hole is not
-	// restorable, so there is no partial success to report.
+	// restorable, so there is no partial success to report. Each slice
+	// is shared with the store as ReadObject's is: do not modify it.
 	ReadBatch(objects []string, env *Env) ([][]byte, error)
 }

@@ -28,11 +28,7 @@ func OverWire(t Target, cm *costmodel.Model) Target {
 func (o *overWire) chargeWire(n int, env *Env, what string) {
 	env = orNop(env)
 	for off := 0; off < n; off += chunk {
-		c := n - off
-		if c > chunk {
-			c = chunk
-		}
-		env.Wait(o.cm.NetTransfer(c), what)
+		env.Wait(o.cm.NetTransfer(min(n-off, chunk)), what)
 	}
 }
 

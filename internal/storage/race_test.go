@@ -9,6 +9,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -191,4 +192,72 @@ func TestRaceFaultPolicySharedAcrossWriters(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestRaceReadersShareWhileWriterPublishes: readers hold and append to
+// shared reads of one object while a writer publishes new versions
+// under its name. Every read must be one whole version, and no reader's
+// append may reach the store or another reader's held result.
+func TestRaceReadersShareWhileWriterPublishes(t *testing.T) {
+	tgts := map[string]Target{"local": NewLocal("disk", costmodel.Default2005(), nil)}
+	tgts["mirror"] = replicatedSets(t)["mirror"]
+	for name, tgt := range tgts {
+		t.Run(name, func(t *testing.T) {
+			const versions, readers, reads, size = 200, 4, 200, 1000
+			// publish stages version v in two writes, so the stored
+			// buffer has spare capacity, and renames it into place.
+			publish := func(v int) error {
+				staging := StagingName("obj")
+				w, err := tgt.Create(staging, nil)
+				if err != nil {
+					return err
+				}
+				for _, n := range []int{size - 10, 10} {
+					if _, err := w.Write(bytes.Repeat([]byte{byte(v)}, n)); err != nil {
+						return err
+					}
+				}
+				if err := w.Commit(); err != nil {
+					return err
+				}
+				return tgt.Publish(staging, "obj", nil)
+			}
+			if err := publish(0); err != nil {
+				t.Fatal(err)
+			}
+			whole := func(data []byte, mark byte) bool {
+				return len(data) == size+1 && data[size] == mark &&
+					bytes.Count(data[:size], data[:1]) == size
+			}
+			var wg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(mark byte) {
+					defer wg.Done()
+					held := make([][]byte, 0, reads)
+					for i := 0; i < reads; i++ {
+						data, err := tgt.ReadObject("obj", nil)
+						if err != nil {
+							t.Errorf("read: %v", err)
+							return
+						}
+						held = append(held, append(data, mark))
+					}
+					for _, data := range held {
+						if !whole(data, mark) {
+							t.Errorf("reader %#x holds a changed read: len %d, last %#x", mark, len(data), data[len(data)-1])
+							return
+						}
+					}
+				}(byte(0xa0 + r))
+			}
+			for v := 1; v <= versions; v++ {
+				if err := publish(v); err != nil {
+					t.Error(err)
+					break
+				}
+			}
+			wg.Wait()
+		})
+	}
 }

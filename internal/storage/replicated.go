@@ -180,8 +180,8 @@ func newFanEnv(bill *Env) *fanEnv {
 	return f
 }
 
-// Create implements Target. The writer buffers everything and fans out
-// at Commit: erasure coding needs the whole payload before it can cut
+// Create implements Target. The writer keeps what it is handed and fans
+// out at Commit: erasure coding needs the whole payload before it can cut
 // shards, and deferring the member Creates keeps a crashed caller from
 // littering every replica with empty staging objects. Quorum is judged
 // at the durability points (Commit, Publish), not here — a set that
@@ -203,7 +203,7 @@ func (w *replWriter) Write(p []byte) (int, error) {
 	if w.done {
 		return 0, errors.New("storage: write after commit")
 	}
-	w.buf = append(w.buf, p...)
+	w.buf = own(w.buf, p)
 	return len(p), nil
 }
 
@@ -231,7 +231,8 @@ func (w *replWriter) Commit() error {
 			continue
 		}
 		f := newFanEnv(w.env)
-		if werr := writeMember(rep.T, w.object, payloads[i], f.env); werr != nil {
+		// The member target applies its own cost model and fault policy.
+		if werr := put(rep.T, w.object, payloads[i], f.env); werr != nil {
 			r.cfg.Counters.Inc("repl.write_failed", 1)
 			// An injected crash leaves whatever streamed so far on the
 			// member under the staging name. Unlike a lone writer's crash,
@@ -255,7 +256,7 @@ func (w *replWriter) Commit() error {
 }
 
 // payloadsFor returns the per-replica payloads: the object itself for
-// mirrors, or its erasure shards (slot i holds shard i).
+// mirrors (one slice shared by every member), or its erasure shards.
 func (r *Replicated) payloadsFor(data []byte) ([][]byte, error) {
 	if k, m, on := r.Erasure(); on {
 		return erasure.EncodeObject(data, k, m)
@@ -265,20 +266,6 @@ func (r *Replicated) payloadsFor(data []byte) ([][]byte, error) {
 		out[i] = data
 	}
 	return out, nil
-}
-
-// writeMember stages one replica's payload: create, write, commit. The
-// member target applies its own cost model and fault policy.
-func writeMember(t Target, object string, data []byte, env *Env) error {
-	mw, err := t.Create(object, env)
-	if err != nil {
-		return err
-	}
-	if _, err := mw.Write(data); err != nil {
-		mw.Abort()
-		return err
-	}
-	return mw.Commit()
 }
 
 // Publish implements Target: the quorum commit point. Every replica

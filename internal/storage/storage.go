@@ -8,6 +8,12 @@
 // and liveness (whose failure makes the bytes unreachable). §4.1's
 // fault-tolerance argument hinges on that second difference: node-local
 // checkpoints become unavailable when the node fails, a server's do not.
+//
+// Checkpoint bytes land in memory once on their way through a store.
+// Write, WriteBatch and Writer.Write keep the buffer they are handed, and
+// ReadObject and ReadBatch (on every kind, through Replicated and
+// OverWire) return the stored slice itself: nobody may modify either
+// afterwards, and both are capacity-clipped, so an append reallocates.
 package storage
 
 import (
@@ -94,7 +100,9 @@ var (
 )
 
 // Writer receives checkpoint bytes. Commit makes the object durable and
-// visible; Abort discards it.
+// visible; Abort discards it. Unlike an io.Writer, Write keeps p: the
+// object is the written slices joined, the first one stored as is, so the
+// caller must not modify p after the call.
 type Writer interface {
 	Write(p []byte) (int, error)
 	Commit() error
@@ -109,6 +117,9 @@ type Target interface {
 	// failed node's local disk is not).
 	Available() bool
 	Create(object string, env *Env) (Writer, error)
+	// ReadObject returns the object's bytes, shared with the store and
+	// with every other reader: the caller must not modify them. The
+	// slice is capacity-clipped, so appending to it reallocates.
 	ReadObject(object string, env *Env) ([]byte, error)
 	List() []string
 	Delete(object string) error
@@ -137,15 +148,13 @@ type objectStore struct {
 
 func newObjectStore() *objectStore { return &objectStore{objects: make(map[string][]byte)} }
 
-// get returns a copy of the object's bytes (callers may retain it).
+// get returns the stored bytes themselves, capacity-clipped: callers may
+// retain them but must not modify them, and an append reallocates.
 func (s *objectStore) get(object string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	data, ok := s.objects[object]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), data...), true
+	return data[:len(data):len(data)], ok
 }
 
 func (s *objectStore) put(object string, data []byte) {
@@ -163,13 +172,6 @@ func (s *objectStore) remove(object string) bool {
 	}
 	delete(s.objects, object)
 	return true
-}
-
-func (s *objectStore) size(object string) (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, ok := s.objects[object]
-	return len(data), ok
 }
 
 func (s *objectStore) rename(old, new string) error {
@@ -415,12 +417,21 @@ func (s *Store) Create(object string, env *Env) (Writer, error) {
 }
 
 type storeWriter struct {
-	s       *Store
-	object  string
-	env     *Env
-	buf     []byte
-	done    bool
-	crashed bool
+	s      *Store
+	object string
+	env    *Env
+	buf    []byte
+	done   bool
+}
+
+// own appends p to a writer's buffer. The first write's slice becomes the
+// buffer itself, capacity-clipped so a later append reallocates instead
+// of writing into the caller's array past p.
+func own(buf, p []byte) []byte {
+	if buf == nil && len(p) > 0 {
+		return p[:len(p):len(p)]
+	}
+	return append(buf, p...)
 }
 
 func (w *storeWriter) Write(p []byte) (int, error) {
@@ -432,27 +443,29 @@ func (w *storeWriter) Write(p []byte) (int, error) {
 		return 0, s.unavailable()
 	}
 	fp := s.policy()
-	if frac, outage, crash := fp.crashWrite(s.kind == KindRemote); crash {
-		keep := int(frac * float64(len(p)))
-		s.stream(w.env, keep, true)
-		w.buf = append(w.buf, p[:keep]...)
-		// Whatever streamed so far stays behind as a torn object: the
-		// writer is gone and nobody is alive to clean it up.
-		s.store.put(w.object, append([]byte(nil), w.buf...))
-		w.done, w.crashed = true, true
-		if outage {
-			// The crash was the server going down mid-transfer.
-			s.srv.Fail()
-			if fp.OnOutage != nil {
-				fp.OnOutage()
-			}
-			return keep, fmt.Errorf("%w: %s/%s: %w", ErrFault, s.name, w.object, ErrTargetUnavailable)
-		}
-		return keep, fmt.Errorf("%w: %s/%s", ErrFault, s.name, w.object)
+	frac, outage, crash := fp.crashWrite(s.kind == KindRemote)
+	n := len(p)
+	if crash {
+		n = int(frac * float64(len(p)))
 	}
-	s.stream(w.env, len(p), true)
-	w.buf = append(w.buf, p...)
-	return len(p), nil
+	s.stream(w.env, n, true)
+	w.buf = own(w.buf, p[:n])
+	if !crash {
+		return n, nil
+	}
+	// Whatever streamed so far stays behind as a torn object: the writer
+	// is gone and nobody is alive to clean it up.
+	s.store.put(w.object, w.buf)
+	w.done = true
+	if outage {
+		// The crash was the server going down mid-transfer.
+		s.srv.Fail()
+		if fp.OnOutage != nil {
+			fp.OnOutage()
+		}
+		return n, fmt.Errorf("%w: %s/%s: %w", ErrFault, s.name, w.object, ErrTargetUnavailable)
+	}
+	return n, fmt.Errorf("%w: %s/%s", ErrFault, s.name, w.object)
 }
 
 func (w *storeWriter) Commit() error {
@@ -467,12 +480,9 @@ func (w *storeWriter) Commit() error {
 	return nil
 }
 
-func (w *storeWriter) Abort() {
-	w.done = true
-	if !w.crashed { // a crash's torn object is already stored; it has no undo
-		w.buf = nil
-	}
-}
+// Abort discards the unstored bytes; a crash's torn object is already
+// stored and has no undo.
+func (w *storeWriter) Abort() { w.done, w.buf = true, nil }
 
 // ReadObject implements Target.
 func (s *Store) ReadObject(object string, env *Env) ([]byte, error) {
@@ -530,11 +540,11 @@ func (s *Store) ObjectSize(object string) (int, error) {
 	if !s.alive() {
 		return 0, s.unavailable()
 	}
-	n, ok := s.store.size(object)
+	data, ok := s.store.get(object)
 	if !ok {
 		return 0, s.notFound(object)
 	}
-	return n, nil
+	return len(data), nil
 }
 
 // Publish implements Target.

@@ -123,19 +123,25 @@ func WriteBatch(t Target, items []BatchItem, env *Env) (published int, err error
 	return published, nil
 }
 
-// putInPlace is the legacy protocol: bytes stream straight to the final
-// name, commit takes no durability barrier, and the target's fault
-// policy may tear the object even after a successful return.
-func putInPlace(t Target, object string, data []byte, env *Env) error {
+// put creates object on t, writes data and commits it. A failed write
+// aborts, which after an injected crash leaves the torn object in place.
+func put(t Target, object string, data []byte, env *Env) error {
 	w, err := t.Create(object, env)
 	if err != nil {
 		return err
 	}
 	if _, err := w.Write(data); err != nil {
-		w.Abort() // no-op after an injected crash: the torn object stays
+		w.Abort()
 		return err
 	}
-	if err := w.Commit(); err != nil {
+	return w.Commit()
+}
+
+// putInPlace is the legacy protocol: bytes stream straight to the final
+// name, commit takes no durability barrier, and the target's fault
+// policy may tear the object even after a successful return.
+func putInPlace(t Target, object string, data []byte, env *Env) error {
+	if err := put(t, object, data, env); err != nil {
 		return err
 	}
 	// No durability barrier: the commit may have silently lost its tail.

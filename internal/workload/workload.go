@@ -19,6 +19,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/simos/kernel"
@@ -106,12 +107,19 @@ func scratchStep(ctx *kernel.Context, tag uint64) error {
 
 // pageBuf fills a page-sized buffer with content derived from tag, so
 // that pages written in different iterations differ.
+// Each 8-byte word is the next splitmix64 value in little-endian order;
+// a short tail takes that value's low bytes.
 func pageBuf(buf []byte, tag uint64) {
 	v := splitmix64(tag)
-	for i := 0; i < len(buf); i += 8 {
+	for len(buf) >= 8 {
 		v = splitmix64(v)
-		for j := 0; j < 8 && i+j < len(buf); j++ {
-			buf[i+j] = byte(v >> (8 * j))
+		binary.LittleEndian.PutUint64(buf, v)
+		buf = buf[8:]
+	}
+	if len(buf) > 0 {
+		v = splitmix64(v)
+		for i := range buf {
+			buf[i] = byte(v >> (8 * i))
 		}
 	}
 }
