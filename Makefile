@@ -7,7 +7,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test bench bench-gates bench-selftest scenarios check vet race fuzz chaos chaos-incremental chaos-replication chaos-sharded chaos-lazy chaos-policy
+.PHONY: all build test bench bench-gates bench-selftest scenarios check vet race fuzz chaos chaos-pairs
 
 all: build test
 
@@ -74,44 +74,12 @@ fuzz:
 chaos:
 	$(GO) run ./cmd/crsurvey chaos -seeds 10000
 
-# Same sweep with delta-chain shipping forced on every seed, so the
-# chain invariants (ancestry-before-durability, GC never breaks a live
-# chain, fenced heads) see full coverage nightly rather than only the
-# generator's incremental fraction.
-chaos-incremental:
-	$(GO) run ./cmd/crsurvey chaos -seeds 2000 -incremental
+# The covering sweep in `make check`: seed s runs row s mod 12 of the
+# generator's pairwise covering array over the feature knobs (delta
+# chains, compaction, liveness, pipelining, replication, sharded
+# detection, lazy restore, youngdaly cadence), so 240 seeds run every
+# pair of features 20 times under the full fault palette.
+chaos-pairs:
+	$(GO) run ./cmd/crsurvey chaos -seeds 240
 
-# Replicated-placement sweep: buddy mirrors forced on every seed, 2+1
-# erasure on the wide-enough ones, including the node+replica
-# double-failure schedules the generator draws. The repl-durability
-# checker masks one more holder than the run actually lost, and
-# repl-converged demands re-replication finished by the cut. Part of
-# `make check` (80 seeds here; the nightly run goes wider).
-chaos-replication:
-	$(GO) run ./cmd/crsurvey chaos -seeds 80 -replication
-
-# Sharded-detection sweep: digest-path detection forced on every seed
-# wide enough for two shards, so aggregator failover, observer probing,
-# and digest loss run under the full chaos fault palette (80 seeds here;
-# the nightly run goes wider).
-chaos-sharded:
-	$(GO) run ./cmd/crsurvey chaos -seeds 80 -sharded
-
-# Lazy-restore sweep: restart-before-read failover forced on every seed,
-# so demand faults, background prefetch, settle-before-capture, and the
-# lazy self-fencing path run under the full chaos fault palette. The
-# digest checker makes every seed a lazy-vs-eager equivalence proof: a
-# completed run's memory fingerprint must match the eager replay's (80
-# seeds here; the nightly run goes wider).
-chaos-lazy:
-	$(GO) run ./cmd/crsurvey chaos -seeds 80 -lazy
-
-# Policy sweep: the Young/Daly cadence (plus liveness content on
-# incremental seeds) forced on every seed, with the work-lost economics
-# checker comparing each run against a fixed-cadence twin of the same
-# spec — adapting the interval must never lose more than 2x the work of
-# not adapting (80 seeds here; the nightly run goes wider).
-chaos-policy:
-	$(GO) run ./cmd/crsurvey chaos -seeds 80 -policy
-
-check: build vet race fuzz scenarios chaos-replication chaos-sharded chaos-lazy chaos-policy bench-gates bench-selftest
+check: build vet race fuzz scenarios chaos-pairs bench-gates bench-selftest

@@ -12,24 +12,14 @@
 //
 // The chaos subcommand drives the deterministic simulation-testing
 // harness (the nightly sweep and the replay/shrink workflow for a
-// failing seed):
+// failing seed). Seed s runs feature row s mod 12 of the generator's
+// pairwise covering array, so any 12 consecutive seeds compose every
+// pair of features (delta chains, compaction, liveness, pipelining,
+// replication, sharded detection, lazy restore, youngdaly cadence):
 //
 //	crsurvey chaos -seeds 10000          # sweep seeds 1..10000, exit 1 on any violation
 //	crsurvey chaos -start 5000 -seeds 10 # sweep a different block
 //	crsurvey chaos -broken -seeds 100    # fencing disabled: prove the harness catches it
-//	crsurvey chaos -incremental -seeds 1000 # delta chains forced on: chain-invariant sweep
-//	crsurvey chaos -replication -seeds 200  # replicated placement forced on: buddy
-//	                                        # mirrors everywhere, 2+1 erasure where the
-//	                                        # cluster is wide enough (repl invariants)
-//	crsurvey chaos -lazy -seeds 200         # lazy restart-before-read failover forced on
-//	                                        # (digest must match eager restore at every seed)
-//	crsurvey chaos -sharded -seeds 200      # sharded digest detection forced on wherever
-//	                                        # the cluster is wide enough (aggregator
-//	                                        # failover under chaos)
-//	crsurvey chaos -policy -seeds 200       # Young/Daly cadence (and liveness content on
-//	                                        # incremental specs) forced on, with the
-//	                                        # work-lost economics invariant checked
-//	                                        # against a fixed-cadence twin per seed
 //	crsurvey chaos -replay 42            # re-run one seed, print its event log
 //	crsurvey chaos -replay 42 -spec '{...}' -shrink
 package main
@@ -104,74 +94,10 @@ func chaosMain(args []string) {
 	seeds := fs.Int("seeds", 200, "number of consecutive seeds to sweep")
 	start := fs.Int64("start", 1, "first seed of the sweep")
 	broken := fs.Bool("broken", false, "disable epoch fencing (the deliberately broken build)")
-	incremental := fs.Bool("incremental", false, "force delta-chain shipping on every spec (chain-invariant sweep)")
-	replication := fs.Bool("replication", false, "force replicated placement on every spec (replication-invariant sweep)")
-	sharded := fs.Bool("sharded", false, "force sharded digest detection on every spec wide enough for it")
-	lazy := fs.Bool("lazy", false, "force lazy restart-before-read failover on every spec (digest-equivalence sweep)")
-	policy := fs.Bool("policy", false, "force the youngdaly cadence policy (and liveness content on incremental specs) plus the work-lost economics checker on every spec")
 	replay := fs.Int64("replay", 0, "replay one seed instead of sweeping")
 	spec := fs.String("spec", "", "replay this spec JSON (from a printed replay line) instead of regenerating from the seed")
 	shrink := fs.Bool("shrink", false, "shrink a violating replay to a minimal reproducer")
 	fs.Parse(args)
-
-	// -incremental forces every spec onto the delta-chain shipping path so
-	// a sweep exercises the chain invariants on all seeds, not just the
-	// roughly half the generator picks.
-	force := func(sp *chaos.Spec) {
-		if *incremental {
-			sp.Incremental = true
-			if sp.RebaseEvery == 0 {
-				sp.RebaseEvery = 4
-			}
-		}
-		// -replication forces a replicated placement onto every spec:
-		// erasure 2+1 where the cluster can hold it under the generator's
-		// own maskability constraint (see chaos.Generate), buddy mirrors
-		// everywhere else — so a sweep exercises the repl-durability and
-		// repl-converged invariants on all seeds, both modes.
-		if *replication && sp.Replication == "" {
-			if sp.Workers() >= 4 && len(sp.Failures) <= 1 && sp.Seed%2 == 0 {
-				sp.Replication = "erasure"
-				sp.DataShards, sp.ParityShards = 2, 1
-			} else {
-				sp.Replication = "buddy"
-				sp.DataShards, sp.ParityShards = 0, 0
-			}
-		}
-		// -sharded forces the digest detection path wherever the cluster is
-		// wide enough (each of the two shards keeps a failover candidate
-		// when its aggregator dies), so a sweep exercises aggregator
-		// failover and digest loss on all eligible seeds.
-		if *sharded && sp.Shards == 0 && sp.Workers() >= 4 {
-			sp.Shards = 2
-		}
-		// -lazy forces restart-before-read failover on every spec, so a
-		// sweep proves the digest invariant — post-restore state identical
-		// to an eager restore — at every seed, not just the half the
-		// generator picks.
-		if *lazy {
-			sp.LazyRestore = true
-		}
-		// -policy forces the Young/Daly cadence engine on every spec (and
-		// the liveness content policy wherever deltas are in play), so a
-		// sweep exercises MTBF estimation, live recompute, and dead-page
-		// exclusion on all seeds — with the work-lost economics invariant
-		// bounding the adaptive cadence against its fixed twin.
-		if *policy {
-			sp.Policy = "youngdaly"
-			sp.Liveness = sp.Incremental
-		}
-	}
-
-	// The work-lost economics checker reruns a fixed-cadence twin per
-	// seed, so it is opt-in with the policy sweep rather than part of
-	// every run.
-	runOne := func(sp *chaos.Spec) *chaos.Result {
-		if *policy {
-			return chaos.RunChecked(sp, append(chaos.DefaultCheckers(), chaos.NewWorkLostChecker()))
-		}
-		return chaos.Run(sp)
-	}
 
 	if *replay != 0 || *spec != "" {
 		sp := &chaos.Spec{}
@@ -188,8 +114,7 @@ func chaosMain(args []string) {
 			}
 		}
 		sp.NoFencing = sp.NoFencing || *broken
-		force(sp)
-		r := runOne(sp)
+		r := chaos.Run(sp)
 		fmt.Println(r.Summary())
 		fmt.Print(r.EventLog)
 		if len(r.Violations) == 0 {
@@ -212,8 +137,7 @@ func chaosMain(args []string) {
 	for i := 0; i < *seeds; i++ {
 		sp := chaos.Generate(*start + int64(i))
 		sp.NoFencing = *broken
-		force(sp)
-		r := runOne(sp)
+		r := chaos.Run(sp)
 		if len(r.Violations) == 0 {
 			continue
 		}

@@ -46,7 +46,7 @@ func run() {
 			MkMech:       func() repro.Mechanism { return repro.NewCRAK() },
 			Prog:         app,
 			Iterations:   iterations,
-			Policy:       repro.AdaptivePolicy(8 * repro.Millisecond),
+			Policy:       repro.YoungDalyPolicy(8 * repro.Millisecond),
 			UseLocalDisk: useLocal,
 		})
 		if err := sup.Run(5 * repro.Second); err != nil {

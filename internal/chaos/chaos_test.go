@@ -1,21 +1,35 @@
 package chaos
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
-// sweepSeeds is the tier-1 sweep width. The nightly CI job runs 10k
-// seeds via `crsurvey chaos`; this keeps every `go test` run honest.
-const sweepSeeds = 200
+// sweepSeeds is the tier-1 sweep width: 20 runs of every feature row.
+// The nightly CI job runs 10k seeds via `crsurvey chaos`; this keeps
+// every `go test` run honest.
+var sweepSeeds = int64(20 * len(featureRows))
 
 // TestChaosSweep runs the generator across sweepSeeds consecutive seeds
 // and demands zero invariant violations: with fencing on and atomic
-// commit in place, no composition of storage faults, network chaos,
-// partitions, and node failures the generator emits may lose an acked
-// checkpoint, double-commit, corrupt restored state, consult the
-// oracle, or wedge recovery.
+// commit in place, no composition of features, storage faults, network
+// chaos, partitions, and node failures the generator emits may lose an
+// acked checkpoint, double-commit, corrupt restored state, consult the
+// oracle, wedge recovery, or (on youngdaly seeds) lose more than twice
+// a fixed-cadence twin's work. Each feature's own path must also have
+// really run on some seed, or the sweep proves nothing about it.
 func TestChaosSweep(t *testing.T) {
+	engaged := map[string]int{
+		"restore.lazy":     0, // lazy restart-before-read failover
+		"compact.folds":    0, // server-side chain compaction
+		"det.digest_sent":  0, // sharded digest detection
+		"repl.publishes":   0, // replicated checkpoint writes
+		"pipe.shipped":     0, // pipelined shipping
+		"policy.recompute": 0, // youngdaly cadence recompute
+	}
 	for seed := int64(1); seed <= sweepSeeds; seed++ {
 		r := Run(Generate(seed))
 		if len(r.Violations) > 0 {
@@ -25,6 +39,142 @@ func TestChaosSweep(t *testing.T) {
 			}
 			t.Errorf("  reproduce: %s", r.Spec.ReplayLine())
 		}
+		for path := range engaged {
+			if strings.Contains(r.Counters, path) {
+				engaged[path]++
+			}
+		}
+	}
+	for path, n := range engaged {
+		if n == 0 {
+			t.Errorf("no seed in [1,%d] ever took the %s path", sweepSeeds, path)
+		}
+	}
+	t.Logf("seeds engaging each feature path: %v", engaged)
+}
+
+// knob is one feature dimension of the covering array: its name, every
+// value it takes, and how to read it off a row.
+type knob struct {
+	name   string
+	values []string
+	of     func(featureRow) string
+}
+
+var knobs = []knob{
+	{"incr", []string{"false", "true"}, func(r featureRow) string { return fmt.Sprint(r.Incremental) }},
+	{"pipeline", []string{"0", "1", "2", "4"}, func(r featureRow) string { return fmt.Sprint(r.Pipeline) }},
+	{"compact", []string{"false", "true"}, func(r featureRow) string { return fmt.Sprint(r.Compact) }},
+	{"live", []string{"false", "true"}, func(r featureRow) string { return fmt.Sprint(r.Liveness) }},
+	{"repl", []string{"", "buddy", "erasure"}, func(r featureRow) string { return r.Replication }},
+	{"shards", []string{"0", "2"}, func(r featureRow) string { return fmt.Sprint(r.Shards) }},
+	{"lazy", []string{"false", "true"}, func(r featureRow) string { return fmt.Sprint(r.Lazy) }},
+	{"policy", []string{"", "youngdaly"}, func(r featureRow) string { return r.Policy }},
+}
+
+// TestFeatureRowsCoverAllPairs enumerates every valid pair of knob
+// values — compaction and liveness exist only with delta chains — and
+// finds each in some row of the table, so a len(featureRows) block of
+// consecutive seeds composes every pair of features.
+func TestFeatureRowsCoverAllPairs(t *testing.T) {
+	chainOnly := map[string]bool{"compact": true, "live": true}
+	pairs := 0
+	for i, a := range knobs {
+		for _, b := range knobs[i+1:] {
+			for _, va := range a.values {
+				for _, vb := range b.values {
+					if a.name == "incr" && va == "false" && chainOnly[b.name] && vb == "true" {
+						continue
+					}
+					pairs++
+					found := false
+					for _, r := range featureRows {
+						if a.of(r) == va && b.of(r) == vb {
+							found = true
+							break
+						}
+					}
+					if !found {
+						t.Errorf("no row has %s=%q with %s=%q", a.name, va, b.name, vb)
+					}
+				}
+			}
+		}
+	}
+	if pairs != 154 {
+		t.Errorf("enumerated %d valid pairs, want 154", pairs)
+	}
+	for i, r := range featureRows {
+		for _, k := range knobs {
+			if v := k.of(r); !slices.Contains(k.values, v) {
+				t.Errorf("row %d: %s=%q is not a knob value", i, k.name, v)
+			}
+		}
+		if (r.Compact || r.Liveness) && !r.Incremental {
+			t.Errorf("row %d: compaction or liveness without delta chains", i)
+		}
+	}
+}
+
+// TestGenerateFitsRow checks every generated spec of the sweep width
+// against its row: the row's features are on and nothing else is, the
+// spec validates, erasure and sharded seeds get at least four workers,
+// and erasure seeds at most one node failure.
+func TestGenerateFitsRow(t *testing.T) {
+	for seed := int64(1); seed <= sweepSeeds; seed++ {
+		sp, r := Generate(seed), rowOf(seed)
+		if err := sp.validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if sp.Incremental != r.Incremental || (sp.CompactAfter > 0) != r.Compact ||
+			sp.Liveness != r.Liveness || sp.Pipeline != r.Pipeline ||
+			sp.Replication != r.Replication || sp.Shards != r.Shards ||
+			sp.LazyRestore != r.Lazy || sp.Policy != r.Policy {
+			t.Fatalf("seed %d: spec %s does not match row %+v", seed, sp.MarshalLine(), r)
+		}
+		if (sp.Replication == "erasure" || sp.Shards > 0) && sp.workers() < 4 {
+			t.Errorf("seed %d: %d workers on an erasure or sharded row", seed, sp.workers())
+		}
+		if sp.Replication == "erasure" && len(sp.Failures) > 1 {
+			t.Errorf("seed %d: %d node failures on an erasure row", seed, len(sp.Failures))
+		}
+	}
+}
+
+// assertMix demands that the sweep width draws every wanted value of one
+// spec field: a value the sweep never draws is a path chaos never tests.
+func assertMix(t *testing.T, field func(*Spec) string, want ...string) {
+	t.Helper()
+	got := map[string]int{}
+	for seed := int64(1); seed <= sweepSeeds; seed++ {
+		got[field(Generate(seed))]++
+	}
+	for _, w := range want {
+		if got[w] == 0 {
+			t.Errorf("generator drew no %q seeds in [1,%d]: %v", w, sweepSeeds, got)
+		}
+	}
+	t.Logf("mix over %d seeds: %v", sweepSeeds, got)
+}
+
+// confirmRows double-runs every seed of the second row period whose spec
+// matches, requiring equal digests; TestRunDeterministic covers the
+// first period.
+func confirmRows(t *testing.T, match func(*Spec) bool) {
+	t.Helper()
+	n, checked := int64(len(featureRows)), 0
+	for seed := n + 1; seed <= 2*n; seed++ {
+		sp := Generate(seed)
+		if !match(sp) {
+			continue
+		}
+		checked++
+		if ok, a, b := Confirm(sp); !ok {
+			t.Fatalf("seed %d nondeterministic: %#x vs %#x", seed, a.Digest, b.Digest)
+		}
+	}
+	if checked == 0 {
+		t.Fatalf("no seed in [%d,%d] matches", n+1, 2*n)
 	}
 }
 
@@ -55,10 +205,14 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunDeterministic double-runs a fenced scenario and requires equal
-// digests — the foundation the whole harness stands on.
+// TestRunDeterministic double-runs one fenced scenario per feature row
+// and requires equal digests — the foundation the whole harness stands
+// on. Demand-fault ordering, prefetch batching, digest emission and
+// aggregator reassignment, replica fan-out and repair, background folds,
+// the youngdaly cadence and the liveness exclusion set must all be
+// schedule-stable, or replay lines are worthless.
 func TestRunDeterministic(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
+	for seed := int64(1); seed <= int64(len(featureRows)); seed++ {
 		if ok, a, b := Confirm(Generate(seed)); !ok {
 			t.Fatalf("seed %d nondeterministic: digest %#x vs %#x\n--- first ---\n%s\n--- second ---\n%s",
 				seed, a.Digest, b.Digest, a.EventLog, b.EventLog)
@@ -150,11 +304,17 @@ func TestSpecValidation(t *testing.T) {
 		"fail-observer":      func(s *Spec) { s.Failures = []FailEvent{{At: 1, Node: s.observer()}} },
 		"partition-observer": func(s *Spec) { s.Partitions = []PartitionEvent{{At: 1, Heal: 2, Side: []int{s.observer()}}} },
 		"unhealed-partition": func(s *Spec) { s.Partitions = []PartitionEvent{{At: 5, Heal: 5, Side: []int{0}}} },
+		// The knob combinations cluster.NewSupervisor rejects must fail
+		// at parse time, not as a run's "spec" violation.
+		"compact-without-incr": func(s *Spec) { s.Incremental, s.Liveness, s.CompactAfter = false, false, 3 },
+		"negative-rebase":      func(s *Spec) { s.RebaseEvery = -1 },
+		"negative-compact":     func(s *Spec) { s.CompactAfter = -1 },
+		"negative-pipeline":    func(s *Spec) { s.Pipeline = -1 },
 	} {
 		sp := base.Clone()
 		mutate(sp)
-		if sp.validate() == nil {
-			t.Errorf("%s: validate accepted a bad spec", name)
+		if _, err := ParseSpec(sp.MarshalLine()); err == nil {
+			t.Errorf("%s: ParseSpec accepted a bad spec", name)
 		}
 	}
 }

@@ -13,25 +13,92 @@ import (
 // heals, and all discrete faults land before the quiesce point so the
 // bounded-fault liveness invariant is meaningful.
 const (
-	genMinNodes = 3
-	genMaxNodes = 6
-	genDrain    = 3 * simtime.Second // post-quiesce completion allowance
+	genMinNodes  = 3
+	genWideNodes = 5 // four workers: erasure 2+1 keeps a spare, two shards keep a candidate each
+	genMaxNodes  = 6
+	genDrain     = 3 * simtime.Second // post-quiesce completion allowance
 )
 
-// Generate derives a complete scenario from one master seed. Equal seeds
-// yield equal specs; all randomness is confined to this function.
+// featureRow is one combination of the feature knobs a generated scenario
+// runs with. Compact and Liveness appear only on Incremental rows (there
+// is no chain to fold or to thin otherwise).
+type featureRow struct {
+	Incremental, Compact, Liveness bool
+	Pipeline                       int // capture workers; 0 = synchronous shipping
+	Replication                    string
+	Shards                         int
+	Lazy                           bool
+	Policy                         string
+}
+
+// featureRows is a pairwise covering array over the eight feature knobs:
+// every valid pair of knob values (154 of them) occurs in at least one
+// row. Twelve rows is the floor, since Pipeline × Replication alone has
+// twelve pairs, so each of those pairs appears exactly once. Seed s runs
+// row s mod len(featureRows), so any len(featureRows) consecutive seeds
+// compose every pair of features under a fresh fault schedule.
+var featureRows = []featureRow{
+	// incr, compact, live, pipeline, repl, shards, lazy, policy
+	{true, true, true, 0, "", 0, true, ""},
+	{false, false, false, 0, "buddy", 2, true, "youngdaly"},
+	{true, true, true, 0, "erasure", 2, false, ""},
+	{true, true, true, 1, "", 2, false, "youngdaly"},
+	{true, false, true, 1, "buddy", 2, false, "youngdaly"},
+	{false, false, false, 1, "erasure", 0, true, ""},
+	{false, false, false, 2, "", 2, true, ""},
+	{true, true, true, 2, "buddy", 0, true, ""},
+	{false, false, false, 2, "erasure", 0, false, "youngdaly"},
+	{true, true, true, 4, "", 2, false, ""},
+	{true, true, false, 4, "buddy", 0, true, "youngdaly"},
+	{false, false, false, 4, "erasure", 0, false, "youngdaly"},
+}
+
+// rowOf returns the feature row seed runs.
+func rowOf(seed int64) featureRow {
+	n := int64(len(featureRows))
+	return featureRows[(seed%n+n)%n]
+}
+
+// Generate derives a complete scenario from one master seed: the seed's
+// feature row fixes which features run, and the seed's RNG draws the
+// topology, workload, and fault schedule to fit it. Equal seeds yield
+// equal specs; all randomness is confined to this function.
 func Generate(seed int64) *Spec {
+	row := rowOf(seed)
+	erasure := row.Replication == "erasure"
+	minNodes := genMinNodes
+	if erasure || row.Shards > 0 {
+		minNodes = genWideNodes
+	}
 	rng := rand.New(rand.NewSource(seed))
 	sp := &Spec{
-		Seed:       seed,
-		Nodes:      genMinNodes + rng.Intn(genMaxNodes-genMinNodes+1),
-		MiB:        1,
-		WriteFrac:  0.1 + 0.3*rng.Float64(),
-		WorkSeed:   int64(rng.Intn(1 << 16)),
-		Iterations: 20 + uint64(rng.Intn(41)), // 20..60
-		Cadence:    simtime.Duration(2+rng.Intn(4)) * simtime.Millisecond,
-		Detector:   detectorNames[rng.Intn(len(detectorNames))],
-		HBPeriod:   simtime.Duration(150+rng.Intn(151)) * simtime.Microsecond,
+		Seed:        seed,
+		Nodes:       minNodes + rng.Intn(genMaxNodes-minNodes+1),
+		MiB:         1,
+		WriteFrac:   0.1 + 0.3*rng.Float64(),
+		WorkSeed:    int64(rng.Intn(1 << 16)),
+		Iterations:  20 + uint64(rng.Intn(41)), // 20..60
+		Cadence:     simtime.Duration(2+rng.Intn(4)) * simtime.Millisecond,
+		Detector:    detectorNames[rng.Intn(len(detectorNames))],
+		HBPeriod:    simtime.Duration(150+rng.Intn(151)) * simtime.Microsecond,
+		Incremental: row.Incremental,
+		Policy:      row.Policy,
+		Liveness:    row.Liveness,
+		Pipeline:    row.Pipeline,
+		Replication: row.Replication,
+		LazyRestore: row.Lazy,
+		Shards:      row.Shards,
+	}
+	// A short rebase period and a low fold bound, so a sweep-sized run
+	// crosses several rebase/GC cycles and folds several times.
+	if row.Incremental {
+		sp.RebaseEvery = 2 + rng.Intn(7) // 2..8
+	}
+	if row.Compact {
+		sp.CompactAfter = 2 + rng.Intn(3) // 2..4
+	}
+	if erasure {
+		sp.DataShards, sp.ParityShards = 2, 1
 	}
 
 	// Network faults: loss and duplication are per-message, jitter is the
@@ -68,15 +135,21 @@ func Generate(seed int64) *Spec {
 		return 2*simtime.Millisecond + simtime.Duration(rng.Int63n(window))
 	}
 
-	// Node failures: up to 2 per scenario on workers. One may be
-	// permanent when at least three workers exist (two must survive for
-	// failover to have somewhere to go).
+	// Node failures: up to 2 per scenario on workers, at most 1 on
+	// erasure rows (a second holder dead at the audit cut would exceed
+	// what 2+1 can mask — hostile, not checkable). One may be permanent
+	// when at least three workers exist (two must survive for failover
+	// to have somewhere to go).
 	workers := sp.workers()
 	permBudget := 0
 	if workers >= 3 {
 		permBudget = 1
 	}
-	nFail := rng.Intn(3)
+	maxFail := 2
+	if erasure {
+		maxFail = 1
+	}
+	nFail := rng.Intn(maxFail + 1)
 	for i := 0; i < nFail; i++ {
 		ev := FailEvent{
 			At:     at(),
@@ -114,82 +187,5 @@ func Generate(seed int64) *Spec {
 	}
 
 	sp.Budget = sp.Quiesce + genDrain
-
-	// Delta chains on about half the seeds, with a short rebase period so
-	// a sweep-sized run crosses several rebase/GC cycles. Drawn LAST:
-	// every earlier field of a given seed is identical with and without
-	// this block, so pre-chain reproducer lines stay meaningful.
-	if rng.Float64() < 0.5 {
-		sp.Incremental = true
-		sp.RebaseEvery = 2 + rng.Intn(7) // 2..8
-	}
-
-	// Pipelined shipping on about half the seeds, over fixed worker
-	// widths so a run never depends on the host's core count. Drawn after
-	// the Incremental block for the same replay-stability reason.
-	if rng.Float64() < 0.5 {
-		sp.Pipeline = []int{1, 2, 4}[rng.Intn(3)]
-	}
-
-	// Server-side compaction on about half the incremental seeds, with a
-	// low bound so sweep-sized runs fold several times. Drawn last, after
-	// Pipeline, for the same replay-stability reason; the draw happens
-	// only on Incremental seeds so non-chain replay lines are untouched.
-	if sp.Incremental && rng.Float64() < 0.5 {
-		sp.CompactAfter = 2 + rng.Intn(3) // 2..4
-	}
-
-	// Replicated checkpoint placement on about a third of the seeds:
-	// buddy mirroring at any width, 2+1 erasure only where four workers
-	// leave a spare for re-replication after a permanent loss and the
-	// schedule has at most one node failure (a second holder dead at the
-	// audit cut would exceed what 2+1 can mask — hostile, not checkable).
-	// Drawn last, after CompactAfter, so replay lines predating
-	// replication reproduce unchanged.
-	if rng.Float64() < 1.0/3 {
-		if workers >= 4 && len(sp.Failures) <= 1 && rng.Float64() < 0.5 {
-			sp.Replication = "erasure"
-			sp.DataShards, sp.ParityShards = 2, 1
-		} else {
-			sp.Replication = "buddy"
-		}
-	}
-
-	// Sharded digest detection on a quarter of the wide seeds: workers
-	// heartbeat to per-shard aggregators and the observer ingests one
-	// digest per shard per period. Needs four workers so each of the two
-	// shards still has a failover candidate when its aggregator dies.
-	// Drawn last, after Replication, so earlier replay lines reproduce
-	// unchanged.
-	if workers >= 4 && rng.Float64() < 0.25 {
-		sp.Shards = 2
-	}
-
-	// Lazy restart-before-read failover on about half the seeds. Drawn
-	// last, after Shards, so earlier replay lines reproduce unchanged;
-	// the digest checker then proves every lazy failover left memory
-	// byte-identical to an eager restore's.
-	if rng.Float64() < 0.5 {
-		sp.LazyRestore = true
-	}
-
-	// Cadence policy: a third of the seeds run the Young/Daly engine,
-	// a sixth the legacy adaptive consult, the rest stay fixed. Drawn
-	// last, after LazyRestore, so earlier replay lines reproduce
-	// unchanged.
-	switch r := rng.Float64(); {
-	case r < 1.0/3:
-		sp.Policy = "youngdaly"
-	case r < 0.5:
-		sp.Policy = "adaptive"
-	}
-
-	// Live-content deltas on half the incremental seeds. Drawn last,
-	// after Policy, for the same replay-stability reason; the draw
-	// happens only on Incremental seeds so non-chain lines are
-	// untouched.
-	if sp.Incremental && rng.Float64() < 0.5 {
-		sp.Liveness = true
-	}
 	return sp
 }

@@ -61,6 +61,7 @@ func DefaultCheckers() []Checker {
 		&livenessChecker{},
 		&replDurabilityChecker{},
 		replConvergedChecker{},
+		&workLostChecker{},
 	}
 }
 

@@ -1,66 +1,20 @@
 package chaos
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 )
 
-// TestLazyGeneratedMix pins that the generator actually draws the lazy
-// restart-before-read path across the tier-1 sweep width — the sweep
-// exercises demand faults and the prefetcher only if lazy seeds exist in
-// it, and the digest checker's lazy-vs-eager equivalence proof only runs
-// on them.
+// TestLazyGeneratedMix pins that the sweep width draws both eager and
+// lazy restart-before-read failover: the digest checker's lazy-vs-eager
+// equivalence proof runs only on lazy seeds.
 func TestLazyGeneratedMix(t *testing.T) {
-	lazy := 0
-	for seed := int64(1); seed <= sweepSeeds; seed++ {
-		if Generate(seed).LazyRestore {
-			lazy++
-		}
-	}
-	if lazy == 0 {
-		t.Fatalf("generator drew no lazy seeds in [1,%d]", sweepSeeds)
-	}
-	t.Logf("lazy seeds: %d of %d", lazy, sweepSeeds)
+	assertMix(t, func(sp *Spec) string { return fmt.Sprint(sp.LazyRestore) }, "false", "true")
 }
 
-// TestLazyForcedSweep forces the restart-before-read failover onto every
-// generated scenario and demands the full invariant catalog stay silent.
-// The digest checker turns each completed seed into an equivalence
-// proof: a failover that materialized memory lazily must leave the same
-// fingerprint an eager replay of the same schedule leaves.
-func TestLazyForcedSweep(t *testing.T) {
-	ran, engaged := 0, 0
-	for seed := int64(1); seed <= 120; seed++ {
-		sp := Generate(seed)
-		sp.LazyRestore = true
-		ran++
-		r := Run(sp)
-		if len(r.Violations) > 0 {
-			t.Errorf("seed %d: %s", seed, r.Summary())
-			for _, v := range r.Violations {
-				t.Errorf("  %s", v)
-			}
-			t.Errorf("  reproduce: %s", r.Spec.ReplayLine())
-		}
-		if strings.Contains(r.Counters, "restore.lazy") {
-			engaged++
-		}
-	}
-	if engaged == 0 {
-		t.Fatalf("no seed in [1,%d] ever took the lazy restore path", ran)
-	}
-	t.Logf("lazy sweep covered %d seeds, %d with at least one lazy restore", ran, engaged)
-}
-
-// TestLazyRunDeterministic double-runs lazy scenarios and requires equal
-// digests: demand-fault ordering, prefetch batching, and session
-// settling must all be schedule-stable.
+// TestLazyRunDeterministic double-runs lazy scenarios: demand-fault
+// ordering, prefetch batching, and session settling must all be
+// schedule-stable.
 func TestLazyRunDeterministic(t *testing.T) {
-	for _, seed := range []int64{1, 5, 9, 13} {
-		sp := Generate(seed)
-		sp.LazyRestore = true
-		if ok, a, b := Confirm(sp); !ok {
-			t.Fatalf("lazy seed %d nondeterministic: %#x vs %#x", seed, a.Digest, b.Digest)
-		}
-	}
+	confirmRows(t, func(sp *Spec) bool { return sp.LazyRestore })
 }

@@ -12,15 +12,8 @@ import (
 	"repro/internal/cluster"
 )
 
-// NewWorkLostChecker returns the policy economics invariant: on a
-// youngdaly seed, the total work lost to failures must stay within
-// workLostFactor of a fixed-cadence twin run of the same spec and seed.
-// The checker reruns the twin inside Finish, so it is not part of
-// DefaultCheckers — the policy sweep opts in.
-func NewWorkLostChecker() Checker { return &workLostChecker{} }
-
 // workLostFactor bounds youngdaly work lost relative to the fixed twin.
-// 2x, not 1x: on a single short scenario the adaptive cadence can lose
+// 2x, not 1x: on a single short scenario the youngdaly cadence can lose
 // one extra partial interval to an unluckily placed failure; what it
 // must never do is collapse (stop checkpointing, lose the whole run).
 const workLostFactor = 2.0
@@ -29,6 +22,10 @@ const workLostFactor = 2.0
 // where both totals are a few scheduler ticks wide.
 const workLostSlackMS = 2.0
 
+// workLostChecker is the policy economics invariant: on a youngdaly
+// seed, the total work lost to failures must stay within workLostFactor
+// of a fixed-cadence twin run of the same spec and seed, which Finish
+// reruns. On every other seed it does nothing.
 type workLostChecker struct{}
 
 func (*workLostChecker) Name() string { return "policy-work-lost" }

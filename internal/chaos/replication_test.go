@@ -11,87 +11,18 @@ import (
 	"repro/internal/storage/erasure"
 )
 
-// TestReplicationGeneratedMix pins that the generator actually draws
-// both placement modes across the tier-1 sweep width — the sweep is the
+// TestReplicationGeneratedMix pins that the sweep width draws both
+// placement modes beside the server-only path: the sweep is the
 // replication acceptance gate only if replicated seeds exist in it.
 func TestReplicationGeneratedMix(t *testing.T) {
-	buddy, ec := 0, 0
-	for seed := int64(1); seed <= sweepSeeds; seed++ {
-		switch Generate(seed).Replication {
-		case "buddy":
-			buddy++
-		case "erasure":
-			ec++
-		}
-	}
-	if buddy == 0 || ec == 0 {
-		t.Fatalf("generator drew buddy=%d erasure=%d replicated seeds in [1,%d]", buddy, ec, sweepSeeds)
-	}
-	t.Logf("replicated seeds: buddy=%d erasure=%d of %d", buddy, ec, sweepSeeds)
-}
-
-// TestReplicationForcedBuddySweep forces buddy mirroring onto every
-// generated scenario (whatever its fault schedule) and demands the full
-// invariant catalog stay silent — including the repl-durability masks
-// and the repl-converged end-state audit.
-func TestReplicationForcedBuddySweep(t *testing.T) {
-	for seed := int64(1); seed <= 60; seed++ {
-		sp := Generate(seed)
-		sp.Replication, sp.DataShards, sp.ParityShards = "buddy", 0, 0
-		if r := Run(sp); len(r.Violations) > 0 {
-			t.Errorf("seed %d: %s", seed, r.Summary())
-			for _, v := range r.Violations {
-				t.Errorf("  %s", v)
-			}
-			t.Errorf("  reproduce: %s", r.Spec.ReplayLine())
-		}
-	}
-}
-
-// TestReplicationForcedErasureSweep forces 2+1 erasure coding onto every
-// generated scenario wide enough to hold it, under the same constraint
-// the generator applies (at most one node failure — a second holder dead
-// at the audit cut exceeds what 2+1 can mask).
-func TestReplicationForcedErasureSweep(t *testing.T) {
-	ran := 0
-	for seed := int64(1); seed <= 120; seed++ {
-		sp := Generate(seed)
-		if sp.workers() < 4 || len(sp.Failures) > 1 {
-			continue
-		}
-		sp.Replication, sp.DataShards, sp.ParityShards = "erasure", 2, 1
-		ran++
-		if r := Run(sp); len(r.Violations) > 0 {
-			t.Errorf("seed %d: %s", seed, r.Summary())
-			for _, v := range r.Violations {
-				t.Errorf("  %s", v)
-			}
-			t.Errorf("  reproduce: %s", r.Spec.ReplayLine())
-		}
-	}
-	if ran < 10 {
-		t.Fatalf("only %d seeds in [1,120] were erasure-eligible", ran)
-	}
-	t.Logf("erasure sweep covered %d seeds", ran)
+	assertMix(t, func(sp *Spec) string { return sp.Replication }, "", "buddy", "erasure")
 }
 
 // TestReplicationRunDeterministic double-runs replicated scenarios of
-// both modes and requires equal digests: the fan-out writes, repair
-// sweeps, and audit reads must all be schedule-stable.
+// both modes: the fan-out writes, repair sweeps, and audit reads must
+// all be schedule-stable.
 func TestReplicationRunDeterministic(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		sp := Generate(seed)
-		sp.Replication = "buddy"
-		if ok, a, b := Confirm(sp); !ok {
-			t.Fatalf("buddy seed %d nondeterministic: %#x vs %#x", seed, a.Digest, b.Digest)
-		}
-		if sp = Generate(seed); sp.workers() >= 4 && len(sp.Failures) <= 1 {
-			sp.Replication, sp.DataShards, sp.ParityShards = "erasure", 2, 1
-			if ok, a, b := Confirm(sp); !ok {
-				t.Fatalf("erasure seed %d nondeterministic: %#x vs %#x", seed, a.Digest, b.Digest)
-			}
-		}
-	}
+	confirmRows(t, func(sp *Spec) bool { return sp.Replication != "" })
 }
 
 // TestReplicationSpecValidation rejects the replication knobs the
@@ -100,7 +31,7 @@ func TestReplicationSpecValidation(t *testing.T) {
 	base := Generate(1)
 	for name, mutate := range map[string]func(*Spec){
 		"unknown-mode":          func(s *Spec) { s.Replication = "raid6" },
-		"geometry-without-mode": func(s *Spec) { s.DataShards = 2 },
+		"geometry-without-mode": func(s *Spec) { s.Replication, s.DataShards = "", 2 },
 		"geometry-with-buddy":   func(s *Spec) { s.Replication = "buddy"; s.ParityShards = 1 },
 		"erasure-too-wide":      func(s *Spec) { s.Replication = "erasure"; s.DataShards = 5; s.ParityShards = 2 },
 	} {
@@ -111,7 +42,7 @@ func TestReplicationSpecValidation(t *testing.T) {
 		}
 	}
 	ok := base.Clone()
-	ok.Replication = "buddy"
+	ok.Replication, ok.DataShards, ok.ParityShards = "buddy", 0, 0
 	if err := ok.validate(); err != nil {
 		t.Errorf("buddy spec rejected: %v", err)
 	}

@@ -1,75 +1,25 @@
 package chaos
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/simtime"
 )
 
-// TestShardedGeneratedMix pins that the generator actually draws the
-// sharded digest path across the tier-1 sweep width — the sweep
-// exercises aggregator failover only if sharded seeds exist in it.
+// TestShardedGeneratedMix pins that the sweep width draws both the flat
+// monitor and the sharded digest path: the sweep exercises aggregator
+// failover only if sharded seeds exist in it.
 func TestShardedGeneratedMix(t *testing.T) {
-	sharded := 0
-	for seed := int64(1); seed <= sweepSeeds; seed++ {
-		if Generate(seed).Shards >= 2 {
-			sharded++
-		}
-	}
-	if sharded == 0 {
-		t.Fatalf("generator drew no sharded seeds in [1,%d]", sweepSeeds)
-	}
-	t.Logf("sharded seeds: %d of %d", sharded, sweepSeeds)
+	assertMix(t, func(sp *Spec) string { return fmt.Sprint(sp.Shards) }, "0", "2")
 }
 
-// TestShardedForcedSweep forces digest detection onto every generated
-// scenario wide enough for it (each of the two shards keeps a failover
-// candidate when its aggregator dies) and demands the full invariant
-// catalog stay silent — the sharded path must survive the same storage
-// faults, partitions, and node failures as the flat Monitor.
-func TestShardedForcedSweep(t *testing.T) {
-	ran := 0
-	for seed := int64(1); seed <= 120; seed++ {
-		sp := Generate(seed)
-		if sp.workers() < 4 {
-			continue
-		}
-		sp.Shards = 2
-		ran++
-		if r := Run(sp); len(r.Violations) > 0 {
-			t.Errorf("seed %d: %s", seed, r.Summary())
-			for _, v := range r.Violations {
-				t.Errorf("  %s", v)
-			}
-			t.Errorf("  reproduce: %s", r.Spec.ReplayLine())
-		}
-	}
-	if ran < 10 {
-		t.Fatalf("only %d seeds in [1,120] were shard-eligible", ran)
-	}
-	t.Logf("sharded sweep covered %d seeds", ran)
-}
-
-// TestShardedRunDeterministic double-runs sharded scenarios and requires
-// equal digests: digest emission, aggregator reassignment, and the
-// suspicion log must all be schedule-stable.
+// TestShardedRunDeterministic double-runs sharded scenarios: digest
+// emission, aggregator reassignment, and the suspicion log must all be
+// schedule-stable.
 func TestShardedRunDeterministic(t *testing.T) {
-	checked := 0
-	for seed := int64(1); seed <= 20 && checked < 4; seed++ {
-		sp := Generate(seed)
-		if sp.workers() < 4 {
-			continue
-		}
-		sp.Shards = 2
-		checked++
-		if ok, a, b := Confirm(sp); !ok {
-			t.Fatalf("sharded seed %d nondeterministic: %#x vs %#x", seed, a.Digest, b.Digest)
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no shard-eligible seed in [1,20]")
-	}
+	confirmRows(t, func(sp *Spec) bool { return sp.Shards > 0 })
 }
 
 // TestShardedAggregatorDeath kills a shard aggregator under the digest

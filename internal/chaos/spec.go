@@ -1,8 +1,11 @@
 // Package chaos is a FoundationDB-style deterministic simulation-testing
-// harness over the cluster: a single int64 seed drives a generator that
-// composes a random topology, workload, checkpoint policy, and fault
-// schedule (storage faults, network loss/jitter/duplication/partitions,
-// transient and permanent node failures, detector choice); an executor
+// harness over the cluster: a single int64 seed picks a row of a pairwise
+// covering array over the feature knobs (delta chains, compaction,
+// liveness, pipelining, replication, sharded detection, lazy restore,
+// cadence policy) and drives a generator that composes a random
+// topology, workload, and fault schedule around it (storage faults,
+// network loss/jitter/duplication/partitions, transient and permanent
+// node failures, detector choice); an executor
 // runs the autonomic supervisor over the scenario while a registry of
 // invariant checkers observes every orchestration event. On a violation
 // the harness re-runs the same seed to confirm determinism, then greedily
@@ -81,8 +84,8 @@ type Spec struct {
 	// Policy selects the cadence strategy fed to the policy engine:
 	// "" or "fixed" checkpoints every Cadence; "youngdaly" recomputes
 	// the Young/Daly optimum from the online MTBF estimate and measured
-	// capture cost; "adaptive" is the legacy per-tick Young consult.
-	// Empty is the default for replay lines predating the engine.
+	// capture cost, and the work-lost checker bounds it against a
+	// fixed-cadence twin run.
 	Policy string `json:"policy,omitempty"`
 	// Liveness switches delta content to live pages only (Incremental
 	// seeds only): pages overwritten before ever being read are withheld
@@ -188,15 +191,9 @@ func (sp *Spec) replicationConfig() *cluster.ReplicationConfig {
 // policySpec translates the Cadence/Policy/Liveness knobs into the
 // supervisor's policy.Spec.
 func (sp *Spec) policySpec() policy.Spec {
-	var pol policy.Spec
-	switch sp.Policy {
-	case "youngdaly":
+	pol := policy.Fixed(sp.Cadence)
+	if sp.Policy == "youngdaly" {
 		pol = policy.YoungDaly(sp.Cadence)
-	case "adaptive":
-		pol = policy.AdaptiveYoung(0)
-		pol.Interval = sp.Cadence
-	default:
-		pol = policy.Fixed(sp.Cadence)
 	}
 	if sp.Liveness {
 		pol.Content = policy.ContentLive
@@ -209,10 +206,6 @@ func (sp *Spec) observer() int { return sp.Nodes - 1 }
 
 // workers returns the worker count (every node but the observer).
 func (sp *Spec) workers() int { return sp.Nodes - 1 }
-
-// Workers exposes the worker count to external sweep drivers (crsurvey
-// forcing replication needs it to judge erasure eligibility).
-func (sp *Spec) Workers() int { return sp.workers() }
 
 // Size is the shrinker's cost metric: fewer faults, fewer nodes, a
 // shorter workload, and a tighter schedule all count as smaller.
@@ -290,12 +283,19 @@ func (sp *Spec) validate() error {
 		return fmt.Errorf("chaos: interval and heartbeat period must be positive")
 	}
 	switch sp.Policy {
-	case "", "fixed", "youngdaly", "adaptive":
+	case "", "fixed", "youngdaly":
 	default:
 		return fmt.Errorf("chaos: unknown cadence policy %q", sp.Policy)
 	}
+	if sp.RebaseEvery < 0 || sp.CompactAfter < 0 || sp.Pipeline < 0 {
+		return fmt.Errorf("chaos: negative rebase %d, compact %d or pipeline %d",
+			sp.RebaseEvery, sp.CompactAfter, sp.Pipeline)
+	}
 	if sp.Liveness && !sp.Incremental {
 		return fmt.Errorf("chaos: liveness content needs incremental chains")
+	}
+	if sp.CompactAfter > 0 && !sp.Incremental {
+		return fmt.Errorf("chaos: compaction needs incremental chains")
 	}
 	if sp.Budget <= sp.Quiesce {
 		return fmt.Errorf("chaos: budget %v must exceed quiesce %v", sp.Budget, sp.Quiesce)

@@ -46,8 +46,9 @@ type JobConfig struct {
 	RepairTime simtime.Duration
 	// Policy is the checkpoint cadence policy, consulted before every
 	// segment with the estimator's live state (policy.Fixed for the
-	// classic configured interval, policy.AdaptiveYoung for §1's
-	// re-derive-every-segment behaviour). A zero Spec disables
+	// classic configured interval; a youngdaly spec with no base
+	// interval for §1's re-derive-every-segment behaviour, unclamped
+	// Young from the live MTBF estimate). A zero Spec disables
 	// checkpointing.
 	Policy policy.Spec
 	// Storage is the checkpoint placement policy.

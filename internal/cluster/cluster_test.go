@@ -344,7 +344,7 @@ func TestAdaptiveYoungConvergesToOracle(t *testing.T) {
 	oracle := cfg
 	oracle.Policy = policy.Fixed(YoungInterval(cfg.CkptCost, fm.Mean))
 	adaptive := cfg
-	adaptive.Policy = policy.AdaptiveYoung(cfg.CkptCost)
+	adaptive.Policy = policy.Spec{Strategy: policy.StrategyYoungDaly, CkptCost: cfg.CkptCost}
 
 	ro := AverageResult(oracle, fm, 11, 40)
 	ra := AverageResult(adaptive, fm, 11, 40)

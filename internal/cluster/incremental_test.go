@@ -195,7 +195,7 @@ func TestAdaptiveIntervalShrinksMidIncarnation(t *testing.T) {
 		MkMech:     func() mechanism.Mechanism { return syslevel.NewCRAK() },
 		Prog:       prog,
 		Iterations: 1_000_000, // unused: agents are pumped directly, Run never starts
-		Policy:     policy.Spec{Strategy: policy.StrategyAdaptive, Interval: 5 * simtime.Millisecond},
+		Policy:     policy.YoungDaly(5 * simtime.Millisecond),
 		Estimator:  est,
 		Counters:   c.Counters,
 		Fence:      storage.NewFenceDomain("job", c.Counters),
@@ -215,10 +215,11 @@ func TestAdaptiveIntervalShrinksMidIncarnation(t *testing.T) {
 	}
 
 	// The world turns hostile: ten failures over one observed millisecond
-	// collapse the MTBF estimate from the 20ms prior to 100µs.
-	est.ObserveUptime(simtime.Millisecond)
+	// collapse the MTBF estimate from the 20ms prior to 100µs, and the
+	// youngdaly engine recomputes its cadence on each one.
+	sup.Policy.ObserveUptime(simtime.Millisecond)
 	for i := 0; i < 10; i++ {
-		est.ObserveFailure()
+		sup.Policy.ObserveFailure()
 	}
 	if !c.RunUntil(func() bool { return sup.Checkpoints >= 2 }, simtime.Second) {
 		t.Fatal("second checkpoint never happened")

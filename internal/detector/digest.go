@@ -228,15 +228,11 @@ type ShardConfig struct {
 // lowest unsuspected member is appointed in its place (AssignAgg,
 // rebroadcast a bounded number of periods), so an aggregator death
 // costs one detection delay rather than blinding the shard forever.
-// The accounting mirrors Monitor exactly — detection latency against
-// ground-truth failure times, false positives, false negatives — so
-// experiment tables compare the two paths directly.
+// The verdicts and their accounting are Monitor's own (both embed one
+// core), so experiment tables compare the two paths directly.
 type ShardMonitor struct {
-	T        Transport
-	D        Detector
-	Cfg      ShardConfig
-	Counters *trace.Counters
-	Latency  *trace.Series
+	verdicts
+	Cfg ShardConfig
 
 	ingest *DigestIngest
 
@@ -261,14 +257,6 @@ type ShardMonitor struct {
 	aggSeq   []uint64
 	aggNext  []simtime.Time
 	pending  []*Digest
-
-	// Observer-side verdicts and ground-truth accounting.
-	suspected []bool
-	credited  []bool
-	falseSus  []bool
-	lastSent  []simtime.Time
-	lastDown  []simtime.Time
-	events    []Event
 }
 
 // NewShardMonitor builds a sharded monitor over t, splits the workers
@@ -282,9 +270,6 @@ func NewShardMonitor(t Transport, d Detector, cfg ShardConfig, ctr *trace.Counte
 	if cfg.HBBytes <= 0 {
 		cfg.HBBytes = 64
 	}
-	if ctr == nil {
-		ctr = trace.NewCounters()
-	}
 	n := t.NumNodes()
 	if cfg.Observer != n-1 {
 		panic(fmt.Sprintf("detector: ShardMonitor needs the observer as the last node (got observer %d of %d nodes)", cfg.Observer, n))
@@ -297,27 +282,23 @@ func NewShardMonitor(t Transport, d Detector, cfg ShardConfig, ctr *trace.Counte
 		cfg.Shards = workers
 	}
 	m := &ShardMonitor{
-		T: t, D: d, Cfg: cfg, Counters: ctr, Latency: &trace.Series{},
-		ingest:    NewDigestIngest(d, ctr),
-		base:      make([]int, cfg.Shards),
-		cnt:       make([]int, cfg.Shards),
-		want:      make([]int, cfg.Shards),
-		gen:       make([]uint64, cfg.Shards),
-		resend:    make([]int, cfg.Shards),
-		aim:       make([]int, n),
-		aimGen:    make([]uint64, n),
-		acting:    make([]bool, n),
-		seq:       make([]uint64, n),
-		nextEmit:  make([]simtime.Time, n),
-		aggSeq:    make([]uint64, n),
-		aggNext:   make([]simtime.Time, n),
-		pending:   make([]*Digest, n),
-		suspected: make([]bool, n),
-		credited:  make([]bool, n),
-		falseSus:  make([]bool, n),
-		lastSent:  make([]simtime.Time, n),
-		lastDown:  make([]simtime.Time, n),
+		verdicts: newVerdicts(t, d, cfg.Observer, ctr),
+		Cfg:      cfg,
+		base:     make([]int, cfg.Shards),
+		cnt:      make([]int, cfg.Shards),
+		want:     make([]int, cfg.Shards),
+		gen:      make([]uint64, cfg.Shards),
+		resend:   make([]int, cfg.Shards),
+		aim:      make([]int, n),
+		aimGen:   make([]uint64, n),
+		acting:   make([]bool, n),
+		seq:      make([]uint64, n),
+		nextEmit: make([]simtime.Time, n),
+		aggSeq:   make([]uint64, n),
+		aggNext:  make([]simtime.Time, n),
+		pending:  make([]*Digest, n),
 	}
+	m.ingest = NewDigestIngest(d, m.Counters)
 	chunk := (workers + cfg.Shards - 1) / cfg.Shards
 	for s := 0; s < cfg.Shards; s++ {
 		lo := s * chunk
@@ -377,10 +358,7 @@ func NewShardMonitor(t Transport, d Detector, cfg ShardConfig, ctr *trace.Counte
 			prev(payload)
 		}
 	})
-	t.OnNodeDown(func(node int) {
-		m.lastDown[node] = t.Now()
-		m.credited[node] = false
-	})
+	t.OnNodeDown(m.noteDown)
 	t.OnStep(m.pump)
 	return m
 }
@@ -443,9 +421,8 @@ func (m *ShardMonitor) onAssign(node int, a AssignAgg) {
 }
 
 // onDigest runs on the observer: dedup + detector feed via the ingest,
-// then the same ground-truth accounting Monitor does per heartbeat —
-// send times advance, and a member whose outage came and went inside
-// its digest silence is a false negative.
+// then the ground-truth accounting Monitor does per heartbeat, once per
+// present member.
 func (m *ShardMonitor) onDigest(d *Digest) {
 	now := m.T.Now()
 	if d.Gen < m.gen[d.Shard] {
@@ -462,25 +439,10 @@ func (m *ShardMonitor) onDigest(d *Digest) {
 		return // exact duplicate
 	}
 	for i := 0; i < d.N; i++ {
-		if !d.IsPresent(i) {
-			continue
-		}
-		node := d.Base + i
-		sent := d.LastSent[i]
-		if m.outageInSilence(node) && !m.suspected[node] && sent > m.lastDown[node] {
-			m.Counters.Inc("det.missed", 1)
-			m.credited[node] = true
-		}
-		if sent > m.lastSent[node] {
-			m.lastSent[node] = sent
+		if d.IsPresent(i) {
+			m.heard(d.Base+i, d.LastSent[i])
 		}
 	}
-}
-
-// outageInSilence mirrors Monitor: the node's current silence contains
-// an uncredited real outage. Ground truth, metrics only.
-func (m *ShardMonitor) outageInSilence(node int) bool {
-	return m.lastDown[node] > m.lastSent[node] && !m.credited[node]
 }
 
 // pump runs once per cluster step: member heartbeat emission,
@@ -547,29 +509,7 @@ func (m *ShardMonitor) pump() {
 
 	// Suspicion evaluation over the workers (the observer is the
 	// control plane and is never judged).
-	for node := 0; node < workers; node++ {
-		s := m.D.Suspected(node, now)
-		if s == m.suspected[node] {
-			continue
-		}
-		m.suspected[node] = s
-		if s {
-			m.Counters.Inc("det.suspicions", 1)
-			fp := !m.outageInSilence(node)
-			m.falseSus[node] = fp
-			if fp {
-				m.Counters.Inc("det.false_positives", 1)
-			} else {
-				m.Counters.Inc("det.detections", 1)
-				m.credited[node] = true
-				m.Latency.Add(now.Sub(m.lastDown[node]).Millis())
-			}
-			m.events = append(m.events, Event{Node: node, At: now, Suspected: true, FalsePositive: fp})
-		} else {
-			m.Counters.Inc("det.recoveries", 1)
-			m.events = append(m.events, Event{Node: node, At: now})
-		}
-	}
+	m.judge(workers, now)
 }
 
 // observerTick reassigns suspected aggregators and drains the resend
@@ -620,32 +560,6 @@ func (m *ShardMonitor) observerTick() {
 		}
 	}
 }
-
-// Suspected reports the current digest-derived verdict for node.
-func (m *ShardMonitor) Suspected(node int) bool { return m.suspected[node] }
-
-// PickHealthy returns the lowest-numbered node that is neither except,
-// the observer, nor currently suspected; -1 when none qualifies.
-func (m *ShardMonitor) PickHealthy(except int) int {
-	for i := 0; i < m.T.NumNodes(); i++ {
-		if i == except || i == m.Cfg.Observer || m.suspected[i] {
-			continue
-		}
-		return i
-	}
-	return -1
-}
-
-// Failover records that the supervisor acted on a suspicion of node.
-func (m *ShardMonitor) Failover(node int) {
-	m.Counters.Inc("det.failovers", 1)
-	if m.falseSus[node] {
-		m.Counters.Inc("det.wasted_restarts", 1)
-	}
-}
-
-// Events returns the suspicion transition log.
-func (m *ShardMonitor) Events() []Event { return m.events }
 
 // Aggregator returns shard s's currently appointed aggregator node (the
 // observer's view), for tests and telemetry.

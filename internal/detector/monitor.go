@@ -48,27 +48,151 @@ type Config struct {
 	HBBytes int
 }
 
-// Monitor wires heartbeat emission, the network, and a Detector into a
-// per-node suspicion service, with honest accounting: detection latency
-// against ground-truth failure times, false positives, false negatives
-// (failures healed before ever being suspected), and wasted restarts.
-type Monitor struct {
-	T   Transport
-	D   Detector
-	Cfg Config
+// verdicts is the observer-side core both monitors embed: per-node
+// suspicion driven by a Detector, honest accounting of every verdict
+// against ground truth (detection latency for real failures, false
+// positives for slow-but-alive nodes, false negatives for failures
+// healed before ever being suspected, wasted restarts), the suspicion
+// event log, and the failure-detector surface the supervisor consults.
+// The monitors differ only in how heartbeats reach the observer.
+type verdicts struct {
+	T Transport
+	D Detector
 	// Counters receives det.* counters; Latency accumulates detection
 	// latency (simulated milliseconds) for true failures.
 	Counters *trace.Counters
 	Latency  *trace.Series
 
-	seq       []uint64
-	nextEmit  []simtime.Time
+	observer  int
 	suspected []bool
-	lastSent  []simtime.Time // latest SentAt over received heartbeats
+	lastSent  []simtime.Time // latest SentAt over heartbeats heard
 	lastDown  []simtime.Time // ground truth: most recent down event (metrics only)
 	credited  []bool         // the outage at lastDown has been classified
 	falseSus  []bool         // current suspicion was classified false
 	events    []Event
+}
+
+// newVerdicts builds the core for every node of t; the owning monitor
+// hooks noteDown on node-down. A nil ctr gets a fresh counter set.
+func newVerdicts(t Transport, d Detector, observer int, ctr *trace.Counters) verdicts {
+	if ctr == nil {
+		ctr = trace.NewCounters()
+	}
+	n := t.NumNodes()
+	return verdicts{
+		T: t, D: d, Counters: ctr, Latency: &trace.Series{},
+		observer:  observer,
+		suspected: make([]bool, n),
+		lastSent:  make([]simtime.Time, n),
+		lastDown:  make([]simtime.Time, n),
+		credited:  make([]bool, n),
+		falseSus:  make([]bool, n),
+	}
+}
+
+// noteDown records a ground-truth outage of node (the OnNodeDown hook).
+func (v *verdicts) noteDown(node int) {
+	v.lastDown[node] = v.T.Now()
+	v.credited[node] = false
+}
+
+// outageInSilence reports whether node's current heartbeat silence
+// contains an uncredited real outage: the node went down after the last
+// heartbeat it managed to SEND, so the silence is genuinely
+// failure-caused (whether or not the node has since rebooted).
+// Comparing against send time, not arrival, keeps in-flight stragglers
+// emitted just before death from masking the outage. Ground truth,
+// metrics only.
+func (v *verdicts) outageInSilence(node int) bool {
+	return v.lastDown[node] > v.lastSent[node] && !v.credited[node]
+}
+
+// heard accounts one heartbeat of node sent at sent reaching the
+// observer, directly or inside a digest.
+func (v *verdicts) heard(node int, sent simtime.Time) {
+	if v.outageInSilence(node) && !v.suspected[node] && sent > v.lastDown[node] {
+		// A post-reboot heartbeat arrived before the outage was ever
+		// suspected: the failure came and went undetected — a false
+		// negative.
+		v.Counters.Inc("det.missed", 1)
+		v.credited[node] = true
+	}
+	if sent > v.lastSent[node] {
+		v.lastSent[node] = sent
+	}
+}
+
+// judge re-evaluates the suspicion of nodes [0,n) at now, logging and
+// classifying every transition.
+func (v *verdicts) judge(n int, now simtime.Time) {
+	for i := 0; i < n; i++ {
+		s := v.D.Suspected(i, now)
+		if s == v.suspected[i] {
+			continue
+		}
+		v.suspected[i] = s
+		if s {
+			v.Counters.Inc("det.suspicions", 1)
+			// Classification keys on whether the silence that triggered
+			// suspicion was caused by a real outage — not on whether the
+			// node happens to be back up at this instant (a repair faster
+			// than the detector must not turn a true positive false).
+			fp := !v.outageInSilence(i)
+			v.falseSus[i] = fp
+			if fp {
+				v.Counters.Inc("det.false_positives", 1)
+			} else {
+				v.Counters.Inc("det.detections", 1)
+				v.credited[i] = true
+				v.Latency.Add(now.Sub(v.lastDown[i]).Millis())
+			}
+			v.events = append(v.events, Event{Node: i, At: now, Suspected: true, FalsePositive: fp})
+		} else {
+			v.Counters.Inc("det.recoveries", 1)
+			v.events = append(v.events, Event{Node: i, At: now})
+		}
+	}
+}
+
+// Suspected reports the current verdict for node — derived purely from
+// the heartbeat stream (this is the supervisor's only failure signal).
+func (v *verdicts) Suspected(node int) bool { return v.suspected[node] }
+
+// PickHealthy returns the lowest-numbered node that is neither except,
+// the observer, nor currently suspected; -1 when none qualifies.
+func (v *verdicts) PickHealthy(except int) int {
+	for i := 0; i < v.T.NumNodes(); i++ {
+		if i == except || i == v.observer || v.suspected[i] {
+			continue
+		}
+		return i
+	}
+	return -1
+}
+
+// Failover records that the supervisor acted on a suspicion of node —
+// restarted the job elsewhere. If the suspicion was a false positive the
+// job was still running and the restart was wasted work (counted
+// det.wasted_restarts).
+func (v *verdicts) Failover(node int) {
+	v.Counters.Inc("det.failovers", 1)
+	if v.falseSus[node] {
+		v.Counters.Inc("det.wasted_restarts", 1)
+	}
+}
+
+// Events returns the suspicion transition log.
+func (v *verdicts) Events() []Event { return v.events }
+
+// Monitor wires heartbeat emission, the network, and a Detector into a
+// per-node suspicion service: every node heartbeats straight to the
+// observer, and the embedded verdict core judges and accounts.
+type Monitor struct {
+	verdicts
+	Cfg Config
+
+	seq      []uint64
+	nextEmit []simtime.Time
 }
 
 // NewMonitor builds a monitor, installs its heartbeat handler on the
@@ -81,19 +205,12 @@ func NewMonitor(t Transport, d Detector, cfg Config, ctr *trace.Counters) *Monit
 	if cfg.HBBytes <= 0 {
 		cfg.HBBytes = 64
 	}
-	if ctr == nil {
-		ctr = trace.NewCounters()
-	}
 	n := t.NumNodes()
 	m := &Monitor{
-		T: t, D: d, Cfg: cfg, Counters: ctr, Latency: &trace.Series{},
-		seq:       make([]uint64, n),
-		nextEmit:  make([]simtime.Time, n),
-		suspected: make([]bool, n),
-		lastSent:  make([]simtime.Time, n),
-		lastDown:  make([]simtime.Time, n),
-		credited:  make([]bool, n),
-		falseSus:  make([]bool, n),
+		verdicts: newVerdicts(t, d, cfg.Observer, ctr),
+		Cfg:      cfg,
+		seq:      make([]uint64, n),
+		nextEmit: make([]simtime.Time, n),
 	}
 	now := t.Now()
 	for i := 0; i < n; i++ {
@@ -110,38 +227,15 @@ func NewMonitor(t Transport, d Detector, cfg Config, ctr *trace.Counters) *Monit
 			prev(payload)
 		}
 	})
-	t.OnNodeDown(func(node int) {
-		m.lastDown[node] = t.Now()
-		m.credited[node] = false
-	})
+	t.OnNodeDown(m.noteDown)
 	t.OnStep(m.pump)
 	return m
-}
-
-// outageInSilence reports whether node's current heartbeat silence
-// contains an uncredited real outage: the node went down after the last
-// heartbeat it managed to SEND, so the silence is genuinely
-// failure-caused (whether or not the node has since rebooted).
-// Comparing against send time, not arrival, keeps in-flight stragglers
-// emitted just before death from masking the outage. Ground truth,
-// metrics only.
-func (m *Monitor) outageInSilence(node int) bool {
-	return m.lastDown[node] > m.lastSent[node] && !m.credited[node]
 }
 
 // onHeartbeat feeds an arrival to the detector.
 func (m *Monitor) onHeartbeat(hb Heartbeat) {
 	m.Counters.Inc("det.heartbeats", 1)
-	if m.outageInSilence(hb.Node) && !m.suspected[hb.Node] && hb.SentAt > m.lastDown[hb.Node] {
-		// A post-reboot heartbeat arrived before the outage was ever
-		// suspected: the failure came and went undetected — a false
-		// negative.
-		m.Counters.Inc("det.missed", 1)
-		m.credited[hb.Node] = true
-	}
-	if hb.SentAt > m.lastSent[hb.Node] {
-		m.lastSent[hb.Node] = hb.SentAt
-	}
+	m.heard(hb.Node, hb.SentAt)
 	m.D.Observe(hb.Node, m.T.Now())
 }
 
@@ -163,61 +257,5 @@ func (m *Monitor) pump() {
 			m.nextEmit[i] = now.Add(m.Cfg.Period)
 		}
 	}
-	for i := range m.suspected {
-		s := m.D.Suspected(i, now)
-		if s == m.suspected[i] {
-			continue
-		}
-		m.suspected[i] = s
-		if s {
-			m.Counters.Inc("det.suspicions", 1)
-			// Classification keys on whether the silence that triggered
-			// suspicion was caused by a real outage — not on whether the
-			// node happens to be back up at this instant (a repair faster
-			// than the detector must not turn a true positive false).
-			fp := !m.outageInSilence(i)
-			m.falseSus[i] = fp
-			if fp {
-				m.Counters.Inc("det.false_positives", 1)
-			} else {
-				m.Counters.Inc("det.detections", 1)
-				m.credited[i] = true
-				m.Latency.Add(now.Sub(m.lastDown[i]).Millis())
-			}
-			m.events = append(m.events, Event{Node: i, At: now, Suspected: true, FalsePositive: fp})
-		} else {
-			m.Counters.Inc("det.recoveries", 1)
-			m.events = append(m.events, Event{Node: i, At: now})
-		}
-	}
+	m.judge(len(m.suspected), now)
 }
-
-// Suspected reports the current verdict for node — derived purely from
-// the heartbeat stream (this is the supervisor's only failure signal).
-func (m *Monitor) Suspected(node int) bool { return m.suspected[node] }
-
-// PickHealthy returns the lowest-numbered node that is neither except,
-// the observer, nor currently suspected; -1 when none qualifies.
-func (m *Monitor) PickHealthy(except int) int {
-	for i := 0; i < m.T.NumNodes(); i++ {
-		if i == except || i == m.Cfg.Observer || m.suspected[i] {
-			continue
-		}
-		return i
-	}
-	return -1
-}
-
-// Failover records that the supervisor acted on a suspicion of node —
-// restarted the job elsewhere. If the suspicion was a false positive the
-// job was still running and the restart was wasted work (counted
-// det.wasted_restarts).
-func (m *Monitor) Failover(node int) {
-	m.Counters.Inc("det.failovers", 1)
-	if m.falseSus[node] {
-		m.Counters.Inc("det.wasted_restarts", 1)
-	}
-}
-
-// Events returns the suspicion transition log.
-func (m *Monitor) Events() []Event { return m.events }

@@ -137,7 +137,7 @@ func TestE6YoungNearOptimal(t *testing.T) {
 			atOpt = v
 		case i == 0:
 			tooShort = v
-		case tb.Cell(i, 0) == "adaptive":
+		case tb.Cell(i, 0) == "youngdaly":
 			adaptive = v
 		case i == tb.NumRows()-2:
 			tooLong = v

@@ -31,8 +31,8 @@ type Engine struct {
 	// cost is the EWMA of measured capture durations; zero until the
 	// first observation (IntervalFor then falls back to spec.CkptCost).
 	cost simtime.Duration
-	// cur is the youngdaly strategy's current cadence, recomputed on
-	// observation events only.
+	// cur is the current cadence: the fixed interval, or the youngdaly
+	// cadence recomputed on observation events only.
 	cur        simtime.Duration
 	recomputes int
 }
@@ -80,21 +80,10 @@ func (e *Engine) CaptureCost() simtime.Duration {
 // recomputed — the expected observation count of `policy.interval`.
 func (e *Engine) Recomputes() int { return e.recomputes }
 
-// Interval returns the cadence the next checkpoint should follow. Fixed
-// returns the configured interval; adaptive re-evaluates Young's
-// formula on every consultation (the legacy per-pump behaviour, kept
-// deliberately cheap and unrecorded); youngdaly returns the cadence the
-// last observation event computed.
-func (e *Engine) Interval() simtime.Duration {
-	switch e.spec.Strategy {
-	case StrategyFixed:
-		return e.spec.Interval
-	case StrategyAdaptive:
-		return e.spec.IntervalFor(e.cost, e.est.Estimate())
-	default: // StrategyYoungDaly
-		return e.cur
-	}
-}
+// Interval returns the cadence the next checkpoint should follow: the
+// configured interval for fixed, and for youngdaly the cadence the last
+// observation event computed (the base interval until then).
+func (e *Engine) Interval() simtime.Duration { return e.cur }
 
 // ObserveUptime accumulates failure-free running time into the MTBF
 // estimate. It never recomputes on its own: uptime only matters once a

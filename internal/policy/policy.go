@@ -29,13 +29,10 @@ type Strategy string
 
 // The strategy table. "fixed" is the classic configured interval;
 // "youngdaly" recomputes the Young/Daly optimum from measurements on
-// observation events and feeds it to agents as a live cadence;
-// "adaptive" is the legacy per-consultation Young recompute kept for
-// compatibility with the pre-policy Supervisor behaviour.
+// observation events and feeds it to agents as a live cadence.
 const (
 	StrategyFixed     Strategy = "fixed"
 	StrategyYoungDaly Strategy = "youngdaly"
-	StrategyAdaptive  Strategy = "adaptive"
 )
 
 // Formula picks the interval optimum used by the youngdaly strategy.
@@ -78,8 +75,9 @@ type Spec struct {
 	Strategy Strategy `json:"strategy,omitempty"`
 
 	// Interval is the configured cadence for fixed, and the base
-	// cadence for youngdaly/adaptive: the rate used before any failure
-	// has been observed, and the anchor for the default clamps.
+	// cadence for youngdaly: the rate used before any failure has been
+	// observed, and the anchor for the default clamps. A youngdaly spec
+	// with no base (the analytic model's) is unclamped Young/Daly.
 	Interval simtime.Duration `json:"interval,omitempty"`
 
 	// Formula picks Young or Daly for youngdaly. Default young.
@@ -90,7 +88,7 @@ type Spec struct {
 	PriorMTBF simtime.Duration `json:"prior_mtbf,omitempty"`
 
 	// CkptCost seeds the capture-cost estimate before the first
-	// measured capture. Default 10ms (the legacy adaptive fallback).
+	// measured capture. Default 10ms.
 	CkptCost simtime.Duration `json:"ckpt_cost,omitempty"`
 
 	// MinInterval/MaxInterval clamp the computed youngdaly cadence.
@@ -119,13 +117,6 @@ func Fixed(d simtime.Duration) Spec { return Spec{Strategy: StrategyFixed, Inter
 // the measured capture cost and the online MTBF estimate.
 func YoungDaly(base simtime.Duration) Spec {
 	return Spec{Strategy: StrategyYoungDaly, Interval: base}
-}
-
-// AdaptiveYoung returns the legacy adaptive policy: Young's optimum
-// recomputed on every consultation from the given capture cost and the
-// estimator's current MTBF, unclamped when no base interval is set.
-func AdaptiveYoung(ckptCost simtime.Duration) Spec {
-	return Spec{Strategy: StrategyAdaptive, CkptCost: ckptCost}
 }
 
 // Live returns a copy of the spec with liveness-driven delta content on.
@@ -167,12 +158,12 @@ func (s Spec) Normalized() Spec {
 }
 
 // Validate judges the spec. It does not require Interval > 0 — the
-// analytic model runs adaptive specs with no base — but every field
+// analytic model runs youngdaly specs with no base — but every field
 // that is set must be coherent. NewEngine (and so cluster.NewSupervisor)
 // additionally requires a positive base interval.
 func (s Spec) Validate() error {
 	switch s.Strategy {
-	case "", StrategyFixed, StrategyYoungDaly, StrategyAdaptive:
+	case "", StrategyFixed, StrategyYoungDaly:
 	default:
 		return fmt.Errorf("%w %q", ErrUnknownStrategy, s.Strategy)
 	}
@@ -220,24 +211,14 @@ func (s Spec) IntervalFor(measuredCost, mtbf simtime.Duration) simtime.Duration 
 	if cost <= 0 {
 		cost = n.CkptCost
 	}
-	switch n.Strategy {
-	case StrategyFixed:
+	if n.Strategy == StrategyFixed {
 		return n.Interval
-	case StrategyAdaptive:
-		// Legacy behaviour, preserved exactly: Young on every call,
-		// falling back to the base interval when the estimate is wild.
-		iv := Young(cost, mtbf)
-		if n.Interval > 0 && (iv <= 0 || iv > n.Interval*100) {
-			return n.Interval
-		}
-		return iv
-	default: // StrategyYoungDaly
-		f := Young
-		if n.Formula == FormulaDaly {
-			f = Daly
-		}
-		return n.clamp(f(cost, mtbf))
 	}
+	f := Young
+	if n.Formula == FormulaDaly {
+		f = Daly
+	}
+	return n.clamp(f(cost, mtbf))
 }
 
 func (s Spec) clamp(iv simtime.Duration) simtime.Duration {

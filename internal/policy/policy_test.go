@@ -18,6 +18,7 @@ func TestValidateTypedErrors(t *testing.T) {
 		want error
 	}{
 		{"unknown strategy", Spec{Strategy: "often"}, ErrUnknownStrategy},
+		{"retired adaptive strategy", Spec{Strategy: "adaptive"}, ErrUnknownStrategy},
 		{"unknown formula", Spec{Formula: "euler"}, ErrUnknownFormula},
 		{"unknown content", Spec{Content: "most"}, ErrUnknownContent},
 		{"negative interval", Spec{Interval: -ms}, ErrNonPositiveInterval},
@@ -38,7 +39,7 @@ func TestValidateTypedErrors(t *testing.T) {
 		Fixed(ms),
 		YoungDaly(ms),
 		YoungDaly(ms).Live(),
-		AdaptiveYoung(10 * ms),
+		{Strategy: StrategyYoungDaly, CkptCost: 10 * ms}, // base-less, as the analytic model runs it
 		{Strategy: StrategyYoungDaly, Formula: FormulaDaly, Interval: ms,
 			MinInterval: ms / 2, MaxInterval: 4 * ms, Content: ContentLive, DeadStreak: 3},
 	} {
@@ -55,9 +56,6 @@ func TestConstructorsAndAccessors(t *testing.T) {
 	}
 	if s := YoungDaly(5 * ms); s.Strategy != StrategyYoungDaly || s.Interval != 5*ms {
 		t.Errorf("YoungDaly: %+v", s)
-	}
-	if s := AdaptiveYoung(7 * ms); s.Strategy != StrategyAdaptive || s.CkptCost != 7*ms || s.Interval != 0 {
-		t.Errorf("AdaptiveYoung: %+v", s)
 	}
 	if s := (Spec{}); s.Enabled() || s.Liveness() {
 		t.Error("zero spec should be disabled, content-all")
@@ -112,8 +110,8 @@ func TestYoungMatchesFormula(t *testing.T) {
 }
 
 // TestIntervalForProperties: fixed ignores measurements entirely;
-// youngdaly always lands inside its clamp; adaptive falls back to the
-// base when the computed optimum is wild.
+// youngdaly always lands inside its clamp, and without a base interval
+// it has no clamp: the raw Young optimum, however wild.
 func TestIntervalForProperties(t *testing.T) {
 	ms := simtime.Millisecond
 	fixed := func(costMS, mtbfMS uint16) bool {
@@ -130,16 +128,11 @@ func TestIntervalForProperties(t *testing.T) {
 	if err := quick.Check(yd, nil); err != nil {
 		t.Errorf("youngdaly clamp: %v", err)
 	}
-	ad := AdaptiveYoung(0)
-	ad.Interval = 10 * ms
-	if got := ad.IntervalFor(0, 0); got != 10*ms {
-		t.Errorf("adaptive wild-estimate fallback = %v, want base 10ms", got)
-	}
-	if got := ad.IntervalFor(ms, simtime.Hour); got != 10*ms {
-		t.Errorf("adaptive huge-optimum fallback = %v, want base 10ms", got)
-	}
-	if got := ad.IntervalFor(ms, 50*ms); got != Young(ms, 50*ms) {
-		t.Errorf("adaptive in-range = %v, want Young %v", got, Young(ms, 50*ms))
+	baseless := Spec{Strategy: StrategyYoungDaly}
+	for _, mtbf := range []simtime.Duration{50 * ms, simtime.Hour} {
+		if got := baseless.IntervalFor(ms, mtbf); got != Young(ms, mtbf) {
+			t.Errorf("base-less youngdaly at MTBF %v = %v, want unclamped Young %v", mtbf, got, Young(ms, mtbf))
+		}
 	}
 	// Daly refines below Young when the cost is non-negligible.
 	daly := Spec{Strategy: StrategyYoungDaly, Interval: 16 * ms, Formula: FormulaDaly,

@@ -256,7 +256,7 @@ type (
 	GangMember = cluster.GangMember
 
 	// PolicySpec is the unified checkpoint policy: cadence strategy
-	// (fixed / youngdaly / adaptive) with its parameters plus the delta
+	// (fixed / youngdaly) with its parameters plus the delta
 	// content policy (all dirty pages, or live pages only).
 	PolicySpec = policy.Spec
 	// PolicyEngine computes the live cadence from the policy spec, the
@@ -285,14 +285,6 @@ func FixedPolicy(interval Duration) PolicySpec { return policy.Fixed(interval) }
 // YoungDalyPolicy starts at base and re-derives the Young/Daly optimal
 // interval from observed failures and measured capture cost.
 func YoungDalyPolicy(base Duration) PolicySpec { return policy.YoungDaly(base) }
-
-// AdaptivePolicy is the legacy per-tick Young consult with base as the
-// starting interval and clamp reference.
-func AdaptivePolicy(base Duration) PolicySpec {
-	sp := policy.AdaptiveYoung(0)
-	sp.Interval = base
-	return sp
-}
 
 // YoungInterval is Young's optimal checkpoint interval √(2δM).
 func YoungInterval(ckptCost, mtbf Duration) Duration { return cluster.YoungInterval(ckptCost, mtbf) }
