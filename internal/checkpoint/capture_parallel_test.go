@@ -76,7 +76,7 @@ func TestShardedCaptureSpeedup(t *testing.T) {
 	captureCost := func(workers int) simtime.Duration {
 		t0 := k.Now()
 		_, st, err := Capture(Request{
-			Acc: &KernelAccessor{K: k, P: p},
+			Acc:       &KernelAccessor{K: k, P: p},
 			Mechanism: "test", Hostname: "src", Seq: 1, Now: t0, Parallelism: workers,
 		})
 		if err != nil {
@@ -116,7 +116,7 @@ func TestParallelCaptureRestores(t *testing.T) {
 	}
 	k.Stop(p)
 	img, _, err := Capture(Request{
-		Acc: &KernelAccessor{K: k, P: p},
+		Acc:       &KernelAccessor{K: k, P: p},
 		Mechanism: "test", Hostname: "src", Seq: 1, Now: k.Now(), Parallelism: 4,
 	})
 	if err != nil {
@@ -141,7 +141,7 @@ func TestUserAccessorStaysSequential(t *testing.T) {
 	k, p := stoppedProc(t, 1)
 	ctx := &kernel.Context{K: k, P: p, T: p.MainThread()}
 	_, st, err := Capture(Request{
-		Acc: &UserAccessor{Ctx: ctx},
+		Acc:       &UserAccessor{Ctx: ctx},
 		Mechanism: "libckpt", Hostname: "src", Seq: 1, Now: k.Now(), Parallelism: 8,
 	})
 	if err != nil {

@@ -38,10 +38,10 @@ func newFakeNet(n int, delay simtime.Duration) *fakeNet {
 	return f
 }
 
-func (f *fakeNet) Now() simtime.Time            { return f.now }
-func (f *fakeNet) NumNodes() int                { return f.n }
-func (f *fakeNet) NodeAlive(i int) bool         { return f.alive[i] }
-func (f *fakeNet) OnStep(fn func())             { f.steps = append(f.steps, fn) }
+func (f *fakeNet) Now() simtime.Time    { return f.now }
+func (f *fakeNet) NumNodes() int        { return f.n }
+func (f *fakeNet) NodeAlive(i int) bool { return f.alive[i] }
+func (f *fakeNet) OnStep(fn func())     { f.steps = append(f.steps, fn) }
 func (f *fakeNet) OnDeliver(i int, fn func(payload any)) {
 	f.handlers[i] = fn
 }
