@@ -32,19 +32,15 @@ type FleetAudit struct {
 func FleetViolations(a *FleetAudit) []Violation {
 	var out []Violation
 
+	// retired is the audit's only per-name state (at fleet scale it
+	// holds hundreds of thousands of names): true for a retired name,
+	// and for an acked one once its durability has been audited.
 	var stale []cluster.Event
-	var acked []string
-	seen := make(map[string]bool)
 	retired := make(map[string]bool)
 	for _, ev := range a.Events {
 		switch ev.Kind {
 		case cluster.EvStaleCommit:
 			stale = append(stale, ev)
-		case cluster.EvAck:
-			if !seen[ev.Object] {
-				seen[ev.Object] = true
-				acked = append(acked, ev.Object)
-			}
 		case cluster.EvRetire:
 			retired[ev.Object] = true
 		}
@@ -76,11 +72,14 @@ func FleetViolations(a *FleetAudit) []Violation {
 	}
 
 	// Acked-durability over the fleet's chains: every acknowledged
-	// checkpoint not legally retired must still be readable.
-	for _, name := range acked {
-		if retired[name] {
+	// checkpoint not legally retired must still be readable. Acks are
+	// audited in log order, each name once.
+	for _, ev := range a.Events {
+		if ev.Kind != cluster.EvAck || retired[ev.Object] {
 			continue
 		}
+		name := ev.Object
+		retired[name] = true
 		data, err := a.ReadObject(name)
 		if err != nil {
 			out = append(out, Violation{Invariant: "acked-durability", Detail: fmt.Sprintf(

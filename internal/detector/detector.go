@@ -44,12 +44,12 @@ type Detector interface {
 // under loss and jitter.
 type Timeout struct {
 	After simtime.Duration
-	last  map[int]simtime.Time
+	last  table[simtime.Time]
 }
 
 // NewTimeout returns a fixed-timeout detector.
 func NewTimeout(after simtime.Duration) *Timeout {
-	return &Timeout{After: after, last: make(map[int]simtime.Time)}
+	return &Timeout{After: after}
 }
 
 // Name implements Detector.
@@ -57,21 +57,29 @@ func (d *Timeout) Name() string { return "timeout" }
 
 // Prime implements Detector.
 func (d *Timeout) Prime(node int, t simtime.Time) {
-	if _, ok := d.last[node]; !ok {
-		d.last[node] = t
+	if e := d.last.at(node); !e.ok {
+		e.v, e.ok = t, true
 	}
 }
 
 // Observe implements Detector.
 func (d *Timeout) Observe(node int, t simtime.Time) {
-	if t > d.last[node] {
-		d.last[node] = t
+	e := d.last.find(node)
+	if e == nil {
+		if t <= 0 {
+			return // an absent node reads as time 0: nothing to record
+		}
+		e = d.last.at(node)
+	}
+	if t > e.v {
+		e.v, e.ok = t, true
 	}
 }
 
 // Suspected implements Detector.
 func (d *Timeout) Suspected(node int, now simtime.Time) bool {
-	return now.Sub(d.last[node]) > d.After
+	last, _ := d.last.get(node)
+	return now.Sub(last) > d.After
 }
 
 // --- Phi-accrual detector ---
@@ -104,7 +112,7 @@ type PhiAccrual struct {
 	// (one lost heartbeat would then look like certain death).
 	MinStddev simtime.Duration
 
-	nodes map[int]*phiState
+	nodes table[phiState]
 }
 
 // NewPhiAccrual returns a phi-accrual detector. minStddev should be on
@@ -113,20 +121,20 @@ func NewPhiAccrual(threshold float64, window int, minStddev simtime.Duration) *P
 	if window <= 0 {
 		window = 64
 	}
-	return &PhiAccrual{Threshold: threshold, Window: window, MinStddev: minStddev,
-		nodes: make(map[int]*phiState)}
+	return &PhiAccrual{Threshold: threshold, Window: window, MinStddev: minStddev}
 }
 
 // Name implements Detector.
 func (d *PhiAccrual) Name() string { return "phi-accrual" }
 
+// state returns node's arrival history, creating it on first use. The
+// pointer is valid until the next call that adds a node.
 func (d *PhiAccrual) state(node int) *phiState {
-	st, ok := d.nodes[node]
-	if !ok {
-		st = &phiState{intervals: make([]simtime.Duration, d.Window)}
-		d.nodes[node] = st
+	e := d.nodes.at(node)
+	if !e.ok {
+		e.v, e.ok = phiState{intervals: make([]simtime.Duration, d.Window)}, true
 	}
-	return st
+	return &e.v
 }
 
 // Prime implements Detector.
@@ -154,7 +162,15 @@ func (d *PhiAccrual) Observe(node int, t simtime.Time) {
 // Phi returns the current suspicion level for node (0 when the window is
 // still warming up).
 func (d *PhiAccrual) Phi(node int, now simtime.Time) float64 {
-	st := d.state(node)
+	e := d.nodes.find(node)
+	if e == nil {
+		return 0 // never heard of: no history
+	}
+	return e.v.phi(now, d.MinStddev)
+}
+
+// phi is the suspicion level of one node's history at now.
+func (st *phiState) phi(now simtime.Time, minStddev simtime.Duration) float64 {
 	if st.n < 3 {
 		return 0 // not enough history to accrue suspicion
 	}
@@ -170,7 +186,7 @@ func (d *PhiAccrual) Phi(node int, now simtime.Time) float64 {
 		variance = 0
 	}
 	std := math.Sqrt(variance)
-	if floor := float64(d.MinStddev); std < floor {
+	if floor := float64(minStddev); std < floor {
 		std = floor
 	}
 	if std == 0 {

@@ -16,6 +16,7 @@ package detector
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/simtime"
 	"repro/internal/trace"
@@ -114,7 +115,7 @@ type DigestIngest struct {
 
 	lastSeq map[int]uint64 // per shard: highest applied seq
 	applied map[digestKey]bool
-	primed  map[int]bool
+	primed  table[struct{}]
 	inserts int
 }
 
@@ -127,19 +128,20 @@ func NewDigestIngest(d Detector, ctr *trace.Counters) *DigestIngest {
 		D: d, Counters: ctr,
 		lastSeq: make(map[int]uint64),
 		applied: make(map[digestKey]bool),
-		primed:  make(map[int]bool),
 	}
 }
 
 // Prime establishes t as the observation baseline for node (used at
 // construction, before any digest has arrived).
 func (di *DigestIngest) Prime(node int, t simtime.Time) {
-	di.primed[node] = true
+	di.primed.at(node).ok = true
 	di.D.Prime(node, t)
 }
 
 // Observe folds one digest arrival at time now into the detector.
-// Returns false when the digest was dropped as a duplicate.
+// Returns false when the digest was dropped as a duplicate. Observe
+// does not retain d: the caller may clear and reuse it once Observe
+// returns.
 func (di *DigestIngest) Observe(d *Digest, now simtime.Time) bool {
 	di.Counters.Inc("det.digests", 1)
 	k := digestKey{d.Shard, d.Agg, d.Seq}
@@ -154,18 +156,30 @@ func (di *DigestIngest) Observe(d *Digest, now simtime.Time) bool {
 	} else {
 		di.lastSeq[d.Shard] = d.Seq
 	}
-	for i := 0; i < d.N; i++ {
-		if !d.IsPresent(i) {
-			continue
+	// Walk the set bits only, and count locally: one counter bump per
+	// digest rather than one per member (a zero count adds no key).
+	var hb, joins int64
+	for w, word := range d.Present {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			if i >= d.N {
+				break
+			}
+			node := d.Base + i
+			if p := di.primed.at(node); !p.ok {
+				p.ok = true
+				joins++
+				di.D.Prime(node, now)
+			}
+			di.D.Observe(node, now)
+			hb++
 		}
-		node := d.Base + i
-		if !di.primed[node] {
-			di.primed[node] = true
-			di.Counters.Inc("det.digest_joins", 1)
-			di.D.Prime(node, now)
-		}
-		di.D.Observe(node, now)
-		di.Counters.Inc("det.digest_hb", 1)
+	}
+	if hb > 0 {
+		di.Counters.Inc("det.digest_hb", hb)
+	}
+	if joins > 0 {
+		di.Counters.Inc("det.digest_joins", joins)
 	}
 	di.prune()
 	return true
