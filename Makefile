@@ -7,7 +7,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test bench bench-gates bench-selftest scenarios check fmt vet race fuzz chaos chaos-pairs
+.PHONY: all build test bench bench-gates bench-selftest scenarios check fmt vet cross race fuzz chaos chaos-pairs
 
 all: build test
 
@@ -18,8 +18,9 @@ test:
 	$(GO) test ./...
 
 # Root-package benchmarks, then the per-layer erasure codec benchmarks
-# (4 MiB object, 2+1: encode, healthy read, degraded read), the
-# checkpoint benchmarks (4 MiB image: decode, sequential and 2-worker
+# (4 MiB object, 2+1: encode, healthy read, degraded read), the image
+# CRC-64 kernel (one 4 KiB page extent, a 4 MiB body), the checkpoint
+# benchmarks (4 MiB image: decode, sequential and 2-worker
 # encode, CRC-64 combine; 16-delta chain: replay planning, and plan
 # apply at 1 and 8 workers; 16-delta chain fold), the storage target
 # benchmarks (4 MiB atomic write and 4 MiB batched chain read, local and
@@ -31,6 +32,7 @@ test:
 bench:
 	$(GO) test -bench=. -benchmem
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/storage/erasure
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/crc
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/checkpoint
 	$(GO) test -run '^$$' -bench 'Store|Replicated' -benchmem ./internal/storage
 	$(GO) test -run '^$$' -bench 'PageBuf' -benchmem ./internal/workload
@@ -68,6 +70,12 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# The builds amd64 never compiles: the CRC-64 kernel's table-only
+# fallback (crc_other.go) must vet on arm64 and build on 386.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
+
 race:
 	$(GO) test -race -timeout 40m ./...
 
@@ -78,6 +86,7 @@ fuzz:
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzImageDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzImageRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/erasure -run '^$$' -fuzz '^FuzzErasureRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/crc -run '^$$' -fuzz '^FuzzCRC64$$' -fuzztime $(FUZZTIME)
 
 # The nightly chaos sweep (10k seeds); failing seeds print shrunken
 # chaos.Replay reproducer lines and fail the target.
@@ -92,4 +101,4 @@ chaos:
 chaos-pairs:
 	$(GO) run ./cmd/crsurvey chaos -seeds 240
 
-check: build fmt vet race fuzz scenarios chaos-pairs bench-gates bench-selftest
+check: build fmt vet cross race fuzz scenarios chaos-pairs bench-gates bench-selftest

@@ -3,11 +3,11 @@ package checkpoint
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc64"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/crc"
 	"repro/internal/simos/mem"
 )
 
@@ -67,7 +67,7 @@ func TestDecodeLegacyV1(t *testing.T) {
 
 	// Versions beyond the current one stay rejected.
 	binary.LittleEndian.PutUint16(data[4:6], imageVersion+1)
-	binary.LittleEndian.PutUint64(data[len(data)-8:], crc64.Checksum(data[:len(data)-8], crcTable))
+	binary.LittleEndian.PutUint64(data[len(data)-8:], crc.Checksum(data[:len(data)-8]))
 	if _, err := Decode(data); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("future version err = %v, want ErrCorrupt", err)
 	}
@@ -86,7 +86,7 @@ func legacyV1(img *Image, data []byte) []byte {
 	v1 = append(v1, body[epochOff+8:]...)
 	binary.LittleEndian.PutUint16(v1[4:6], 1)
 	var trailer [8]byte
-	binary.LittleEndian.PutUint64(trailer[:], crc64.Checksum(v1, crcTable))
+	binary.LittleEndian.PutUint64(trailer[:], crc.Checksum(v1))
 	return append(v1, trailer[:]...)
 }
 

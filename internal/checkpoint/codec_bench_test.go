@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/crc"
 	"repro/internal/simos/mem"
 	"repro/internal/workload"
 )
@@ -78,11 +79,11 @@ func BenchmarkEncodeParallelBytes(b *testing.B) {
 // one combine per shardTargetBytes piece.
 func BenchmarkCRC64Combine(b *testing.B) {
 	b.ReportAllocs()
-	var crc uint64
+	var sum uint64
 	for i := 0; i < b.N; i++ {
-		crc = crc64Combine(crc, uint64(i), shardTargetBytes)
+		sum = crc.Combine(sum, uint64(i), shardTargetBytes)
 	}
-	sinkCRC = crc
+	sinkCRC = sum
 }
 
 var sinkCRC uint64

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -41,6 +42,54 @@ func TestDecodeRejectsCorruptImages(t *testing.T) {
 		if _, err := Decode(bad); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s (offset %d): err = %v, want ErrCorrupt", name, off, err)
 		}
+	}
+}
+
+// TestDecodeRejectsSingleBitFlips flips every bit of each stretch of the
+// body that the CRC kernel folds differently, and of the trailer, and
+// requires the checksum itself, not the structural parse, to reject
+// each one. The image is padded until its body takes every kernel path:
+// the first 8 bytes (where the initial value is XORed in), the 64-byte
+// loop, the 16-byte loop, and a tail under 16 bytes.
+func TestDecodeRejectsSingleBitFlips(t *testing.T) {
+	img := sampleImage(rand.New(rand.NewSource(10)))
+	var data []byte
+	for {
+		var err error
+		if data, err = img.EncodeBytes(); err != nil {
+			t.Fatal(err)
+		}
+		body := len(data) - 8
+		if folded := body &^ 15; folded >= 128 && folded%64 >= 16 && body%16 != 0 {
+			break
+		}
+		img.Hostname += "x"
+	}
+	body := len(data) - 8
+	folded := body &^ 15
+	for _, r := range []struct {
+		name   string
+		lo, hi int
+	}{
+		{"initial-value", 0, 8},
+		{"64-byte-loop", 64, 128},
+		{"16-byte-loop", folded - folded%64, folded},
+		{"tail", folded, body},
+		{"trailer", body, len(data)},
+	} {
+		for off := r.lo; off < r.hi; off++ {
+			for bit := 0; bit < 8; bit++ {
+				data[off] ^= 1 << bit
+				_, err := Decode(data)
+				data[off] ^= 1 << bit
+				if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "checksum mismatch") {
+					t.Fatalf("%s: bit %d of byte %d flipped: err = %v, want a checksum mismatch", r.name, bit, off, err)
+				}
+			}
+		}
+	}
+	if _, err := Decode(data); err != nil {
+		t.Fatalf("restored image does not decode: %v", err)
 	}
 }
 

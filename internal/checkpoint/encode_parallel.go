@@ -2,7 +2,7 @@
 // serializing memory extents; those sections are independent byte spans
 // of known size, so the encoder precomputes every span's offset in the
 // final buffer, lets a worker pool encode spans in place concurrently,
-// and folds the per-span CRCs in order with crc64Combine. The output is
+// and folds the per-span CRCs in order with crc.Combine. The output is
 // byte-identical to Encode — same layout, same trailer — so restore,
 // corruption audits, and chain verification cannot tell the paths apart.
 
@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/crc"
 )
 
 // shardTargetBytes is the preferred payload size of one encoding shard:
@@ -132,11 +134,11 @@ func (img *Image) EncodeParallelBytes(workers int) ([]byte, error) {
 
 	// Fold the span CRCs in layout order; the seed 0 is the CRC of the
 	// empty prefix, so the head folds like any other span.
-	crc := crc64Combine(0, headCRC, headSize)
+	sum := crc.Combine(0, headCRC, headSize)
 	for i := range pieces {
-		crc = crc64Combine(crc, pieces[i].crc, pieces[i].size)
+		sum = crc.Combine(sum, pieces[i].crc, pieces[i].size)
 	}
-	crc = crc64Combine(crc, tailCRC, tailSize)
-	binary.LittleEndian.PutUint64(buf[total-8:], crc)
+	sum = crc.Combine(sum, tailCRC, tailSize)
+	binary.LittleEndian.PutUint64(buf[total-8:], sum)
 	return buf, nil
 }

@@ -3,11 +3,11 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc64"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/crc"
 	"repro/internal/simos/fs"
 	"repro/internal/simos/mem"
 	"repro/internal/simos/proc"
@@ -151,7 +151,7 @@ func TestDecodeBoundsShmAllocation(t *testing.T) {
 // rewriteCRC recomputes the trailer after a test mutates the body.
 func rewriteCRC(data []byte) {
 	body := data[:len(data)-8]
-	binary.LittleEndian.PutUint64(data[len(data)-8:], crc64.Checksum(body, crcTable))
+	binary.LittleEndian.PutUint64(data[len(data)-8:], crc.Checksum(body))
 }
 
 // totalAlloc reads the monotonic cumulative allocation counter, so the

@@ -10,10 +10,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"sort"
 
+	"repro/internal/crc"
 	"repro/internal/simos/fs"
 	"repro/internal/simos/mem"
 	"repro/internal/simos/proc"
@@ -178,8 +178,6 @@ const (
 // ErrCorrupt reports a failed checksum or malformed image.
 var ErrCorrupt = errors.New("checkpoint: corrupt image")
 
-var crcTable = crc64.MakeTable(crc64.ECMA)
-
 // cw writes the sectioned format to w, keeping the running CRC-64 of
 // everything written. A nil w makes it a sizing pass: it counts the
 // bytes the same calls would write without checksumming or storing them.
@@ -199,7 +197,7 @@ func (c *cw) write(p []byte) {
 		c.n += len(p)
 		return
 	}
-	c.crc = crc64.Update(c.crc, crcTable, p)
+	c.crc = crc.Update(c.crc, p)
 	n, err := c.w.Write(p)
 	c.n += n
 	c.err = err
@@ -477,7 +475,7 @@ func Decode(data []byte) (*Image, error) {
 	}
 	body, trailer := data[:len(data)-8], data[len(data)-8:]
 	wantCRC := binary.LittleEndian.Uint64(trailer)
-	if crc64.Checksum(body, crcTable) != wantCRC {
+	if crc.Checksum(body) != wantCRC {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	c := &cr{body: body}

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/crc"
 	"repro/internal/simos/fs"
 	"repro/internal/simos/mem"
 	"repro/internal/simos/proc"
@@ -208,7 +208,7 @@ func TestDecodeTruncatedWithFixedCRC(t *testing.T) {
 	data, _ := img.EncodeBytes()
 	body := data[:len(data)/2]
 	// Recompute a valid CRC for the truncated body.
-	sum := crc64.Checksum(body, crcTable)
+	sum := crc.Checksum(body)
 	var trailer [8]byte
 	binary.LittleEndian.PutUint64(trailer[:], sum)
 	mut := append(append([]byte(nil), body...), trailer[:]...)

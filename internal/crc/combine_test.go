@@ -1,4 +1,4 @@
-package checkpoint
+package crc
 
 import (
 	"hash/crc64"
@@ -13,21 +13,21 @@ func TestCRC64Combine(t *testing.T) {
 		b := make([]byte, rng.Intn(5000))
 		rng.Read(a)
 		rng.Read(b)
-		crcA := crc64.Checksum(a, crcTable)
-		crcB := crc64.Checksum(b, crcTable)
-		want := crc64.Checksum(append(append([]byte(nil), a...), b...), crcTable)
-		if got := crc64Combine(crcA, crcB, len(b)); got != want {
+		crcA := crc64.Checksum(a, table)
+		crcB := crc64.Checksum(b, table)
+		want := crc64.Checksum(append(append([]byte(nil), a...), b...), table)
+		if got := Combine(crcA, crcB, len(b)); got != want {
 			t.Fatalf("trial %d (len %d+%d): combine = %#x, want %#x",
 				trial, len(a), len(b), got, want)
 		}
 	}
 	// Edge cases: empty halves.
 	data := []byte("payload")
-	crc := crc64.Checksum(data, crcTable)
-	if got := crc64Combine(crc, crc64.Checksum(nil, crcTable), 0); got != crc {
+	crc := crc64.Checksum(data, table)
+	if got := Combine(crc, crc64.Checksum(nil, table), 0); got != crc {
 		t.Fatalf("combine with empty B: %#x, want %#x", got, crc)
 	}
-	if got := crc64Combine(crc64.Checksum(nil, crcTable), crc, len(data)); got != crc {
+	if got := Combine(crc64.Checksum(nil, table), crc, len(data)); got != crc {
 		t.Fatalf("combine with empty A: %#x, want %#x", got, crc)
 	}
 }
@@ -38,14 +38,14 @@ func TestCRC64CombineFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	full := make([]byte, 1<<16)
 	rng.Read(full)
-	want := crc64.Checksum(full, crcTable)
+	want := crc64.Checksum(full, table)
 	for _, shards := range []int{1, 2, 3, 7, 16} {
 		crc := uint64(0)
 		off := 0
 		for s := 0; s < shards; s++ {
 			end := (s + 1) * len(full) / shards
 			part := full[off:end]
-			crc = crc64Combine(crc, crc64.Checksum(part, crcTable), len(part))
+			crc = Combine(crc, crc64.Checksum(part, table), len(part))
 			off = end
 		}
 		if crc != want {
@@ -68,7 +68,7 @@ func TestCRC64CombineMatchesMatrix(t *testing.T) {
 		default:
 			len2 = int(rng.Int63n(1<<40) + 1)
 		}
-		if got, want := crc64Combine(crc1, crc2, len2), crc64CombineMatrix(crc1, crc2, len2); got != want {
+		if got, want := Combine(crc1, crc2, len2), crc64CombineMatrix(crc1, crc2, len2); got != want {
 			t.Fatalf("trial %d (%#x, %#x, len %d): combine = %#x, matrix reference = %#x",
 				trial, crc1, crc2, len2, got, want)
 		}

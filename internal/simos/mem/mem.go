@@ -17,8 +17,9 @@ package mem
 import (
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"sort"
+
+	"repro/internal/crc"
 )
 
 // PageSize is the simulated page size in bytes.
@@ -750,7 +751,6 @@ func (as *AddressSpace) MappedBytes() uint64 {
 // Checksum returns a CRC-64 over the mapped image (VMAs and page contents),
 // used by restart-equivalence tests.
 func (as *AddressSpace) Checksum() uint64 {
-	tab := crc64.MakeTable(crc64.ECMA)
 	var sum uint64
 	var hdr [16]byte
 	for _, pi := range as.ResidentPages() {
@@ -761,8 +761,8 @@ func (as *AddressSpace) Checksum() uint64 {
 		}
 		put64(hdr[0:8], uint64(pi.Num))
 		put64(hdr[8:16], uint64(pi.VMA.Start))
-		sum = crc64.Update(sum, tab, hdr[:])
-		sum = crc64.Update(sum, tab, pi.Page.data)
+		sum = crc.Update(sum, hdr[:])
+		sum = crc.Update(sum, pi.Page.data)
 	}
 	return sum
 }
