@@ -18,7 +18,8 @@ test:
 	$(GO) test ./...
 
 # Root-package benchmarks, then the per-layer erasure codec benchmarks
-# (4 MiB object, 2+1: encode, healthy read, degraded read), the image
+# (the GF(256) multiply-accumulate kernel over a 4 KiB and a 256 KiB
+# plane; 4 MiB object, 2+1: encode, healthy read, degraded read), the image
 # CRC-64 kernel (one 4 KiB page extent, a 4 MiB body), the checkpoint
 # benchmarks (4 MiB image: decode, sequential and 2-worker
 # encode, CRC-64 combine; 16-delta chain: replay planning, and plan
@@ -70,11 +71,15 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# The builds amd64 never compiles: the CRC-64 kernel's table-only
-# fallback (crc_other.go) must vet on arm64 and build on 386.
+# The builds amd64 never compiles: the assembly kernels' table-only
+# fallbacks (internal/crc's crc_other.go, the erasure codec's
+# gf256_other.go) must vet on arm64 and build on 386. The 386 test run
+# then executes those fallbacks, and every golden, with a 32-bit int;
+# 386 binaries run natively on an amd64 host.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) test ./...
 
 race:
 	$(GO) test -race -timeout 40m ./...
@@ -86,6 +91,7 @@ fuzz:
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzImageDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzImageRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/erasure -run '^$$' -fuzz '^FuzzErasureRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage/erasure -run '^$$' -fuzz '^FuzzMulAdd$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/crc -run '^$$' -fuzz '^FuzzCRC64$$' -fuzztime $(FUZZTIME)
 
 # The nightly chaos sweep (10k seeds); failing seeds print shrunken

@@ -174,7 +174,7 @@ func TestQuickCodecBitFlips(t *testing.T) {
 	data, _ := img.EncodeBytes()
 	f := func(pos uint32, bit uint8) bool {
 		mut := append([]byte(nil), data...)
-		mut[int(pos)%len(mut)] ^= 1 << (bit % 8)
+		mut[pos%uint32(len(mut))] ^= 1 << (bit % 8)
 		_, err := Decode(mut)
 		return err != nil
 	}

@@ -1,9 +1,9 @@
 package crc
 
-// useCLMUL reports whether the CPU has PCLMULQDQ (CPUID leaf 1, ECX bit 1).
-var useCLMUL = hasPCLMULQDQ()
+import "repro/internal/cpu"
 
-func hasPCLMULQDQ() bool
+// useCLMUL reports whether the CPU has PCLMULQDQ.
+var useCLMUL = cpu.HasPCLMULQDQ
 
 // foldCLMUL XORs state into the first 8 bytes of p and folds p down to
 // 16 bytes whose raw CRC from a zero register equals the raw CRC of p

@@ -1,15 +1,5 @@
 #include "textflag.h"
 
-// func hasPCLMULQDQ() bool
-TEXT ·hasPCLMULQDQ(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	SHRL $1, CX
-	ANDL $1, CX
-	MOVB CX, ret+0(FP)
-	RET
-
 // func foldCLMUL(state uint64, p []byte, k *[4]uint64) (lo, hi uint64)
 //
 // Each 16-byte lane X is a low half L (the earlier 8 bytes) and a high

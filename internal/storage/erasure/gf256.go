@@ -1,10 +1,19 @@
-// Package erasure implements a small, pure-Go Reed–Solomon erasure
-// codec over GF(256) for checkpoint shard placement: an object is split
-// into k data shards plus m parity shards such that any k of the k+m
-// shards reconstruct the original bytes. This is the k-of-n alternative
-// to full buddy mirroring — the same single-node-loss tolerance at a
-// fraction of the write amplification (n/k instead of the mirror's
-// replica count), at the price of a matrix solve on degraded reads.
+// Package erasure implements a small Reed–Solomon erasure codec over
+// GF(256) for checkpoint shard placement: an object is split into k data
+// shards plus m parity shards such that any k of the k+m shards
+// reconstruct the original bytes. This is the k-of-n alternative to full
+// buddy mirroring — the same single-node-loss tolerance at a fraction of
+// the write amplification (n/k instead of the mirror's replica count),
+// at the price of a matrix solve on degraded reads.
+//
+// The codec is Go apart from one kernel: on amd64 CPUs whose CPUID
+// reports SSSE3 the GF(256) multiply-accumulate looks up 16 bytes per
+// PSHUFB in assembly (gf256_amd64.s); every other CPU and GOARCH, and
+// the tail under 16 bytes, look each byte up in a product table in Go.
+// Both paths return the same bytes. A buffer whose every byte is copied
+// in (a full data shard, a decode that needed no solve) is allocated
+// without a zero fill; parity shards and solved decodes accumulate
+// products into their buffer, so it starts zeroed.
 package erasure
 
 import (
@@ -16,15 +25,20 @@ import (
 // (0x11d, the classic Reed–Solomon field). Scalar multiplication (gmul,
 // used to build and invert the small coding matrices) goes through
 // log/antilog tables; the antilog table is doubled so gmul never reduces
-// mod 255. Bulk payload work goes through one kernel, mulAdd, which
-// reads a 64 KiB product table: mulTable[c][x] = c·x, so multiplying a
-// byte is a single lookup into c's 256-byte row. All tables are built
-// once at init.
+// mod 255. Bulk payload work goes through one kernel, mulAdd. Its Go
+// path reads a 64 KiB product table: mulTable[c][x] = c·x, so
+// multiplying a byte is a single lookup into c's 256-byte row. Its
+// PSHUFB path reads the split-nibble tables: since multiplication by c
+// is linear over GF(2), c·x = c·(x&15) ^ c·(x&0xf0), and nibTable[c]
+// holds c·i in bytes 0..15 and c·(i<<4) in bytes 16..31, two 16-entry
+// tables a PSHUFB indexes with a byte's low and high nibble. All tables
+// are built once at init from gmul.
 
 var (
 	expTable [512]byte
 	logTable [256]byte
 	mulTable [256][256]byte
+	nibTable [256][32]byte
 )
 
 func init() {
@@ -43,6 +57,10 @@ func init() {
 	for c := 1; c < 256; c++ {
 		for x := 1; x < 256; x++ {
 			mulTable[c][x] = gmul(byte(c), byte(x))
+		}
+		for i := 0; i < 16; i++ {
+			nibTable[c][i] = gmul(byte(c), byte(i))
+			nibTable[c][16+i] = gmul(byte(c), byte(i<<4))
 		}
 	}
 }
@@ -75,9 +93,10 @@ func gpow(base byte, exp int) byte {
 
 // mulAdd sets dst[i] ^= c·src[i] for every i < len(src); dst must be at
 // least as long as src. Coefficient 0 is a no-op and coefficient 1 is a
-// plain XOR done a machine word (or vector) at a time; any other
-// coefficient is one row lookup per byte, with eight products packed
-// into a word so dst is read and written eight bytes at a time.
+// plain XOR done a machine word (or vector) at a time. Any other
+// coefficient runs the longest prefix whose length is a multiple of 16
+// through the PSHUFB kernel where the CPU has SSSE3, and the rest
+// through mulAddTable.
 func mulAdd(dst, src []byte, c byte) {
 	switch c {
 	case 0:
@@ -86,6 +105,17 @@ func mulAdd(dst, src []byte, c byte) {
 		subtle.XORBytes(dst, dst[:len(src)], src)
 		return
 	}
+	if n := len(src) &^ 15; useSSSE3 && n > 0 {
+		mulAddSSSE3(dst[:n], src[:n], &nibTable[c])
+		dst, src = dst[n:], src[n:]
+	}
+	mulAddTable(dst, src, c)
+}
+
+// mulAddTable is mulAdd for any coefficient on any CPU: one row lookup
+// per byte, with eight products packed into a word so dst is read and
+// written eight bytes at a time.
+func mulAddTable(dst, src []byte, c byte) {
 	row := &mulTable[c]
 	for len(src) >= 8 && len(dst) >= 8 {
 		s := src[:8:8]

@@ -1,6 +1,7 @@
 package erasure
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -72,16 +73,25 @@ func codingMatrix(k, m int) matrix {
 // The shards are built in place: data is copied once into the data
 // shards' payloads, parity is accumulated straight from those payloads
 // into the parity shards', and each header (with its payload CRC) is
-// written last.
+// written last. A data shard whose payload lies wholly inside data is
+// allocated by bytes.Join, which skips the zero fill because every byte
+// is copied in; the padded last data shard and the parity shards, which
+// accumulate into zeroed memory, are allocated zeroed.
 func EncodeObject(data []byte, k, m int) ([][]byte, error) {
 	if k < 1 || m < 0 || k+m > MaxShards || k+m < 2 {
 		return nil, fmt.Errorf("%w: k=%d m=%d", ErrBadParameters, k, m)
 	}
 	shardLen := (len(data) + k - 1) / k
+	var hdr [headerLen]byte // placeholder until sealHeader
 	shards := make([][]byte, k+m)
 	for i := range shards {
+		lo, hi := i*shardLen, (i+1)*shardLen
+		if i < k && hi <= len(data) {
+			shards[i] = bytes.Join([][]byte{hdr[:], data[lo:hi]}, nil)
+			continue
+		}
 		b := make([]byte, headerLen+shardLen)
-		if lo := i * shardLen; i < k && lo < len(data) {
+		if i < k && lo < len(data) {
 			copy(b[headerLen:], data[lo:])
 		}
 		shards[i] = b
@@ -291,12 +301,15 @@ func ReconstructShards(blobs [][]byte) ([][]byte, error) {
 }
 
 // decode recovers the object from the first k of shards, which must be
-// distinct, parsed shards of one encoding. Data shards among them are
-// copied straight into the output; only the missing data planes are
-// solved for — take the k generator-matrix rows the shards correspond
-// to, invert that k×k system, and apply its rows to the payloads,
-// accumulating into the output in place. solved reports whether any
-// plane needed the solve.
+// distinct, parsed shards of one encoding. When they are the k data
+// shards, the output is their payloads joined, clipped to the original
+// length, in one allocation without a zero fill. Otherwise data shards
+// among them are copied straight into a zeroed output and only the
+// missing data planes are solved for — take the k generator-matrix rows
+// the shards correspond to, invert that k×k system, and apply its rows
+// to the payloads, accumulating into the output in place. solved reports
+// whether any plane needed the solve. The output is always a fresh
+// allocation, never a payload: callers may hold shared read-only blobs.
 func decode(shards []Shard) (data []byte, solved bool, err error) {
 	k, origLen, shardLen := shards[0].K, shards[0].OrigLen, len(shards[0].Payload)
 	use := shards[:k]
@@ -308,16 +321,21 @@ func decode(shards []Shard) (data []byte, solved bool, err error) {
 			solved = true
 		}
 	}
-	var inv matrix
-	if solved {
-		full := codingMatrix(k, shards[0].M)
-		sub := newMatrix(k, k)
-		for r, s := range use {
-			copy(sub[r], full[s.Index])
+	if !solved {
+		parts := make([][]byte, 0, k)
+		for r := 0; r*shardLen < origLen; r++ {
+			parts = append(parts, planes[r][:min(shardLen, origLen-r*shardLen)])
 		}
-		if inv, err = sub.invert(); err != nil {
-			return nil, false, fmt.Errorf("erasure: unsolvable shard set: %w", err)
-		}
+		return bytes.Join(parts, nil), false, nil
+	}
+	full := codingMatrix(k, shards[0].M)
+	sub := newMatrix(k, k)
+	for r, s := range use {
+		copy(sub[r], full[s.Index])
+	}
+	inv, err := sub.invert()
+	if err != nil {
+		return nil, false, fmt.Errorf("erasure: unsolvable shard set: %w", err)
 	}
 	out := make([]byte, origLen)
 	for r := 0; r < k; r++ {
