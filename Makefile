@@ -22,8 +22,9 @@ test:
 # plane; 4 MiB object, 2+1: encode, healthy read, degraded read), the image
 # CRC-64 kernel (one 4 KiB page extent, a 4 MiB body), the checkpoint
 # benchmarks (4 MiB image: decode, sequential and 2-worker
-# encode, CRC-64 combine; 16-delta chain: replay planning, and plan
-# apply at 1 and 8 workers; 16-delta chain fold), the storage target
+# encode, CRC-64 combine; capture of a stopped 4 MiB process, whole and
+# as a 5% delta, at 1 and 2 workers; 16-delta chain: replay planning,
+# and plan apply at 1 and 8 workers; 16-delta chain fold), the storage target
 # benchmarks (4 MiB atomic write and 4 MiB batched chain read, local and
 # remote; 4 MiB replicated write and read, buddy mirror and 2+1 erasure),
 # the simulated job's 4 KiB page fill, and the fleet control plane (one

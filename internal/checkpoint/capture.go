@@ -73,6 +73,15 @@ type Request struct {
 // target is given, writes the encoded image to stable storage. The
 // returned image always carries the live handler map for same-simulation
 // restores.
+//
+// The image is laid out in its final encoded buffer before any memory is
+// read: metadata is collected first, one allocation sized for the whole
+// encoding is made, and memory is read straight into the extents' slots
+// in it. With a target, one seal pass then writes the metadata and the
+// CRC-64 around them, and that buffer is what storage keeps. The returned
+// image's extents therefore alias the stored object (capacity-clipped,
+// like Decode's), so the image is read-only: writing an extent's bytes
+// would change a committed checkpoint.
 func Capture(req Request) (*Image, Stats, error) {
 	acc := req.Acc
 	p := acc.Process()
@@ -125,53 +134,8 @@ func Capture(req Request) (*Image, Stats, error) {
 	}
 
 	vmas := acc.VMAs()
-	excludedBytes := 0
-	for _, v := range vmas {
-		sec := VMASection{Start: v.Start, Length: v.Length, Kind: v.Kind, Name: v.Name, Prot: v.Prot}
-		var vranges []Range
-		if req.Trk == nil {
-			// Full capture: all resident pages of this VMA.
-			for _, r := range residentRangesOf(p, v) {
-				vranges = append(vranges, r)
-			}
-		} else {
-			for _, r := range ranges {
-				if r.Addr >= v.Start && r.Addr < v.End() {
-					vranges = append(vranges, r)
-				}
-			}
-		}
-		var dropped int
-		vranges, dropped = subtractExcludedRegions(p, vranges)
-		excludedBytes += dropped
-		for _, r := range vranges {
-			if r.Length == 0 {
-				// A zero-length tracker range would become an empty
-				// extent, which Verify rejects — trackers shouldn't
-				// produce them, but a capture must not turn one into an
-				// unpublishable image.
-				continue
-			}
-			if workers > 1 {
-				// Sharded capture: allocate the extent now, fill it from a
-				// worker after the section walk.
-				sec.Extents = append(sec.Extents, Extent{Addr: r.Addr, Data: make([]byte, r.Length)})
-				continue
-			}
-			data := make([]byte, r.Length)
-			if err := acc.ReadRange(r.Addr, data); err != nil {
-				return nil, Stats{}, fmt.Errorf("checkpoint: read %#x+%d: %w", uint64(r.Addr), r.Length, err)
-			}
-			sec.Extents = append(sec.Extents, Extent{Addr: r.Addr, Data: data})
-		}
-		img.VMAs = append(img.VMAs, sec)
-	}
-	if workers > 1 {
-		if err := fillExtentsParallel(img, pr, workers); err != nil {
-			return nil, Stats{}, err
-		}
-	}
-
+	// Every metadata field first: the layout below sizes the encoding
+	// around them.
 	if req.AsPID != 0 {
 		img.PID = req.AsPID
 	}
@@ -186,6 +150,51 @@ func Capture(req Request) (*Image, Stats, error) {
 		req.KernelExtras(img)
 	}
 
+	excludedBytes := 0
+	var exts [][]Range
+	for _, v := range vmas {
+		img.VMAs = append(img.VMAs, VMASection{Start: v.Start, Length: v.Length, Kind: v.Kind, Name: v.Name, Prot: v.Prot})
+		var vranges []Range
+		if req.Trk == nil {
+			// Full capture: all resident pages of this VMA.
+			vranges = residentRangesOf(p, v)
+		} else {
+			for _, r := range ranges {
+				if r.Addr >= v.Start && r.Addr < v.End() {
+					vranges = append(vranges, r)
+				}
+			}
+		}
+		var dropped int
+		vranges, dropped = subtractExcludedRegions(p, vranges)
+		excludedBytes += dropped
+		var sec []Range
+		for _, r := range vranges {
+			// A zero-length tracker range would become an empty extent,
+			// which Verify rejects — trackers shouldn't produce them, but
+			// a capture must not turn one into an unpublishable image.
+			if r.Length > 0 {
+				sec = append(sec, r)
+			}
+		}
+		exts = append(exts, sec)
+	}
+	// Memory lands straight in the extents' slots of the encoded image.
+	encoded := img.layout(exts)
+	if workers > 1 {
+		if err := fillExtentsParallel(img, pr, workers); err != nil {
+			return nil, Stats{}, err
+		}
+	} else {
+		for _, sec := range img.VMAs {
+			for _, e := range sec.Extents {
+				if err := acc.ReadRange(e.Addr, e.Data); err != nil {
+					return nil, Stats{}, fmt.Errorf("checkpoint: read %#x+%d: %w", uint64(e.Addr), len(e.Data), err)
+				}
+			}
+		}
+	}
+
 	st := Stats{
 		Mode:          mode,
 		PayloadBytes:  img.PayloadBytes(),
@@ -197,8 +206,7 @@ func Capture(req Request) (*Image, Stats, error) {
 	}
 
 	if req.Target != nil {
-		encoded, err := img.EncodeParallelBytes(workers)
-		if err != nil {
+		if err := img.seal(encoded, workers); err != nil {
 			return nil, Stats{}, err
 		}
 		// Encoding cost ≈ one memcpy of the image, divided across the

@@ -13,7 +13,7 @@ import (
 
 // stoppedProc runs a Dense workload long enough to fault in its arena,
 // then stops it for a consistent capture.
-func stoppedProc(t *testing.T, mib int) (*kernel.Kernel, *proc.Process) {
+func stoppedProc(t testing.TB, mib int) (*kernel.Kernel, *proc.Process) {
 	t.Helper()
 	prog := workload.Dense{MiB: mib}
 	k := newMachine("src", prog)

@@ -75,6 +75,30 @@ func BenchmarkEncodeParallelBytes(b *testing.B) {
 	}
 }
 
+// BenchmarkCapture captures a stopped 4 MiB process whole and as a 5%
+// delta, sequentially and with two workers, into an in-memory store:
+// collect, read memory, encode and CRC, store.
+func BenchmarkCapture(b *testing.B) {
+	k, p := stoppedProc(b, 4)
+	for _, c := range captureCases(p) {
+		b.Run(c.name, func(b *testing.B) {
+			req := c.request(k, p, parentTarget(b))
+			_, st, err := Capture(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(st.PayloadBytes))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Capture(req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCRC64Combine folds the span CRCs of a sharded 4 MiB encode:
 // one combine per shardTargetBytes piece.
 func BenchmarkCRC64Combine(b *testing.B) {

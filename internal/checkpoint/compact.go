@@ -22,9 +22,22 @@ import (
 // per-page last-writer-wins resolution restricted to the leaf's layout —
 // exactly what Restore computes — so restoring the folded image is
 // byte-identical to replaying the chain it replaces.
+//
+// The folded image is laid out in one buffer sized for its encoding,
+// and the chain's spans are copied straight into its extents' slots, so
+// FoldEncodedChain only has to seal that buffer. Its extents alias that
+// buffer (capacity-clipped), and a folded image is read-only, like a
+// decoded or captured one.
 func FoldChain(chain []*Image) (*Image, error) {
+	folded, _, err := foldChain(chain)
+	return folded, err
+}
+
+// foldChain is FoldChain, also returning the folded image's unsealed
+// layout buffer.
+func foldChain(chain []*Image) (*Image, []byte, error) {
 	if err := VerifyChain(chain); err != nil {
-		return nil, fmt.Errorf("checkpoint: fold: %w", err)
+		return nil, nil, fmt.Errorf("checkpoint: fold: %w", err)
 	}
 	leaf := chain[len(chain)-1]
 	folded := *leaf
@@ -33,7 +46,7 @@ func FoldChain(chain []*Image) (*Image, error) {
 
 	plan, err := planReplay(chain)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: fold: %w", err)
+		return nil, nil, fmt.Errorf("checkpoint: fold: %w", err)
 	}
 
 	// Find each touched page's covered byte intervals, then emit extents
@@ -88,6 +101,12 @@ func FoldChain(chain []*Image) (*Image, error) {
 		secs[i] = v
 		secs[i].Extents = nil
 	}
+	// Size every extent first — the runs that follow on without a gap, up
+	// to the section's end — then lay the image out and copy the spans
+	// into the extents' slots.
+	type slot struct{ sec, ext, lo, hi int } // extent ext of section sec holds runs[lo:hi]
+	var slots []slot
+	exts := make([][]Range, len(secs))
 	for i := 0; i < len(runs); {
 		si := -1
 		for k := range secs {
@@ -98,18 +117,23 @@ func FoldChain(chain []*Image) (*Image, error) {
 		}
 		if si < 0 {
 			// planReplay only plans pages mapped in the leaf layout.
-			return nil, fmt.Errorf("checkpoint: fold: run %#x outside leaf layout", uint64(runs[i].addr))
+			return nil, nil, fmt.Errorf("checkpoint: fold: run %#x outside leaf layout", uint64(runs[i].addr))
 		}
-		// Size the extent first: the runs that follow on without a gap,
-		// up to the section's end. Then allocate it once and fill it.
 		start, end := runs[i].addr, secs[si].Start+mem.Addr(secs[si].Length)
 		n, j := 0, i
 		for ; j < len(runs) && runs[j].addr == start+mem.Addr(n) && runs[j].addr < end; j++ {
 			n += runs[j].hi - runs[j].lo
 		}
-		data := make([]byte, n)
-		for _, r := range runs[i:j] {
-			dst := data[r.addr-start:]
+		slots = append(slots, slot{si, len(exts[si]), i, j})
+		exts[si] = append(exts[si], Range{Addr: start, Length: n})
+		i = j
+	}
+	folded.VMAs = secs
+	buf := folded.layout(exts)
+	for _, sl := range slots {
+		e := folded.VMAs[sl.sec].Extents[sl.ext]
+		for _, r := range runs[sl.lo:sl.hi] {
+			dst := e.Data[r.addr-e.Addr:]
 			// Every span lies wholly inside one covered interval, and
 			// applying them in chain order makes the last writer win.
 			for _, s := range r.spans {
@@ -118,22 +142,19 @@ func FoldChain(chain []*Image) (*Image, error) {
 				}
 			}
 		}
-		secs[si].Extents = append(secs[si].Extents, Extent{Addr: start, Data: data})
-		i = j
 	}
-	folded.VMAs = secs
 
 	if err := folded.Verify(); err != nil {
-		return nil, fmt.Errorf("checkpoint: fold: %w", err)
+		return nil, nil, fmt.Errorf("checkpoint: fold: %w", err)
 	}
-	return &folded, nil
+	return &folded, buf, nil
 }
 
 // FoldEncodedChain decodes an encoded chain (oldest-first), folds it,
-// and re-encodes the result. It is storage.FoldFunc-shaped: the
-// storage-side compactor works on opaque objects and takes the image
-// knowledge it needs through this callback (the cluster wires the two
-// together).
+// and seals the folded image's layout buffer. It is
+// storage.FoldFunc-shaped: the storage-side compactor works on opaque
+// objects and takes the image knowledge it needs through this callback
+// (the cluster wires the two together).
 func FoldEncodedChain(blobs [][]byte) ([]byte, error) {
 	chain := make([]*Image, len(blobs))
 	for i, b := range blobs {
@@ -143,9 +164,12 @@ func FoldEncodedChain(blobs [][]byte) ([]byte, error) {
 		}
 		chain[i] = img
 	}
-	folded, err := FoldChain(chain)
+	folded, buf, err := foldChain(chain)
 	if err != nil {
 		return nil, err
 	}
-	return folded.EncodeBytes()
+	if err := folded.seal(buf, 1); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }

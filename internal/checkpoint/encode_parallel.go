@@ -37,8 +37,12 @@ func vmaHeaderSize(v *VMASection) int {
 	return 8 + 8 + 1 + (4 + len(v.Name)) + 1 + 4
 }
 
+// extentHeaderSize is the encoded size of an extent's address and
+// length prefix.
+const extentHeaderSize = 8 + 4
+
 // extentSize returns the encoded size of one extent.
-func extentSize(e *Extent) int { return 8 + 4 + len(e.Data) }
+func extentSize(e *Extent) int { return extentHeaderSize + len(e.Data) }
 
 // planPieces lays out every VMA section as one or more pieces starting
 // at base, splitting long extent runs at shardTargetBytes boundaries.
@@ -80,27 +84,40 @@ func (img *Image) encodePiece(p *encPiece, buf []byte) (err error) {
 
 // EncodeParallelBytes encodes the image with section payloads sharded
 // across workers goroutines, returning the same bytes Encode would
-// write. workers <= 1 falls back to the sequential encoder.
+// write. workers <= 1 encodes in one sequential pass.
 func (img *Image) EncodeParallelBytes(workers int) ([]byte, error) {
-	if workers <= 1 {
-		return img.EncodeBytes()
+	buf := make([]byte, encodedSize(img.encode))
+	if err := img.seal(buf, workers); err != nil {
+		return nil, err
 	}
+	return buf, nil
+}
 
-	// Head and tail are metadata-sized: size them with a sizing pass,
-	// lay the sections out between them, and encode both sequentially
-	// into their final spans.
+// seal writes img's encoding into buf, which must be exactly its
+// encoded size. An extent whose Data already sits in its slot of buf (a
+// layout buffer) is checksummed in place rather than copied. With
+// workers <= 1 one pass writes and checksums the whole image; otherwise
+// the head and tail are encoded sequentially, the sections as pieces
+// across the pool, and the span CRCs are folded with crc.Combine.
+func (img *Image) seal(buf []byte, workers int) error {
+	if workers <= 1 {
+		_, err := encodeSpan(buf, img.encode)
+		return err
+	}
 	headSize := encodedSize(img.encodeHead)
 	pieces, bodySize := img.planPieces(headSize)
 	tailOff, tailSize := headSize+bodySize, encodedSize(img.encodeTail)
 	total := tailOff + tailSize + 8
-	buf := make([]byte, total)
+	if total != len(buf) {
+		return fmt.Errorf("checkpoint: encode planned %d bytes into a %d-byte buffer", total, len(buf))
+	}
 	headCRC, err := encodeSpan(buf[:headSize], img.encodeHead)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	tailCRC, err := encodeSpan(buf[tailOff:tailOff+tailSize], img.encodeTail)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	if workers > len(pieces) && len(pieces) > 0 {
@@ -128,7 +145,7 @@ func (img *Image) EncodeParallelBytes(workers int) ([]byte, error) {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -140,5 +157,5 @@ func (img *Image) EncodeParallelBytes(workers int) ([]byte, error) {
 	}
 	sum = crc.Combine(sum, tailCRC, tailSize)
 	binary.LittleEndian.PutUint64(buf[total-8:], sum)
-	return buf, nil
+	return nil
 }

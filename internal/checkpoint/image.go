@@ -330,7 +330,11 @@ func (s *sliceWriter) Write(p []byte) (int, error) {
 	if s.n+len(p) > len(s.buf) {
 		return 0, errors.New("checkpoint: encode span overflow")
 	}
-	copy(s.buf[s.n:], p)
+	// An extent laid out in this buffer already sits in its slot: the
+	// CRC pass has read it, and there is nothing to move.
+	if len(p) > 0 && &p[0] != &s.buf[s.n] {
+		copy(s.buf[s.n:], p)
+	}
 	s.n += len(p)
 	return len(p), nil
 }
@@ -450,16 +454,42 @@ func (img *Image) encodeTail(c *cw) {
 	}
 }
 
-// EncodeBytes returns the encoded image. A sizing pass over the
-// metadata fixes the exact length first, so the buffer is allocated once
-// at its final size (cap == len) and the bytes are written, and
-// checksummed, in a single pass.
-func (img *Image) EncodeBytes() ([]byte, error) {
-	buf := make([]byte, encodedSize(img.encode))
-	if _, err := encodeSpan(buf, img.encode); err != nil {
-		return nil, err
+// EncodeBytes returns the encoded image: a sizing pass fixes the exact
+// length, the buffer is allocated once at that size (cap == len), and
+// seal writes and checksums it in a single pass.
+func (img *Image) EncodeBytes() ([]byte, error) { return img.EncodeParallelBytes(1) }
+
+// layout allocates img's encoded buffer once, at its exact final size,
+// and points every extent's Data at its slot in it: section i gets one
+// extent per entry of exts[i], at that address and of that length, with
+// capacity clipped like Decode's. The caller fills the slots and then
+// seals the buffer, which writes the metadata and the CRC-64 trailer
+// around them. The head and tail are sized here, so every metadata
+// field must be final before the call.
+func (img *Image) layout(exts [][]Range) []byte {
+	head := encodedSize(img.encodeHead)
+	total := head + encodedSize(img.encodeTail) + 8
+	for i := range img.VMAs {
+		total += vmaHeaderSize(&img.VMAs[i])
+		for _, r := range exts[i] {
+			total += extentHeaderSize + r.Length
+		}
 	}
-	return buf, nil
+	buf := make([]byte, total)
+	off := head
+	for i := range img.VMAs {
+		v := &img.VMAs[i]
+		off += vmaHeaderSize(v)
+		if len(exts[i]) > 0 {
+			v.Extents = make([]Extent, 0, len(exts[i]))
+		}
+		for _, r := range exts[i] {
+			off += extentHeaderSize
+			v.Extents = append(v.Extents, Extent{Addr: r.Addr, Data: buf[off : off+r.Length : off+r.Length]})
+			off += r.Length
+		}
+	}
+	return buf
 }
 
 // Decode parses an encoded image. The CRC-64 trailer is checked over the

@@ -167,19 +167,20 @@ func pruneSpans(j *pageJob) int {
 }
 
 // applyPlan writes every job's spans into the address space. Pages are
-// materialized sequentially first — the address space's page maps and
-// version clock are not goroutine-safe — and only the byte copies into
-// the resulting disjoint buffers fan out across the pool. The simulated
-// cost is billed by the caller; goroutines here only move bytes, like
-// the capture path's fillExtentsParallel.
+// materialized sequentially first, in one PageBuffers call — the
+// address space's page maps and version clock are not goroutine-safe,
+// and the pages still demand-zero share one frame allocation — and only
+// the byte copies into the resulting disjoint buffers fan out across the
+// pool. The simulated cost is billed by the caller; goroutines here only
+// move bytes, like the capture path's fillExtentsParallel.
 func applyPlan(as *mem.AddressSpace, plan *replayPlan, workers int) error {
-	bufs := make([][]byte, len(plan.jobs))
+	pns := make([]mem.PageNum, len(plan.jobs))
 	for i := range plan.jobs {
-		buf, err := as.PageBuffer(plan.jobs[i].page)
-		if err != nil {
-			return fmt.Errorf("checkpoint: restore page %#x: %w", uint64(plan.jobs[i].page.Base()), err)
-		}
-		bufs[i] = buf
+		pns[i] = plan.jobs[i].page
+	}
+	bufs, err := as.PageBuffers(pns)
+	if err != nil {
+		return fmt.Errorf("checkpoint: restore page %#x: %w", uint64(pns[len(bufs)].Base()), err)
 	}
 	if workers > len(plan.jobs) {
 		workers = len(plan.jobs)

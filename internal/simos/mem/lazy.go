@@ -4,7 +4,7 @@
 // materialized up front is instead registered here as *pending*, and the
 // first access to a pending page — workload loads and stores through
 // access(), kernel-mode reads and writes through ReadDirect/WriteDirect,
-// and replay writes through PageBuffer — invokes the DemandFiller to
+// and replay writes through PageBuffer/PageBuffers — invokes the DemandFiller to
 // materialize the checkpointed contents before the access proceeds.
 //
 // This is deliberately a separate channel from FaultHandler: the fault

@@ -662,9 +662,59 @@ func (as *AddressSpace) WriteDirect(addr Addr, data []byte) error {
 // clock once. This is the parallel-restore seam: WriteDirect mutates the
 // per-VMA page map and the shared version clock and is therefore not
 // safe from worker goroutines, so a parallel replay materializes every
-// target page through this method first (sequentially) and then lets
+// target page first (sequentially, through PageBuffers) and then lets
 // workers copy into the disjoint buffers it returned.
 func (as *AddressSpace) PageBuffer(pn PageNum) ([]byte, error) {
+	pg, err := as.materialize(pn)
+	if err != nil {
+		return nil, err
+	}
+	if pg.data == nil {
+		pg.data = make([]byte, PageSize)
+	}
+	return pg.data, nil
+}
+
+// PageBuffers is PageBuffer over pns, in order, with one difference:
+// the pages still demand-zero get their frames from one shared
+// allocation, each frame clipped to PageSize so an append to one
+// reallocates instead of reaching its neighbour. Fills, dirty bits and
+// version-clock bumps are exactly those of a PageBuffer loop. A shared
+// allocation stays live while any of its pages keeps its frame. On
+// error, bufs holds the frames of the pages materialized before the
+// failing one, pns[len(bufs)].
+func (as *AddressSpace) PageBuffers(pns []PageNum) (bufs [][]byte, err error) {
+	pages := make([]*Page, 0, len(pns))
+	for _, pn := range pns {
+		pg, perr := as.materialize(pn)
+		if perr != nil {
+			err = perr
+			break
+		}
+		pages = append(pages, pg)
+	}
+	zeroed := 0
+	for _, pg := range pages {
+		if pg.data == nil {
+			zeroed++
+		}
+	}
+	frames := make([]byte, zeroed*PageSize)
+	bufs = make([][]byte, len(pages))
+	for i, pg := range pages {
+		if pg.data == nil {
+			pg.data, frames = frames[:PageSize:PageSize], frames[PageSize:]
+		}
+		bufs[i] = pg.data
+	}
+	return bufs, err
+}
+
+// materialize runs pn's pending demand fill, if any, materializes its
+// page struct and marks it written: dirty, with one version-clock bump.
+// A page still demand-zero afterwards has no frame yet; the caller
+// gives it one.
+func (as *AddressSpace) materialize(pn PageNum) (*Page, error) {
 	a := pn.Base()
 	v := as.Find(a)
 	if v == nil {
@@ -674,13 +724,10 @@ func (as *AddressSpace) PageBuffer(pn PageNum) ([]byte, error) {
 		return nil, err
 	}
 	pg := v.page(pn)
-	if pg.data == nil {
-		pg.data = make([]byte, PageSize)
-	}
 	pg.dirty = true
 	as.versionClock++
 	pg.version = as.versionClock
-	return pg.data, nil
+	return pg, nil
 }
 
 // PageInfo describes one resident page for iteration.

@@ -499,3 +499,147 @@ func BenchmarkChecksum64MiB(b *testing.B) {
 		as.Checksum()
 	}
 }
+
+// pageBuffersFixture maps newTestAS's layout with a mix of page states
+// in the heap: page 2 written (has a frame), page 5 read (a page struct,
+// still demand-zero) and page 7 pending a demand fill that writes
+// through PageBuffer.
+func pageBuffersFixture(t *testing.T) *AddressSpace {
+	t.Helper()
+	as := newTestAS(t)
+	heap := Addr(0x600000)
+	if err := as.Write(heap+2*PageSize+100, []byte("resident")); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Read(heap+5*PageSize, make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+	filled := (heap + 7*PageSize).Page()
+	as.SetDemandFill([]PageNum{filled}, func(pn PageNum) error {
+		buf, err := as.PageBuffer(pn)
+		copy(buf, "filled")
+		return err
+	})
+	return as
+}
+
+// pageState is what a page-buffer call may change about one page.
+type pageState struct {
+	data    []byte
+	dirty   bool
+	version uint64
+}
+
+func pageStates(as *AddressSpace) map[PageNum]pageState {
+	out := make(map[PageNum]pageState)
+	for _, pi := range as.ResidentPages() {
+		out[pi.Num] = pageState{append([]byte(nil), pi.Page.Data()...), pi.Page.Dirty(), pi.Page.Version()}
+	}
+	return out
+}
+
+// TestPageBuffersMatchesPageBufferLoop: PageBuffers leaves every page
+// exactly as a PageBuffer loop over the same pages does — data, dirty
+// bits, versions and the version clock, demand fills included — and its
+// frames are disjoint, clipped to a page. On a fault it stops at the
+// same page the loop stops at.
+func TestPageBuffersMatchesPageBufferLoop(t *testing.T) {
+	heap := Addr(0x600000).Page()
+	var pns []PageNum
+	for i := PageNum(0); i < 16; i++ {
+		pns = append(pns, heap+i)
+	}
+	pns = append(pns, Addr(0x7ff00000).Page(), Addr(0x400000).Page())
+	for _, tc := range []struct {
+		name  string
+		pns   []PageNum
+		fails int // index of the unmapped page, or -1
+	}{
+		{"mapped", pns, -1},
+		{"fault", append(append(append([]PageNum(nil), pns[:9]...), Addr(0x100000).Page()), pns[9:]...), 9},
+	} {
+		loop, slab := pageBuffersFixture(t), pageBuffersFixture(t)
+		var want [][]byte
+		var wantErr error
+		for _, pn := range tc.pns {
+			buf, err := loop.PageBuffer(pn)
+			if err != nil {
+				wantErr = err
+				break
+			}
+			want = append(want, buf)
+		}
+		got, err := slab.PageBuffers(tc.pns)
+		if (err == nil) != (wantErr == nil) || len(got) != len(want) {
+			t.Fatalf("%s: PageBuffers gave %d buffers, err %v; the loop %d, err %v", tc.name, len(got), err, len(want), wantErr)
+		}
+		if tc.fails >= 0 && len(got) != tc.fails {
+			t.Fatalf("%s: %d buffers before the fault, want %d", tc.name, len(got), tc.fails)
+		}
+		for i := range got {
+			if !bytesEqual(got[i], want[i]) || cap(got[i]) != PageSize {
+				t.Fatalf("%s: buffer %d differs from PageBuffer's (cap %d)", tc.name, i, cap(got[i]))
+			}
+		}
+		if !statesEqual(pageStates(slab), pageStates(loop)) || slab.versionClock != loop.versionClock {
+			t.Fatalf("%s: page states differ from the PageBuffer loop", tc.name)
+		}
+		// Fill every frame with its own index through the returned
+		// buffers: no frame may reach another.
+		for i := range got {
+			for j := range got[i] {
+				got[i][j], want[i][j] = byte(i+1), byte(i+1)
+			}
+		}
+		if !statesEqual(pageStates(slab), pageStates(loop)) {
+			t.Fatalf("%s: writes through the buffers landed differently", tc.name)
+		}
+	}
+}
+
+// TestPageBuffersSharesOneAllocation: materializing n demand-zero pages
+// costs one frame allocation, not n.
+func TestPageBuffersSharesOneAllocation(t *testing.T) {
+	const n = 16
+	run := func(batch bool) float64 {
+		return testing.AllocsPerRun(20, func() {
+			as := NewAddressSpace()
+			if _, err := as.Map(0x600000, n*PageSize, ProtRW, KindHeap, "[heap]"); err != nil {
+				t.Fatal(err)
+			}
+			pns := make([]PageNum, n)
+			for i := range pns {
+				pns[i] = Addr(0x600000).Page() + PageNum(i)
+			}
+			if batch {
+				if _, err := as.PageBuffers(pns); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			for _, pn := range pns {
+				if _, err := as.PageBuffer(pn); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	if loop, batch := run(false), run(true); loop-batch < n/2 {
+		t.Fatalf("PageBuffers made %.0f allocations, the PageBuffer loop %.0f", batch, loop)
+	}
+}
+
+func bytesEqual(a, b []byte) bool { return string(a) == string(b) }
+
+func statesEqual(a, b map[PageNum]pageState) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for pn, s := range a {
+		o, ok := b[pn]
+		if !ok || s.dirty != o.dirty || s.version != o.version || !bytesEqual(s.data, o.data) {
+			return false
+		}
+	}
+	return true
+}

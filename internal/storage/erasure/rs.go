@@ -210,22 +210,39 @@ func gather(blobs [][]byte) ([]Shard, error) {
 // object was re-encoded (a chain fold republishing under the leaf's
 // name) and the overwrite missed a replica, a gather mixes shards of two
 // encodings and the strict DecodeObject refuses the lot. DecodeAny
-// partitions the blobs into consistent encoding groups by header and
-// decodes the best one — most distinct shard indices first, ties broken
-// toward the larger original length (re-encodes under one name only
-// ever fold deltas into fuller images), then the larger geometry, all
-// deterministic. Within the chosen group the first k distinct shards in
-// blob order are used. Fails only when no group reaches its own k.
+// decodes the encoding BestGroup picks, from the first k distinct shards
+// of it in blob order. Fails only when no group reaches its own k.
 //
 // Every blob is parsed (and CRC-checked) exactly once. solved reports
 // whether a parity shard was among the k used, i.e. whether the decode
 // needed a matrix solve rather than concatenating the data shards.
 func DecodeAny(blobs [][]byte) (data []byte, solved bool, err error) {
-	type groupKey struct{ k, m, origLen int }
+	g, err := BestGroup(blobs)
+	if err != nil {
+		return nil, false, err
+	}
+	return decode(g.Shards)
+}
+
+// Group is one encoding among a gather's valid shards: the header
+// triple that identifies it, and its distinct shards in blob order.
+type Group struct {
+	K, M, OrigLen int
+	Shards        []Shard
+}
+
+// BestGroup parses and CRC-checks every blob once, partitions the valid
+// shards into encoding groups by header, and returns the group DecodeAny
+// decodes: most distinct shard indices first, ties broken toward the
+// larger original length (re-encodes under one name only ever fold
+// deltas into fuller images), then the larger geometry, all
+// deterministic. It fails with ErrInsufficient unless that group holds
+// at least its own k distinct shards, so a nil error means the object
+// decodes, to OrigLen bytes.
+func BestGroup(blobs [][]byte) (Group, error) {
 	type group struct {
-		key    groupKey
-		shards []Shard
-		seen   [MaxShards]bool
+		Group
+		seen [MaxShards]bool
 	}
 	var groups []*group // first-seen order; a gather rarely holds more than two
 	for _, b := range blobs {
@@ -238,37 +255,36 @@ func DecodeAny(blobs [][]byte) (data []byte, solved bool, err error) {
 		}
 		// ParseShard pins the payload length to (k, origLen), so the
 		// header triple identifies an encoding.
-		key := groupKey{s.K, s.M, s.OrigLen}
 		var g *group
 		for _, cand := range groups {
-			if cand.key == key {
+			if cand.K == s.K && cand.M == s.M && cand.OrigLen == s.OrigLen {
 				g = cand
 				break
 			}
 		}
 		if g == nil {
-			g = &group{key: key}
+			g = &group{Group: Group{K: s.K, M: s.M, OrigLen: s.OrigLen}}
 			groups = append(groups, g)
 		}
 		if g.seen[s.Index] {
 			continue
 		}
 		g.seen[s.Index] = true
-		g.shards = append(g.shards, s)
+		g.Shards = append(g.Shards, s)
 	}
 	better := func(a, b *group) bool {
-		ad, bd := len(a.shards) >= a.key.k, len(b.shards) >= b.key.k
+		ad, bd := len(a.Shards) >= a.K, len(b.Shards) >= b.K
 		switch {
 		case ad != bd:
 			return ad // a decodable group always beats an undecodable one
-		case len(a.shards) != len(b.shards):
-			return len(a.shards) > len(b.shards)
-		case a.key.origLen != b.key.origLen:
-			return a.key.origLen > b.key.origLen
-		case a.key.k != b.key.k:
-			return a.key.k > b.key.k
+		case len(a.Shards) != len(b.Shards):
+			return len(a.Shards) > len(b.Shards)
+		case a.OrigLen != b.OrigLen:
+			return a.OrigLen > b.OrigLen
+		case a.K != b.K:
+			return a.K > b.K
 		}
-		return a.key.m > b.key.m
+		return a.M > b.M
 	}
 	var best *group
 	for _, g := range groups {
@@ -277,12 +293,12 @@ func DecodeAny(blobs [][]byte) (data []byte, solved bool, err error) {
 		}
 	}
 	if best == nil {
-		return nil, false, ErrInsufficient
+		return Group{}, ErrInsufficient
 	}
-	if have, k := len(best.shards), best.key.k; have < k {
-		return nil, false, fmt.Errorf("%w: have %d, need %d", ErrInsufficient, have, k)
+	if have, k := len(best.Shards), best.K; have < k {
+		return Group{}, fmt.Errorf("%w: have %d, need %d", ErrInsufficient, have, k)
 	}
-	return decode(best.shards)
+	return best.Group, nil
 }
 
 // ReconstructShards returns a full, freshly sealed shard set from any k

@@ -515,13 +515,14 @@ func (r *Replicated) Delete(object string) error {
 }
 
 // ObjectSize implements Target. Mirrors report the first replica's
-// answer. Erasure sets require a decodable object — at least k shard
-// copies — and report the original length from a shard header, so the
-// delta-chain parent check ("is my parent durable here?") means
-// restorable, not merely present somewhere.
+// answer. Erasure sets require a decodable object — k distinct shards of
+// one encoding, the group a read would decode — and report that
+// encoding's original length, so the delta-chain parent check ("is my
+// parent durable here?") means restorable, not merely present
+// somewhere: a stale shard of an older encoding under the same name
+// neither counts toward k nor lends its length.
 func (r *Replicated) ObjectSize(object string) (int, error) {
-	k, _, on := r.Erasure()
-	if !on {
+	if _, _, on := r.Erasure(); !on {
 		sawNotFound := false
 		for _, rep := range r.reps {
 			if !rep.T.Available() {
@@ -540,8 +541,9 @@ func (r *Replicated) ObjectSize(object string) (int, error) {
 		}
 		return 0, fmt.Errorf("%w: %s", ErrTargetUnavailable, r.name)
 	}
-	copies, origLen, sawAny, sawDown := 0, 0, false, false
-	for _, rep := range r.reps {
+	blobs := make([][]byte, len(r.reps))
+	sawAny, sawDown := false, false
+	for i, rep := range r.reps {
 		if !rep.T.Available() {
 			sawDown = true
 			continue
@@ -551,18 +553,16 @@ func (r *Replicated) ObjectSize(object string) (int, error) {
 			continue
 		}
 		sawAny = true
-		if s, perr := erasure.ParseShard(data); perr == nil {
-			copies++
-			origLen = s.OrigLen
-		}
+		blobs[i] = data
 	}
-	if copies >= k {
-		return origLen, nil
+	g, err := erasure.BestGroup(blobs)
+	if err == nil {
+		return g.OrigLen, nil
 	}
 	if sawDown && !sawAny {
 		return 0, fmt.Errorf("%w: %s", ErrTargetUnavailable, r.name)
 	}
-	return 0, fmt.Errorf("%w: %s/%s (%d/%d shards)", ErrNotFound, r.name, object, copies, k)
+	return 0, fmt.Errorf("%w: %s/%s (%v)", ErrNotFound, r.name, object, err)
 }
 
 // Repair restores full redundancy for one object: mirrors copy the

@@ -674,3 +674,55 @@ func TestRepairSizedHealsStaleErasureShard(t *testing.T) {
 		t.Fatalf("decode after repair: %v", err)
 	}
 }
+
+// TestReplicatedObjectSizeNeedsOneEncoding: a folded object on a 2+1
+// set, with a stale pre-fold shard left in slot 2 and slot 1 lost,
+// holds two valid shards but of two encodings — not restorable.
+// ObjectSize must say so, as ReadObject does, and a delta naming it as
+// parent must not publish.
+func TestReplicatedObjectSizeNeedsOneEncoding(t *testing.T) {
+	cm := costmodel.Default2005()
+	var reps []Replica
+	var disks []*Local
+	for i := 0; i < 3; i++ {
+		d := NewLocal(fmt.Sprintf("n%d", i), cm, nil)
+		disks = append(disks, d)
+		reps = append(reps, Replica{T: d, Role: RoleShard})
+	}
+	r, err := NewReplicated("repl", reps, ReplicatedConfig{DataShards: 2, ParityShards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Repeat([]byte("pre-fold delta "), 40)
+	folded := bytes.Repeat([]byte("post-fold full image "), 90)
+	if err := Write(r, "leaf", folded, WriteOptions{Atomic: true}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := r.ObjectSize("leaf"); err != nil || n != len(folded) {
+		t.Fatalf("healthy ObjectSize = %d, %v; want %d", n, err, len(folded))
+	}
+	oldShards, err := erasure.EncodeObject(old, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(disks[2], "leaf", oldShards[2], WriteOptions{Atomic: true}); err != nil {
+		t.Fatal(err)
+	}
+	// Two of one encoding still decode, to the folded length.
+	if n, err := r.ObjectSize("leaf"); err != nil || n != len(folded) {
+		t.Fatalf("ObjectSize with a stale shard = %d, %v; want %d", n, err, len(folded))
+	}
+	if err := disks[1].Delete("leaf"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ReadObject("leaf", nil); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("ReadObject err = %v, want ErrNotFound", err)
+	}
+	if n, err := r.ObjectSize("leaf"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("ObjectSize = %d, %v; want ErrNotFound", n, err)
+	}
+	err = Write(r, "child", []byte("delta"), WriteOptions{Atomic: true, Parent: "leaf"})
+	if !errors.Is(err, ErrBrokenChain) {
+		t.Fatalf("delta onto an unrestorable parent: err = %v, want ErrBrokenChain", err)
+	}
+}
