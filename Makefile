@@ -19,18 +19,19 @@ test:
 
 # Root-package benchmarks, then the per-layer erasure codec benchmarks
 # (the GF(256) multiply-accumulate kernel over a 4 KiB and a 256 KiB
-# plane; 4 MiB object, 2+1: encode, healthy read, degraded read), the image
-# CRC-64 kernel (one 4 KiB page extent, a 4 MiB body), the checkpoint
+# plane; 4 MiB object, 2+1: encode, healthy read, degraded read), the
+# image CRC-64 and the shard CRC-32 (64 B, 1 KiB, 4 KiB, 64 KiB and
+# 4 MiB; the CRC-32 beside hash/crc32 as reference), the checkpoint
 # benchmarks (4 MiB image: decode, sequential and 2-worker
 # encode, CRC-64 combine; capture of a stopped 4 MiB process, whole and
 # as a 5% delta, at 1 and 2 workers; 16-delta chain: replay planning,
 # and plan apply at 1 and 8 workers; 16-delta chain fold), the storage target
 # benchmarks (4 MiB atomic write and 4 MiB batched chain read, local and
 # remote; 4 MiB replicated write and read, buddy mirror and 2+1 erasure),
-# the simulated job's 4 KiB page fill, and the fleet control plane (one
-# 157-member digest into a timeout detector; a 10k-node, 64-shard root
-# supervisor run for 100 ms of simulated time), in ns/op, MB/s and
-# allocs/op.
+# the simulated job's 4 KiB page fill (one page, and four interleaved
+# lanes), and the fleet control plane (one 157-member digest into a
+# timeout detector; a 10k-node, 64-shard root supervisor run for 100 ms
+# of simulated time), in ns/op, MB/s and allocs/op.
 bench:
 	$(GO) test -bench=. -benchmem
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/storage/erasure
@@ -94,6 +95,7 @@ fuzz:
 	$(GO) test ./internal/storage/erasure -run '^$$' -fuzz '^FuzzErasureRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/erasure -run '^$$' -fuzz '^FuzzMulAdd$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/crc -run '^$$' -fuzz '^FuzzCRC64$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/crc -run '^$$' -fuzz '^FuzzCRC32$$' -fuzztime $(FUZZTIME)
 
 # The nightly chaos sweep (10k seeds); failing seeds print shrunken
 # chaos.Replay reproducer lines and fail the target.

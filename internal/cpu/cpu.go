@@ -1,10 +1,14 @@
 // Package cpu probes, once at start-up, the x86 instruction-set
 // extensions that the repository's assembly kernels need: PCLMULQDQ for
-// the CRC-64 fold in internal/crc and SSSE3 (PSHUFB) for the GF(256)
-// multiply in internal/storage/erasure. Both come from CPUID leaf 1,
-// which needs no XGETBV or OS-state check: the kernels use only the
-// 128-bit XMM registers every amd64 OS saves. On every other GOARCH each
-// flag is false, and each kernel's package keeps its own table fallback.
+// the 16-byte CRC fold in internal/crc, AVX-512F with VPCLMULQDQ for its
+// 64-byte (ZMM) fold, and SSSE3 (PSHUFB) for the GF(256) multiply in
+// internal/storage/erasure. PCLMULQDQ and SSSE3 come from CPUID leaf 1
+// and run in the 128-bit XMM registers every amd64 OS saves. The ZMM
+// flag also needs CPUID leaf 7 and an OS check: leaf 1's OSXSAVE bit
+// and XGETBV must show that the OS saves the opmask and all 512 bits of
+// every vector register, or the kernel would lose state at a context
+// switch. On every other GOARCH each flag is false, and each kernel's
+// package keeps its own table fallback.
 package cpu
 
 var (
@@ -13,4 +17,8 @@ var (
 	// HasSSSE3 reports SSSE3, whose PSHUFB is a 16-way byte table
 	// lookup (CPUID leaf 1, ECX bit 9).
 	HasSSSE3 bool
+	// HasAVX512VPCLMULQDQ reports AVX-512F (CPUID leaf 7, EBX bit 16)
+	// and VPCLMULQDQ, carry-less multiply on every 128-bit lane of a
+	// ZMM register (leaf 7, ECX bit 10), with the OS saving ZMM state.
+	HasAVX512VPCLMULQDQ bool
 )

@@ -11,9 +11,11 @@ import (
 // TestFlagsMatchProcCPUInfo checks the probe against the kernel's own
 // CPUID reading: on amd64 each flag must agree with the "flags" line of
 // /proc/cpuinfo, and every other GOARCH (386 included) reports none.
+// Linux lists avx512f only when it saves ZMM state, so the ZMM flag must
+// be set exactly when it lists both avx512f and vpclmulqdq.
 func TestFlagsMatchProcCPUInfo(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
-		if HasPCLMULQDQ || HasSSSE3 {
+		if HasPCLMULQDQ || HasSSSE3 || HasAVX512VPCLMULQDQ {
 			t.Fatalf("%s reports x86 extensions", runtime.GOARCH)
 		}
 		return
@@ -37,5 +39,9 @@ func TestFlagsMatchProcCPUInfo(t *testing.T) {
 	}
 	if want := slices.Contains(flags, "ssse3"); HasSSSE3 != want {
 		t.Errorf("HasSSSE3 = %v, /proc/cpuinfo says %v", HasSSSE3, want)
+	}
+	want := slices.Contains(flags, "avx512f") && slices.Contains(flags, "vpclmulqdq")
+	if HasAVX512VPCLMULQDQ != want {
+		t.Errorf("HasAVX512VPCLMULQDQ = %v, /proc/cpuinfo lists avx512f and vpclmulqdq: %v", HasAVX512VPCLMULQDQ, want)
 	}
 }

@@ -16,11 +16,11 @@ package crc
 
 import "hash/crc64"
 
-// multmodp returns a·b mod P for the ECMA polynomial in the reflected
-// domain, where bit 63 holds x^0.
-func multmodp(a, b uint64) uint64 {
-	var p uint64
-	for m := uint64(1) << 63; m != 0; m >>= 1 {
+// multmodp returns a·b mod P for a reflected CRC polynomial poly of the
+// register's width, where the top bit holds x^0.
+func multmodp[T uint32 | uint64](a, b, poly T) T {
+	var p T
+	for m := ^(^T(0) >> 1); m != 0; m >>= 1 {
 		if a&m != 0 {
 			p ^= b
 			if a&(m-1) == 0 {
@@ -28,7 +28,7 @@ func multmodp(a, b uint64) uint64 {
 			}
 		}
 		if b&1 != 0 {
-			b = b>>1 ^ crc64.ECMA
+			b = b>>1 ^ poly
 		} else {
 			b >>= 1
 		}
@@ -36,15 +36,15 @@ func multmodp(a, b uint64) uint64 {
 	return p
 }
 
-// xPowModP returns x^n mod P in the reflected domain.
-func xPowModP(n int) uint64 {
-	p := uint64(1) << 63  // x^0
-	sq := uint64(1) << 62 // x^1, squared to x^2, x^4, ... per bit of n
+// xPowModP returns x^n mod P for the reflected polynomial poly.
+func xPowModP[T uint32 | uint64](n int, poly T) T {
+	p := ^(^T(0) >> 1) // x^0
+	sq := p >> 1       // x^1, squared to x^2, x^4, ... per bit of n
 	for ; n != 0; n >>= 1 {
 		if n&1 != 0 {
-			p = multmodp(p, sq)
+			p = multmodp(p, sq, poly)
 		}
-		sq = multmodp(sq, sq)
+		sq = multmodp(sq, sq, poly)
 	}
 	return p
 }
@@ -55,7 +55,7 @@ var x8Pow2Table = func() (t [64]uint64) {
 	p := uint64(1) << (63 - 8) // x^8
 	for k := range t {
 		t[k] = p
-		p = multmodp(p, p)
+		p = multmodp(p, p, crc64.ECMA)
 	}
 	return t
 }()
@@ -69,8 +69,8 @@ func Combine(crc1, crc2 uint64, len2 int) uint64 {
 	shift := uint64(1) << 63 // x^0
 	for k := 0; len2 != 0; k, len2 = k+1, len2>>1 {
 		if len2&1 != 0 {
-			shift = multmodp(x8Pow2Table[k], shift)
+			shift = multmodp(x8Pow2Table[k], shift, crc64.ECMA)
 		}
 	}
-	return multmodp(shift, crc1) ^ crc2
+	return multmodp(shift, crc1, crc64.ECMA) ^ crc2
 }

@@ -2,9 +2,17 @@
 
 package crc
 
-// useCLMUL is false: this GOARCH has no carry-less multiply kernel.
-const useCLMUL = false
+// useCLMUL and useWide are false: this GOARCH has no carry-less
+// multiply kernel.
+const (
+	useCLMUL = false
+	useWide  = false
+)
 
-func foldCLMUL(state uint64, p []byte, k *[4]uint64) (lo, hi uint64) {
+func foldCLMUL(state uint64, p []byte, k *foldKeys) (lo, hi uint64) {
+	panic("crc: no carry-less multiply kernel on this GOARCH")
+}
+
+func foldWide(state uint64, p []byte, k *foldKeys) (lo, hi uint64) {
 	panic("crc: no carry-less multiply kernel on this GOARCH")
 }

@@ -15,6 +15,7 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -820,11 +821,18 @@ func put64(b []byte, v uint64) {
 	}
 }
 
+// zeroPage is never written: isZero compares against it.
+var zeroPage [PageSize]byte
+
+// isZero reports whether every byte of b is zero, comparing a page at a
+// time with bytes.Equal, which compares many bytes per instruction.
 func isZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
+	for len(b) > 0 {
+		n := min(len(b), PageSize)
+		if !bytes.Equal(b[:n], zeroPage[:n]) {
 			return false
 		}
+		b = b[n:]
 	}
 	return true
 }

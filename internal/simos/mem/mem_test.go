@@ -643,3 +643,49 @@ func statesEqual(a, b map[PageNum]pageState) bool {
 	}
 	return true
 }
+
+// isZeroBytewise is the byte-at-a-time loop isZero replaced, kept as
+// its reference.
+func isZeroBytewise(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIsZeroMatchesBytewise checks isZero against the bytewise loop at
+// every length up to a page and across page multiples: all zero, with a
+// nonzero last byte, and, for lengths up to 80, with a single nonzero
+// byte at each position.
+func TestIsZeroMatchesBytewise(t *testing.T) {
+	buf := make([]byte, 3*PageSize+5)
+	check := func(b []byte) {
+		t.Helper()
+		if got, want := isZero(b), isZeroBytewise(b); got != want {
+			t.Fatalf("isZero(len %d) = %v, want %v", len(b), got, want)
+		}
+	}
+	lengths := []int{2 * PageSize, 2*PageSize + 1, 3*PageSize + 5}
+	for n := 0; n <= PageSize; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		b := buf[:n]
+		check(b)
+		if n == 0 {
+			continue
+		}
+		b[n-1] = 1
+		check(b)
+		b[n-1] = 0
+		if n <= 80 {
+			for i := range b {
+				b[i] = 0x80
+				check(b)
+				b[i] = 0
+			}
+		}
+	}
+}

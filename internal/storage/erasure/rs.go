@@ -5,7 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+
+	"repro/internal/crc"
 )
 
 // Codec errors.
@@ -21,8 +22,9 @@ var (
 const MaxShards = 255
 
 // Shard header: magic "RS", format version, shard index, k, m, original
-// object length, and a CRC of the payload so a torn shard is detected
-// and treated as missing rather than silently corrupting the decode.
+// object length, and a CRC-32 (IEEE, from internal/crc) of the payload
+// so a torn shard is detected and treated as missing rather than
+// silently corrupting the decode.
 const (
 	shardMagic0  = 'R'
 	shardMagic1  = 'S'
@@ -126,7 +128,7 @@ func sealHeader(b []byte, idx, k, m, origLen int) {
 	b[0], b[1], b[2] = shardMagic0, shardMagic1, shardVersion
 	b[3], b[4], b[5] = byte(idx), byte(k), byte(m)
 	binary.BigEndian.PutUint32(b[6:], uint32(origLen))
-	binary.BigEndian.PutUint32(b[10:], crc32.ChecksumIEEE(b[headerLen:]))
+	binary.BigEndian.PutUint32(b[10:], crc.ChecksumIEEE(b[headerLen:]))
 }
 
 // ParseShard validates a shard blob. A short, mismagicked, or
@@ -149,7 +151,7 @@ func ParseShard(b []byte) (Shard, error) {
 	if want := (s.OrigLen + s.K - 1) / s.K; len(s.Payload) != want {
 		return Shard{}, ErrBadShard
 	}
-	if crc32.ChecksumIEEE(s.Payload) != binary.BigEndian.Uint32(b[10:]) {
+	if crc.ChecksumIEEE(s.Payload) != binary.BigEndian.Uint32(b[10:]) {
 		return Shard{}, ErrBadShard
 	}
 	return s, nil

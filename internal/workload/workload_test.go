@@ -390,13 +390,55 @@ func TestPageBufMatchesBytewise(t *testing.T) {
 	}
 }
 
-// BenchmarkPageBuf fills one 4 KiB page: the per-page content cost every
-// workload pays on each page it writes.
-func BenchmarkPageBuf(b *testing.B) {
-	var buf [mem.PageSize]byte
-	b.SetBytes(mem.PageSize)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pageBuf(buf[:], uint64(i))
+// TestFillLanesMatchesPageBuf: every lane of the interleaved fill holds
+// exactly pageBuf's page for its tag, over 1,000 tag sets.
+func TestFillLanesMatchesPageBuf(t *testing.T) {
+	var bufs [lanes][mem.PageSize]byte
+	var tags [lanes]uint64
+	var want [mem.PageSize]byte
+	for n := uint64(0); n < 1000; n++ {
+		for j := range tags {
+			tags[j] = (n*lanes + uint64(j)) * 0x9e3779b97f4a7c15
+		}
+		fillLanes(&bufs, &tags)
+		for j, tag := range tags {
+			pageBuf(want[:], tag)
+			if bufs[j] != want {
+				t.Fatalf("lane %d tag %#x: fillLanes differs from pageBuf", j, tag)
+			}
+		}
 	}
+}
+
+func TestFillLanesAllocates0(t *testing.T) {
+	var bufs [lanes][mem.PageSize]byte
+	var tags [lanes]uint64
+	if a := testing.AllocsPerRun(20, func() { fillLanes(&bufs, &tags) }); a != 0 {
+		t.Fatalf("fillLanes allocates %v times", a)
+	}
+}
+
+// BenchmarkPageBuf fills 4 KiB pages, the per-page content cost every
+// workload pays on each page it writes: one page at a time through
+// pageBuf, and lanes pages at once through fillLanes, as Dense and
+// Sparse do. MB/s counts every page filled.
+func BenchmarkPageBuf(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
+		var buf [mem.PageSize]byte
+		b.SetBytes(mem.PageSize)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pageBuf(buf[:], uint64(i))
+		}
+	})
+	b.Run("lanes", func(b *testing.B) {
+		var bufs [lanes][mem.PageSize]byte
+		var tags [lanes]uint64
+		b.SetBytes(lanes * mem.PageSize)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tags[0] = uint64(i)
+			fillLanes(&bufs, &tags)
+		}
+	})
 }
