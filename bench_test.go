@@ -1,5 +1,5 @@
 // Benchmarks regenerating every artifact of the paper: F1 (Figure 1),
-// T1 (Table 1), and the derived experiments E1–E11 of DESIGN.md §3.
+// T1 (Table 1), and the derived experiments E1–E13 of DESIGN.md §3.
 // Each benchmark runs the corresponding generator; simulated-time results
 // are attached as custom metrics (ns of *simulated* time are reported as
 // "sim-ms/op" style metrics where meaningful). Run:
@@ -8,6 +8,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -34,91 +35,23 @@ func BenchmarkT1Table(b *testing.B) {
 	}
 }
 
-func BenchmarkE1UserVsSystem(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if experiments.E1UserVsSystem([]int{4}).NumRows() < 4 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkE2Incremental(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if experiments.E2Incremental(4).NumRows() < 5 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkE3BlockSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if experiments.E3BlockSize(2, []int{256, 1024, 4096}).NumRows() != 4 { // 3 sweep + hybrid
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkE4Agents(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if experiments.E4Agents([]int{0, 8}).NumRows() < 8 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkE5Storage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if experiments.E5Storage([]float64{24}).NumRows() != 3 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkE6Interval(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if experiments.E6Interval(8).NumRows() < 8 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkE7Hardware(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if experiments.E7Hardware(2).NumRows() != 3 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkE8MPI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if experiments.E8MPI([]int{2, 8}, 4).NumRows() != 2 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkE9Matrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if experiments.E9Matrix().NumRows() != 5 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkE10Extras(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if experiments.E10Extras().NumRows() < 6 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkE11StorageFaults(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if experiments.E11StorageFaults(0.10).NumRows() != 2 {
-			b.Fatal("missing rows")
-		}
+// BenchmarkExperiments runs each of E1–E13 at quick size and fails on
+// any violation of its experiments.Gates rows. E9 renders Table 1's
+// restart matrix, whose shape TestE9MatrixShape checks.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All[:13] {
+		e := e
+		b.Run(fmt.Sprintf("E%d", e.N), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if e.Table != nil {
+					e.Table()
+					continue
+				}
+				for _, v := range experiments.Check(e.Run(true)) {
+					b.Error(v)
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/scenario"
 	"repro/internal/trace"
@@ -28,26 +29,7 @@ func E18(quick bool) []Record {
 			rec.check(fmt.Errorf("e18: scenario %s missing from catalog", name))
 			continue
 		}
-		res := scenario.Run(sc)
-		st := res.Stats
-		rec.flag(name, "pass", res.Pass)
-		rec.count(name, "shards", int64(sc.Config.Shards))
-		rec.count(name, "timers", int64(st.Timers))
-		rec.count(name, "detections", int64(st.Detections))
-		rec.count(name, "checkpoints", st.Checkpoints)
-		rec.count(name, "migrations", st.Migrations)
-		// FleetStats keeps the p50 and p99 of each histogram; below
-		// minTailN samples the p99's nearest-rank index is the last, so
-		// it is the exact maximum.
-		detect[i] = trace.HistSnapshot{N: st.Detections, P50: st.DetectP50, P99: st.DetectP99, Max: st.DetectP99}
-		rec.dist(name, "detect_ms", "ms", detect[i])
-		// The failover sample count is not kept; it is at most one per
-		// failover or migration event.
-		nf := int(st.Failovers + st.Migrations)
-		rec.dist(name, "failover_ms", "ms", trace.HistSnapshot{N: nf, P50: st.FailoverP50, P99: st.FailoverP99, Max: st.FailoverP99})
-		rec.recs = append(rec.recs,
-			Record{Exp: rec.exp, Case: name, Metric: "events_per_s", Unit: "1/s", Clock: "host", N: 1, Value: res.EventsPerSec},
-			Record{Exp: rec.exp, Case: name, Metric: "wall_ms", Unit: "ms", Clock: "host", N: 1, Value: res.WallMillis})
+		detect[i] = recordScenario(rec, sc)
 	}
 	l1, v1 := tail(detect[0])
 	l10, v10 := tail(detect[1])
@@ -57,4 +39,60 @@ func E18(quick bool) []Record {
 		rec.ratio("10k vs 1k", "detect_ms."+l10+"_ratio", "x", v10, v1)
 	}
 	return rec.done()
+}
+
+// Scenarios runs the whole scenario catalog and records each scenario
+// under its name; the "scenario" rows of Gates hold each one's bounds.
+func Scenarios() []Record {
+	rec := &recorder{exp: "scenario"}
+	for _, sc := range scenario.Catalog() {
+		recordScenario(rec, sc)
+	}
+	return rec.done()
+}
+
+// recordScenario runs sc and records its fleet statistics, latency
+// tails, invariant violations (the total, the number of distinct
+// invariants that fired, and one count per fired invariant) and host
+// throughput under its name. It returns the detection-latency
+// distribution; an invalid scenario is an error.
+func recordScenario(rec *recorder, sc scenario.Scenario) trace.HistSnapshot {
+	res, err := scenario.Run(sc)
+	if !rec.check(err) {
+		return trace.HistSnapshot{}
+	}
+	cs, st := sc.Name, res.Stats
+	rec.count(cs, "shards", int64(sc.Config.Shards))
+	rec.count(cs, "timers", int64(st.Timers))
+	rec.count(cs, "detections", int64(st.Detections))
+	rec.count(cs, "checkpoints", st.Checkpoints)
+	rec.count(cs, "migrations", st.Migrations)
+	rec.count(cs, "lazy_restores", res.LazyRestores)
+	// FleetStats keeps the p50 and p99 of each histogram; below
+	// minTailN samples the p99's nearest-rank index is the last, so it
+	// is the exact maximum.
+	detect := trace.HistSnapshot{N: st.Detections, P50: st.DetectP50, P99: st.DetectP99, Max: st.DetectP99}
+	rec.dist(cs, "detect_ms", "ms", detect)
+	// The failover sample count is not kept; it is at most one per
+	// failover or migration event.
+	nf := int(st.Failovers + st.Migrations)
+	rec.dist(cs, "failover_ms", "ms", trace.HistSnapshot{N: nf, P50: st.FailoverP50, P99: st.FailoverP99, Max: st.FailoverP99})
+	byInv := map[string]int64{}
+	var invs []string
+	for _, v := range res.Violations {
+		if byInv[v.Invariant] == 0 {
+			invs = append(invs, v.Invariant)
+		}
+		byInv[v.Invariant]++
+	}
+	slices.Sort(invs)
+	rec.count(cs, "violations", int64(len(res.Violations)))
+	rec.count(cs, "violation_kinds", int64(len(invs)))
+	for _, inv := range invs {
+		rec.count(cs, "violations."+inv, byInv[inv])
+	}
+	rec.recs = append(rec.recs,
+		Record{Exp: rec.exp, Case: cs, Metric: "events_per_s", Unit: "1/s", Clock: "host", N: 1, Value: res.EventsPerSec},
+		Record{Exp: rec.exp, Case: cs, Metric: "wall_ms", Unit: "ms", Clock: "host", N: 1, Value: res.WallMillis})
+	return detect
 }

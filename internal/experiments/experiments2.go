@@ -19,15 +19,21 @@ import (
 	"repro/internal/workload"
 )
 
-// E5Storage reproduces §4.1's fault-tolerance argument about storage
-// placement: with permanent node failures in the mix, local-only
-// checkpoints (most of Table 1) protect far less than remote ones.
-func E5Storage(mtbfHours []float64) *trace.Table {
-	tb := trace.NewTable(
-		"E5 — job makespan vs MTBF by checkpoint storage policy (48h job, 50% permanent failures)",
-		"MTBF(h)", "policy", "makespan(h)", "lost-work(h)", "restarts", "utilization")
-	for _, mh := range mtbfHours {
+// E5 reproduces §4.1's fault-tolerance argument about storage
+// placement: a 48 h job with half its node failures permanent, by MTBF
+// and storage policy. Local-only checkpoints (most of Table 1) protect
+// far less than remote ones. A job that never completes records no
+// makespan; at each MTBF, "remote vs local" and "local vs none" compare
+// makespans where both runs completed, and lost work always.
+func E5(quick bool) []Record {
+	mtbfs := []float64{2, 4, 8, 24, 72}
+	if quick {
+		mtbfs = []float64{8, 24}
+	}
+	rec := &recorder{exp: "E5"}
+	for _, mh := range mtbfs {
 		mtbf := simtime.Duration(mh * float64(simtime.Hour))
+		var runs []cluster.JobResult // none, local, remote
 		for _, pol := range []cluster.StoragePolicy{cluster.StoreNone, cluster.StoreLocal, cluster.StoreRemote} {
 			cfg := cluster.JobConfig{
 				Work:          48 * simtime.Hour,
@@ -41,24 +47,41 @@ func E5Storage(mtbfHours []float64) *trace.Table {
 				cfg.Policy = policy.Fixed(cluster.YoungInterval(cfg.CkptCost, mtbf))
 			}
 			r := cluster.AverageResult(cfg, cluster.Exponential{Mean: mtbf}, 99, 40)
-			mk := "∞"
+			runs = append(runs, r)
+			cs := fmt.Sprintf("mtbf=%gh %s", mh, pol)
+			rec.flag(cs, "completed", r.Completed)
 			if r.Completed {
-				mk = fmt.Sprintf("%.1f", float64(r.Makespan)/float64(simtime.Hour))
+				rec.add(cs, "makespan_h", "h", 1, hours(r.Makespan))
 			}
-			tb.Row(mh, pol.String(), mk,
-				fmt.Sprintf("%.2f", float64(r.LostWork)/float64(simtime.Hour)),
-				r.Restarts, fmt.Sprintf("%.3f", r.Utilization))
+			rec.add(cs, "lost_work_h", "h", 1, hours(r.LostWork))
+			rec.count(cs, "restarts", int64(r.Restarts))
+			rec.add(cs, "utilization", "frac", 1, r.Utilization)
+		}
+		for _, pair := range []struct {
+			name       string
+			better, vs cluster.JobResult
+		}{
+			{"remote vs local", runs[2], runs[1]},
+			{"local vs none", runs[1], runs[0]},
+		} {
+			cs := fmt.Sprintf("mtbf=%gh %s", mh, pair.name)
+			if pair.better.Completed && pair.vs.Completed {
+				rec.ratio(cs, "makespan_ratio", "x", float64(pair.better.Makespan), float64(pair.vs.Makespan))
+			}
+			rec.ratio(cs, "lost_work_ratio", "x", float64(pair.better.LostWork), float64(pair.vs.LostWork))
 		}
 	}
-	tb.Note("paper §4.1: \"most store the checkpoint locally ... thus checkpoint data cannot be")
-	tb.Note("retrieved in case of a failure of the machine\"")
-	return tb
+	return rec.done()
 }
 
-// E6Interval reproduces the §1 autonomic-interval claim: a sweep of fixed
-// intervals brackets Young's optimum, and the adaptive (online-estimate)
-// policy approaches the oracle from a wrong prior.
-func E6Interval(mtbfHours float64) *trace.Table {
+// E6 reproduces the §1 autonomic-interval claim on a 72 h job at an
+// 8 h MTBF with a 3 min checkpoint: a sweep of fixed intervals from 1/8
+// to 8 times Young's optimum brackets it, Daly's interval sits beside
+// it, and the autonomic youngdaly policy (Young's formula on an online
+// MTBF estimate) approaches it from a wrong prior.
+func E6(quick bool) []Record {
+	_ = quick // the analytic model is cheap at full size
+	const mtbfHours = 8
 	mtbf := simtime.Duration(mtbfHours * float64(simtime.Hour))
 	cfg := cluster.JobConfig{
 		Work:        72 * simtime.Hour,
@@ -67,66 +90,64 @@ func E6Interval(mtbfHours float64) *trace.Table {
 		RepairTime:  5 * simtime.Minute,
 		Storage:     cluster.StoreRemote,
 	}
-	opt := cluster.YoungInterval(cfg.CkptCost, mtbf)
-	tb := trace.NewTable(
-		fmt.Sprintf("E6 — checkpoint interval sweep (72h job, MTBF %.0fh, δ=3min; Young opt = %.0f min)",
-			mtbfHours, float64(opt)/float64(simtime.Minute)),
-		"interval(min)", "policy", "makespan(h)", "ckpt-overhead(h)", "lost-work(h)")
-	for _, mult := range []float64{0.125, 0.25, 0.5, 1, 2, 4, 8} {
-		iv := simtime.Duration(float64(opt) * mult)
+	rec := &recorder{exp: "E6"}
+	run := func(cs string, spec policy.Spec, prior simtime.Duration) float64 {
 		c := cfg
-		c.Policy = policy.Fixed(iv)
+		c.Policy, c.PriorMTBF = spec, prior
 		r := cluster.AverageResult(c, cluster.Exponential{Mean: mtbf}, 7, 40)
-		label := "fixed"
-		if mult == 1 {
-			label = "fixed(=Young)"
+		if iv := spec.Interval; iv > 0 {
+			rec.add(cs, "interval_min", "min", 1, float64(iv)/float64(simtime.Minute))
 		}
-		tb.Row(fmt.Sprintf("%.0f", float64(iv)/float64(simtime.Minute)), label,
-			fmt.Sprintf("%.2f", float64(r.Makespan)/float64(simtime.Hour)),
-			fmt.Sprintf("%.2f", float64(r.CkptOverhead)/float64(simtime.Hour)),
-			fmt.Sprintf("%.2f", float64(r.LostWork)/float64(simtime.Hour)))
+		rec.add(cs, "makespan_h", "h", 1, hours(r.Makespan))
+		rec.add(cs, "ckpt_overhead_h", "h", 1, hours(r.CkptOverhead))
+		rec.add(cs, "lost_work_h", "h", 1, hours(r.LostWork))
+		return float64(r.Makespan)
 	}
-	d := cfg
-	daly := cluster.DalyInterval(cfg.CkptCost, mtbf)
-	d.Policy = policy.Fixed(daly)
-	rd := cluster.AverageResult(d, cluster.Exponential{Mean: mtbf}, 7, 40)
-	tb.Row(fmt.Sprintf("%.0f", float64(daly)/float64(simtime.Minute)), "fixed(=Daly)",
-		fmt.Sprintf("%.2f", float64(rd.Makespan)/float64(simtime.Hour)),
-		fmt.Sprintf("%.2f", float64(rd.CkptOverhead)/float64(simtime.Hour)),
-		fmt.Sprintf("%.2f", float64(rd.LostWork)/float64(simtime.Hour)))
-
-	a := cfg
+	young := cluster.YoungInterval(cfg.CkptCost, mtbf)
+	makespan := map[string]float64{}
+	for _, mult := range []float64{0.125, 0.25, 0.5, 1, 2, 4, 8} {
+		cs := fmt.Sprintf("fixed x%g", mult)
+		if mult == 1 {
+			cs = "young"
+		}
+		makespan[cs] = run(cs, policy.Fixed(simtime.Duration(float64(young)*mult)), 0)
+	}
+	makespan["daly"] = run("daly", policy.Fixed(cluster.DalyInterval(cfg.CkptCost, mtbf)), 0)
 	// Base-less youngdaly: no clamp, so every segment is the raw Young
 	// optimum for the estimator's live MTBF.
-	a.Policy = policy.Spec{Strategy: policy.StrategyYoungDaly, CkptCost: cfg.CkptCost}
-	a.PriorMTBF = 100 * simtime.Hour
-	r := cluster.AverageResult(a, cluster.Exponential{Mean: mtbf}, 7, 40)
-	tb.Row("youngdaly", "autonomic(Young+MLE)",
-		fmt.Sprintf("%.2f", float64(r.Makespan)/float64(simtime.Hour)),
-		fmt.Sprintf("%.2f", float64(r.CkptOverhead)/float64(simtime.Hour)),
-		fmt.Sprintf("%.2f", float64(r.LostWork)/float64(simtime.Hour)))
-	tb.Note("paper §1: autonomic systems adjust \"the checkpoint interval to the failure rate of the system\"")
-	return tb
+	makespan["youngdaly"] = run("youngdaly",
+		policy.Spec{Strategy: policy.StrategyYoungDaly, CkptCost: cfg.CkptCost}, 100*simtime.Hour)
+	for _, pair := range [][2]string{
+		{"young", "fixed x0.125"}, {"young", "fixed x8"}, {"young", "daly"}, {"youngdaly", "young"},
+	} {
+		rec.ratio(pair[0]+" vs "+pair[1], "makespan_ratio", "x", makespan[pair[0]], makespan[pair[1]])
+	}
+	return rec.done()
 }
 
-// E7Hardware reproduces §4.2: cache-line-granularity hardware logging vs
-// page-granularity software tracking, and the ReVive/SafetyNet resource
-// trade (unbounded memory log vs bounded CLB with overflow stalls).
-func E7Hardware(mib int) *trace.Table {
-	tb := trace.NewTable(
-		"E7 — hardware (64B line) vs OS (4KiB page) checkpoint granularity per epoch",
-		"workload", "line-bytes(MB)", "page-bytes(MB)", "page/line", "revive-traffic(ms)", "CLB-overflows(4Ki lines)")
-	apps := []kernel.Program{
+// E7 reproduces §4.2: cache-line-granularity hardware logging vs
+// page-granularity software tracking per epoch, and the ReVive/SafetyNet
+// resource trade (unbounded memory log vs bounded CLB with overflow
+// stalls, here 4Ki lines).
+func E7(quick bool) []Record {
+	mib := 8
+	if quick {
+		mib = 2
+	}
+	rec := &recorder{exp: "E7"}
+	for _, app := range []kernel.Program{
 		workload.PointerChase{MiB: mib, WriteEvery: 8, Seed: 6},
 		workload.Sparse{MiB: mib, WriteFrac: 0.05, Seed: 6},
 		workload.Dense{MiB: mib},
-	}
-	for _, app := range apps {
+	} {
 		k := newMachine("e7", app)
-		p, _ := k.Spawn(app.Name())
+		p, err := k.Spawn(app.Name())
+		if !rec.check(err) {
+			continue
+		}
 		workload.SetIterations(p, 1<<30)
 		rv := hardware.NewReVive()
-		if err := rv.Attach(p, k.CM, costmodel.Discard{}); err != nil {
+		if !rec.check(rv.Attach(p, k.CM, costmodel.Discard{})) {
 			continue
 		}
 		k.RunFor(2 * simtime.Millisecond)
@@ -137,56 +158,72 @@ func E7Hardware(mib int) *trace.Table {
 
 		// SafetyNet on an identical fresh run.
 		k2 := newMachine("e7b", app)
-		p2, _ := k2.Spawn(app.Name())
+		p2, err := k2.Spawn(app.Name())
+		if !rec.check(err) {
+			continue
+		}
 		workload.SetIterations(p2, 1<<30)
 		sn := hardware.NewSafetyNet(4096)
-		_ = sn.Attach(p2, k2.CM, costmodel.Discard{}, k2.Now)
+		if !rec.check(sn.Attach(p2, k2.CM, costmodel.Discard{}, k2.Now)) {
+			continue
+		}
 		k2.RunFor(7 * simtime.Millisecond)
 
-		ratio := "—"
-		if lineBytes > 0 {
-			ratio = fmt.Sprintf("%.1f", float64(pageBytes)/float64(lineBytes))
-		}
-		tb.Row(app.Name(), mb(lineBytes), mb(pageBytes), ratio,
-			rv.Stats().LogTraffic.Millis(), int64(sn.Stats().Overflows))
+		cs := app.Name()
+		rec.add(cs, "line_mb", "MB", 1, mb(lineBytes))
+		rec.add(cs, "page_mb", "MB", 1, mb(pageBytes))
+		rec.ratio(cs, "page_vs_line", "x", float64(pageBytes), float64(lineBytes))
+		rec.ms(cs, "revive_traffic_ms", rv.Stats().LogTraffic.Millis())
+		rec.count(cs, "clb_overflows", int64(sn.Stats().Overflows))
 	}
-	tb.Note("paper §4.2: hardware traces \"at the granularity of cache lines\"; SafetyNet needs more")
-	tb.Note("resources (bounded CLBs) than ReVive (directory log in main memory)")
-	return tb
+	return rec.done()
 }
 
-// E8MPI reproduces the LAM/MPI coordinated-checkpointing behaviour:
-// drain time and aggregate image size as the job scales.
-func E8MPI(rankCounts []int, nodes int) *trace.Table {
-	tb := trace.NewTable(
-		fmt.Sprintf("E8 — coordinated checkpoint of an MPI halo-ring job (%d nodes)", nodes),
-		"ranks", "drain(ms)", "images(MB)", "msgs-sent", "ckpt-ok")
-	for _, nr := range rankCounts {
+// E8 reproduces the LAM/MPI coordinated-checkpointing behaviour on a
+// 4-node cluster: drain time and aggregate image size as the halo-ring
+// job scales. "ranks=N vs M" is the drain time of the most ranks over
+// that of the fewest.
+func E8(quick bool) []Record {
+	ranks := []int{2, 4, 8, 16}
+	if quick {
+		ranks = []int{2, 8}
+	}
+	const nodes = 4
+	rec := &recorder{exp: "E8"}
+	var drains []float64
+	for _, nr := range ranks {
 		c := cluster.New(cluster.Config{Nodes: nodes, Seed: 5, KernelCfg: kernel.DefaultConfig("")},
 			costmodel.Default2005(), kernel.NewRegistry())
 		j := mpi.NewJob(c, nr, func() mechanism.Mechanism { return syslevel.NewLAMMPI() })
-		if err := j.Launch(mpi.HaloRing{MiB: 2, Iterations: 1 << 30, PagesPerIter: 64, HaloBytes: 8192}); err != nil {
+		if !rec.check(j.Launch(mpi.HaloRing{MiB: 2, Iterations: 1 << 30, PagesPerIter: 64, HaloBytes: 8192})) {
 			continue
 		}
 		c.RunFor(5 * simtime.Millisecond)
 		var total int
 		ok := false
-		if err := j.RequestCheckpoint(nil, func(imgs []*checkpoint.Image) {
+		if !rec.check(j.RequestCheckpoint(nil, func(imgs []*checkpoint.Image) {
 			ok = true
 			for _, img := range imgs {
 				total += img.PayloadBytes()
 			}
-		}); err != nil {
+		})) {
 			continue
 		}
-		if err := j.WaitCheckpoint(simtime.Minute); err != nil {
+		if !rec.check(j.WaitCheckpoint(simtime.Minute)) {
 			continue
 		}
-		tb.Row(nr, j.LastDrainTime.Millis(), mb(total), j.MessagesSent, ok)
+		cs := fmt.Sprintf("ranks=%d", nr)
+		drains = append(drains, j.LastDrainTime.Millis())
+		rec.ms(cs, "drain_ms", j.LastDrainTime.Millis())
+		rec.add(cs, "images_mb", "MB", 1, mb(total))
+		rec.count(cs, "msgs_sent", int64(j.MessagesSent))
+		rec.flag(cs, "ckpt_ok", ok)
 	}
-	tb.Note("paper §4.1: \"the global control on a large scale parallel computing could be hard\" —")
-	tb.Note("drain time is the price of a consistent global state")
-	return tb
+	if len(drains) == len(ranks) {
+		rec.ratio(fmt.Sprintf("ranks=%d vs %d", ranks[len(ranks)-1], ranks[0]), "drain_ratio", "x",
+			drains[len(drains)-1], drains[0])
+	}
+	return rec.done()
 }
 
 // E9Matrix reproduces §3's kernel-persistent-state argument as a restart
@@ -279,62 +316,68 @@ func restartOutcome(mk func() mechanism.Mechanism, w workload.ResourceUser) stri
 	}
 }
 
-// E10Extras measures the remaining §4.1 behaviours: Software Suspend's
-// whole-machine hibernate/resume, Checkpoint's fork consistency overlap,
-// and gang preemption via C/R.
-func E10Extras() *trace.Table {
-	tb := trace.NewTable("E10 — hibernation, fork consistency, gang preemption", "scenario", "metric", "value")
+// E10 measures the remaining §4.1 behaviours: Software Suspend's
+// whole-machine hibernate/resume, Checkpoint's fork consistency overlap
+// (how far the parent runs while its forked child saves), and gang
+// preemption via C/R.
+func E10(quick bool) []Record {
+	_ = quick // one fixed-size run per behaviour
+	rec := &recorder{exp: "E10"}
 
 	// Software Suspend.
 	{
+		const cs = "swsusp"
 		m := syslevel.NewSoftwareSuspend()
 		progs := []kernel.Program{workload.Dense{MiB: 4}, workload.Spin{Tag: "bg"}}
 		k := newMachine("e10a", progs...)
-		_ = m.Install(k)
-		pa, _ := k.Spawn(progs[0].Name())
-		pb, _ := k.Spawn(progs[1].Name())
-		workload.SetIterations(pa, 1<<30)
-		workload.SetIterations(pb, 1<<30)
-		k.RunFor(5 * simtime.Millisecond)
-		t0 := k.Now()
-		imgs, err := m.Suspend(k, localDisk(), nil)
-		if err == nil {
-			suspend := k.Now().Sub(t0)
-			t1 := k.Now()
-			_, err = m.Resume(k, imgs)
-			if err == nil {
-				tb.Row("swsusp", "suspend(ms)", suspend.Millis())
-				tb.Row("swsusp", "resume(ms)", k.Now().Sub(t1).Millis())
-				tb.Row("swsusp", "processes", len(imgs))
+		if rec.check(m.Install(k)) {
+			for _, prog := range progs {
+				p, err := k.Spawn(prog.Name())
+				if rec.check(err) {
+					workload.SetIterations(p, 1<<30)
+				}
+			}
+			k.RunFor(5 * simtime.Millisecond)
+			t0 := k.Now()
+			imgs, err := m.Suspend(k, localDisk(), nil)
+			if rec.check(err) {
+				rec.ms(cs, "suspend_ms", k.Now().Sub(t0).Millis())
+				t1 := k.Now()
+				if _, err := m.Resume(k, imgs); rec.check(err) {
+					rec.ms(cs, "resume_ms", k.Now().Sub(t1).Millis())
+					rec.count(cs, "processes", int64(len(imgs)))
+				}
 			}
 		}
 	}
 
-	// Fork consistency: parent progress during the save.
+	// Fork consistency: parent progress during the save, in pages
+	// (iterations count as a million pages each).
 	{
+		const cs = "fork-ckpt"
 		m := syslevel.NewCheckpointFork(0, nil)
-		prog := workload.Dense{MiB: 8}
-		prepared := m.Prepare(prog)
+		prepared := m.Prepare(workload.Dense{MiB: 8})
 		k := newMachine("e10b", prepared)
-		_ = m.Install(k)
-		p, _ := k.Spawn(prepared.Name())
-		workload.SetIterations(p, 1<<30)
-		for !p.Registered["Checkpoint"] {
-			k.RunFor(simtime.Millisecond)
-		}
-		before := p.Regs().PC*1_000_000 + p.Regs().G[4]
-		tk, err := m.Request(k, p, localDisk(), nil)
-		if err == nil && mechanism.WaitTicket(k, tk, simtime.Minute) == nil {
-			imgAt := tk.Img.Threads[0].Regs.PC*1_000_000 + tk.Img.Threads[0].Regs.G[4]
-			liveAt := p.Regs().PC*1_000_000 + p.Regs().G[4]
-			tb.Row("fork-ckpt", "capture(ms)", tk.Total().Millis())
-			tb.Row("fork-ckpt", "parent-progress-during-save(pages)", int64(liveAt-imgAt))
-			_ = before
+		if rec.check(m.Install(k)) {
+			if p, err := k.Spawn(prepared.Name()); rec.check(err) {
+				workload.SetIterations(p, 1<<30)
+				for !p.Registered["Checkpoint"] {
+					k.RunFor(simtime.Millisecond)
+				}
+				tk, err := m.Request(k, p, localDisk(), nil)
+				if rec.check(err) && rec.check(mechanism.WaitTicket(k, tk, simtime.Minute)) {
+					imgAt := tk.Img.Threads[0].Regs.PC*1_000_000 + tk.Img.Threads[0].Regs.G[4]
+					liveAt := p.Regs().PC*1_000_000 + p.Regs().G[4]
+					rec.ms(cs, "capture_ms", tk.Total().Millis())
+					rec.add(cs, "parent_progress", "pages", 1, float64(liveAt-imgAt))
+				}
+			}
 		}
 	}
 
 	// Gang preemption.
 	{
+		const cs = "gang"
 		reg := kernel.NewRegistry()
 		prog := workload.Sparse{MiB: 2, WriteFrac: 0.2, Seed: 8}
 		reg.MustRegister(prog)
@@ -343,7 +386,7 @@ func E10Extras() *trace.Table {
 		var members []cluster.GangMember
 		for i := 0; i < 3; i++ {
 			p, err := c.Node(i).K.Spawn(prog.Name())
-			if err != nil {
+			if !rec.check(err) {
 				break
 			}
 			workload.SetIterations(p, 1<<30)
@@ -363,14 +406,13 @@ func E10Extras() *trace.Table {
 			return worst
 		}
 		t0 := nodeTime()
-		if g.Preempt() == nil {
-			tb.Row("gang", "preempt-3-procs(ms)", nodeTime().Sub(t0).Millis())
+		if rec.check(g.Preempt()) {
+			rec.ms(cs, "preempt_ms", nodeTime().Sub(t0).Millis())
 			t1 := nodeTime()
-			if _, err := g.Resume(); err == nil {
-				tb.Row("gang", "resume-3-procs(ms)", nodeTime().Sub(t1).Millis())
+			if _, err := g.Resume(); rec.check(err) {
+				rec.ms(cs, "resume_ms", nodeTime().Sub(t1).Millis())
 			}
 		}
 	}
-	tb.Note("paper §1: \"safe pre-emption\", \"temporary suspension ... for planned system outage\"")
-	return tb
+	return rec.done()
 }

@@ -9,35 +9,32 @@ import (
 	"repro/internal/simos/kernel"
 	"repro/internal/simtime"
 	"repro/internal/syslevel"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// E11StorageFaults measures crash consistency of the checkpoint path
-// itself: a detailed-cluster job runs to completion under fail-stop node
-// failures while every storage write can crash mid-transfer, be silently
-// truncated, or hit a server outage. The contrast is the commit protocol
-// — atomic (stage + durability barrier + publish) vs the legacy in-place
-// write — on otherwise identical clusters with the same seed.
-func E11StorageFaults(writeFault float64) *trace.Table {
-	tb := trace.NewTable(
-		"E11 — completion and image integrity under injected storage faults, by commit protocol",
-		"commit", "completed", "makespan(ms)", "ckpts", "restarts",
-		"retried", "fellback", "torn@restore", "lost", "torn-disk", "debris")
+// E11 measures crash consistency of the checkpoint path itself: a
+// detailed-cluster job runs to completion under fail-stop node failures
+// while every storage write can crash mid-transfer (10% per write), be
+// silently truncated, or hit a server outage. The contrast is the
+// commit protocol — atomic (stage + durability barrier + publish) vs
+// the legacy in-place write — on otherwise identical clusters with the
+// same seed. torn_at_restore and lost count corrupt or vanished images
+// hit by recovery; torn_disk counts committed images that no longer
+// decode; debris counts unpublished staging objects. damaged_images is
+// the sum of the first three.
+func E11(quick bool) []Record {
+	_ = quick // one fixed-size run per protocol
+	rec := &recorder{exp: "E11"}
 	for _, unsafe := range []bool{false, true} {
-		tb.Row(e11Run(writeFault, unsafe)...)
+		e11Run(rec, 0.10, unsafe)
 	}
-	tb.Note("per-write fault rate %.0f%%; torn@restore/lost = corrupt or vanished images hit by recovery;", writeFault*100)
-	tb.Note("torn-disk = committed images that no longer decode; debris = unpublished staging objects")
-	tb.Note("paper §4.1: checkpoints must survive \"a failure of the machine\" — including the one")
-	tb.Note("that interrupts the checkpoint write itself")
-	return tb
+	return rec.done()
 }
 
-// e11Run drives one Supervisor job over storage faults and returns the
-// table row. Both commit modes build identical clusters from the same
-// seed, so every divergence in the row traces back to the protocol.
-func e11Run(writeFault float64, unsafeCommit bool) []any {
+// e11Run drives one Supervisor job over storage faults and records it.
+// Both commit modes build identical clusters from the same seed, so
+// every divergence between them traces back to the protocol.
+func e11Run(rec *recorder, writeFault float64, unsafeCommit bool) {
 	prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 11}
 	reg := kernel.NewRegistry()
 	reg.MustRegister(prog)
@@ -66,11 +63,10 @@ func e11Run(writeFault float64, unsafeCommit bool) []any {
 		UnsafeCommit:  unsafeCommit,
 	})
 	err := sup.Run(10 * simtime.Second)
-	mode := "atomic"
+	cs := "atomic"
 	if unsafeCommit {
-		mode = "unsafe"
+		cs = "unsafe"
 	}
-	completed := err == nil && sup.Completed
 
 	// End-of-run integrity sweep: decode every committed image left on the
 	// server and the node disks. Atomic commit guarantees tornDisk == 0 —
@@ -90,11 +86,16 @@ func e11Run(writeFault float64, unsafeCommit bool) []any {
 		tornDisk += tn
 		debris += st
 	}
-	return []any{
-		mode, completed, sup.Makespan.Millis(),
-		sup.Checkpoints, sup.Restarts,
-		sup.Counters.Get("ckpt.retried"), sup.Counters.Get("ckpt.fellback"),
-		sup.Counters.Get("ckpt.torn"), sup.Counters.Get("ckpt.lost"),
-		tornDisk, debris,
-	}
+	torn, lost := sup.Counters.Get("ckpt.torn"), sup.Counters.Get("ckpt.lost")
+	rec.flag(cs, "completed", err == nil && sup.Completed)
+	rec.ms(cs, "makespan_ms", sup.Makespan.Millis())
+	rec.count(cs, "ckpts", int64(sup.Checkpoints))
+	rec.count(cs, "restarts", int64(sup.Restarts))
+	rec.count(cs, "retried", sup.Counters.Get("ckpt.retried"))
+	rec.count(cs, "fellback", sup.Counters.Get("ckpt.fellback"))
+	rec.count(cs, "torn_at_restore", torn)
+	rec.count(cs, "lost", lost)
+	rec.count(cs, "torn_disk", int64(tornDisk))
+	rec.count(cs, "debris", int64(debris))
+	rec.count(cs, "damaged_images", torn+lost+int64(tornDisk))
 }

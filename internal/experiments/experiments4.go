@@ -11,7 +11,6 @@ import (
 	"repro/internal/simos/kernel"
 	"repro/internal/simtime"
 	"repro/internal/syslevel"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -20,45 +19,66 @@ import (
 // the phi-accrual detector at three thresholds.
 var e12Detectors = []string{"oracle", "timeout-1ms", "timeout-3ms", "phi-4", "phi-8", "phi-12"}
 
-// E12Detection measures message-based failure detection end to end: the
-// same job, failure schedule, and network run under every detector, once
-// per loss rate and once under a 10ms control-plane partition of the
-// job's node (the node stays alive — every suspicion of it is false).
-// The oracle rows are the unreachable baseline: they read simulator
-// ground truth, so loss and partitions cannot touch them. Every
-// autonomic row must get safety from epoch fencing instead — the
-// double-commit column is the proof, and it must stay 0.
-func E12Detection(losses []float64) *trace.Table {
-	tb := trace.NewTable(
-		"E12 — failure detection vs network faults: latency, false positives, and fenced split brains",
-		"detector", "scenario", "completed", "makespan(ms)", "ckpts", "restarts",
-		"wasted", "det-lat(ms)", "false-pos", "fenced", "dbl-commit")
+// E12 measures message-based failure detection end to end: the same
+// job, failure schedule, and network run under every detector, once per
+// loss rate and once under a 10ms control-plane partition of the job's
+// node (the node stays alive — every suspicion of it is false). The
+// oracle cases are the unreachable baseline: they read simulator ground
+// truth, so loss and partitions cannot touch them. Every autonomic case
+// must get safety from epoch fencing instead: double_commits is the
+// proof. wasted counts failovers of nodes that were in fact alive,
+// fenced the stale-epoch publishes the server rejected, and
+// double_commits the stale publishes that landed.
+func E12(quick bool) []Record {
+	losses := []float64{0, 0.05}
+	if quick {
+		losses = []float64{0.05}
+	}
+	rec := &recorder{exp: "E12"}
+	record := func(det string, loss float64, partition bool) {
+		r := e12Run(det, loss, partition)
+		cs := fmt.Sprintf("%s loss %.0f%%", det, loss*100)
+		if partition {
+			cs = det + " partition 10ms"
+		}
+		ctr := r.c.Counters
+		rec.flag(cs, "completed", r.completed)
+		rec.ms(cs, "makespan_ms", r.sup.Makespan.Millis())
+		rec.count(cs, "ckpts", int64(r.sup.Checkpoints))
+		rec.count(cs, "restarts", int64(r.sup.Restarts))
+		rec.count(cs, "wasted", ctr.Get("det.wasted_restarts"))
+		lat := 0.0
+		n := 0
+		if r.mon != nil && r.mon.Latency.N() > 0 {
+			lat, n = r.mon.Latency.Mean(), r.mon.Latency.N()
+		}
+		rec.add(cs, "detect_ms.mean", "ms", n, lat)
+		rec.count(cs, "false_pos", ctr.Get("det.false_positives"))
+		rec.count(cs, "fenced", ctr.Get("fence.rejected"))
+		rec.count(cs, "double_commits", ctr.Get("fence.double_commits"))
+	}
 	for _, loss := range losses {
 		for _, det := range e12Detectors {
-			tb.Row(e12Run(det, loss, false)...)
+			record(det, loss, false)
 		}
 	}
 	for _, det := range e12Detectors {
-		tb.Row(e12Run(det, 0, true)...)
+		record(det, 0, true)
 	}
-	tb.Note("identical seeds per row: every divergence is the detector's doing")
-	tb.Note("wasted = failovers of nodes that were in fact alive; det-lat = mean true-failure detection latency")
-	tb.Note("fenced = stale-epoch publishes rejected by the server; dbl-commit = stale publishes that landed (must be 0)")
-	tb.Note("the oracle baseline is unrealizable: it reads liveness no distributed system can observe")
-	return tb
+	return rec.done()
+}
+
+// e12Result is one supervised E12 run; mon is nil for the oracle.
+type e12Result struct {
+	c         *cluster.Cluster
+	sup       *cluster.Supervisor
+	mon       *detector.Monitor
+	completed bool
 }
 
 // e12Run drives one supervised job under one detector and one network
-// scenario and returns the table row.
-func e12Run(kind string, loss float64, partition bool) []any {
-	row, _, _ := e12RunFull(kind, loss, partition)
-	return row
-}
-
-// e12RunFull additionally returns the sorted counter snapshot and the
-// rendered orchestration event log, so the determinism regression test
-// can compare two same-seed runs byte for byte.
-func e12RunFull(kind string, loss float64, partition bool) (row []any, counters, events string) {
+// scenario.
+func e12Run(kind string, loss float64, partition bool) e12Result {
 	prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 12}
 	reg := kernel.NewRegistry()
 	reg.MustRegister(prog)
@@ -114,23 +134,5 @@ func e12RunFull(kind string, loss float64, partition bool) (row []any, counters,
 	c.SetInjector(inj)
 
 	err := sup.Run(5 * simtime.Second)
-	completed := err == nil && sup.Completed
-
-	scenario := fmt.Sprintf("loss %.0f%%", loss*100)
-	if partition {
-		scenario = "partition 10ms"
-	}
-	lat := 0.0
-	if mon != nil && mon.Latency.N() > 0 {
-		lat = mon.Latency.Mean()
-	}
-	ctr := c.Counters
-	row = []any{
-		kind, scenario, completed, sup.Makespan.Millis(),
-		sup.Checkpoints, sup.Restarts,
-		ctr.Get("det.wasted_restarts"), lat,
-		ctr.Get("det.false_positives"),
-		ctr.Get("fence.rejected"), ctr.Get("fence.double_commits"),
-	}
-	return row, ctr.String(), cluster.FormatEvents(sup.Events)
+	return e12Result{c: c, sup: sup, mon: mon, completed: err == nil && sup.Completed}
 }

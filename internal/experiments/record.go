@@ -9,10 +9,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Record is one measured value of E14–E20. A distribution is several
-// records, one per statistic, with the statistic in the metric name
-// (restore_ms.p50, restore_ms.max). Flags are 1 (true) or 0 (false) in
-// unit "bool"; counts are unit "count".
+// Record is one measured value of an experiment. A distribution is
+// several records, one per statistic, with the statistic in the metric
+// name (restore_ms.p50, restore_ms.max). Flags are 1 (true) or 0
+// (false) in unit "bool"; counts are unit "count". A comparison of two
+// cases is a record of its own, cased "a vs b", whose value is a's
+// over b's (a *_ratio metric) or their difference.
 type Record struct {
 	Exp    string `json:"exp"`
 	Case   string `json:"case"`
@@ -115,12 +117,84 @@ var (
 	noMax = math.Inf(1)
 	// above0 is the least positive value: a Min of above0 means "> 0".
 	above0 = math.SmallestNonzeroFloat64
+	// under1 and above1 are the floats next to 1: a ratio bound of
+	// under1 means "< 1", of above1 "> 1".
+	under1 = math.Nextafter(1, 0)
+	above1 = math.Nextafter(1, 2)
 )
 
-// Gates is the acceptance table of E14–E20.
+// Gates is the acceptance table of every experiment but E9 and of the
+// scenario catalog ("scenario", one block of rows per scenario name).
+// Every experiment's errors record must be 0: a step that failed is
+// counted, never skipped.
 var Gates = []Gate{
+	{"E1", "*", "errors", noMin, 0},
+	{"E1", "user vs system", "extra_syscalls", 1, noMax},
+
+	{"E2", "*", "errors", noMin, 0},
+	{"E2", "dense*", "delta_vs_full", 0.9, noMax},
+	{"E2", "chase vs dense", "delta_vs_full_ratio", noMin, 0.2},
+
+	{"E3", "*", "errors", noMin, 0},
+	{"E3", "finest vs coarsest", "delta_ratio", noMin, under1},
+
+	{"E4", "*", "errors", noMin, 0},
+	{"E4", "load=* OTHER vs FIFO", "total_ratio", above1, noMax},
+	{"E4", "load=* FIFO vs idle", "total_ratio", noMin, 3},
+	{"E4", "load=* ksignal vs idle", "init_ratio", above1, noMax},
+
+	{"E5", "*", "errors", noMin, 0},
+	{"E5", "mtbf=24h *", "completed", 1, noMax},
+	{"E5", "mtbf=* vs *", "makespan_ratio", noMin, under1},
+	{"E5", "mtbf=* vs *", "lost_work_ratio", noMin, under1},
+
+	{"E6", "*", "errors", noMin, 0},
+	{"E6", "young", "makespan_h", above0, noMax},
+	{"E6", "young vs fixed x*", "makespan_ratio", noMin, under1},
+	{"E6", "youngdaly vs young", "makespan_ratio", noMin, 1.15},
+
+	{"E7", "*", "errors", noMin, 0},
+	{"E7", "chase*", "page_vs_line", 8, noMax},
+	{"E7", "dense*", "page_vs_line", noMin, 1.1},
+
+	{"E8", "*", "errors", noMin, 0},
+	{"E8", "ranks=*", "ckpt_ok", 1, noMax},
+	{"E8", "ranks=* vs *", "drain_ratio", 1, noMax},
+
+	{"E10", "*", "errors", noMin, 0},
+	{"E10", "swsusp", "processes", 2, noMax},
+	{"E10", "fork-ckpt", "parent_progress", 1, noMax},
+	{"E10", "gang", "preempt_ms", above0, noMax},
+
+	{"E11", "*", "errors", noMin, 0},
+	{"E11", "*", "completed", 1, noMax},
+	{"E11", "atomic", "damaged_images", noMin, 0},
+	{"E11", "unsafe", "damaged_images", 1, noMax},
+
+	{"E12", "*", "errors", noMin, 0},
+	{"E12", "*", "double_commits", noMin, 0},
+	{"E12", "phi-8 loss 5%", "completed", 1, noMax},
+	{"E12", "phi-8 partition 10ms", "completed", 1, noMax},
+	{"E12", "phi-8 partition 10ms", "false_pos", 1, noMax},
+	{"E12", "phi-8 partition 10ms", "fenced", 1, noMax},
+	{"E12", "oracle *", "false_pos", noMin, 0},
+	{"E12", "oracle *", "wasted", noMin, 0},
+
+	{"E13", "*", "errors", noMin, 0},
+	{"E13", "shipped", "violations", noMin, 0},
+	{"E13", "no-fencing", "violations.double-commit", 1, noMax},
+	{"E13", "no-fencing", "first_bad_seed", 1, noMax},
+
 	{"E14", "*", "errors", noMin, 0},
+
 	{"E15", "*", "errors", noMin, 0},
+	{"E15", "workers=*", "throughput_mb_s", above0, noMax},
+	{"E15", "workers=4", "speedup", 2, noMax},
+	{"E15", "pipelined", "completed", 1, noMax},
+	{"E15", "pipelined", "publish_ms.p50", above0, noMax},
+	{"E15", "pipelined", "chain_len", 1, noMax},
+	{"E15", "pipelined", "restore_read_ms", above0, noMax},
+
 	{"E16", "*", "errors", noMin, 0},
 
 	{"E17", "*", "errors", noMin, 0},
@@ -129,7 +203,7 @@ var Gates = []Gate{
 	{"E17", "replicated *", "restore_p50_vs_baseline", noMin, 2},
 
 	{"E18", "*", "errors", noMin, 0},
-	{"E18", "fleet-*", "pass", 1, noMax},
+	{"E18", "fleet-*", "violations", noMin, 0},
 	{"E18", "10k vs 1k", "detect_ms.max_ratio", above0, 2},
 
 	{"E19", "*", "errors", noMin, 0},
@@ -147,6 +221,62 @@ var Gates = []Gate{
 	{"E20", "liveness", "excluded_bytes", 1, noMax},
 	{"E20", "liveness", "live_digest_match", 1, noMax},
 	{"E20", "liveness", "fingerprints_match", 1, noMax},
+
+	// The scenario catalog: every scenario but the broken-build contrast
+	// holds every fleet invariant; events_per_s floors sit far below
+	// healthy host throughput, so they catch collapses (an accidental
+	// O(n²), a serialized event loop), not machine-speed variance;
+	// timers bounds one digest tick per shard.
+	{"scenario", "*", "errors", noMin, 0},
+	{"scenario", "smoke-64", "violations", noMin, 0},
+	{"scenario", "smoke-64", "events_per_s", 500, noMax},
+	{"scenario", "smoke-64", "detect_ms.max", noMin, 10},
+	{"scenario", "smoke-64", "detections", 3, noMax},
+	{"scenario", "smoke-64", "checkpoints", 50, noMax},
+	{"scenario", "smoke-64", "timers", noMin, 8},
+
+	{"scenario", "faulty-net-256", "violations", noMin, 0},
+	{"scenario", "faulty-net-256", "events_per_s", 500, noMax},
+	{"scenario", "faulty-net-256", "detect_ms.max", noMin, 14},
+	{"scenario", "faulty-net-256", "detections", 4, noMax},
+	{"scenario", "faulty-net-256", "checkpoints", 200, noMax},
+	{"scenario", "faulty-net-256", "timers", noMin, 16},
+
+	{"scenario", "evacuate-128", "violations", noMin, 0},
+	{"scenario", "evacuate-128", "events_per_s", 500, noMax},
+	{"scenario", "evacuate-128", "detect_ms.max", noMin, 10},
+	{"scenario", "evacuate-128", "failover_ms.max", noMin, 15},
+	{"scenario", "evacuate-128", "detections", 8, noMax},
+	{"scenario", "evacuate-128", "migrations", 1, noMax},
+	{"scenario", "evacuate-128", "checkpoints", 100, noMax},
+
+	{"scenario", "fleet-1k", "violations", noMin, 0},
+	{"scenario", "fleet-1k", "events_per_s", 2000, noMax},
+	{"scenario", "fleet-1k", "detect_ms.max", noMin, 12},
+	{"scenario", "fleet-1k", "failover_ms.max", noMin, 16},
+	{"scenario", "fleet-1k", "detections", 8, noMax},
+	{"scenario", "fleet-1k", "checkpoints", 1000, noMax},
+	{"scenario", "fleet-1k", "timers", noMin, 32},
+
+	{"scenario", "fleet-10k", "violations", noMin, 0},
+	{"scenario", "fleet-10k", "events_per_s", 2000, noMax},
+	{"scenario", "fleet-10k", "detect_ms.max", noMin, 12},
+	{"scenario", "fleet-10k", "failover_ms.max", noMin, 16},
+	{"scenario", "fleet-10k", "detections", 15, noMax},
+	{"scenario", "fleet-10k", "checkpoints", 10000, noMax},
+	{"scenario", "fleet-10k", "timers", noMin, 64},
+
+	{"scenario", "lazy-restore-128", "violations", noMin, 0},
+	{"scenario", "lazy-restore-128", "events_per_s", 500, noMax},
+	{"scenario", "lazy-restore-128", "detect_ms.max", noMin, 10},
+	{"scenario", "lazy-restore-128", "detections", 6, noMax},
+	{"scenario", "lazy-restore-128", "checkpoints", 100, noMax},
+	{"scenario", "lazy-restore-128", "lazy_restores", 1, noMax},
+	{"scenario", "lazy-restore-128", "timers", noMin, 16},
+
+	// Fencing disabled: double-commit must fire, and nothing else may.
+	{"scenario", "broken-fencing-8", "violations.double-commit", 1, noMax},
+	{"scenario", "broken-fencing-8", "violation_kinds", noMin, 1},
 }
 
 // Violation is one broken gate: a record outside its bounds, or no

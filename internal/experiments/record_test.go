@@ -3,26 +3,17 @@ package experiments
 import (
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/trace"
 )
 
-// quickRecords runs E14–E20 at quick size once per test binary.
-var quickRecords = sync.OnceValue(func() []Record {
-	var recs []Record
-	for _, run := range []func(bool) []Record{E14, E15, E16, E17, E18, E19, E20} {
-		recs = append(recs, run(true)...)
-	}
-	return recs
-})
-
-// TestGates: every E14–E20 gate passes at quick size. Check also
-// reports a gate that matches no record, so a renamed metric cannot
-// orphan its gate.
-func TestGates(t *testing.T) {
-	recs := quickRecords()
+// gate runs one experiment at quick size and fails on every violation
+// of its Gates rows, and on any value that is not finite or has no
+// clock.
+func gate(t *testing.T, run func(quick bool) []Record) {
+	t.Helper()
+	recs := run(true)
 	for _, v := range Check(recs) {
 		t.Error(v)
 	}
@@ -36,18 +27,38 @@ func TestGates(t *testing.T) {
 	}
 }
 
+// TestGates: every E14–E20 gate passes at quick size. Check also
+// reports a gate that matches no record, so a renamed metric cannot
+// orphan its gate. E1–E13 each have a claim test of their own.
+func TestGates(t *testing.T) {
+	for _, e := range All[13:] {
+		gate(t, e.Run)
+	}
+}
+
+// TestScenarios runs the whole scenario catalog against its Gates
+// rows; `make scenarios` is this test.
+func TestScenarios(t *testing.T) {
+	gate(t, func(bool) []Record {
+		recs := Scenarios()
+		t.Log("\n", RecordTable("scenario catalog", recs))
+		return recs
+	})
+}
+
 // passingRecords returns one record per gate, each exactly on the
-// gate's finite bound.
-func passingRecords() []Record {
+// gate's finite bound, with every * of the gate's case pattern filled
+// in.
+func passingRecords(t *testing.T) []Record {
 	var recs []Record
 	for _, g := range Gates {
 		v := g.Max
 		if math.IsInf(v, 1) {
 			v = g.Min
 		}
-		cs := g.Case
-		if strings.HasSuffix(cs, "*") {
-			cs = strings.TrimSuffix(cs, "*") + "x"
+		cs := strings.ReplaceAll(g.Case, "*", "x")
+		if !g.matches(Record{Exp: g.Exp, Case: cs, Metric: g.Metric}) {
+			t.Fatalf("gate %v: built case %q does not match", g, cs)
 		}
 		recs = append(recs, Record{Exp: g.Exp, Case: cs, Metric: g.Metric, Clock: "sim", N: 1, Value: v})
 	}
@@ -57,11 +68,11 @@ func passingRecords() []Record {
 // TestCheckReportsEachGate pushes each gate's record one float step
 // past its bound and demands exactly that gate back.
 func TestCheckReportsEachGate(t *testing.T) {
-	if vs := Check(passingRecords()); len(vs) != 0 {
+	if vs := Check(passingRecords(t)); len(vs) != 0 {
 		t.Fatalf("records on their bounds fail: %v", vs)
 	}
 	for i, g := range Gates {
-		recs := passingRecords()
+		recs := passingRecords(t)
 		if math.IsInf(g.Max, 1) {
 			recs[i].Value = math.Nextafter(g.Min, math.Inf(-1))
 		} else {
@@ -75,8 +86,8 @@ func TestCheckReportsEachGate(t *testing.T) {
 }
 
 func TestCheckFailsOnError(t *testing.T) {
-	rec := &recorder{exp: "E15"}
-	rec.ratio("workers=1", "speedup", "x", 1, 0) // a zero denominator is an error
+	rec := &recorder{exp: "E16"}               // E16's only gate is its errors row
+	rec.ratio("depth=1", "vs_full", "x", 1, 0) // a zero denominator is an error
 	recs := rec.done()
 	vs := Check(recs)
 	if len(vs) != 1 || vs[0].Gate.Metric != "errors" || recs[len(recs)-1].Value != 1 {

@@ -1,9 +1,8 @@
 // The named scenario catalog. Every entry is fully declarative — fixed
-// seed, fixed fault schedule, fixed criteria — so a failure reproduces
-// bit-for-bit from the name alone. Fast scenarios form the `make
-// scenarios` CI gate; the fleet-1k / fleet-10k pair is additionally the
-// substrate of the E18 scale benchmark, which gates the 1k→10k
-// detection-latency ratio.
+// seed, fixed fault schedule — so a run reproduces bit-for-bit from the
+// name alone; its bounds are the scenario rows of experiments.Gates.
+// The fleet-1k / fleet-10k pair is also the substrate of the E18 scale
+// benchmark, which gates the 1k→10k detection-latency ratio.
 
 package scenario
 
@@ -39,9 +38,8 @@ func Catalog() []Scenario {
 	return []Scenario{
 		{
 			// Small clean-network smoke: tight latency ceilings, every
-			// criterion engaged.
+			// bound engaged.
 			Name: "smoke-64",
-			Fast: true,
 			Config: cluster.FleetConfig{
 				Nodes: 64, Shards: 8, Jobs: 16, Seed: 101,
 			},
@@ -51,19 +49,11 @@ func Catalog() []Scenario {
 				{At: 60 * ms, Node: 50, Repair: 30 * ms},
 			},
 			Duration: 100 * ms,
-			Criteria: Criteria{
-				MinEventsPerSec: 500,
-				MaxDetectP99Ms:  10,
-				MinDetections:   3,
-				MinCheckpoints:  50,
-				MaxTimers:       8,
-			},
 		},
 		{
 			// The digest path through a hostile control-plane network:
 			// heartbeat loss, whole-digest loss, duplication, jitter.
 			Name: "faulty-net-256",
-			Fast: true,
 			Config: cluster.FleetConfig{
 				Nodes: 256, Shards: 16, Jobs: 64, Seed: 202,
 				HBLoss: 0.05, DigestLoss: 0.05, DigestDup: 0.05,
@@ -71,19 +61,11 @@ func Catalog() []Scenario {
 			},
 			Faults:   staggeredFaults(256, 4, 100),
 			Duration: 150 * ms,
-			Criteria: Criteria{
-				MinEventsPerSec: 500,
-				MaxDetectP99Ms:  14,
-				MinDetections:   4,
-				MinCheckpoints:  200,
-				MaxTimers:       16,
-			},
 		},
 		{
 			// Kill an entire shard: its jobs must evacuate across the
 			// shard boundary with their checkpoints.
 			Name: "evacuate-128",
-			Fast: true,
 			Config: cluster.FleetConfig{
 				Nodes: 128, Shards: 16, Jobs: 32, Seed: 303,
 			},
@@ -98,33 +80,16 @@ func Catalog() []Scenario {
 				{At: 30 * ms, Node: 31, Perm: true},
 			},
 			Duration: 150 * ms,
-			Criteria: Criteria{
-				MinEventsPerSec:  500,
-				MaxDetectP99Ms:   10,
-				MaxFailoverP99Ms: 15,
-				MinDetections:    8,
-				MinMigrations:    1,
-				MinCheckpoints:   100,
-			},
 		},
 		{
 			// 1k nodes: the smaller anchor of the scale pair.
 			Name: "fleet-1k",
-			Fast: true,
 			Config: cluster.FleetConfig{
 				Nodes: 1000, Shards: 32, Jobs: 100, Seed: 1001,
 				DigestJitter: 500 * simtime.Microsecond,
 			},
 			Faults:   staggeredFaults(1000, 10, 250),
 			Duration: 300 * ms,
-			Criteria: Criteria{
-				MinEventsPerSec:  2000,
-				MaxDetectP99Ms:   12,
-				MaxFailoverP99Ms: 16,
-				MinDetections:    8,
-				MinCheckpoints:   1000,
-				MaxTimers:        32,
-			},
 		},
 		{
 			// 10k nodes: the headline scale target. Same tick, same
@@ -132,72 +97,40 @@ func Catalog() []Scenario {
 			// that detection latency does not grow with fleet size, and
 			// E18 gates the 1k→10k ratio.
 			Name: "fleet-10k",
-			Fast: false,
 			Config: cluster.FleetConfig{
 				Nodes: 10000, Shards: 64, Jobs: 1000, Seed: 10001,
 				DigestJitter: 500 * simtime.Microsecond,
 			},
 			Faults:   staggeredFaults(10000, 20, 250),
 			Duration: 300 * ms,
-			Criteria: Criteria{
-				MinEventsPerSec:  2000,
-				MaxDetectP99Ms:   12,
-				MaxFailoverP99Ms: 16,
-				MinDetections:    15,
-				MinCheckpoints:   10000,
-				MaxTimers:        64,
-			},
 		},
 		{
 			// Restart-before-read failover across a mid-sized fleet: every
-			// restore takes the lazy path, and the floor proves the path
-			// actually fired under the same fault pressure as smoke-64.
+			// restore takes the lazy path, and its lazy-restore floor
+			// proves the path fired under the same fault pressure as
+			// smoke-64.
 			Name: "lazy-restore-128",
-			Fast: true,
 			Config: cluster.FleetConfig{
 				Nodes: 128, Shards: 16, Jobs: 32, Seed: 404,
 				LazyRestore: true,
 			},
 			Faults:   staggeredFaults(128, 6, 100),
 			Duration: 150 * ms,
-			Criteria: Criteria{
-				MinEventsPerSec: 500,
-				MaxDetectP99Ms:  10,
-				MinDetections:   6,
-				MinCheckpoints:  100,
-				MinLazyRestores: 1,
-				MaxTimers:       16,
-			},
 		},
 		{
 			// Broken-build contrast: fencing disabled under a network
-			// lossy enough to force false suspicions. The harness passes
-			// only if the double-commit invariant FIRES — this is the
+			// lossy enough to force false suspicions. Its gate demands
+			// that the double-commit invariant FIRES — this is the
 			// scenario that proves the suite can catch a broken build.
 			Name: "broken-fencing-8",
-			Fast: true,
 			Config: cluster.FleetConfig{
 				Nodes: 8, Shards: 2, Jobs: 8, Seed: 9,
 				DigestLoss: 0.45, DetectAfter: 2 * ms,
 				NoFencing: true,
 			},
 			Duration: 300 * ms,
-			Criteria: Criteria{
-				ExpectViolations: []string{"double-commit"},
-			},
 		},
 	}
-}
-
-// Fast returns the CI-gate subset.
-func Fast() []Scenario {
-	var out []Scenario
-	for _, sc := range Catalog() {
-		if sc.Fast {
-			out = append(out, sc)
-		}
-	}
-	return out
 }
 
 // Find returns the named scenario.

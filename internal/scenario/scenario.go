@@ -1,16 +1,16 @@
-// Package scenario is the declarative performance-scenario suite for
+// Package scenario is the declarative performance-scenario catalog for
 // the fleet-scale control plane: a named scenario pins a topology
-// (nodes, shards, jobs), a fault schedule, a duration on the simulated
-// clock, and machine-checkable ValidationCriteria — orchestration
-// events/sec floor, detection-latency and failover-p99 ceilings, and
-// zero invariant violations via the chaos package's fleet audit. The
-// suite is the scale regression gate: `make scenarios` runs the fast
-// subset in CI, and the E18 benchmark runs the 1k/10k scenarios and
-// compares them.
+// (nodes, shards, jobs), a fault schedule and a duration on the
+// simulated clock. Run executes one and returns its fleet statistics,
+// the chaos package's fleet-audit invariant violations, and its
+// wall-clock orchestration throughput. A scenario carries no verdict:
+// internal/experiments records each run, and the scenario rows of its
+// Gates table hold each scenario's bounds. `make scenarios` runs the
+// whole catalog against them, and E18 compares the 1k/10k pair.
 //
 // This package sits in the measurement harness layer, outside the
-// simulation: the events/sec criterion is wall-clock throughput of the
-// real orchestration code, which is exactly why it is measured here and
+// simulation: events/sec is wall-clock throughput of the real
+// orchestration code, which is exactly why it is measured here and
 // nowhere inside internal/cluster (which stays wall-clock free and
 // deterministic).
 package scenario
@@ -32,85 +32,42 @@ type Fault struct {
 	Repair simtime.Duration `json:"repair,omitempty"`
 }
 
-// Criteria is a scenario's pass/fail contract. Zero-valued fields are
-// not enforced; invariant violations always fail a scenario unless they
-// are explicitly expected (the broken-build scenarios).
-type Criteria struct {
-	// MinEventsPerSec is the wall-clock orchestration throughput floor.
-	// Floors are set far below healthy throughput so the criterion
-	// catches collapses (an accidental O(n²) or a serialized event loop),
-	// not machine-speed variance.
-	MinEventsPerSec float64 `json:"min_events_per_sec,omitempty"`
-	// MaxDetectP99Ms / MaxFailoverP99Ms are ceilings on the simulated
-	// detection and failover latency tails — deterministic, so they can
-	// be tight.
-	MaxDetectP99Ms   float64 `json:"max_detect_p99_ms,omitempty"`
-	MaxFailoverP99Ms float64 `json:"max_failover_p99_ms,omitempty"`
-	// Workload sanity floors: a scenario that detected/checkpointed/
-	// migrated nothing exercised nothing.
-	MinDetections  int   `json:"min_detections,omitempty"`
-	MinCheckpoints int64 `json:"min_checkpoints,omitempty"`
-	MinMigrations  int64 `json:"min_migrations,omitempty"`
-	// MaxTimers bounds the armed recurring-timer count (the per-shard
-	// digest-tick amortization: shards, not nodes).
-	MaxTimers int `json:"max_timers,omitempty"`
-	// MinLazyRestores is a floor on fleet.lazy_restores — a scenario
-	// with FleetConfig.LazyRestore that restores nothing through the
-	// restart-before-read path exercised nothing.
-	MinLazyRestores int64 `json:"min_lazy_restores,omitempty"`
-	// ExpectViolations lists invariants that MUST fire (broken-build
-	// scenarios such as fencing disabled). Any unlisted violation, or a
-	// listed one that fails to fire, fails the scenario.
-	ExpectViolations []string `json:"expect_violations,omitempty"`
-}
-
-// Scenario is one named, self-contained validation run.
+// Scenario is one named, self-contained run.
 type Scenario struct {
-	Name string `json:"name"`
-	// Fast marks membership in the `make scenarios` CI subset.
-	Fast     bool                `json:"fast"`
+	Name     string              `json:"name"`
 	Config   cluster.FleetConfig `json:"-"`
 	Faults   []Fault             `json:"faults,omitempty"`
 	Duration simtime.Duration    `json:"duration"`
-	Criteria Criteria            `json:"criteria"`
 }
 
-// Result is the outcome of one scenario run.
+// Result is what one scenario run measured.
 type Result struct {
-	Name         string             `json:"name"`
-	Pass         bool               `json:"pass"`
-	Failures     []string           `json:"failures,omitempty"`
-	Violations   []chaos.Violation  `json:"violations,omitempty"`
-	EventsPerSec float64            `json:"events_per_sec"`
-	WallMillis   float64            `json:"wall_ms"`
+	Name         string            `json:"name"`
+	Violations   []chaos.Violation `json:"violations,omitempty"`
+	EventsPerSec float64           `json:"events_per_sec"`
+	WallMillis   float64           `json:"wall_ms"`
+	// LazyRestores counts restores through the restart-before-read path
+	// (fleet.lazy_restores).
+	LazyRestores int64              `json:"lazy_restores"`
 	Stats        cluster.FleetStats `json:"stats"`
 }
 
 func (r Result) String() string {
-	verdict := "PASS"
-	if !r.Pass {
-		verdict = "FAIL " + fmt.Sprint(r.Failures)
-	}
-	return fmt.Sprintf("%-24s %s  %.0f events/s, detect p99 %.2f ms, failover p99 %.2f ms (%.0f ms wall)",
-		r.Name, verdict, r.EventsPerSec, r.Stats.DetectP99, r.Stats.FailoverP99, r.WallMillis)
+	return fmt.Sprintf("%-24s %d violations, %.0f events/s, detect p99 %.2f ms, failover p99 %.2f ms (%.0f ms wall)",
+		r.Name, len(r.Violations), r.EventsPerSec, r.Stats.DetectP99, r.Stats.FailoverP99, r.WallMillis)
 }
 
-// Run executes one scenario and judges it against its criteria.
-func Run(sc Scenario) Result {
+// Run executes one scenario and audits its invariants. It fails only
+// on an invalid config or fault schedule.
+func Run(sc Scenario) (Result, error) {
 	res := Result{Name: sc.Name}
-	fail := func(format string, args ...any) {
-		res.Failures = append(res.Failures, fmt.Sprintf(format, args...))
-	}
-
 	r, err := cluster.NewRootSupervisor(sc.Config)
 	if err != nil {
-		fail("config: %v", err)
-		return res
+		return res, fmt.Errorf("scenario %s: config: %w", sc.Name, err)
 	}
 	for _, f := range sc.Faults {
 		if err := r.FailAt(f.At, f.Node, f.Perm, f.Repair); err != nil {
-			fail("fault schedule: %v", err)
-			return res
+			return res, fmt.Errorf("scenario %s: fault schedule: %w", sc.Name, err)
 		}
 	}
 
@@ -121,75 +78,11 @@ func Run(sc Scenario) Result {
 	if wall > 0 {
 		res.EventsPerSec = float64(res.Stats.Events) / wall.Seconds()
 	}
-
+	res.LazyRestores = r.Counters().Get("fleet.lazy_restores")
 	res.Violations = chaos.FleetViolations(&chaos.FleetAudit{
 		Events:     r.Events,
 		Counters:   r.Counters(),
 		ReadObject: r.ReadObject,
 	})
-
-	c := sc.Criteria
-	expected := make(map[string]bool, len(c.ExpectViolations))
-	for _, name := range c.ExpectViolations {
-		expected[name] = true
-	}
-	fired := make(map[string]bool)
-	for _, v := range res.Violations {
-		fired[v.Invariant] = true
-		if !expected[v.Invariant] {
-			fail("invariant violated: %s", v)
-		}
-	}
-	for _, name := range c.ExpectViolations {
-		if !fired[name] {
-			fail("expected invariant %q did not fire", name)
-		}
-	}
-
-	if c.MinEventsPerSec > 0 && res.EventsPerSec < c.MinEventsPerSec {
-		fail("events/sec %.0f below floor %.0f", res.EventsPerSec, c.MinEventsPerSec)
-	}
-	if c.MaxDetectP99Ms > 0 && res.Stats.DetectP99 > c.MaxDetectP99Ms {
-		fail("detect p99 %.2f ms above ceiling %.2f ms", res.Stats.DetectP99, c.MaxDetectP99Ms)
-	}
-	if c.MaxFailoverP99Ms > 0 && res.Stats.FailoverP99 > c.MaxFailoverP99Ms {
-		fail("failover p99 %.2f ms above ceiling %.2f ms", res.Stats.FailoverP99, c.MaxFailoverP99Ms)
-	}
-	if res.Stats.Detections < c.MinDetections {
-		fail("detections %d below floor %d", res.Stats.Detections, c.MinDetections)
-	}
-	if res.Stats.Checkpoints < c.MinCheckpoints {
-		fail("checkpoints %d below floor %d", res.Stats.Checkpoints, c.MinCheckpoints)
-	}
-	if res.Stats.Migrations < c.MinMigrations {
-		fail("migrations %d below floor %d", res.Stats.Migrations, c.MinMigrations)
-	}
-	if c.MaxTimers > 0 && res.Stats.Timers > c.MaxTimers {
-		fail("armed timers %d above bound %d", res.Stats.Timers, c.MaxTimers)
-	}
-	if lazy := r.Counters().Get("fleet.lazy_restores"); lazy < c.MinLazyRestores {
-		fail("lazy restores %d below floor %d", lazy, c.MinLazyRestores)
-	}
-
-	res.Pass = len(res.Failures) == 0
-	return res
-}
-
-// RunAll executes scenarios in order and returns their results.
-func RunAll(scs []Scenario) []Result {
-	out := make([]Result, 0, len(scs))
-	for _, sc := range scs {
-		out = append(out, Run(sc))
-	}
-	return out
-}
-
-// Passed reports whether every result passed.
-func Passed(results []Result) bool {
-	for _, r := range results {
-		if !r.Pass {
-			return false
-		}
-	}
-	return true
+	return res, nil
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -25,9 +24,6 @@ func TestCatalogIsWellFormed(t *testing.T) {
 			t.Fatalf("%s: no pinned seed", sc.Name)
 		}
 	}
-	if len(Fast()) == 0 {
-		t.Fatal("no fast scenarios")
-	}
 	if _, ok := Find("fleet-10k"); !ok {
 		t.Fatal("fleet-10k missing from catalog")
 	}
@@ -36,93 +32,35 @@ func TestCatalogIsWellFormed(t *testing.T) {
 	}
 }
 
-// The CI gate: every fast scenario passes its own criteria.
-func TestFastScenariosPass(t *testing.T) {
-	for _, sc := range Fast() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			res := Run(sc)
-			t.Log(res)
-			if !res.Pass {
-				t.Fatalf("scenario failed: %v\nviolations: %v\nstats: %s",
-					res.Failures, res.Violations, res.Stats)
-			}
-		})
-	}
-}
-
-// The acceptance headline: the 10k-node scenario completes with every
-// criterion passing.
-func TestFleet10kScenarioPasses(t *testing.T) {
-	if testing.Short() {
-		t.Skip("10k fleet scenario skipped in -short")
-	}
-	sc, ok := Find("fleet-10k")
-	if !ok {
-		t.Fatal("fleet-10k not in catalog")
-	}
-	res := Run(sc)
-	t.Log(res)
-	if !res.Pass {
-		t.Fatalf("fleet-10k failed: %v\nviolations: %v\nstats: %s",
-			res.Failures, res.Violations, res.Stats)
-	}
-	if res.Stats.Timers != 64 {
-		t.Fatalf("10k nodes armed %d timers, want 64 (one per shard)", res.Stats.Timers)
-	}
-}
-
-// The harness must detect criteria failures, not just run scenarios: an
-// impossible floor fails with a legible reason.
-func TestCriteriaFailureIsReported(t *testing.T) {
-	sc, _ := Find("smoke-64")
-	sc.Criteria.MinCheckpoints = 1 << 40
-	res := Run(sc)
-	if res.Pass {
-		t.Fatal("impossible checkpoint floor passed")
-	}
-	found := false
-	for _, f := range res.Failures {
-		if strings.Contains(f, "checkpoints") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("failure reasons missing the failed criterion: %v", res.Failures)
-	}
-}
-
-// A broken build (fencing disabled) must be caught by the invariant
-// audit; the catalog's contrast scenario asserts the violation fires.
+// A broken build (fencing disabled) must show up in the invariant
+// audit Run returns; the scenario gates in internal/experiments judge
+// it.
 func TestBrokenFencingScenarioCatchesDoubleCommit(t *testing.T) {
 	sc, ok := Find("broken-fencing-8")
 	if !ok {
 		t.Fatal("broken-fencing-8 not in catalog")
 	}
-	res := Run(sc)
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Log(res)
-	if !res.Pass {
-		t.Fatalf("contrast scenario failed: %v", res.Failures)
+	for _, v := range res.Violations {
+		if v.Invariant == "double-commit" {
+			return
+		}
 	}
-	if len(res.Violations) == 0 {
-		t.Fatal("no violations recorded despite NoFencing")
-	}
-	// And the same config with an empty expectation must FAIL — a
-	// violated invariant can never silently pass.
-	sc.Criteria.ExpectViolations = nil
-	if res := Run(sc); res.Pass {
-		t.Fatal("double-commit violation did not fail the scenario")
-	}
+	t.Fatalf("no double-commit violation despite NoFencing: %v", res.Violations)
 }
 
-// An invalid config fails the scenario instead of panicking.
+// An invalid config is an error, not a panic.
 func TestInvalidConfigFailsGracefully(t *testing.T) {
-	res := Run(Scenario{
+	_, err := Run(Scenario{
 		Name:     "bad",
 		Config:   cluster.FleetConfig{Nodes: 1, Shards: 1},
 		Duration: 10 * simtime.Millisecond,
 	})
-	if res.Pass || len(res.Failures) == 0 {
+	if err == nil {
 		t.Fatal("invalid config did not fail")
 	}
 }
