@@ -81,8 +81,7 @@ func E5(quick bool) []Record {
 // MTBF estimate) approaches it from a wrong prior.
 func E6(quick bool) []Record {
 	_ = quick // the analytic model is cheap at full size
-	const mtbfHours = 8
-	mtbf := simtime.Duration(mtbfHours * float64(simtime.Hour))
+	const mtbf = 8 * simtime.Hour
 	cfg := cluster.JobConfig{
 		Work:        72 * simtime.Hour,
 		CkptCost:    3 * simtime.Minute,
