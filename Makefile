@@ -64,7 +64,7 @@ bench-selftest:
 # scenario recorded and judged against its rows of experiments.Gates;
 # about a third of a second. -v prints every scenario's records.
 scenarios:
-	$(GO) test ./internal/experiments/ -run '^TestScenarios$$' -count=1 -v
+	$(GO) test ./internal/scenario/ -count=1 -v
 
 # The gofmt gate: fails if any Go file in the tree (bench/'s module
 # included) is not gofmt-clean; `gofmt -l .` names the offenders.

@@ -141,6 +141,43 @@ func TestGenerateFitsRow(t *testing.T) {
 	}
 }
 
+// assertMix demands that the sweep width draws every wanted value of one
+// spec field: a value the sweep never draws is a path chaos never tests.
+func assertMix(t *testing.T, field func(*Spec) string, want ...string) {
+	t.Helper()
+	got := map[string]int{}
+	for seed := int64(1); seed <= sweepSeeds; seed++ {
+		got[field(Generate(seed))]++
+	}
+	for _, w := range want {
+		if got[w] == 0 {
+			t.Errorf("generator drew no %q seeds in [1,%d]: %v", w, sweepSeeds, got)
+		}
+	}
+	t.Logf("mix over %d seeds: %v", sweepSeeds, got)
+}
+
+// confirmRows double-runs every seed of the second row period whose spec
+// matches, requiring equal digests; TestRunDeterministic covers the
+// first period.
+func confirmRows(t *testing.T, match func(*Spec) bool) {
+	t.Helper()
+	n, checked := int64(len(featureRows)), 0
+	for seed := n + 1; seed <= 2*n; seed++ {
+		sp := Generate(seed)
+		if !match(sp) {
+			continue
+		}
+		checked++
+		if ok, a, b := Confirm(sp); !ok {
+			t.Fatalf("seed %d nondeterministic: %#x vs %#x", seed, a.Digest, b.Digest)
+		}
+	}
+	if checked == 0 {
+		t.Fatalf("no seed in [%d,%d] matches", n+1, 2*n)
+	}
+}
+
 // TestGenerateDeterministic pins the generator itself: one seed, one
 // spec.
 func TestGenerateDeterministic(t *testing.T) {
@@ -168,15 +205,14 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunDeterministic double-runs two fenced scenarios per feature row
-// (seeds over two row periods) and requires equal digests — the
-// foundation the whole harness stands on. Demand-fault ordering,
-// prefetch batching, digest emission and aggregator reassignment,
-// replica fan-out and repair, background folds, the youngdaly cadence
-// and the liveness exclusion set must all be schedule-stable, or replay
-// lines are worthless.
+// TestRunDeterministic double-runs one fenced scenario per feature row
+// and requires equal digests — the foundation the whole harness stands
+// on. Demand-fault ordering, prefetch batching, digest emission and
+// aggregator reassignment, replica fan-out and repair, background folds,
+// the youngdaly cadence and the liveness exclusion set must all be
+// schedule-stable, or replay lines are worthless.
 func TestRunDeterministic(t *testing.T) {
-	for seed := int64(1); seed <= 2*int64(len(featureRows)); seed++ {
+	for seed := int64(1); seed <= int64(len(featureRows)); seed++ {
 		if ok, a, b := Confirm(Generate(seed)); !ok {
 			t.Fatalf("seed %d nondeterministic: digest %#x vs %#x\n--- first ---\n%s\n--- second ---\n%s",
 				seed, a.Digest, b.Digest, a.EventLog, b.EventLog)

@@ -4,6 +4,20 @@ import (
 	"testing"
 )
 
+// TestPolicyGeneratedMix pins that the sweep width draws the policy
+// dimensions: fixed and youngdaly cadences, and liveness content (which
+// TestGenerateFitsRow holds to incremental seeds). A dimension the sweep
+// never draws is a dimension chaos never tests.
+func TestPolicyGeneratedMix(t *testing.T) {
+	assertMix(t, func(sp *Spec) string { return sp.Policy }, "", "youngdaly")
+	assertMix(t, func(sp *Spec) string {
+		if sp.Liveness {
+			return "live"
+		}
+		return "all"
+	}, "all", "live")
+}
+
 // TestPolicyForcedSweepDeterministic double-runs a handful of forced
 // youngdaly+liveness scenarios: the Young/Daly cadence and the liveness
 // exclusion set must both be schedule-stable or replay lines are

@@ -11,6 +11,20 @@ import (
 	"repro/internal/storage/erasure"
 )
 
+// TestReplicationGeneratedMix pins that the sweep width draws both
+// placement modes beside the server-only path: the sweep is the
+// replication acceptance gate only if replicated seeds exist in it.
+func TestReplicationGeneratedMix(t *testing.T) {
+	assertMix(t, func(sp *Spec) string { return sp.Replication }, "", "buddy", "erasure")
+}
+
+// TestReplicationRunDeterministic double-runs replicated scenarios of
+// both modes: the fan-out writes, repair sweeps, and audit reads must
+// all be schedule-stable.
+func TestReplicationRunDeterministic(t *testing.T) {
+	confirmRows(t, func(sp *Spec) bool { return sp.Replication != "" })
+}
+
 // TestReplicationSpecValidation rejects the replication knobs the
 // executor cannot run.
 func TestReplicationSpecValidation(t *testing.T) {

@@ -1,11 +1,26 @@
 package chaos
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/simtime"
 )
+
+// TestShardedGeneratedMix pins that the sweep width draws both the flat
+// monitor and the sharded digest path: the sweep exercises aggregator
+// failover only if sharded seeds exist in it.
+func TestShardedGeneratedMix(t *testing.T) {
+	assertMix(t, func(sp *Spec) string { return fmt.Sprint(sp.Shards) }, "0", "2")
+}
+
+// TestShardedRunDeterministic double-runs sharded scenarios: digest
+// emission, aggregator reassignment, and the suspicion log must all be
+// schedule-stable.
+func TestShardedRunDeterministic(t *testing.T) {
+	confirmRows(t, func(sp *Spec) bool { return sp.Shards > 0 })
+}
 
 // TestShardedAggregatorDeath kills a shard aggregator under the digest
 // path: the observer must probe the dark shard back to life, the job

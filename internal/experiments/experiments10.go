@@ -41,13 +41,12 @@ func E18(quick bool) []Record {
 	return rec.done()
 }
 
-// Scenarios runs the whole scenario catalog and records each scenario
-// under its name; the "scenario" rows of Gates hold each one's bounds.
-func Scenarios() []Record {
+// ScenarioRecords runs one catalog scenario and records it under its
+// name as exp "scenario"; the "scenario" rows of Gates hold each
+// scenario's bounds.
+func ScenarioRecords(sc scenario.Scenario) []Record {
 	rec := &recorder{exp: "scenario"}
-	for _, sc := range scenario.Catalog() {
-		recordScenario(rec, sc)
-	}
+	recordScenario(rec, sc)
 	return rec.done()
 }
 

@@ -104,6 +104,12 @@ func TestE12DeterministicReplay(t *testing.T) {
 // caught by the double-commit checker within the same block.
 func TestE13ChaosSweepContrast(t *testing.T) { gate(t, E13) }
 
+// TestE15ParallelCaptureScales: 4 shard workers at least double the
+// 1-worker capture throughput, and the pipelined cluster run completes
+// with a real publish-latency distribution and a replayable recovery
+// chain behind it — E15's rows of Gates.
+func TestE15ParallelCaptureScales(t *testing.T) { gate(t, E15) }
+
 // TestE14DeltaWinsAtLowDirtyRate: the acceptance shape of E14 — at a low
 // dirty rate delta chains ship substantially fewer bytes per checkpoint
 // than full images, and the price is a longer recovery chain with a

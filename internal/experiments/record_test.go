@@ -27,23 +27,16 @@ func gate(t *testing.T, run func(quick bool) []Record) {
 	}
 }
 
-// TestGates: every E14–E20 gate passes at quick size. Check also
-// reports a gate that matches no record, so a renamed metric cannot
-// orphan its gate. E1–E13 each have a claim test of their own.
+// TestGates: every E14 and E16–E20 gate passes at quick size. Check
+// also reports a gate that matches no record, so a renamed metric
+// cannot orphan its gate. E1–E13 and E15 each have a claim test of
+// their own.
 func TestGates(t *testing.T) {
 	for _, e := range All[13:] {
-		gate(t, e.Run)
+		if e.N != 15 {
+			gate(t, e.Run)
+		}
 	}
-}
-
-// TestScenarios runs the whole scenario catalog against its Gates
-// rows; `make scenarios` is this test.
-func TestScenarios(t *testing.T) {
-	gate(t, func(bool) []Record {
-		recs := Scenarios()
-		t.Log("\n", RecordTable("scenario catalog", recs))
-		return recs
-	})
 }
 
 // passingRecords returns one record per gate, each exactly on the
