@@ -59,8 +59,8 @@ func run() {
 		fmt.Printf("checkpoints → %s\n", where)
 		fmt.Printf("  completed: %v in %v simulated\n", sup.Completed, sup.Makespan)
 		fmt.Printf("  checkpoints: %d, restarts: %d (from scratch: %d), failures seen: %d\n",
-			sup.Checkpoints, sup.Restarts, sup.FromScratch, sup.Estimator.Failures())
-		fmt.Printf("  online MTBF estimate: %v\n\n", sup.Estimator.Estimate())
+			sup.Checkpoints, sup.Restarts, sup.FromScratch, sup.Policy.Estimator().Failures())
+		fmt.Printf("  online MTBF estimate: %v\n\n", sup.Policy.Estimator().Estimate())
 	}
 }
 

@@ -186,7 +186,7 @@ func (a *ckptAgent) pump() {
 		// no longer needs carrying into the next delta.
 		a.trk.Commit()
 	}
-	if a.epoch == a.s.Fence.Epoch() {
+	if a.epoch == a.s.fence.Epoch() {
 		a.s.noteAck(a, tk, tgt)
 	} else {
 		// A stale writer slipped a commit past the (disabled) fence:
@@ -204,6 +204,9 @@ func (a *ckptAgent) pump() {
 func (a *ckptAgent) capture(m mechanism.Mechanism, n *Node, p *proc.Process, tgt storage.Target) (*mechanism.Ticket, error) {
 	dr, ok := m.(mechanism.DeltaRequester)
 	if !a.s.Incremental || !ok {
+		if a.s.Incremental {
+			a.s.Counters.Inc("agent.full_fallback", 1)
+		}
 		if ok && a.s.Replication != nil {
 			// Replicated full-image mode still needs epoch-qualified
 			// names: the server path just renamed a re-incarnated seq over
@@ -239,8 +242,8 @@ func (a *ckptAgent) capture(m mechanism.Mechanism, n *Node, p *proc.Process, tgt
 		// withholds dead pages (overwritten before ever being read)
 		// from the deltas it reports.
 		var inner checkpoint.Tracker = checkpoint.NewKernelWPTracker(n.K, p)
-		if spec := a.s.Policy.Spec(); spec.Liveness() {
-			inner = checkpoint.NewKernelLivenessTracker(n.K, p, spec.DeadStreak)
+		if a.s.Policy.Spec().Liveness() {
+			inner = checkpoint.NewKernelLivenessTracker(n.K, p, checkpoint.DefaultDeadStreak)
 		}
 		t := checkpoint.NewCarryTracker(inner)
 		if err := t.Arm(); err != nil {

@@ -56,8 +56,6 @@ type JobConfig struct {
 	// PermanentFrac is the fraction of failures that destroy the node
 	// (and with it any local checkpoints).
 	PermanentFrac float64
-	// MaxTime aborts runs that exceed this makespan (0 = 1000× Work).
-	MaxTime simtime.Duration
 	// PriorMTBF seeds the estimator.
 	PriorMTBF simtime.Duration
 }
@@ -77,13 +75,11 @@ type JobResult struct {
 
 // SimulateJob runs the analytic model: compute in checkpoint-delimited
 // segments, draw fail-stop failures from the model, and resolve each
-// failure against the storage policy.
+// failure against the storage policy. A run whose makespan passes 1000×
+// Work is abandoned incomplete.
 func SimulateJob(cfg JobConfig, fm FailureModel, rng *rand.Rand) JobResult {
-	maxTime := cfg.MaxTime
-	if maxTime == 0 {
-		maxTime = 1000 * cfg.Work
-	}
-	est := NewMTBFEstimator(cfg.PriorMTBF)
+	maxTime := 1000 * cfg.Work
+	est := policy.NewMTBFEstimator(cfg.PriorMTBF)
 	if est.Prior == 0 {
 		est.Prior = fm.MTBF()
 	}

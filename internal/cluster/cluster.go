@@ -65,10 +65,9 @@ type Cluster struct {
 	// default with the orchestration layer — ckpt.*, det.*, fence.*).
 	Counters *trace.Counters
 
-	nodes   []*Node
-	now     simtime.Time
-	quantum simtime.Duration
-	rng     *rand.Rand
+	nodes []*Node
+	now   simtime.Time
+	rng   *rand.Rand
 
 	mail     []message
 	handlers []func(payload any)
@@ -84,26 +83,24 @@ type Cluster struct {
 	serverBackAt simtime.Time
 }
 
+// stepQuantum is the barrier step: Step advances every node by this much.
+const stepQuantum = 100 * simtime.Microsecond
+
 // Config tunes a cluster.
 type Config struct {
-	Nodes   int
-	Quantum simtime.Duration // barrier step (default 100µs)
-	Seed    int64
+	Nodes int
+	Seed  int64
 	// KernelCfg is applied per node (hostname is overridden).
 	KernelCfg kernel.Config
 }
 
 // New builds a cluster whose nodes all know the programs in reg.
 func New(cfg Config, cm *costmodel.Model, reg *kernel.Registry) *Cluster {
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = 100 * simtime.Microsecond
-	}
 	c := &Cluster{
 		CM:       cm,
 		Registry: reg,
 		Server:   storage.NewServer("ckpt-server", cm),
 		Counters: trace.NewCounters(),
-		quantum:  cfg.Quantum,
 		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
@@ -260,7 +257,7 @@ func (c *Cluster) Send(from, to int, payload any, size int) error {
 // Step advances the cluster by one quantum: each live node's kernel runs
 // to the barrier, then due messages deliver and due failures fire.
 func (c *Cluster) Step() {
-	c.now = c.now.Add(c.quantum)
+	c.now = c.now.Add(stepQuantum)
 	for _, n := range c.nodes {
 		if n.alive && n.K.Now() < c.now {
 			n.K.RunFor(c.now.Sub(n.K.Now()))

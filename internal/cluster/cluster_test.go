@@ -247,16 +247,16 @@ func assertOracleRestartTrail(t *testing.T, sup *Supervisor) {
 func TestYoungAndDaly(t *testing.T) {
 	ckpt := 30 * simtime.Second
 	mtbf := 12 * simtime.Hour
-	y := YoungInterval(ckpt, mtbf)
+	y := policy.Young(ckpt, mtbf)
 	// sqrt(2*30*43200) s = sqrt(2592000) ≈ 1609.97 s
 	if y < 1600*simtime.Second || y > 1620*simtime.Second {
 		t.Fatalf("Young = %v", y)
 	}
-	d := DalyInterval(ckpt, mtbf)
+	d := policy.Daly(ckpt, mtbf)
 	if d < y-ckpt-60*simtime.Second || d > y+60*simtime.Second {
 		t.Fatalf("Daly = %v vs Young %v", d, y)
 	}
-	if YoungInterval(0, mtbf) != mtbf {
+	if policy.Young(0, mtbf) != mtbf {
 		t.Fatal("degenerate Young")
 	}
 }
@@ -267,7 +267,7 @@ func TestYoungIntervalIsAnalyticOptimum(t *testing.T) {
 	work := 48 * simtime.Hour
 	ckpt := 5 * simtime.Minute
 	mtbf := 10 * simtime.Hour
-	opt := YoungInterval(ckpt, mtbf)
+	opt := policy.Young(ckpt, mtbf)
 
 	evaluate := func(iv simtime.Duration) simtime.Duration {
 		cfg := JobConfig{
@@ -342,7 +342,7 @@ func TestAdaptiveYoungConvergesToOracle(t *testing.T) {
 	fm := Exponential{Mean: 6 * simtime.Hour}
 
 	oracle := cfg
-	oracle.Policy = policy.Fixed(YoungInterval(cfg.CkptCost, fm.Mean))
+	oracle.Policy = policy.Fixed(policy.Young(cfg.CkptCost, fm.Mean))
 	adaptive := cfg
 	adaptive.Policy = policy.Spec{Strategy: policy.StrategyYoungDaly, CkptCost: cfg.CkptCost}
 
@@ -385,7 +385,7 @@ func TestFailureModels(t *testing.T) {
 }
 
 func TestMTBFEstimator(t *testing.T) {
-	e := NewMTBFEstimator(100 * simtime.Hour)
+	e := policy.NewMTBFEstimator(100 * simtime.Hour)
 	if e.Estimate() != 100*simtime.Hour {
 		t.Fatal("prior not used")
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/policy"
 	"repro/internal/simtime"
 )
 
@@ -133,31 +132,4 @@ func (inj *Injector) apply(c *Cluster) {
 			inj.OnFail(c, ev.node, ev.kind)
 		}
 	}
-}
-
-// The interval formulas and the online MTBF estimator moved to
-// internal/policy with the policy.Spec redesign; the names below are
-// kept so existing callers (repro.YoungInterval, the analytic model's
-// tests, the examples) keep working unchanged.
-
-// YoungInterval is Young's first-order optimum for the checkpoint
-// interval: sqrt(2 · checkpointCost · MTBF).
-func YoungInterval(ckptCost, mtbf simtime.Duration) simtime.Duration {
-	return policy.Young(ckptCost, mtbf)
-}
-
-// DalyInterval is Daly's higher-order refinement, accurate when the
-// checkpoint cost is not negligible next to the MTBF.
-func DalyInterval(ckptCost, mtbf simtime.Duration) simtime.Duration {
-	return policy.Daly(ckptCost, mtbf)
-}
-
-// MTBFEstimator is the autonomic manager's online failure-rate tracker:
-// the maximum-likelihood exponential estimate uptime/failures, with an
-// optimistic prior before the first failure.
-type MTBFEstimator = policy.MTBFEstimator
-
-// NewMTBFEstimator returns an estimator with the given prior MTBF.
-func NewMTBFEstimator(prior simtime.Duration) *MTBFEstimator {
-	return policy.NewMTBFEstimator(prior)
 }

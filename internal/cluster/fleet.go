@@ -50,9 +50,6 @@ type FleetConfig struct {
 	// CkptEvery is the per-job checkpoint cadence in ticks (default 8),
 	// staggered by job id so acks spread across ticks.
 	CkptEvery int
-	// EventBatch bounds one orchestration-event flush from a shard to
-	// the root (default 256).
-	EventBatch int
 
 	// Control-plane network faults, applied to the digest path: HBLoss
 	// drops a member's bit from a tick's digest, DigestLoss drops the
@@ -92,11 +89,12 @@ func (cfg FleetConfig) withDefaults() FleetConfig {
 	if cfg.CkptEvery <= 0 {
 		cfg.CkptEvery = 8
 	}
-	if cfg.EventBatch <= 0 {
-		cfg.EventBatch = 256
-	}
 	return cfg
 }
+
+// fleetEventBatch bounds one orchestration-event flush from a shard to
+// the root: a larger flush splits into batches of at most this many.
+const fleetEventBatch = 256
 
 // validate rejects configurations the fleet cannot run.
 func (cfg FleetConfig) validate() error {
@@ -199,7 +197,7 @@ type FleetStats struct {
 	SimMillis float64 `json:"sim_ms"`
 
 	// Orchestration event flow: total events flushed, flush batches,
-	// and the largest single batch (bounded by EventBatch).
+	// and the largest single batch (bounded by fleetEventBatch).
 	Events   int `json:"events"`
 	Batches  int `json:"batches"`
 	MaxBatch int `json:"max_batch"`
@@ -210,10 +208,11 @@ type FleetStats struct {
 	Unplaced    int64 `json:"unplaced"`
 
 	// Detection and failover latency in simulated milliseconds, over
-	// ground-truth real failures only.
+	// ground-truth real failures only, each with its sample count.
 	Detections  int     `json:"detections"`
 	DetectP50   float64 `json:"detect_p50_ms"`
 	DetectP99   float64 `json:"detect_p99_ms"`
+	FailoverN   int     `json:"failover_n"`
 	FailoverP50 float64 `json:"failover_p50_ms"`
 	FailoverP99 float64 `json:"failover_p99_ms"`
 

@@ -33,23 +33,23 @@ func fleetGoldenCfg(seed int64, netFault float64) FleetConfig {
 }
 
 var fleetGoldenRows = []fleetGoldenRow{
-	{"seed1", fleetGoldenCfg(1, 0), "fe373b9d488fbdbd90575bb8e4170d9f4cecdb3d55aa7f98e06c1e89f84d8afe"},
-	{"seed2", fleetGoldenCfg(2, 0), "6ed9c733b4a9d11f0e30d89d81fd998ef005ccfa613b013fdb1a3deef94ada2c"},
-	{"seed3", fleetGoldenCfg(3, 0), "8fc8066491386cfd9b355cd3b6fa77e94c2d6c55b7748e383cf89d1320049b60"},
-	{"seed1-netfault", fleetGoldenCfg(1, 0.05), "d3beb090a08f0af1d818425efea8dbe28686b3d423009475eb709d10a072b3e5"},
-	{"seed2-netfault", fleetGoldenCfg(2, 0.05), "6081e6f80546cf3159316488622ce5f3464dd102578415f6d9b3e4a86e7b8516"},
-	{"seed3-netfault", fleetGoldenCfg(3, 0.05), "2c37780f53d714c98a2a255c052e325ff2023bdad756a02af32f3946248e1919"},
+	{"seed1", fleetGoldenCfg(1, 0), "b94f0f80b513b4f2500bf8594421e88378c25ceb297a693424132afb8e7e5bed"},
+	{"seed2", fleetGoldenCfg(2, 0), "4d728ab841fa2eb066ca2baa21d59531e175731d8de6b0638ef7a92a1c893c0a"},
+	{"seed3", fleetGoldenCfg(3, 0), "64729eb9259cfe0ec5073a566ccd8c3ad80d9193fccd443697597e091b75fe55"},
+	{"seed1-netfault", fleetGoldenCfg(1, 0.05), "22e0ab4bd7c69276243eb3549dce28cdd896a95ebc5d6f432d1e25cbc42559be"},
+	{"seed2-netfault", fleetGoldenCfg(2, 0.05), "4f63ffa07057e87ea8e2e71536ec6c16bf757534680f83e88e4f8f3c143f43aa"},
+	{"seed3-netfault", fleetGoldenCfg(3, 0.05), "32c22b6787101a55b1262f4bee82cfc5785b7adcf7c6ae883cdb786caabdcc58"},
 	{"nofencing", func() FleetConfig {
 		cfg := fleetGoldenCfg(4, 0.05)
 		cfg.HBLoss = 0.15
 		cfg.NoFencing = true
 		return cfg
-	}(), "f23763a2b0524a6cd022fc486789d6becbb0ab5e477e65761bf667a7d7274d41"},
+	}(), "7647a60d63699b324f8b1c8999b73c934eeb60e3e63a7f87953f7288ed6c6bab"},
 	{"lazy", func() FleetConfig {
 		cfg := fleetGoldenCfg(5, 0.05)
 		cfg.LazyRestore = true
 		return cfg
-	}(), "fc75d76bcc8a8c16ae5acda3104f5ed8f97c265ffe6afeed577bc7f59b72c52d"},
+	}(), "8b40a0b46f9922195200d05f703d678332f4627b780d0b9b4fced8569c97f3f7"},
 }
 
 // fleetGoldenRun runs one row for 300ms of simulated time under a

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -105,27 +106,46 @@ func TestFleetDetectsAndFailsOver(t *testing.T) {
 	}
 }
 
-// Event flushes from shards to the root are bounded by EventBatch.
+// Event flushes from shards to the root are bounded by fleetEventBatch:
+// a run's flushes stay within it, and a flush larger than one batch
+// splits, in order.
 func TestFleetEventBatchesBounded(t *testing.T) {
-	cfg := fleetCfg(32, 4, 32, 3)
-	cfg.EventBatch = 4
-	r := MustNewRootSupervisor(cfg)
+	r := MustNewRootSupervisor(fleetCfg(32, 4, 32, 3))
 	var fromCallback int
 	r.OnBatch = func(b []Event) {
-		if len(b) > 4 {
-			t.Fatalf("OnBatch saw %d events, bound is 4", len(b))
+		if len(b) > fleetEventBatch {
+			t.Fatalf("OnBatch saw %d events, bound is %d", len(b), fleetEventBatch)
 		}
 		fromCallback += len(b)
 	}
 	st := r.Run(50 * simtime.Millisecond)
-	if st.MaxBatch > 4 {
-		t.Fatalf("max batch %d exceeds bound 4", st.MaxBatch)
+	if st.MaxBatch > fleetEventBatch {
+		t.Fatalf("max batch %d exceeds bound %d", st.MaxBatch, fleetEventBatch)
 	}
 	if st.Events == 0 || fromCallback != st.Events {
 		t.Fatalf("flushed %d events but callback saw %d", st.Events, fromCallback)
 	}
-	if st.Batches < st.Events/4 {
-		t.Fatalf("%d events in %d batches with bound 4: impossible", st.Events, st.Batches)
+
+	// One burst of 2.5 batches: three flushes, the last one partial.
+	burst := make([]Event, 2*fleetEventBatch+fleetEventBatch/2)
+	for i := range burst {
+		burst[i] = Event{Kind: EvAck, Node: i}
+	}
+	var sizes []int
+	r.OnBatch = func(b []Event) { sizes = append(sizes, len(b)) }
+	logged, batches := len(r.Events), r.batches
+	r.flush(burst)
+	if want := []int{fleetEventBatch, fleetEventBatch, fleetEventBatch / 2}; !slices.Equal(sizes, want) {
+		t.Fatalf("burst of %d flushed as %v, want %v", len(burst), sizes, want)
+	}
+	if r.batches-batches != 3 || len(r.Events)-logged != len(burst) {
+		t.Fatalf("burst added %d batches and %d events, want 3 and %d",
+			r.batches-batches, len(r.Events)-logged, len(burst))
+	}
+	for i, ev := range r.Events[logged:] {
+		if ev.Node != i {
+			t.Fatalf("event %d of the burst logged out of order (node %d)", i, ev.Node)
+		}
 	}
 }
 

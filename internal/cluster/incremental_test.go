@@ -9,7 +9,6 @@ import (
 	"repro/internal/mechanism"
 	"repro/internal/policy"
 	"repro/internal/simtime"
-	"repro/internal/storage"
 	"repro/internal/syslevel"
 	"repro/internal/workload"
 )
@@ -189,18 +188,17 @@ func TestAdaptiveIntervalShrinksMidIncarnation(t *testing.T) {
 	}
 	workload.SetIterations(p, 1_000_000) // must outlive the test window
 
-	est := NewMTBFEstimator(20 * simtime.Millisecond)
+	pol := policy.YoungDaly(5 * simtime.Millisecond)
+	pol.PriorMTBF = 20 * simtime.Millisecond
 	sup := MustNewSupervisor(SupervisorConfig{
 		C:          c,
 		MkMech:     func() mechanism.Mechanism { return syslevel.NewCRAK() },
 		Prog:       prog,
 		Iterations: 1_000_000, // unused: agents are pumped directly, Run never starts
-		Policy:     policy.YoungDaly(5 * simtime.Millisecond),
-		Estimator:  est,
+		Policy:     pol,
 		Counters:   c.Counters,
-		Fence:      storage.NewFenceDomain("job", c.Counters),
 	})
-	epoch := sup.Fence.Advance()
+	epoch := sup.fence.Advance()
 	sup.armAgent(0, p.PID, epoch)
 	c.OnStep(sup.pumpAgents)
 	a := sup.agents[0]
@@ -231,6 +229,51 @@ func TestAdaptiveIntervalShrinksMidIncarnation(t *testing.T) {
 	if gapHostile >= gapHealthy/2 {
 		t.Fatalf("checkpoint gap barely moved (%v → %v) after the MTBF collapsed: "+
 			"the agent is using an arm-time interval snapshot", gapHealthy, gapHostile)
+	}
+}
+
+// Incremental shipping through a mechanism with no delta capability
+// ships full images, and counts every capture that fell back; the same
+// run with CRAK counts none.
+func TestIncrementalFullFallbackIsCounted(t *testing.T) {
+	prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 31}
+	want := referenceFingerprint(t, prog, 40)
+	for _, tc := range []struct {
+		name     string
+		mk       func() mechanism.Mechanism
+		fallback bool
+	}{
+		{"crak", func() mechanism.Mechanism { return syslevel.NewCRAK() }, false},
+		{"no-delta", func() mechanism.Mechanism { return plainMech{syslevel.NewCRAK()} }, true},
+	} {
+		c := newCluster(t, 4, prog)
+		mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
+			detector.Config{Period: 200 * simtime.Microsecond, Observer: 3}, c.Counters)
+		sup := MustNewSupervisor(SupervisorConfig{
+			C:           c,
+			MkMech:      tc.mk,
+			Prog:        prog,
+			Iterations:  40,
+			Policy:      policy.Fixed(simtime.Millisecond),
+			Detector:    mon,
+			ControlNode: 3,
+			Incremental: true,
+		})
+		if err := sup.Run(2 * simtime.Second); err != nil {
+			t.Fatal(err)
+		}
+		if !sup.Completed || sup.Fingerprint != want || sup.Checkpoints == 0 {
+			t.Fatalf("%s: completed=%v fingerprint=%#x want %#x checkpoints=%d",
+				tc.name, sup.Completed, sup.Fingerprint, want, sup.Checkpoints)
+		}
+		fallbacks, deltas := c.Counters.Get("agent.full_fallback"), c.Counters.Get("ckpt.delta_acks")
+		switch {
+		case tc.fallback && (fallbacks < int64(sup.Checkpoints) || deltas != 0):
+			t.Fatalf("%s: agent.full_fallback = %d, ckpt.delta_acks = %d over %d checkpoints",
+				tc.name, fallbacks, deltas, sup.Checkpoints)
+		case !tc.fallback && (fallbacks != 0 || deltas == 0):
+			t.Fatalf("%s: agent.full_fallback = %d, ckpt.delta_acks = %d", tc.name, fallbacks, deltas)
+		}
 	}
 }
 

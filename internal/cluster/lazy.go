@@ -79,7 +79,7 @@ func (s *Supervisor) recoverLazy(src storage.Target, spare int, epoch uint64, ma
 		RestoreOptions: checkpoint.RestoreOptions{Enqueue: true, Metrics: s.Metrics},
 		Source:         src,
 		Ancestors:      manifest[:n-1],
-		Fenced:         func() bool { return s.Fence.Epoch() != epoch },
+		Fenced:         func() bool { return s.fence.Epoch() != epoch },
 	})
 	if err != nil {
 		if errors.Is(err, checkpoint.ErrNeedsChain) {
@@ -107,7 +107,7 @@ func (s *Supervisor) pumpLazy() {
 	if s.lazy == nil {
 		return
 	}
-	if s.Fence != nil && s.Fence.Epoch() != s.lazy.epoch {
+	if s.fence.Epoch() != s.lazy.epoch {
 		s.failLazy(nil)
 		return
 	}

@@ -324,7 +324,8 @@ func TestRecoveryRefreshesManifestAfterConcurrentCompaction(t *testing.T) {
 		}
 	}
 
-	s := &Supervisor{SupervisorConfig: SupervisorConfig{Counters: trace.NewCounters()}}
+	ctr := trace.NewCounters()
+	s := &Supervisor{SupervisorConfig: SupervisorConfig{Counters: ctr}, fence: storage.NewFenceDomain("job", ctr)}
 	s.lastLeaf = leaf.ObjectName()
 	s.lastFull = full.ObjectName()
 	s.chainObjs = append([]string(nil), objs...)
@@ -378,5 +379,52 @@ func TestLazyRestoreRequiresDetector(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("NewSupervisor accepted LazyRestore without a Detector")
+	}
+}
+
+// plainMech exposes only the mechanism.Mechanism surface of the
+// mechanism it wraps: no delta, lazy-restart or parallel-restore
+// capability, so a supervisor asking for one falls back.
+type plainMech struct{ mechanism.Mechanism }
+
+// A LazyRestore supervisor whose mechanism cannot restart lazily falls
+// back to eager restores, and counts each declined lazy restore.
+func TestLazyRestoreDeclinedIsCounted(t *testing.T) {
+	prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 51}
+	want := referenceFingerprint(t, prog, 60)
+
+	c := newCluster(t, 4, prog)
+	sup := lazySupervisor(t, c, prog, 60, 1)
+	sup.MkMech = func() mechanism.Mechanism { return plainMech{syslevel.NewCRAK()} }
+	jobNode, acks := 0, 0
+	sup.OnEvent = func(ev Event) {
+		switch ev.Kind {
+		case EvAdmit:
+			jobNode = ev.Node
+		case EvAck:
+			acks++
+		}
+	}
+	failed := false
+	c.OnStep(func() {
+		if !failed && acks >= 3 {
+			failed = true
+			c.Fail(jobNode)
+		}
+	})
+	if err := sup.Run(2 * simtime.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !failed || sup.Restarts == 0 {
+		t.Fatalf("no failover happened (failed=%v restarts=%d)", failed, sup.Restarts)
+	}
+	if !sup.Completed || sup.Fingerprint != want {
+		t.Fatalf("completed=%v fingerprint=%#x want %#x", sup.Completed, sup.Fingerprint, want)
+	}
+	if n := c.Counters.Get("restore.lazy"); n != 0 {
+		t.Fatalf("restore.lazy = %d with a mechanism that cannot restart lazily", n)
+	}
+	if n, want := c.Counters.Get("restore.lazy_declined"), int64(sup.Restarts); n != want {
+		t.Fatalf("restore.lazy_declined = %d, want %d (one per restart)", n, want)
 	}
 }

@@ -248,7 +248,7 @@ func (g *Gang) Resume() ([]*proc.Process, error) {
 type Supervisor struct {
 	// SupervisorConfig is the validated configuration with every default
 	// resolved by NewSupervisor. Its fields are the supervisor's own:
-	// sup.Incremental, sup.Fence, sup.OnEvent and the rest read and write
+	// sup.Incremental, sup.OnEvent and the rest read and write
 	// through it.
 	SupervisorConfig
 	// Policy is the job's checkpoint policy engine, built from
@@ -266,6 +266,12 @@ type Supervisor struct {
 
 	// Events is the orchestration event log (see events.go).
 	Events []Event
+
+	// fence is the job's epoch domain, one per supervisor. Each
+	// incarnation publishes through a target fenced at its admission
+	// epoch; Advance-before-restart makes a stale incarnation's commits
+	// rejectable no matter how wrong the suspicion was.
+	fence *storage.FenceDomain
 
 	mechs     *MechPool
 	node      int
@@ -479,12 +485,19 @@ func (s *Supervisor) attempt(p *proc.Process, tgt storage.Target, local bool) er
 	return nil
 }
 
+// ckptRetries bounds a round's checkpoint retries against the primary
+// target. The first retry waits ckptRetryBackoff of simulated time, and
+// each later one doubles the wait.
+const (
+	ckptRetries      = 3
+	ckptRetryBackoff = simtime.Millisecond
+)
+
 // checkpoint takes the round's checkpoint with retry-with-backoff against
 // the primary target, then (optionally) one fallback attempt against the
 // node-local disk. Injected storage faults thus cost retries and degraded
 // placement, not lost rounds.
 func (s *Supervisor) checkpoint(p *proc.Process) error {
-	retries := max(s.MaxRetries, 0) // negative disables retries
 	local := s.UseLocalDisk
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -492,14 +505,14 @@ func (s *Supervisor) checkpoint(p *proc.Process) error {
 		if lastErr == nil {
 			return nil
 		}
-		if attempt >= retries {
+		if attempt >= ckptRetries {
 			break
 		}
 		s.Counters.Inc("ckpt.retried", 1)
 		// Back off in simulated time (doubling), then revalidate: the node
 		// or the process may have died while we waited, in which case the
 		// main loop — not this retry loop — must handle it.
-		s.C.RunFor(s.RetryBackoff << uint(attempt))
+		s.C.RunFor(ckptRetryBackoff << uint(attempt))
 		s.OracleReads += 2
 		if !s.C.Node(s.node).Alive() {
 			return lastErr
@@ -554,6 +567,9 @@ func (s *Supervisor) restartOn(node int, src storage.Target, manifest []string, 
 		}
 		// A nil process means the lazy preconditions did not hold: fall
 		// through to the eager path below.
+		if p == nil {
+			s.Counters.Inc("restore.lazy_declined", 1)
+		}
 	}
 	if p == nil {
 		chain, readWait := s.loadRecoveryChain(src, manifest)
@@ -594,10 +610,7 @@ func (s *Supervisor) loadRecoveryChain(src storage.Target, manifest []string) (c
 	if s.lastLeaf == "" || src == nil || !src.Available() {
 		return nil, 0
 	}
-	var fenceEpoch uint64
-	if s.Fence != nil {
-		fenceEpoch = s.Fence.Epoch()
-	}
+	fenceEpoch := s.fence.Epoch()
 	env := &storage.Env{Bill: costmodel.Discard{},
 		Wait: func(d simtime.Duration, _ string) { readWait += d }}
 	// Fast path: when the supervisor still holds the manifest for the
@@ -637,7 +650,7 @@ func (s *Supervisor) loadRecoveryChain(src storage.Target, manifest []string) (c
 	// that are still perfectly restorable.
 	if live := s.chainObjs; len(live) > 0 && live[len(live)-1] == s.lastLeaf &&
 		!sameManifest(live, manifest) &&
-		(s.Fence == nil || s.Fence.Epoch() == fenceEpoch) {
+		s.fence.Epoch() == fenceEpoch {
 		m := append([]string(nil), live...)
 		if chain, err2 := checkpoint.LoadChainManifest(src, env, m); err2 == nil {
 			s.Counters.Inc("restore.manifest_refresh", 1)
@@ -697,9 +710,6 @@ func (s *Supervisor) observeRestore(chain []*checkpoint.Image, readWait simtime.
 // so a partition looks exactly like a crash, false positives happen, and
 // the fencing epoch is what keeps them safe.
 func (s *Supervisor) runAutonomic(budget simtime.Duration) error {
-	if s.Fence == nil {
-		s.Fence = storage.NewFenceDomain("job", s.Counters)
-	}
 	s.C.OnStep(s.pumpAgents)
 
 	start := s.C.Now()
@@ -709,7 +719,7 @@ func (s *Supervisor) runAutonomic(budget simtime.Duration) error {
 	}
 	// Admit the first incarnation. Advancing before start is the
 	// invariant: a writer's epoch is fixed before it can produce bytes.
-	epoch := s.Fence.Advance()
+	epoch := s.fence.Advance()
 	if err := s.start(first); err != nil {
 		return err
 	}
@@ -774,7 +784,7 @@ func (s *Supervisor) runAutonomic(budget simtime.Duration) error {
 			// flush redundancy so the chain the run leaves behind is fully
 			// replicated, not merely quorum-replicated.
 			s.flushRepair()
-			s.emit(EvComplete, s.node, s.Fence.Epoch(), fmt.Sprintf("%#x", s.Fingerprint))
+			s.emit(EvComplete, s.node, s.fence.Epoch(), fmt.Sprintf("%#x", s.Fingerprint))
 			return nil
 		}
 	}
@@ -789,7 +799,7 @@ func (s *Supervisor) runAutonomic(budget simtime.Duration) error {
 // actually dead. If it is not, its agent will be told so by the storage
 // server (ErrFenced) and self-fence.
 func (s *Supervisor) recoverFenced() error {
-	epoch := s.Fence.Advance()
+	epoch := s.fence.Advance()
 	s.emit(EvFailover, s.node, epoch, "")
 	if s.lazy != nil {
 		// A still-draining lazy restore belongs to the incarnation we

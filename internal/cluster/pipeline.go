@@ -43,13 +43,14 @@ type PipelineConfig struct {
 	// .Parallelism). Default 4. The default is a fixed constant, never
 	// the host's core count, so simulated results are machine-independent.
 	CaptureWorkers int
-	// BatchBytes merges a delta into the queue's tail unit when neither
-	// has started transferring and their combined payload stays under
-	// this bound, so consecutive small deltas publish as one batch.
-	// Default 1 MiB; negative disables batching. Full images never batch
-	// — each is its own recovery anchor.
-	BatchBytes int
 }
+
+// shipBatchBytes bounds a batched publish: a delta merges into the
+// queue's tail unit when neither has started transferring and their
+// combined payload stays within it, so consecutive small deltas publish
+// as one batch. Full images never batch — each is its own recovery
+// anchor.
+const shipBatchBytes = 1 << 20
 
 func (c *PipelineConfig) validate() error {
 	switch {
@@ -73,16 +74,6 @@ func (c *PipelineConfig) captureWorkers() int {
 		return c.CaptureWorkers
 	}
 	return 4
-}
-
-func (c *PipelineConfig) batchBytes() int {
-	switch {
-	case c.BatchBytes > 0:
-		return c.BatchBytes
-	case c.BatchBytes < 0:
-		return 0 // disabled
-	}
-	return 1 << 20
 }
 
 // shipImage is one encoded checkpoint image queued for shipping.
@@ -189,9 +180,9 @@ func (a *ckptAgent) pipelineRound(m mechanism.Mechanism, n *Node, p *proc.Proces
 // enqueueShip appends the image to the ship queue, merging it into the
 // tail unit when the batching rule allows.
 func (a *ckptAgent) enqueueShip(si shipImage) {
-	if bb := a.s.Pipeline.batchBytes(); bb > 0 && len(a.ship) > 0 && !si.full {
+	if len(a.ship) > 0 && !si.full {
 		u := a.ship[len(a.ship)-1]
-		if !u.started && !u.hasFull() && u.bytes()+len(si.data) <= bb {
+		if !u.started && !u.hasFull() && u.bytes()+len(si.data) <= shipBatchBytes {
 			u.imgs = append(u.imgs, si)
 			a.s.Counters.Inc("pipe.batched", 1)
 			return
@@ -248,7 +239,7 @@ func (a *ckptAgent) publishUnit(n *Node, u *shipUnit) bool {
 		si := &u.imgs[i]
 		s.Counters.Inc("pipe.shipped", 1)
 		s.Metrics.Hist("pipe.publish_latency").Observe(float64(now.Sub(si.capturedAt)))
-		if a.epoch == s.Fence.Epoch() {
+		if a.epoch == s.fence.Epoch() {
 			s.noteAckObject(a, si.obj, si.full, len(si.data), si.captureDur, tgt)
 		} else {
 			// Fencing disabled and we are stale: the publish landed — a

@@ -114,10 +114,9 @@ func TestPipelinedShipFailureDropsChainAndRebases(t *testing.T) {
 		Incremental: true,
 		RebaseEvery: 100, // one full, then deltas only — until the failure forces a rebase
 		Counters:    c.Counters,
-		Fence:       storage.NewFenceDomain("job", c.Counters),
-		Pipeline:    &PipelineConfig{BatchBytes: -1}, // one unit per image: the drop math is exact
+		Pipeline:    &PipelineConfig{},
 	})
-	epoch := sup.Fence.Advance()
+	epoch := sup.fence.Advance()
 	sup.armAgent(0, p.PID, epoch)
 	c.OnStep(sup.pumpAgents)
 

@@ -35,7 +35,7 @@ func TestPolicyTelemetrySingleObservation(t *testing.T) {
 		t.Fatal("job did not complete")
 	}
 
-	failures := sup.Estimator.Failures()
+	failures := sup.Policy.Estimator().Failures()
 	if failures == 0 {
 		t.Fatal("injector produced no failures; the audit needs observation events")
 	}

@@ -3,7 +3,7 @@
 // rebuilt when a replica holder dies. The storage layer's Replicated
 // target (internal/storage) knows how to fan a write out and walk a
 // degraded-read ladder; this file decides the placement set — self +
-// buddy pairs on other failure domains, or k-of-n erasure shards across
+// buddy on the other failure domain, or k-of-n erasure shards across
 // node-local disks — and keeps it healthy across failovers.
 //
 // Placement is anchored at the job's current node (the owner). In buddy
@@ -30,48 +30,37 @@ import (
 type ReplicationMode string
 
 const (
-	// ReplBuddy mirrors every checkpoint to the owner's disk, one or more
-	// buddy nodes' disks, and the shared server.
+	// ReplBuddy mirrors every checkpoint to the owner's disk, one buddy
+	// node's disk, and the shared server; a write is acknowledged once
+	// two of the three publish.
 	ReplBuddy ReplicationMode = "buddy"
 	// ReplErasure cuts every checkpoint into DataShards+ParityShards
-	// erasure shards, one per node-local disk. The server holds nothing.
+	// erasure shards, one per node-local disk; a write is acknowledged
+	// once DataShards+1 shards publish. The server holds nothing.
 	ReplErasure ReplicationMode = "erasure"
 )
 
 // ReplicationConfig is the supervisor's placement policy. Nil disables
 // replication (checkpoints go to the shared server only, as before).
 // Autonomic mode only: placement follows the detector's suspicions.
+//
+// A replica holder suspected for one base checkpoint interval has its
+// slot reassigned to a fresh node and re-replicated. A much shorter wait
+// would re-buddy on every network blip; a much longer one would widen
+// the window where a second failure is fatal.
 type ReplicationConfig struct {
 	// Mode selects buddy mirroring or erasure coding. Required.
 	Mode ReplicationMode
-	// Buddies is how many buddy nodes mirror the checkpoint in ReplBuddy
-	// mode (default 1 — the classic buddy pair).
-	Buddies int
 	// DataShards/ParityShards is the ReplErasure geometry (default 2+1:
 	// any single shard loss is survivable at 1.5x capacity).
 	DataShards   int
 	ParityShards int
-	// WriteQuorum overrides how many replicas must durably publish before
-	// a checkpoint is acknowledged. 0 uses the storage defaults: 2 for
-	// buddy sets, DataShards+1 for erasure sets.
-	WriteQuorum int
-	// RepairAfter is how long a replica holder must stay suspected before
-	// its slot is reassigned to a fresh node and re-replicated (default:
-	// one checkpoint interval). Too low re-buddies on every network blip;
-	// too high widens the window where a second failure is fatal.
-	RepairAfter simtime.Duration
-	// FailureDomain maps a node index to its failure domain (rack, PSU).
-	// Buddy assignment prefers a different domain than the owner's, so a
-	// domain-wide outage cannot take both copies. Default: node % 2.
-	FailureDomain func(node int) int
 }
 
-func (rc *ReplicationConfig) buddies() int {
-	if rc.Buddies > 0 {
-		return rc.Buddies
-	}
-	return 1
-}
+// failureDomain maps a node index to its failure domain (rack, PSU):
+// even and odd nodes. Buddy assignment prefers a different domain than
+// the owner's, so a domain-wide outage cannot take both copies.
+func failureDomain(node int) int { return node % 2 }
 
 func (rc *ReplicationConfig) dataShards() int {
 	if rc.DataShards > 0 {
@@ -87,20 +76,6 @@ func (rc *ReplicationConfig) parityShards() int {
 	return 1
 }
 
-func (rc *ReplicationConfig) repairAfter(interval simtime.Duration) simtime.Duration {
-	if rc.RepairAfter > 0 {
-		return rc.RepairAfter
-	}
-	return interval
-}
-
-func (rc *ReplicationConfig) failureDomain() func(int) int {
-	if rc.FailureDomain != nil {
-		return rc.FailureDomain
-	}
-	return func(node int) int { return node % 2 }
-}
-
 // validate rejects geometries the cluster cannot place. workers is how
 // many nodes can hold job state (every node except the control node).
 func (rc *ReplicationConfig) validate(workers int) error {
@@ -109,29 +84,19 @@ func (rc *ReplicationConfig) validate(workers int) error {
 	default:
 		return fmt.Errorf("cluster: ReplicationConfig: unknown Mode %q", rc.Mode)
 	}
-	if rc.Buddies < 0 || rc.DataShards < 0 || rc.ParityShards < 0 ||
-		rc.WriteQuorum < 0 || rc.RepairAfter < 0 {
+	if rc.DataShards < 0 || rc.ParityShards < 0 {
 		return errors.New("cluster: ReplicationConfig: negative field")
 	}
 	switch rc.Mode {
 	case ReplBuddy:
-		if rc.buddies()+1 > workers {
-			return fmt.Errorf("cluster: ReplicationConfig: %d buddies need %d worker nodes, have %d",
-				rc.buddies(), rc.buddies()+1, workers)
-		}
-		// Slots: owner + buddies + server.
-		if n := rc.buddies() + 2; rc.WriteQuorum > n {
-			return fmt.Errorf("cluster: ReplicationConfig: WriteQuorum %d exceeds %d replicas", rc.WriteQuorum, n)
+		if workers < 2 {
+			return fmt.Errorf("cluster: ReplicationConfig: a buddy pair needs 2 worker nodes, have %d", workers)
 		}
 	case ReplErasure:
 		k, m := rc.dataShards(), rc.parityShards()
 		if k+m > workers {
 			return fmt.Errorf("cluster: ReplicationConfig: erasure geometry %d+%d needs %d worker nodes, have %d",
 				k, m, k+m, workers)
-		}
-		if rc.WriteQuorum != 0 && (rc.WriteQuorum < k || rc.WriteQuorum > k+m) {
-			return fmt.Errorf("cluster: ReplicationConfig: erasure WriteQuorum %d outside [%d,%d]",
-				rc.WriteQuorum, k, k+m)
 		}
 	}
 	return nil
@@ -159,14 +124,13 @@ type replState struct {
 // ones as a last resort — erasure geometries need their exact slot count
 // even when the cluster is degraded.
 func (s *Supervisor) buddyCandidates(owner int) []int {
-	dom := s.Replication.failureDomain()
 	var crossUp, sameUp, crossDown, sameDown []int
 	for i := 0; i < s.C.NumNodes(); i++ {
 		if i == owner || i == s.ControlNode {
 			continue
 		}
 		suspected := s.Detector != nil && s.Detector.Suspected(i)
-		cross := dom(i) != dom(owner)
+		cross := failureDomain(i) != failureDomain(owner)
 		switch {
 		case cross && !suspected:
 			crossUp = append(crossUp, i)
@@ -198,13 +162,9 @@ func (s *Supervisor) placementFor(owner int) []replSlot {
 		}
 		return slots
 	}
-	slots := make([]replSlot, 0, rc.buddies()+2)
-	slots = append(slots, replSlot{owner, storage.RoleLocal})
-	for _, cand := range s.buddyCandidates(owner) {
-		if len(slots) == rc.buddies()+1 {
-			break
-		}
-		slots = append(slots, replSlot{cand, storage.RoleBuddy})
+	slots := []replSlot{{owner, storage.RoleLocal}}
+	if cands := s.buddyCandidates(owner); len(cands) > 0 {
+		slots = append(slots, replSlot{cands[0], storage.RoleBuddy})
 	}
 	return append(slots, replSlot{-1, storage.RoleRemote})
 }
@@ -249,15 +209,11 @@ func (s *Supervisor) buildReplicated(slots []replSlot, from int, epoch uint64, f
 	for i, sl := range slots {
 		t := s.slotTarget(sl, from)
 		if fenced {
-			t = storage.FencedAt(t, s.Fence, epoch)
+			t = storage.FencedAt(t, s.fence, epoch)
 		}
 		reps[i] = storage.Replica{T: t, Role: sl.role}
 	}
-	cfg := storage.ReplicatedConfig{
-		Quorum:   rc.WriteQuorum,
-		Counters: s.Counters,
-		Metrics:  s.Metrics,
-	}
+	cfg := storage.ReplicatedConfig{Counters: s.Counters, Metrics: s.Metrics}
 	if rc.Mode == ReplErasure {
 		cfg.DataShards = rc.dataShards()
 		cfg.ParityShards = rc.parityShards()
@@ -274,7 +230,7 @@ func (s *Supervisor) shipTarget(a *ckptAgent) storage.Target {
 		if s.NoFencing {
 			return t
 		}
-		return storage.FencedAt(t, s.Fence, a.epoch)
+		return storage.FencedAt(t, s.fence, a.epoch)
 	}
 	if s.Replication == nil {
 		return fence(s.C.Node(a.node).Remote())
@@ -368,7 +324,7 @@ func (s *Supervisor) repairCadence() simtime.Duration {
 
 // maybeRepair is the background re-replication sweep, run from the agent
 // pump loop: reassign placement slots whose holder has been suspected
-// past RepairAfter, then restore full redundancy for every live chain
+// for one base interval, then restore full redundancy for every live chain
 // object that is missing from a reachable slot. Repair writes go through
 // the current-epoch fenced replicated target, so a sweep raced by a
 // failover is rejected at the replicas instead of resurrecting state for
@@ -405,7 +361,7 @@ func (s *Supervisor) repairSweep(now simtime.Time) {
 	if len(s.chainObjs) == 0 {
 		return
 	}
-	r, err := s.buildReplicated(s.repl.slots, s.repl.owner, s.Fence.Epoch(), !s.NoFencing)
+	r, err := s.buildReplicated(s.repl.slots, s.repl.owner, s.fence.Epoch(), !s.NoFencing)
 	if err != nil {
 		return
 	}
@@ -426,7 +382,7 @@ func (s *Supervisor) repairSweep(now simtime.Time) {
 		}
 	}
 	if repaired > 0 {
-		s.emit(EvRepair, s.repl.owner, s.Fence.Epoch(), fmt.Sprintf("%d", repaired))
+		s.emit(EvRepair, s.repl.owner, s.fence.Epoch(), fmt.Sprintf("%d", repaired))
 	}
 }
 
@@ -456,13 +412,13 @@ func (s *Supervisor) objectDegraded(r *storage.Replicated, obj string, want int)
 }
 
 // reassignDeadSlots replaces replica holders the detector has suspected
-// continuously for RepairAfter. The suspicion clock per node starts at
+// continuously for one base checkpoint interval. The suspicion clock per node starts at
 // the first sweep that sees it suspected and resets if the suspicion
 // clears — a flapping link does not shuffle placement. The owner's slot
 // is never reassigned here; owner death is a failover, which recomputes
 // the whole placement.
 func (s *Supervisor) reassignDeadSlots(now simtime.Time) {
-	after := s.Replication.repairAfter(s.Policy.Base())
+	after := s.Policy.Base()
 	for i := range s.repl.slots {
 		sl := &s.repl.slots[i]
 		if sl.node < 0 || sl.node == s.repl.owner {
@@ -488,7 +444,7 @@ func (s *Supervisor) reassignDeadSlots(now simtime.Time) {
 		sl.node = next
 		delete(s.repl.downSince, old)
 		s.Counters.Inc("repl.rebuddy", 1)
-		s.emit(EvRebuddy, next, s.Fence.Epoch(), fmt.Sprintf("slot=%d from=%d", i, old))
+		s.emit(EvRebuddy, next, s.fence.Epoch(), fmt.Sprintf("slot=%d from=%d", i, old))
 	}
 }
 

@@ -173,10 +173,9 @@ func TestReplicationErasureSurvivesOwnerLoss(t *testing.T) {
 func TestReplicationRepairConvergesAfterBuddyLoss(t *testing.T) {
 	prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 44}
 	c := newCluster(t, 4, prog)
-	// RepairAfter below the interval so the reassignment happens well
+	// The slot is reassigned after one 3ms interval of suspicion, well
 	// within the run.
-	sup := replicatedSupervisor(t, c, prog, 200,
-		&ReplicationConfig{Mode: ReplBuddy, RepairAfter: 2 * simtime.Millisecond})
+	sup := replicatedSupervisor(t, c, prog, 200, &ReplicationConfig{Mode: ReplBuddy})
 	var buddy int
 	killed := false
 	c.OnStep(func() {
@@ -304,8 +303,7 @@ func TestPipelineStaleQueueDropAccounting(t *testing.T) {
 		ControlNode: 1,
 		Pipeline:    &PipelineConfig{},
 	})
-	sup.Fence = storage.NewFenceDomain("job", c.Counters)
-	epoch := sup.Fence.Advance()
+	epoch := sup.fence.Advance()
 	a := &ckptAgent{s: sup, node: 0, pid: 1, epoch: epoch}
 	a.ship = []*shipUnit{
 		{imgs: []shipImage{{obj: "u1-a", data: []byte("aa")}, {obj: "u1-b", data: []byte("bb")}}},
@@ -314,7 +312,7 @@ func TestPipelineStaleQueueDropAccounting(t *testing.T) {
 	// Supersede the agent, then let it try to drain: the first publish
 	// hits the fence, the agent self-fences, and all three queued images
 	// must be dropped — not shipped, not double-counted.
-	sup.Fence.Advance()
+	sup.fence.Advance()
 	a.advanceShip(c.Node(0))
 	c.RunFor(simtime.Second) // the transfer completes on cluster time
 	a.advanceShip(c.Node(0))
@@ -333,7 +331,7 @@ func TestPipelineStaleQueueDropAccounting(t *testing.T) {
 }
 
 // TestReplicationConfigValidation rejects geometries the cluster cannot
-// place and out-of-range quorums at construction time.
+// place at construction time.
 func TestReplicationConfigValidation(t *testing.T) {
 	prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 47}
 	c := newCluster(t, 4, prog) // 3 worker nodes
@@ -356,10 +354,8 @@ func TestReplicationConfigValidation(t *testing.T) {
 	}{
 		{"unknown mode", &ReplicationConfig{Mode: "raid"}, false, "unknown Mode"},
 		{"no detector", &ReplicationConfig{Mode: ReplBuddy}, true, "requires a Detector"},
-		{"too many buddies", &ReplicationConfig{Mode: ReplBuddy, Buddies: 3}, false, "worker nodes"},
 		{"erasure too wide", &ReplicationConfig{Mode: ReplErasure, DataShards: 3, ParityShards: 2}, false, "worker nodes"},
-		{"quorum below k", &ReplicationConfig{Mode: ReplErasure, DataShards: 2, ParityShards: 1, WriteQuorum: 1}, false, "outside"},
-		{"quorum too high", &ReplicationConfig{Mode: ReplBuddy, WriteQuorum: 9}, false, "exceeds"},
+		{"negative geometry", &ReplicationConfig{Mode: ReplErasure, DataShards: -1}, false, "negative"},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -377,5 +373,16 @@ func TestReplicationConfigValidation(t *testing.T) {
 	cfg.Replication = &ReplicationConfig{Mode: ReplErasure, DataShards: 2, ParityShards: 1}
 	if _, err := NewSupervisor(cfg); err != nil {
 		t.Fatalf("valid 2+1 geometry rejected: %v", err)
+	}
+	// A buddy pair needs two worker nodes; a 2-node cluster has one.
+	c2 := newCluster(t, 2, prog)
+	cfg = base
+	cfg.C = c2
+	cfg.Detector = detector.NewMonitor(c2, detector.NewTimeout(2*simtime.Millisecond),
+		detector.Config{Period: 200 * simtime.Microsecond, Observer: 1}, c2.Counters)
+	cfg.ControlNode = 1
+	cfg.Replication = &ReplicationConfig{Mode: ReplBuddy}
+	if _, err := NewSupervisor(cfg); err == nil || !strings.Contains(err.Error(), "worker nodes") {
+		t.Fatalf("buddy pair on one worker: error %v does not mention %q", err, "worker nodes")
 	}
 }

@@ -46,7 +46,7 @@ type RootSupervisor struct {
 	failoverHist *trace.Histogram
 
 	// Events is the merged orchestration log; OnBatch, when set, sees
-	// every flushed batch (bounded by EventBatch) as it lands.
+	// every flushed batch (bounded by fleetEventBatch) as it lands.
 	Events  []Event
 	OnBatch func([]Event)
 
@@ -210,7 +210,7 @@ func (r *RootSupervisor) barrier(now simtime.Time) {
 		// wave, or checkpoints falling due together) grew it past one
 		// flush: kept, every shard would pin its high-water mark for
 		// the rest of the run.
-		if cap(sh.batch) <= r.cfg.EventBatch {
+		if cap(sh.batch) <= fleetEventBatch {
 			sh.batch = sh.batch[:0]
 		} else {
 			sh.batch = nil
@@ -339,10 +339,7 @@ func (r *RootSupervisor) applyFaults(now simtime.Time) {
 // flush appends events to the merged log in bounded batches.
 func (r *RootSupervisor) flush(evs []Event) {
 	for len(evs) > 0 {
-		n := len(evs)
-		if n > r.cfg.EventBatch {
-			n = r.cfg.EventBatch
-		}
+		n := min(len(evs), fleetEventBatch)
 		r.Events = append(r.Events, evs[:n]...)
 		evs = evs[n:]
 		r.batches++
@@ -398,6 +395,7 @@ func (r *RootSupervisor) stats(ticks int, d simtime.Duration) FleetStats {
 		Detections:     ds.N,
 		DetectP50:      ds.P50,
 		DetectP99:      ds.P99,
+		FailoverN:      fs.N,
 		FailoverP50:    fs.P50,
 		FailoverP99:    fs.P99,
 		FalsePositives: m.Get("det.false_positives"),

@@ -15,7 +15,6 @@ import (
 	"repro/internal/mechanism"
 	"repro/internal/policy"
 	"repro/internal/simos/kernel"
-	"repro/internal/simtime"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -33,29 +32,20 @@ type SupervisorConfig struct {
 	// Iterations bounds the workload.
 	Iterations uint64
 	// Policy is the job's checkpoint policy: the cadence strategy
-	// (fixed / youngdaly / adaptive) with its parameters, plus the delta
-	// content policy (everything dirty, or live pages only). NewSupervisor
-	// builds the policy engine from it (Supervisor.Policy) and rejects it
-	// with policy's typed errors.
+	// (fixed / youngdaly) with its parameters, plus the delta content
+	// policy (everything dirty, or live pages only). NewSupervisor builds
+	// the policy engine from it (Supervisor.Policy, whose Estimator seeds
+	// from Policy.PriorMTBF) and rejects it with policy's typed errors.
 	Policy policy.Spec
 
 	// UseLocalDisk stores checkpoints on the running node instead of the
 	// server — the E5 contrast.
 	UseLocalDisk bool
-	// Estimator, when non-nil, seeds the policy engine's MTBF estimator
-	// (experiments pre-train one across runs). After construction it is
-	// the engine's estimator, for callers that read Failures/Estimate.
-	Estimator *MTBFEstimator
 
-	// MaxRetries bounds per-round checkpoint retries against the primary
-	// target (0 = default 3; negative disables retries).
-	MaxRetries int
-	// RetryBackoff is the first retry delay, doubled per attempt
-	// (default 1ms of simulated time when not positive).
-	RetryBackoff simtime.Duration
 	// LocalFallback writes the round's checkpoint to the node-local disk
-	// when every retry against the remote server fails — degraded
-	// protection (the image dies with the node) beats none.
+	// when every retry against the remote server fails (ckptRetries
+	// retries, ckptRetryBackoff apart, doubling) — degraded protection
+	// (the image dies with the node) beats none.
 	LocalFallback bool
 	// UnsafeCommit disables atomic image commit (legacy in-place writes)
 	// — the torn-image contrast for experiments and tests.
@@ -64,8 +54,9 @@ type SupervisorConfig struct {
 	// Incremental makes the node-local agents ship delta chains: each
 	// incarnation arms a dirty-page tracker and publishes only the pages
 	// written since the previous checkpoint, chained onto it. Requires a
-	// mechanism implementing mechanism.DeltaRequester; others silently
-	// fall back to full images. Autonomic mode only.
+	// mechanism implementing mechanism.DeltaRequester; others fall back
+	// to full images, one agent.full_fallback count per capture.
+	// Autonomic mode only.
 	Incremental bool
 	// RebaseEvery bounds the chain when Incremental is set: every Nth
 	// checkpoint is a fresh full image (0 = default 8), bounding both
@@ -91,9 +82,11 @@ type SupervisorConfig struct {
 	// (see lazy.go): only the leaf image is read before the job resumes;
 	// the rest of the chain materializes on demand and via a background
 	// prefetcher. Requires a mechanism implementing
-	// mechanism.LazyRestarter; others fall back to eager restarts. The
-	// fully drained memory is byte-identical to an eager restore.
-	// Autonomic mode only.
+	// mechanism.LazyRestarter; others fall back to eager restarts, and
+	// every failover whose lazy preconditions do not hold (no such
+	// mechanism, no acked chain, an unreadable leaf) counts
+	// restore.lazy_declined. The fully drained memory is byte-identical
+	// to an eager restore. Autonomic mode only.
 	LazyRestore bool
 
 	// Counters receives ckpt.* orchestration counters (defaults to the
@@ -105,13 +98,8 @@ type SupervisorConfig struct {
 	// Detector switches Run into autonomic mode: liveness verdicts come
 	// from heartbeat-driven suspicion instead of the simulator's
 	// fail-stop oracle, checkpoints are taken by node-local agents, and
-	// every failover is fenced through Fence.
+	// every failover is fenced through the supervisor's epoch domain.
 	Detector FailureDetector
-	// Fence is the job's epoch domain (created by Run when nil). Each
-	// incarnation publishes through a target fenced at its admission
-	// epoch; Advance-before-restart makes a stale incarnation's commits
-	// rejectable no matter how wrong the suspicion was.
-	Fence *storage.FenceDomain
 	// NoFencing disables the fenced target — the split-brain contrast.
 	// Double commits by stale incarnations then succeed and are counted
 	// under fence.double_commits.
@@ -192,18 +180,12 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	}
 	// The policy engine validates the spec and needs the final metrics
 	// bundle, so it is built after the defaults above.
-	eng, err := policy.NewEngine(cfg.Policy, cfg.Estimator, s.Metrics)
+	eng, err := policy.NewEngine(cfg.Policy, s.Metrics)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: NewSupervisor: %w", err)
 	}
 	s.Policy = eng
-	s.Estimator = eng.Estimator()
-	if s.MaxRetries == 0 {
-		s.MaxRetries = 3
-	}
-	if s.RetryBackoff <= 0 {
-		s.RetryBackoff = simtime.Millisecond
-	}
+	s.fence = storage.NewFenceDomain("job", s.Counters)
 	if s.RebaseEvery == 0 {
 		s.RebaseEvery = 8
 	}

@@ -28,8 +28,11 @@ func TestNewSupervisorDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sup.Estimator == nil {
+	if sup.Policy.Estimator() == nil {
 		t.Error("Estimator not defaulted")
+	}
+	if sup.fence == nil {
+		t.Error("fence domain not created")
 	}
 	if sup.Counters != c.Counters {
 		t.Error("Counters should default to the cluster's shared set")
@@ -37,35 +40,21 @@ func TestNewSupervisorDefaults(t *testing.T) {
 	if sup.Metrics == nil || sup.Metrics.Counters != sup.Counters {
 		t.Error("Metrics should default to a bundle sharing the supervisor's counters")
 	}
-	if sup.MaxRetries != 3 {
-		t.Errorf("MaxRetries = %d, want default 3", sup.MaxRetries)
-	}
-	if sup.RetryBackoff != simtime.Millisecond {
-		t.Errorf("RetryBackoff = %v, want default 1ms", sup.RetryBackoff)
-	}
 	if sup.RebaseEvery != 8 {
 		t.Errorf("RebaseEvery = %d, want default 8", sup.RebaseEvery)
 	}
 }
 
 // TestNewSupervisorPreservesExplicitChoices: defaults must not stomp
-// deliberate values, including "negative disables retries".
+// deliberate values.
 func TestNewSupervisorPreservesExplicitChoices(t *testing.T) {
 	prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 1}
 	c := newCluster(t, 2, prog)
 	cfg := validConfig(c, prog)
-	cfg.MaxRetries = -1
-	cfg.RetryBackoff = 7 * simtime.Millisecond
 	cfg.RebaseEvery = 2
 	sup, err := NewSupervisor(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sup.MaxRetries != -1 {
-		t.Errorf("MaxRetries = %d, want -1 (retries disabled)", sup.MaxRetries)
-	}
-	if sup.RetryBackoff != 7*simtime.Millisecond {
-		t.Errorf("RetryBackoff = %v, want 7ms", sup.RetryBackoff)
 	}
 	if sup.RebaseEvery != 2 {
 		t.Errorf("RebaseEvery = %d, want 2", sup.RebaseEvery)
@@ -94,14 +83,6 @@ func TestNewSupervisorRejectsInvalidConfigs(t *testing.T) {
 		{"unknown strategy", func(cfg *SupervisorConfig) {
 			cfg.Policy = policy.Spec{Strategy: "sometimes", Interval: simtime.Millisecond}
 		}, "unknown strategy"},
-		{"inverted clamp", func(cfg *SupervisorConfig) {
-			cfg.Policy = policy.Spec{
-				Strategy:    policy.StrategyYoungDaly,
-				Interval:    simtime.Millisecond,
-				MinInterval: 4 * simtime.Millisecond,
-				MaxInterval: 2 * simtime.Millisecond,
-			}
-		}, "min interval exceeds max"},
 		{"control node high", func(cfg *SupervisorConfig) { cfg.ControlNode = 2 }, "ControlNode"},
 		{"control node negative", func(cfg *SupervisorConfig) { cfg.ControlNode = -1 }, "ControlNode"},
 		{"negative rebase", func(cfg *SupervisorConfig) { cfg.RebaseEvery = -1 }, "RebaseEvery"},
@@ -142,12 +123,5 @@ func TestPipelineConfigDefaults(t *testing.T) {
 	}
 	if got := pc.captureWorkers(); got != 4 {
 		t.Errorf("captureWorkers = %d, want 4", got)
-	}
-	if got := pc.batchBytes(); got != 1<<20 {
-		t.Errorf("batchBytes = %d, want 1MiB", got)
-	}
-	disabled := &PipelineConfig{BatchBytes: -1}
-	if got := disabled.batchBytes(); got != 0 {
-		t.Errorf("batchBytes(-1) = %d, want 0 (disabled)", got)
 	}
 }

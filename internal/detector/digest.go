@@ -230,8 +230,6 @@ type ShardConfig struct {
 	// the highest-numbered node: digests address members positionally
 	// as Base+i, so the worker range has to be contiguous.
 	Observer int
-	// HBBytes is the member heartbeat payload size (default 64).
-	HBBytes int
 }
 
 // ShardMonitor is the digest-based counterpart of Monitor: members
@@ -280,9 +278,6 @@ type ShardMonitor struct {
 func NewShardMonitor(t Transport, d Detector, cfg ShardConfig, ctr *trace.Counters) *ShardMonitor {
 	if cfg.Period <= 0 {
 		cfg.Period = 500 * simtime.Microsecond
-	}
-	if cfg.HBBytes <= 0 {
-		cfg.HBBytes = 64
 	}
 	n := t.NumNodes()
 	if cfg.Observer != n-1 {
@@ -476,7 +471,7 @@ func (m *ShardMonitor) pump() {
 			if m.aim[node] == node {
 				m.foldHeartbeat(node, hb)
 			} else {
-				_ = m.T.Send(node, m.aim[node], hb, m.Cfg.HBBytes)
+				_ = m.T.Send(node, m.aim[node], hb, hbBytes)
 			}
 			m.nextEmit[node] = m.nextEmit[node].Add(m.Cfg.Period)
 		}

@@ -43,10 +43,11 @@ type Config struct {
 	// node are sent to it over the real network. The observer is the
 	// control-plane machine, so PickHealthy never offers it as a spare.
 	Observer int
-	// HBBytes is the heartbeat payload size for transfer-cost modeling
-	// (default 64).
-	HBBytes int
 }
+
+// hbBytes is the heartbeat payload size for transfer-cost modeling,
+// member to observer and member to aggregator alike.
+const hbBytes = 64
 
 // verdicts is the observer-side core both monitors embed: per-node
 // suspicion driven by a Detector, honest accounting of every verdict
@@ -202,9 +203,6 @@ func NewMonitor(t Transport, d Detector, cfg Config, ctr *trace.Counters) *Monit
 	if cfg.Period <= 0 {
 		cfg.Period = 500 * simtime.Microsecond
 	}
-	if cfg.HBBytes <= 0 {
-		cfg.HBBytes = 64
-	}
 	n := t.NumNodes()
 	m := &Monitor{
 		verdicts: newVerdicts(t, d, cfg.Observer, ctr),
@@ -248,7 +246,7 @@ func (m *Monitor) pump() {
 		// does. A dead node falls silent — that silence is the signal.
 		for m.T.NodeAlive(i) && now >= m.nextEmit[i] {
 			m.seq[i]++
-			_ = m.T.Send(i, m.Cfg.Observer, Heartbeat{Node: i, Seq: m.seq[i], SentAt: now}, m.Cfg.HBBytes)
+			_ = m.T.Send(i, m.Cfg.Observer, Heartbeat{Node: i, Seq: m.seq[i], SentAt: now}, hbBytes)
 			m.nextEmit[i] = m.nextEmit[i].Add(m.Cfg.Period)
 		}
 		if !m.T.NodeAlive(i) && now >= m.nextEmit[i] {

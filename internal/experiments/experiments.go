@@ -320,6 +320,9 @@ func E3(quick bool) []Record {
 	return rec.done()
 }
 
+// e4Iters is the job iteration at which E4 checkpoints, at every load.
+const e4Iters = 4
+
 // E4 measures §4.1's comparison of the three system-level agents under
 // background load: the kernel-signal path defers to the target's next
 // kernel→user transition, the self-checkpointing syscall path waits for
@@ -327,7 +330,8 @@ func E3(quick bool) []Record {
 // depends on its scheduling class. At each load above 0, "OTHER vs
 // FIFO" is the SCHED_OTHER thread's total latency over the SCHED_FIFO
 // one's, and "FIFO vs idle" and "ksignal vs idle" compare an agent with
-// itself at load 0.
+// itself at load 0. Every case checkpoints the job at iteration e4Iters,
+// so every agent captures the same image at every load.
 func E4(quick bool) []Record {
 	loads := []int{0, 2, 4, 8, 16}
 	if quick {
@@ -367,7 +371,12 @@ func E4(quick bool) []Record {
 					workload.SetIterations(bg, 1<<30)
 				}
 			}
-			k.RunFor(5 * simtime.Millisecond)
+			// Capture at a fixed iteration, so every load checkpoints
+			// the same image and only the agent's scheduling differs.
+			if !k.RunUntil(k.Now().Add(simtime.Second), func() bool { return p.Regs().PC >= e4Iters }) {
+				rec.check(fmt.Errorf("E4 %s load=%d: job never reached iteration %d", a.label, load, e4Iters))
+				continue
+			}
 			tk, err := mechanism.Checkpoint(m, k, p, localDisk(), nil)
 			if !rec.check(err) {
 				continue
@@ -384,6 +393,7 @@ func E4(quick bool) []Record {
 			cs := fmt.Sprintf("load=%d %s", load, a.label)
 			rec.ms(cs, "init_ms", initMs)
 			rec.ms(cs, "total_ms", totalMs)
+			rec.add(cs, "image_kib", "KiB", 1, float64(tk.Stats.EncodedBytes)/1024)
 		}
 		if load == 0 {
 			idleFIFO, idleSignal = fifo, signal

@@ -72,14 +72,7 @@ func recordScenario(rec *recorder, sc scenario.Scenario) trace.HistSnapshot {
 	// is the exact maximum.
 	detect := trace.HistSnapshot{N: st.Detections, P50: st.DetectP50, P99: st.DetectP99, Max: st.DetectP99}
 	rec.dist(cs, "detect_ms", "ms", detect)
-	// FleetStats keeps no failover sample count, only its bound: at most
-	// one sample per failover or migration event. Below minTailN that
-	// bound makes the p99 the exact maximum; from minTailN on the tail
-	// cannot be labelled, so it is not recorded and a failover_ms gate
-	// on such a scenario fails as missing.
-	if nf := int(st.Failovers + st.Migrations); nf < minTailN {
-		rec.dist(cs, "failover_ms", "ms", trace.HistSnapshot{N: nf, P50: st.FailoverP50, P99: st.FailoverP99, Max: st.FailoverP99})
-	}
+	rec.dist(cs, "failover_ms", "ms", trace.HistSnapshot{N: st.FailoverN, P50: st.FailoverP50, P99: st.FailoverP99, Max: st.FailoverP99})
 	byInv := map[string]int64{}
 	var invs []string
 	for _, v := range res.Violations {

@@ -44,7 +44,7 @@ func E5(quick bool) []Record {
 				PermanentFrac: 0.5,
 			}
 			if pol != cluster.StoreNone {
-				cfg.Policy = policy.Fixed(cluster.YoungInterval(cfg.CkptCost, mtbf))
+				cfg.Policy = policy.Fixed(policy.Young(cfg.CkptCost, mtbf))
 			}
 			r := cluster.AverageResult(cfg, cluster.Exponential{Mean: mtbf}, 99, 40)
 			runs = append(runs, r)
@@ -102,7 +102,7 @@ func E6(quick bool) []Record {
 		rec.add(cs, "lost_work_h", "h", 1, hours(r.LostWork))
 		return float64(r.Makespan)
 	}
-	young := cluster.YoungInterval(cfg.CkptCost, mtbf)
+	young := policy.Young(cfg.CkptCost, mtbf)
 	makespan := map[string]float64{}
 	for _, mult := range []float64{0.125, 0.25, 0.5, 1, 2, 4, 8} {
 		cs := fmt.Sprintf("fixed x%g", mult)
@@ -111,7 +111,7 @@ func E6(quick bool) []Record {
 		}
 		makespan[cs] = run(cs, policy.Fixed(simtime.Duration(float64(young)*mult)), 0)
 	}
-	makespan["daly"] = run("daly", policy.Fixed(cluster.DalyInterval(cfg.CkptCost, mtbf)), 0)
+	makespan["daly"] = run("daly", policy.Fixed(policy.Daly(cfg.CkptCost, mtbf)), 0)
 	// Base-less youngdaly: no clamp, so every segment is the raw Young
 	// optimum for the estimator's live MTBF.
 	makespan["youngdaly"] = run("youngdaly",

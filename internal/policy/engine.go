@@ -37,11 +37,11 @@ type Engine struct {
 	recomputes int
 }
 
-// NewEngine validates the spec and builds its engine. A nil estimator
-// gets a fresh one seeded with the spec's prior; a nil metrics bundle
-// just skips telemetry. Unlike Spec.Validate, an engine demands a
-// positive base interval — a supervisor cannot pace agents without one.
-func NewEngine(spec Spec, est *MTBFEstimator, m *trace.Metrics) (*Engine, error) {
+// NewEngine validates the spec and builds its engine, with a fresh MTBF
+// estimator seeded with the spec's prior; a nil metrics bundle just
+// skips telemetry. Unlike Spec.Validate, an engine demands a positive
+// base interval — a supervisor cannot pace agents without one.
+func NewEngine(spec Spec, m *trace.Metrics) (*Engine, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -50,17 +50,14 @@ func NewEngine(spec Spec, est *MTBFEstimator, m *trace.Metrics) (*Engine, error)
 		return nil, fmt.Errorf("%w: policy engine needs a base Interval, got %v",
 			ErrNonPositiveInterval, spec.Interval)
 	}
-	if est == nil {
-		est = NewMTBFEstimator(n.PriorMTBF)
-	}
-	return &Engine{spec: n, est: est, m: m, cur: n.Interval}, nil
+	return &Engine{spec: n, est: NewMTBFEstimator(n.PriorMTBF), m: m, cur: n.Interval}, nil
 }
 
 // Spec returns the normalized policy the engine runs.
 func (e *Engine) Spec() Spec { return e.spec }
 
-// Estimator exposes the engine's MTBF estimator (legacy callers read
-// Failures/Estimate off it directly).
+// Estimator exposes the engine's MTBF estimator, for callers that read
+// Failures/Estimate.
 func (e *Engine) Estimator() *MTBFEstimator { return e.est }
 
 // Base returns the configured base interval: the fixed cadence, or the

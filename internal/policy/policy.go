@@ -28,20 +28,11 @@ import (
 type Strategy string
 
 // The strategy table. "fixed" is the classic configured interval;
-// "youngdaly" recomputes the Young/Daly optimum from measurements on
+// "youngdaly" recomputes the Young optimum from measurements on
 // observation events and feeds it to agents as a live cadence.
 const (
 	StrategyFixed     Strategy = "fixed"
 	StrategyYoungDaly Strategy = "youngdaly"
-)
-
-// Formula picks the interval optimum used by the youngdaly strategy.
-type Formula string
-
-// Formulas. The zero value means Young's √(2δM).
-const (
-	FormulaYoung Formula = "young"
-	FormulaDaly  Formula = "daly"
 )
 
 // Content selects what a delta capture carries.
@@ -59,11 +50,9 @@ const (
 // message text.
 var (
 	ErrUnknownStrategy     = errors.New("policy: unknown strategy")
-	ErrUnknownFormula      = errors.New("policy: unknown formula")
 	ErrUnknownContent      = errors.New("policy: unknown content policy")
 	ErrNonPositiveInterval = errors.New("policy: non-positive interval")
 	ErrNegativeParam       = errors.New("policy: negative parameter")
-	ErrClampInverted       = errors.New("policy: min interval exceeds max")
 )
 
 // Spec is the unified checkpoint policy: one strategy plus its
@@ -76,12 +65,11 @@ type Spec struct {
 
 	// Interval is the configured cadence for fixed, and the base
 	// cadence for youngdaly: the rate used before any failure has been
-	// observed, and the anchor for the default clamps. A youngdaly spec
-	// with no base (the analytic model's) is unclamped Young/Daly.
+	// observed, and the anchor of the clamp [Interval/16, Interval*16]
+	// on the computed cadence, so a wild early estimate can neither
+	// storm the storage tier nor stop checkpointing. A youngdaly spec
+	// with no base (the analytic model's) is unclamped Young.
 	Interval simtime.Duration `json:"interval,omitempty"`
-
-	// Formula picks Young or Daly for youngdaly. Default young.
-	Formula Formula `json:"formula,omitempty"`
 
 	// PriorMTBF seeds the estimator before the first observed failure.
 	// Default one simulated hour (the legacy supervisor prior).
@@ -91,23 +79,15 @@ type Spec struct {
 	// measured capture. Default 10ms.
 	CkptCost simtime.Duration `json:"ckpt_cost,omitempty"`
 
-	// MinInterval/MaxInterval clamp the computed youngdaly cadence.
-	// Defaults Interval/16 and Interval*16, so a wild early estimate
-	// can neither storm the storage tier nor stop checkpointing.
-	MinInterval simtime.Duration `json:"min_interval,omitempty"`
-	MaxInterval simtime.Duration `json:"max_interval,omitempty"`
-
 	// Content selects delta content: everything dirty (default) or
-	// live pages only.
+	// live pages only (pages overwritten before being read for
+	// checkpoint.DefaultDeadStreak consecutive epochs are excluded).
 	Content Content `json:"content,omitempty"`
-
-	// DeadStreak is how many consecutive epochs a page must be
-	// overwritten-before-read before the liveness tracker excludes it
-	// from deltas. Default 2, so a page that alternates roles (read one
-	// epoch, overwritten the next — a stencil's two grids) never
-	// qualifies.
-	DeadStreak int `json:"dead_streak,omitempty"`
 }
+
+// clampSpan bounds the youngdaly cadence to within this factor of the
+// base interval, either way.
+const clampSpan = 16
 
 // Fixed returns the classic configured-interval policy.
 func Fixed(d simtime.Duration) Spec { return Spec{Strategy: StrategyFixed, Interval: d} }
@@ -134,25 +114,11 @@ func (s Spec) Normalized() Spec {
 	if s.Strategy == "" {
 		s.Strategy = StrategyFixed
 	}
-	if s.Formula == "" {
-		s.Formula = FormulaYoung
-	}
 	if s.PriorMTBF == 0 {
 		s.PriorMTBF = simtime.Hour
 	}
 	if s.CkptCost == 0 {
 		s.CkptCost = 10 * simtime.Millisecond
-	}
-	if s.Strategy == StrategyYoungDaly && s.Interval > 0 {
-		if s.MinInterval == 0 {
-			s.MinInterval = s.Interval / 16
-		}
-		if s.MaxInterval == 0 {
-			s.MaxInterval = s.Interval * 16
-		}
-	}
-	if s.DeadStreak == 0 {
-		s.DeadStreak = 2
 	}
 	return s
 }
@@ -166,11 +132,6 @@ func (s Spec) Validate() error {
 	case "", StrategyFixed, StrategyYoungDaly:
 	default:
 		return fmt.Errorf("%w %q", ErrUnknownStrategy, s.Strategy)
-	}
-	switch s.Formula {
-	case "", FormulaYoung, FormulaDaly:
-	default:
-		return fmt.Errorf("%w %q", ErrUnknownFormula, s.Formula)
 	}
 	switch s.Content {
 	case "", ContentAll, ContentLive:
@@ -186,18 +147,10 @@ func (s Spec) Validate() error {
 	}{
 		{"PriorMTBF", s.PriorMTBF},
 		{"CkptCost", s.CkptCost},
-		{"MinInterval", s.MinInterval},
-		{"MaxInterval", s.MaxInterval},
 	} {
 		if p.v < 0 {
 			return fmt.Errorf("%w: %s %v", ErrNegativeParam, p.name, p.v)
 		}
-	}
-	if s.DeadStreak < 0 {
-		return fmt.Errorf("%w: DeadStreak %d", ErrNegativeParam, s.DeadStreak)
-	}
-	if s.MinInterval > 0 && s.MaxInterval > 0 && s.MinInterval > s.MaxInterval {
-		return fmt.Errorf("%w: %v > %v", ErrClampInverted, s.MinInterval, s.MaxInterval)
 	}
 	return nil
 }
@@ -214,22 +167,18 @@ func (s Spec) IntervalFor(measuredCost, mtbf simtime.Duration) simtime.Duration 
 	if n.Strategy == StrategyFixed {
 		return n.Interval
 	}
-	f := Young
-	if n.Formula == FormulaDaly {
-		f = Daly
-	}
-	return n.clamp(f(cost, mtbf))
+	return n.clamp(Young(cost, mtbf))
 }
 
 func (s Spec) clamp(iv simtime.Duration) simtime.Duration {
 	if iv <= 0 {
 		iv = s.Interval
 	}
-	if s.MinInterval > 0 && iv < s.MinInterval {
-		iv = s.MinInterval
+	if lo := s.Interval / clampSpan; lo > 0 && iv < lo {
+		iv = lo
 	}
-	if s.MaxInterval > 0 && iv > s.MaxInterval {
-		iv = s.MaxInterval
+	if hi := s.Interval * clampSpan; hi > 0 && iv > hi {
+		iv = hi
 	}
 	return iv
 }
@@ -244,7 +193,8 @@ func Young(ckptCost, mtbf simtime.Duration) simtime.Duration {
 }
 
 // Daly is Daly's higher-order refinement, accurate when the checkpoint
-// cost is not negligible next to the MTBF.
+// cost is not negligible next to the MTBF. The youngdaly strategy runs
+// Young; Daly is E6's comparison point.
 func Daly(ckptCost, mtbf simtime.Duration) simtime.Duration {
 	if ckptCost <= 0 || mtbf <= 0 {
 		return mtbf

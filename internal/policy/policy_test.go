@@ -19,15 +19,10 @@ func TestValidateTypedErrors(t *testing.T) {
 	}{
 		{"unknown strategy", Spec{Strategy: "often"}, ErrUnknownStrategy},
 		{"retired adaptive strategy", Spec{Strategy: "adaptive"}, ErrUnknownStrategy},
-		{"unknown formula", Spec{Formula: "euler"}, ErrUnknownFormula},
 		{"unknown content", Spec{Content: "most"}, ErrUnknownContent},
 		{"negative interval", Spec{Interval: -ms}, ErrNonPositiveInterval},
 		{"negative prior", Spec{PriorMTBF: -ms}, ErrNegativeParam},
 		{"negative cost", Spec{CkptCost: -ms}, ErrNegativeParam},
-		{"negative min", Spec{MinInterval: -ms}, ErrNegativeParam},
-		{"negative max", Spec{MaxInterval: -ms}, ErrNegativeParam},
-		{"negative streak", Spec{DeadStreak: -1}, ErrNegativeParam},
-		{"inverted clamp", Spec{MinInterval: 2 * ms, MaxInterval: ms}, ErrClampInverted},
 	}
 	for _, tc := range cases {
 		if err := tc.spec.Validate(); !errors.Is(err, tc.want) {
@@ -40,8 +35,6 @@ func TestValidateTypedErrors(t *testing.T) {
 		YoungDaly(ms),
 		YoungDaly(ms).Live(),
 		{Strategy: StrategyYoungDaly, CkptCost: 10 * ms}, // base-less, as the analytic model runs it
-		{Strategy: StrategyYoungDaly, Formula: FormulaDaly, Interval: ms,
-			MinInterval: ms / 2, MaxInterval: 4 * ms, Content: ContentLive, DeadStreak: 3},
 	} {
 		if err := good.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", good, err)
@@ -67,25 +60,19 @@ func TestConstructorsAndAccessors(t *testing.T) {
 
 func TestNormalizedDefaults(t *testing.T) {
 	n := YoungDaly(16 * simtime.Millisecond).Normalized()
-	if n.Formula != FormulaYoung {
-		t.Errorf("Formula = %q", n.Formula)
-	}
 	if n.PriorMTBF != simtime.Hour {
 		t.Errorf("PriorMTBF = %v", n.PriorMTBF)
 	}
 	if n.CkptCost != 10*simtime.Millisecond {
 		t.Errorf("CkptCost = %v", n.CkptCost)
 	}
-	if n.MinInterval != simtime.Millisecond || n.MaxInterval != 256*simtime.Millisecond {
-		t.Errorf("clamps = [%v, %v], want [1ms, 256ms]", n.MinInterval, n.MaxInterval)
-	}
-	if n.DeadStreak != 2 {
-		t.Errorf("DeadStreak = %d", n.DeadStreak)
+	if n.Strategy != StrategyYoungDaly || (Spec{Interval: simtime.Millisecond}).Normalized().Strategy != StrategyFixed {
+		t.Errorf("Strategy defaulting wrong: %+v", n)
 	}
 	// Explicit values survive normalization.
 	e := Spec{Strategy: StrategyYoungDaly, Interval: 16 * simtime.Millisecond,
-		MinInterval: 2 * simtime.Millisecond, DeadStreak: 5}.Normalized()
-	if e.MinInterval != 2*simtime.Millisecond || e.DeadStreak != 5 {
+		PriorMTBF: simtime.Minute, CkptCost: simtime.Millisecond}.Normalized()
+	if e.PriorMTBF != simtime.Minute || e.CkptCost != simtime.Millisecond {
 		t.Errorf("Normalized stomped explicit values: %+v", e)
 	}
 }
@@ -121,12 +108,18 @@ func TestIntervalForProperties(t *testing.T) {
 		t.Errorf("fixed: %v", err)
 	}
 	yd := func(costMS, mtbfMS uint16) bool {
-		n := YoungDaly(16 * ms).Normalized()
-		iv := n.IntervalFor(simtime.Duration(costMS)*ms, simtime.Duration(mtbfMS)*ms)
-		return iv >= n.MinInterval && iv <= n.MaxInterval
+		iv := YoungDaly(16*ms).IntervalFor(simtime.Duration(costMS)*ms, simtime.Duration(mtbfMS)*ms)
+		return iv >= ms && iv <= 256*ms
 	}
 	if err := quick.Check(yd, nil); err != nil {
 		t.Errorf("youngdaly clamp: %v", err)
+	}
+	// The clamp is reached on both sides: [base/16, base*16].
+	if lo := YoungDaly(16*ms).IntervalFor(simtime.Microsecond, ms); lo != ms {
+		t.Errorf("tiny Young optimum clamped to %v, want 1ms", lo)
+	}
+	if hi := YoungDaly(16*ms).IntervalFor(simtime.Second, simtime.Hour); hi != 256*ms {
+		t.Errorf("huge Young optimum clamped to %v, want 256ms", hi)
 	}
 	baseless := Spec{Strategy: StrategyYoungDaly}
 	for _, mtbf := range []simtime.Duration{50 * ms, simtime.Hour} {
@@ -135,9 +128,7 @@ func TestIntervalForProperties(t *testing.T) {
 		}
 	}
 	// Daly refines below Young when the cost is non-negligible.
-	daly := Spec{Strategy: StrategyYoungDaly, Interval: 16 * ms, Formula: FormulaDaly,
-		MinInterval: 1, MaxInterval: simtime.Hour}
-	if d, y := daly.IntervalFor(10*ms, 100*ms), Young(10*ms, 100*ms); d >= y {
+	if d, y := Daly(10*ms, 100*ms), Young(10*ms, 100*ms); d >= y {
 		t.Errorf("Daly %v not below Young %v at cost/MTBF = 0.1", d, y)
 	}
 }
@@ -186,10 +177,10 @@ func TestMTBFEstimatorConvergence(t *testing.T) {
 }
 
 func TestEngineRequiresBaseInterval(t *testing.T) {
-	if _, err := NewEngine(Spec{Strategy: StrategyYoungDaly}, nil, nil); !errors.Is(err, ErrNonPositiveInterval) {
+	if _, err := NewEngine(Spec{Strategy: StrategyYoungDaly}, nil); !errors.Is(err, ErrNonPositiveInterval) {
 		t.Errorf("no base interval: %v", err)
 	}
-	if _, err := NewEngine(Spec{Strategy: "often", Interval: simtime.Millisecond}, nil, nil); !errors.Is(err, ErrUnknownStrategy) {
+	if _, err := NewEngine(Spec{Strategy: "often", Interval: simtime.Millisecond}, nil); !errors.Is(err, ErrUnknownStrategy) {
 		t.Errorf("bad strategy: %v", err)
 	}
 }
@@ -201,7 +192,7 @@ func TestEngineRequiresBaseInterval(t *testing.T) {
 func TestEngineEventDriven(t *testing.T) {
 	ms := simtime.Millisecond
 	m := trace.NewMetrics()
-	eng, err := NewEngine(YoungDaly(16*ms), nil, m)
+	eng, err := NewEngine(YoungDaly(16*ms), m)
 	if err != nil {
 		t.Fatal(err)
 	}

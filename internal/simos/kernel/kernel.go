@@ -111,11 +111,13 @@ type Module interface {
 	Unload(k *Kernel) error
 }
 
+// tickLen is the scheduler tick: the longest slice a process runs
+// before the scheduler picks again.
+const tickLen = simtime.Millisecond
+
 // Config tunes a kernel instance.
 type Config struct {
 	Hostname string
-	// TickLen is the scheduler tick (time-slice granularity).
-	TickLen simtime.Duration
 	// InterruptRate is the mean device-interrupt rate in interrupts per
 	// simulated second (Poisson); zero disables background interrupts.
 	InterruptRate float64
@@ -129,7 +131,6 @@ type Config struct {
 func DefaultConfig(hostname string) Config {
 	return Config{
 		Hostname:         hostname,
-		TickLen:          1 * simtime.Millisecond,
 		InterruptRate:    0,
 		InterruptHandler: 20 * simtime.Microsecond,
 		Seed:             1,
@@ -185,9 +186,6 @@ func New(cfg Config, cm *costmodel.Model, reg *Registry) *Kernel {
 
 // NewOnEngine builds a kernel sharing an existing engine (cluster use).
 func NewOnEngine(cfg Config, cm *costmodel.Model, reg *Registry, eng *simtime.Engine) *Kernel {
-	if cfg.TickLen <= 0 {
-		cfg.TickLen = 1 * simtime.Millisecond
-	}
 	k := &Kernel{
 		Cfg:      cfg,
 		Eng:      eng,
@@ -467,11 +465,18 @@ func (k *Kernel) RunFor(d simtime.Duration) {
 	k.runLoop(k.Now().Add(d), nil)
 }
 
+// RunUntil runs until stop holds or the deadline passes; reports whether
+// stop holds. stop is checked between process steps, so the machine
+// halts at the first step boundary where it holds.
+func (k *Kernel) RunUntil(deadline simtime.Time, stop func() bool) bool {
+	k.runLoop(deadline, stop)
+	return stop()
+}
+
 // RunUntilExit runs until p exits or the deadline passes; reports whether
 // the process exited.
 func (k *Kernel) RunUntilExit(p *proc.Process, deadline simtime.Time) bool {
-	k.runLoop(deadline, func() bool { return p.State == proc.StateZombie || p.State == proc.StateDead })
-	return p.State == proc.StateZombie || p.State == proc.StateDead
+	return k.RunUntil(deadline, func() bool { return p.State == proc.StateZombie || p.State == proc.StateDead })
 }
 
 // RunWhile lets other processes run for a span of simulated time while the
@@ -555,7 +560,7 @@ func (k *Kernel) runSlice(p *proc.Process, deadline simtime.Time, stop func() bo
 		}
 	}
 
-	sliceEnd := k.Now().Add(k.Cfg.TickLen)
+	sliceEnd := k.Now().Add(tickLen)
 	for k.Now() < sliceEnd && k.Now() < deadline {
 		if stop != nil && stop() {
 			break

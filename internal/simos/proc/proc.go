@@ -172,13 +172,15 @@ func New(pid, ppid PID, exe string) *Process {
 		Threads:    []*Thread{{TID: 1}},
 		State:      StateReady,
 		StaticPrio: 20,
-		Counter:    defaultQuantumCredits,
+		Counter:    QuantumCredits,
 		Registered: make(map[string]bool),
 	}
 }
 
-// defaultQuantumCredits is the fresh time-slice credit for SchedOther.
-const defaultQuantumCredits = 6
+// QuantumCredits is the fresh time-slice credit of a SchedOther task:
+// a new process starts with it, and the scheduler adds it to every
+// task's halved counter at each epoch.
+const QuantumCredits = 6
 
 // MainThread returns the first thread.
 func (p *Process) MainThread() *Thread { return p.Threads[0] }

@@ -12,10 +12,6 @@ import (
 
 // Scheduler selects the next process to run.
 type Scheduler struct {
-	// Quantum is the fresh time-slice credit granted at each epoch to
-	// SchedOther tasks, scaled by static priority.
-	Quantum int
-
 	run []*proc.Process // runnable set, in enqueue order (stable)
 
 	switches    int
@@ -23,8 +19,8 @@ type Scheduler struct {
 	preemptions int
 }
 
-// New returns a scheduler with the default quantum.
-func New() *Scheduler { return &Scheduler{Quantum: 6} }
+// New returns an empty scheduler.
+func New() *Scheduler { return &Scheduler{} }
 
 // Enqueue adds p to the runnable set (idempotent).
 func (s *Scheduler) Enqueue(p *proc.Process) {
@@ -71,7 +67,7 @@ func goodness(p *proc.Process) int {
 
 // Pick returns the best runnable process, or nil. When every SchedOther
 // task has exhausted its counter (and no FIFO task is runnable), a new
-// epoch starts: counters are replenished as counter/2 + quantum.
+// epoch starts: counters are replenished as counter/2 + proc.QuantumCredits.
 func (s *Scheduler) Pick() *proc.Process {
 	if len(s.run) == 0 {
 		return nil
@@ -84,7 +80,7 @@ func (s *Scheduler) Pick() *proc.Process {
 	s.epochs++
 	for _, p := range s.run {
 		if p.Policy == proc.SchedOther {
-			p.Counter = p.Counter/2 + s.Quantum
+			p.Counter = p.Counter/2 + proc.QuantumCredits
 		}
 	}
 	return s.pickOnce()

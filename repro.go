@@ -282,15 +282,15 @@ func MustNewSupervisor(cfg SupervisorConfig) *Supervisor { return cluster.MustNe
 // cadence as a policy spec.
 func FixedPolicy(interval Duration) PolicySpec { return policy.Fixed(interval) }
 
-// YoungDalyPolicy starts at base and re-derives the Young/Daly optimal
+// YoungDalyPolicy starts at base and re-derives the Young optimal
 // interval from observed failures and measured capture cost.
 func YoungDalyPolicy(base Duration) PolicySpec { return policy.YoungDaly(base) }
 
 // YoungInterval is Young's optimal checkpoint interval √(2δM).
-func YoungInterval(ckptCost, mtbf Duration) Duration { return cluster.YoungInterval(ckptCost, mtbf) }
+func YoungInterval(ckptCost, mtbf Duration) Duration { return policy.Young(ckptCost, mtbf) }
 
 // DalyInterval is Daly's higher-order refinement.
-func DalyInterval(ckptCost, mtbf Duration) Duration { return cluster.DalyInterval(ckptCost, mtbf) }
+func DalyInterval(ckptCost, mtbf Duration) Duration { return policy.Daly(ckptCost, mtbf) }
 
 // --- Parallel jobs (LAM/MPI, CoCheck) ---
 
