@@ -7,7 +7,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test bench bench-gates bench-selftest scenarios check fmt vet cross race fuzz chaos chaos-pairs
+.PHONY: all build test bench bench-gates bench-selftest scenarios check fmt vet cross race fuzz chaos chaos-pairs loc
 
 all: build test
 
@@ -73,6 +73,14 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines per package directory, then their total outside
+# bench/ (the benchmark's own module): the line count a simplicity
+# change reports before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+	END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total outside bench/\n", t }'
 
 # The builds amd64 never compiles: the assembly kernels' table-only
 # fallbacks (internal/crc's crc_other.go, the erasure codec's

@@ -64,8 +64,9 @@ type Request struct {
 	// by fork-consistency captures: the frozen child is captured, but the
 	// image belongs to the parent).
 	AsPID proc.PID
-	// KernelExtras, when non-nil, is invoked to record virtualized kernel
-	// state (sockets, shm) into the image — ZAP-style pods.
+	// KernelExtras, when non-nil, is invoked before layout to record
+	// kernel state the accessor does not gather: virtualized sockets and
+	// shm (ZAP-style pods), or every open file's contents (PsncR/C).
 	KernelExtras func(img *Image)
 }
 

@@ -23,7 +23,7 @@ type HybridTracker struct {
 	Bill      costmodel.Biller
 	BlockSize int
 
-	page      *KernelWPTracker
+	page      *WPTracker
 	prevHash  map[mem.Addr]uint64
 	stats     TrackerStats
 	armed     bool

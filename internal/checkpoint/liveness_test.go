@@ -86,7 +86,7 @@ func TestLivenessTrackerExcludesDeadPages(t *testing.T) {
 		d.stepIters(1)
 		var trk Tracker
 		if live {
-			trk = NewKernelLivenessTracker(d.k, d.p, DefaultDeadStreak)
+			trk = NewKernelLivenessTracker(d.k, d.p)
 		} else {
 			trk = NewKernelWPTracker(d.k, d.p)
 		}
@@ -129,7 +129,7 @@ func TestLivenessTrackerExcludesDeadPages(t *testing.T) {
 func TestLivenessTrackerProtectsAlternatingReads(t *testing.T) {
 	d := newStepDriver(t, "src", workload.Stencil{MiB: 2}, 1<<30)
 	d.stepIters(2) // populate both grids
-	trk := NewKernelLivenessTracker(d.k, d.p, DefaultDeadStreak)
+	trk := NewKernelLivenessTracker(d.k, d.p)
 	if err := trk.Arm(); err != nil {
 		t.Fatal(err)
 	}
@@ -184,9 +184,9 @@ func TestLivenessRestoreEquivalenceTable(t *testing.T) {
 					var ftrk Tracker
 					var lv *LivenessTracker
 					if kind == "kernel" {
-						lv = NewKernelLivenessTracker(df.k, df.p, DefaultDeadStreak)
+						lv = NewKernelLivenessTracker(df.k, df.p)
 					} else {
-						lv = NewUserLivenessTracker(df.ctx, DefaultDeadStreak)
+						lv = NewUserLivenessTracker(df.ctx)
 					}
 					ftrk = lv
 					if err := ftrk.Arm(); err != nil {

@@ -89,7 +89,7 @@ func TestRegionProtectBlocksLivenessExclusion(t *testing.T) {
 	prog := workload.Sparse{MiB: 1, WriteFrac: 0.3, Seed: 13, Regions: true}
 	d := newStepDriver(t, "src", prog, 1<<30)
 	d.stepIters(1)
-	trk := NewKernelLivenessTracker(d.k, d.p, DefaultDeadStreak)
+	trk := NewKernelLivenessTracker(d.k, d.p)
 	if err := trk.Arm(); err != nil {
 		t.Fatal(err)
 	}

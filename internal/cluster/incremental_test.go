@@ -196,7 +196,6 @@ func TestAdaptiveIntervalShrinksMidIncarnation(t *testing.T) {
 		Prog:       prog,
 		Iterations: 1_000_000, // unused: agents are pumped directly, Run never starts
 		Policy:     pol,
-		Counters:   c.Counters,
 	})
 	epoch := sup.fence.Advance()
 	sup.armAgent(0, p.PID, epoch)

@@ -113,7 +113,6 @@ func TestPipelinedShipFailureDropsChainAndRebases(t *testing.T) {
 		ControlNode: 1,
 		Incremental: true,
 		RebaseEvery: 100, // one full, then deltas only — until the failure forces a rebase
-		Counters:    c.Counters,
 		Pipeline:    &PipelineConfig{},
 	})
 	epoch := sup.fence.Advance()

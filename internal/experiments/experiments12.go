@@ -153,7 +153,7 @@ func e20Liveness(rec *recorder, quick bool) error {
 	if err := db.step(baseAt); err != nil {
 		return err
 	}
-	ftrk := checkpoint.NewKernelLivenessTracker(df.k, df.p, checkpoint.DefaultDeadStreak)
+	ftrk := checkpoint.NewKernelLivenessTracker(df.k, df.p)
 	btrk := checkpoint.NewKernelWPTracker(db.k, db.p)
 	if err := ftrk.Arm(); err != nil {
 		return err

@@ -105,7 +105,7 @@ func (m *BLCR) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, en
 	if !p.Registered["blcr"] {
 		return nil, fmt.Errorf("%w: BLCR: process did not run the initialization phase (library + handler)", mechanism.ErrNotRegistered)
 	}
-	return m.request(m, k, p, tgt, env)
+	return m.requestDelta(m, k, p, tgt, env, nil, 0, false)
 }
 
 // Restart implements mechanism.Mechanism: cr_restart re-resolves the

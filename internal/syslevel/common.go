@@ -131,9 +131,16 @@ func captureKernel(k *kernel.Kernel, self, target *proc.Process, tgt storage.Tar
 		// The frozen fork is captured, but the image belongs to the parent.
 		req.AsPID = target.PID
 	}
-	if opts.kernelExtras {
+	// Kernel extras and file contents join the image before layout, so
+	// the stored encoding carries them.
+	if opts.kernelExtras || opts.includeFileContents {
 		req.KernelExtras = func(img *checkpoint.Image) {
-			checkpoint.CaptureKernelExtras(k, target, img)
+			if opts.kernelExtras {
+				checkpoint.CaptureKernelExtras(k, target, img)
+			}
+			if opts.includeFileContents {
+				addFileContents(img, captured)
+			}
 		}
 	}
 	img, st, err := checkpoint.Capture(req)
@@ -141,9 +148,6 @@ func captureKernel(k *kernel.Kernel, self, target *proc.Process, tgt storage.Tar
 	// on it now (extending the measured capture), unless the mechanism
 	// deferred them — the §4.1 "mechanism to delay these events".
 	k.Eng.RunUntil(k.Now())
-	if err == nil && opts.includeFileContents {
-		addFileContents(img, captured)
-	}
 	if err == nil && opts.seqs != nil {
 		opts.seqs.Commit(img)
 	}

@@ -91,37 +91,6 @@ func (m *threadMech) unload(k *kernel.Kernel) error {
 	return nil
 }
 
-// request opens the device node and issues the checkpoint ioctl, as the
-// user-level control tool would, then returns the ticket that the kernel
-// thread will complete.
-func (m *threadMech) request(mech mechanism.Mechanism, k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
-	if m.k != k {
-		return nil, mechanism.ErrNotInstalled
-	}
-	if err := checkStorageKind(mech, tgt); err != nil {
-		return nil, err
-	}
-	if p.Multithreaded() && !mech.Features().Multithreaded {
-		return nil, fmt.Errorf("%w: %s cannot checkpoint multithreaded processes", mechanism.ErrUnsupported, m.name)
-	}
-	// The tool's open+ioctl+close round trips.
-	k.Charge(3*k.CM.Syscall(), "ioctl-tool")
-	of, err := k.FS.Open(m.devPath, fs.ORead|fs.OWrite)
-	if err != nil {
-		return nil, err
-	}
-	defer of.Close()
-	t := &mechanism.Ticket{RequestedAt: k.Now()}
-	opts := m.optsFor()
-	opts.seqs = m.seqs
-	opts.parallelism = m.capturePar
-	req := &ckptRequest{target: p, tgt: tgt, env: env, opts: opts, ticket: t}
-	if err := of.Ioctl(nil, IoctlCheckpoint, req); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // SetCaptureParallelism implements mechanism.CaptureParallelizer for the
 // whole kernel-thread family: the checkpoint thread forks that many
 // workers for the payload read and image encode of every later capture.
@@ -141,11 +110,14 @@ func (m *threadMech) RestartLazy(k *kernel.Kernel, leaf *checkpoint.Image, opt c
 	return checkpoint.LazyRestore(k, leaf, opt)
 }
 
-// requestDelta is request with the chain knobs an orchestration layer
-// needs for incremental shipping: the caller's tracker supplies the
-// dirty ranges, epoch namespaces the object names by incarnation, and
-// rebase forgets the PID's chain so the capture publishes a standalone
-// full image. The rebase/tracker contract is the caller's (see
+// requestDelta opens the device node and issues the checkpoint ioctl,
+// as the user-level control tool would, then returns the ticket that the
+// kernel thread will complete. It carries the chain knobs an
+// orchestration layer needs for incremental shipping: the caller's
+// tracker supplies the dirty ranges, epoch namespaces the object names
+// by incarnation, and rebase forgets the PID's chain so the capture
+// publishes a standalone full image. A plain Request passes a nil
+// tracker, epoch 0 and no rebase. The rebase/tracker contract is the caller's (see
 // mechanism.DeltaRequester): a rebase round must pass a nil or fresh
 // tracker, never one whose collections are already on the wire.
 func (m *threadMech) requestDelta(mech mechanism.Mechanism, k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env,
@@ -162,6 +134,7 @@ func (m *threadMech) requestDelta(mech mechanism.Mechanism, k *kernel.Kernel, p 
 	if rebase {
 		m.seqs.Rebase(p.PID)
 	}
+	// The tool's open+ioctl+close round trips.
 	k.Charge(3*k.CM.Syscall(), "ioctl-tool")
 	of, err := k.FS.Open(m.devPath, fs.ORead|fs.OWrite)
 	if err != nil {
@@ -240,7 +213,7 @@ func (m *CRAK) Setup(k *kernel.Kernel, p *proc.Process) error { return nil }
 
 // Request implements mechanism.Mechanism.
 func (m *CRAK) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
-	return m.request(m, k, p, tgt, env)
+	return m.requestDelta(m, k, p, tgt, env, nil, 0, false)
 }
 
 // RequestDelta implements mechanism.DeltaRequester: the same ioctl path
@@ -310,7 +283,7 @@ func (m *UCLiK) Setup(k *kernel.Kernel, p *proc.Process) error { return nil }
 
 // Request implements mechanism.Mechanism.
 func (m *UCLiK) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
-	return m.request(m, k, p, tgt, env)
+	return m.requestDelta(m, k, p, tgt, env, nil, 0, false)
 }
 
 // Restart implements mechanism.Mechanism: original PID and deleted files
@@ -429,7 +402,7 @@ func (m *ZAP) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env
 	if tgt != nil {
 		return nil, fmt.Errorf("syslevel: ZAP migrates process state directly (Table 1 storage: none)")
 	}
-	return m.request(m, k, p, nil, env)
+	return m.requestDelta(m, k, p, nil, env, nil, 0, false)
 }
 
 // Restart implements mechanism.Mechanism: full pod restore — the
@@ -515,7 +488,7 @@ func (m *PsncRC) Setup(k *kernel.Kernel, p *proc.Process) error { return nil }
 
 // Request implements mechanism.Mechanism.
 func (m *PsncRC) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
-	return m.request(m, k, p, tgt, env)
+	return m.requestDelta(m, k, p, tgt, env, nil, 0, false)
 }
 
 // Restart implements mechanism.Mechanism.

@@ -395,18 +395,27 @@ func TestPsncRCIncludesFileContents(t *testing.T) {
 	ctx := &kernel.Context{K: k, P: p, T: p.MainThread()}
 	ctx.Open("/big", 0x1)
 
-	tk, err := mechanism.Checkpoint(m, k, p, localTarget(), nil)
+	tgt := localTarget()
+	tk, err := mechanism.Checkpoint(m, k, p, tgt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var found bool
-	for _, f := range tk.Img.FDs {
-		if f.Path == "/big" && len(f.Contents) == 64<<10 {
-			found = true
-		}
+	// The returned image and the stored object must both carry the file:
+	// a restart reads the stored one.
+	chain, err := checkpoint.LoadChain(tgt, nil, tk.Img.ObjectName())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !found {
-		t.Fatal("PsncR/C did not include open file contents")
+	for name, img := range map[string]*checkpoint.Image{"returned": tk.Img, "stored": chain[len(chain)-1]} {
+		var found bool
+		for _, f := range img.FDs {
+			if f.Path == "/big" && len(f.Contents) == 64<<10 {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("PsncR/C's %s image does not include the open file's contents", name)
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ type TICK struct {
 	// chain coalescing plays offline — see checkpoint.FoldChain).
 	MaxChain int
 
-	trackers map[proc.PID]*checkpoint.KernelWPTracker
+	trackers map[proc.PID]*checkpoint.WPTracker
 	timers   map[proc.PID]*simtime.Event
 	deltas   map[proc.PID]int
 }
@@ -55,7 +55,7 @@ func NewTICK() *TICK {
 		threadMech:      threadMech{name: "TICK", devPath: "/dev/tick", policy: proc.SchedFIFO, rtprio: 60},
 		DeferInterrupts: true,
 		MaxChain:        16,
-		trackers:        make(map[proc.PID]*checkpoint.KernelWPTracker),
+		trackers:        make(map[proc.PID]*checkpoint.WPTracker),
 		timers:          make(map[proc.PID]*simtime.Event),
 		deltas:          make(map[proc.PID]int),
 	}
@@ -115,7 +115,7 @@ func (m *TICK) Prepare(prog kernel.Program) kernel.Program { return prog }
 func (m *TICK) Setup(k *kernel.Kernel, p *proc.Process) error { return nil }
 
 // tracker returns (arming on first use) the incremental tracker for p.
-func (m *TICK) tracker(k *kernel.Kernel, p *proc.Process) (*checkpoint.KernelWPTracker, error) {
+func (m *TICK) tracker(k *kernel.Kernel, p *proc.Process) (*checkpoint.WPTracker, error) {
 	if t, ok := m.trackers[p.PID]; ok {
 		return t, nil
 	}

@@ -36,7 +36,7 @@ type userCore struct {
 	// incremental enables the user-level mprotect/SIGSEGV tracker
 	// (libckpt's incremental mode [27]).
 	incremental bool
-	trackers    map[proc.PID]*checkpoint.UserWPTracker
+	trackers    map[proc.PID]*checkpoint.WPTracker
 
 	pending map[proc.PID]*pendingReq
 
@@ -62,7 +62,7 @@ func (m *userCore) install(k *kernel.Kernel) error {
 	if m.seqs == nil {
 		m.seqs = mechanism.NewSeqs()
 		m.pending = make(map[proc.PID]*pendingReq)
-		m.trackers = make(map[proc.PID]*checkpoint.UserWPTracker)
+		m.trackers = make(map[proc.PID]*checkpoint.WPTracker)
 	}
 	return nil
 }
