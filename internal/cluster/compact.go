@@ -40,20 +40,20 @@ func (s *Supervisor) maybeCompact(a *ckptAgent, tgt storage.Target) {
 		// a fenced publish included): the chain stays as it was and the
 		// next ack retries. lastLeaf still resolves, so this is purely a
 		// missed optimization, never lost protection.
-		s.Counters.Inc("compact.failed", 1)
+		s.Counters().Inc("compact.failed", 1)
 		return
 	}
 	// The fold is durable under the leaf's name: the chain is now that
 	// single full image, whatever became of the GC below.
-	s.Counters.Inc("compact.folds", 1)
-	s.Counters.Inc("compact.folded_deltas", int64(st.Deltas))
-	s.Counters.Inc("compact.bytes_written", int64(st.BytesOut))
+	s.Counters().Inc("compact.folds", 1)
+	s.Counters().Inc("compact.folded_deltas", int64(st.Deltas))
+	s.Counters().Inc("compact.bytes_written", int64(st.BytesOut))
 	s.emit(EvCompact, a.node, a.epoch, st.Folded)
 	s.chainObjs = []string{st.Folded}
 	s.chainSizes = map[string]int{st.Folded: st.BytesOut}
 	s.lastFull = st.Folded
 	for _, o := range st.Deleted {
-		s.Counters.Inc("ckpt.retired", 1)
+		s.Counters().Inc("ckpt.retired", 1)
 		s.emit(EvRetire, a.node, a.epoch, o)
 	}
 	if err == nil {
@@ -62,11 +62,11 @@ func (s *Supervisor) maybeCompact(a *ckptAgent, tgt storage.Target) {
 	if errors.Is(err, storage.ErrFenced) {
 		// Superseded mid-sweep: the garbage belongs to the live
 		// incarnation now (same rule as retire()).
-		s.Counters.Inc("fence.gc_rejected", 1)
+		s.Counters().Inc("fence.gc_rejected", 1)
 		return
 	}
 	// Transient storage trouble after the durable fold: queue the
 	// undeleted ancestors for the sweep after the next full ack.
-	s.Counters.Inc("ckpt.gc_deferred", 1)
+	s.Counters().Inc("ckpt.gc_deferred", 1)
 	s.pendingRetire = append(s.pendingRetire, st.Pending...)
 }

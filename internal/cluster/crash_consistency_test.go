@@ -182,10 +182,10 @@ func TestSupervisorRetriesAndFallsBackToLocalDisk(t *testing.T) {
 	if sup.Checkpoints == 0 {
 		t.Fatal("no checkpoints landed despite local fallback")
 	}
-	if got := sup.Counters.Get("ckpt.retried"); got == 0 {
+	if got := sup.Counters().Get("ckpt.retried"); got == 0 {
 		t.Fatalf("ckpt.retried = %d, want > 0", got)
 	}
-	if got := sup.Counters.Get("ckpt.fellback"); got == 0 {
+	if got := sup.Counters().Get("ckpt.fellback"); got == 0 {
 		t.Fatalf("ckpt.fellback = %d, want > 0", got)
 	}
 	// Every image actually lives on a node disk, none on the server.
@@ -226,7 +226,7 @@ func TestSupervisorWithoutFallbackReportsFailedRounds(t *testing.T) {
 	if sup.Checkpoints != 0 {
 		t.Fatalf("checkpoints %d, want 0 (server unusable, no fallback)", sup.Checkpoints)
 	}
-	if got := sup.Counters.Get("ckpt.failed"); got == 0 {
+	if got := sup.Counters().Get("ckpt.failed"); got == 0 {
 		t.Fatalf("ckpt.failed = %d, want > 0", got)
 	}
 }
@@ -290,10 +290,10 @@ func TestSupervisorCrashConsistencyUnderStorageFaults(t *testing.T) {
 	if sup.Fingerprint != want {
 		t.Fatalf("atomic run fingerprint %#x want %#x", sup.Fingerprint, want)
 	}
-	if torn, lost := sup.Counters.Get("ckpt.torn"), sup.Counters.Get("ckpt.lost"); torn != 0 || lost != 0 {
+	if torn, lost := sup.Counters().Get("ckpt.torn"), sup.Counters().Get("ckpt.lost"); torn != 0 || lost != 0 {
 		t.Fatalf("atomic run observed torn=%d lost=%d images at restore", torn, lost)
 	}
-	if sup.Counters.Get("ckpt.retried") == 0 {
+	if sup.Counters().Get("ckpt.retried") == 0 {
 		t.Fatal("atomic run reported no retries at a 10% fault rate")
 	}
 	// Sweep all storage: no committed image anywhere fails to decode.
@@ -312,7 +312,7 @@ func TestSupervisorCrashConsistencyUnderStorageFaults(t *testing.T) {
 
 	unsafeSup, uc := acceptanceRun(t, true)
 	uc.Server.Recover()
-	damage := unsafeSup.Counters.Get("ckpt.torn") + unsafeSup.Counters.Get("ckpt.lost")
+	damage := unsafeSup.Counters().Get("ckpt.torn") + unsafeSup.Counters().Get("ckpt.lost")
 	if _, torn, _ := checkpoint.Audit(uc.Node(0).Remote()); torn > 0 {
 		damage += int64(torn)
 	}

@@ -71,7 +71,7 @@ func (s *Supervisor) recoverLazy(src storage.Target, spare int, epoch uint64, ma
 	}
 	leaf, err := checkpoint.Decode(blob)
 	if err != nil {
-		s.Counters.Inc("ckpt.torn", 1)
+		s.Counters().Inc("ckpt.torn", 1)
 		return nil, nil
 	}
 
@@ -89,11 +89,11 @@ func (s *Supervisor) recoverLazy(src storage.Target, spare int, epoch uint64, ma
 	}
 
 	st := sess.Stats()
-	ttfi := leafWait + checkpoint.RestoreCost(st.HotBytes, s.RestoreWorkers)
+	ttfi := leafWait + checkpoint.RestoreCost(st.HotBytes, s.restoreWorkers)
 	s.Metrics.Hist("restore.first_instr_latency").Observe(float64(ttfi.Millis()))
 	s.Metrics.Hist("restore.chain_len").Observe(float64(n))
-	s.Counters.Inc("restore.count", 1)
-	s.Counters.Inc("restore.lazy", 1)
+	s.Counters().Inc("restore.count", 1)
+	s.Counters().Inc("restore.lazy", 1)
 	s.emit(EvRestore, spare, epoch, s.lastLeaf+" lazy")
 	s.lazy = &lazyRun{sess: sess, epoch: epoch, leafWait: leafWait, chainLen: n}
 	return p, nil
@@ -146,9 +146,9 @@ func (s *Supervisor) finishLazy() {
 	s.lazy = nil
 	st := lr.sess.Stats()
 	lr.sess.Close()
-	lat := lr.leafWait + st.PlanWait + checkpoint.RestoreCost(st.PlanBytes, s.RestoreWorkers)
+	lat := lr.leafWait + st.PlanWait + checkpoint.RestoreCost(st.PlanBytes, s.restoreWorkers)
 	s.Metrics.Hist("restore.latency").Observe(float64(lat.Millis()))
-	s.Counters.Inc("restore.deltas_replayed", int64(lr.chainLen-1))
+	s.Counters().Inc("restore.deltas_replayed", int64(lr.chainLen-1))
 }
 
 // failLazy poisons the live session: every later access of a
@@ -159,5 +159,5 @@ func (s *Supervisor) failLazy(err error) {
 	lr := s.lazy
 	s.lazy = nil
 	lr.sess.Abort(err)
-	s.Counters.Inc("restore.lazy_aborted", 1)
+	s.Counters().Inc("restore.lazy_aborted", 1)
 }

@@ -139,7 +139,7 @@ func (a *ckptAgent) pipelineRound(m mechanism.Mechanism, n *Node, p *proc.Proces
 		// Backpressure: the wire is behind. Skip the round rather than
 		// buffer without bound; the dirty tracker keeps accumulating, so
 		// the next delta ships a superset and nothing is lost.
-		a.s.Counters.Inc("pipe.stalls", 1)
+		a.s.Counters().Inc("pipe.stalls", 1)
 		return
 	}
 	workers := pc.captureWorkers()
@@ -148,7 +148,7 @@ func (a *ckptAgent) pipelineRound(m mechanism.Mechanism, n *Node, p *proc.Proces
 	}
 	tk, err := a.capture(m, n, p, nil) // nil target: image stays in memory
 	if err != nil {
-		a.s.Counters.Inc("agent.ckpt_failed", 1)
+		a.s.Counters().Inc("agent.ckpt_failed", 1)
 		return
 	}
 	a.acked++
@@ -163,7 +163,7 @@ func (a *ckptAgent) pipelineRound(m mechanism.Mechanism, n *Node, p *proc.Proces
 	}
 	data, err := tk.Img.EncodeParallelBytes(workers)
 	if err != nil {
-		a.s.Counters.Inc("agent.ckpt_failed", 1)
+		a.s.Counters().Inc("agent.ckpt_failed", 1)
 		return
 	}
 	n.K.Charge(checkpoint.EncodeCost(len(data), workers), "encode")
@@ -184,7 +184,7 @@ func (a *ckptAgent) enqueueShip(si shipImage) {
 		u := a.ship[len(a.ship)-1]
 		if !u.started && !u.hasFull() && u.bytes()+len(si.data) <= shipBatchBytes {
 			u.imgs = append(u.imgs, si)
-			a.s.Counters.Inc("pipe.batched", 1)
+			a.s.Counters().Inc("pipe.batched", 1)
 			return
 		}
 	}
@@ -237,7 +237,7 @@ func (a *ckptAgent) publishUnit(n *Node, u *shipUnit) bool {
 	now := s.C.Now()
 	for i := range u.imgs[:published] {
 		si := &u.imgs[i]
-		s.Counters.Inc("pipe.shipped", 1)
+		s.Counters().Inc("pipe.shipped", 1)
 		s.Metrics.Hist("pipe.publish_latency").Observe(float64(now.Sub(si.capturedAt)))
 		if a.epoch == s.fence.Epoch() {
 			s.noteAckObject(a, si.obj, si.full, len(si.data), si.captureDur, tgt)
@@ -245,7 +245,7 @@ func (a *ckptAgent) publishUnit(n *Node, u *shipUnit) bool {
 			// Fencing disabled and we are stale: the publish landed — a
 			// split-brain double commit, same bookkeeping as the
 			// synchronous path.
-			s.Counters.Inc("fence.double_commits", 1)
+			s.Counters().Inc("fence.double_commits", 1)
 			s.emit(EvStaleCommit, a.node, a.epoch, si.obj)
 		}
 	}
@@ -269,13 +269,13 @@ func (a *ckptAgent) publishUnit(n *Node, u *shipUnit) bool {
 	// chains (directly or transitively) onto the one that failed, so none
 	// of them can ever satisfy the durable-parent rule: drop them all and
 	// make the next capture a full image that re-anchors the chain.
-	s.Counters.Inc("agent.ship_failed", 1)
+	s.Counters().Inc("agent.ship_failed", 1)
 	dropped := len(u.imgs) - published
 	for _, rest := range a.ship[1:] {
 		dropped += len(rest.imgs)
 	}
 	if dropped > 0 {
-		s.Counters.Inc("pipe.dropped", int64(dropped))
+		s.Counters().Inc("pipe.dropped", int64(dropped))
 	}
 	a.ship = nil
 	a.forceRebase = true

@@ -213,7 +213,7 @@ func (s *Supervisor) buildReplicated(slots []replSlot, from int, epoch uint64, f
 		}
 		reps[i] = storage.Replica{T: t, Role: sl.role}
 	}
-	cfg := storage.ReplicatedConfig{Counters: s.Counters, Metrics: s.Metrics}
+	cfg := storage.ReplicatedConfig{Counters: s.Counters(), Metrics: s.Metrics}
 	if rc.Mode == ReplErasure {
 		cfg.DataShards = rc.dataShards()
 		cfg.ParityShards = rc.parityShards()
@@ -265,7 +265,7 @@ func (s *Supervisor) recoveryTarget(spare int) storage.Target {
 		}
 		r, err := storage.NewReplicated("repl-restore", reps, storage.ReplicatedConfig{
 			Quorum: rc.dataShards(), DataShards: rc.dataShards(), ParityShards: rc.parityShards(),
-			Counters: s.Counters, Metrics: s.Metrics,
+			Counters: s.Counters(), Metrics: s.Metrics,
 		})
 		if err != nil {
 			return s.C.Node(spare).Remote()
@@ -286,7 +286,7 @@ func (s *Supervisor) recoveryTarget(spare int) storage.Target {
 	}
 	reps = append(reps, storage.Replica{T: s.C.Node(spare).Remote(), Role: storage.RoleRemote})
 	r, err := storage.NewReplicated("repl-restore", reps, storage.ReplicatedConfig{
-		Quorum: 1, Counters: s.Counters, Metrics: s.Metrics,
+		Quorum: 1, Counters: s.Counters(), Metrics: s.Metrics,
 	})
 	if err != nil {
 		return s.C.Node(spare).Remote()
@@ -377,7 +377,7 @@ func (s *Supervisor) repairSweep(now simtime.Time) {
 			if errors.Is(rerr, storage.ErrNotFound) {
 				continue // retired or compacted out from under the sweep
 			}
-			s.Counters.Inc("repl.repair_failed", 1)
+			s.Counters().Inc("repl.repair_failed", 1)
 			break
 		}
 	}
@@ -443,7 +443,7 @@ func (s *Supervisor) reassignDeadSlots(now simtime.Time) {
 		old := sl.node
 		sl.node = next
 		delete(s.repl.downSince, old)
-		s.Counters.Inc("repl.rebuddy", 1)
+		s.Counters().Inc("repl.rebuddy", 1)
 		s.emit(EvRebuddy, next, s.fence.Epoch(), fmt.Sprintf("slot=%d from=%d", i, old))
 	}
 }

@@ -34,11 +34,14 @@ func TestNewSupervisorDefaults(t *testing.T) {
 	if sup.fence == nil {
 		t.Error("fence domain not created")
 	}
-	if sup.Counters != c.Counters {
+	if sup.Counters() != c.Counters {
 		t.Error("Counters should default to the cluster's shared set")
 	}
-	if sup.Metrics == nil || sup.Metrics.Counters != sup.Counters {
+	if sup.Metrics == nil || sup.Metrics.Counters != sup.Counters() {
 		t.Error("Metrics should default to a bundle sharing the supervisor's counters")
+	}
+	if sup.restoreWorkers != 1 {
+		t.Errorf("restoreWorkers = %d, want 1 without a pipeline", sup.restoreWorkers)
 	}
 	if sup.RebaseEvery != 8 {
 		t.Errorf("RebaseEvery = %d, want default 8", sup.RebaseEvery)

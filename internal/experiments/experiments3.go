@@ -86,13 +86,13 @@ func e11Run(rec *recorder, writeFault float64, unsafeCommit bool) {
 		tornDisk += tn
 		debris += st
 	}
-	torn, lost := sup.Counters.Get("ckpt.torn"), sup.Counters.Get("ckpt.lost")
+	torn, lost := sup.Counters().Get("ckpt.torn"), sup.Counters().Get("ckpt.lost")
 	rec.flag(cs, "completed", err == nil && sup.Completed)
 	rec.ms(cs, "makespan_ms", sup.Makespan.Millis())
 	rec.count(cs, "ckpts", int64(sup.Checkpoints))
 	rec.count(cs, "restarts", int64(sup.Restarts))
-	rec.count(cs, "retried", sup.Counters.Get("ckpt.retried"))
-	rec.count(cs, "fellback", sup.Counters.Get("ckpt.fellback"))
+	rec.count(cs, "retried", sup.Counters().Get("ckpt.retried"))
+	rec.count(cs, "fellback", sup.Counters().Get("ckpt.fellback"))
 	rec.count(cs, "torn_at_restore", torn)
 	rec.count(cs, "lost", lost)
 	rec.count(cs, "torn_disk", int64(tornDisk))
