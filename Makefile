@@ -25,7 +25,8 @@ test:
 # benchmarks (4 MiB image: decode, sequential and 2-worker
 # encode, CRC-64 combine; capture of a stopped 4 MiB process, whole and
 # as a 5% delta, at 1 and 2 workers; 16-delta chain: replay planning,
-# and plan apply at 1 and 8 workers; 16-delta chain fold), the storage target
+# plan apply onto materialized pages at 1 and 8 workers, and restore
+# into a fresh process at 1 and 2 workers; 16-delta chain fold), the storage target
 # benchmarks (4 MiB atomic write and 4 MiB batched chain read, local and
 # remote; 4 MiB replicated write and read, buddy mirror and 2+1 erasure),
 # the simulated job's 4 KiB page fill (one page, and four interleaved

@@ -188,3 +188,31 @@ func BenchmarkApplyPlan(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRestore restores the 17-image chain into a fresh process at
+// 1 and 2 workers: skeleton, planning and replay. Unlike
+// BenchmarkApplyPlan, every page the chain writes is still demand-zero,
+// so this times the path that builds frames from the pages' final
+// bytes.
+func BenchmarkRestore(b *testing.B) {
+	chain := benchChain(b)
+	plan, err := planReplay(chain)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog := workload.Sparse{MiB: 2, WriteFrac: 0.15, Seed: 42}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.SetBytes(int64(plan.copied))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				k := newMachine("dst", prog)
+				b.StartTimer()
+				if _, err := Restore(k, chain, RestoreOptions{Parallelism: workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

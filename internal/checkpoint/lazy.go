@@ -24,9 +24,10 @@
 package checkpoint
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/costmodel"
@@ -105,8 +106,10 @@ type LazySession struct {
 	metrics *traceMetrics
 
 	planned bool
-	jobs    map[mem.PageNum][]pageSpan
-	hot     map[mem.PageNum]bool
+	// jobs is the deferred plan minus the hot pages, in page order; a
+	// served job's spans are cleared, so its image bytes can go.
+	jobs    pageJobs
+	hot     []mem.PageNum // applied before control returned, ascending
 	order   []mem.PageNum // pending pages ascending; prefetch cursor below
 	next    int
 	aborted error
@@ -160,12 +163,12 @@ func LazyRestore(k *kernel.Kernel, leaf *Image, opt LazyOptions) (*proc.Process,
 		workers = 1
 	}
 	hotPlan := replayPlan{}
-	hot := make(map[mem.PageNum]bool, len(leafPlan.jobs))
+	var hot []mem.PageNum
 	for _, j := range leafPlan.jobs {
 		if !spansCoverPage(j.spans) {
 			continue
 		}
-		hot[j.page] = true
+		hot = append(hot, j.page)
 		for _, sp := range j.spans {
 			hotPlan.copied += len(sp.data)
 		}
@@ -187,16 +190,24 @@ func LazyRestore(k *kernel.Kernel, leaf *Image, opt LazyOptions) (*proc.Process,
 
 	// Everything else mapped is pending: pages the chain wrote fill from
 	// the plan on first touch, pages it never wrote fill as no-ops (they
-	// are demand-zero under eager restore too).
-	var pending []mem.PageNum
-	for _, v := range leaf.VMAs {
-		for pn := v.Start.Page(); pn < (v.Start + mem.Addr(v.Length)).Page(); pn++ {
-			if !hot[pn] {
-				pending = append(pending, pn)
+	// are demand-zero under eager restore too). The layout and the hot
+	// pages are both in page order, so one merged walk finds the rest.
+	layout, slots, err := leafSlots(leaf)
+	if err != nil {
+		cleanup()
+		return nil, nil, err
+	}
+	pending := make([]mem.PageNum, 0, slots-len(hot))
+	h := 0
+	for _, r := range layout {
+		for pn := r.start.Page(); pn < r.end.Page(); pn++ {
+			if h < len(hot) && hot[h] == pn {
+				h++
+				continue
 			}
+			pending = append(pending, pn)
 		}
 	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
 
 	s := &LazySession{
 		as:      p.AS,
@@ -228,24 +239,22 @@ func LazyRestore(k *kernel.Kernel, leaf *Image, opt LazyOptions) (*proc.Process,
 	return p, s, nil
 }
 
-// spansCoverPage reports whether spans cover every byte of the page.
+// spansCoverPage reports whether spans cover every byte of the page:
+// from offset 0, some span must always reach past the covered prefix.
 func spansCoverPage(spans []pageSpan) bool {
-	type iv struct{ lo, hi int }
-	ivs := make([]iv, 0, len(spans))
-	for _, sp := range spans {
-		ivs = append(ivs, iv{sp.off, sp.off + len(sp.data)})
-	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].lo < ivs[j].lo })
-	covered := 0
-	for _, v := range ivs {
-		if v.lo > covered {
+	for covered := 0; covered < mem.PageSize; {
+		reach := covered
+		for _, sp := range spans {
+			if end := sp.off + len(sp.data); sp.off <= covered && end > reach {
+				reach = end
+			}
+		}
+		if reach == covered {
 			return false
 		}
-		if v.hi > covered {
-			covered = v.hi
-		}
+		covered = reach
 	}
-	return covered >= mem.PageSize
+	return true
 }
 
 // serve materializes one claimed page: loads the deferred plan on the
@@ -266,7 +275,7 @@ func (s *LazySession) serve(pn mem.PageNum, prefetch bool) error {
 	if err := s.ensurePlanLocked(); err != nil {
 		return err
 	}
-	spans, ok := s.jobs[pn]
+	i, ok := slices.BinarySearchFunc(s.jobs, pn, func(j pageJob, pn mem.PageNum) int { return cmp.Compare(j.page, pn) })
 	if !ok {
 		// Never written across the chain: demand-zero, exactly as eager
 		// restore leaves it.
@@ -274,21 +283,19 @@ func (s *LazySession) serve(pn mem.PageNum, prefetch bool) error {
 		s.countServe(prefetch)
 		return nil
 	}
-	buf, err := s.as.PageBuffer(pn)
-	if err != nil {
+	// One page through the eager path: a page that is still demand-zero
+	// and written by one full-page span costs one copy.
+	if _, err := s.as.WritePages(s.jobs[i:i+1], 1); err != nil {
 		var f *mem.Fault
-		if errors.As(err, &f) && f.VMA == nil {
-			// Unmapped since the restore (heap shrink, unmap): the page's
-			// contents are moot. Matches eager restore followed by the
-			// same unmap.
-			delete(s.jobs, pn)
-			s.countServe(prefetch)
-			return nil
+		if !errors.As(err, &f) || f.VMA != nil {
+			return err
 		}
-		return err
+		// Unmapped since the restore (heap shrink, unmap): the page's
+		// contents are moot. Matches eager restore followed by the
+		// same unmap.
 	}
-	applySpans(buf, spans)
-	delete(s.jobs, pn)
+	clear(s.jobs[i].spans)
+	s.jobs[i].spans = nil
 	s.countServe(prefetch)
 	return nil
 }
@@ -346,12 +353,19 @@ func (s *LazySession) ensurePlanLocked() error {
 	if err != nil {
 		return err
 	}
-	s.jobs = make(map[mem.PageNum][]pageSpan, len(plan.jobs))
+	// Both lists are in page order: keep the jobs of pages not hot,
+	// compacted in place, and clear the hot ones' spans.
+	s.jobs = plan.jobs[:0]
+	h := 0
 	for _, j := range plan.jobs {
-		if s.hot[j.page] {
+		for h < len(s.hot) && s.hot[h] < j.page {
+			h++
+		}
+		if h < len(s.hot) && s.hot[h] == j.page {
+			clear(j.spans)
 			continue
 		}
-		s.jobs[j.page] = j.spans
+		s.jobs = append(s.jobs, j)
 	}
 	s.planned = true
 	s.stats.PlanLoaded = true

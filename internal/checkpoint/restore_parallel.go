@@ -12,10 +12,10 @@
 package checkpoint
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/simos/mem"
 	"repro/internal/simtime"
@@ -34,9 +34,22 @@ type pageJob struct {
 	spans []pageSpan
 }
 
+// pageJobs is a plan's jobs in ascending page order. It is the
+// mem.PageSource a replay writes: a page still demand-zero gets a frame
+// built from its final bytes, any other page its spans in chain order.
+type pageJobs []pageJob
+
+func (js pageJobs) Len() int                              { return len(js) }
+func (js pageJobs) Page(i int) mem.PageNum                { return js[i].page }
+func (js pageJobs) Final(i int, pieces [][]byte) [][]byte { return finalPieces(pieces, js[i].spans) }
+func (js pageJobs) Apply(i int, frame []byte)             { applySpans(frame, js[i].spans) }
+
 // replayPlan is a chain resolved against its leaf memory layout.
 type replayPlan struct {
-	jobs []pageJob
+	jobs pageJobs
+	// spans holds every job's spans back to back, and only those: no
+	// pruned span keeps its image's bytes reachable from the plan.
+	spans []pageSpan
 	// copied is what a replay of the plan moves; pruned counts bytes
 	// dropped because a later delta fully overwrote them before any
 	// worker was asked to copy them.
@@ -44,23 +57,55 @@ type replayPlan struct {
 	pruned int
 }
 
-// planReplay resolves chain (oldest-first, head full — the caller has
-// verified this) into per-page jobs against the leaf image's layout.
-// Extents whose start address is no longer mapped in the leaf are
-// skipped, matching the sequential semantics; an extent that starts
-// mapped but runs off the layout fails exactly like WriteDirect would.
-func planReplay(chain []*Image) (replayPlan, error) {
-	var plan replayPlan
-	leaf := chain[len(chain)-1]
-	secs := make([]VMASection, len(leaf.VMAs))
-	copy(secs, leaf.VMAs)
-	sort.Slice(secs, func(i, j int) bool { return secs[i].Start < secs[j].Start })
-	mapped := func(a mem.Addr) bool {
-		i := sort.Search(len(secs), func(i int) bool { return secs[i].Start+mem.Addr(secs[i].Length) > a })
-		return i < len(secs) && a >= secs[i].Start
-	}
+// slotRange is one leaf section's run of page slots: the pages of
+// [start, end) are slots base, base+1, and so on.
+type slotRange struct {
+	start, end mem.Addr
+	base       int
+}
 
-	byPage := make(map[mem.PageNum]*pageJob)
+// leafSlots numbers the pages the leaf layout maps, in address order.
+// It returns the sections sorted by start and the slot count. A layout
+// that is unaligned or overlaps itself could not be mapped, and its
+// pages have no one slot each, so it is an error.
+func leafSlots(leaf *Image) ([]slotRange, int, error) {
+	layout := make([]slotRange, len(leaf.VMAs))
+	for i, v := range leaf.VMAs {
+		layout[i] = slotRange{start: v.Start, end: v.Start + mem.Addr(v.Length)}
+	}
+	slices.SortFunc(layout, func(a, b slotRange) int { return cmp.Compare(a.start, b.start) })
+	slots := 0
+	for i := range layout {
+		r := &layout[i]
+		if r.start%mem.PageSize != 0 || r.end%mem.PageSize != 0 || r.end < r.start || (i > 0 && r.start < layout[i-1].end) {
+			return nil, 0, fmt.Errorf("checkpoint: restore layout: vma %#x-%#x is unaligned or overlaps another", uint64(r.start), uint64(r.end))
+		}
+		r.base = slots
+		slots += int((r.end - r.start) >> mem.PageShift)
+	}
+	return layout, slots, nil
+}
+
+// findSlotRange returns the index of the section that maps a, or -1.
+// The section at hint, usually the previous span's, is tried first.
+func findSlotRange(layout []slotRange, a mem.Addr, hint int) int {
+	if hint >= 0 && a >= layout[hint].start && a < layout[hint].end {
+		return hint
+	}
+	i := sort.Search(len(layout), func(i int) bool { return layout[i].end > a })
+	if i < len(layout) && a >= layout[i].start {
+		return i
+	}
+	return -1
+}
+
+// eachSpan splits chain's extents at page boundaries and calls visit
+// with each fragment and its page's slot, in chain order. Extents whose
+// start address is no longer mapped in the leaf are skipped, matching
+// the sequential semantics; an extent that starts mapped but runs off
+// the layout fails exactly like WriteDirect would.
+func eachSpan(chain []*Image, layout []slotRange, visit func(slot int, s pageSpan)) error {
+	si := -1
 	for _, img := range chain {
 		for _, v := range img.VMAs {
 			for _, e := range v.Extents {
@@ -72,60 +117,113 @@ func planReplay(chain []*Image) (replayPlan, error) {
 					// every path, and with Verify, which rejects them.
 					continue
 				}
-				if !mapped(e.Addr) {
+				if si = findSlotRange(layout, e.Addr, si); si < 0 {
 					continue // VMA unmapped since this delta: stale data
 				}
 				for off := 0; off < len(e.Data); {
 					a := e.Addr + mem.Addr(off)
-					if !mapped(a) {
-						return plan, fmt.Errorf("checkpoint: restore extent %#x: %w",
+					if si = findSlotRange(layout, a, si); si < 0 {
+						return fmt.Errorf("checkpoint: restore extent %#x: %w",
 							uint64(e.Addr), &mem.Fault{Addr: a, Access: mem.AccessWrite})
 					}
 					n := mem.PageSize - a.Offset()
 					if rem := len(e.Data) - off; n > rem {
 						n = rem
 					}
-					pn := a.Page()
-					j := byPage[pn]
-					if j == nil {
-						j = &pageJob{page: pn}
-						byPage[pn] = j
-					}
-					j.spans = append(j.spans, pageSpan{off: a.Offset(), data: e.Data[off : off+n]})
+					r := &layout[si]
+					visit(r.base+int((a-r.start)>>mem.PageShift), pageSpan{off: a.Offset(), data: e.Data[off : off+n]})
 					off += n
 				}
 			}
 		}
 	}
+	return nil
+}
 
-	plan.jobs = make([]pageJob, 0, len(byPage))
-	for _, j := range byPage {
-		pruned := pruneSpans(j)
-		plan.pruned += pruned
-		for _, s := range j.spans {
-			plan.copied += len(s.data)
-		}
-		plan.jobs = append(plan.jobs, *j)
+// planReplay resolves chain (oldest-first, head full — the caller has
+// verified this) into per-page jobs against the leaf image's layout, in
+// time linear in the spans and the mapped pages: it counts each page
+// slot's spans, turns the counts into each slot's place in one span
+// array, places the spans there in chain order, prunes each page's
+// spans and packs the kept ones. No map, no per-page allocation and no
+// comparison sort.
+func planReplay(chain []*Image) (replayPlan, error) {
+	layout, slots, err := leafSlots(chain[len(chain)-1])
+	if err != nil {
+		return replayPlan{}, err
 	}
-	sort.Slice(plan.jobs, func(i, j int) bool { return plan.jobs[i].page < plan.jobs[j].page })
+	next := make([]int32, slots)
+	if err := eachSpan(chain, layout, func(slot int, _ pageSpan) { next[slot]++ }); err != nil {
+		return replayPlan{}, err
+	}
+	total, jobs := int32(0), 0
+	for s, n := range next {
+		if n > 0 {
+			jobs++
+		}
+		next[s] = total
+		total += n
+	}
+	// next[s] is now where slot s's next span goes; after the placing
+	// pass it is where slot s ends, and so where slot s+1 begins.
+	all := make([]pageSpan, total)
+	// The counting pass met every fault this pass could.
+	_ = eachSpan(chain, layout, func(slot int, sp pageSpan) {
+		all[next[slot]] = sp
+		next[slot]++
+	})
+
+	plan := replayPlan{jobs: make(pageJobs, 0, jobs)}
+	kept, lo := 0, int32(0)
+	for _, r := range layout {
+		for s, pn := r.base, r.start.Page(); pn < r.end.Page(); s, pn = s+1, pn+1 {
+			hi := next[s]
+			if hi == lo {
+				continue
+			}
+			spans, pruned := pruneSpans(all[lo:hi])
+			lo = hi
+			plan.pruned += pruned
+			for _, sp := range spans {
+				plan.copied += len(sp.data)
+			}
+			kept += len(spans)
+			plan.jobs = append(plan.jobs, pageJob{page: pn, spans: spans})
+		}
+	}
+	// Pack the kept spans, so the pruned ones' image bytes die with all.
+	plan.spans = make([]pageSpan, 0, kept)
+	for i := range plan.jobs {
+		j := &plan.jobs[i]
+		n := len(plan.spans)
+		plan.spans = append(plan.spans, j.spans...)
+		j.spans = plan.spans[n:len(plan.spans):len(plan.spans)]
+	}
 	return plan, nil
 }
 
 // pruneSpans drops spans wholly covered by later spans of the same page
-// (last writer wins, so they could never contribute a byte), returning
-// the byte count dropped. Partially covered spans are kept whole:
-// in-order application resolves the overlap, pruning is only the
-// optimization for the common full-page-overwrite case.
-func pruneSpans(j *pageJob) int {
-	if len(j.spans) < 2 {
-		return 0
+// (last writer wins, so they could never contribute a byte). It returns
+// the kept spans, in chain order and compacted in place at the end of
+// spans, and the byte count dropped. Partially covered spans are kept
+// whole: in-order application resolves the overlap, pruning is only the
+// optimization for the common full-page-overwrite case, which is its
+// fast path.
+func pruneSpans(spans []pageSpan) ([]pageSpan, int) {
+	last := len(spans) - 1
+	pruned := 0
+	if s := spans[last]; s.off == 0 && len(s.data) == mem.PageSize {
+		for _, s := range spans[:last] {
+			pruned += len(s.data)
+		}
+		return spans[last:], pruned
 	}
 	type iv struct{ lo, hi int }
-	var covered []iv
-	keep := make([]bool, len(j.spans))
-	pruned := 0
-	for i := len(j.spans) - 1; i >= 0; i-- {
-		s := j.spans[i]
+	var buf [16]iv
+	covered := buf[:0]
+	kept := len(spans)
+	for i := last; i >= 0; i-- {
+		s := spans[i]
 		lo, hi := s.off, s.off+len(s.data)
 		hidden := false
 		for _, c := range covered {
@@ -138,7 +236,8 @@ func pruneSpans(j *pageJob) int {
 			pruned += len(s.data)
 			continue
 		}
-		keep[i] = true
+		kept--
+		spans[kept] = s
 		// Merge [lo,hi) into the covered set.
 		merged := iv{lo, hi}
 		out := covered[:0]
@@ -156,57 +255,58 @@ func pruneSpans(j *pageJob) int {
 		}
 		covered = append(out, merged)
 	}
-	kept := j.spans[:0]
-	for i, s := range j.spans {
-		if keep[i] {
-			kept = append(kept, s)
-		}
-	}
-	j.spans = kept
-	return pruned
+	return spans[kept:], pruned
 }
 
-// applyPlan writes every job's spans into the address space. Pages are
-// materialized sequentially first, in one PageBuffers call — the
-// address space's page maps and version clock are not goroutine-safe,
-// and the pages still demand-zero share one frame allocation — and only
-// the byte copies into the resulting disjoint buffers fan out across the
-// pool. The simulated cost is billed by the caller; goroutines here only
-// move bytes, like the capture path's fillExtentsParallel.
-func applyPlan(as *mem.AddressSpace, plan *replayPlan, workers int) error {
-	pns := make([]mem.PageNum, len(plan.jobs))
-	for i := range plan.jobs {
-		pns[i] = plan.jobs[i].page
-	}
-	bufs, err := as.PageBuffers(pns)
-	if err != nil {
-		return fmt.Errorf("checkpoint: restore page %#x: %w", uint64(pns[len(bufs)].Base()), err)
-	}
-	if workers > len(plan.jobs) {
-		workers = len(plan.jobs)
-	}
-	if workers <= 1 {
-		for i := range plan.jobs {
-			applySpans(bufs[i], plan.jobs[i].spans)
-		}
-		return nil
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(plan.jobs) {
-					return
-				}
-				applySpans(bufs[i], plan.jobs[i].spans)
+// zeroPage is never written: finalPieces serves holes from it.
+var zeroPage [mem.PageSize]byte
+
+// finalPieces appends a page's final bytes, its spans applied in chain
+// order over zeros, to pieces: in page order, as slices of the spans
+// and of zeroPage. A page written by one full-page span is one piece.
+func finalPieces(pieces [][]byte, spans []pageSpan) [][]byte {
+	for pos := 0; pos < mem.PageSize; {
+		// The last span covering pos writes it, up to its end or until
+		// a later span starts; a hole runs until any span starts.
+		w := len(spans) - 1
+		for ; w >= 0; w-- {
+			if s := spans[w]; s.off <= pos && pos < s.off+len(s.data) {
+				break
 			}
-		}()
+		}
+		end := mem.PageSize
+		if w >= 0 {
+			end = spans[w].off + len(spans[w].data)
+		}
+		for _, s := range spans[w+1:] {
+			if s.off > pos && s.off < end {
+				end = s.off
+			}
+		}
+		if w < 0 {
+			pieces = append(pieces, zeroPage[:end-pos])
+		} else {
+			s := spans[w]
+			pieces = append(pieces, s.data[pos-s.off:end-s.off])
+		}
+		pos = end
 	}
-	wg.Wait()
+	return pieces
+}
+
+// applyPlan writes every job's spans into the address space through
+// mem.AddressSpace.WritePages: the pages are materialized sequentially
+// (the address space's page maps and version clock are not
+// goroutine-safe), then workers shards copy the bytes. A page still
+// demand-zero gets a frame built from its final bytes, each byte copied
+// once and never zero-filled first; a page that already has a frame gets
+// its spans in chain order. The simulated cost is billed by the caller;
+// goroutines here only move bytes, like the capture path's
+// fillExtentsParallel.
+func applyPlan(as *mem.AddressSpace, plan *replayPlan, workers int) error {
+	if n, err := as.WritePages(plan.jobs, workers); err != nil {
+		return fmt.Errorf("checkpoint: restore page %#x: %w", uint64(plan.jobs[n].page.Base()), err)
+	}
 	return nil
 }
 

@@ -4,7 +4,7 @@
 // materialized up front is instead registered here as *pending*, and the
 // first access to a pending page — workload loads and stores through
 // access(), kernel-mode reads and writes through ReadDirect/WriteDirect,
-// and replay writes through PageBuffer/PageBuffers — invokes the DemandFiller to
+// and replay writes through WritePages — invokes the DemandFiller to
 // materialize the checkpointed contents before the access proceeds.
 //
 // This is deliberately a separate channel from FaultHandler: the fault
@@ -23,7 +23,7 @@ import "sync"
 
 // DemandFiller materializes the checkpointed contents of one pending
 // page. It is invoked with the page already removed from the pending set
-// (so a fill that re-enters the address space — PageBuffer on the same
+// (so a fill that re-enters the address space — WritePages on the same
 // page — does not recurse). A non-nil error aborts the access that
 // triggered the fill; the page is returned to the pending set so a
 // later retry can try again.

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/crc"
 )
@@ -658,57 +659,102 @@ func (as *AddressSpace) WriteDirect(addr Addr, data []byte) error {
 	return nil
 }
 
-// PageBuffer materializes the page pn and returns its backing buffer for
-// direct kernel-mode writes, marking it dirty and bumping the version
-// clock once. This is the parallel-restore seam: WriteDirect mutates the
-// per-VMA page map and the shared version clock and is therefore not
-// safe from worker goroutines, so a parallel replay materializes every
-// target page first (sequentially, through PageBuffers) and then lets
-// workers copy into the disjoint buffers it returned.
-func (as *AddressSpace) PageBuffer(pn PageNum) ([]byte, error) {
-	pg, err := as.materialize(pn)
-	if err != nil {
-		return nil, err
-	}
-	if pg.data == nil {
-		pg.data = make([]byte, PageSize)
-	}
-	return pg.data, nil
+// A PageSource supplies the pages WritePages writes and their bytes.
+// WritePages calls Final and Apply from one goroutine per shard, each
+// page from exactly one shard, so both must be safe to call
+// concurrently for different pages.
+type PageSource interface {
+	// Len is the number of pages; Page(i) is the i'th. The pages must be
+	// distinct.
+	Len() int
+	Page(i int) PageNum
+	// Final appends page i's final contents to pieces, as slices whose
+	// lengths sum to PageSize, and returns the extended slice. It is
+	// called only for pages still demand-zero, so holes are zero bytes
+	// (a shared read-only zero page serves them).
+	Final(i int, pieces [][]byte) [][]byte
+	// Apply writes page i's bytes over frame, the page's current
+	// contents.
+	Apply(i int, frame []byte)
 }
 
-// PageBuffers is PageBuffer over pns, in order, with one difference:
-// the pages still demand-zero get their frames from one shared
-// allocation, each frame clipped to PageSize so an append to one
-// reallocates instead of reaching its neighbour. Fills, dirty bits and
-// version-clock bumps are exactly those of a PageBuffer loop. A shared
+// WritePages is the kernel-mode restore seam. It materializes src's
+// pages in order on the calling goroutine: each page's pending demand
+// fill runs, its dirty bit is set and the version clock is bumped once,
+// as one full-page WriteDirect would. The page maps and the clock are
+// not goroutine-safe, so only the byte copies that follow fan out: the
+// pages are split into shards contiguous runs (at most one per page),
+// each written by its own goroutine. A page that already has a frame
+// gets src.Apply on it. The pages still demand-zero in a shard get their
+// frames from one allocation built straight from their Final pieces,
+// never zero-filled first, each frame clipped to PageSize so an append
+// to one reallocates instead of reaching its neighbour. A shard's
 // allocation stays live while any of its pages keeps its frame. On
-// error, bufs holds the frames of the pages materialized before the
-// failing one, pns[len(bufs)].
-func (as *AddressSpace) PageBuffers(pns []PageNum) (bufs [][]byte, err error) {
-	pages := make([]*Page, 0, len(pns))
-	for _, pn := range pns {
-		pg, perr := as.materialize(pn)
+// error, the n pages before src.Page(n) are written and n is returned
+// with the error.
+func (as *AddressSpace) WritePages(src PageSource, shards int) (n int, err error) {
+	pages := make([]*Page, 0, src.Len())
+	for i := 0; i < src.Len(); i++ {
+		pg, perr := as.materialize(src.Page(i))
 		if perr != nil {
 			err = perr
 			break
 		}
 		pages = append(pages, pg)
 	}
-	zeroed := 0
+	n = len(pages)
+	if shards > n {
+		shards = n
+	}
+	if shards <= 1 {
+		writeShard(src, pages, 0)
+		return n, err
+	}
+	var wg sync.WaitGroup
+	for s := 1; s < shards; s++ {
+		lo, hi := s*n/shards, (s+1)*n/shards
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			writeShard(src, pages[lo:hi], lo)
+		}()
+	}
+	writeShard(src, pages[:n/shards], 0)
+	wg.Wait()
+	return n, err
+}
+
+// writeShard writes pages, which are src's pages first, first+1, ...:
+// Apply onto the frames they hold, and for the demand-zero ones one
+// bytes.Join of their Final pieces (an allocation Join does not zero),
+// cut into frames.
+func writeShard(src PageSource, pages []*Page, first int) {
+	fresh := 0
 	for _, pg := range pages {
 		if pg.data == nil {
-			zeroed++
+			fresh++
 		}
 	}
-	frames := make([]byte, zeroed*PageSize)
-	bufs = make([][]byte, len(pages))
+	var frames []byte
+	if fresh > 0 {
+		pieces := make([][]byte, 0, fresh)
+		for i, pg := range pages {
+			if pg.data == nil {
+				pieces = src.Final(first+i, pieces)
+			}
+		}
+		frames = bytes.Join(pieces, nil)
+		if len(frames) != fresh*PageSize {
+			panic(fmt.Sprintf("mem: WritePages: %d final bytes for %d fresh pages", len(frames), fresh))
+		}
+	}
 	for i, pg := range pages {
 		if pg.data == nil {
 			pg.data, frames = frames[:PageSize:PageSize], frames[PageSize:]
+			continue
 		}
-		bufs[i] = pg.data
+		src.Apply(first+i, pg.data)
 	}
-	return bufs, err
 }
 
 // materialize runs pn's pending demand fill, if any, materializes its

@@ -1,10 +1,12 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func newTestAS(t *testing.T) *AddressSpace {
@@ -500,11 +502,11 @@ func BenchmarkChecksum64MiB(b *testing.B) {
 	}
 }
 
-// pageBuffersFixture maps newTestAS's layout with a mix of page states
+// writePagesFixture maps newTestAS's layout with a mix of page states
 // in the heap: page 2 written (has a frame), page 5 read (a page struct,
 // still demand-zero) and page 7 pending a demand fill that writes
-// through PageBuffer.
-func pageBuffersFixture(t *testing.T) *AddressSpace {
+// through WriteDirect.
+func writePagesFixture(t *testing.T) *AddressSpace {
 	t.Helper()
 	as := newTestAS(t)
 	heap := Addr(0x600000)
@@ -516,14 +518,12 @@ func pageBuffersFixture(t *testing.T) *AddressSpace {
 	}
 	filled := (heap + 7*PageSize).Page()
 	as.SetDemandFill([]PageNum{filled}, func(pn PageNum) error {
-		buf, err := as.PageBuffer(pn)
-		copy(buf, "filled")
-		return err
+		return as.WriteDirect(pn.Base(), []byte("filled"))
 	})
 	return as
 }
 
-// pageState is what a page-buffer call may change about one page.
+// pageState is what a page write may change about one page.
 type pageState struct {
 	data    []byte
 	dirty   bool
@@ -538,12 +538,54 @@ func pageStates(as *AddressSpace) map[PageNum]pageState {
 	return out
 }
 
-// TestPageBuffersMatchesPageBufferLoop: PageBuffers leaves every page
-// exactly as a PageBuffer loop over the same pages does — data, dirty
-// bits, versions and the version clock, demand fills included — and its
-// frames are disjoint, clipped to a page. On a fault it stops at the
-// same page the loop stops at.
-func TestPageBuffersMatchesPageBufferLoop(t *testing.T) {
+// testPages is a PageSource that writes bytes i+1 over [lo, hi) of its
+// i'th page, zero elsewhere: the whole page, or with partial set, the
+// whole page, the middle or the head in turn.
+type testPages struct {
+	pns  []PageNum
+	data [][]byte
+	lo   []int
+}
+
+func newTestPages(pns []PageNum, partial bool) *testPages {
+	src := &testPages{pns: pns}
+	for i := range pns {
+		lo, hi := 0, PageSize
+		switch {
+		case partial && i%3 == 1:
+			lo, hi = 100, 3000
+		case partial && i%3 == 2:
+			hi = 17
+		}
+		src.data = append(src.data, bytes.Repeat([]byte{byte(i + 1)}, hi-lo))
+		src.lo = append(src.lo, lo)
+	}
+	return src
+}
+
+func (s *testPages) Len() int           { return len(s.pns) }
+func (s *testPages) Page(i int) PageNum { return s.pns[i] }
+func (s *testPages) Apply(i int, frame []byte) {
+	copy(frame[s.lo[i]:], s.data[i])
+}
+func (s *testPages) Final(i int, pieces [][]byte) [][]byte {
+	if lo := s.lo[i]; lo > 0 {
+		pieces = append(pieces, zeroPage[:lo])
+	}
+	pieces = append(pieces, s.data[i])
+	if hi := s.lo[i] + len(s.data[i]); hi < PageSize {
+		pieces = append(pieces, zeroPage[:PageSize-hi])
+	}
+	return pieces
+}
+
+// TestWritePagesMatchesMaterializeLoop: WritePages leaves every page
+// exactly as a loop that materializes each page in turn, gives a
+// demand-zero one a zeroed frame and applies its bytes does — data,
+// dirty bits, versions and the version clock, demand fills included —
+// at every shard count, and its frames are disjoint, clipped to a page.
+// On a fault it stops at the same page the loop stops at.
+func TestWritePagesMatchesMaterializeLoop(t *testing.T) {
 	heap := Addr(0x600000).Page()
 	var pns []PageNum
 	for i := PageNum(0); i < 16; i++ {
@@ -558,74 +600,115 @@ func TestPageBuffersMatchesPageBufferLoop(t *testing.T) {
 		{"mapped", pns, -1},
 		{"fault", append(append(append([]PageNum(nil), pns[:9]...), Addr(0x100000).Page()), pns[9:]...), 9},
 	} {
-		loop, slab := pageBuffersFixture(t), pageBuffersFixture(t)
-		var want [][]byte
-		var wantErr error
-		for _, pn := range tc.pns {
-			buf, err := loop.PageBuffer(pn)
-			if err != nil {
-				wantErr = err
-				break
+		for _, shards := range []int{1, 2, 3, 8, 64} {
+			loop, batch := writePagesFixture(t), writePagesFixture(t)
+			src := newTestPages(tc.pns, true)
+			want := 0
+			var wantErr error
+			for i, pn := range tc.pns {
+				pg, err := loop.materialize(pn)
+				if err != nil {
+					wantErr = err
+					break
+				}
+				if pg.data == nil {
+					pg.data = make([]byte, PageSize)
+				}
+				src.Apply(i, pg.data)
+				want++
 			}
-			want = append(want, buf)
-		}
-		got, err := slab.PageBuffers(tc.pns)
-		if (err == nil) != (wantErr == nil) || len(got) != len(want) {
-			t.Fatalf("%s: PageBuffers gave %d buffers, err %v; the loop %d, err %v", tc.name, len(got), err, len(want), wantErr)
-		}
-		if tc.fails >= 0 && len(got) != tc.fails {
-			t.Fatalf("%s: %d buffers before the fault, want %d", tc.name, len(got), tc.fails)
-		}
-		for i := range got {
-			if !bytesEqual(got[i], want[i]) || cap(got[i]) != PageSize {
-				t.Fatalf("%s: buffer %d differs from PageBuffer's (cap %d)", tc.name, i, cap(got[i]))
+			got, err := batch.WritePages(src, shards)
+			if (err == nil) != (wantErr == nil) || got != want {
+				t.Fatalf("%s/%d: WritePages wrote %d pages, err %v; the loop %d, err %v", tc.name, shards, got, err, want, wantErr)
 			}
-		}
-		if !statesEqual(pageStates(slab), pageStates(loop)) || slab.versionClock != loop.versionClock {
-			t.Fatalf("%s: page states differ from the PageBuffer loop", tc.name)
-		}
-		// Fill every frame with its own index through the returned
-		// buffers: no frame may reach another.
-		for i := range got {
-			for j := range got[i] {
-				got[i][j], want[i][j] = byte(i+1), byte(i+1)
+			if tc.fails >= 0 && got != tc.fails {
+				t.Fatalf("%s/%d: %d pages before the fault, want %d", tc.name, shards, got, tc.fails)
 			}
-		}
-		if !statesEqual(pageStates(slab), pageStates(loop)) {
-			t.Fatalf("%s: writes through the buffers landed differently", tc.name)
+			if !statesEqual(pageStates(batch), pageStates(loop)) || batch.versionClock != loop.versionClock {
+				t.Fatalf("%s/%d: page states differ from the loop's", tc.name, shards)
+			}
+			// Fill every frame with its own index: no frame may reach
+			// another.
+			var frames [][]byte
+			for _, pi := range batch.ResidentPages() {
+				if d := pi.Page.Data(); d != nil {
+					if cap(d) != PageSize {
+						t.Fatalf("%s/%d: page %#x has frame cap %d", tc.name, shards, uint64(pi.Num.Base()), cap(d))
+					}
+					frames = append(frames, d)
+				}
+			}
+			for i, f := range frames {
+				for j := range f {
+					f[j] = byte(i + 1)
+				}
+			}
+			for i, f := range frames {
+				if !bytes.Equal(f, bytes.Repeat([]byte{byte(i + 1)}, PageSize)) {
+					t.Fatalf("%s/%d: a write through frame %d reached another", tc.name, shards, i)
+				}
+			}
 		}
 	}
 }
 
-// TestPageBuffersSharesOneAllocation: materializing n demand-zero pages
-// costs one frame allocation, not n.
-func TestPageBuffersSharesOneAllocation(t *testing.T) {
-	const n = 16
-	run := func(batch bool) float64 {
-		return testing.AllocsPerRun(20, func() {
-			as := NewAddressSpace()
-			if _, err := as.Map(0x600000, n*PageSize, ProtRW, KindHeap, "[heap]"); err != nil {
+// TestWritePagesOneFrameAllocationPerShard: writing n demand-zero pages
+// whose final bytes are one full-page slice each costs one frame
+// allocation per shard, whatever n is: the pages of a
+// shard sit back to back in one allocation, and the allocation count
+// does not grow with n.
+func TestWritePagesOneFrameAllocationPerShard(t *testing.T) {
+	heap := Addr(0x600000)
+	setup := func(n int) (*AddressSpace, *testPages) {
+		as := NewAddressSpace()
+		if _, err := as.Map(heap, uint64(n)*PageSize, ProtRW, KindHeap, "[heap]"); err != nil {
+			t.Fatal(err)
+		}
+		pns := make([]PageNum, n)
+		for i := range pns {
+			pns[i] = heap.Page() + PageNum(i)
+			// A read makes the page struct, so the count below is
+			// WritePages' own.
+			if err := as.Read(pns[i].Base(), make([]byte, 1)); err != nil {
 				t.Fatal(err)
 			}
-			pns := make([]PageNum, n)
-			for i := range pns {
-				pns[i] = Addr(0x600000).Page() + PageNum(i)
-			}
-			if batch {
-				if _, err := as.PageBuffers(pns); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			for _, pn := range pns {
-				if _, err := as.PageBuffer(pn); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
+		}
+		return as, newTestPages(pns, false)
 	}
-	if loop, batch := run(false), run(true); loop-batch < n/2 {
-		t.Fatalf("PageBuffers made %.0f allocations, the PageBuffer loop %.0f", batch, loop)
+	for _, shards := range []int{1, 2, 4} {
+		as, src := setup(64)
+		if _, err := as.WritePages(src, shards); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < shards; s++ {
+			lo, hi := s*64/shards, (s+1)*64/shards
+			for i := lo + 1; i < hi; i++ {
+				prev := as.vmas[0].pages[src.pns[i-1]].data
+				cur := as.vmas[0].pages[src.pns[i]].data
+				if uintptr(unsafe.Pointer(&cur[0])) != uintptr(unsafe.Pointer(&prev[0]))+PageSize {
+					t.Fatalf("shards %d: pages %d and %d of shard %d are not adjacent frames of one allocation", shards, i-1, i, s)
+				}
+			}
+		}
+		allocs := func(n int, write bool) float64 {
+			return testing.AllocsPerRun(20, func() {
+				as, src := setup(n)
+				if write {
+					if _, err := as.WritePages(src, shards); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
+		small := allocs(16, true) - allocs(16, false)
+		large := allocs(256, true) - allocs(256, false)
+		t.Logf("shards %d: %.0f allocations for 16 pages, %.0f for 256", shards, small, large)
+		// Per shard: its frames, its piece list and, past the first, its
+		// goroutine; plus the page list and some slack.
+		if ceiling := float64(3*shards + 3); large > small || large > ceiling {
+			t.Fatalf("shards %d: WritePages made %.0f allocations for 16 pages and %.0f for 256; want at most %.0f, not growing with the pages",
+				shards, small, large, ceiling)
+		}
 	}
 }
 
