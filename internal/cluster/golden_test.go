@@ -14,7 +14,7 @@ import (
 )
 
 // goldenRow is one fixed-seed supervisor run whose event log is pinned
-// by count and FNV-64 hash.
+// by count and FNV-64 hash, and its counter snapshot by FNV-64 hash.
 type goldenRow struct {
 	name string
 	// oracle rows hash the log without restore/scratch lines: the oracle
@@ -24,6 +24,12 @@ type goldenRow struct {
 	run    func(t *testing.T) *Supervisor
 	events int
 	hash   uint64
+	// counters is the FNV-64 of the run's counter snapshot, which sees
+	// what the log does not: retries, drops, bytes shipped.
+	counters uint64
+	// reaches names a counter the row exists to drive: a commit branch
+	// no other row takes. It must be nonzero, or the row pins nothing.
+	reaches string
 }
 
 // goldenAutonomic runs one job on a four-node cluster (workers 0-2,
@@ -52,18 +58,56 @@ func goldenAutonomic(t *testing.T, seed int64, mtbf simtime.Duration, mutate fun
 	return sup
 }
 
+// goldenNoFencing runs one job with fencing off while a partition of the
+// job's first node makes a live incarnation look dead; without the fence
+// the stale incarnation's commits land.
+func goldenNoFencing(t *testing.T, mutate func(*SupervisorConfig)) *Supervisor {
+	t.Helper()
+	prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 31}
+	c := newCluster(t, 4, prog)
+	np := c.EnableNetFaults(NetFaultConfig{})
+	mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
+		detector.Config{Period: 200 * simtime.Microsecond, Observer: 3}, c.Counters)
+	cut := false
+	c.OnStep(func() {
+		if !cut && c.Now() >= simtime.Time(7*simtime.Millisecond) {
+			cut = true
+			np.Partition("island", 0)
+		}
+		if cut && c.Now() >= simtime.Time(17*simtime.Millisecond) {
+			np.Heal("island")
+		}
+	})
+	cfg := SupervisorConfig{
+		C:           c,
+		MkMech:      func() mechanism.Mechanism { return syslevel.NewCRAK() },
+		Prog:        prog,
+		Iterations:  60,
+		Policy:      policy.Fixed(3 * simtime.Millisecond),
+		Detector:    mon,
+		ControlNode: 3,
+		NoFencing:   true,
+	}
+	mutate(&cfg)
+	sup := MustNewSupervisor(cfg)
+	if err := sup.Run(2 * simtime.Second); err != nil {
+		t.Fatal(err)
+	}
+	return sup
+}
+
 var goldenRows = []goldenRow{
-	{name: "eager-full", events: 25, hash: 0xa670aa4ac7cc278c, run: func(t *testing.T) *Supervisor {
+	{name: "eager-full", events: 25, hash: 0xa670aa4ac7cc278c, counters: 0x1d8a1cb73bd732d1, run: func(t *testing.T) *Supervisor {
 		return goldenAutonomic(t, 61, 20*simtime.Millisecond, func(*SupervisorConfig) {})
 	}},
-	{name: "incremental-compact", events: 46, hash: 0x435717a13467cd5f, run: func(t *testing.T) *Supervisor {
+	{name: "incremental-compact", events: 46, hash: 0x435717a13467cd5f, counters: 0xa421f17cccd4e279, run: func(t *testing.T) *Supervisor {
 		return goldenAutonomic(t, 62, 20*simtime.Millisecond, func(cfg *SupervisorConfig) {
 			cfg.Incremental = true
 			cfg.RebaseEvery = 6
 			cfg.CompactAfter = 2
 		})
 	}},
-	{name: "lazy-buddy", events: 29, hash: 0x087e6f1d8bd8d583, run: func(t *testing.T) *Supervisor {
+	{name: "lazy-buddy", events: 29, hash: 0x087e6f1d8bd8d583, counters: 0xcc29e9e34e5024bb, run: func(t *testing.T) *Supervisor {
 		// The bench job-failover configuration.
 		return goldenAutonomic(t, 63, 15*simtime.Millisecond, func(cfg *SupervisorConfig) {
 			cfg.Iterations = 200
@@ -75,13 +119,13 @@ var goldenRows = []goldenRow{
 			cfg.Replication = &ReplicationConfig{Mode: ReplBuddy}
 		})
 	}},
-	{name: "erasure-2+1", events: 25, hash: 0x7bb3de75e90373cd, run: func(t *testing.T) *Supervisor {
+	{name: "erasure-2+1", events: 25, hash: 0x7bb3de75e90373cd, counters: 0x12826b52108c0333, run: func(t *testing.T) *Supervisor {
 		return goldenAutonomic(t, 64, 20*simtime.Millisecond, func(cfg *SupervisorConfig) {
 			cfg.Incremental = true
 			cfg.Replication = &ReplicationConfig{Mode: ReplErasure, DataShards: 2, ParityShards: 1}
 		})
 	}},
-	{name: "pipeline", events: 31, hash: 0x484d63affcfeab28, run: func(t *testing.T) *Supervisor {
+	{name: "pipeline", events: 31, hash: 0x484d63affcfeab28, counters: 0x8a1ef4564bd92fc0, run: func(t *testing.T) *Supervisor {
 		return goldenAutonomic(t, 65, 120*simtime.Millisecond, func(cfg *SupervisorConfig) {
 			cfg.Iterations = 300
 			cfg.Policy = policy.Fixed(1500 * simtime.Microsecond)
@@ -90,40 +134,10 @@ var goldenRows = []goldenRow{
 			cfg.Pipeline = &PipelineConfig{}
 		})
 	}},
-	{name: "no-fencing", events: 14, hash: 0x35d442e858881c11, run: func(t *testing.T) *Supervisor {
-		// A partition of the job's first node makes a live incarnation
-		// look dead; without the fence its commits land.
-		prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 31}
-		c := newCluster(t, 4, prog)
-		np := c.EnableNetFaults(NetFaultConfig{})
-		mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
-			detector.Config{Period: 200 * simtime.Microsecond, Observer: 3}, c.Counters)
-		cut := false
-		c.OnStep(func() {
-			if !cut && c.Now() >= simtime.Time(7*simtime.Millisecond) {
-				cut = true
-				np.Partition("island", 0)
-			}
-			if cut && c.Now() >= simtime.Time(17*simtime.Millisecond) {
-				np.Heal("island")
-			}
-		})
-		sup := MustNewSupervisor(SupervisorConfig{
-			C:           c,
-			MkMech:      func() mechanism.Mechanism { return syslevel.NewCRAK() },
-			Prog:        prog,
-			Iterations:  60,
-			Policy:      policy.Fixed(3 * simtime.Millisecond),
-			Detector:    mon,
-			ControlNode: 3,
-			NoFencing:   true,
-		})
-		if err := sup.Run(2 * simtime.Second); err != nil {
-			t.Fatal(err)
-		}
-		return sup
+	{name: "no-fencing", events: 14, hash: 0x35d442e858881c11, counters: 0x87376119972d2cae, run: func(t *testing.T) *Supervisor {
+		return goldenNoFencing(t, func(*SupervisorConfig) {})
 	}},
-	{name: "relaunch", events: 16, hash: 0x15040d6ade23a0ef, run: func(t *testing.T) *Supervisor {
+	{name: "relaunch", events: 16, hash: 0x15040d6ade23a0ef, counters: 0x2c265bfddfc02cf8, run: func(t *testing.T) *Supervisor {
 		// Node 0 is cut off from the control plane and the job fails
 		// over to node 1. Later both workers are cut off, so the next
 		// failover finds every spare suspected and Run gives up; the
@@ -175,7 +189,7 @@ var goldenRows = []goldenRow{
 		}
 		return sup
 	}},
-	{name: "oracle-remote", oracle: true, events: 12, hash: 0xe69fddd6b8d9919f, run: func(t *testing.T) *Supervisor {
+	{name: "oracle-remote", oracle: true, events: 12, hash: 0xe69fddd6b8d9919f, counters: 0x40d28f341678220b, run: func(t *testing.T) *Supervisor {
 		prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 31}
 		c := newCluster(t, 3, prog)
 		c.SetInjector(NewInjector(Exponential{Mean: 15 * simtime.Millisecond}, 2*simtime.Millisecond, 7, 3))
@@ -191,7 +205,7 @@ var goldenRows = []goldenRow{
 		}
 		return sup
 	}},
-	{name: "oracle-local-permanent", oracle: true, events: 21, hash: 0xb1bdf80162ccc401, run: func(t *testing.T) *Supervisor {
+	{name: "oracle-local-permanent", oracle: true, events: 21, hash: 0xb1bdf80162ccc401, counters: 0xcbf29ce484222325, run: func(t *testing.T) *Supervisor {
 		prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 41}
 		c := newCluster(t, 3, prog)
 		inj := NewInjector(Exponential{Mean: 30 * simtime.Millisecond}, 2*simtime.Millisecond, 3, 3)
@@ -213,18 +227,60 @@ var goldenRows = []goldenRow{
 		}
 		return sup
 	}},
+	// The rows below drive commit branches that the rows above never
+	// take: a failed pipelined ship, deferred GC, a failed fold, and a
+	// stale pipelined publish that lands.
+	{name: "pipeline-faults", reaches: "agent.ship_failed", events: 23, hash: 0xa7906e6830e4a074, counters: 0x877e3f8c674cf266, run: func(t *testing.T) *Supervisor {
+		return goldenAutonomic(t, 65, 120*simtime.Millisecond, func(cfg *SupervisorConfig) {
+			cfg.C.EnableStorageFaults(StorageFaultConfig{WriteFault: .15, OutageFrac: .3, PublishFault: .1})
+			cfg.Iterations = 300
+			cfg.Policy = policy.Fixed(1500 * simtime.Microsecond)
+			cfg.Incremental = true
+			cfg.RebaseEvery = 3
+			cfg.Pipeline = &PipelineConfig{MaxInFlight: 4}
+		})
+	}},
+	{name: "buddy-faults", reaches: "ckpt.gc_deferred", events: 121, hash: 0x26d5fc78088b3d2b, counters: 0xc876febaa725f4d1, run: func(t *testing.T) *Supervisor {
+		return goldenAutonomic(t, 63, 15*simtime.Millisecond, func(cfg *SupervisorConfig) {
+			cfg.C.EnableStorageFaults(StorageFaultConfig{WriteFault: .1, OutageFrac: .5, PublishFault: .1})
+			cfg.Iterations = 200
+			cfg.Incremental = true
+			cfg.RebaseEvery = 4
+			cfg.CompactAfter = 3
+			cfg.LazyRestore = true
+			cfg.Replication = &ReplicationConfig{Mode: ReplBuddy}
+		})
+	}},
+	{name: "compact-faults", reaches: "compact.failed", events: 32, hash: 0xe9eab20ee512c617, counters: 0x1e42854d7f405577, run: func(t *testing.T) *Supervisor {
+		return goldenAutonomic(t, 61, 20*simtime.Millisecond, func(cfg *SupervisorConfig) {
+			cfg.C.EnableStorageFaults(StorageFaultConfig{PublishFault: .3})
+			cfg.Incremental = true
+			cfg.CompactAfter = 2
+		})
+	}},
+	{name: "pipeline-no-fencing", reaches: "fence.double_commits", events: 13, hash: 0xc01f39540c70bf22, counters: 0x74be8a1be1f46f76, run: func(t *testing.T) *Supervisor {
+		return goldenNoFencing(t, func(cfg *SupervisorConfig) {
+			cfg.Iterations = 400
+			cfg.Policy = policy.Fixed(1500 * simtime.Microsecond)
+			cfg.Pipeline = &PipelineConfig{}
+		})
+	}},
 }
 
 // TestSupervisorEventLogGolden pins the single-job supervisor's event
-// log across refactors: each fixed-seed row must reproduce the recorded
-// event count and FNV-64 of FormatEvents exactly. Every row restarts the
-// job at least once, so the restart paths are on the hashed trail.
+// log and counters across refactors: each fixed-seed row must reproduce
+// the recorded event count, FNV-64 of FormatEvents and FNV-64 of the
+// counter snapshot exactly. Every row restarts the job at least once, so
+// the restart paths are on the hashed trail.
 func TestSupervisorEventLogGolden(t *testing.T) {
 	for _, row := range goldenRows {
 		t.Run(row.name, func(t *testing.T) {
 			sup := row.run(t)
 			if sup.Restarts == 0 {
 				t.Fatal("no restart: the row no longer exercises a restart path")
+			}
+			if row.reaches != "" && sup.Counters().Get(row.reaches) == 0 {
+				t.Fatalf("%s is 0: the row no longer reaches its commit branch", row.reaches)
 			}
 			evs := sup.Events
 			if row.oracle {
@@ -240,6 +296,11 @@ func TestSupervisorEventLogGolden(t *testing.T) {
 			if len(evs) != row.events || h.Sum64() != row.hash {
 				t.Errorf("event log changed: %d events hash %#x, want %d events hash %#x\n%s",
 					len(evs), h.Sum64(), row.events, row.hash, tail(FormatEvents(evs), 12))
+			}
+			ch := fnv.New64()
+			ch.Write([]byte(sup.Counters().String()))
+			if ch.Sum64() != row.counters {
+				t.Errorf("counters changed: hash %#x, want %#x\n%s", ch.Sum64(), row.counters, sup.Counters())
 			}
 		})
 	}
