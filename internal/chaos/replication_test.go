@@ -18,13 +18,6 @@ func TestReplicationGeneratedMix(t *testing.T) {
 	assertMix(t, func(sp *Spec) string { return sp.Replication }, "", "buddy", "erasure")
 }
 
-// TestReplicationRunDeterministic double-runs replicated scenarios of
-// both modes: the fan-out writes, repair sweeps, and audit reads must
-// all be schedule-stable.
-func TestReplicationRunDeterministic(t *testing.T) {
-	confirmRows(t, func(sp *Spec) bool { return sp.Replication != "" })
-}
-
 // TestReplicationSpecValidation rejects the replication knobs the
 // executor cannot run.
 func TestReplicationSpecValidation(t *testing.T) {

@@ -15,13 +15,6 @@ func TestShardedGeneratedMix(t *testing.T) {
 	assertMix(t, func(sp *Spec) string { return fmt.Sprint(sp.Shards) }, "0", "2")
 }
 
-// TestShardedRunDeterministic double-runs sharded scenarios: digest
-// emission, aggregator reassignment, and the suspicion log must all be
-// schedule-stable.
-func TestShardedRunDeterministic(t *testing.T) {
-	confirmRows(t, func(sp *Spec) bool { return sp.Shards > 0 })
-}
-
 // TestShardedAggregatorDeath kills a shard aggregator under the digest
 // path: the observer must probe the dark shard back to life, the job
 // must still complete, and no invariant may fire.
