@@ -11,8 +11,6 @@
 package cluster
 
 import (
-	"errors"
-
 	"repro/internal/checkpoint"
 	"repro/internal/storage"
 )
@@ -52,21 +50,5 @@ func (s *Supervisor) maybeCompact(a *ckptAgent, tgt storage.Target) {
 	s.chainObjs = []string{st.Folded}
 	s.chainSizes = map[string]int{st.Folded: st.BytesOut}
 	s.lastFull = st.Folded
-	for _, o := range st.Deleted {
-		s.Counters().Inc("ckpt.retired", 1)
-		s.emit(EvRetire, a.node, a.epoch, o)
-	}
-	if err == nil {
-		return
-	}
-	if errors.Is(err, storage.ErrFenced) {
-		// Superseded mid-sweep: the garbage belongs to the live
-		// incarnation now (same rule as retire()).
-		s.Counters().Inc("fence.gc_rejected", 1)
-		return
-	}
-	// Transient storage trouble after the durable fold: queue the
-	// undeleted ancestors for the sweep after the next full ack.
-	s.Counters().Inc("ckpt.gc_deferred", 1)
-	s.pendingRetire = append(s.pendingRetire, st.Pending...)
+	s.retired(a, st.Deleted, st.Pending, err)
 }

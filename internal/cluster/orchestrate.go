@@ -492,14 +492,22 @@ func (s *Supervisor) attempt(p *proc.Process, tgt storage.Target, local bool) er
 	if err != nil {
 		return err
 	}
-	s.Checkpoints++
-	s.lastLeaf = tk.Img.ObjectName()
-	s.lastNode = s.node
-	s.lastLocal = local
-	s.Policy.ObserveCaptureCost(tk.Total())
-	s.lastProgressAt = s.C.Now()
-	s.emit(EvAck, s.node, 0, s.lastLeaf)
+	s.recordAck(s.node, 0, tk.Img.ObjectName(), local, tk.Total())
 	return nil
+}
+
+// recordAck is the one ack step of both loops: obj, a checkpoint the
+// incarnation admitted at epoch on node took in ckptDur, is durable
+// (on node's local disk when local), so it becomes the recovery
+// pointer, feeds the interval policy, and is logged as EvAck.
+func (s *Supervisor) recordAck(node int, epoch uint64, obj string, local bool, ckptDur simtime.Duration) {
+	s.Checkpoints++
+	s.lastLeaf = obj
+	s.lastNode = node
+	s.lastLocal = local
+	s.Policy.ObserveCaptureCost(ckptDur)
+	s.lastProgressAt = s.C.Now()
+	s.emit(EvAck, node, epoch, obj)
 }
 
 // ckptRetries bounds a round's checkpoint retries against the primary

@@ -1,21 +1,24 @@
-// The pipelined shipping path. The synchronous agent holds each round
-// open until its image is durable on the server: capture, encode, ship,
+// The pipelined shipping path. A synchronous round holds itself open
+// until its image is durable on the server: capture, encode, ship,
 // publish, ack, all inside one pump. Pipelining splits that round at its
 // natural seam — the image is immutable the instant capture completes —
-// so the agent captures epoch N+1 while epoch N is still on the wire. A
-// bounded in-flight queue provides the backpressure (a slow server
-// stalls capture rounds instead of buffering unboundedly), and small
-// deltas waiting behind the same transfer merge into one batched publish
-// that pays the per-message and per-publish overhead once.
+// so the agent captures epoch N+1 while epoch N is still on the wire.
+// The round itself is pump's, shared with the synchronous path; it
+// captures with no target and hands the image to enqueueShip. A bounded
+// in-flight queue provides the backpressure (a slow server stalls
+// capture rounds instead of buffering unboundedly), and small deltas
+// waiting behind the same transfer merge into one batched publish that
+// pays the per-message and per-publish overhead once.
 //
 // Everything the durable path guarantees survives the split, because the
 // final hop is the same storage.Write/WriteBatch the synchronous path
-// uses: publishes stage-then-commit atomically, a delta names its parent
-// and bounces (ErrBrokenChain) if the parent is not durable, fenced
-// targets reject stale epochs, and EvAck is emitted only after the
-// publish returns. What changes is only *when* the job pays: transfer
-// time is modeled on the cluster clock between pumps instead of inside
-// the capture round.
+// uses, and each published image goes through the same landed step:
+// publishes stage-then-commit atomically, a delta names its parent and
+// bounces (ErrBrokenChain) if the parent is not durable, fenced targets
+// reject stale epochs, and EvAck is emitted only after the publish
+// returns. What changes is only *when* the job pays: transfer time is
+// modeled on the cluster clock between pumps instead of inside the
+// capture round.
 
 package cluster
 
@@ -26,7 +29,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/costmodel"
 	"repro/internal/mechanism"
-	"repro/internal/simos/proc"
 	"repro/internal/simtime"
 	"repro/internal/storage"
 )
@@ -121,68 +123,42 @@ func shipCost(cm *costmodel.Model, n int) simtime.Duration {
 	return cm.NetTransfer(n) + cm.DiskStream(n)
 }
 
-// queuedImages counts images sitting in the ship queue.
-func (a *ckptAgent) queuedImages() int {
+// dropShip discards every queued image, counting them under
+// pipe.dropped.
+func (a *ckptAgent) dropShip() {
 	n := 0
 	for _, u := range a.ship {
 		n += len(u.imgs)
 	}
-	return n
+	if n > 0 {
+		a.s.Counters().Inc("pipe.dropped", int64(n))
+	}
+	a.ship = nil
 }
 
-// pipelineRound is the capture half of a pipelined pump: capture into
-// memory, encode on the node, enqueue for shipping. No storage I/O
-// happens here — that is advanceShip's job on later pumps.
-func (a *ckptAgent) pipelineRound(m mechanism.Mechanism, n *Node, p *proc.Process) {
-	pc := a.s.Pipeline
-	if len(a.ship) >= pc.maxInFlight() {
-		// Backpressure: the wire is behind. Skip the round rather than
-		// buffer without bound; the dirty tracker keeps accumulating, so
-		// the next delta ships a superset and nothing is lost.
-		a.s.Counters().Inc("pipe.stalls", 1)
-		return
-	}
-	workers := pc.captureWorkers()
-	if cp, ok := m.(mechanism.CaptureParallelizer); ok {
-		cp.SetCaptureParallelism(workers)
-	}
-	tk, err := a.capture(m, n, p, nil) // nil target: image stays in memory
-	if err != nil {
-		a.s.Counters().Inc("agent.ckpt_failed", 1)
-		return
-	}
-	a.acked++
-	if a.trk != nil {
-		// The collected ranges are in the image's own buffers now; the
-		// tracker no longer needs to carry them for a retry.
-		a.trk.Commit()
-	}
-	full := tk.Img.Mode != checkpoint.ModeIncremental
-	if full {
-		a.forceRebase = false
-	}
+// enqueueShip is the pipelined end of a capture round: encode the
+// captured image on the node and queue it for shipping, merging it into
+// the tail unit when the batching rule allows. No storage I/O happens
+// here — that is advanceShip's job on later pumps.
+func (a *ckptAgent) enqueueShip(n *Node, tk *mechanism.Ticket, full bool) {
+	workers := a.s.Pipeline.captureWorkers()
 	data, err := tk.Img.EncodeParallelBytes(workers)
 	if err != nil {
 		a.s.Counters().Inc("agent.ckpt_failed", 1)
 		return
 	}
 	n.K.Charge(checkpoint.EncodeCost(len(data), workers), "encode")
-	a.enqueueShip(shipImage{
+	si := shipImage{
 		obj:        tk.Img.ObjectName(),
 		parent:     tk.Img.Parent,
 		data:       data,
 		full:       full,
 		capturedAt: a.s.C.Now(),
 		captureDur: tk.Total(),
-	})
-}
-
-// enqueueShip appends the image to the ship queue, merging it into the
-// tail unit when the batching rule allows.
-func (a *ckptAgent) enqueueShip(si shipImage) {
-	if len(a.ship) > 0 && !si.full {
+	}
+	if len(a.ship) > 0 && !full {
 		u := a.ship[len(a.ship)-1]
-		if !u.started && !u.hasFull() && u.bytes()+len(si.data) <= shipBatchBytes {
+		if !u.started && !u.hasFull() && u.bytes()+len(data) <= shipBatchBytes {
 			u.imgs = append(u.imgs, si)
 			a.s.Counters().Inc("pipe.batched", 1)
 			return
@@ -239,29 +215,19 @@ func (a *ckptAgent) publishUnit(n *Node, u *shipUnit) bool {
 		si := &u.imgs[i]
 		s.Counters().Inc("pipe.shipped", 1)
 		s.Metrics.Hist("pipe.publish_latency").Observe(float64(now.Sub(si.capturedAt)))
-		if a.epoch == s.fence.Epoch() {
-			s.noteAckObject(a, si.obj, si.full, len(si.data), si.captureDur, tgt)
-		} else {
-			// Fencing disabled and we are stale: the publish landed — a
-			// split-brain double commit, same bookkeeping as the
-			// synchronous path.
-			s.Counters().Inc("fence.double_commits", 1)
-			s.emit(EvStaleCommit, a.node, a.epoch, si.obj)
-		}
+		a.landed(tgt, si.obj, si.full, len(si.data), si.captureDur)
 	}
 	if err == nil {
 		return true
 	}
+	// What did not land leaves the queue either way. Trim the acked
+	// prefix out of this unit first, or those images would be counted
+	// both shipped and dropped.
+	u.imgs = u.imgs[published:]
 	if errors.Is(err, storage.ErrFenced) {
 		// Another incarnation owns the job: self-fence, exactly as a
-		// synchronous publish would. stop() drops whatever was queued —
-		// trim the already-acked prefix out of this unit first, or those
-		// images would be counted both shipped and dropped.
-		u.imgs = u.imgs[published:]
-		p, lerr := n.K.Procs.Lookup(a.pid)
-		if lerr != nil {
-			p = nil
-		}
+		// synchronous publish would; stop() drops the queue.
+		p, _ := n.K.Procs.Lookup(a.pid)
 		a.selfFence(n, p)
 		return false
 	}
@@ -270,14 +236,7 @@ func (a *ckptAgent) publishUnit(n *Node, u *shipUnit) bool {
 	// of them can ever satisfy the durable-parent rule: drop them all and
 	// make the next capture a full image that re-anchors the chain.
 	s.Counters().Inc("agent.ship_failed", 1)
-	dropped := len(u.imgs) - published
-	for _, rest := range a.ship[1:] {
-		dropped += len(rest.imgs)
-	}
-	if dropped > 0 {
-		s.Counters().Inc("pipe.dropped", int64(dropped))
-	}
-	a.ship = nil
+	a.dropShip()
 	a.forceRebase = true
 	return false
 }

@@ -199,11 +199,12 @@ func (s *Supervisor) slotTarget(sl replSlot, from int) storage.Target {
 	}
 }
 
-// buildReplicated assembles the storage.Replicated target over the given
-// slots. Each member is fence-wrapped individually (when fenced), so a
-// stale-epoch writer is rejected at every replica's commit point — the
-// fence contract's replicated form.
-func (s *Supervisor) buildReplicated(slots []replSlot, from int, epoch uint64, fenced bool) (*storage.Replicated, error) {
+// buildReplicated assembles the storage.Replicated target named name
+// over the given slots, as seen from node from, with the given quorum (0
+// for the storage default). Each member is fence-wrapped individually
+// (when fenced), so a stale-epoch writer is rejected at every replica's
+// commit point — the fence contract's replicated form.
+func (s *Supervisor) buildReplicated(name string, slots []replSlot, from int, epoch uint64, fenced bool, quorum int) (*storage.Replicated, error) {
 	rc := s.Replication
 	reps := make([]storage.Replica, len(slots))
 	for i, sl := range slots {
@@ -213,18 +214,19 @@ func (s *Supervisor) buildReplicated(slots []replSlot, from int, epoch uint64, f
 		}
 		reps[i] = storage.Replica{T: t, Role: sl.role}
 	}
-	cfg := storage.ReplicatedConfig{Counters: s.Counters(), Metrics: s.Metrics}
+	cfg := storage.ReplicatedConfig{Quorum: quorum, Counters: s.Counters(), Metrics: s.Metrics}
 	if rc.Mode == ReplErasure {
 		cfg.DataShards = rc.dataShards()
 		cfg.ParityShards = rc.parityShards()
 	}
-	return storage.NewReplicated("repl", reps, cfg)
+	return storage.NewReplicated(name, reps, cfg)
 }
 
 // shipTarget is the one place an agent's publish target is built: the
 // plain fenced server client without replication, or the fenced
-// replicated set over the current placement with it. Both the synchronous
-// pump and the pipelined publishUnit go through here.
+// replicated set over the current placement with it. A synchronous
+// round captures into it, and a pipelined one publishes its queue
+// through it in publishUnit.
 func (s *Supervisor) shipTarget(a *ckptAgent) storage.Target {
 	fence := func(t storage.Target) storage.Target {
 		if s.NoFencing {
@@ -236,7 +238,7 @@ func (s *Supervisor) shipTarget(a *ckptAgent) storage.Target {
 		return fence(s.C.Node(a.node).Remote())
 	}
 	s.ensurePlacement(a.node)
-	r, err := s.buildReplicated(s.repl.slots, a.node, a.epoch, !s.NoFencing)
+	r, err := s.buildReplicated("repl", s.repl.slots, a.node, a.epoch, !s.NoFencing, 0)
 	if err != nil {
 		// Geometry was validated at construction; this is unreachable, but
 		// degrading to the server path beats dropping the checkpoint.
@@ -259,14 +261,7 @@ func (s *Supervisor) recoveryTarget(spare int) storage.Target {
 	rc := s.Replication
 	if rc.Mode == ReplErasure {
 		// Slot order is shard identity: never reorder.
-		reps := make([]storage.Replica, len(s.repl.slots))
-		for i, sl := range s.repl.slots {
-			reps[i] = storage.Replica{T: s.slotTarget(sl, spare), Role: storage.RoleShard}
-		}
-		r, err := storage.NewReplicated("repl-restore", reps, storage.ReplicatedConfig{
-			Quorum: rc.dataShards(), DataShards: rc.dataShards(), ParityShards: rc.parityShards(),
-			Counters: s.Counters(), Metrics: s.Metrics,
-		})
+		r, err := s.buildReplicated("repl-restore", s.repl.slots, spare, 0, false, rc.dataShards())
 		if err != nil {
 			return s.C.Node(spare).Remote()
 		}
@@ -361,7 +356,7 @@ func (s *Supervisor) repairSweep(now simtime.Time) {
 	if len(s.chainObjs) == 0 {
 		return
 	}
-	r, err := s.buildReplicated(s.repl.slots, s.repl.owner, s.fence.Epoch(), !s.NoFencing)
+	r, err := s.buildReplicated("repl", s.repl.slots, s.repl.owner, s.fence.Epoch(), !s.NoFencing, 0)
 	if err != nil {
 		return
 	}
