@@ -206,28 +206,32 @@ func Capture(req Request) (*Image, Stats, error) {
 		Object:        img.ObjectName(),
 	}
 
-	if req.Target != nil {
-		if err := img.seal(encoded, workers); err != nil {
-			return nil, Stats{}, err
-		}
-		// Encoding cost ≈ one memcpy of the image, divided across the
-		// worker pool plus its fork/join overhead when sharded.
-		env.Bill.Charge(encodeCost(len(encoded), workers), "encode")
-		// Atomic commit by default: stage, sync, publish — a crash
-		// mid-write can only tear the staging object, never a committed
-		// image. A delta also names its parent so storage refuses to
-		// publish onto an ancestry the target does not hold; Unsafe-wrapped
-		// targets take the legacy in-place path (the torn-image contrast
-		// for experiments). All three protocols live behind storage.Write.
-		opts := storage.WriteOptions{Atomic: true, Env: env}
-		if mode == ModeIncremental {
-			opts.Parent = img.Parent
-		}
-		if err := storage.Write(req.Target, img.ObjectName(), encoded, opts); err != nil {
-			return nil, Stats{}, err
-		}
-		st.EncodedBytes = len(encoded)
+	if req.Target == nil {
+		// The caller may encode the image later: keep the layout buffer
+		// for that encode to seal in place.
+		img.unsealed = encoded
+		return img, st, nil
 	}
+	if err := img.seal(encoded, workers); err != nil {
+		return nil, Stats{}, err
+	}
+	// Encoding cost ≈ one memcpy of the image, divided across the
+	// worker pool plus its fork/join overhead when sharded.
+	env.Bill.Charge(encodeCost(len(encoded), workers), "encode")
+	// Atomic commit by default: stage, sync, publish — a crash
+	// mid-write can only tear the staging object, never a committed
+	// image. A delta also names its parent so storage refuses to
+	// publish onto an ancestry the target does not hold; Unsafe-wrapped
+	// targets take the legacy in-place path (the torn-image contrast
+	// for experiments). All three protocols live behind storage.Write.
+	opts := storage.WriteOptions{Atomic: true, Env: env}
+	if mode == ModeIncremental {
+		opts.Parent = img.Parent
+	}
+	if err := storage.Write(req.Target, img.ObjectName(), encoded, opts); err != nil {
+		return nil, Stats{}, err
+	}
+	st.EncodedBytes = len(encoded)
 	return img, st, nil
 }
 

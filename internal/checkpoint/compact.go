@@ -43,6 +43,7 @@ func foldChain(chain []*Image) (*Image, []byte, error) {
 	folded := *leaf
 	folded.Mode = ModeFull
 	folded.Parent = ""
+	folded.unsealed = nil // the leaf's buffer, if it has one, is not ours
 
 	plan, err := planReplay(chain)
 	if err != nil {

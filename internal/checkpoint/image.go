@@ -131,6 +131,10 @@ type Image struct {
 	// handlers carries live handler pointers for restores within the same
 	// simulation; it does not survive Encode/Decode.
 	handlers map[sig.Signal]*sig.Handler
+	// unsealed is the layout buffer of a capture that had no target: its
+	// extents already sit in their slots, so the first encode seals it in
+	// place instead of copying them into a second buffer.
+	unsealed []byte
 }
 
 // ObjectName returns the storage key for this image. Epoch-stamped
