@@ -61,6 +61,84 @@ func (t *CarryTracker) Close() {
 	t.inner.Close()
 }
 
+// DeltaChain is the one rule for a process's incremental chain, used by
+// TICK for each process it checkpoints and by each cluster checkpoint
+// agent for its incarnation. The owner arms a carry tracker on first use
+// (Arm), asks before each capture whether it rebases and which tracker
+// it collects (Next), and reports each capture whose sequence committed
+// (Commit). A chain's first capture and every every-th successful one
+// after it rebase (every = 0: only the first), as does every capture
+// after ForceRebase until a full image commits.
+type DeltaChain struct {
+	every int
+	trk   *CarryTracker
+	fresh bool // armed since the last Next: its first Collect covers every resident page
+	n     int  // successful captures
+	force bool
+}
+
+// NewDeltaChain returns a chain that rebases every every-th capture.
+func NewDeltaChain(every int) *DeltaChain { return &DeltaChain{every: every} }
+
+// Arm wraps and arms newTracker's tracker in a CarryTracker, unless the
+// chain holds an armed one already.
+func (c *DeltaChain) Arm(newTracker func() Tracker) error {
+	if c.trk != nil {
+		return nil
+	}
+	t := NewCarryTracker(newTracker())
+	if err := t.Arm(); err != nil {
+		return err
+	}
+	c.trk, c.fresh = t, true
+	return nil
+}
+
+// Next decides the next capture: whether it rebases, and the tracker it
+// collects (nil: a complete image of every resident page).
+func (c *DeltaChain) Next() (Tracker, bool) {
+	rebase := c.force || c.n == 0 || c.every > 0 && c.n%c.every == 0
+	fresh := c.fresh
+	c.fresh = false
+	if c.trk == nil || rebase && !fresh {
+		// A rebase round captures without a tracker that has collected
+		// before: the full image must cover every resident page, and a
+		// Collect here would return only this epoch's dirty set, a hole
+		// in every delta hanging off the rebase. The uncollected dirty
+		// set keeps accumulating, so the next delta ships a safe
+		// superset. A tracker armed since the last round has never
+		// collected, so its first Collect is every resident page.
+		return nil, rebase
+	}
+	return c.trk, rebase
+}
+
+// Commit records a capture whose sequence committed: the ranges its
+// tracker carried are in the chain now, and a full image ends a forced
+// rebase.
+func (c *DeltaChain) Commit(img *Image) {
+	c.n++
+	if c.trk != nil {
+		c.trk.Commit()
+	}
+	if img.Mode != ModeIncremental {
+		c.force = false
+	}
+}
+
+// ForceRebase makes every capture rebase until a full image commits.
+func (c *DeltaChain) ForceRebase() { c.force = true }
+
+// Close releases the tracker (restoring the process's page protections).
+// The chain keeps its place: a later Arm starts a fresh tracker, whose
+// first collection covers everything.
+func (c *DeltaChain) Close() {
+	if c.trk != nil {
+		c.trk.Close()
+		c.trk, c.fresh = nil, false
+	}
+}
+
 // mergeRanges returns the union of two page-granular range sets as
 // sorted, coalesced, non-overlapping, non-empty ranges (the shape
 // Capture expects). It coalesces intervals directly — the earlier

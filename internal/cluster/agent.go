@@ -42,28 +42,29 @@ type ckptAgent struct {
 	nextAt  simtime.Time
 	stopped bool
 
-	// Incremental-shipping state. trk is the incarnation's dirty
-	// tracker, armed lazily on the first capture; the carry wrapper
-	// keeps a failed round's collected ranges from vanishing. acked
-	// counts this incarnation's successful captures and drives the
-	// rebase cadence.
-	trk   *checkpoint.CarryTracker
-	acked int
+	// chain is the incarnation's delta chain: it arms the dirty tracker
+	// on the first incremental capture, keeps a failed round's collected
+	// ranges from vanishing, and decides the rebase cadence. A pipelined
+	// ship failure forces a rebase on it (see pipeline.go).
+	chain *checkpoint.DeltaChain
 
 	// Pipelined-shipping state (Supervisor.Pipeline non-nil): the
-	// bounded FIFO of encoded images on their way to the server, and the
-	// flag a ship failure raises so the next capture re-anchors the
-	// chain with a full image (see pipeline.go).
-	ship        []*shipUnit
-	forceRebase bool
+	// bounded FIFO of encoded images on their way to the server.
+	ship []*shipUnit
 }
 
 // armAgent starts a checkpoint agent for the incarnation of the job
 // running as pid on node, admitted at the given fencing epoch.
 func (s *Supervisor) armAgent(node int, pid proc.PID, epoch uint64) {
+	// Replicated full-image mode rebases every capture.
+	every := 1
+	if s.Incremental {
+		every = s.RebaseEvery
+	}
 	s.agents = append(s.agents, &ckptAgent{
 		s: s, node: node, pid: pid, epoch: epoch,
 		nextAt: s.C.Now().Add(s.Policy.Interval()),
+		chain:  checkpoint.NewDeltaChain(every),
 	})
 }
 
@@ -93,10 +94,7 @@ func (s *Supervisor) pumpAgents() {
 // they belong to an incarnation that no longer needs protecting.
 func (a *ckptAgent) stop() {
 	a.stopped = true
-	if a.trk != nil {
-		a.trk.Close()
-		a.trk = nil
-	}
+	a.chain.Close()
 	a.dropShip()
 }
 
@@ -196,15 +194,9 @@ func (a *ckptAgent) pump() {
 		a.s.Counters().Inc("agent.ckpt_failed", 1)
 		return // transient storage trouble: try again next interval
 	}
-	a.acked++
-	if a.trk != nil {
-		// The collected ranges are in the image now; no retry needs them.
-		a.trk.Commit()
-	}
+	// The collected ranges are in the image now; no retry needs them.
+	a.chain.Commit(tk.Img)
 	full := tk.Img.Mode != checkpoint.ModeIncremental
-	if full {
-		a.forceRebase = false
-	}
 	if tgt == nil {
 		a.enqueueShip(n, tk, full)
 		return
@@ -228,8 +220,11 @@ func (a *ckptAgent) landed(tgt storage.Target, obj string, full bool, encodedByt
 
 // capture takes one checkpoint: a full image through the mechanism's
 // plain path, or — with incremental shipping on and a capable mechanism
-// — a tracker-driven delta chained onto the previous capture, rebased
-// to a fresh full image every RebaseEvery rounds.
+// — the next capture on the incarnation's delta chain: a tracker-driven
+// delta chained onto the previous capture, or a fresh full image every
+// RebaseEvery rounds. The incarnation's first capture is always a
+// rebase: chains never span incarnations (the previous incarnation's
+// chain stays untouched until this full image supersedes it).
 func (a *ckptAgent) capture(m mechanism.Mechanism, n *Node, p *proc.Process, tgt storage.Target) (*mechanism.Ticket, error) {
 	dr, ok := m.(mechanism.DeltaRequester)
 	if a.s.Incremental && !ok {
@@ -238,49 +233,29 @@ func (a *ckptAgent) capture(m mechanism.Mechanism, n *Node, p *proc.Process, tgt
 	if !ok || !a.s.Incremental && a.s.Replication == nil {
 		return mechanism.Checkpoint(m, n.K, p, tgt, nil)
 	}
-	// The incarnation's first successful checkpoint is always a rebase:
-	// chains never span incarnations (the previous incarnation's chain
-	// stays untouched until this full image supersedes it). A pipelined
-	// ship failure also forces one — the dropped tail left the published
-	// chain without its newest links, so the next image must stand alone.
-	rebase := !a.s.Incremental || a.acked%a.s.RebaseEvery == 0 || a.forceRebase
-	var trk checkpoint.Tracker
-	switch {
-	case !a.s.Incremental:
-		// Replicated full-image mode still needs epoch-qualified names:
-		// the server path just renamed a re-incarnated seq over its
-		// predecessor, but replicas of the superseded write linger on old
-		// placement disks, and an erasure read that mixes shards of two
-		// same-named encodings is undecodable. A nil tracker with rebase
-		// on is exactly a standalone full image.
-	case a.trk == nil:
-		// Arm one tracker per incarnation, node-locally. Its first
-		// collection returns everything resident, so passing it on the
-		// incarnation's initial rebase still yields a complete image.
-		// Under a live-content policy the liveness tracker replaces the
-		// plain dirty tracker: it additionally watches reads and
-		// withholds dead pages (overwritten before ever being read)
-		// from the deltas it reports.
-		var inner checkpoint.Tracker = checkpoint.NewKernelWPTracker(n.K, p)
-		if a.s.Policy.Spec().Liveness() {
-			inner = checkpoint.NewKernelLivenessTracker(n.K, p)
-		}
-		t := checkpoint.NewCarryTracker(inner)
-		if err := t.Arm(); err != nil {
+	// Replicated full-image mode arms no tracker, so its chain (rebasing
+	// every round) yields standalone full images under epoch-qualified
+	// names: the server path just renamed a re-incarnated seq over its
+	// predecessor, but replicas of the superseded write linger on old
+	// placement disks, and an erasure read that mixes shards of two
+	// same-named encodings is undecodable.
+	if a.s.Incremental {
+		// One tracker per incarnation, armed node-locally. Under a
+		// live-content policy the liveness tracker replaces the plain
+		// dirty tracker: it additionally watches reads and withholds
+		// dead pages (overwritten before ever being read) from the
+		// deltas it reports.
+		err := a.chain.Arm(func() checkpoint.Tracker {
+			if a.s.Policy.Spec().Liveness() {
+				return checkpoint.NewKernelLivenessTracker(n.K, p)
+			}
+			return checkpoint.NewKernelWPTracker(n.K, p)
+		})
+		if err != nil {
 			a.s.Counters().Inc("agent.trk_failed", 1)
-		} else {
-			a.trk = t
-			trk = t
 		}
-	case !rebase:
-		trk = a.trk
-	default:
-		// Rebase with a live tracker: capture WITHOUT it. A full image
-		// must cover every resident page; a Collect here would return
-		// only this epoch's dirty set — a hole in every delta hanging
-		// off the rebase. The uncollected dirty set keeps accumulating,
-		// so the next delta ships a safe superset.
 	}
+	trk, rebase := a.chain.Next()
 	t, err := dr.RequestDelta(n.K, p, tgt, nil, trk, a.epoch, rebase)
 	if err != nil {
 		return nil, err
@@ -297,12 +272,8 @@ func (a *ckptAgent) capture(m mechanism.Mechanism, n *Node, p *proc.Process, tgt
 // value: a pipelined image acks long after its ticket completed.
 func (s *Supervisor) noteAck(a *ckptAgent, obj string, full bool,
 	encodedBytes int, ckptDur simtime.Duration, tgt storage.Target) {
-	s.Counters().Inc("ckpt.bytes_shipped", int64(encodedBytes))
 	var retire []string
-	if !full {
-		s.Counters().Inc("ckpt.delta_acks", 1)
-	} else {
-		s.Counters().Inc("ckpt.full_acks", 1)
+	if full {
 		// A full image supersedes the job's entire prior history: the
 		// previous chain and any fenced-off incarnation's leftovers are
 		// unreachable from the recovery pointer from here on — and only
@@ -318,7 +289,7 @@ func (s *Supervisor) noteAck(a *ckptAgent, obj string, full bool,
 		s.chainSizes = make(map[string]int)
 	}
 	s.chainSizes[obj] = encodedBytes
-	s.recordAck(a.node, a.epoch, obj, false, ckptDur)
+	s.recordAck(a.node, a.epoch, obj, full, encodedBytes, false, ckptDur)
 	if s.Incremental && len(retire) > 0 {
 		// GC is about to unlink superseded objects a draining lazy
 		// session may still need for its deferred plan read: settle it

@@ -189,7 +189,9 @@ var goldenRows = []goldenRow{
 		}
 		return sup
 	}},
-	{name: "oracle-remote", oracle: true, events: 12, hash: 0xe69fddd6b8d9919f, counters: 0x40d28f341678220b, run: func(t *testing.T) *Supervisor {
+	// The oracle rows' counters include their checkpoints (ckpt.full_acks,
+	// ckpt.bytes_shipped): both loops count acks in the one ack step.
+	{name: "oracle-remote", oracle: true, events: 12, hash: 0xe69fddd6b8d9919f, counters: 0xce387f4f2e307288, run: func(t *testing.T) *Supervisor {
 		prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 31}
 		c := newCluster(t, 3, prog)
 		c.SetInjector(NewInjector(Exponential{Mean: 15 * simtime.Millisecond}, 2*simtime.Millisecond, 7, 3))
@@ -205,7 +207,7 @@ var goldenRows = []goldenRow{
 		}
 		return sup
 	}},
-	{name: "oracle-local-permanent", oracle: true, events: 21, hash: 0xb1bdf80162ccc401, counters: 0xcbf29ce484222325, run: func(t *testing.T) *Supervisor {
+	{name: "oracle-local-permanent", oracle: true, events: 21, hash: 0xb1bdf80162ccc401, counters: 0xab1358399dff45bd, run: func(t *testing.T) *Supervisor {
 		prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 41}
 		c := newCluster(t, 3, prog)
 		inj := NewInjector(Exponential{Mean: 30 * simtime.Millisecond}, 2*simtime.Millisecond, 3, 3)

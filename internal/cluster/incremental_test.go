@@ -8,7 +8,10 @@ import (
 	"repro/internal/detector"
 	"repro/internal/mechanism"
 	"repro/internal/policy"
+	"repro/internal/simos/kernel"
+	"repro/internal/simos/proc"
 	"repro/internal/simtime"
+	"repro/internal/storage"
 	"repro/internal/syslevel"
 	"repro/internal/workload"
 )
@@ -367,5 +370,78 @@ func TestTornChainFallsBackToLastFull(t *testing.T) {
 	}
 	if !restored {
 		t.Fatalf("no restore from the last full %s (events:\n%s)", fullObj, FormatEvents(sup.Events))
+	}
+}
+
+// tickTrackers wraps TICK and records, per incarnation epoch, the
+// distinct trackers the agents pass to its RequestDelta.
+type tickTrackers struct {
+	*syslevel.TICK
+	seen map[uint64]map[checkpoint.Tracker]bool
+}
+
+func (m tickTrackers) RequestDelta(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env,
+	trk checkpoint.Tracker, epoch uint64, rebase bool) (*mechanism.Ticket, error) {
+	if trk != nil {
+		if m.seen[epoch] == nil {
+			m.seen[epoch] = make(map[checkpoint.Tracker]bool)
+		}
+		m.seen[epoch][trk] = true
+	}
+	return m.TICK.RequestDelta(k, p, tgt, env, trk, epoch, rebase)
+}
+
+// The autonomic supervisor runs incrementally on TICK, the paper's
+// proposed system: every capture is a delta request (no full-image
+// fallback), deltas are acked, each incarnation arms exactly one tracker,
+// and the job survives a node failure to its reference fingerprint.
+func TestAutonomicIncrementalOnTICK(t *testing.T) {
+	prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 31}
+	want := referenceFingerprint(t, prog, 60)
+
+	c := newCluster(t, 4, prog)
+	mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
+		detector.Config{Period: 200 * simtime.Microsecond, Observer: 3}, c.Counters)
+	failed := false
+	c.OnStep(func() {
+		if !failed && c.Now() >= simtime.Time(6*simtime.Millisecond) {
+			failed = true
+			c.Fail(0)
+		}
+	})
+	seen := make(map[uint64]map[checkpoint.Tracker]bool)
+	sup := MustNewSupervisor(SupervisorConfig{
+		C:           c,
+		MkMech:      func() mechanism.Mechanism { return tickTrackers{syslevel.NewTICK(), seen} },
+		Prog:        prog,
+		Iterations:  60,
+		Policy:      policy.Fixed(1500 * simtime.Microsecond),
+		Detector:    mon,
+		ControlNode: 3,
+		Incremental: true,
+		RebaseEvery: 3,
+	})
+	if err := sup.Run(2 * simtime.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !sup.Completed || sup.Fingerprint != want {
+		t.Fatalf("completed=%v fingerprint=%#x want %#x (counters:\n%s)", sup.Completed, sup.Fingerprint, want, c.Counters)
+	}
+	if sup.Restarts == 0 {
+		t.Fatal("the node failure caused no failover")
+	}
+	if n := c.Counters.Get("agent.full_fallback"); n != 0 {
+		t.Fatalf("agent.full_fallback = %d, want 0: TICK takes delta requests", n)
+	}
+	if n := c.Counters.Get("ckpt.delta_acks"); n == 0 {
+		t.Fatal("no delta was acked")
+	}
+	if len(seen) < 2 {
+		t.Fatalf("trackers seen for %d incarnations, want ≥2 across the failover", len(seen))
+	}
+	for epoch, trks := range seen {
+		if len(trks) != 1 {
+			t.Fatalf("incarnation at epoch %d passed %d trackers, want 1", epoch, len(trks))
+		}
 	}
 }

@@ -492,15 +492,23 @@ func (s *Supervisor) attempt(p *proc.Process, tgt storage.Target, local bool) er
 	if err != nil {
 		return err
 	}
-	s.recordAck(s.node, 0, tk.Img.ObjectName(), local, tk.Total())
+	s.recordAck(s.node, 0, tk.Img.ObjectName(), tk.Img.Mode != checkpoint.ModeIncremental,
+		tk.Stats.EncodedBytes, local, tk.Total())
 	return nil
 }
 
-// recordAck is the one ack step of both loops: obj, a checkpoint the
-// incarnation admitted at epoch on node took in ckptDur, is durable
-// (on node's local disk when local), so it becomes the recovery
-// pointer, feeds the interval policy, and is logged as EvAck.
-func (s *Supervisor) recordAck(node int, epoch uint64, obj string, local bool, ckptDur simtime.Duration) {
+// recordAck is the one ack step of both loops: obj, a full image or a
+// delta of encodedBytes that the incarnation admitted at epoch on node
+// took in ckptDur, is durable (on node's local disk when local), so it
+// is counted, becomes the recovery pointer, feeds the interval policy,
+// and is logged as EvAck.
+func (s *Supervisor) recordAck(node int, epoch uint64, obj string, full bool, encodedBytes int, local bool, ckptDur simtime.Duration) {
+	s.Counters().Inc("ckpt.bytes_shipped", int64(encodedBytes))
+	if full {
+		s.Counters().Inc("ckpt.full_acks", 1)
+	} else {
+		s.Counters().Inc("ckpt.delta_acks", 1)
+	}
 	s.Checkpoints++
 	s.lastLeaf = obj
 	s.lastNode = node

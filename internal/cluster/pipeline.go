@@ -237,6 +237,6 @@ func (a *ckptAgent) publishUnit(n *Node, u *shipUnit) bool {
 	// make the next capture a full image that re-anchors the chain.
 	s.Counters().Inc("agent.ship_failed", 1)
 	a.dropShip()
-	a.forceRebase = true
+	a.chain.ForceRebase()
 	return false
 }

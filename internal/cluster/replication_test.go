@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/detector"
 	"repro/internal/mechanism"
 	"repro/internal/policy"
@@ -304,7 +305,7 @@ func TestPipelineStaleQueueDropAccounting(t *testing.T) {
 		Pipeline:    &PipelineConfig{},
 	})
 	epoch := sup.fence.Advance()
-	a := &ckptAgent{s: sup, node: 0, pid: 1, epoch: epoch}
+	a := &ckptAgent{s: sup, node: 0, pid: 1, epoch: epoch, chain: checkpoint.NewDeltaChain(1)}
 	a.ship = []*shipUnit{
 		{imgs: []shipImage{{obj: "u1-a", data: []byte("aa")}, {obj: "u1-b", data: []byte("bb")}}},
 		{imgs: []shipImage{{obj: "u2-a", data: []byte("cc")}}},

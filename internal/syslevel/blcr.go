@@ -26,15 +26,24 @@ type BLCR struct {
 	threadMech
 }
 
-// NewBLCR returns a BLCR instance.
+// NewBLCR returns a BLCR instance. Its checkpoint thread runs the
+// application's registered callback just before each capture (the
+// handler's job in real BLCR is to let the application quiesce
+// resources), and cr_restart re-resolves the callback handler from the
+// reloaded library.
 func NewBLCR() *BLCR {
-	m := &BLCR{threadMech{name: "BLCR", devPath: "/dev/blcr", policy: proc.SchedFIFO, rtprio: 50}}
-	m.optsFor = func() captureOpts { return captureOpts{mech: "BLCR"} }
+	m := &BLCR{threadMech{name: "BLCR", devPath: "/dev/blcr", policy: proc.SchedFIFO, rtprio: 50,
+		restore: checkpoint.RestoreOptions{Handlers: map[string]*sig.Handler{
+			blcrHandlerName: {Name: blcrHandlerName, Fn: func(ctx any, s sig.Signal) {}},
+		}}}}
+	m.preCapture = func(req *ckptRequest) {
+		if disp := req.target.Sig.Disposition(sig.SIGUSR1); disp.Handler != nil && disp.Handler.Name == blcrHandlerName {
+			m.k.Charge(m.k.CM.SignalDeliver+m.k.CM.SignalReturn, "blcr-callback")
+		}
+	}
+	m.outer = m
 	return m
 }
-
-// Name implements mechanism.Mechanism.
-func (m *BLCR) Name() string { return "BLCR" }
 
 // Features implements mechanism.Mechanism (Table 1 row 8: transparency
 // "no" because of the init phase).
@@ -48,40 +57,9 @@ func (m *BLCR) Features() taxonomy.Features {
 	}
 }
 
-// ModuleName implements kernel.Module.
-func (m *BLCR) ModuleName() string { return "blcr" }
-
-// Load implements kernel.Module.
-func (m *BLCR) Load(k *kernel.Kernel) error { return m.load(k) }
-
-// Unload implements kernel.Module.
-func (m *BLCR) Unload(k *kernel.Kernel) error { return m.unload(k) }
-
-// Install implements mechanism.Mechanism.
-func (m *BLCR) Install(k *kernel.Kernel) error {
-	if k.ModuleLoaded(m.ModuleName()) {
-		return nil
-	}
-	if err := k.LoadModule(m); err != nil {
-		return err
-	}
-	// The callback runs just before capture; the handler's job in real
-	// BLCR is to let the application quiesce resources.
-	m.d.preCapture = func(req *ckptRequest) {
-		k := m.threadMech.k
-		if disp := req.target.Sig.Disposition(sig.SIGUSR1); disp.Handler != nil && disp.Handler.Name == blcrHandlerName {
-			k.Charge(k.CM.SignalDeliver+k.CM.SignalReturn, "blcr-callback")
-		}
-	}
-	return nil
-}
-
-// Prepare implements mechanism.Mechanism: the executable is unchanged
-// (the library loads at run time), so Prepare is the identity...
-func (m *BLCR) Prepare(prog kernel.Program) kernel.Program { return prog }
-
-// Setup implements mechanism.Mechanism: ...but Setup is mandatory — the
-// shared library must be loaded and a handler registered for a general
+// Setup implements mechanism.Mechanism: the executable is unchanged (the
+// library loads at run time), but Setup is mandatory — the shared library
+// must be loaded and a handler registered for a general
 // purpose signal, which is why Table 1 scores BLCR non-transparent.
 func (m *BLCR) Setup(k *kernel.Kernel, p *proc.Process) error {
 	if m.threadMech.k != k {
@@ -105,19 +83,7 @@ func (m *BLCR) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, en
 	if !p.Registered["blcr"] {
 		return nil, fmt.Errorf("%w: BLCR: process did not run the initialization phase (library + handler)", mechanism.ErrNotRegistered)
 	}
-	return m.requestDelta(m, k, p, tgt, env, nil, 0, false)
-}
-
-// Restart implements mechanism.Mechanism: cr_restart re-resolves the
-// callback handler from the reloaded library.
-func (m *BLCR) Restart(k *kernel.Kernel, chain []*checkpoint.Image, enqueue bool) (*proc.Process, error) {
-	return checkpoint.Restore(k, chain, checkpoint.RestoreOptions{
-		Enqueue:     enqueue,
-		Parallelism: m.restorePar,
-		Handlers: map[string]*sig.Handler{
-			blcrHandlerName: {Name: blcrHandlerName, Fn: func(ctx any, s sig.Signal) {}},
-		},
-	})
+	return m.ioctl(k, p, tgt, env, nil, 0, false)
 }
 
 // LAMMPI models the LAM/MPI checkpoint/restart framework [32]: BLCR per
@@ -125,7 +91,9 @@ func (m *BLCR) Restart(k *kernel.Kernel, chain []*checkpoint.Image, enqueue bool
 // (package mpi drives the coordination; this type carries the Table 1
 // row and delegates single-process operations to BLCR). It is transparent
 // to the application but not to the MPI library, whose functions had to
-// be modified to automate BLCR's initialization phase.
+// be modified to automate BLCR's initialization phase: the modified
+// library runs BLCR's Setup at MPI_Init, so the application itself is
+// untouched.
 type LAMMPI struct {
 	*BLCR
 }
@@ -133,12 +101,9 @@ type LAMMPI struct {
 // NewLAMMPI returns a LAM/MPI instance over a fresh BLCR.
 func NewLAMMPI() *LAMMPI {
 	m := &LAMMPI{BLCR: NewBLCR()}
-	m.optsFor = func() captureOpts { return captureOpts{mech: "LAM/MPI"} }
+	m.name, m.outer = "LAM/MPI", m
 	return m
 }
-
-// Name implements mechanism.Mechanism.
-func (m *LAMMPI) Name() string { return "LAM/MPI" }
 
 // Features implements mechanism.Mechanism (Table 1 row 9).
 func (m *LAMMPI) Features() taxonomy.Features {
@@ -146,11 +111,4 @@ func (m *LAMMPI) Features() taxonomy.Features {
 	f.Name = "LAM/MPI"
 	f.ParallelApps = true
 	return f
-}
-
-// Setup implements mechanism.Mechanism: the modified MPI library runs
-// BLCR's init phase automatically at MPI_Init — the application itself
-// is untouched.
-func (m *LAMMPI) Setup(k *kernel.Kernel, p *proc.Process) error {
-	return m.BLCR.Setup(k, p)
 }

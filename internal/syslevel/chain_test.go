@@ -2,7 +2,9 @@ package syslevel
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"repro/internal/simos/mem"
 	"repro/internal/simos/proc"
 	"repro/internal/simtime"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -219,5 +222,101 @@ func TestCRAKDeltaChain(t *testing.T) {
 	}
 	if got := workload.Fingerprint(p2); got != want {
 		t.Fatalf("fingerprint %#x, want %#x", got, want)
+	}
+}
+
+// A TICK capture whose write fails must not leave a hole in the chain:
+// the ranges its tracker collected ride along into the next delta, which
+// chains onto the last durable image.
+func TestTICKFailedWriteCarriesRanges(t *testing.T) {
+	prog := workload.Sparse{MiB: 2, WriteFrac: 0.05, Seed: 23}
+	m := NewTICK()
+	k := newMachine("src", prog)
+	if err := m.Install(k); err != nil {
+		t.Fatal(err)
+	}
+	p, err := k.Spawn(prog.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload.SetIterations(p, 1<<30)
+	tgt := remoteTarget()
+
+	runIterations(k, p, 4)
+	first, err := mechanism.Checkpoint(m, k, p, tgt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runIterations(k, p, 4)
+	tgt.SetFaults(&storage.FaultPolicy{WriteFault: 1, Rng: rand.New(rand.NewSource(1))})
+	if _, err := mechanism.Checkpoint(m, k, p, tgt, nil); !errors.Is(err, storage.ErrFault) {
+		t.Fatalf("faulted capture: err = %v, want ErrFault", err)
+	}
+	tgt.SetFaults(nil)
+	runIterations(k, p, 4)
+	k.Stop(p) // freeze so live memory matches the leaf image exactly
+	leaf, err := mechanism.Checkpoint(m, k, p, tgt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaf.Img.Parent != first.Img.ObjectName() {
+		t.Fatalf("delta parent %q, want the last durable image %q", leaf.Img.Parent, first.Img.ObjectName())
+	}
+
+	wantMem := arenaDigest(t, p)
+	chain, err := checkpoint.LoadChain(tgt, nil, leaf.Img.ObjectName())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chain) != 2 {
+		t.Fatalf("chain length %d, want 2 (full + the delta after the fault)", len(chain))
+	}
+	p2, err := m.Restart(newMachine("dst", prog), chain, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := arenaDigest(t, p2); got != wantMem {
+		t.Fatalf("restored memory digest %#x, want %#x: the failed write's ranges were lost", got, wantMem)
+	}
+}
+
+// TICK's eager Restart replays at the family's restore width: over the
+// same chain it charges exactly what CRAK's does.
+func TestTICKRestartAppliesRestoreWidth(t *testing.T) {
+	prog := workload.Sparse{MiB: 2, WriteFrac: 0.05, Seed: 24}
+	src := NewTICK()
+	k := newMachine("src", prog)
+	if err := src.Install(k); err != nil {
+		t.Fatal(err)
+	}
+	p, err := k.Spawn(prog.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload.SetIterations(p, 1<<30)
+	tgt := localTarget()
+	var leaf *mechanism.Ticket
+	for i := 0; i < 3; i++ {
+		runIterations(k, p, 4)
+		if leaf, err = mechanism.Checkpoint(src, k, p, tgt, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chain, err := checkpoint.LoadChain(tgt, nil, leaf.Img.ObjectName())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restartTime := func(m mechanism.Mechanism) simtime.Duration {
+		m.(mechanism.RestoreParallelizer).SetRestoreParallelism(4)
+		dst := newMachine("dst", prog)
+		start := dst.Now()
+		if _, err := m.Restart(dst, chain, true); err != nil {
+			t.Fatal(err)
+		}
+		return dst.Now().Sub(start)
+	}
+	crak, tick := restartTime(NewCRAK()), restartTime(NewTICK())
+	if tick != crak {
+		t.Fatalf("TICK restart %v, CRAK restart %v over the same chain at width 4", tick, crak)
 	}
 }

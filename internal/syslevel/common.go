@@ -24,9 +24,15 @@ import (
 type captureOpts struct {
 	// mech is the mechanism name stamped into images.
 	mech string
-	// trk, when non-nil, provides incremental deltas (TICK, delta
-	// requests from the cluster agents).
+	// trk, when non-nil, provides incremental deltas (delta requests
+	// from the cluster agents).
 	trk checkpoint.Tracker
+	// rebase forgets the PID's chain, so the capture publishes a
+	// standalone full image.
+	rebase bool
+	// chain, when non-nil, decides trk and rebase when the capture runs
+	// and hears of its commit (TICK's per-process chains).
+	chain *checkpoint.DeltaChain
 	// seqs provides sequence numbers and chaining.
 	seqs *mechanism.Seqs
 	// epoch namespaces image object names by incarnation (delta chains
@@ -110,8 +116,14 @@ func captureKernel(k *kernel.Kernel, self, target *proc.Process, tgt storage.Tar
 	// switch (EnsureAS charges the TLB flush only when needed).
 	k.EnsureAS(captured)
 
+	if opts.chain != nil {
+		opts.trk, opts.rebase = opts.chain.Next()
+	}
 	seq, parent := uint64(1), ""
 	if opts.seqs != nil {
+		if opts.rebase {
+			opts.seqs.Rebase(target.PID)
+		}
 		seq, parent = opts.seqs.Next(target.PID)
 	}
 	req := checkpoint.Request{
@@ -150,6 +162,9 @@ func captureKernel(k *kernel.Kernel, self, target *proc.Process, tgt storage.Tar
 	k.Eng.RunUntil(k.Now())
 	if err == nil && opts.seqs != nil {
 		opts.seqs.Commit(img)
+		if opts.chain != nil {
+			opts.chain.Commit(img)
+		}
 	}
 
 	// Time-sharing stretch (§4.1): an agent in the SCHED_OTHER class —
@@ -220,8 +235,8 @@ type ckptRequest struct {
 	ticket *mechanism.Ticket
 }
 
-// daemon is the checkpoint kernel thread shared by the CRAK family and
-// BLCR: it sleeps until an ioctl enqueues work, then captures with kernel
+// daemon is the checkpoint kernel thread of the kernel-thread family: it
+// sleeps until a request is enqueued, then captures with kernel
 // privileges. Kernel threads may hold Go state (they are never
 // checkpointed), so this Program is deliberately stateful.
 type daemon struct {
@@ -260,15 +275,18 @@ func (d *daemon) Step(ctx *kernel.Context) (kernel.Status, error) {
 	return kernel.StatusRunning, nil
 }
 
-// enqueue adds work and wakes the thread.
-func (d *daemon) enqueue(req *ckptRequest) {
+// enqueue stamps the request's ticket, adds the work and wakes the
+// thread.
+func (d *daemon) enqueue(req *ckptRequest) error {
+	req.ticket.RequestedAt = d.k.Now()
 	d.queue = append(d.queue, req)
 	d.k.Wake(d.self)
+	return nil
 }
 
 // spawnDaemon creates and registers the kernel thread.
-func spawnDaemon(k *kernel.Kernel, name string, rtprio int, policy proc.Policy) (*daemon, error) {
-	d := &daemon{name: name, k: k}
+func spawnDaemon(k *kernel.Kernel, name string, rtprio int, policy proc.Policy, preCapture func(*ckptRequest)) (*daemon, error) {
+	d := &daemon{name: name, k: k, preCapture: preCapture}
 	p, err := k.SpawnKernelThread(d, rtprio)
 	if err != nil {
 		return nil, err

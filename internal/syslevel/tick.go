@@ -33,20 +33,24 @@ const (
 //     autonomic computing requires (§1), and
 //   - local or remote stable storage.
 //
+// It is a full member of the kernel-thread family: the shared core takes
+// its requests, and a plain Request is the kernel's own (no ioctl tool):
+// the next capture on the process's checkpoint.DeltaChain, the same
+// chain rule the cluster agents use, so a failed write's ranges ride
+// into the next delta. RequestDelta is the tool's ioctl path, as for
+// CRAK, which lets the autonomic supervisor run on TICK.
+//
 // (The LANL authors later published exactly this system as "TICK".)
 type TICK struct {
 	threadMech
 	// DeferInterrupts runs captures with device interrupts deferred —
 	// the mechanism §4.1 says is needed; ablation switch for E4.
 	DeferInterrupts bool
-	// MaxChain bounds the incremental chain: after this many deltas the
-	// next checkpoint is full again, bounding restart latency (the role
-	// chain coalescing plays offline — see checkpoint.FoldChain).
+	// MaxChain bounds the incremental chain: after this many captures
+	// the next checkpoint is full again, bounding restart latency (the
+	// role chain coalescing plays offline — see checkpoint.FoldChain).
+	// A process's chain reads it when it starts; 0 never rebases.
 	MaxChain int
-
-	trackers map[proc.PID]*checkpoint.WPTracker
-	timers   map[proc.PID]*simtime.Event
-	deltas   map[proc.PID]int
 }
 
 // NewTICK returns a TICK instance.
@@ -55,16 +59,12 @@ func NewTICK() *TICK {
 		threadMech:      threadMech{name: "TICK", devPath: "/dev/tick", policy: proc.SchedFIFO, rtprio: 60},
 		DeferInterrupts: true,
 		MaxChain:        16,
-		trackers:        make(map[proc.PID]*checkpoint.WPTracker),
-		timers:          make(map[proc.PID]*simtime.Event),
-		deltas:          make(map[proc.PID]int),
 	}
-	m.optsFor = func() captureOpts { return captureOpts{mech: "TICK", noInterrupts: m.DeferInterrupts} }
+	m.optsFor = func() captureOpts { return captureOpts{noInterrupts: m.DeferInterrupts} }
+	m.maxChain = func() int { return m.MaxChain }
+	m.outer = m
 	return m
 }
-
-// Name implements mechanism.Mechanism.
-func (m *TICK) Name() string { return "TICK" }
 
 // Features implements mechanism.Mechanism: the extended Table 1 row for
 // the proposed system.
@@ -80,115 +80,39 @@ func (m *TICK) Features() taxonomy.Features {
 	}
 }
 
-// ModuleName implements kernel.Module.
-func (m *TICK) ModuleName() string { return "tick" }
-
-// Load implements kernel.Module.
-func (m *TICK) Load(k *kernel.Kernel) error { return m.load(k) }
-
-// Unload implements kernel.Module.
-func (m *TICK) Unload(k *kernel.Kernel) error {
-	for pid, t := range m.trackers {
-		t.Close()
-		delete(m.trackers, pid)
-	}
-	for pid, ev := range m.timers {
-		ev.Cancel()
-		delete(m.timers, pid)
-	}
-	return m.unload(k)
-}
-
-// Install implements mechanism.Mechanism.
-func (m *TICK) Install(k *kernel.Kernel) error {
-	if k.ModuleLoaded(m.ModuleName()) {
-		return nil
-	}
-	return k.LoadModule(m)
-}
-
-// Prepare implements mechanism.Mechanism: fully transparent.
-func (m *TICK) Prepare(prog kernel.Program) kernel.Program { return prog }
-
-// Setup implements mechanism.Mechanism: nothing required — attachment
-// happens either per Request (user-initiated) or via Attach (automatic).
-func (m *TICK) Setup(k *kernel.Kernel, p *proc.Process) error { return nil }
-
-// tracker returns (arming on first use) the incremental tracker for p.
-func (m *TICK) tracker(k *kernel.Kernel, p *proc.Process) (*checkpoint.WPTracker, error) {
-	if t, ok := m.trackers[p.PID]; ok {
-		return t, nil
-	}
-	t := checkpoint.NewKernelWPTracker(k, p)
-	if err := t.Arm(); err != nil {
-		return nil, err
-	}
-	m.trackers[p.PID] = t
-	return t, nil
-}
-
-// Request implements mechanism.Mechanism: one incremental checkpoint via
-// the kernel thread.
-func (m *TICK) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
-	if m.threadMech.k != k {
-		return nil, mechanism.ErrNotInstalled
-	}
-	if err := checkStorageKind(m, tgt); err != nil {
-		return nil, err
-	}
-	trk, err := m.tracker(k, p)
-	if err != nil {
-		return nil, err
-	}
-	// Chain bounding: after MaxChain deltas, start a fresh full image so
-	// restart never replays an unbounded chain.
-	rebase := false
-	if m.MaxChain > 0 && m.deltas[p.PID] >= m.MaxChain {
-		m.seqs.Rebase(p.PID)
-		m.deltas[p.PID] = 0
-		rebase = true
-	}
-	m.deltas[p.PID]++
-	t := &mechanism.Ticket{RequestedAt: k.Now()}
-	opts := m.optsFor()
-	opts.seqs = m.seqs
-	opts.parallelism = m.capturePar
-	if !rebase {
-		// A rebase round deliberately captures without the tracker: the
-		// fresh full image must cover every resident page, and a Collect
-		// here would return only this epoch's dirty set — a silent hole in
-		// every chain hanging off the rebase. The uncollected dirty set
-		// keeps accumulating, so the next delta ships a safe superset.
-		opts.trk = trk
-	}
-	m.d.enqueue(&ckptRequest{target: p, tgt: tgt, env: env, opts: opts, ticket: t})
-	return t, nil
+// RequestDelta implements mechanism.DeltaRequester: the ioctl path CRAK
+// takes, with the caller's tracker, epoch and rebase in place of the
+// process's own chain.
+func (m *TICK) RequestDelta(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env,
+	trk checkpoint.Tracker, epoch uint64, rebase bool) (*mechanism.Ticket, error) {
+	return m.ioctl(k, p, tgt, env, trk, epoch, rebase)
 }
 
 // Attach starts automatic-initiated periodic checkpointing of p to tgt:
 // a kernel timer enqueues capture work every interval without any user
 // or application involvement — the autonomic behaviour of §1. The
-// returned stop function detaches.
+// returned stop function detaches and releases p's tracker.
 func (m *TICK) Attach(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env, interval simtime.Duration, onCkpt func(*mechanism.Ticket)) (func(), error) {
-	if m.threadMech.k != k {
+	if m.k != k {
 		return nil, mechanism.ErrNotInstalled
 	}
 	if interval <= 0 {
 		return nil, fmt.Errorf("syslevel: TICK: interval must be positive")
 	}
-	if _, err := m.tracker(k, p); err != nil {
+	c, err := m.chain(k, p)
+	if err != nil {
 		return nil, err
 	}
 	stopped := false
+	var timer *simtime.Event
 	var schedule func()
 	schedule = func() {
-		m.timers[p.PID] = k.Eng.After(interval, func() {
-			if stopped || p.State == proc.StateZombie || p.State == proc.StateDead {
+		timer = k.Eng.After(interval, func() {
+			if stopped || m.k != k || p.State == proc.StateZombie || p.State == proc.StateDead {
 				return
 			}
 			t, err := m.Request(k, p, tgt, env)
 			if err == nil && onCkpt != nil {
-				origDone := t
 				// Poll completion from a cheap follow-up event; a detach
 				// cancels any in-flight notification.
 				var watch func()
@@ -196,8 +120,8 @@ func (m *TICK) Attach(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env
 					if stopped {
 						return
 					}
-					if origDone.Done {
-						onCkpt(origDone)
+					if t.Done {
+						onCkpt(t)
 						return
 					}
 					k.Eng.After(simtimeTick, watch)
@@ -210,18 +134,7 @@ func (m *TICK) Attach(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env
 	schedule()
 	return func() {
 		stopped = true
-		if ev, ok := m.timers[p.PID]; ok {
-			ev.Cancel()
-			delete(m.timers, p.PID)
-		}
-		if trk, ok := m.trackers[p.PID]; ok {
-			trk.Close()
-			delete(m.trackers, p.PID)
-		}
+		timer.Cancel()
+		c.Close()
 	}, nil
-}
-
-// Restart implements mechanism.Mechanism: chains restore oldest-first.
-func (m *TICK) Restart(k *kernel.Kernel, chain []*checkpoint.Image, enqueue bool) (*proc.Process, error) {
-	return checkpoint.Restore(k, chain, checkpoint.RestoreOptions{Enqueue: enqueue})
 }
