@@ -26,7 +26,10 @@ test:
 # encode, CRC-64 combine; capture of a stopped 4 MiB process, whole and
 # as a 5% delta, at 1 and 2 workers; 16-delta chain: replay planning,
 # plan apply onto materialized pages at 1 and 8 workers, and restore
-# into a fresh process at 1 and 2 workers; 16-delta chain fold), the storage target
+# into a fresh process at 1 and 2 workers, whose whole pages borrow the
+# chain's bytes: 0.28–0.31 ms and 0.23 MB per restore on a 2-core host,
+# where copying them into fresh frames took 0.60–0.72 ms and 2.41 MB;
+# 16-delta chain fold), the storage target
 # benchmarks (4 MiB atomic write and 4 MiB batched chain read, local and
 # remote; 4 MiB replicated write and read, buddy mirror and 2+1 erasure),
 # the simulated job's 4 KiB page fill (one page, and four interleaved

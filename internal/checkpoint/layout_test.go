@@ -290,9 +290,10 @@ func TestFoldEncodedChainSealsFoldChain(t *testing.T) {
 }
 
 // TestSharedFramesStayIndependent: an eager restore gives its pages
-// frames from one allocation, yet a full-page write to one restored page
-// leaves every other page as it was, and an append to a page's Data
-// reallocates rather than spilling into the next frame.
+// frames that share memory (one allocation per shard, or the image's
+// bytes), yet a full-page write to one restored page leaves every other
+// page as it was, and an append to a page's Data reallocates rather
+// than spilling into the next frame.
 func TestSharedFramesStayIndependent(t *testing.T) {
 	remote, leaf := buildTestChain(t)
 	chain, err := LoadChain(remote, storage.NopEnv(), leaf)

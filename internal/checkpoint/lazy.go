@@ -107,7 +107,8 @@ type LazySession struct {
 
 	planned bool
 	// jobs is the deferred plan minus the hot pages, in page order; a
-	// served job's spans are cleared, so its image bytes can go.
+	// served job's spans are cleared, so the plan stops holding its
+	// image bytes (a served page may still borrow them until written).
 	jobs    pageJobs
 	hot     []mem.PageNum // applied before control returned, ascending
 	order   []mem.PageNum // pending pages ascending; prefetch cursor below
@@ -284,7 +285,8 @@ func (s *LazySession) serve(pn mem.PageNum, prefetch bool) error {
 		return nil
 	}
 	// One page through the eager path: a page that is still demand-zero
-	// and written by one full-page span costs one copy.
+	// and written by one full-page span borrows it, and copies it only
+	// when first written.
 	if _, err := s.as.WritePages(s.jobs[i:i+1], 1); err != nil {
 		var f *mem.Fault
 		if !errors.As(err, &f) || f.VMA != nil {

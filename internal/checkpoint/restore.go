@@ -278,6 +278,7 @@ func Restore(k *kernel.Kernel, chain []*Image, opt RestoreOptions) (*proc.Proces
 		cleanup()
 		return nil, err
 	}
+	p.ReplayBytes = plan.copied
 	if opt.Metrics != nil {
 		c := opt.Metrics.Counters
 		c.Inc("restore.images", int64(len(chain)))

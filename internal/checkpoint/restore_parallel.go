@@ -140,6 +140,10 @@ func eachSpan(chain []*Image, layout []slotRange, visit func(slot int, s pageSpa
 	return nil
 }
 
+// onPlan, when a test sets it, is called on every planReplay call, so
+// the test can pin how many times a path plans a chain.
+var onPlan func()
+
 // planReplay resolves chain (oldest-first, head full — the caller has
 // verified this) into per-page jobs against the leaf image's layout, in
 // time linear in the spans and the mapped pages: it counts each page
@@ -148,6 +152,9 @@ func eachSpan(chain []*Image, layout []slotRange, visit func(slot int, s pageSpa
 // spans and packs the kept ones. No map, no per-page allocation and no
 // comparison sort.
 func planReplay(chain []*Image) (replayPlan, error) {
+	if onPlan != nil {
+		onPlan()
+	}
 	layout, slots, err := leafSlots(chain[len(chain)-1])
 	if err != nil {
 		return replayPlan{}, err
@@ -297,12 +304,14 @@ func finalPieces(pieces [][]byte, spans []pageSpan) [][]byte {
 // applyPlan writes every job's spans into the address space through
 // mem.AddressSpace.WritePages: the pages are materialized sequentially
 // (the address space's page maps and version clock are not
-// goroutine-safe), then workers shards copy the bytes. A page still
-// demand-zero gets a frame built from its final bytes, each byte copied
-// once and never zero-filled first; a page that already has a frame gets
-// its spans in chain order. The simulated cost is billed by the caller;
-// goroutines here only move bytes, like the capture path's
-// fillExtentsParallel.
+// goroutine-safe), then workers shards give them their bytes. A page
+// still demand-zero and written by one full-page span borrows that span
+// of the image, copied only when the page is first written; one with
+// several pieces gets a frame built from its final bytes, each byte
+// copied once and never zero-filled first; a page that already has a
+// frame gets its spans in chain order. The simulated cost is billed by
+// the caller, as a full copy either way; goroutines here only move
+// bytes, like the capture path's fillExtentsParallel.
 func applyPlan(as *mem.AddressSpace, plan *replayPlan, workers int) error {
 	if n, err := as.WritePages(plan.jobs, workers); err != nil {
 		return fmt.Errorf("checkpoint: restore page %#x: %w", uint64(plan.jobs[n].page.Base()), err)

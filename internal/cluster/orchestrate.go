@@ -621,7 +621,7 @@ func (s *Supervisor) restartOn(node int, src storage.Target, manifest []string, 
 		if p, err = m.Restart(s.C.Node(node).K, chain, true); err != nil {
 			return err
 		}
-		s.observeRestore(chain, readWait)
+		s.observeRestore(chain, p.ReplayBytes, readWait)
 	}
 	s.node = node
 	s.pid = p.PID
@@ -718,17 +718,15 @@ func sameManifest(a, b []string) bool {
 }
 
 // observeRestore records the modeled recovery latency of a successful
-// restart: the measured storage wait of the chain read plus the replay
-// cost at the supervisor's restore width. The replay cost is modeled
-// (checkpoint.RestoreCost over the chain's post-pruning bytes) rather
-// than measured off the node clock so the histogram stays comparable
-// across nodes and the observation itself never perturbs the cluster's
-// deterministic schedule.
-func (s *Supervisor) observeRestore(chain []*checkpoint.Image, readWait simtime.Duration) {
-	lat := readWait
-	if n, err := checkpoint.ReplayBytes(chain); err == nil {
-		lat += checkpoint.RestoreCost(n, s.restoreWorkers)
-	}
+// restart from chain: the measured storage wait of the chain read plus
+// the replay cost at the supervisor's restore width. The replay cost is
+// modeled (checkpoint.RestoreCost over replayed, the post-pruning bytes
+// the restore handed back in proc.Process.ReplayBytes, so the chain is
+// planned once) rather than measured off the node clock so the
+// histogram stays comparable across nodes and the observation itself
+// never perturbs the cluster's deterministic schedule.
+func (s *Supervisor) observeRestore(chain []*checkpoint.Image, replayed int, readWait simtime.Duration) {
+	lat := readWait + checkpoint.RestoreCost(replayed, s.restoreWorkers)
 	s.Metrics.Hist("restore.latency").Observe(float64(lat.Millis()))
 	s.Metrics.Hist("restore.chain_len").Observe(float64(len(chain)))
 	s.Counters().Inc("restore.count", 1)

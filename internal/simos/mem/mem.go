@@ -143,6 +143,10 @@ type Page struct {
 	prot     Prot
 	dirty    bool // set on write, cleared by ClearDirty (kernel tracker)
 	accessed bool
+	// borrowed marks data as read-only bytes WritePages lent the page (a
+	// restore image's, or the zero page); own copies them before the
+	// page's first write, as a MAP_PRIVATE mapping does.
+	borrowed bool
 	version  uint64 // bumped on every committed write
 }
 
@@ -156,8 +160,24 @@ func (p *Page) Dirty() bool { return p.dirty }
 func (p *Page) Version() uint64 { return p.version }
 
 // Data returns the page contents; the returned slice must not be modified.
-// A nil return means the page is still demand-zero.
+// A nil return means the page is still demand-zero. The slice may be
+// bytes a restore lent the page (see WritePages), shared with the image
+// they came from and with every other process restored from it.
 func (p *Page) Data() []byte { return p.data }
+
+// own gives p a private frame to write: a zeroed one for a demand-zero
+// page, a copy of the borrowed bytes for a borrowed one. Every path
+// that writes a frame calls it first.
+func (p *Page) own() {
+	switch {
+	case p.data == nil:
+		p.data = make([]byte, PageSize)
+	case p.borrowed:
+		frame := make([]byte, PageSize)
+		copy(frame, p.data)
+		p.data, p.borrowed = frame, false
+	}
+}
 
 // VMA is one contiguous mapped region.
 type VMA struct {
@@ -564,9 +584,7 @@ func (as *AddressSpace) access(addr Addr, buf []byte, acc Access) error {
 
 // store commits a write entirely within one page, firing line hooks.
 func (as *AddressSpace) store(v *VMA, pg *Page, a Addr, data []byte) {
-	if pg.data == nil {
-		pg.data = make([]byte, PageSize)
-	}
+	pg.own()
 	po := a.Offset()
 	if len(as.writeHooks) > 0 {
 		// Fire once per cache-line span covered by the store.
@@ -647,9 +665,7 @@ func (as *AddressSpace) WriteDirect(addr Addr, data []byte) error {
 			return err
 		}
 		pg := v.page(a.Page())
-		if pg.data == nil {
-			pg.data = make([]byte, PageSize)
-		}
+		pg.own()
 		copy(pg.data[a.Offset():], data[off:off+n])
 		pg.dirty = true
 		as.versionClock++
@@ -671,7 +687,10 @@ type PageSource interface {
 	// Final appends page i's final contents to pieces, as slices whose
 	// lengths sum to PageSize, and returns the extended slice. It is
 	// called only for pages still demand-zero, so holes are zero bytes
-	// (a shared read-only zero page serves them).
+	// (a shared read-only zero page serves them). A page whose contents
+	// are one PageSize piece borrows that piece as its frame until its
+	// first write, so the piece's bytes must never change: they are read
+	// only, like a restore image's.
 	Final(i int, pieces [][]byte) [][]byte
 	// Apply writes page i's bytes over frame, the page's current
 	// contents.
@@ -682,13 +701,18 @@ type PageSource interface {
 // pages in order on the calling goroutine: each page's pending demand
 // fill runs, its dirty bit is set and the version clock is bumped once,
 // as one full-page WriteDirect would. The page maps and the clock are
-// not goroutine-safe, so only the byte copies that follow fan out: the
+// not goroutine-safe, so only the byte work that follows fans out: the
 // pages are split into shards contiguous runs (at most one per page),
 // each written by its own goroutine. A page that already has a frame
-// gets src.Apply on it. The pages still demand-zero in a shard get their
-// frames from one allocation built straight from their Final pieces,
-// never zero-filled first, each frame clipped to PageSize so an append
-// to one reallocates instead of reaching its neighbour. A shard's
+// gets src.Apply on it (a borrowed frame is copied first). A page still
+// demand-zero whose Final contents are one PageSize piece borrows that
+// piece, capacity-clipped, as its frame: no byte moves until the page
+// is first written, when the write copies it (copy on write, as a
+// MAP_PRIVATE restore does). The other demand-zero pages of a shard get
+// their frames from one allocation built straight from their Final
+// pieces, never zero-filled first, each frame clipped to PageSize so an
+// append to one reallocates instead of reaching its neighbour. A
+// borrowed frame keeps its source's bytes live, and a shard's
 // allocation stays live while any of its pages keeps its frame. On
 // error, the n pages before src.Page(n) are written and n is returned
 // with the error.
@@ -725,35 +749,50 @@ func (as *AddressSpace) WritePages(src PageSource, shards int) (n int, err error
 }
 
 // writeShard writes pages, which are src's pages first, first+1, ...:
-// Apply onto the frames they hold, and for the demand-zero ones one
+// Apply onto the frames they hold, a borrowed Final piece for each
+// demand-zero page with a whole-page one, and for the rest one
 // bytes.Join of their Final pieces (an allocation Join does not zero),
-// cut into frames.
+// cut into frames. A shard whose pages all hold frames allocates
+// nothing.
 func writeShard(src PageSource, pages []*Page, first int) {
-	fresh := 0
-	for _, pg := range pages {
-		if pg.data == nil {
-			fresh++
-		}
-	}
-	var frames []byte
-	if fresh > 0 {
-		pieces := make([][]byte, 0, fresh)
-		for i, pg := range pages {
-			if pg.data == nil {
-				pieces = src.Final(first+i, pieces)
-			}
-		}
-		frames = bytes.Join(pieces, nil)
-		if len(frames) != fresh*PageSize {
-			panic(fmt.Sprintf("mem: WritePages: %d final bytes for %d fresh pages", len(frames), fresh))
-		}
-	}
+	var pieces [][]byte
+	mixed, joined := 0, 0
 	for i, pg := range pages {
-		if pg.data == nil {
-			pg.data, frames = frames[:PageSize:PageSize], frames[PageSize:]
+		if pg.data != nil {
+			pg.own()
+			src.Apply(first+i, pg.data)
 			continue
 		}
-		src.Apply(first+i, pg.data)
+		if pieces == nil {
+			pieces = make([][]byte, 0, 4)
+		}
+		if pieces = src.Final(first+i, pieces[:0]); len(pieces) == 1 && len(pieces[0]) == PageSize {
+			pg.data, pg.borrowed = pieces[0][:PageSize:PageSize], true
+			continue
+		}
+		mixed++
+		joined += len(pieces)
+	}
+	if mixed == 0 {
+		return
+	}
+	if cap(pieces) < joined {
+		pieces = make([][]byte, 0, joined)
+	}
+	pieces = pieces[:0]
+	for i, pg := range pages {
+		if pg.data == nil {
+			pieces = src.Final(first+i, pieces)
+		}
+	}
+	frames := bytes.Join(pieces, nil)
+	if len(frames) != mixed*PageSize {
+		panic(fmt.Sprintf("mem: WritePages: %d final bytes for %d pages", len(frames), mixed))
+	}
+	for _, pg := range pages {
+		if pg.data == nil {
+			pg.data, frames = frames[:PageSize:PageSize], frames[PageSize:]
+		}
 	}
 }
 

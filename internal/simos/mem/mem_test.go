@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -652,14 +653,19 @@ func TestWritePagesMatchesMaterializeLoop(t *testing.T) {
 	}
 }
 
-// TestWritePagesOneFrameAllocationPerShard: writing n demand-zero pages
-// whose final bytes are one full-page slice each costs one frame
-// allocation per shard, whatever n is: the pages of a
-// shard sit back to back in one allocation, and the allocation count
-// does not grow with n.
-func TestWritePagesOneFrameAllocationPerShard(t *testing.T) {
+// sameFrame reports whether a and b start at the same byte.
+func sameFrame(a, b []byte) bool {
+	return len(a) > 0 && len(b) > 0 && unsafe.Pointer(&a[0]) == unsafe.Pointer(&b[0])
+}
+
+// TestWritePagesBorrowsWholePages: a demand-zero page whose final bytes
+// are one full-page slice borrows that slice, capacity-clipped, and no
+// frame bytes are allocated for it; the pages built from several pieces
+// still sit back to back in one allocation per shard. The allocation
+// count does not grow with the pages.
+func TestWritePagesBorrowsWholePages(t *testing.T) {
 	heap := Addr(0x600000)
-	setup := func(n int) (*AddressSpace, *testPages) {
+	setup := func(n int, partial bool) (*AddressSpace, *testPages) {
 		as := NewAddressSpace()
 		if _, err := as.Map(heap, uint64(n)*PageSize, ProtRW, KindHeap, "[heap]"); err != nil {
 			t.Fatal(err)
@@ -667,32 +673,44 @@ func TestWritePagesOneFrameAllocationPerShard(t *testing.T) {
 		pns := make([]PageNum, n)
 		for i := range pns {
 			pns[i] = heap.Page() + PageNum(i)
-			// A read makes the page struct, so the count below is
+			// A read makes the page struct, so the counts below are
 			// WritePages' own.
 			if err := as.Read(pns[i].Base(), make([]byte, 1)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return as, newTestPages(pns, false)
+		return as, newTestPages(pns, partial)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		as, src := setup(64)
+		as, src := setup(64, true)
 		if _, err := as.WritePages(src, shards); err != nil {
 			t.Fatal(err)
 		}
 		for s := 0; s < shards; s++ {
-			lo, hi := s*64/shards, (s+1)*64/shards
-			for i := lo + 1; i < hi; i++ {
-				prev := as.vmas[0].pages[src.pns[i-1]].data
-				cur := as.vmas[0].pages[src.pns[i]].data
-				if uintptr(unsafe.Pointer(&cur[0])) != uintptr(unsafe.Pointer(&prev[0]))+PageSize {
-					t.Fatalf("shards %d: pages %d and %d of shard %d are not adjacent frames of one allocation", shards, i-1, i, s)
+			var prev []byte
+			for i := s * 64 / shards; i < (s+1)*64/shards; i++ {
+				pg := as.vmas[0].pages[src.pns[i]]
+				if cap(pg.data) != PageSize {
+					t.Fatalf("shards %d: page %d has frame cap %d", shards, i, cap(pg.data))
 				}
+				if src.lo[i] == 0 && len(src.data[i]) == PageSize {
+					if !pg.borrowed || !sameFrame(pg.data, src.data[i]) {
+						t.Fatalf("shards %d: whole page %d did not borrow its final bytes", shards, i)
+					}
+					continue
+				}
+				if pg.borrowed {
+					t.Fatalf("shards %d: mixed page %d is marked borrowed", shards, i)
+				}
+				if prev != nil && uintptr(unsafe.Pointer(&pg.data[0])) != uintptr(unsafe.Pointer(&prev[0]))+PageSize {
+					t.Fatalf("shards %d: mixed pages of shard %d are not adjacent frames of one allocation", shards, s)
+				}
+				prev = pg.data
 			}
 		}
-		allocs := func(n int, write bool) float64 {
+		allocs := func(n int, partial, write bool) float64 {
 			return testing.AllocsPerRun(20, func() {
-				as, src := setup(n)
+				as, src := setup(n, partial)
 				if write {
 					if _, err := as.WritePages(src, shards); err != nil {
 						t.Fatal(err)
@@ -700,14 +718,138 @@ func TestWritePagesOneFrameAllocationPerShard(t *testing.T) {
 				}
 			})
 		}
-		small := allocs(16, true) - allocs(16, false)
-		large := allocs(256, true) - allocs(256, false)
-		t.Logf("shards %d: %.0f allocations for 16 pages, %.0f for 256", shards, small, large)
-		// Per shard: its frames, its piece list and, past the first, its
-		// goroutine; plus the page list and some slack.
-		if ceiling := float64(3*shards + 3); large > small || large > ceiling {
-			t.Fatalf("shards %d: WritePages made %.0f allocations for 16 pages and %.0f for 256; want at most %.0f, not growing with the pages",
-				shards, small, large, ceiling)
+		// Per shard: its piece list, the mixed pages' piece list and
+		// frames, and, past the first, its goroutine; plus the page list
+		// and some slack.
+		ceiling := float64(4*shards + 3)
+		for _, partial := range []bool{false, true} {
+			small := allocs(16, partial, true) - allocs(16, partial, false)
+			large := allocs(256, partial, true) - allocs(256, partial, false)
+			t.Logf("shards %d, partial %v: %.0f allocations for 16 pages, %.0f for 256", shards, partial, small, large)
+			if large > small || large > ceiling {
+				t.Fatalf("shards %d, partial %v: WritePages made %.0f allocations for 16 pages and %.0f for 256; want at most %.0f, not growing with the pages",
+					shards, partial, small, large, ceiling)
+			}
+		}
+		// Whole pages cost no frame bytes: what WritePages allocates for
+		// 256 of them is bookkeeping, well under one page per page.
+		as, src = setup(256, false)
+		before := totalAlloc()
+		if _, err := as.WritePages(src, shards); err != nil {
+			t.Fatal(err)
+		}
+		if got := totalAlloc() - before; got > 256*PageSize/16 {
+			t.Fatalf("shards %d: WritePages allocated %d bytes for 256 whole pages", shards, got)
+		}
+	}
+}
+
+// totalAlloc reads the monotonic cumulative allocation counter.
+func totalAlloc() uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.TotalAlloc
+}
+
+// borrowedFixture writes 4 whole pages of the heap through WritePages,
+// so each borrows its source bytes, and returns the address space, the
+// source and a copy of its bytes.
+func borrowedFixture(t *testing.T) (*AddressSpace, *testPages, [][]byte) {
+	t.Helper()
+	as := newTestAS(t)
+	heap := Addr(0x600000).Page()
+	src := newTestPages([]PageNum{heap, heap + 1, heap + 2, heap + 3}, false)
+	if _, err := as.WritePages(src, 2); err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	for _, d := range src.data {
+		want = append(want, bytes.Clone(d))
+	}
+	return as, src, want
+}
+
+// readPage returns the n'th heap page's contents.
+func readPage(t *testing.T, as *AddressSpace, n int) []byte {
+	t.Helper()
+	buf := make([]byte, PageSize)
+	if err := as.ReadDirect(Addr(0x600000)+Addr(n)*PageSize, buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// TestBorrowedPagesCopyOnWrite: a store, a WriteDirect and a second
+// WritePages onto borrowed pages each write a private copy: the page
+// holds the write, and the bytes it borrowed do not change.
+func TestBorrowedPagesCopyOnWrite(t *testing.T) {
+	as, src, want := borrowedFixture(t)
+	heap := Addr(0x600000)
+	if err := as.Write(heap+10, []byte("store")); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.WriteDirect(heap+PageSize+20, []byte("direct")); err != nil {
+		t.Fatal(err)
+	}
+	again := newTestPages([]PageNum{(heap + 2*PageSize).Page()}, false)
+	again.data[0] = bytes.Repeat([]byte{0xEE}, PageSize)
+	if _, err := as.WritePages(again, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range src.data {
+		if !bytes.Equal(d, want[i]) {
+			t.Fatalf("a write to page %d reached the bytes it borrowed", i)
+		}
+	}
+	for i, tc := range []struct {
+		off  int
+		data []byte
+	}{{10, []byte("store")}, {20, []byte("direct")}, {0, again.data[0]}} {
+		got := readPage(t, as, i)
+		if !bytes.Equal(got[tc.off:tc.off+len(tc.data)], tc.data) {
+			t.Fatalf("page %d does not hold its write", i)
+		}
+		if tc.off > 0 && !bytes.Equal(got[:tc.off], want[i][:tc.off]) {
+			t.Fatalf("page %d lost its borrowed bytes around the write", i)
+		}
+		a := heap + Addr(i)*PageSize
+		if pg := as.Find(a).peek(a.Page()); pg.borrowed || sameFrame(pg.data, src.data[i]) {
+			t.Fatalf("page %d still borrows after a write", i)
+		}
+	}
+	if !bytes.Equal(readPage(t, as, 3), want[3]) {
+		t.Fatal("an unwritten borrowed page changed")
+	}
+}
+
+// TestCloneOfBorrowedPages: a clone of an address space with borrowed
+// pages reads the same bytes, and a write on either side reaches
+// neither the other side nor the borrowed bytes.
+func TestCloneOfBorrowedPages(t *testing.T) {
+	as, src, want := borrowedFixture(t)
+	cl := as.Clone()
+	if !as.Equal(cl) {
+		t.Fatal("clone not Equal to original")
+	}
+	heap := Addr(0x600000)
+	for i := range src.data {
+		if err := as.Write(heap+Addr(i)*PageSize, []byte("parent")); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Write(heap+Addr(i)*PageSize+8, []byte("child")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, d := range src.data {
+		if !bytes.Equal(d, want[i]) {
+			t.Fatalf("a write to page %d reached the bytes it borrowed", i)
+		}
+		p, c := readPage(t, as, i), readPage(t, cl, i)
+		if string(p[:6]) != "parent" || !bytes.Equal(p[6:], want[i][6:]) {
+			t.Fatalf("page %d of the parent holds the wrong bytes", i)
+		}
+		if !bytes.Equal(c[:8], want[i][:8]) || string(c[8:13]) != "child" || !bytes.Equal(c[13:], want[i][13:]) {
+			t.Fatalf("page %d of the clone holds the wrong bytes", i)
 		}
 	}
 }

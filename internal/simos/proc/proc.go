@@ -150,6 +150,13 @@ type Process struct {
 	// exclude drops them. Declared via the CheckpointRegion syscall.
 	CkptRegions []CkptRegion
 
+	// ReplayBytes is what the eager restore that made the process
+	// replayed into its memory: its chain's bytes after per-page
+	// last-writer-wins pruning (checkpoint.ReplayBytes of the chain,
+	// handed back so a caller need not plan the chain again). Zero for a
+	// process that was not restored eagerly.
+	ReplayBytes int
+
 	CPUTime  simtime.Duration
 	ExitCode int
 
