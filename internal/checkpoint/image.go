@@ -226,41 +226,85 @@ func (c *cw) blobOpt(b []byte) {
 	c.blob(b)
 }
 
-// cr parses a body whose checksum has already been verified, in place:
-// a blob is a capacity-clipped sub-slice of the body, not a copy.
+// cr parses a body whose checksum has already been verified, in place.
+// The body is the concatenation of pieces, less the trailer: one piece
+// for Decode, a stored object's pieces for DecodePieces. A field that
+// lies inside one piece is a capacity-clipped sub-slice of it, not a
+// copy; only a field that crosses into the next piece is copied.
 type cr struct {
-	body []byte
-	off  int
+	cur  []byte   // the unread rest of the current piece, clipped to the body
+	rest [][]byte // the pieces after it
+	left int      // body bytes not yet consumed, cur's included
 	err  error
+	tmp  [8]byte // a fixed-width field that crosses pieces
 }
 
-// next consumes and returns the next n bytes of the body.
+// avail returns how many body bytes follow in the current piece, first
+// stepping past exhausted pieces.
+func (c *cr) avail() int {
+	for len(c.cur) == 0 && len(c.rest) > 0 && c.left > 0 {
+		c.cur, c.rest = c.rest[0][:min(len(c.rest[0]), c.left)], c.rest[1:]
+	}
+	return len(c.cur)
+}
+
+// take consumes the next n bytes, at most len(cur), in place. The
+// three-index slice clips capacity, so an append to one field
+// reallocates instead of writing over the next.
+func (c *cr) take(n int) []byte {
+	b := c.cur[:n:n]
+	c.cur = c.cur[n:]
+	c.left -= n
+	return b
+}
+
+// gather consumes the next len(dst) bytes, at most left, across pieces
+// into dst.
+func (c *cr) gather(dst []byte) []byte {
+	for n := 0; n < len(dst); {
+		n += copy(dst[n:], c.take(min(c.avail(), len(dst)-n)))
+	}
+	return dst
+}
+
+// next consumes and returns the next n bytes of the body: in place when
+// they lie inside one piece, else a copy. A failure ends the body, so
+// every later read fails too.
 func (c *cr) next(n int) []byte {
 	if c.err != nil {
 		return nil
 	}
-	if rest := len(c.body) - c.off; n > rest {
+	if n > c.left {
 		eof := io.ErrUnexpectedEOF
-		if rest == 0 {
+		if c.left == 0 {
 			eof = io.EOF
 		}
 		c.err = fmt.Errorf("%w: %v", ErrCorrupt, eof)
+		c.cur, c.rest, c.left = nil, nil, 0
 		return nil
 	}
-	// The three-index slice clips capacity, so an append to one field
-	// reallocates instead of writing over the next.
-	b := c.body[c.off : c.off+n : c.off+n]
-	c.off += n
-	return b
+	if n <= c.avail() {
+		return c.take(n)
+	}
+	return c.gather(make([]byte, n))
 }
 
-// fixed returns the next n bytes, or n zero bytes once parsing failed,
-// so a field read past a short body yields 0.
+// fixed returns the next n bytes, at most 8, or n zero bytes once
+// parsing failed, so a field read past a short body yields 0. A field
+// that crosses pieces is gathered into scratch space, valid until the
+// next call.
 func (c *cr) fixed(n int) []byte {
+	if n <= len(c.cur) {
+		return c.take(n)
+	}
+	if c.err == nil && n <= c.left && n > c.avail() {
+		return c.gather(c.tmp[:n])
+	}
 	if b := c.next(n); b != nil {
 		return b
 	}
-	return make([]byte, n)
+	clear(c.tmp[:n])
+	return c.tmp[:n]
 }
 
 func (c *cr) u8() uint8   { return c.fixed(1)[0] }
@@ -269,22 +313,69 @@ func (c *cr) u32() uint32 { return binary.LittleEndian.Uint32(c.fixed(4)) }
 func (c *cr) u64() uint64 { return binary.LittleEndian.Uint64(c.fixed(8)) }
 func (c *cr) i64() int64  { return int64(c.u64()) }
 func (c *cr) str() string { return string(c.blob()) }
-func (c *cr) blob() []byte {
+
+// blobLen consumes a blob's length prefix and checks it against the
+// rest of the body.
+func (c *cr) blobLen() int {
 	n := c.u32()
+	if c.err != nil {
+		return 0
+	}
+	if uint64(n) > uint64(c.left) {
+		c.err = fmt.Errorf("%w: blob length %d exceeds remaining input", ErrCorrupt, n)
+		c.cur, c.rest, c.left = nil, nil, 0
+		return 0
+	}
+	return int(n)
+}
+
+func (c *cr) blob() []byte {
+	n := c.blobLen()
 	if c.err != nil {
 		return nil
 	}
-	if uint64(n) > uint64(len(c.body)-c.off) {
-		c.err = fmt.Errorf("%w: blob length %d exceeds remaining input", ErrCorrupt, n)
-		return nil
-	}
-	return c.next(int(n))
+	return c.next(n)
 }
+
 func (c *cr) blobOpt() []byte {
 	if c.u8() == 0 {
 		return nil
 	}
 	return c.blob()
+}
+
+// extent consumes one extent's data, captured at addr, and appends it to
+// exts: in place, as one extent, when it lies inside one piece. One that
+// crosses pieces is cut at page boundaries instead, so that every page
+// it touches is still one slice of it: the pages inside one piece are
+// borrowed, and only a page whose bytes straddle two pieces is copied.
+// Replay cuts its page spans from the parts exactly as from the whole
+// extent, so its plan, and what it copies, prunes and bills, does not
+// depend on where the pieces end.
+func (c *cr) extent(exts []Extent, addr mem.Addr) []Extent {
+	n := c.blobLen()
+	if c.err != nil {
+		return exts
+	}
+	if n <= c.avail() {
+		return append(exts, Extent{Addr: addr, Data: c.take(n)})
+	}
+	for n > 0 {
+		var d []byte
+		a := c.avail()
+		switch pageEnd := (addr + mem.Addr(a)) &^ (mem.PageSize - 1); {
+		case a >= n:
+			d = c.take(n)
+		case pageEnd > addr:
+			d = c.take(int(pageEnd - addr)) // the pages that end in this piece
+		default:
+			d = c.gather(make([]byte, min(n, mem.PageSize-addr.Offset()))) // the page across the boundary
+		}
+		exts = append(exts, Extent{Addr: addr, Data: d})
+		addr += mem.Addr(len(d))
+		n -= len(d)
+	}
+	return exts
 }
 
 // Encode writes the image in the sectioned binary format, ending with a
@@ -496,23 +587,48 @@ func (img *Image) layout(exts [][]Range) []byte {
 	return buf
 }
 
-// Decode parses an encoded image. The CRC-64 trailer is checked over the
-// whole body before any field is parsed, and parsing then reads the
-// verified bytes in place: every extent's Data, every Shm value and
-// every FD's Contents is a sub-slice of data, with capacity clipped to
-// its length so an append to one field cannot reach another. The
-// returned image therefore aliases data, and the caller must not modify
-// data afterwards. Strings are copied.
-func Decode(data []byte) (*Image, error) {
-	if len(data) < 8 {
+// Decode parses an encoded image: DecodePieces of the one piece data.
+// The returned image aliases data, and the caller must not modify data
+// afterwards.
+func Decode(data []byte) (*Image, error) { return DecodePieces([][]byte{data}) }
+
+// DecodePieces parses an encoded image stored as pieces, in order, whose
+// concatenation is the encoding: an erasure-coded object's data planes
+// (storage.PieceReader) decode without being joined first. The CRC-64
+// trailer is checked over the whole body, across the pieces, before any
+// field is parsed, and parsing then reads the verified bytes in place:
+// every extent's Data, every Shm value and every FD's Contents that lies
+// inside one piece is a sub-slice of it, with capacity clipped to its
+// length so an append to one field cannot reach another. A field that
+// crosses into the next piece is copied, except an extent, which is cut
+// at page boundaries into adjacent extents of which only the page
+// across the boundary is copied (cr.extent). The returned image
+// therefore aliases the pieces, and the caller must not modify them
+// afterwards. Strings are copied.
+func DecodePieces(pieces [][]byte) (*Image, error) {
+	total := 0
+	for _, p := range pieces {
+		total += len(p)
+	}
+	if total < 8 {
 		return nil, fmt.Errorf("%w: too short", ErrCorrupt)
 	}
-	body, trailer := data[:len(data)-8], data[len(data)-8:]
-	wantCRC := binary.LittleEndian.Uint64(trailer)
-	if crc.Checksum(body) != wantCRC {
+	bodyLen := total - 8
+	var sum uint64
+	var trailer [8]byte
+	off := 0
+	for _, p := range pieces {
+		n := min(len(p), max(bodyLen-off, 0)) // p's body bytes
+		sum = crc.Update(sum, p[:n])
+		if n < len(p) {
+			copy(trailer[off+n-bodyLen:], p[n:])
+		}
+		off += len(p)
+	}
+	if sum != binary.LittleEndian.Uint64(trailer[:]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	c := &cr{body: body}
+	c := &cr{rest: pieces, left: bodyLen}
 	if c.u32() != imageMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
@@ -562,10 +678,7 @@ func Decode(data []byte) (*Image, error) {
 		v.Prot = mem.Prot(c.u8())
 		nExt := c.u32()
 		for j := uint32(0); j < nExt && c.err == nil; j++ {
-			var e Extent
-			e.Addr = mem.Addr(c.u64())
-			e.Data = c.blob()
-			v.Extents = append(v.Extents, e)
+			v.Extents = c.extent(v.Extents, mem.Addr(c.u64()))
 		}
 		img.VMAs = append(img.VMAs, v)
 	}
@@ -616,7 +729,7 @@ func Decode(data []byte) (*Image, error) {
 		// could possibly hold (each entry costs at least two u32 length
 		// prefixes): a forged count must not allocate ahead of the bytes
 		// backing it.
-		hint := (len(c.body) - c.off) / 8
+		hint := c.left / 8
 		if int(nShm) < hint {
 			hint = int(nShm)
 		}

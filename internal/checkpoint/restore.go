@@ -135,31 +135,41 @@ func LoadChainManifest(t storage.Target, env *storage.Env, objects []string) ([]
 	return chain, nil
 }
 
-// readChain reads and decodes the named chain objects in order: one
-// batched pass when t is a storage.BatchReader, else one ReadObject per
-// name. The result has room for one more image, so a caller holding the
-// leaf separately can append it without copying.
+// readChain reads and decodes the named chain objects in order: from
+// the objects' stored pieces when t is a storage.PieceReader (an
+// erasure set's planes decode without a join), else in one batched pass
+// when t is a storage.BatchReader, else one ReadObject per name. The
+// result has room for one more image, so a caller holding the leaf
+// separately can append it without copying.
 func readChain(t storage.Target, env *storage.Env, objects []string) ([]*Image, error) {
+	var pieces [][][]byte
 	var blobs [][]byte
-	if br, ok := t.(storage.BatchReader); ok {
-		b, err := br.ReadBatch(objects, env)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: load manifest: %w", err)
-		}
-		blobs = b
-	} else {
+	var err error
+	switch t := t.(type) {
+	case storage.PieceReader:
+		pieces, err = t.ReadPieces(objects, env)
+	case storage.BatchReader:
+		blobs, err = t.ReadBatch(objects, env)
+	default:
 		blobs = make([][]byte, len(objects))
 		for i, name := range objects {
-			data, err := t.ReadObject(name, env)
-			if err != nil {
+			if blobs[i], err = t.ReadObject(name, env); err != nil {
 				return nil, fmt.Errorf("checkpoint: load %s: %w", name, err)
 			}
-			blobs[i] = data
 		}
 	}
-	chain := make([]*Image, len(blobs), len(blobs)+1)
-	for i, data := range blobs {
-		img, err := Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: load manifest: %w", err)
+	}
+	if pieces == nil {
+		pieces = make([][][]byte, len(blobs))
+		for i := range blobs {
+			pieces[i] = blobs[i : i+1 : i+1]
+		}
+	}
+	chain := make([]*Image, len(pieces), len(pieces)+1)
+	for i, p := range pieces {
+		img, err := DecodePieces(p)
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: decode %s: %w", objects[i], err)
 		}

@@ -228,6 +228,11 @@ func FuzzErasureRoundTrip(f *testing.F) {
 		if solved != wantSolved {
 			t.Fatalf("DecodeAny solved=%v, want %v (k=%d m=%d dropMask=%#x)", solved, wantSolved, k, m, dropMask)
 		}
+		// DecodePlanes is the same decode, unjoined.
+		planes, planesSolved, err := DecodePlanes(subset)
+		if err != nil || planesSolved != solved || len(planes) != k || !bytes.Equal(bytes.Join(planes, nil), got) {
+			t.Fatalf("DecodePlanes disagrees with DecodeAny k=%d m=%d len=%d: solved=%v err=%v", k, m, len(data), planesSolved, err)
+		}
 		// ParseShard must be total on arbitrary mutations.
 		if len(shards[0]) > 0 {
 			mut := append([]byte(nil), shards[0]...)

@@ -217,13 +217,49 @@ func gather(blobs [][]byte) ([]Shard, error) {
 //
 // Every blob is parsed (and CRC-checked) exactly once. solved reports
 // whether a parity shard was among the k used, i.e. whether the decode
-// needed a matrix solve rather than concatenating the data shards.
+// needed a matrix solve rather than concatenating the data shards. The
+// output is the joined form of DecodePlanes' planes, and never aliases
+// a blob.
 func DecodeAny(blobs [][]byte) (data []byte, solved bool, err error) {
 	g, err := BestGroup(blobs)
 	if err != nil {
 		return nil, false, err
 	}
 	return decode(g.Shards)
+}
+
+// DecodePlanes decodes what DecodeAny does, from the same group with the
+// same checks and the same solved verdict, but returns the object as its
+// k data planes in order, without joining them: plane r is the part of
+// bytes [r·shardLen, (r+1)·shardLen) that lies inside the original
+// length, so a plane of pure padding is empty, and the planes
+// concatenated are DecodeAny's output. Each plane's capacity is clipped
+// to its length. A plane whose data shard was read is that shard's
+// payload, shared with the blob: the blobs are a store's read-only
+// slices, and the planes are read-only under the same contract as
+// storage.Target.ReadObject's result. Only a missing plane is solved, into
+// fresh memory; no other byte is copied.
+func DecodePlanes(blobs [][]byte) (planes [][]byte, solved bool, err error) {
+	g, err := BestGroup(blobs)
+	if err != nil {
+		return nil, false, err
+	}
+	s, err := newSystem(g.Shards)
+	if err != nil {
+		return nil, false, err
+	}
+	planes = make([][]byte, len(s.planes))
+	for r, p := range s.planes {
+		lo, hi := s.span(r)
+		switch n := hi - lo; {
+		case p != nil:
+			planes[r] = p[:n:n]
+		case n > 0:
+			planes[r] = make([]byte, n)
+			s.solve(planes[r], r)
+		}
+	}
+	return planes, s.inv != nil, nil
 }
 
 // Group is one encoding among a gather's valid shards: the header
@@ -318,59 +354,96 @@ func ReconstructShards(blobs [][]byte) ([][]byte, error) {
 	return EncodeObject(data, got[0].K, got[0].M)
 }
 
-// decode recovers the object from the first k of shards, which must be
-// distinct, parsed shards of one encoding. When they are the k data
-// shards, the output is their payloads joined, clipped to the original
-// length, in one allocation without a zero fill. Otherwise data shards
-// among them are copied straight into a zeroed output and only the
-// missing data planes are solved for — take the k generator-matrix rows
-// the shards correspond to, invert that k×k system, and apply its rows
-// to the payloads, accumulating into the output in place. solved reports
-// whether any plane needed the solve. The output is always a fresh
-// allocation, never a payload: callers may hold shared read-only blobs.
-func decode(shards []Shard) (data []byte, solved bool, err error) {
-	k, origLen, shardLen := shards[0].K, shards[0].OrigLen, len(shards[0].Payload)
-	use := shards[:k]
-	planes := make([][]byte, k) // data shard r's payload, when it is in use
-	for _, s := range use {
-		if s.Index < k {
-			planes[s.Index] = s.Payload
+// system is the decode step DecodePlanes and decode share: the first k
+// of a gather's shards, which must be distinct, parsed shards of one
+// encoding, each data plane among them, and, when a data plane is
+// missing, the inverse of the k×k system of generator-matrix rows the
+// shards correspond to.
+type system struct {
+	use               []Shard
+	planes            [][]byte // data shard r's payload when it is in use, else nil
+	inv               matrix   // nil when every data plane is in use
+	origLen, planeLen int
+}
+
+func newSystem(shards []Shard) (system, error) {
+	k := shards[0].K
+	s := system{use: shards[:k], planes: make([][]byte, k), origLen: shards[0].OrigLen, planeLen: len(shards[0].Payload)}
+	solved := false
+	for _, sh := range s.use {
+		if sh.Index < k {
+			s.planes[sh.Index] = sh.Payload
 		} else {
 			solved = true
 		}
 	}
 	if !solved {
-		parts := make([][]byte, 0, k)
-		for r := 0; r*shardLen < origLen; r++ {
-			parts = append(parts, planes[r][:min(shardLen, origLen-r*shardLen)])
-		}
-		return bytes.Join(parts, nil), false, nil
+		return s, nil
 	}
 	full := codingMatrix(k, shards[0].M)
 	sub := newMatrix(k, k)
-	for r, s := range use {
-		copy(sub[r], full[s.Index])
+	for r, sh := range s.use {
+		copy(sub[r], full[sh.Index])
 	}
 	inv, err := sub.invert()
 	if err != nil {
-		return nil, false, fmt.Errorf("erasure: unsolvable shard set: %w", err)
+		return system{}, fmt.Errorf("erasure: unsolvable shard set: %w", err)
 	}
-	out := make([]byte, origLen)
-	for r := 0; r < k; r++ {
-		lo := r * shardLen
-		if lo >= origLen {
+	s.inv = inv
+	return s, nil
+}
+
+// span returns the object byte range [lo, hi) data plane r holds: empty
+// once the plane is all padding.
+func (s *system) span(r int) (lo, hi int) {
+	lo = min(r*s.planeLen, s.origLen)
+	return lo, min(lo+s.planeLen, s.origLen)
+}
+
+// solve accumulates missing data plane r's first len(dst) bytes into
+// dst, which must be zeroed: row r of the inverse applied to the
+// payloads in use.
+func (s *system) solve(dst []byte, r int) {
+	for c, sh := range s.use {
+		mulAdd(dst, sh.Payload[:len(dst)], s.inv[r][c])
+	}
+}
+
+// decode recovers the object from the first k of shards, joined into
+// one fresh allocation. When they are the k data shards, the output is
+// their payloads joined, clipped to the original length, without a zero
+// fill. Otherwise data shards among them are copied straight into a
+// zeroed output and only the missing data planes are solved, each
+// accumulating into its place in the output. solved reports whether any
+// plane needed the solve. The output is never a payload: callers may
+// hold shared read-only blobs.
+func decode(shards []Shard) (data []byte, solved bool, err error) {
+	s, err := newSystem(shards)
+	if err != nil {
+		return nil, false, err
+	}
+	if s.inv == nil {
+		parts := make([][]byte, 0, len(s.planes))
+		for r, p := range s.planes {
+			if lo, hi := s.span(r); lo < hi {
+				parts = append(parts, p[:hi-lo])
+			}
+		}
+		return bytes.Join(parts, nil), false, nil
+	}
+	out := make([]byte, s.origLen)
+	for r, p := range s.planes {
+		lo, hi := s.span(r)
+		if lo == hi {
 			break // the rest of the planes are all padding
 		}
-		dst := out[lo:min(lo+shardLen, origLen)]
-		if planes[r] != nil {
-			copy(dst, planes[r])
-			continue
-		}
-		for c, s := range use {
-			mulAdd(dst, s.Payload[:len(dst)], inv[r][c])
+		if p != nil {
+			copy(out[lo:hi], p)
+		} else {
+			s.solve(out[lo:hi], r)
 		}
 	}
-	return out, solved, nil
+	return out, true, nil
 }
 
 // --- dense GF(256) matrices ---

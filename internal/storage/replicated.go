@@ -86,7 +86,8 @@ type ReplicatedConfig struct {
 }
 
 // Replicated is a Target spanning a placement set. It implements
-// BatchReader so chain-manifest restores keep their batched fast path.
+// BatchReader so chain-manifest restores keep their batched fast path,
+// and PieceReader so they read an erasure set's planes without a join.
 type Replicated struct {
 	name string
 	reps []Replica
@@ -329,7 +330,7 @@ func (r *Replicated) Publish(staging, final string, env *Env) error {
 func (r *Replicated) ReadObject(object string, env *Env) ([]byte, error) {
 	env = orNop(env)
 	if _, _, on := r.Erasure(); on {
-		return r.readErasure(object, env)
+		return readErasure(r, object, env, erasure.DecodeAny)
 	}
 	sawNotFound := false
 	for _, rep := range r.reps {
@@ -381,11 +382,15 @@ func (r *Replicated) observeRead(source int) {
 }
 
 // readErasure gathers surviving shards in parallel (max-wait accounting)
-// and decodes, parsing and CRC-checking each shard once. The source is
-// the decoder's own verdict: "shards" means the k shards it used were
-// the data shards and the decode was a straight concatenation;
-// "reconstruct" means a parity shard stood in and a solve happened.
-func (r *Replicated) readErasure(object string, env *Env) ([]byte, error) {
+// and decodes them with dec, erasure.DecodeAny for the joined object or
+// erasure.DecodePlanes for its planes, so both forms of a read make the
+// same member reads, charge the same waits and count the same way. The
+// source is the decoder's own verdict: "shards" means the k shards it
+// used were the data shards and the decode was a straight
+// concatenation; "reconstruct" means a parity shard stood in and a
+// solve happened.
+func readErasure[T any](r *Replicated, object string, env *Env, dec func([][]byte) (T, bool, error)) (T, error) {
+	var none T
 	blobs := make([][]byte, len(r.reps))
 	var maxWait simtime.Duration
 	sawNotFound, sawDown := false, false
@@ -411,17 +416,17 @@ func (r *Replicated) readErasure(object string, env *Env) ([]byte, error) {
 	// DecodeAny, not DecodeObject: a partially-landed re-encode under
 	// this name (a chain fold that missed a member) leaves one stale
 	// shard in the gather, and the strict decode would refuse the k good
-	// ones alongside it.
-	data, solved, err := erasure.DecodeAny(blobs)
+	// ones alongside it. DecodePlanes picks its group the same way.
+	out, solved, err := dec(blobs)
 	if err != nil {
 		r.cfg.Counters.Inc("repl.read_failed", 1)
 		if sawDown {
-			return nil, fmt.Errorf("%w: %s (%v)", ErrTargetUnavailable, r.name, err)
+			return none, fmt.Errorf("%w: %s (%v)", ErrTargetUnavailable, r.name, err)
 		}
 		if sawNotFound {
-			return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, r.name, object)
+			return none, fmt.Errorf("%w: %s/%s", ErrNotFound, r.name, object)
 		}
-		return nil, fmt.Errorf("storage: %s/%s: %w", r.name, object, err)
+		return none, fmt.Errorf("storage: %s/%s: %w", r.name, object, err)
 	}
 	// The decode itself is in-memory; the time is the shard transfers,
 	// already charged above.
@@ -430,7 +435,7 @@ func (r *Replicated) readErasure(object string, env *Env) ([]byte, error) {
 	} else {
 		r.observeRead(ReadSourceShards)
 	}
-	return data, nil
+	return out, nil
 }
 
 // ReadBatch implements BatchReader. Mirrors forward the whole batch to
@@ -460,6 +465,33 @@ func (r *Replicated) ReadBatch(objects []string, env *Env) ([][]byte, error) {
 			return nil, err
 		}
 		out[i] = data
+	}
+	return out, nil
+}
+
+// ReadPieces implements PieceReader. A mirror set serves ReadBatch's
+// result, one piece per object. An erasure set reads each object as
+// ReadObject does and returns its data planes unjoined: a plane whose
+// shard was read is that shard's stored payload, shared read-only.
+func (r *Replicated) ReadPieces(objects []string, env *Env) ([][][]byte, error) {
+	env = orNop(env)
+	out := make([][][]byte, len(objects))
+	if _, _, on := r.Erasure(); !on {
+		blobs, err := r.ReadBatch(objects, env)
+		if err != nil {
+			return nil, err
+		}
+		for i := range blobs {
+			out[i] = blobs[i : i+1 : i+1]
+		}
+		return out, nil
+	}
+	for i, name := range objects {
+		planes, err := readErasure(r, name, env, erasure.DecodePlanes)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = planes
 	}
 	return out, nil
 }
