@@ -13,13 +13,16 @@
 //	crbench -quick     # smaller parameters (CI-sized)
 //	crbench -e 1,2,3,4,5,6,7,8,10,11,12,13,14,15,16,17,18,19,20 -json BENCH_gates.json
 //	                   # also write the selected experiments' records as
-//	                   # JSON; exit 1 if any gate fails
+//	                   # JSON; exit 1 if any gate fails or a sim-clock
+//	                   # record differs from the file it overwrites
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"strconv"
 	"strings"
@@ -27,30 +30,10 @@ import (
 	"repro/internal/experiments"
 )
 
-// writeRecords writes recs to path as a JSON array, one record per line
-// so a re-run diffs record by record.
-func writeRecords(path string, recs []experiments.Record) error {
-	var b strings.Builder
-	b.WriteString("[\n")
-	for i, r := range recs {
-		line, err := json.Marshal(r)
-		if err != nil {
-			return err
-		}
-		b.Write(line)
-		if i < len(recs)-1 {
-			b.WriteByte(',')
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString("]\n")
-	return os.WriteFile(path, []byte(b.String()), 0o644)
-}
-
 func main() {
 	sel := flag.String("e", "", "comma-separated experiment numbers (default: all)")
 	quick := flag.Bool("quick", false, "smaller parameters")
-	out := flag.String("json", "", "write the selected experiments' records to this JSON file; exit 1 if a gate fails")
+	out := flag.String("json", "", "write the selected experiments' records to this JSON file; exit 1 if a gate fails or a sim record differs from the file's previous contents")
 	flag.Parse()
 
 	want := map[int]bool{}
@@ -84,15 +67,39 @@ func main() {
 	if *out == "" {
 		return
 	}
-	if err := writeRecords(*out, recs); err != nil {
-		fmt.Fprintln(os.Stderr, "crbench:", err)
-		os.Exit(1)
+	// The file being overwritten is the pin: every sim-clock record of
+	// the experiments just run must repeat it exactly.
+	var pinned []experiments.Record
+	if old, err := os.ReadFile(*out); err == nil {
+		if err := json.Unmarshal(old, &pinned); err != nil {
+			fail(fmt.Errorf("%s: %v", *out, err))
+		}
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		fail(err)
+	}
+	blob, err := experiments.MarshalRecords(recs)
+	if err != nil {
+		fail(err)
+	}
+	if err := os.WriteFile(*out, blob, 0o644); err != nil {
+		fail(err)
 	}
 	fmt.Printf("wrote %d records to %s\n", len(recs), *out)
-	if vs := experiments.Check(recs); len(vs) > 0 {
-		for _, v := range vs {
-			fmt.Fprintln(os.Stderr, "crbench: gate failed:", v)
-		}
+	bad := false
+	for _, v := range experiments.Check(recs) {
+		fmt.Fprintln(os.Stderr, "crbench: gate failed:", v)
+		bad = true
+	}
+	for _, d := range experiments.SimDiff(pinned, recs) {
+		fmt.Fprintf(os.Stderr, "crbench: sim record differs from the previous %s: %s\n", *out, d)
+		bad = true
+	}
+	if bad {
 		os.Exit(1)
 	}
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "crbench:", err)
+	os.Exit(1)
 }

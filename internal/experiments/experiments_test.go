@@ -27,6 +27,7 @@ func TestE8DrainScales(t *testing.T) { gate(t, E8) }
 
 func TestE9MatrixShape(t *testing.T) {
 	tb := E9Matrix()
+	pinText(t, "testdata/e9.golden", tb.String())
 	if tb.NumRows() != 5 {
 		t.Fatalf("rows=%d:\n%s", tb.NumRows(), tb)
 	}

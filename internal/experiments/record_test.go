@@ -1,16 +1,30 @@
 package experiments
 
 import (
+	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
+	"io/fs"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/trace"
 )
 
+// update re-pins the committed goldens (the quick-size sim records and
+// the E9 table) from this run instead of comparing with them.
+var update = flag.Bool("update", false, "re-pin testdata/quick_sim.json and testdata/e9.golden")
+
+// quickPin holds every sim-clock record E1–E8 and E10–E20 produce at
+// quick size, in experiment order.
+const quickPin = "testdata/quick_sim.json"
+
 // gate runs one experiment at quick size and fails on every violation
-// of its Gates rows, and on any value that is not finite or has no
-// clock.
+// of its Gates rows, on any value that is not finite or has no clock,
+// and on every sim-clock record that differs from quickPin.
 func gate(t *testing.T, run func(quick bool) []Record) {
 	t.Helper()
 	recs := run(true)
@@ -24,6 +38,76 @@ func gate(t *testing.T, run func(quick bool) []Record) {
 		if r.Clock != "sim" && r.Clock != "host" {
 			t.Errorf("%v: clock %q", r, r.Clock)
 		}
+	}
+	pinRecords(t, recs)
+}
+
+// pinRecords compares recs' sim-clock records with quickPin and names
+// each one that moved; with -update it rewrites this experiment's block
+// of quickPin instead.
+func pinRecords(t *testing.T, recs []Record) {
+	t.Helper()
+	var pinned []Record
+	blob, err := os.ReadFile(quickPin)
+	switch {
+	case err == nil:
+		if err := json.Unmarshal(blob, &pinned); err != nil {
+			t.Fatalf("%s: %v", quickPin, err)
+		}
+	case !*update || !errors.Is(err, fs.ErrNotExist):
+		t.Fatal(err)
+	}
+	if !*update {
+		for _, d := range SimDiff(pinned, recs) {
+			t.Errorf("moved from %s: %s", quickPin, d)
+		}
+		return
+	}
+	byExp := map[string][]Record{}
+	for _, r := range pinned {
+		byExp[r.Exp] = append(byExp[r.Exp], r)
+	}
+	byExp[recs[0].Exp] = nil
+	for _, r := range recs {
+		if r.Clock == "sim" {
+			byExp[r.Exp] = append(byExp[r.Exp], r)
+		}
+	}
+	var out []Record
+	for _, e := range All {
+		out = append(out, byExp[fmt.Sprintf("E%d", e.N)]...)
+	}
+	writePin(t, quickPin, out)
+}
+
+// writePin writes recs to path as MarshalRecords renders them.
+func writePin(t *testing.T, path string, recs []Record) {
+	t.Helper()
+	blob, err := MarshalRecords(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pinText compares got with the golden file at path, or rewrites the
+// golden with -update.
+func pinText(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("differs from %s (go test -update re-pins):\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }
 
