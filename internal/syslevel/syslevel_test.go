@@ -60,103 +60,6 @@ func referenceFingerprint(t *testing.T, m mechanism.Mechanism, prog kernel.Progr
 	return workload.Fingerprint(p)
 }
 
-// exerciseMechanism runs the full lifecycle for one mechanism: install,
-// prepare, spawn, run halfway, request checkpoint, kill, restart, run to
-// completion, compare fingerprints.
-func exerciseMechanism(t *testing.T, mkMech func() mechanism.Mechanism, tgt storage.Target) {
-	t.Helper()
-	const iters = 20
-	prog := workload.Sparse{MiB: 2, WriteFrac: 0.2, Seed: 9}
-	want := referenceFingerprint(t, mkMech(), prog, iters)
-
-	m := mkMech()
-	prepared := m.Prepare(prog)
-	k := newMachine("src", prepared)
-	if err := m.Install(k); err != nil {
-		t.Fatal(err)
-	}
-	p, err := k.Spawn(prepared.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Setup(k, p); err != nil {
-		t.Fatal(err)
-	}
-	workload.SetIterations(p, iters)
-	for p.Regs().PC < iters/2 && p.State != proc.StateZombie {
-		k.RunFor(simtime.Millisecond)
-	}
-	if p.State == proc.StateZombie {
-		t.Fatal("finished before checkpoint")
-	}
-
-	tk, err := mechanism.Checkpoint(m, k, p, tgt, nil)
-	if err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	if tk.Img == nil {
-		t.Fatal("ticket has no image")
-	}
-	if tk.Img.Mechanism != m.Name() {
-		t.Fatalf("image mechanism %q, want %q", tk.Img.Mechanism, m.Name())
-	}
-	if tk.Total() <= 0 {
-		t.Fatalf("ticket total latency %v", tk.Total())
-	}
-
-	// The process dies and is reaped; restart from the image chain.
-	k.Exit(p, 137)
-	k.Procs.Remove(p.PID)
-	var chain []*checkpoint.Image
-	if tgt != nil {
-		chain, err = checkpoint.LoadChain(tgt, nil, tk.Img.ObjectName())
-		if err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		chain = []*checkpoint.Image{tk.Img}
-	}
-	p2, err := m.Restart(k, chain, true)
-	if err != nil {
-		t.Fatalf("restart: %v", err)
-	}
-	if !k.RunUntilExit(p2, k.Now().Add(10*simtime.Minute)) {
-		t.Fatalf("restarted process stuck (pc=%d state=%v)", p2.Regs().PC, p2.State)
-	}
-	if p2.ExitCode != 0 {
-		t.Fatalf("restarted exit %d", p2.ExitCode)
-	}
-	if got := workload.Fingerprint(p2); got != want {
-		t.Fatalf("fingerprint %#x, want %#x", got, want)
-	}
-}
-
-func TestLifecycleAllMechanisms(t *testing.T) {
-	cases := []struct {
-		name string
-		mk   func() mechanism.Mechanism
-		tgt  func() storage.Target
-	}{
-		{"VMADump-local", func() mechanism.Mechanism { return NewVMADump(0, nil) }, func() storage.Target { return localTarget() }},
-		{"VMADump-remote", func() mechanism.Mechanism { return NewVMADump(0, nil) }, func() storage.Target { return remoteTarget() }},
-		{"BPROC", func() mechanism.Mechanism { return NewBProc() }, func() storage.Target { return nil }},
-		{"EPCKPT", func() mechanism.Mechanism { return NewEPCKPT() }, func() storage.Target { return remoteTarget() }},
-		{"CRAK", func() mechanism.Mechanism { return NewCRAK() }, func() storage.Target { return localTarget() }},
-		{"UCLiK", func() mechanism.Mechanism { return NewUCLiK() }, func() storage.Target { return localTarget() }},
-		{"CHPOX", func() mechanism.Mechanism { return NewCHPOX() }, func() storage.Target { return localTarget() }},
-		{"ZAP", func() mechanism.Mechanism { return NewZAP() }, func() storage.Target { return nil }},
-		{"BLCR", func() mechanism.Mechanism { return NewBLCR() }, func() storage.Target { return remoteTarget() }},
-		{"LAM/MPI", func() mechanism.Mechanism { return NewLAMMPI() }, func() storage.Target { return localTarget() }},
-		{"PsncR/C", func() mechanism.Mechanism { return NewPsncRC() }, func() storage.Target { return localTarget() }},
-		{"Checkpoint", func() mechanism.Mechanism { return NewCheckpointFork(0, nil) }, func() storage.Target { return localTarget() }},
-		{"TICK", func() mechanism.Mechanism { return NewTICK() }, func() storage.Target { return remoteTarget() }},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) { exerciseMechanism(t, c.mk, c.tgt()) })
-	}
-}
-
 func TestVMADumpRequiresModifiedApplication(t *testing.T) {
 	m := NewVMADump(0, nil)
 	prog := workload.Dense{MiB: 1}

@@ -27,96 +27,6 @@ func localTarget() *storage.Store {
 	return storage.NewLocal("disk0", costmodel.Default2005(), nil)
 }
 
-func lifecycle(t *testing.T, mk func() mechanism.Mechanism) {
-	t.Helper()
-	const iters = 20
-	prog := workload.Sparse{MiB: 2, WriteFrac: 0.2, Seed: 17}
-
-	// Reference run.
-	ref := mk()
-	refProg := ref.Prepare(prog)
-	kr := newMachine("ref", refProg)
-	if err := ref.Install(kr); err != nil {
-		t.Fatal(err)
-	}
-	pr, err := kr.Spawn(refProg.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Setup(kr, pr); err != nil {
-		t.Fatal(err)
-	}
-	workload.SetIterations(pr, iters)
-	if !kr.RunUntilExit(pr, kr.Now().Add(10*simtime.Minute)) {
-		t.Fatal("reference stuck")
-	}
-	want := workload.Fingerprint(pr)
-
-	// Checkpointed run.
-	m := mk()
-	prepared := m.Prepare(prog)
-	k := newMachine("src", prepared)
-	if err := m.Install(k); err != nil {
-		t.Fatal(err)
-	}
-	p, err := k.Spawn(prepared.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Setup(k, p); err != nil {
-		t.Fatal(err)
-	}
-	workload.SetIterations(p, iters)
-	for p.Regs().PC < iters/2 && p.State != proc.StateZombie {
-		k.RunFor(simtime.Millisecond)
-	}
-	if p.State == proc.StateZombie {
-		t.Fatal("finished early")
-	}
-	tgt := localTarget()
-	tk, err := mechanism.Checkpoint(m, k, p, tgt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tk.Img.Mechanism != m.Name() {
-		t.Fatalf("image mechanism %q", tk.Img.Mechanism)
-	}
-	k.Exit(p, 137)
-	k.Procs.Remove(p.PID)
-	chain, err := checkpoint.LoadChain(tgt, nil, tk.Img.ObjectName())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := m.Restart(k, chain, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !k.RunUntilExit(p2, k.Now().Add(10*simtime.Minute)) {
-		t.Fatalf("restarted stuck (pc=%d)", p2.Regs().PC)
-	}
-	if got := workload.Fingerprint(p2); got != want {
-		t.Fatalf("fingerprint %#x want %#x", got, want)
-	}
-}
-
-func TestLifecycleUserMechanisms(t *testing.T) {
-	cases := []struct {
-		name string
-		mk   func() mechanism.Mechanism
-	}{
-		{"libckpt", func() mechanism.Mechanism { return NewLibCkpt(0, nil, false) }},
-		{"libckpt-incremental", func() mechanism.Mechanism { return NewLibCkpt(0, nil, true) }},
-		{"condor", func() mechanism.Mechanism { return NewCondorStyle() }},
-		{"esky", func() mechanism.Mechanism { return NewEskyStyle(50*simtime.Millisecond, nil) }},
-		{"preload", func() mechanism.Mechanism { return NewPreloadShim() }},
-		{"libtckpt", func() mechanism.Mechanism { return NewLibTckpt(0, nil) }},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) { lifecycle(t, c.mk) })
-	}
-}
-
 func TestLibCkptPeriodicAutomatic(t *testing.T) {
 	tgt := localTarget()
 	m := NewLibCkpt(3, tgt, false)
