@@ -53,17 +53,17 @@ type Row struct {
 var Family = []Row{
 	{"VMADump-local", func() mechanism.Mechanism { return syslevel.NewVMADump(0, nil) }, "local", 0, 0x5af573bb4aa9720d, 1539630, 1545330, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "Unsupported", "-"}},
 	{"VMADump-remote", func() mechanism.Mechanism { return syslevel.NewVMADump(0, nil) }, "remote", 0, 0x5af573bb4aa9720d, 1539630, 1545330, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "Unsupported", "-"}},
-	{"BPROC", func() mechanism.Mechanism { return syslevel.NewBProc() }, "", 0, 0x204d29a60f4c86f5, 1539630, 1545330, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "Unsupported", "untyped"}},
+	{"BPROC", func() mechanism.Mechanism { return syslevel.NewBProc() }, "", 0, 0x204d29a60f4c86f5, 1539630, 1545330, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "Unsupported", "Unsupported"}},
 	{"EPCKPT", func() mechanism.Mechanism { return syslevel.NewEPCKPT() }, "remote", 0, 0x481679b8370d9c55, 1539630, 1544630, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "NotRegistered", "-"}},
 	{"CRAK", func() mechanism.Mechanism { return syslevel.NewCRAK() }, "local", 15, 0x816a02f6b4878408, 1539630, 1544630, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "ok", "-"}},
-	{"UCLiK", func() mechanism.Mechanism { return syslevel.NewUCLiK() }, "local", 14, 0x680647145fee0f79, 1539630, 1544630, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "ok", "untyped"}},
-	{"CHPOX", func() mechanism.Mechanism { return syslevel.NewCHPOX() }, "local", 0, 0x1122bff34ca96208, 1539630, 1544630, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "NotRegistered", "untyped"}},
-	{"ZAP", func() mechanism.Mechanism { return syslevel.NewZAP() }, "", 14, 0x4ab6c5209365ef27, 1539630, 1544630, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "ok", "untyped"}},
+	{"UCLiK", func() mechanism.Mechanism { return syslevel.NewUCLiK() }, "local", 14, 0x680647145fee0f79, 1539630, 1544630, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "ok", "Unsupported"}},
+	{"CHPOX", func() mechanism.Mechanism { return syslevel.NewCHPOX() }, "local", 0, 0x1122bff34ca96208, 1539630, 1544630, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "NotRegistered", "Unsupported"}},
+	{"ZAP", func() mechanism.Mechanism { return syslevel.NewZAP() }, "", 14, 0x4ab6c5209365ef27, 1539630, 1544630, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "ok", "Unsupported"}},
 	{"BLCR", func() mechanism.Mechanism { return syslevel.NewBLCR() }, "remote", 14, 0x554583c8b300da02, 1539630, 1550630, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "NotRegistered", "-"}},
 	{"LAM/MPI", func() mechanism.Mechanism { return syslevel.NewLAMMPI() }, "local", 14, 0xffc1dcd57bfe368a, 1539630, 1550630, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "NotRegistered", "-"}},
-	{"PsncR/C", func() mechanism.Mechanism { return syslevel.NewPsncRC() }, "local", 14, 0x98638ad2f3bf3f5f, 1539630, 1544630, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "ok", "untyped"}},
-	{"Software Suspend", func() mechanism.Mechanism { return syslevel.NewSoftwareSuspend() }, "local", 0, 0xd360da1d8bb8560a, 1639630, 1639630, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "ok", "untyped"}},
-	{"Checkpoint", func() mechanism.Mechanism { return syslevel.NewCheckpointFork(0, nil) }, "local", 0, 0xb153d9fd5ec7307c, 56222140, 56227840, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "Unsupported", "untyped"}},
+	{"PsncR/C", func() mechanism.Mechanism { return syslevel.NewPsncRC() }, "local", 14, 0x98638ad2f3bf3f5f, 1539630, 1544630, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "ok", "Unsupported"}},
+	{"Software Suspend", func() mechanism.Mechanism { return syslevel.NewSoftwareSuspend() }, "local", 0, 0xd360da1d8bb8560a, 1639630, 1639630, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "ok", "Unsupported"}},
+	{"Checkpoint", func() mechanism.Mechanism { return syslevel.NewCheckpointFork(0, nil) }, "local", 0, 0xb153d9fd5ec7307c, 56222140, 56227840, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "Unsupported", "Unsupported"}},
 	{"TICK", func() mechanism.Mechanism { return syslevel.NewTICK() }, "remote", 15, 0xb3728a38f5adc17, 1805892, 1810892, 1805653, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "ok", "-"}},
 	{"libckpt", func() mechanism.Mechanism { return userlevel.NewLibCkpt(0, nil, false) }, "local", 0, 0xf786911f3327a18b, 56051752, 56056752, 1539413, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "Unsupported", "ok"}},
 	{"libckpt-incremental", func() mechanism.Mechanism { return userlevel.NewLibCkpt(0, nil, true) }, "local", 0, 0x38c539195bb380c8, 63130414, 63135414, 1805653, 0x5251b4cbfcd232d4, [3]string{"NotInstalled", "Unsupported", "ok"}},
@@ -150,6 +150,18 @@ func launch(t *testing.T, m mechanism.Mechanism, name string) (*kernel.Kernel, *
 	}
 	workload.SetIterations(p, iters)
 	return k, p, prepared
+}
+
+// Ready installs m on a fresh machine, launches the program it prepares
+// and runs it two iterations in, past the first compiled-in checkpoint
+// call of the systems that have one.
+func Ready(t *testing.T, m mechanism.Mechanism) (*kernel.Kernel, *proc.Process) {
+	t.Helper()
+	k, p, _ := launch(t, m, "ready")
+	for p.Regs().PC < 2 {
+		k.RunFor(100 * simtime.Microsecond)
+	}
+	return k, p
 }
 
 func (r Row) check(t *testing.T) {

@@ -208,7 +208,9 @@ func addFileContents(img *checkpoint.Image, p *proc.Process) {
 }
 
 // checkStorageKind rejects targets outside the mechanism's Table 1
-// storage column (a local-only package cannot write to a remote server).
+// storage column (a local-only package cannot write to a remote server;
+// a system with no stable storage accepts no target) with an error
+// wrapping mechanism.ErrUnsupported.
 func checkStorageKind(m mechanism.Mechanism, tgt storage.Target) error {
 	if tgt == nil {
 		return nil
@@ -223,7 +225,7 @@ func checkStorageKind(m mechanism.Mechanism, tgt storage.Target) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("syslevel: %s supports storage %v, not %v", m.Name(), m.Features().Storage, tgt.Kind())
+	return fmt.Errorf("%w: %s supports storage %v, not %v", mechanism.ErrUnsupported, m.Name(), m.Features().Storage, tgt.Kind())
 }
 
 // ckptRequest is one unit of work for a checkpoint kernel thread.

@@ -399,8 +399,8 @@ func (m *ZAP) Setup(k *kernel.Kernel, p *proc.Process) error {
 // no stable storage (Table 1: none); tgt must be nil and the image is
 // returned in the ticket.
 func (m *ZAP) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
-	if tgt != nil {
-		return nil, fmt.Errorf("syslevel: ZAP migrates process state directly (Table 1 storage: none)")
+	if err := checkStorageKind(m, tgt); err != nil {
+		return nil, err
 	}
 	return m.ioctl(k, p, nil, env, nil, 0, false)
 }

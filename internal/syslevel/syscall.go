@@ -196,8 +196,8 @@ func (m *BProc) Setup(k *kernel.Kernel, p *proc.Process) error { return nil }
 // Request implements mechanism.Mechanism: BProc has no stable storage;
 // requests capture in-memory images for immediate migration.
 func (m *BProc) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
-	if tgt != nil {
-		return nil, fmt.Errorf("syslevel: BPROC has no stable storage (migration only)")
+	if err := checkStorageKind(m, tgt); err != nil {
+		return nil, err
 	}
 	return m.request(k, p, nil, env)
 }
