@@ -1,6 +1,6 @@
 // Package mechanism defines the common shape of every checkpoint/restart
 // implementation in the survey (packages userlevel and syslevel) and the
-// helpers they share. A Mechanism bundles four things the paper's
+// one Core they all embed. A Mechanism bundles four things the paper's
 // taxonomy separates:
 //
 //   - installation (static kernel change vs loadable module vs nothing),

@@ -21,40 +21,44 @@ const blcrHandlerName = "blcr-callback"
 // prior schemes — checkpoints multithreaded processes. It is *not*
 // totally transparent: an initialization phase must load a shared library
 // and register a signal handler for callbacks before a process can be
-// checkpointed.
+// checkpointed, and cr_checkpoint refuses a process that skipped it.
 type BLCR struct {
 	threadMech
+}
+
+// blcrRules are BLCR's rules (Table 1 row 8: transparency "no" because
+// of the init phase): the "blcr" registration, and a restore that
+// re-resolves the callback handler from the reloaded library.
+func blcrRules() mechanism.Rules {
+	return mechanism.Rules{
+		Features: taxonomy.Features{
+			Name: "BLCR", Context: taxonomy.SystemLevel, Agent: taxonomy.AgentKernelThread,
+			Storage:       []storage.Kind{storage.KindLocal, storage.KindRemote},
+			Initiation:    taxonomy.InitUser,
+			KernelModule:  true,
+			Multithreaded: true,
+		},
+		Key:     "blcr",
+		Refusal: fmt.Errorf("%w: BLCR: process did not run the initialization phase (library + handler)", mechanism.ErrNotRegistered),
+		Restore: checkpoint.RestoreOptions{Handlers: map[string]*sig.Handler{
+			blcrHandlerName: {Name: blcrHandlerName, Fn: func(ctx any, s sig.Signal) {}},
+		}},
+	}
 }
 
 // NewBLCR returns a BLCR instance. Its checkpoint thread runs the
 // application's registered callback just before each capture (the
 // handler's job in real BLCR is to let the application quiesce
-// resources), and cr_restart re-resolves the callback handler from the
-// reloaded library.
+// resources).
 func NewBLCR() *BLCR {
-	m := &BLCR{threadMech{name: "BLCR", devPath: "/dev/blcr", policy: proc.SchedFIFO, rtprio: 50,
-		restore: checkpoint.RestoreOptions{Handlers: map[string]*sig.Handler{
-			blcrHandlerName: {Name: blcrHandlerName, Fn: func(ctx any, s sig.Signal) {}},
-		}}}}
-	m.preCapture = func(req *ckptRequest) {
-		if disp := req.target.Sig.Disposition(sig.SIGUSR1); disp.Handler != nil && disp.Handler.Name == blcrHandlerName {
-			m.k.Charge(m.k.CM.SignalDeliver+m.k.CM.SignalReturn, "blcr-callback")
-		}
-	}
-	m.outer = m
+	m := &BLCR{threadMech{devPath: "/dev/blcr", policy: proc.SchedFIFO, rtprio: 50,
+		preCapture: func(k *kernel.Kernel, req *ckptRequest) {
+			if disp := req.target.Sig.Disposition(sig.SIGUSR1); disp.Handler != nil && disp.Handler.Name == blcrHandlerName {
+				k.Charge(k.CM.SignalDeliver+k.CM.SignalReturn, "blcr-callback")
+			}
+		}}}
+	m.init(m, blcrRules())
 	return m
-}
-
-// Features implements mechanism.Mechanism (Table 1 row 8: transparency
-// "no" because of the init phase).
-func (m *BLCR) Features() taxonomy.Features {
-	return taxonomy.Features{
-		Name: "BLCR", Context: taxonomy.SystemLevel, Agent: taxonomy.AgentKernelThread,
-		Storage:       []storage.Kind{storage.KindLocal, storage.KindRemote},
-		Initiation:    taxonomy.InitUser,
-		KernelModule:  true,
-		Multithreaded: true,
-	}
 }
 
 // Setup implements mechanism.Mechanism: the executable is unchanged (the
@@ -62,8 +66,8 @@ func (m *BLCR) Features() taxonomy.Features {
 // must be loaded and a handler registered for a general
 // purpose signal, which is why Table 1 scores BLCR non-transparent.
 func (m *BLCR) Setup(k *kernel.Kernel, p *proc.Process) error {
-	if m.threadMech.k != k {
-		return mechanism.ErrNotInstalled
+	if err := m.Bound(k); err != nil {
+		return err
 	}
 	// dlopen of libcr plus handler registration.
 	k.Charge(6*k.CM.Syscall(), "blcr-init")
@@ -73,17 +77,8 @@ func (m *BLCR) Setup(k *kernel.Kernel, p *proc.Process) error {
 	}); err != nil {
 		return err
 	}
-	p.Registered["blcr"] = true
+	m.Enroll(p)
 	return nil
-}
-
-// Request implements mechanism.Mechanism: cr_checkpoint's ioctl with the
-// target pid; fails if the init phase was skipped.
-func (m *BLCR) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
-	if !p.Registered["blcr"] {
-		return nil, fmt.Errorf("%w: BLCR: process did not run the initialization phase (library + handler)", mechanism.ErrNotRegistered)
-	}
-	return m.ioctl(k, p, tgt, env, nil, 0, false)
 }
 
 // LAMMPI models the LAM/MPI checkpoint/restart framework [32]: BLCR per
@@ -98,17 +93,12 @@ type LAMMPI struct {
 	*BLCR
 }
 
-// NewLAMMPI returns a LAM/MPI instance over a fresh BLCR.
+// NewLAMMPI returns a LAM/MPI instance over a fresh BLCR (Table 1 row
+// 9: BLCR's row for parallel applications).
 func NewLAMMPI() *LAMMPI {
 	m := &LAMMPI{BLCR: NewBLCR()}
-	m.name, m.outer = "LAM/MPI", m
+	r := blcrRules()
+	r.Features.Name, r.Features.ParallelApps = "LAM/MPI", true
+	m.init(m, r)
 	return m
-}
-
-// Features implements mechanism.Mechanism (Table 1 row 9).
-func (m *LAMMPI) Features() taxonomy.Features {
-	f := m.BLCR.Features()
-	f.Name = "LAM/MPI"
-	f.ParallelApps = true
-	return f
 }

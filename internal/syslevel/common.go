@@ -61,14 +61,8 @@ type captureOpts struct {
 // itself for syscall/signal agents).
 func captureKernel(k *kernel.Kernel, self, target *proc.Process, tgt storage.Target, env *storage.Env, opts captureOpts, ticket *mechanism.Ticket) {
 	ticket.StartedAt = k.Now()
-	finish := func(img *checkpoint.Image, st checkpoint.Stats, err error) {
-		ticket.Img, ticket.Stats, ticket.Err = img, st, err
-		ticket.CompletedAt = k.Now()
-		ticket.Done = true
-	}
-
 	if tgt != nil && !tgt.Available() {
-		finish(nil, checkpoint.Stats{}, fmt.Errorf("syslevel: %s: storage: %w", opts.mech, storage.ErrTargetUnavailable))
+		ticket.Finish(k.Now(), nil, checkpoint.Stats{}, fmt.Errorf("syslevel: %s: storage: %w", opts.mech, storage.ErrTargetUnavailable))
 		return
 	}
 
@@ -88,7 +82,7 @@ func captureKernel(k *kernel.Kernel, self, target *proc.Process, tgt storage.Tar
 	case opts.forkConsistency:
 		child, err := k.Fork(target, false)
 		if err != nil {
-			finish(nil, checkpoint.Stats{}, err)
+			ticket.Finish(k.Now(), nil, checkpoint.Stats{}, err)
 			return
 		}
 		captured = child
@@ -189,7 +183,7 @@ func captureKernel(k *kernel.Kernel, self, target *proc.Process, tgt storage.Tar
 			}
 		}
 	}
-	finish(img, st, err)
+	ticket.Finish(k.Now(), img, st, err)
 }
 
 // addFileContents snapshots every open regular file into its FDRecord —
@@ -205,27 +199,6 @@ func addFileContents(img *checkpoint.Image, p *proc.Process) {
 			}
 		}
 	}
-}
-
-// checkStorageKind rejects targets outside the mechanism's Table 1
-// storage column (a local-only package cannot write to a remote server;
-// a system with no stable storage accepts no target) with an error
-// wrapping mechanism.ErrUnsupported.
-func checkStorageKind(m mechanism.Mechanism, tgt storage.Target) error {
-	if tgt == nil {
-		return nil
-	}
-	for _, k := range m.Features().Storage {
-		if tgt.Kind() == k || tgt.Kind() == storage.KindMemory {
-			return nil
-		}
-		// A replicated set fans out over the interconnect to buddy disks
-		// and the server: any mechanism with a remote path can feed it.
-		if tgt.Kind() == storage.KindReplicated && k == storage.KindRemote {
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %s supports storage %v, not %v", mechanism.ErrUnsupported, m.Name(), m.Features().Storage, tgt.Kind())
 }
 
 // ckptRequest is one unit of work for a checkpoint kernel thread.
@@ -248,7 +221,7 @@ type daemon struct {
 	queue []*ckptRequest
 	// preCapture runs in thread context before the capture (BLCR uses it
 	// to run the application's registered callback handler).
-	preCapture func(req *ckptRequest)
+	preCapture func(k *kernel.Kernel, req *ckptRequest)
 }
 
 // Name implements kernel.Program.
@@ -271,7 +244,7 @@ func (d *daemon) Step(ctx *kernel.Context) (kernel.Status, error) {
 	req := d.queue[0]
 	d.queue = d.queue[1:]
 	if d.preCapture != nil {
-		d.preCapture(req)
+		d.preCapture(d.k, req)
 	}
 	captureKernel(d.k, d.self, req.target, req.tgt, req.env, req.opts, req.ticket)
 	return kernel.StatusRunning, nil
@@ -287,7 +260,7 @@ func (d *daemon) enqueue(req *ckptRequest) error {
 }
 
 // spawnDaemon creates and registers the kernel thread.
-func spawnDaemon(k *kernel.Kernel, name string, rtprio int, policy proc.Policy, preCapture func(*ckptRequest)) (*daemon, error) {
+func spawnDaemon(k *kernel.Kernel, name string, rtprio int, policy proc.Policy, preCapture func(*kernel.Kernel, *ckptRequest)) (*daemon, error) {
 	d := &daemon{name: name, k: k, preCapture: preCapture}
 	p, err := k.SpawnKernelThread(d, rtprio)
 	if err != nil {

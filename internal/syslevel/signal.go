@@ -3,7 +3,6 @@ package syslevel
 import (
 	"fmt"
 
-	"repro/internal/checkpoint"
 	"repro/internal/mechanism"
 	"repro/internal/simos/fs"
 	"repro/internal/simos/kernel"
@@ -13,69 +12,43 @@ import (
 	"repro/internal/taxonomy"
 )
 
-// signalCheckpointer is the shared core of the kernel-mode-signal
-// mechanisms (EPCKPT, CHPOX): a signal whose *default action, in kernel
-// mode,* is to checkpoint the receiving process. Delivery is deferred to
-// the next kernel→user transition in the target's context — the latency
-// the paper criticizes, which E4 measures.
-type signalCheckpointer struct {
-	name string
-	k    *kernel.Kernel
-	seqs *mechanism.Seqs
-	sg   sig.Signal
-
-	pending map[proc.PID]*ckptRequest
-	// needsRegistration gates the signal action on prior Setup (EPCKPT's
-	// launch tool, CHPOX's /proc write).
-	needsRegistration bool
-}
-
-func (m *signalCheckpointer) installSignal(k *kernel.Kernel, s sig.Signal, register func() sig.Signal) error {
-	if m.k != nil && m.k != k {
-		return fmt.Errorf("syslevel: %s already installed on another kernel", m.name)
-	}
-	if m.k == k {
-		return nil
-	}
-	m.k = k
-	m.seqs = mechanism.NewSeqs()
-	m.pending = make(map[proc.PID]*ckptRequest)
-	m.sg = register()
-	return nil
+// signalCore is the kernel-mode-signal family's layer over the mechanism
+// core (EPCKPT, CHPOX): a signal whose *default action, in kernel mode,*
+// is to checkpoint the receiving process. Delivery is deferred to the
+// next kernel→user transition in the target's context — the latency the
+// paper criticizes, which E4 measures. Both systems require a
+// registration step before a Request.
+type signalCore struct {
+	mechanism.Core
+	sg sig.Signal
 }
 
 // action is the kernel-mode default action: capture `current` in process
 // context.
-func (m *signalCheckpointer) action(c any, s sig.Signal) {
+func (m *signalCore) action(c any, s sig.Signal) {
 	ctx, ok := c.(*kernel.Context)
 	if !ok {
 		return
 	}
-	req := m.pending[ctx.P.PID]
+	req := m.Take(ctx.P.PID)
 	if req == nil {
 		return // stray signal: no request outstanding
 	}
-	delete(m.pending, ctx.P.PID)
-	if m.needsRegistration && !ctx.P.Registered[m.name] {
-		req.ticket.Err = fmt.Errorf("%w: %s: pid %d was not registered", mechanism.ErrNotRegistered, m.name, ctx.P.PID)
-		req.ticket.Done = true
-		req.ticket.CompletedAt = ctx.K.Now()
-		return
-	}
-	captureKernel(ctx.K, ctx.P, ctx.P, req.tgt, req.env, captureOpts{mech: m.name, seqs: m.seqs}, req.ticket)
+	captureKernel(ctx.K, ctx.P, ctx.P, req.Tgt, req.Env, captureOpts{mech: m.Name(), seqs: m.Seqs()}, req.Ticket)
 }
 
-func (m *signalCheckpointer) request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
-	if m.k != k {
-		return nil, mechanism.ErrNotInstalled
+// Request implements mechanism.Mechanism: the user tool sends the
+// checkpoint signal by pid. The signal can come from the kill command
+// line or from updating the process's signal structure directly (§4.1);
+// either way it is now pending and will act at the next return to user
+// mode.
+func (m *signalCore) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
+	t, err := m.Core.Request(k, p, tgt, env)
+	if err != nil {
+		return nil, err
 	}
-	t := &mechanism.Ticket{RequestedAt: k.Now()}
-	m.pending[p.PID] = &ckptRequest{target: p, tgt: tgt, env: env, ticket: t}
-	// The signal can come from the kill command line or from updating the
-	// process's signal structure directly (§4.1); either way it is now
-	// pending and will act at the next return to user mode.
 	if err := k.SendSignal(p, m.sg); err != nil {
-		delete(m.pending, p.PID)
+		m.Take(p.PID)
 		return nil, err
 	}
 	return t, nil
@@ -87,142 +60,111 @@ func (m *signalCheckpointer) request(k *kernel.Kernel, p *proc.Process, tgt stor
 // which traces them during execution (runtime overhead), after which any
 // process can be checkpointed by pid.
 type EPCKPT struct {
-	signalCheckpointer
+	signalCore
 }
 
-// NewEPCKPT returns an EPCKPT instance.
+// NewEPCKPT returns an EPCKPT instance (Table 1 row 3: no source
+// modification, so transparent).
 func NewEPCKPT() *EPCKPT {
-	return &EPCKPT{signalCheckpointer{name: "EPCKPT", needsRegistration: true}}
-}
-
-// Name implements mechanism.Mechanism.
-func (m *EPCKPT) Name() string { return "EPCKPT" }
-
-// Features implements mechanism.Mechanism (Table 1 row 3).
-func (m *EPCKPT) Features() taxonomy.Features {
-	return taxonomy.Features{
-		Name: "EPCKPT", Context: taxonomy.SystemLevel, Agent: taxonomy.AgentSyscall,
-		Transparent: true,
-		Storage:     []storage.Kind{storage.KindLocal, storage.KindRemote},
-		Initiation:  taxonomy.InitUser,
-	}
+	return &EPCKPT{signalCore{Core: mechanism.NewCore(mechanism.Rules{
+		Features: taxonomy.Features{
+			Name: "EPCKPT", Context: taxonomy.SystemLevel, Agent: taxonomy.AgentSyscall,
+			Transparent: true,
+			Storage:     []storage.Kind{storage.KindLocal, storage.KindRemote},
+			Initiation:  taxonomy.InitUser,
+		},
+		Key:     "EPCKPT",
+		Refusal: fmt.Errorf("%w: EPCKPT: launch the application via the epckpt tool first", mechanism.ErrNotRegistered),
+	})}}
 }
 
 // Install implements mechanism.Mechanism: static kernel change adding the
 // checkpoint signal.
 func (m *EPCKPT) Install(k *kernel.Kernel) error {
-	return m.installSignal(k, 0, func() sig.Signal {
-		return k.SigTable.Register("SIGCKPT(epckpt)", m.action)
+	return m.Bind(k, func() error {
+		m.sg = k.SigTable.Register("SIGCKPT(epckpt)", m.action)
+		return nil
 	})
 }
-
-// Prepare implements mechanism.Mechanism: no source modification —
-// transparent (Table 1).
-func (m *EPCKPT) Prepare(prog kernel.Program) kernel.Program { return prog }
 
 // Setup implements mechanism.Mechanism: the launch tool registers the
 // process and traces it (the paper: "thus incurring undesirable
 // overhead" — modeled as a fixed trace charge at launch).
 func (m *EPCKPT) Setup(k *kernel.Kernel, p *proc.Process) error {
-	if m.k != k {
-		return mechanism.ErrNotInstalled
+	if err := m.Bound(k); err != nil {
+		return err
 	}
-	p.Registered[m.name] = true
+	m.Enroll(p)
 	k.Charge(k.CM.Syscall()*4, "epckpt-launch-trace")
 	return nil
-}
-
-// Request implements mechanism.Mechanism: the user tool sends the
-// checkpoint signal by pid.
-func (m *EPCKPT) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
-	if err := checkStorageKind(m, tgt); err != nil {
-		return nil, err
-	}
-	if !p.Registered[m.name] {
-		return nil, fmt.Errorf("%w: %s: launch the application via the epckpt tool first", mechanism.ErrNotRegistered, m.name)
-	}
-	return m.request(k, p, tgt, env)
-}
-
-// Restart implements mechanism.Mechanism.
-func (m *EPCKPT) Restart(k *kernel.Kernel, chain []*checkpoint.Image, enqueue bool) (*proc.Process, error) {
-	return checkpoint.Restore(k, chain, checkpoint.RestoreOptions{Enqueue: enqueue})
 }
 
 // CHPOX models Sudakov & Meshcheryakov's CHPOX [36]: a kernel module that
 // creates a /proc entry for registration and repurposes SIGSYS as the
 // checkpoint signal; checkpoints are stored locally.
 type CHPOX struct {
-	signalCheckpointer
+	signalCore
 	procPath string
 }
 
-// NewCHPOX returns a CHPOX instance.
+// NewCHPOX returns a CHPOX instance (Table 1 row 6).
 func NewCHPOX() *CHPOX {
 	return &CHPOX{
-		signalCheckpointer: signalCheckpointer{name: "CHPOX", needsRegistration: true},
-		procPath:           "/proc/chpox",
-	}
-}
-
-// Name implements mechanism.Mechanism.
-func (m *CHPOX) Name() string { return "CHPOX" }
-
-// Features implements mechanism.Mechanism (Table 1 row 6).
-func (m *CHPOX) Features() taxonomy.Features {
-	return taxonomy.Features{
-		Name: "CHPOX", Context: taxonomy.SystemLevel, Agent: taxonomy.AgentKernelSignal,
-		Transparent:  true,
-		Storage:      []storage.Kind{storage.KindLocal},
-		Initiation:   taxonomy.InitUser,
-		KernelModule: true,
+		signalCore: signalCore{Core: mechanism.NewCore(mechanism.Rules{
+			Features: taxonomy.Features{
+				Name: "CHPOX", Context: taxonomy.SystemLevel, Agent: taxonomy.AgentKernelSignal,
+				Transparent:  true,
+				Storage:      []storage.Kind{storage.KindLocal},
+				Initiation:   taxonomy.InitUser,
+				KernelModule: true,
+			},
+			Key:     "CHPOX",
+			Refusal: fmt.Errorf("%w: CHPOX: write the pid to /proc/chpox first", mechanism.ErrNotRegistered),
+		}), sg: sig.SIGSYS},
+		procPath: "/proc/chpox",
 	}
 }
 
 // ModuleName implements kernel.Module.
 func (m *CHPOX) ModuleName() string { return "chpox" }
 
-// Load implements kernel.Module.
+// Load implements kernel.Module: take over SIGSYS and create the /proc
+// entry whose writes register pids.
 func (m *CHPOX) Load(k *kernel.Kernel) error {
-	err := m.installSignal(k, sig.SIGSYS, func() sig.Signal {
+	return m.Bind(k, func() error {
 		k.SigTable.Override(sig.SIGSYS, "SIGSYS(chpox)", m.action)
-		return sig.SIGSYS
-	})
-	if err != nil {
+		_, err := k.FS.RegisterProc(m.procPath, &fs.ProcOps{
+			Read: func(ctx any) ([]byte, error) {
+				n := 0
+				for _, p := range k.Procs.All() {
+					if p.Registered["CHPOX"] {
+						n++
+					}
+				}
+				return []byte(fmt.Sprintf("chpox: %d registered\n", n)), nil
+			},
+			Write: func(ctx any, data []byte) error {
+				var pid int
+				if _, err := fmt.Sscanf(string(data), "%d", &pid); err != nil {
+					return fmt.Errorf("chpox: bad pid %q", data)
+				}
+				p, err := k.Procs.Lookup(proc.PID(pid))
+				if err != nil {
+					return err
+				}
+				m.Enroll(p)
+				return nil
+			},
+		})
 		return err
-	}
-	_, err = k.FS.RegisterProc(m.procPath, &fs.ProcOps{
-		Read: func(ctx any) ([]byte, error) {
-			return []byte(fmt.Sprintf("chpox: %d registered\n", m.registeredCount(k))), nil
-		},
-		Write: func(ctx any, data []byte) error {
-			var pid int
-			if _, err := fmt.Sscanf(string(data), "%d", &pid); err != nil {
-				return fmt.Errorf("chpox: bad pid %q", data)
-			}
-			p, err := k.Procs.Lookup(proc.PID(pid))
-			if err != nil {
-				return err
-			}
-			p.Registered[m.name] = true
-			return nil
-		},
 	})
-	return err
-}
-
-func (m *CHPOX) registeredCount(k *kernel.Kernel) int {
-	n := 0
-	for _, p := range k.Procs.All() {
-		if p.Registered[m.name] {
-			n++
-		}
-	}
-	return n
 }
 
 // Unload implements kernel.Module.
 func (m *CHPOX) Unload(k *kernel.Kernel) error {
+	if err := m.Unbind(k); err != nil {
+		return err
+	}
 	k.SigTable.Unregister(sig.SIGSYS)
 	return k.FS.Remove(m.procPath)
 }
@@ -235,14 +177,11 @@ func (m *CHPOX) Install(k *kernel.Kernel) error {
 	return k.LoadModule(m)
 }
 
-// Prepare implements mechanism.Mechanism: transparent.
-func (m *CHPOX) Prepare(prog kernel.Program) kernel.Program { return prog }
-
 // Setup implements mechanism.Mechanism: write the pid to /proc/chpox, as
 // the real package requires before checkpointing.
 func (m *CHPOX) Setup(k *kernel.Kernel, p *proc.Process) error {
-	if m.k != k {
-		return mechanism.ErrNotInstalled
+	if err := m.Bound(k); err != nil {
+		return err
 	}
 	of, err := k.FS.Open(m.procPath, fs.OWrite)
 	if err != nil {
@@ -252,20 +191,4 @@ func (m *CHPOX) Setup(k *kernel.Kernel, p *proc.Process) error {
 	k.Charge(k.CM.Syscall()*3, "chpox-register") // open+write+close from the tool
 	_, err = of.Write(nil, []byte(fmt.Sprintf("%d", p.PID)))
 	return err
-}
-
-// Request implements mechanism.Mechanism: send SIGSYS to the process.
-func (m *CHPOX) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
-	if err := checkStorageKind(m, tgt); err != nil {
-		return nil, err
-	}
-	if !p.Registered[m.name] {
-		return nil, fmt.Errorf("%w: CHPOX: write the pid to %s first", mechanism.ErrNotRegistered, m.procPath)
-	}
-	return m.request(k, p, tgt, env)
-}
-
-// Restart implements mechanism.Mechanism.
-func (m *CHPOX) Restart(k *kernel.Kernel, chain []*checkpoint.Image, enqueue bool) (*proc.Process, error) {
-	return checkpoint.Restore(k, chain, checkpoint.RestoreOptions{Enqueue: enqueue})
 }

@@ -19,84 +19,64 @@ import (
 // processes resume. Saving to a memory target instead models the standby
 // functionality.
 type SoftwareSuspend struct {
-	k        *kernel.Kernel
-	seqs     *mechanism.Seqs
+	mechanism.Core
 	freezeSg sig.Signal
 }
 
-// NewSoftwareSuspend returns a Software Suspend instance.
-func NewSoftwareSuspend() *SoftwareSuspend { return &SoftwareSuspend{} }
-
-// Name implements mechanism.Mechanism.
-func (m *SoftwareSuspend) Name() string { return "Software Suspend" }
-
-// Features implements mechanism.Mechanism (Table 1 row 11).
-func (m *SoftwareSuspend) Features() taxonomy.Features {
-	return taxonomy.Features{
-		Name: "Software Suspend", Context: taxonomy.SystemLevel, Agent: taxonomy.AgentKernelSignal,
-		Transparent:  true,
-		Storage:      []storage.Kind{storage.KindLocal},
-		Initiation:   taxonomy.InitUser,
-		WholeMachine: true,
-	}
+// NewSoftwareSuspend returns a Software Suspend instance (Table 1 row
+// 11). Its restarts keep the saved PIDs.
+func NewSoftwareSuspend() *SoftwareSuspend {
+	return &SoftwareSuspend{Core: mechanism.NewCore(mechanism.Rules{
+		Features: taxonomy.Features{
+			Name: "Software Suspend", Context: taxonomy.SystemLevel, Agent: taxonomy.AgentKernelSignal,
+			Transparent:  true,
+			Storage:      []storage.Kind{storage.KindLocal},
+			Initiation:   taxonomy.InitUser,
+			WholeMachine: true,
+		},
+		Restore: checkpoint.RestoreOptions{PreservePID: true},
+	})}
 }
 
 // Install implements mechanism.Mechanism: swsusp lives in the static
 // kernel ("implemented in the official kernel source code") and adds the
 // freeze signal.
 func (m *SoftwareSuspend) Install(k *kernel.Kernel) error {
-	if m.k != nil && m.k != k {
-		return fmt.Errorf("syslevel: Software Suspend already installed on another kernel")
-	}
-	if m.k == k {
+	return m.Bind(k, func() error {
+		m.freezeSg = k.SigTable.Register("SIGFREEZE(swsusp)", func(c any, s sig.Signal) {
+			if ctx, ok := c.(*kernel.Context); ok {
+				ctx.K.Stop(ctx.P)
+			}
+		})
 		return nil
-	}
-	m.k = k
-	m.seqs = mechanism.NewSeqs()
-	m.freezeSg = k.SigTable.Register("SIGFREEZE(swsusp)", func(c any, s sig.Signal) {
-		if ctx, ok := c.(*kernel.Context); ok {
-			ctx.K.Stop(ctx.P)
-		}
 	})
-	return nil
 }
-
-// Prepare implements mechanism.Mechanism: fully transparent.
-func (m *SoftwareSuspend) Prepare(prog kernel.Program) kernel.Program { return prog }
-
-// Setup implements mechanism.Mechanism.
-func (m *SoftwareSuspend) Setup(k *kernel.Kernel, p *proc.Process) error { return nil }
 
 // Request implements mechanism.Mechanism: checkpointing "one process"
 // with swsusp means hibernating the machine it runs on; the ticket's
 // image is the requested process's, but every process was saved.
 func (m *SoftwareSuspend) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
-	if err := checkStorageKind(m, tgt); err != nil {
+	if err := m.Admit(k, p, tgt); err != nil {
 		return nil, err
 	}
-	t := &mechanism.Ticket{RequestedAt: k.Now()}
+	t := &mechanism.Ticket{RequestedAt: k.Now(), StartedAt: k.Now()}
 	imgs, err := m.Suspend(k, tgt, env)
-	if err != nil {
-		t.Err, t.Done, t.CompletedAt = err, true, k.Now()
-		return t, nil
-	}
-	for _, img := range imgs {
-		if img.PID == p.PID {
-			t.Img = img
-			t.Stats = checkpoint.Stats{Mode: img.Mode, PayloadBytes: img.PayloadBytes(), Object: img.ObjectName()}
+	var img *checkpoint.Image
+	var st checkpoint.Stats
+	for _, i := range imgs {
+		if i.PID == p.PID {
+			img, st = i, checkpoint.Stats{Mode: i.Mode, PayloadBytes: i.PayloadBytes(), Object: i.ObjectName()}
 		}
 	}
-	t.StartedAt = t.RequestedAt
-	t.CompletedAt = k.Now()
-	t.Done = true
+	t.Finish(k.Now(), img, st, err)
 	return t, nil
 }
 
 // Suspend freezes all user processes, writes their images to the swap
 // target, and powers the machine down. Returns the saved images.
 func (m *SoftwareSuspend) Suspend(k *kernel.Kernel, tgt storage.Target, env *storage.Env) ([]*checkpoint.Image, error) {
-	if m.k != k {
-		return nil, mechanism.ErrNotInstalled
+	if err := m.Bound(k); err != nil {
+		return nil, err
 	}
 	if env == nil {
 		env = storage.NopEnv()
@@ -132,7 +112,7 @@ func (m *SoftwareSuspend) Suspend(k *kernel.Kernel, tgt storage.Target, env *sto
 		if p.State != proc.StateStopped {
 			continue
 		}
-		seq, parent := m.seqs.Next(p.PID)
+		seq, parent := m.Seqs().Next(p.PID)
 		img, _, err := checkpoint.Capture(checkpoint.Request{
 			Acc:       &checkpoint.KernelAccessor{K: k, P: p},
 			Target:    tgt,
@@ -146,7 +126,7 @@ func (m *SoftwareSuspend) Suspend(k *kernel.Kernel, tgt storage.Target, env *sto
 		if err != nil {
 			return nil, fmt.Errorf("swsusp: saving pid %d: %w", p.PID, err)
 		}
-		m.seqs.Commit(img)
+		m.Seqs().Commit(img)
 		imgs = append(imgs, img)
 	}
 	k.SetHalted(true) // power down
@@ -165,19 +145,11 @@ func (m *SoftwareSuspend) Resume(k *kernel.Kernel, imgs []*checkpoint.Image) ([]
 			k.Exit(old, 0)
 			k.Procs.Remove(old.PID)
 		}
-		p, err := checkpoint.Restore(k, []*checkpoint.Image{img}, checkpoint.RestoreOptions{
-			Enqueue:     true,
-			PreservePID: true,
-		})
+		p, err := m.Restart(k, []*checkpoint.Image{img}, true)
 		if err != nil {
 			return out, fmt.Errorf("swsusp: resume pid %d: %w", img.PID, err)
 		}
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-// Restart implements mechanism.Mechanism for a single image.
-func (m *SoftwareSuspend) Restart(k *kernel.Kernel, chain []*checkpoint.Image, enqueue bool) (*proc.Process, error) {
-	return checkpoint.Restore(k, chain, checkpoint.RestoreOptions{Enqueue: enqueue, PreservePID: true})
 }

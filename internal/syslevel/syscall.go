@@ -3,208 +3,102 @@ package syslevel
 import (
 	"fmt"
 
-	"repro/internal/checkpoint"
 	"repro/internal/mechanism"
 	"repro/internal/simos/kernel"
-	"repro/internal/simos/proc"
 	"repro/internal/simtime"
 	"repro/internal/storage"
 	"repro/internal/taxonomy"
-	"repro/internal/workload"
 )
 
-// selfCheckpointer is the shared core of the syscall-agent mechanisms
-// (VMADump, BProc, Checkpoint [5]): the application itself invokes a
-// checkpoint system call at points compiled into it, so initiation is
+// syscallCore is the syscall-agent family's layer over the mechanism
+// core (VMADump, BProc, Checkpoint [5]): the application itself invokes
+// a checkpoint system call at points compiled into it, so initiation is
 // "automatic" and transparency is lost — the program must be modified
-// (here: wrapped) before it can be checkpointed at all.
-type selfCheckpointer struct {
-	name string
-	k    *kernel.Kernel
-	seqs *mechanism.Seqs
+// (here: wrapped) before it can be checkpointed at all. A Request waits
+// for the next checkpoint point; one for an application that was not
+// modified has no way in (§4.1 "the application source code is not
+// available and so is not possible to change it").
+type syscallCore struct {
+	mechanism.Core
 	// every is the self-checkpoint period in app iterations; 0 means
 	// only explicit Requests trigger captures.
 	every uint64
 	// defaultTgt receives periodic self-checkpoints.
 	defaultTgt storage.Target
-	// fork selects fork-consistency (Checkpoint [5]).
-	fork bool
-
-	pending map[proc.PID]*ckptRequest
 }
 
-func (m *selfCheckpointer) install(k *kernel.Kernel) error {
-	if m.k != nil && m.k != k {
-		return fmt.Errorf("syslevel: %s already installed on another kernel", m.name)
-	}
-	m.k = k
-	if m.seqs == nil {
-		m.seqs = mechanism.NewSeqs()
-	}
-	if m.pending == nil {
-		m.pending = make(map[proc.PID]*ckptRequest)
-	}
-	return nil
+func newSyscallCore(f taxonomy.Features, every uint64, defaultTgt storage.Target) syscallCore {
+	return syscallCore{Core: mechanism.NewCore(mechanism.Rules{
+		Features: f,
+		Key:      f.Name,
+		Refusal:  fmt.Errorf("%w: %s requires the application to invoke the checkpoint system call", mechanism.ErrUnsupported, f.Name),
+	}), every: every, defaultTgt: defaultTgt}
 }
 
-// prepare wraps prog so that every `every` iterations (and whenever a
-// request is pending) the app traps into the checkpoint syscall.
-func (m *selfCheckpointer) prepare(prog kernel.Program) kernel.Program {
-	every := m.every
-	if every == 0 {
-		every = 1 // check for pending requests at every iteration boundary
-	}
-	return workload.Hooked{
-		Inner: prog,
-		Label: m.name,
-		Every: every,
-		Hook: func(ctx *kernel.Context) error {
-			ctx.P.Registered[m.name] = true
-			return m.selfCheckpoint(ctx)
-		},
-	}
+// Prepare implements mechanism.Mechanism: the application is modified to
+// trap into the checkpoint syscall every `every` iterations and whenever
+// a request is pending.
+func (m *syscallCore) Prepare(prog kernel.Program) kernel.Program {
+	return m.Hook(prog, m.every, m.selfCheckpoint)
 }
 
 // selfCheckpoint runs in process context when the app reaches a
 // checkpoint point: one syscall into the kernel, then a kernel-level
 // capture of `current`.
-func (m *selfCheckpointer) selfCheckpoint(ctx *kernel.Context) error {
+func (m *syscallCore) selfCheckpoint(ctx *kernel.Context) error {
 	k := ctx.K
-	req := m.pending[ctx.P.PID]
-	switch {
-	case req != nil:
-		delete(m.pending, ctx.P.PID)
-	case m.every > 0 && m.defaultTgt != nil:
-		req = &ckptRequest{
-			target: ctx.P,
-			tgt:    m.defaultTgt,
-			env:    mechanism.StorageEnvFor(ctx),
-			ticket: &mechanism.Ticket{RequestedAt: k.Now()},
+	req := m.Take(ctx.P.PID)
+	if req == nil {
+		if m.every == 0 || m.defaultTgt == nil {
+			return nil
 		}
-	default:
-		return nil
+		req = &mechanism.Pending{Tgt: m.defaultTgt, Env: mechanism.StorageEnvFor(ctx), Ticket: &mechanism.Ticket{RequestedAt: k.Now()}}
 	}
-	k.Charge(k.CM.Syscall(), "syscall:"+m.name)
-	opts := captureOpts{mech: m.name, seqs: m.seqs, forkConsistency: m.fork}
-	env := req.env
-	if m.fork {
+	k.Charge(k.CM.Syscall(), "syscall:"+m.Name())
+	fork := m.Features().ForkConsistency
+	env := req.Env
+	if fork {
 		// Checkpoint [5]: after the fork the parent returns to user code
 		// while the frozen copy is saved; I/O waits therefore let every
 		// process — including the parent — keep running.
 		env = &storage.Env{Bill: k, Wait: func(d simtime.Duration, what string) { k.RunWhile(d, nil) }}
 	}
-	captureKernel(k, ctx.P, ctx.P, req.tgt, env, opts, req.ticket)
-	return req.ticket.Err
-}
-
-func (m *selfCheckpointer) request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
-	if m.k != k {
-		return nil, mechanism.ErrNotInstalled
-	}
-	if !p.Registered[m.name] {
-		// The application was not modified to call the checkpoint
-		// syscall: there is no way in (§4.1 "the application source code
-		// is not available and so is not possible to change it").
-		return nil, fmt.Errorf("%w: %s requires the application to invoke the checkpoint system call", mechanism.ErrUnsupported, m.name)
-	}
-	t := &mechanism.Ticket{RequestedAt: k.Now()}
-	m.pending[p.PID] = &ckptRequest{target: p, tgt: tgt, env: env, ticket: t}
-	return t, nil
+	captureKernel(k, ctx.P, ctx.P, req.Tgt, env, captureOpts{mech: m.Name(), seqs: m.Seqs(), forkConsistency: fork}, req.Ticket)
+	return req.Ticket.Err
 }
 
 // VMADump models the Virtual Memory Area Dumper [17]: checkpoint/restart
 // system calls in the static kernel, invoked by the application on itself
 // (the `current` macro), writing the process state to a file descriptor.
 type VMADump struct {
-	selfCheckpointer
+	syscallCore
 }
 
-// NewVMADump returns a VMADump instance. every/defaultTgt configure the
-// application's compiled-in periodic self-checkpointing (0 = only
-// explicit requests, honoured at the next checkpoint point).
+// NewVMADump returns a VMADump instance (Table 1 row 1). every/defaultTgt
+// configure the application's compiled-in periodic self-checkpointing
+// (0 = only explicit requests, honoured at the next checkpoint point).
 func NewVMADump(every uint64, defaultTgt storage.Target) *VMADump {
-	return &VMADump{selfCheckpointer{name: "VMADump", every: every, defaultTgt: defaultTgt}}
-}
-
-// Name implements mechanism.Mechanism.
-func (m *VMADump) Name() string { return "VMADump" }
-
-// Features implements mechanism.Mechanism (Table 1 row 1).
-func (m *VMADump) Features() taxonomy.Features {
-	return taxonomy.Features{
+	return &VMADump{newSyscallCore(taxonomy.Features{
 		Name: "VMADump", Context: taxonomy.SystemLevel, Agent: taxonomy.AgentSyscall,
 		Storage:    []storage.Kind{storage.KindLocal, storage.KindRemote},
 		Initiation: taxonomy.InitAutomatic,
-	}
-}
-
-// Install implements mechanism.Mechanism (static kernel: syscall added).
-func (m *VMADump) Install(k *kernel.Kernel) error { return m.install(k) }
-
-// Prepare implements mechanism.Mechanism: the application must be
-// modified to call the syscall.
-func (m *VMADump) Prepare(prog kernel.Program) kernel.Program { return m.prepare(prog) }
-
-// Setup implements mechanism.Mechanism (none needed beyond Prepare).
-func (m *VMADump) Setup(k *kernel.Kernel, p *proc.Process) error { return nil }
-
-// Request implements mechanism.Mechanism.
-func (m *VMADump) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
-	if err := checkStorageKind(m, tgt); err != nil {
-		return nil, err
-	}
-	return m.request(k, p, tgt, env)
-}
-
-// Restart implements mechanism.Mechanism.
-func (m *VMADump) Restart(k *kernel.Kernel, chain []*checkpoint.Image, enqueue bool) (*proc.Process, error) {
-	return checkpoint.Restore(k, chain, checkpoint.RestoreOptions{Enqueue: enqueue})
+	}, every, defaultTgt)}
 }
 
 // BProc models the Beowulf Distributed Process Space [18]: VMADump used
 // for process migration inside a cluster, with no stable storage at all
-// (Table 1: storage "none") — images move directly to the target node.
+// (Table 1: storage "none") — requests capture in-memory images that
+// move directly to the target node.
 type BProc struct {
-	selfCheckpointer
+	syscallCore
 }
 
-// NewBProc returns a BProc instance.
+// NewBProc returns a BProc instance (Table 1 row 2).
 func NewBProc() *BProc {
-	return &BProc{selfCheckpointer{name: "BPROC", every: 1}}
-}
-
-// Name implements mechanism.Mechanism.
-func (m *BProc) Name() string { return "BPROC" }
-
-// Features implements mechanism.Mechanism (Table 1 row 2).
-func (m *BProc) Features() taxonomy.Features {
-	return taxonomy.Features{
+	return &BProc{newSyscallCore(taxonomy.Features{
 		Name: "BPROC", Context: taxonomy.SystemLevel, Agent: taxonomy.AgentSyscall,
 		Initiation: taxonomy.InitAutomatic,
-	}
-}
-
-// Install implements mechanism.Mechanism.
-func (m *BProc) Install(k *kernel.Kernel) error { return m.install(k) }
-
-// Prepare implements mechanism.Mechanism.
-func (m *BProc) Prepare(prog kernel.Program) kernel.Program { return m.prepare(prog) }
-
-// Setup implements mechanism.Mechanism.
-func (m *BProc) Setup(k *kernel.Kernel, p *proc.Process) error { return nil }
-
-// Request implements mechanism.Mechanism: BProc has no stable storage;
-// requests capture in-memory images for immediate migration.
-func (m *BProc) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
-	if err := checkStorageKind(m, tgt); err != nil {
-		return nil, err
-	}
-	return m.request(k, p, nil, env)
-}
-
-// Restart implements mechanism.Mechanism.
-func (m *BProc) Restart(k *kernel.Kernel, chain []*checkpoint.Image, enqueue bool) (*proc.Process, error) {
-	return checkpoint.Restore(k, chain, checkpoint.RestoreOptions{Enqueue: enqueue})
+	}, 1, nil)}
 }
 
 // CheckpointFork models "Checkpoint" (Carothers & Szymanski [5]):
@@ -212,46 +106,16 @@ func (m *BProc) Restart(k *kernel.Kernel, chain []*checkpoint.Image, enqueue boo
 // consistency via fork — the application keeps running while a concurrent
 // thread saves the frozen copy.
 type CheckpointFork struct {
-	selfCheckpointer
+	syscallCore
 }
 
-// NewCheckpointFork returns a Checkpoint [5] instance with compiled-in
-// period every (iterations) writing to defaultTgt.
+// NewCheckpointFork returns a Checkpoint [5] instance (Table 1 row 12)
+// with compiled-in period every (iterations) writing to defaultTgt.
 func NewCheckpointFork(every uint64, defaultTgt storage.Target) *CheckpointFork {
-	return &CheckpointFork{selfCheckpointer{name: "Checkpoint", every: every, defaultTgt: defaultTgt, fork: true}}
-}
-
-// Name implements mechanism.Mechanism.
-func (m *CheckpointFork) Name() string { return "Checkpoint" }
-
-// Features implements mechanism.Mechanism (Table 1 row 12).
-func (m *CheckpointFork) Features() taxonomy.Features {
-	return taxonomy.Features{
+	return &CheckpointFork{newSyscallCore(taxonomy.Features{
 		Name: "Checkpoint", Context: taxonomy.SystemLevel, Agent: taxonomy.AgentSyscall,
 		Storage:       []storage.Kind{storage.KindLocal},
 		Initiation:    taxonomy.InitAutomatic,
 		Multithreaded: true, ForkConsistency: true,
-	}
-}
-
-// Install implements mechanism.Mechanism.
-func (m *CheckpointFork) Install(k *kernel.Kernel) error { return m.install(k) }
-
-// Prepare implements mechanism.Mechanism.
-func (m *CheckpointFork) Prepare(prog kernel.Program) kernel.Program { return m.prepare(prog) }
-
-// Setup implements mechanism.Mechanism.
-func (m *CheckpointFork) Setup(k *kernel.Kernel, p *proc.Process) error { return nil }
-
-// Request implements mechanism.Mechanism.
-func (m *CheckpointFork) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
-	if err := checkStorageKind(m, tgt); err != nil {
-		return nil, err
-	}
-	return m.request(k, p, tgt, env)
-}
-
-// Restart implements mechanism.Mechanism.
-func (m *CheckpointFork) Restart(k *kernel.Kernel, chain []*checkpoint.Image, enqueue bool) (*proc.Process, error) {
-	return checkpoint.Restore(k, chain, checkpoint.RestoreOptions{Enqueue: enqueue})
+	}, every, defaultTgt)}
 }

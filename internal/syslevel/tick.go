@@ -53,23 +53,17 @@ type TICK struct {
 	MaxChain int
 }
 
-// NewTICK returns a TICK instance.
+// NewTICK returns a TICK instance, whose features are the extended
+// Table 1 row for the proposed system.
 func NewTICK() *TICK {
 	m := &TICK{
-		threadMech:      threadMech{name: "TICK", devPath: "/dev/tick", policy: proc.SchedFIFO, rtprio: 60},
+		threadMech:      threadMech{devPath: "/dev/tick", policy: proc.SchedFIFO, rtprio: 60},
 		DeferInterrupts: true,
 		MaxChain:        16,
 	}
 	m.optsFor = func() captureOpts { return captureOpts{noInterrupts: m.DeferInterrupts} }
 	m.maxChain = func() int { return m.MaxChain }
-	m.outer = m
-	return m
-}
-
-// Features implements mechanism.Mechanism: the extended Table 1 row for
-// the proposed system.
-func (m *TICK) Features() taxonomy.Features {
-	return taxonomy.Features{
+	m.init(m, mechanism.Rules{Features: taxonomy.Features{
 		Name: "TICK", Context: taxonomy.SystemLevel, Agent: taxonomy.AgentKernelThread,
 		Incremental:   true,
 		Transparent:   true,
@@ -77,7 +71,8 @@ func (m *TICK) Features() taxonomy.Features {
 		Initiation:    taxonomy.InitAutomatic,
 		KernelModule:  true,
 		Multithreaded: true,
-	}
+	}})
+	return m
 }
 
 // RequestDelta implements mechanism.DeltaRequester: the ioctl path CRAK
@@ -93,8 +88,8 @@ func (m *TICK) RequestDelta(k *kernel.Kernel, p *proc.Process, tgt storage.Targe
 // or application involvement — the autonomic behaviour of §1. The
 // returned stop function detaches and releases p's tracker.
 func (m *TICK) Attach(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env, interval simtime.Duration, onCkpt func(*mechanism.Ticket)) (func(), error) {
-	if m.k != k {
-		return nil, mechanism.ErrNotInstalled
+	if err := m.Bound(k); err != nil {
+		return nil, err
 	}
 	if interval <= 0 {
 		return nil, fmt.Errorf("syslevel: TICK: interval must be positive")
@@ -108,7 +103,7 @@ func (m *TICK) Attach(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env
 	var schedule func()
 	schedule = func() {
 		timer = k.Eng.After(interval, func() {
-			if stopped || m.k != k || p.State == proc.StateZombie || p.State == proc.StateDead {
+			if stopped || m.Bound(k) != nil || p.State == proc.StateZombie || p.State == proc.StateDead {
 				return
 			}
 			t, err := m.Request(k, p, tgt, env)
