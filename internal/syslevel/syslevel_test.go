@@ -473,6 +473,40 @@ func TestTICKAutomaticInitiation(t *testing.T) {
 	if len(tgt.List()) < 3 {
 		t.Fatalf("stored objects: %v", tgt.List())
 	}
+
+	// A first capture that outlasts the period: the tick that finds it
+	// still in flight is skipped rather than queued behind it, so no two
+	// checkpoints are acknowledged at one instant and no delta comes out
+	// empty.
+	big := workload.Sparse{MiB: 16, WriteFrac: 0.03, Seed: 11}
+	m, k = NewTICK(), newMachine("big", big)
+	m.Install(k)
+	p, _ = k.Spawn(big.Name())
+	workload.SetIterations(p, 1<<30)
+	var acks []simtime.Time
+	var tks []*mechanism.Ticket
+	stop, err = m.Attach(k, p, remoteTarget(), nil, 10*simtime.Millisecond, func(tk *mechanism.Ticket) {
+		acks, tks = append(acks, k.Now()), append(tks, tk)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.RunFor(60 * simtime.Millisecond)
+	stop()
+	if len(tks) < 3 || tks[0].CaptureTime() <= 10*simtime.Millisecond {
+		t.Fatalf("%d checkpoints, the first capturing for %v: want ≥3 and longer than the period", len(tks), tks[0].CaptureTime())
+	}
+	for i, tk := range tks {
+		if tk.Err != nil {
+			t.Fatalf("checkpoint %d: %v", i+1, tk.Err)
+		}
+		if i > 0 && acks[i] == acks[i-1] {
+			t.Errorf("checkpoints %d and %d both acknowledged at %v", i, i+1, acks[i])
+		}
+		if tk.Stats.PayloadBytes == 0 {
+			t.Errorf("checkpoint %d (%v) carries an empty delta", i+1, tk.Img.Mode)
+		}
+	}
 }
 
 func TestKernelThreadFIFOBeatsOtherUnderLoad(t *testing.T) {

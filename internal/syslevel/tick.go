@@ -85,7 +85,8 @@ func (m *TICK) RequestDelta(k *kernel.Kernel, p *proc.Process, tgt storage.Targe
 
 // Attach starts automatic-initiated periodic checkpointing of p to tgt:
 // a kernel timer enqueues capture work every interval without any user
-// or application involvement — the autonomic behaviour of §1. The
+// or application involvement — the autonomic behaviour of §1. A tick
+// that finds the previous checkpoint still in flight is skipped. The
 // returned stop function detaches and releases p's tracker.
 func (m *TICK) Attach(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env, interval simtime.Duration, onCkpt func(*mechanism.Ticket)) (func(), error) {
 	if err := m.Bound(k); err != nil {
@@ -100,13 +101,23 @@ func (m *TICK) Attach(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env
 	}
 	stopped := false
 	var timer *simtime.Event
+	var last *mechanism.Ticket
 	var schedule func()
 	schedule = func() {
 		timer = k.Eng.After(interval, func() {
 			if stopped || m.Bound(k) != nil || p.State == proc.StateZombie || p.State == proc.StateDead {
 				return
 			}
+			if last != nil && !last.Done {
+				// The previous checkpoint is still in flight: skip this
+				// tick rather than queue an empty delta behind it.
+				schedule()
+				return
+			}
 			t, err := m.Request(k, p, tgt, env)
+			if err == nil {
+				last = t
+			}
 			if err == nil && onCkpt != nil {
 				// Poll completion from a cheap follow-up event; a detach
 				// cancels any in-flight notification.
