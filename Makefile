@@ -57,8 +57,11 @@ bench:
 # claims E1–E13, then incremental shipping, parallel capture, restore
 # fast path, replication, fleet scale, lazy restore and policy. Every
 # experiment's records (one JSON schema) go to BENCH_gates.json; the
-# command exits nonzero if any row of experiments.Gates fails or an
-# experiment counted an error.
+# command exits nonzero if any row of experiments.Gates fails, an
+# experiment counted an error, or a sim-clock record differs from the
+# committed BENCH_gates.json it overwrites (866 of them; each one that
+# moved is named with its old and new value, and the rewritten file is
+# the new pin to commit after an intended change).
 bench-gates:
 	$(GO) run ./cmd/crbench -e 1,2,3,4,5,6,7,8,10,11,12,13,14,15,16,17,18,19,20 -json BENCH_gates.json
 
