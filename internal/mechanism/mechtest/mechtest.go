@@ -32,7 +32,7 @@ type Row struct {
 	// Store is the round trip's target: "local", "remote", or "" for the
 	// systems with no stable storage.
 	Store string
-	// Mask is the optional-interface set (see Interfaces).
+	// Mask is the optional-interface set (see interfaces).
 	Mask int
 	// Image is the FNV-64a of the checkpoint's encoded image.
 	Image uint64
@@ -83,10 +83,10 @@ func Run(t *testing.T, ctx taxonomy.Context) {
 	}
 }
 
-// Interfaces returns the bitmask of optional mechanism interfaces m
+// interfaces returns the bitmask of optional mechanism interfaces m
 // exposes: delta requests 1, capture width 2, restore width 4, lazy
 // restart 8 (the order bench's mechanism wrapper uses).
-func Interfaces(m mechanism.Mechanism) int {
+func interfaces(m mechanism.Mechanism) int {
 	mask := 0
 	if _, ok := m.(mechanism.DeltaRequester); ok {
 		mask |= 1
@@ -166,7 +166,7 @@ func Ready(t *testing.T, m mechanism.Mechanism) (*kernel.Kernel, *proc.Process) 
 
 func (r Row) check(t *testing.T) {
 	m := r.Mk()
-	if got := Interfaces(m); got != r.Mask {
+	if got := interfaces(m); got != r.Mask {
 		t.Errorf("exposes %04b, want %04b", got, r.Mask)
 	}
 

@@ -40,45 +40,45 @@ type userCore struct {
 	defaultTgt storage.Target
 }
 
-// init gives u its core over r. With handler set, Restart reinstalls the
+// init gives m its core over r. With handler set, Restart reinstalls the
 // checkpoint signal handler, as the relinked library's startup path
 // does.
-func (u *userCore) init(r mechanism.Rules, every uint64, defaultTgt storage.Target, handler bool) {
+func (m *userCore) init(r mechanism.Rules, every uint64, defaultTgt storage.Target, handler bool) {
 	if handler {
-		h := u.handler(r.Features.Name)
+		h := m.handler(r.Features.Name)
 		r.Restore.Handlers = map[string]*sig.Handler{h.Name: h}
 	}
-	u.Core = mechanism.NewCore(r)
-	u.trackers = make(map[proc.PID]*checkpoint.WPTracker)
-	u.every, u.defaultTgt = every, defaultTgt
+	m.Core = mechanism.NewCore(r)
+	m.trackers = make(map[proc.PID]*checkpoint.WPTracker)
+	m.every, m.defaultTgt = every, defaultTgt
 }
 
 // captureInProcess performs a user-level capture in the context of the
 // checkpointed process itself (library call or signal handler).
-func (u *userCore) captureInProcess(ctx *kernel.Context, req *mechanism.Pending) {
+func (m *userCore) captureInProcess(ctx *kernel.Context, req *mechanism.Pending) {
 	k := ctx.K
 	ticket := req.Ticket
 	ticket.StartedAt = k.Now()
 	fail := func(err error) { ticket.Finish(k.Now(), nil, checkpoint.Stats{}, err) }
-	if ctx.P.Multithreaded() && !u.Features().Multithreaded {
-		fail(fmt.Errorf("%w: %s checkpoints single-threaded processes only", mechanism.ErrUnsupported, u.Name()))
+	if ctx.P.Multithreaded() && !m.Features().Multithreaded {
+		fail(fmt.Errorf("%w: %s checkpoints single-threaded processes only", mechanism.ErrUnsupported, m.Name()))
 		return
 	}
 	if req.Tgt != nil && !req.Tgt.Available() {
-		fail(fmt.Errorf("userlevel: %s: storage: %w", u.Name(), storage.ErrTargetUnavailable))
+		fail(fmt.Errorf("userlevel: %s: storage: %w", m.Name(), storage.ErrTargetUnavailable))
 		return
 	}
 
 	var trk checkpoint.Tracker
-	if u.Features().Incremental {
-		t, ok := u.trackers[ctx.P.PID]
+	if m.Features().Incremental {
+		t, ok := m.trackers[ctx.P.PID]
 		if !ok {
 			t = checkpoint.NewUserWPTracker(ctx)
 			if err := t.Arm(); err != nil {
 				fail(err)
 				return
 			}
-			u.trackers[ctx.P.PID] = t
+			m.trackers[ctx.P.PID] = t
 		}
 		trk = t
 	}
@@ -87,46 +87,46 @@ func (u *userCore) captureInProcess(ctx *kernel.Context, req *mechanism.Pending)
 	if env == nil {
 		env = mechanism.StorageEnvFor(ctx)
 	}
-	seq, parent := u.Seqs().Next(ctx.P.PID)
+	seq, parent := m.Seqs().Next(ctx.P.PID)
 	img, st, err := checkpoint.Capture(checkpoint.Request{
 		Acc:       &checkpoint.UserAccessor{Ctx: ctx},
 		Trk:       trk,
 		Target:    req.Tgt,
 		Env:       env,
-		Mechanism: u.Name(),
+		Mechanism: m.Name(),
 		Hostname:  k.Cfg.Hostname,
 		Seq:       seq,
 		Parent:    parent,
 		Now:       k.Now(),
 	})
 	if err == nil {
-		u.Seqs().Commit(img)
+		m.Seqs().Commit(img)
 	}
 	ticket.Finish(k.Now(), img, st, err)
 }
 
 // atPoint is the body of both compiled-in checkpoint calls and signal
 // handlers: consume a pending request, or do a periodic checkpoint.
-func (u *userCore) atPoint(ctx *kernel.Context) {
-	req := u.Take(ctx.P.PID)
+func (m *userCore) atPoint(ctx *kernel.Context) {
+	req := m.Take(ctx.P.PID)
 	if req == nil {
-		if u.defaultTgt == nil {
+		if m.defaultTgt == nil {
 			return
 		}
-		req = &mechanism.Pending{Tgt: u.defaultTgt, Ticket: &mechanism.Ticket{RequestedAt: ctx.K.Now()}}
+		req = &mechanism.Pending{Tgt: m.defaultTgt, Ticket: &mechanism.Ticket{RequestedAt: ctx.K.Now()}}
 	}
-	u.captureInProcess(ctx, req)
+	m.captureInProcess(ctx, req)
 }
 
 // handler builds the checkpoint signal handler of the scheme called
 // name. It uses non-reentrant C-library functions.
-func (u *userCore) handler(name string) *sig.Handler {
+func (m *userCore) handler(name string) *sig.Handler {
 	return &sig.Handler{
 		Name:             name + "-handler",
 		UsesNonReentrant: true,
 		Fn: func(c any, s sig.Signal) {
 			if ctx, ok := c.(*kernel.Context); ok {
-				u.atPoint(ctx)
+				m.atPoint(ctx)
 			}
 		},
 	}
@@ -134,13 +134,13 @@ func (u *userCore) handler(name string) *sig.Handler {
 
 // signal is a Request by kill: the request is admitted and pending, and
 // s makes the process's handler take it.
-func (u *userCore) signal(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env, s sig.Signal) (*mechanism.Ticket, error) {
-	t, err := u.Request(k, p, tgt, env)
+func (m *userCore) signal(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env, s sig.Signal) (*mechanism.Ticket, error) {
+	t, err := m.Request(k, p, tgt, env)
 	if err != nil {
 		return nil, err
 	}
 	if err := k.Kill(p.PID, s); err != nil {
-		u.Take(p.PID)
+		m.Take(p.PID)
 		return nil, err
 	}
 	return t, nil
