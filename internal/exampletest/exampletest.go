@@ -15,6 +15,13 @@ import (
 // `go run . > testdata/stdout.golden`.
 func Golden(t *testing.T, main func()) {
 	t.Helper()
+	File(t, filepath.Join("testdata", "stdout.golden"), false, main)
+}
+
+// File is Golden against the golden at path. With update it writes what
+// run printed to path instead of comparing.
+func File(t *testing.T, path string, update bool, run func()) {
+	t.Helper()
 	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
 	if err != nil {
 		t.Fatal(err)
@@ -24,17 +31,23 @@ func Golden(t *testing.T, main func()) {
 	os.Stdout = f
 	func() {
 		defer func() { os.Stdout = saved }()
-		main()
+		run()
 	}()
 	got, err := os.ReadFile(f.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "stdout.golden"))
+	if update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
-		t.Fatalf("stdout differs from testdata/stdout.golden:\n--- got ---\n%s--- want ---\n%s", got, want)
+		t.Fatalf("stdout differs from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }
