@@ -131,9 +131,9 @@ func (c *DeltaChain) ForceRebase() { c.force = true }
 
 // Close releases the tracker (restoring the process's page protections).
 // The chain keeps its place: a later Arm starts a fresh tracker, whose
-// first collection covers everything.
+// first collection covers everything. A nil chain has nothing to close.
 func (c *DeltaChain) Close() {
-	if c.trk != nil {
+	if c != nil && c.trk != nil {
 		c.trk.Close()
 		c.trk, c.fresh = nil, false
 	}

@@ -36,14 +36,33 @@ type Rules struct {
 // identity Prepare and empty Setup of a system that needs neither, the
 // admission rules of a Request (installed, registered, storage kind),
 // the table of requests waiting for their process to reach the capture
-// point, and Restart from a template. Every system embeds one; each
-// keeps only the methods whose behaviour differs (its install hook, a
-// registering Setup, its initiation path).
+// point, each process's chain and the capture step over it, and Restart
+// from a template. Every system embeds one; each keeps only the methods
+// whose behaviour differs (its install hook, a registering Setup, its
+// initiation path).
 type Core struct {
 	rules   Rules
 	k       *kernel.Kernel
-	seqs    *Seqs
+	chains  map[proc.PID]*Chain
 	pending map[proc.PID]*Pending
+}
+
+// Chain is one process's checkpoint chain in a core: the sequence
+// counter, the newest committed image's object name (the next delta's
+// parent) and, for a system that tracks dirty pages itself (Track), the
+// checkpoint.DeltaChain that picks each capture's tracker and rebase.
+type Chain struct {
+	seq   uint64
+	head  string
+	delta *checkpoint.DeltaChain
+}
+
+// Delta is a delta request's tracker, epoch and rebase (see
+// DeltaRequester), which Capture uses as given.
+type Delta struct {
+	Trk    checkpoint.Tracker
+	Epoch  uint64
+	Rebase bool
 }
 
 // Pending is a Request waiting for its process to reach the capture
@@ -111,14 +130,18 @@ func (c *Core) Bind(k *kernel.Kernel, hook func() error) error {
 			return err
 		}
 	}
-	c.k, c.seqs, c.pending = k, NewSeqs(), make(map[proc.PID]*Pending)
+	c.k, c.chains, c.pending = k, make(map[proc.PID]*Chain), make(map[proc.PID]*Pending)
 	return nil
 }
 
-// Unbind releases the bind to k (a module unload).
+// Unbind releases the bind to k (a module unload) and every chain's
+// tracker.
 func (c *Core) Unbind(k *kernel.Kernel) error {
 	if err := c.Bound(k); err != nil {
 		return err
+	}
+	for _, ch := range c.chains {
+		ch.Close()
 	}
 	c.k = nil
 	return nil
@@ -132,8 +155,77 @@ func (c *Core) Bound(k *kernel.Kernel) error {
 	return nil
 }
 
-// Seqs returns the sequence numbers of the current bind.
-func (c *Core) Seqs() *Seqs { return c.seqs }
+// Chain returns pid's chain in the current bind, starting it on first
+// use.
+func (c *Core) Chain(pid proc.PID) *Chain {
+	if c.chains[pid] == nil {
+		c.chains[pid] = &Chain{}
+	}
+	return c.chains[pid]
+}
+
+// Track arms the chain's own dirty tracking, unless it is armed: the
+// tracker newTracker returns, rebased every every-th capture (0: only
+// the first; read when the chain first tracks).
+func (ch *Chain) Track(every int, newTracker func() checkpoint.Tracker) error {
+	if ch.delta == nil {
+		ch.delta = checkpoint.NewDeltaChain(every)
+	}
+	return ch.delta.Arm(newTracker)
+}
+
+// Close releases the chain's tracker. The chain keeps its place; a
+// later Track arms a fresh tracker, whose first collection is complete.
+func (ch *Chain) Close() { ch.delta.Close() }
+
+// CheckThreads refuses a multithreaded p unless the system's Table 1 row
+// captures threads or it saves the whole machine, threads and all.
+func (c *Core) CheckThreads(p *proc.Process) error {
+	f := c.rules.Features
+	if p.Multithreaded() && !f.Multithreaded && !f.WholeMachine {
+		return fmt.Errorf("%w: %s checkpoints single-threaded processes only", ErrUnsupported, f.Name)
+	}
+	return nil
+}
+
+// Capture is every system's one capture step on k: the thread rule,
+// then d's tracker, epoch and rebase, or else the chain's own rule (no
+// tracker, no rebase when untracked), req stamped with the system's
+// name, k's host, the next sequence number, the parent and the time,
+// checkpoint.Capture, and a commit to the chain on success. A failed
+// capture still uses up its number, and a rebase clears the parent but
+// not the count, so no object name is published twice.
+func (c *Core) Capture(k *kernel.Kernel, req checkpoint.Request, d *Delta) (*checkpoint.Image, checkpoint.Stats, error) {
+	p := req.Acc.Process()
+	if err := c.CheckThreads(p); err != nil {
+		return nil, checkpoint.Stats{}, err
+	}
+	pid := p.PID
+	if req.AsPID != 0 {
+		pid = req.AsPID
+	}
+	ch := c.Chain(pid)
+	own := d == nil && ch.delta != nil
+	rebase := d != nil && d.Rebase
+	if d != nil {
+		req.Trk, req.Epoch = d.Trk, d.Epoch
+	} else if own {
+		req.Trk, rebase = ch.delta.Next()
+	}
+	if rebase {
+		ch.head = ""
+	}
+	ch.seq++
+	req.Mechanism, req.Hostname, req.Seq, req.Parent, req.Now = c.Name(), k.Cfg.Hostname, ch.seq, ch.head, k.Now()
+	img, st, err := checkpoint.Capture(req)
+	if err == nil {
+		ch.head = img.ObjectName()
+		if own {
+			ch.delta.Commit(img)
+		}
+	}
+	return img, st, err
+}
 
 // Enroll marks p registered with the system.
 func (c *Core) Enroll(p *proc.Process) { p.Registered[c.rules.Key] = true }

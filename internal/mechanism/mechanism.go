@@ -161,44 +161,6 @@ func Checkpoint(m Mechanism, k *kernel.Kernel, p *proc.Process, tgt storage.Targ
 	return t, nil
 }
 
-// Seqs allocates monotone checkpoint sequence numbers per PID and
-// remembers the previous image name for incremental chaining.
-type Seqs struct {
-	seq    map[proc.PID]uint64
-	parent map[proc.PID]string
-}
-
-// NewSeqs returns an empty sequence tracker.
-func NewSeqs() *Seqs {
-	return &Seqs{seq: make(map[proc.PID]uint64), parent: make(map[proc.PID]string)}
-}
-
-// Next returns the next sequence number and the parent object name.
-func (s *Seqs) Next(pid proc.PID) (uint64, string) {
-	s.seq[pid]++
-	return s.seq[pid], s.parent[pid]
-}
-
-// Commit records img as the latest image for its PID.
-func (s *Seqs) Commit(img *checkpoint.Image) {
-	s.parent[img.PID] = img.ObjectName()
-}
-
-// Reset forgets a PID's history (process exited or migrated away).
-func (s *Seqs) Reset(pid proc.PID) {
-	delete(s.seq, pid)
-	delete(s.parent, pid)
-}
-
-// Rebase forgets only a PID's parent link, keeping the sequence counter
-// monotonic: the next capture becomes a full image under a fresh object
-// name. Resetting the counter instead would republish over names an
-// earlier chain generation already used — fatal once GC retires those
-// names while a later generation is reoccupying them.
-func (s *Seqs) Rebase(pid proc.PID) {
-	delete(s.parent, pid)
-}
-
 // StorageEnvFor builds a storage env that bills CPU to the kernel clock
 // and spends I/O time with nested execution in process context (other
 // processes keep running during disk/network waits).

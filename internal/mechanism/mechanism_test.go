@@ -1,11 +1,17 @@
 package mechanism
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/costmodel"
 	"repro/internal/simos/kernel"
+	"repro/internal/simos/proc"
 	"repro/internal/simtime"
+	"repro/internal/storage"
+	"repro/internal/taxonomy"
+	"repro/internal/workload"
 )
 
 func TestTicketTimings(t *testing.T) {
@@ -21,29 +27,50 @@ func TestTicketTimings(t *testing.T) {
 	}
 }
 
-func TestSeqsChainBookkeeping(t *testing.T) {
-	s := NewSeqs()
-	seq, parent := s.Next(5)
-	if seq != 1 || parent != "" {
-		t.Fatalf("first Next = %d %q", seq, parent)
+// TestCoreChainBookkeeping pins the per-process chain behind Capture:
+// sequence numbers count per PID, a delta's parent is the last committed
+// image, a failed capture uses up its number without becoming a parent,
+// and a rebase clears the parent but not the count.
+func TestCoreChainBookkeeping(t *testing.T) {
+	prog := workload.Dense{MiB: 1}
+	reg := kernel.NewRegistry()
+	reg.MustRegister(prog)
+	k := kernel.New(kernel.DefaultConfig("k"), costmodel.Default2005(), reg)
+	c := NewCore(Rules{Features: taxonomy.Features{Name: "test"}})
+	if err := c.Bind(k, nil); err != nil {
+		t.Fatal(err)
 	}
-	// Commit is keyed by the image; emulate one.
-	img := fakeImage(5, 1)
-	s.Commit(img)
-	seq, parent = s.Next(5)
-	if seq != 2 || parent != img.ObjectName() {
-		t.Fatalf("second Next = %d %q", seq, parent)
+	p, _ := k.Spawn(prog.Name())
+	other, _ := k.Spawn(prog.Name())
+	trk := checkpoint.NewKernelWPTracker(k, p)
+	if err := trk.Arm(); err != nil {
+		t.Fatal(err)
 	}
-	// Another PID has its own chain.
-	seq, parent = s.Next(9)
-	if seq != 1 || parent != "" {
-		t.Fatalf("other pid Next = %d %q", seq, parent)
+	defer trk.Close()
+	tgt := storage.NewLocal("disk0", costmodel.Default2005(), nil)
+	capture := func(p *proc.Process, d *Delta, seq uint64, parent string) *checkpoint.Image {
+		t.Helper()
+		img, _, err := c.Capture(k, checkpoint.Request{Acc: &checkpoint.KernelAccessor{K: k, P: p}, Target: tgt}, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if img.Seq != seq || img.Parent != parent || img.Mechanism != "test" || img.Hostname != "k" {
+			t.Fatalf("image %s/%s seq %d parent %q, want test/k seq %d parent %q", img.Mechanism, img.Hostname, img.Seq, img.Parent, seq, parent)
+		}
+		return img
 	}
-	s.Reset(5)
-	seq, parent = s.Next(5)
-	if seq != 1 || parent != "" {
-		t.Fatalf("after Reset = %d %q", seq, parent)
+	first := capture(p, &Delta{Trk: trk}, 1, "")
+	second := capture(p, &Delta{Trk: trk}, 2, first.ObjectName())
+	capture(other, nil, 1, "")
+
+	tgt.SetFaults(&storage.FaultPolicy{WriteFault: 1, Rng: rand.New(rand.NewSource(1))})
+	if _, _, err := c.Capture(k, checkpoint.Request{Acc: &checkpoint.KernelAccessor{K: k, P: p}, Target: tgt}, &Delta{Trk: trk}); err == nil {
+		t.Fatal("capture onto a faulting target succeeded")
 	}
+	tgt.SetFaults(nil)
+	capture(p, &Delta{Trk: trk}, 4, second.ObjectName())
+	rebased := capture(p, &Delta{Rebase: true}, 5, "")
+	capture(p, &Delta{Trk: trk}, 6, rebased.ObjectName())
 }
 
 func TestWaitTicketTimesOut(t *testing.T) {

@@ -22,22 +22,10 @@ import (
 
 // captureOpts select the mechanism-specific capture behaviour.
 type captureOpts struct {
-	// mech is the mechanism name stamped into images.
-	mech string
-	// trk, when non-nil, provides incremental deltas (delta requests
-	// from the cluster agents).
-	trk checkpoint.Tracker
-	// rebase forgets the PID's chain, so the capture publishes a
-	// standalone full image.
-	rebase bool
-	// chain, when non-nil, decides trk and rebase when the capture runs
-	// and hears of its commit (TICK's per-process chains).
-	chain *checkpoint.DeltaChain
-	// seqs provides sequence numbers and chaining.
-	seqs *mechanism.Seqs
-	// epoch namespaces image object names by incarnation (delta chains
-	// shipped by fenced cluster agents); zero keeps legacy names.
-	epoch uint64
+	// delta, when non-nil, is a delta request's tracker, epoch and
+	// rebase (from the cluster agents); otherwise the process's chain in
+	// the core decides.
+	delta *mechanism.Delta
 	// kernelExtras captures sockets/shm (ZAP pods).
 	kernelExtras bool
 	// includeFileContents snapshots every open regular file into the
@@ -55,14 +43,14 @@ type captureOpts struct {
 	parallelism int
 }
 
-// captureKernel performs one kernel-level capture of target with the
-// given consistency strategy, charging all costs, and fills the ticket.
-// self is the executing context's process (kernel thread or the target
-// itself for syscall/signal agents).
-func captureKernel(k *kernel.Kernel, self, target *proc.Process, tgt storage.Target, env *storage.Env, opts captureOpts, ticket *mechanism.Ticket) {
+// captureKernel performs one kernel-level capture of target through c's
+// capture step with the given consistency strategy, charging all costs,
+// and fills the ticket. self is the executing context's process (kernel
+// thread or the target itself for syscall/signal agents).
+func captureKernel(c *mechanism.Core, k *kernel.Kernel, self, target *proc.Process, tgt storage.Target, env *storage.Env, opts captureOpts, ticket *mechanism.Ticket) {
 	ticket.StartedAt = k.Now()
 	if tgt != nil && !tgt.Available() {
-		ticket.Finish(k.Now(), nil, checkpoint.Stats{}, fmt.Errorf("syslevel: %s: storage: %w", opts.mech, storage.ErrTargetUnavailable))
+		ticket.Finish(k.Now(), nil, checkpoint.Stats{}, fmt.Errorf("syslevel: %s: storage: %w", c.Name(), storage.ErrTargetUnavailable))
 		return
 	}
 
@@ -110,29 +98,7 @@ func captureKernel(k *kernel.Kernel, self, target *proc.Process, tgt storage.Tar
 	// switch (EnsureAS charges the TLB flush only when needed).
 	k.EnsureAS(captured)
 
-	if opts.chain != nil {
-		opts.trk, opts.rebase = opts.chain.Next()
-	}
-	seq, parent := uint64(1), ""
-	if opts.seqs != nil {
-		if opts.rebase {
-			opts.seqs.Rebase(target.PID)
-		}
-		seq, parent = opts.seqs.Next(target.PID)
-	}
-	req := checkpoint.Request{
-		Acc:         &checkpoint.KernelAccessor{K: k, P: captured},
-		Trk:         opts.trk,
-		Target:      tgt,
-		Env:         env,
-		Mechanism:   opts.mech,
-		Hostname:    k.Cfg.Hostname,
-		Seq:         seq,
-		Parent:      parent,
-		Epoch:       opts.epoch,
-		Now:         k.Now(),
-		Parallelism: opts.parallelism,
-	}
+	req := checkpoint.Request{Acc: &checkpoint.KernelAccessor{K: k, P: captured}, Target: tgt, Env: env, Parallelism: opts.parallelism}
 	if opts.forkConsistency {
 		// The frozen fork is captured, but the image belongs to the parent.
 		req.AsPID = target.PID
@@ -149,17 +115,11 @@ func captureKernel(k *kernel.Kernel, self, target *proc.Process, tgt storage.Tar
 			}
 		}
 	}
-	img, st, err := checkpoint.Capture(req)
+	img, st, err := c.Capture(k, req, opts.delta)
 	// Interrupts that became due while the capture charged time intrude
 	// on it now (extending the measured capture), unless the mechanism
 	// deferred them — the §4.1 "mechanism to delay these events".
 	k.Eng.RunUntil(k.Now())
-	if err == nil && opts.seqs != nil {
-		opts.seqs.Commit(img)
-		if opts.chain != nil {
-			opts.chain.Commit(img)
-		}
-	}
 
 	// Time-sharing stretch (§4.1): an agent in the SCHED_OTHER class —
 	// whether a low-priority kernel thread or the application itself
@@ -215,7 +175,7 @@ type ckptRequest struct {
 // privileges. Kernel threads may hold Go state (they are never
 // checkpointed), so this Program is deliberately stateful.
 type daemon struct {
-	name  string
+	core  *mechanism.Core
 	k     *kernel.Kernel
 	self  *proc.Process
 	queue []*ckptRequest
@@ -225,7 +185,7 @@ type daemon struct {
 }
 
 // Name implements kernel.Program.
-func (d *daemon) Name() string { return d.name }
+func (d *daemon) Name() string { return d.core.Name() + "-kthread" }
 
 // Init implements kernel.Program: daemons start blocked, waiting for work.
 func (d *daemon) Init(ctx *kernel.Context) error {
@@ -246,7 +206,7 @@ func (d *daemon) Step(ctx *kernel.Context) (kernel.Status, error) {
 	if d.preCapture != nil {
 		d.preCapture(d.k, req)
 	}
-	captureKernel(d.k, d.self, req.target, req.tgt, req.env, req.opts, req.ticket)
+	captureKernel(d.core, d.k, d.self, req.target, req.tgt, req.env, req.opts, req.ticket)
 	return kernel.StatusRunning, nil
 }
 
@@ -259,9 +219,10 @@ func (d *daemon) enqueue(req *ckptRequest) error {
 	return nil
 }
 
-// spawnDaemon creates and registers the kernel thread.
-func spawnDaemon(k *kernel.Kernel, name string, rtprio int, policy proc.Policy, preCapture func(*kernel.Kernel, *ckptRequest)) (*daemon, error) {
-	d := &daemon{name: name, k: k, preCapture: preCapture}
+// spawnDaemon creates and registers the kernel thread capturing through
+// core.
+func spawnDaemon(k *kernel.Kernel, core *mechanism.Core, rtprio int, policy proc.Policy, preCapture func(*kernel.Kernel, *ckptRequest)) (*daemon, error) {
+	d := &daemon{core: core, k: k, preCapture: preCapture}
 	p, err := k.SpawnKernelThread(d, rtprio)
 	if err != nil {
 		return nil, err

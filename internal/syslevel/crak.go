@@ -39,14 +39,10 @@ type threadMech struct {
 	// preCapture runs in thread context before each capture (BLCR's
 	// callback hook).
 	preCapture func(k *kernel.Kernel, req *ckptRequest)
-	// maxChain, set by TICK only, makes every plain Request a delta on
-	// the process's chain, rebased every maxChain() captures.
-	maxChain func() int
 	// outer is the concrete system: the module the kernel loads.
 	outer kernel.Module
 
-	d      *daemon
-	chains map[proc.PID]*checkpoint.DeltaChain
+	d *daemon
 
 	// capturePar is the sharded-capture worker-pool width (0 or 1 =
 	// sequential), set through mechanism.CaptureParallelizer.
@@ -71,7 +67,7 @@ func (m *threadMech) ModuleName() string { return strings.TrimPrefix(m.devPath, 
 // the device node whose ioctl hands it work.
 func (m *threadMech) Load(k *kernel.Kernel) error {
 	return m.Bind(k, func() error {
-		d, err := spawnDaemon(k, m.Name()+"-kthread", m.rtprio, m.policy, m.preCapture)
+		d, err := spawnDaemon(k, &m.Core, m.rtprio, m.policy, m.preCapture)
 		if err != nil {
 			return err
 		}
@@ -90,7 +86,7 @@ func (m *threadMech) Load(k *kernel.Kernel) error {
 		if err != nil {
 			return err
 		}
-		m.d, m.chains = d, make(map[proc.PID]*checkpoint.DeltaChain)
+		m.d = d
 		return nil
 	})
 }
@@ -101,11 +97,8 @@ func (m *threadMech) Unload(k *kernel.Kernel) error {
 	if err := m.Unbind(k); err != nil {
 		return err
 	}
-	for _, c := range m.chains {
-		c.Close()
-	}
 	k.Exit(m.d.self, 0)
-	m.d, m.chains = nil, nil
+	m.d = nil
 	return k.FS.Remove(m.devPath)
 }
 
@@ -117,31 +110,9 @@ func (m *threadMech) Install(k *kernel.Kernel) error {
 	return k.LoadModule(m.outer)
 }
 
-// Request implements mechanism.Mechanism: the user-level tool's ioctl,
-// or, for TICK, the kernel's own request for the next capture on p's
-// delta chain.
+// Request implements mechanism.Mechanism: the user-level tool's ioctl.
 func (m *threadMech) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
-	if m.maxChain == nil {
-		return m.ioctl(k, p, tgt, env, nil, 0, false)
-	}
-	return m.submit(k, p, tgt, env, nil, 0, false, func(req *ckptRequest) error {
-		c, err := m.chain(k, p)
-		if err != nil {
-			return err
-		}
-		req.opts.chain = c
-		return m.d.enqueue(req)
-	})
-}
-
-// chain returns p's delta chain, arming its tracker on first use.
-func (m *threadMech) chain(k *kernel.Kernel, p *proc.Process) (*checkpoint.DeltaChain, error) {
-	c, ok := m.chains[p.PID]
-	if !ok {
-		c = checkpoint.NewDeltaChain(m.maxChain())
-		m.chains[p.PID] = c
-	}
-	return c, c.Arm(func() checkpoint.Tracker { return checkpoint.NewKernelWPTracker(k, p) })
+	return m.ioctl(k, p, tgt, env, nil)
 }
 
 // SetCaptureParallelism implements mechanism.CaptureParallelizer for the
@@ -164,30 +135,28 @@ func (m *threadMech) RestartLazy(k *kernel.Kernel, leaf *checkpoint.Image, opt c
 }
 
 // submit is the in-kernel half of every checkpoint request: the core's
-// admission rules, threads only where the system captures them, the
-// capture options, and send, which carries the request to the
-// checkpoint thread. The request
+// admission rules and thread rule, the capture options, and send, which
+// carries the request to the checkpoint thread. A delta request d
 // carries the chain knobs an orchestration layer needs for incremental
-// shipping: the caller's tracker supplies the dirty ranges, epoch
-// namespaces the object names by incarnation, and rebase forgets the
+// shipping: the caller's tracker supplies the dirty ranges, the epoch
+// namespaces the object names by incarnation, and a rebase forgets the
 // PID's chain so the capture publishes a standalone full image. The
 // rebase/tracker contract is the caller's (see
 // mechanism.DeltaRequester): a rebase round must pass a nil or fresh
 // tracker, never one whose collections are already on the wire.
 func (m *threadMech) submit(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env,
-	trk checkpoint.Tracker, epoch uint64, rebase bool, send func(*ckptRequest) error) (*mechanism.Ticket, error) {
+	d *mechanism.Delta, send func(*ckptRequest) error) (*mechanism.Ticket, error) {
 	if err := m.Admit(k, p, tgt); err != nil {
 		return nil, err
 	}
-	if p.Multithreaded() && !m.Features().Multithreaded {
-		return nil, fmt.Errorf("%w: %s cannot checkpoint multithreaded processes", mechanism.ErrUnsupported, m.Name())
+	if err := m.CheckThreads(p); err != nil {
+		return nil, err
 	}
 	var opts captureOpts
 	if m.optsFor != nil {
 		opts = m.optsFor()
 	}
-	opts.mech, opts.seqs, opts.parallelism = m.Name(), m.Seqs(), m.capturePar
-	opts.trk, opts.epoch, opts.rebase = trk, epoch, rebase
+	opts.parallelism, opts.delta = m.capturePar, d
 	req := &ckptRequest{target: p, tgt: tgt, env: env, opts: opts, ticket: &mechanism.Ticket{}}
 	if err := send(req); err != nil {
 		return nil, err
@@ -198,11 +167,9 @@ func (m *threadMech) submit(k *kernel.Kernel, p *proc.Process, tgt storage.Targe
 // ioctl is the user-level control tool's front end to submit: it opens
 // the device node and issues the checkpoint ioctl, charging the tool's
 // open, ioctl and close round trips, and returns the ticket the kernel
-// thread will complete. A plain Request passes a nil tracker, epoch 0
-// and no rebase.
-func (m *threadMech) ioctl(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env,
-	trk checkpoint.Tracker, epoch uint64, rebase bool) (*mechanism.Ticket, error) {
-	return m.submit(k, p, tgt, env, trk, epoch, rebase, func(req *ckptRequest) error {
+// thread will complete. A plain Request passes no delta.
+func (m *threadMech) ioctl(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env, d *mechanism.Delta) (*mechanism.Ticket, error) {
+	return m.submit(k, p, tgt, env, d, func(req *ckptRequest) error {
 		k.Charge(3*k.CM.Syscall(), "ioctl-tool")
 		of, err := k.FS.Open(m.devPath, fs.ORead|fs.OWrite)
 		if err != nil {
@@ -246,7 +213,7 @@ func NewCRAKWithPolicy(policy proc.Policy, rtprio int) *CRAK {
 // previous capture.
 func (m *CRAK) RequestDelta(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env,
 	trk checkpoint.Tracker, epoch uint64, rebase bool) (*mechanism.Ticket, error) {
-	return m.ioctl(k, p, tgt, env, trk, epoch, rebase)
+	return m.ioctl(k, p, tgt, env, &mechanism.Delta{Trk: trk, Epoch: epoch, Rebase: rebase})
 }
 
 // UCLiK models Foster's UCLiK [13]: it "inherits much of the framework of

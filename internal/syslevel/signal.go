@@ -34,7 +34,7 @@ func (m *signalCore) action(c any, s sig.Signal) {
 	if req == nil {
 		return // stray signal: no request outstanding
 	}
-	captureKernel(ctx.K, ctx.P, ctx.P, req.Tgt, req.Env, captureOpts{mech: m.Name(), seqs: m.Seqs()}, req.Ticket)
+	captureKernel(&m.Core, ctx.K, ctx.P, ctx.P, req.Tgt, req.Env, captureOpts{}, req.Ticket)
 }
 
 // Request implements mechanism.Mechanism: the user tool sends the

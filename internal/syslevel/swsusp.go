@@ -112,21 +112,10 @@ func (m *SoftwareSuspend) Suspend(k *kernel.Kernel, tgt storage.Target, env *sto
 		if p.State != proc.StateStopped {
 			continue
 		}
-		seq, parent := m.Seqs().Next(p.PID)
-		img, _, err := checkpoint.Capture(checkpoint.Request{
-			Acc:       &checkpoint.KernelAccessor{K: k, P: p},
-			Target:    tgt,
-			Env:       env,
-			Mechanism: m.Name(),
-			Hostname:  k.Cfg.Hostname,
-			Seq:       seq,
-			Parent:    parent,
-			Now:       k.Now(),
-		})
+		img, _, err := m.Capture(k, checkpoint.Request{Acc: &checkpoint.KernelAccessor{K: k, P: p}, Target: tgt, Env: env}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("swsusp: saving pid %d: %w", p.PID, err)
 		}
-		m.Seqs().Commit(img)
 		imgs = append(imgs, img)
 	}
 	k.SetHalted(true) // power down

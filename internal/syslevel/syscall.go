@@ -63,7 +63,7 @@ func (m *syscallCore) selfCheckpoint(ctx *kernel.Context) error {
 		// process — including the parent — keep running.
 		env = &storage.Env{Bill: k, Wait: func(d simtime.Duration, what string) { k.RunWhile(d, nil) }}
 	}
-	captureKernel(k, ctx.P, ctx.P, req.Tgt, env, captureOpts{mech: m.Name(), seqs: m.Seqs(), forkConsistency: fork}, req.Ticket)
+	captureKernel(&m.Core, k, ctx.P, ctx.P, req.Tgt, env, captureOpts{forkConsistency: fork}, req.Ticket)
 	return req.Ticket.Err
 }
 

@@ -177,6 +177,45 @@ func TestBLCRHandlesThreadsCRAKDoesNot(t *testing.T) {
 	}
 }
 
+// The thread rule holds on every initiation path, not only the
+// kernel-thread family's: the single-threaded syscall and signal systems
+// refuse a 3-thread process with ErrUnsupported. Software Suspend saves
+// the whole machine, threads and all.
+func TestSingleThreadedSystemsRefuseThreads(t *testing.T) {
+	prog := workload.MultiThreaded{MiB: 1, NThreads: 3, Iterations: 1 << 20}
+	launch := func(m mechanism.Mechanism) (*kernel.Kernel, *proc.Process) {
+		prepared := m.Prepare(prog)
+		k := newMachine("k", prepared)
+		if err := m.Install(k); err != nil {
+			t.Fatal(err)
+		}
+		p, err := k.Spawn(prepared.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Setup(k, p); err != nil {
+			t.Fatal(err)
+		}
+		k.RunFor(simtime.Millisecond)
+		return k, p
+	}
+	for _, m := range []mechanism.Mechanism{NewVMADump(0, nil), NewEPCKPT(), NewCHPOX()} {
+		k, p := launch(m)
+		if _, err := mechanism.Checkpoint(m, k, p, localTarget(), nil); !errors.Is(err, mechanism.ErrUnsupported) {
+			t.Errorf("%s on a multithreaded process: %v, want ErrUnsupported", m.Name(), err)
+		}
+	}
+	m := NewSoftwareSuspend()
+	k, p := launch(m)
+	tk, err := mechanism.Checkpoint(m, k, p, localTarget(), nil)
+	if err != nil {
+		t.Fatalf("Software Suspend: %v", err)
+	}
+	if len(tk.Img.Threads) != 3 {
+		t.Fatalf("Software Suspend saved %d threads", len(tk.Img.Threads))
+	}
+}
+
 func TestUCLiKRestoresPIDAndDeletedFile(t *testing.T) {
 	m := NewUCLiK()
 	prog := workload.Dense{MiB: 1}

@@ -62,7 +62,6 @@ func NewTICK() *TICK {
 		MaxChain:        16,
 	}
 	m.optsFor = func() captureOpts { return captureOpts{noInterrupts: m.DeferInterrupts} }
-	m.maxChain = func() int { return m.MaxChain }
 	m.init(m, mechanism.Rules{Features: taxonomy.Features{
 		Name: "TICK", Context: taxonomy.SystemLevel, Agent: taxonomy.AgentKernelThread,
 		Incremental:   true,
@@ -80,7 +79,25 @@ func NewTICK() *TICK {
 // process's own chain.
 func (m *TICK) RequestDelta(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env,
 	trk checkpoint.Tracker, epoch uint64, rebase bool) (*mechanism.Ticket, error) {
-	return m.ioctl(k, p, tgt, env, trk, epoch, rebase)
+	return m.ioctl(k, p, tgt, env, &mechanism.Delta{Trk: trk, Epoch: epoch, Rebase: rebase})
+}
+
+// Request implements mechanism.Mechanism: the kernel's own request for
+// the next capture on p's chain, whose tracker it arms on first use.
+func (m *TICK) Request(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env *storage.Env) (*mechanism.Ticket, error) {
+	return m.submit(k, p, tgt, env, nil, func(req *ckptRequest) error {
+		if _, err := m.track(k, p); err != nil {
+			return err
+		}
+		return m.d.enqueue(req)
+	})
+}
+
+// track returns p's chain, arming its dirty tracking, which rebases
+// every MaxChain captures.
+func (m *TICK) track(k *kernel.Kernel, p *proc.Process) (*mechanism.Chain, error) {
+	c := m.Chain(p.PID)
+	return c, c.Track(m.MaxChain, func() checkpoint.Tracker { return checkpoint.NewKernelWPTracker(k, p) })
 }
 
 // Attach starts automatic-initiated periodic checkpointing of p to tgt:
@@ -95,7 +112,7 @@ func (m *TICK) Attach(k *kernel.Kernel, p *proc.Process, tgt storage.Target, env
 	if interval <= 0 {
 		return nil, fmt.Errorf("syslevel: TICK: interval must be positive")
 	}
-	c, err := m.chain(k, p)
+	c, err := m.track(k, p)
 	if err != nil {
 		return nil, err
 	}

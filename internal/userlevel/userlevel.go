@@ -27,13 +27,10 @@ import (
 )
 
 // userCore is the user-level layer over the mechanism core: the
-// in-process capture every scheme runs at its checkpoint point, the
-// incremental trackers, and the periodic self-checkpoint.
+// in-process capture every scheme runs at its checkpoint point and the
+// periodic self-checkpoint.
 type userCore struct {
 	mechanism.Core
-	// trackers hold the user-level mprotect/SIGSEGV trackers of an
-	// incremental scheme (libckpt's incremental mode [27]).
-	trackers map[proc.PID]*checkpoint.WPTracker
 	// every is the periodic self-checkpoint interval in iterations
 	// (library mechanisms) — automatic initiation at user level.
 	every      uint64
@@ -49,59 +46,35 @@ func (m *userCore) init(r mechanism.Rules, every uint64, defaultTgt storage.Targ
 		r.Restore.Handlers = map[string]*sig.Handler{h.Name: h}
 	}
 	m.Core = mechanism.NewCore(r)
-	m.trackers = make(map[proc.PID]*checkpoint.WPTracker)
 	m.every, m.defaultTgt = every, defaultTgt
 }
 
 // captureInProcess performs a user-level capture in the context of the
-// checkpointed process itself (library call or signal handler).
+// checkpointed process itself (library call or signal handler). An
+// incremental scheme's chain tracks the process's dirty pages with the
+// user-level mprotect/SIGSEGV tracker (libckpt's incremental mode [27])
+// and never rebases.
 func (m *userCore) captureInProcess(ctx *kernel.Context, req *mechanism.Pending) {
 	k := ctx.K
 	ticket := req.Ticket
 	ticket.StartedAt = k.Now()
 	fail := func(err error) { ticket.Finish(k.Now(), nil, checkpoint.Stats{}, err) }
-	if ctx.P.Multithreaded() && !m.Features().Multithreaded {
-		fail(fmt.Errorf("%w: %s checkpoints single-threaded processes only", mechanism.ErrUnsupported, m.Name()))
-		return
-	}
 	if req.Tgt != nil && !req.Tgt.Available() {
 		fail(fmt.Errorf("userlevel: %s: storage: %w", m.Name(), storage.ErrTargetUnavailable))
 		return
 	}
-
-	var trk checkpoint.Tracker
 	if m.Features().Incremental {
-		t, ok := m.trackers[ctx.P.PID]
-		if !ok {
-			t = checkpoint.NewUserWPTracker(ctx)
-			if err := t.Arm(); err != nil {
-				fail(err)
-				return
-			}
-			m.trackers[ctx.P.PID] = t
+		if err := m.Chain(ctx.P.PID).Track(0, func() checkpoint.Tracker { return checkpoint.NewUserWPTracker(ctx) }); err != nil {
+			fail(err)
+			return
 		}
-		trk = t
 	}
 
 	env := req.Env
 	if env == nil {
 		env = mechanism.StorageEnvFor(ctx)
 	}
-	seq, parent := m.Seqs().Next(ctx.P.PID)
-	img, st, err := checkpoint.Capture(checkpoint.Request{
-		Acc:       &checkpoint.UserAccessor{Ctx: ctx},
-		Trk:       trk,
-		Target:    req.Tgt,
-		Env:       env,
-		Mechanism: m.Name(),
-		Hostname:  k.Cfg.Hostname,
-		Seq:       seq,
-		Parent:    parent,
-		Now:       k.Now(),
-	})
-	if err == nil {
-		m.Seqs().Commit(img)
-	}
+	img, st, err := m.Capture(k, checkpoint.Request{Acc: &checkpoint.UserAccessor{Ctx: ctx}, Target: req.Tgt, Env: env}, nil)
 	ticket.Finish(k.Now(), img, st, err)
 }
 

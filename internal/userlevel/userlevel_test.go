@@ -1,13 +1,18 @@
 package userlevel
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/costmodel"
 	"repro/internal/mechanism"
 	"repro/internal/simos/kernel"
+	"repro/internal/simos/mem"
 	"repro/internal/simos/proc"
 	"repro/internal/simtime"
 	"repro/internal/storage"
@@ -246,5 +251,114 @@ func TestFeaturesClassification(t *testing.T) {
 	}
 	if NewPreloadShim().Features().Agent != taxonomy.AgentPreload {
 		t.Error("preload agent misclassified")
+	}
+}
+
+// arenaDigest hashes every resident arena page, number and contents:
+// the workload's fingerprint sees page numbers only, so a restore that
+// lost page contents must be caught in memory itself.
+func arenaDigest(t *testing.T, p *proc.Process) uint64 {
+	t.Helper()
+	h := fnv.New64a()
+	buf := make([]byte, mem.PageSize)
+	for _, pi := range p.AS.ResidentPages() {
+		if pi.VMA.Name != workload.ArenaName {
+			continue
+		}
+		if err := p.AS.ReadDirect(pi.Num.Base(), buf); err != nil {
+			t.Fatalf("read page %d: %v", pi.Num, err)
+		}
+		binary.Write(h, binary.LittleEndian, uint64(pi.Num))
+		h.Write(buf)
+	}
+	return h.Sum64()
+}
+
+// incrementalRun runs a 2 MiB sparse job under incremental libckpt,
+// which self-checkpoints to tgt every 4 iterations; fault is called at
+// the start of each iteration. The run ends right after the checkpoint
+// at iteration 12, so the returned process's arena is that capture's.
+func incrementalRun(t *testing.T, tgt *storage.Store, fault func(pc uint64)) (*LibCkpt, *proc.Process, kernel.Program) {
+	t.Helper()
+	m := NewLibCkpt(4, tgt, true)
+	prepared := m.Prepare(workload.Sparse{MiB: 2, WriteFrac: 0.05, Seed: 25})
+	k := newMachine("src", prepared)
+	if err := m.Install(k); err != nil {
+		t.Fatal(err)
+	}
+	p, err := k.Spawn(prepared.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload.SetIterations(p, 12)
+	for p.State != proc.StateZombie {
+		fault(p.Regs().PC)
+		k.RunFor(100 * simtime.Microsecond)
+	}
+	return m, p, prepared
+}
+
+// restoredDigest checks that tgt holds exactly the images want (beside
+// the staging objects failed writes leave), restores the chain ending at
+// the last of them on a fresh machine and hashes its arena.
+func restoredDigest(t *testing.T, m *LibCkpt, tgt *storage.Store, prog kernel.Program, want ...string) uint64 {
+	t.Helper()
+	var imgs []string
+	for _, o := range tgt.List() {
+		if !strings.HasSuffix(o, ".staging") {
+			imgs = append(imgs, o)
+		}
+	}
+	if strings.Join(imgs, " ") != strings.Join(want, " ") {
+		t.Fatalf("stored images %v, want %v", imgs, want)
+	}
+	chain, err := checkpoint.LoadChain(tgt, nil, want[len(want)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chain) != len(want) {
+		t.Fatalf("chain of %d images, want %d", len(chain), len(want))
+	}
+	p2, err := m.Restart(newMachine("dst", prog), chain, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arenaDigest(t, p2)
+}
+
+// A libckpt delta whose write fails must not leave a hole: the ranges
+// its tracker collected ride into the next delta, which chains onto the
+// last durable image.
+func TestIncrementalLibCkptFailedWriteCarriesRanges(t *testing.T) {
+	tgt := localTarget()
+	m, p, prog := incrementalRun(t, tgt, func(pc uint64) {
+		switch pc {
+		case 5: // after the full image at 4: fail the delta at 8
+			tgt.SetFaults(&storage.FaultPolicy{WriteFault: 1, Rng: rand.New(rand.NewSource(1))})
+		case 9:
+			tgt.SetFaults(nil)
+		}
+	})
+	got := restoredDigest(t, m, tgt, prog, "ckpt/pid1/seq1", "ckpt/pid1/seq3")
+	if want := arenaDigest(t, p); got != want {
+		t.Fatalf("restored arena %#x, want %#x: the failed write's ranges were lost", got, want)
+	}
+}
+
+// A failed first capture must be followed by a complete full image, not
+// one holding only the pages dirtied since the failure.
+func TestIncrementalLibCkptFailedFirstCaptureStaysFull(t *testing.T) {
+	tgt := localTarget()
+	m, p, prog := incrementalRun(t, tgt, func(pc uint64) {
+		switch pc {
+		case 0: // fail the first capture, at 4
+			tgt.SetFaults(&storage.FaultPolicy{WriteFault: 1, Rng: rand.New(rand.NewSource(1))})
+		case 5:
+			tgt.SetFaults(nil)
+		}
+	})
+	got := restoredDigest(t, m, tgt, prog, "ckpt/pid1/seq2", "ckpt/pid1/seq3")
+	if want := arenaDigest(t, p); got != want {
+		t.Fatalf("restored arena %#x, want %#x: the retried full image has holes", got, want)
 	}
 }
