@@ -10,6 +10,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/simos/mem"
 )
@@ -41,8 +42,7 @@ func foldChain(chain []*Image) (*Image, []byte, error) {
 	}
 	leaf := chain[len(chain)-1]
 	folded := *leaf
-	folded.Mode = ModeFull
-	folded.Parent = ""
+	folded.Mode, folded.Parent = ModeFull, ""
 	folded.unsealed = nil // the leaf's buffer, if it has one, is not ours
 
 	plan, err := planReplay(chain)
@@ -50,9 +50,10 @@ func foldChain(chain []*Image) (*Image, []byte, error) {
 		return nil, nil, fmt.Errorf("checkpoint: fold: %w", err)
 	}
 
-	// Find each touched page's covered byte intervals, then emit extents
-	// over exactly the covered bytes: uncaptured bytes of a mapped page
-	// are zero after either restore path, so covering more would change
+	// The plan's jobs ascend by page, so one sorted merge of each page's
+	// covered byte intervals yields the runs in address order. Extents
+	// cover exactly those bytes: uncaptured bytes of a mapped page are
+	// zero after either restore path, so covering more would change
 	// nothing and covering less would lose a write.
 	type run struct {
 		addr   mem.Addr
@@ -61,66 +62,45 @@ func foldChain(chain []*Image) (*Image, []byte, error) {
 	}
 	var runs []run
 	for _, j := range plan.jobs {
-		type iv struct{ lo, hi int }
-		var covered []iv
+		page := len(runs)
 		for _, s := range j.spans {
-			covered = append(covered, iv{s.off, s.off + len(s.data)})
+			runs = append(runs, run{j.page.Base() + mem.Addr(s.off), s.off, s.off + len(s.data), j.spans})
 		}
-		// Merge the covered intervals (spans may overlap arbitrarily).
-		for i := 1; i < len(covered); i++ {
-			for k := 0; k < i; k++ {
-				a, b := covered[i], covered[k]
-				if a.lo <= b.hi && b.lo <= a.hi {
-					if b.lo < a.lo {
-						a.lo = b.lo
-					}
-					if b.hi > a.hi {
-						a.hi = b.hi
-					}
-					covered[i] = a
-					covered = append(covered[:k], covered[k+1:]...)
-					i--
-					break
-				}
+		slices.SortFunc(runs[page:], func(a, b run) int { return a.lo - b.lo })
+		n := page
+		for _, r := range runs[page+1:] {
+			if r.lo <= runs[n].hi { // spans may overlap arbitrarily
+				runs[n].hi = max(runs[n].hi, r.hi)
+			} else {
+				n++
+				runs[n] = r
 			}
 		}
-		base := j.page.Base()
-		for _, c := range covered {
-			runs = append(runs, run{addr: base + mem.Addr(c.lo), lo: c.lo, hi: c.hi, spans: j.spans})
-		}
-	}
-	// Address order, then coalesce adjacent runs so page-granular chains
-	// fold back into the long extents a full capture would produce.
-	for i := 1; i < len(runs); i++ {
-		for j := i; j > 0 && runs[j].addr < runs[j-1].addr; j-- {
-			runs[j], runs[j-1] = runs[j-1], runs[j]
-		}
+		runs = runs[:n+1]
 	}
 
-	secs := make([]VMASection, len(leaf.VMAs))
-	for i, v := range leaf.VMAs {
-		secs[i] = v
-		secs[i].Extents = nil
-	}
 	// Size every extent first — the runs that follow on without a gap, up
 	// to the section's end — then lay the image out and copy the spans
-	// into the extents' slots.
+	// into the extents' slots. The leaf's sections ascend (Verify), so
+	// one cursor walks them.
+	secs := slices.Clone(leaf.VMAs)
+	for i := range secs {
+		secs[i].Extents = nil
+	}
 	type slot struct{ sec, ext, lo, hi int } // extent ext of section sec holds runs[lo:hi]
 	var slots []slot
 	exts := make([][]Range, len(secs))
+	si := 0
 	for i := 0; i < len(runs); {
-		si := -1
-		for k := range secs {
-			if runs[i].addr >= secs[k].Start && runs[i].addr < secs[k].Start+mem.Addr(secs[k].Length) {
-				si = k
-				break
-			}
+		start := runs[i].addr
+		for si < len(secs) && start >= secs[si].Start+mem.Addr(secs[si].Length) {
+			si++
 		}
-		if si < 0 {
+		if si == len(secs) || start < secs[si].Start {
 			// planReplay only plans pages mapped in the leaf layout.
-			return nil, nil, fmt.Errorf("checkpoint: fold: run %#x outside leaf layout", uint64(runs[i].addr))
+			return nil, nil, fmt.Errorf("checkpoint: fold: run %#x outside leaf layout", uint64(start))
 		}
-		start, end := runs[i].addr, secs[si].Start+mem.Addr(secs[si].Length)
+		end := secs[si].Start + mem.Addr(secs[si].Length)
 		n, j := 0, i
 		for ; j < len(runs) && runs[j].addr == start+mem.Addr(n) && runs[j].addr < end; j++ {
 			n += runs[j].hi - runs[j].lo

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"reflect"
@@ -112,6 +113,38 @@ func TestFoldChainCoalescesExtents(t *testing.T) {
 	}
 	if e.Data[0] != 1 || e.Data[mem.PageSize] != 3 || e.Data[2*mem.PageSize] != 4 {
 		t.Fatal("folded contents are not last-writer-wins")
+	}
+}
+
+// TestFoldChainMergesChainedOverlaps: a span that bridges two earlier,
+// disjoint spans of its page joins all three into one covered interval.
+// A pairwise merge that checked only the spans before the newest one
+// left two overlapping extents, and the fold failed its own Verify.
+func TestFoldChainMergesChainedOverlaps(t *testing.T) {
+	fill := func(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
+	full := &Image{
+		Mode: ModeFull, PID: 1, Seq: 1, Exe: "x",
+		Threads: []ThreadRecord{{TID: 1}},
+		VMAs: []VMASection{{Start: 0x1000, Length: 0x1000, Kind: mem.KindHeap,
+			Extents: []Extent{{Addr: 0x1000, Data: fill(1, 5)}, {Addr: 0x100a, Data: fill(2, 5)}}}},
+	}
+	delta := &Image{
+		Mode: ModeIncremental, PID: 1, Seq: 2, Exe: "x", Parent: full.ObjectName(),
+		Threads: []ThreadRecord{{TID: 1}},
+		VMAs: []VMASection{{Start: 0x1000, Length: 0x1000, Kind: mem.KindHeap,
+			Extents: []Extent{{Addr: 0x1004, Data: fill(3, 7)}}}},
+	}
+	folded, err := FoldChain([]*Image{full, delta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(folded.VMAs[0].Extents) != 1 {
+		t.Fatalf("folded extents = %d, want 1 merged run", len(folded.VMAs[0].Extents))
+	}
+	e := folded.VMAs[0].Extents[0]
+	want := append(append(fill(1, 4), fill(3, 7)...), fill(2, 4)...)
+	if e.Addr != 0x1000 || !bytes.Equal(e.Data, want) {
+		t.Fatalf("folded extent %#x %v, want 0x1000 %v", uint64(e.Addr), e.Data, want)
 	}
 }
 
