@@ -170,10 +170,3 @@ func drive(mechName, wlName string, mib int, iters uint64, chainLen int) error {
 	fmt.Println("verdict            : ✓ bit-exact resume (fingerprints match)")
 	return nil
 }
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}

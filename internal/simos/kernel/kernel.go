@@ -694,10 +694,3 @@ func (k *Kernel) defaultAction(p *proc.Process, s sig.Signal) bool {
 		return false
 	}
 }
-
-func min(a, b simtime.Time) simtime.Time {
-	if a < b {
-		return a
-	}
-	return b
-}
