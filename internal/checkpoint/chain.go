@@ -6,64 +6,33 @@ import (
 	"repro/internal/simos/mem"
 )
 
-// CarryTracker wraps a Tracker for callers whose captures can fail after
-// collection. A Tracker's Collect clears its dirty set, so a delta whose
-// publish then fails (storage fault, fencing) would silently swallow
-// those ranges: the next delta only covers writes since the failed
-// collection, and the chain restores with a hole. CarryTracker keeps
-// every collected-but-unacknowledged range pending and folds it into the
-// next Collect; Commit marks the last collection durable and drops the
-// pending set.
-//
-// Carrying is a superset, never a hole: a pending range re-ships page
-// contents the chain may already hold, which is redundant but safe.
-type CarryTracker struct {
-	inner   Tracker
+// carry is the tracker a DeltaChain collects through. A Tracker's Collect
+// clears its dirty set, so a delta whose publish then fails (storage
+// fault, fencing) would silently swallow those ranges: the next delta only
+// covers writes since the failed collection, and the chain restores with a
+// hole. carry keeps every collected-but-uncommitted range pending and
+// folds it into the next Collect; the chain's Commit drops the pending
+// set. Carrying is a superset, never a hole: a pending range re-ships
+// page contents the chain may already hold, which is redundant but safe.
+type carry struct {
+	Tracker
 	pending []Range
 }
 
-// NewCarryTracker wraps t. The caller must Commit after each collection
-// whose capture was durably published.
-func NewCarryTracker(t Tracker) *CarryTracker { return &CarryTracker{inner: t} }
-
-// Name implements Tracker.
-func (t *CarryTracker) Name() string { return t.inner.Name() }
-
-// Granularity implements Tracker.
-func (t *CarryTracker) Granularity() int { return t.inner.Granularity() }
-
-// Arm implements Tracker.
-func (t *CarryTracker) Arm() error { return t.inner.Arm() }
-
-// Collect returns the inner tracker's ranges merged with any pending
-// ranges from earlier uncommitted collections, and holds the union
-// pending until Commit.
-func (t *CarryTracker) Collect() ([]Range, error) {
-	rs, err := t.inner.Collect()
+// Collect returns the tracker's ranges merged with any pending ranges
+// from earlier uncommitted collections, and holds the union pending.
+func (t *carry) Collect() ([]Range, error) {
+	rs, err := t.Tracker.Collect()
 	if err != nil {
 		return nil, err
 	}
-	rs = mergeRanges(rs, t.pending)
-	t.pending = rs
-	return rs, nil
-}
-
-// Commit records that the last collection's capture is durable: the
-// pending ranges are covered by the chain and need not be carried.
-func (t *CarryTracker) Commit() { t.pending = nil }
-
-// Stats implements Tracker.
-func (t *CarryTracker) Stats() TrackerStats { return t.inner.Stats() }
-
-// Close implements Tracker.
-func (t *CarryTracker) Close() {
-	t.pending = nil
-	t.inner.Close()
+	t.pending = mergeRanges(rs, t.pending)
+	return t.pending, nil
 }
 
 // DeltaChain is the one rule for a process's incremental chain, used by
 // TICK for each process it checkpoints and by each cluster checkpoint
-// agent for its incarnation. The owner arms a carry tracker on first use
+// agent for its incarnation. The owner arms a tracker on first use
 // (Arm), asks before each capture whether it rebases and which tracker
 // it collects (Next), and reports each capture whose sequence committed
 // (Commit). A chain's first capture and every every-th successful one
@@ -71,7 +40,7 @@ func (t *CarryTracker) Close() {
 // after ForceRebase until a full image commits.
 type DeltaChain struct {
 	every int
-	trk   *CarryTracker
+	trk   *carry
 	fresh bool // armed since the last Next: its first Collect covers every resident page
 	n     int  // successful captures
 	force bool
@@ -80,13 +49,14 @@ type DeltaChain struct {
 // NewDeltaChain returns a chain that rebases every every-th capture.
 func NewDeltaChain(every int) *DeltaChain { return &DeltaChain{every: every} }
 
-// Arm wraps and arms newTracker's tracker in a CarryTracker, unless the
-// chain holds an armed one already.
+// Arm arms newTracker's tracker, unless the chain holds an armed one
+// already. Until a capture commits, the chain carries each collection's
+// ranges into the next.
 func (c *DeltaChain) Arm(newTracker func() Tracker) error {
 	if c.trk != nil {
 		return nil
 	}
-	t := NewCarryTracker(newTracker())
+	t := &carry{Tracker: newTracker()}
 	if err := t.Arm(); err != nil {
 		return err
 	}
@@ -119,7 +89,7 @@ func (c *DeltaChain) Next() (Tracker, bool) {
 func (c *DeltaChain) Commit(img *Image) {
 	c.n++
 	if c.trk != nil {
-		c.trk.Commit()
+		c.trk.pending = nil
 	}
 	if img.Mode != ModeIncremental {
 		c.force = false

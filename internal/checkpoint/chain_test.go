@@ -96,9 +96,8 @@ type stubTracker struct {
 	calls  int
 }
 
-func (s *stubTracker) Name() string     { return "stub" }
-func (s *stubTracker) Granularity() int { return mem.PageSize }
-func (s *stubTracker) Arm() error       { return nil }
+func (s *stubTracker) Name() string { return "stub" }
+func (s *stubTracker) Arm() error   { return nil }
 func (s *stubTracker) Stats() TrackerStats {
 	return TrackerStats{}
 }
@@ -109,43 +108,55 @@ func (s *stubTracker) Collect() ([]Range, error) {
 	return rs, nil
 }
 
-// A collection whose capture fails must not vanish: CarryTracker folds
-// it into the next Collect until a Commit marks a round durable.
-func TestCarryTrackerCarriesFailedRounds(t *testing.T) {
+// A collection whose capture fails must not vanish: the chain folds it
+// into the next Collect until a Commit marks a round durable.
+func TestDeltaChainCarriesFailedRounds(t *testing.T) {
 	pg := func(n int) mem.Addr { return mem.Addr(n * mem.PageSize) }
-	stub := &stubTracker{rounds: [][]Range{
-		{{Addr: pg(1), Length: mem.PageSize}},
-		{{Addr: pg(5), Length: mem.PageSize}},
-		{{Addr: pg(9), Length: mem.PageSize}},
-	}}
-	trk := NewCarryTracker(stub)
+	c := NewDeltaChain(0)
+	if err := c.Arm(func() Tracker {
+		return &stubTracker{rounds: [][]Range{
+			{{Addr: pg(0), Length: 16 * mem.PageSize}},
+			{{Addr: pg(1), Length: mem.PageSize}},
+			{{Addr: pg(5), Length: mem.PageSize}},
+			{{Addr: pg(9), Length: mem.PageSize}},
+		}}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	collect := func(wantRebase bool) []Range {
+		t.Helper()
+		trk, rebase := c.Next()
+		if trk == nil || rebase != wantRebase {
+			t.Fatalf("Next = %v, %v; want a tracker, rebase %v", trk, rebase, wantRebase)
+		}
+		rs, err := trk.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+
+	// The rebase collects everything and commits.
+	collect(true)
+	c.Commit(&Image{Mode: ModeFull})
 
 	// Round 1 collected but its capture fails (no Commit).
-	r1, err := trk.Collect()
-	if err != nil || len(r1) != 1 {
-		t.Fatalf("round 1: %v %v", r1, err)
+	if r1 := collect(false); len(r1) != 1 {
+		t.Fatalf("round 1: %v", r1)
 	}
 
 	// Round 2 must carry round 1's page alongside its own.
-	r2, err := trk.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := []Range{
 		{Addr: pg(1), Length: mem.PageSize},
 		{Addr: pg(5), Length: mem.PageSize},
 	}
-	if !reflect.DeepEqual(r2, want) {
+	if r2 := collect(false); !reflect.DeepEqual(r2, want) {
 		t.Fatalf("round 2 = %v, want %v", r2, want)
 	}
-	trk.Commit() // round 2's capture published durably
+	c.Commit(&Image{Mode: ModeIncremental}) // round 2's capture published durably
 
 	// Round 3 starts clean: only its own dirty page.
-	r3, err := trk.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r3, []Range{{Addr: pg(9), Length: mem.PageSize}}) {
+	if r3 := collect(false); !reflect.DeepEqual(r3, []Range{{Addr: pg(9), Length: mem.PageSize}}) {
 		t.Fatalf("round 3 = %v", r3)
 	}
 }

@@ -2,11 +2,8 @@ package checkpoint
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
 	"sort"
 
-	"repro/internal/costmodel"
 	"repro/internal/simos/kernel"
 	"repro/internal/simos/mem"
 	"repro/internal/simos/proc"
@@ -41,8 +38,6 @@ type TrackerStats struct {
 type Tracker interface {
 	// Name labels the tracker for experiment output.
 	Name() string
-	// Granularity is the tracking unit in bytes.
-	Granularity() int
 	// Arm starts the first epoch. Collect implicitly re-arms.
 	Arm() error
 	// Collect returns the ranges modified since Arm/the last Collect.
@@ -108,9 +103,6 @@ type FullTracker struct {
 
 // Name implements Tracker.
 func (t *FullTracker) Name() string { return "full" }
-
-// Granularity implements Tracker.
-func (t *FullTracker) Granularity() int { return mem.PageSize }
 
 // Arm implements Tracker.
 func (t *FullTracker) Arm() error { return nil }
@@ -207,8 +199,8 @@ func passFault(prev mem.FaultHandler, f *mem.Fault) mem.Disposition {
 
 // pageTracker is what the two page-protection trackers share: the
 // address space, the protection binding, the fault handler the tracker
-// displaced, and the epoch state. Name, Granularity and Stats implement
-// Tracker for both.
+// displaced, and the epoch state. Name and Stats implement Tracker for
+// both.
 type pageTracker struct {
 	as           *mem.AddressSpace
 	name         string
@@ -226,9 +218,6 @@ func newPageTracker(as *mem.AddressSpace, name string, bind protection) pageTrac
 
 // Name implements Tracker.
 func (t *pageTracker) Name() string { return t.name }
-
-// Granularity implements Tracker.
-func (t *pageTracker) Granularity() int { return mem.PageSize }
 
 // Stats implements Tracker.
 func (t *pageTracker) Stats() TrackerStats { return t.stats }
@@ -333,256 +322,9 @@ func (t *WPTracker) Close() {
 	t.armed = false
 }
 
-// HashTracker implements probabilistic checkpointing [23]: instead of
-// write protection, memory is divided into fixed-size blocks whose
-// checksums are compared against the previous epoch. There is no per-write
-// overhead at all; the cost moves to hashing at checkpoint time, and
-// correctness becomes probabilistic — a block whose change collides in the
-// hash is silently missed. With HashBits b, the per-changed-block miss
-// probability is 2^-b.
-type HashTracker struct {
-	Acc       Accessor
-	Bill      costmodel.Biller
-	CM        *costmodel.Model
-	BlockSize int
-	// HashBits models the checksum width of [23] (their implementation
-	// used small checksums; we compute a full FNV-64 so simulation is
-	// exact, and expose the analytic miss probability instead).
-	HashBits int
-
-	prevHash map[mem.Addr]uint64
-	stats    TrackerStats
-	armed    bool
-}
-
-// NewHashTracker builds a probabilistic tracker with the given block size.
-func NewHashTracker(acc Accessor, bill costmodel.Biller, cm *costmodel.Model, blockSize, hashBits int) (*HashTracker, error) {
-	if blockSize <= 0 || blockSize > mem.PageSize || mem.PageSize%blockSize != 0 {
-		return nil, fmt.Errorf("checkpoint: block size %d must divide the page size", blockSize)
-	}
-	if hashBits <= 0 || hashBits > 64 {
-		hashBits = 64
-	}
-	return &HashTracker{Acc: acc, Bill: bill, CM: cm, BlockSize: blockSize, HashBits: hashBits}, nil
-}
-
-// Name implements Tracker.
-func (t *HashTracker) Name() string { return fmt.Sprintf("hash-%dB", t.BlockSize) }
-
-// Granularity implements Tracker.
-func (t *HashTracker) Granularity() int { return t.BlockSize }
-
-// Arm implements Tracker: snapshot all block hashes.
-func (t *HashTracker) Arm() error {
-	t.prevHash = t.hashAll()
-	t.armed = true
-	return nil
-}
-
-func (t *HashTracker) hashAll() map[mem.Addr]uint64 {
-	out := make(map[mem.Addr]uint64)
-	buf := make([]byte, t.BlockSize)
-	as := t.Acc.Process().AS
-	for _, pi := range as.ResidentPages() {
-		if pi.VMA.Kind == mem.KindText {
-			continue
-		}
-		base := pi.Num.Base()
-		for off := 0; off < mem.PageSize; off += t.BlockSize {
-			n := t.BlockSize
-			if n > mem.PageSize-off {
-				n = mem.PageSize - off
-			}
-			if err := t.Acc.ReadRange(base+mem.Addr(off), buf[:n]); err != nil {
-				continue
-			}
-			h := fnv.New64a()
-			h.Write(buf[:n])
-			out[base+mem.Addr(off)] = h.Sum64()
-			t.stats.HashedBytes += uint64(n)
-			t.Bill.Charge(t.CM.Hash(n), "block-hash")
-		}
-	}
-	return out
-}
-
-// Collect implements Tracker: rehash, diff, re-arm.
-func (t *HashTracker) Collect() ([]Range, error) {
-	if !t.armed {
-		return nil, fmt.Errorf("checkpoint: %s: Collect before Arm", t.Name())
-	}
-	cur := t.hashAll()
-	var addrs []mem.Addr
-	for a, h := range cur {
-		if ph, ok := t.prevHash[a]; !ok || ph != h {
-			addrs = append(addrs, a)
-		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	var out []Range
-	for _, a := range addrs {
-		if n := len(out); n > 0 && out[n-1].Addr+mem.Addr(out[n-1].Length) == a {
-			out[n-1].Length += t.BlockSize
-		} else {
-			out = append(out, Range{Addr: a, Length: t.BlockSize})
-		}
-	}
-	t.prevHash = cur
-	return out, nil
-}
-
-// MissProbability returns the analytic probability that at least one of n
-// changed blocks is missed with the configured hash width.
-func (t *HashTracker) MissProbability(nChanged int) float64 {
-	pMiss := math.Pow(2, -float64(t.HashBits))
-	return 1 - math.Pow(1-pMiss, float64(nChanged))
-}
-
-// Stats implements Tracker.
-func (t *HashTracker) Stats() TrackerStats { return t.stats }
-
-// Close implements Tracker.
-func (t *HashTracker) Close() { t.prevHash = nil; t.armed = false }
-
-// AdaptiveTracker implements the adaptive-block-size refinement of [1]
-// (Agarwal et al.): it runs a HashTracker but re-picks the block size each
-// epoch to minimize modeled cost = hash time over the whole resident set +
-// transfer time for the changed data, given the density observed in the
-// previous epoch. Dense deltas push the block size up (less hashing per
-// byte saved matters little when everything changed); sparse, scattered
-// deltas pull it down (finer blocks save more transfer).
-type AdaptiveTracker struct {
-	Acc   Accessor
-	Bill  costmodel.Biller
-	CM    *costmodel.Model
-	Sizes []int // candidate block sizes, ascending
-
-	cur      *HashTracker
-	lastSize int
-	stats    TrackerStats
-}
-
-// NewAdaptiveTracker builds an adaptive tracker over the given candidate
-// sizes (default 256 B–4 KiB).
-func NewAdaptiveTracker(acc Accessor, bill costmodel.Biller, cm *costmodel.Model, sizes []int) (*AdaptiveTracker, error) {
-	if len(sizes) == 0 {
-		sizes = []int{256, 512, 1024, 2048, 4096}
-	}
-	sort.Ints(sizes)
-	t := &AdaptiveTracker{Acc: acc, Bill: bill, CM: cm, Sizes: sizes}
-	ht, err := NewHashTracker(acc, bill, cm, sizes[len(sizes)-1], 64)
-	if err != nil {
-		return nil, err
-	}
-	t.cur = ht
-	t.lastSize = ht.BlockSize
-	return t, nil
-}
-
-// Name implements Tracker.
-func (t *AdaptiveTracker) Name() string { return "adaptive" }
-
-// Granularity implements Tracker: the current block size.
-func (t *AdaptiveTracker) Granularity() int { return t.cur.BlockSize }
-
-// Arm implements Tracker.
-func (t *AdaptiveTracker) Arm() error { return t.cur.Arm() }
-
-// Collect implements Tracker: collect with the current size, then choose
-// the size for the next epoch from the observed change density.
-func (t *AdaptiveTracker) Collect() ([]Range, error) {
-	out, err := t.cur.Collect()
-	if err != nil {
-		return nil, err
-	}
-	t.accumulate()
-	changed := 0
-	for _, r := range out {
-		changed += r.Length
-	}
-	resident := int(t.Acc.Process().AS.ResidentBytes())
-	best := t.pickSize(changed, resident)
-	if best != t.cur.BlockSize {
-		nt, err := NewHashTracker(t.Acc, t.Bill, t.CM, best, 64)
-		if err != nil {
-			return out, nil
-		}
-		t.cur = nt
-		if err := t.cur.Arm(); err != nil {
-			return out, err
-		}
-	}
-	t.lastSize = t.cur.BlockSize
-	return out, nil
-}
-
-// pickSize models, for each candidate block size, the cost of the next
-// epoch: hashing the resident set (with a fixed per-block overhead, which
-// penalizes very fine blocks) plus shipping the expected changed bytes.
-// Shipping estimates from the density observed at the current granularity:
-// coarser blocks drag more clean bytes along (changed runs inflate to the
-// block size); finer blocks trim the clean tail of each dirty block, with
-// a conservative floor (alpha) on how much of a dirty block is truly
-// modified. When every block was dirty, finer granularity cannot help, so
-// only coarser candidates are considered. A 5% hysteresis margin prevents
-// oscillation.
-func (t *AdaptiveTracker) pickSize(changedBytes, residentBytes int) int {
-	if residentBytes == 0 || changedBytes == 0 {
-		return t.cur.BlockSize
-	}
-	const (
-		alpha        = 0.25 // assumed truly-dirty fraction of a dirty block
-		perBlockSecs = 50e-9
-		hysteresis   = 0.95
-	)
-	g := float64(t.cur.BlockSize)
-	c := float64(changedBytes)
-	density := c / float64(residentBytes)
-
-	cost := func(s int) float64 {
-		fs := float64(s)
-		var ship float64
-		if fs >= g {
-			ship = math.Min(float64(residentBytes), c*fs/g)
-		} else {
-			ship = c * (alpha + (1-alpha)*fs/g)
-		}
-		blocks := float64(residentBytes) / fs
-		return t.CM.Hash(residentBytes).Seconds() + blocks*perBlockSecs + t.CM.DiskStream(int(ship)).Seconds()
-	}
-
-	bestSize := t.cur.BlockSize
-	bestCost := cost(bestSize)
-	for _, s := range t.Sizes {
-		if s == t.cur.BlockSize {
-			continue
-		}
-		if density >= 0.9 && s < t.cur.BlockSize {
-			continue // everything is dirty: finer blocks cannot win
-		}
-		if cs := cost(s); cs < hysteresis*bestCost {
-			bestCost, bestSize = cs, s
-		}
-	}
-	return bestSize
-}
-
-func (t *AdaptiveTracker) accumulate() {
-	s := t.cur.Stats()
-	t.stats.HashedBytes += s.HashedBytes
-	t.cur.stats = TrackerStats{}
-}
-
-// Stats implements Tracker.
-func (t *AdaptiveTracker) Stats() TrackerStats { return t.stats }
-
-// Close implements Tracker.
-func (t *AdaptiveTracker) Close() { t.cur.Close() }
-
 // interface checks
 var (
 	_ Tracker = (*FullTracker)(nil)
 	_ Tracker = (*WPTracker)(nil)
-	_ Tracker = (*HashTracker)(nil)
-	_ Tracker = (*AdaptiveTracker)(nil)
+	_ Tracker = (*BlockTracker)(nil)
 )

@@ -201,6 +201,69 @@ func TestHashTrackerMissProbability(t *testing.T) {
 	}
 }
 
+// Every candidate block size is checked up front, not only the one the
+// adaptive tracker starts at, and the caller's slice is left as given.
+func TestAdaptiveTrackerRejectsBadCandidates(t *testing.T) {
+	prog := workload.Dense{MiB: 1}
+	k := newMachine("k", prog)
+	p, _ := k.Spawn(prog.Name())
+	acc := &KernelAccessor{K: k, P: p}
+	for _, sizes := range [][]int{{100, 4096}, {0, 1024}, {512, 8192}} {
+		if _, err := NewAdaptiveTracker(acc, costmodel.Discard{}, k.CM, sizes); err == nil {
+			t.Fatalf("sizes %v accepted", sizes)
+		}
+	}
+	sizes := []int{4096, 256, 1024}
+	trk, err := NewAdaptiveTracker(acc, costmodel.Discard{}, k.CM, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trk.Granularity() != 4096 {
+		t.Fatalf("adaptive tracker starts at %d, want the largest size 4096", trk.Granularity())
+	}
+	if sizes[0] != 4096 || sizes[1] != 256 || sizes[2] != 1024 {
+		t.Fatalf("caller's sizes reordered to %v", sizes)
+	}
+}
+
+// failingAccessor refuses every memory read once fail is set.
+type failingAccessor struct {
+	*KernelAccessor
+	fail bool
+}
+
+func (a *failingAccessor) ReadRange(addr mem.Addr, buf []byte) error {
+	if a.fail {
+		return &mem.Fault{Addr: addr, Access: mem.AccessRead}
+	}
+	return a.KernelAccessor.ReadRange(addr, buf)
+}
+
+// A block the hash tracker cannot read fails the collection instead of
+// dropping out of the delta unseen.
+func TestHashTrackerReportsUnreadableBlock(t *testing.T) {
+	prog := workload.Dense{MiB: 1}
+	k := newMachine("k", prog)
+	p, _ := k.Spawn(prog.Name())
+	workload.SetIterations(p, 100)
+	advanceIters(t, k, p, 1)
+	k.Stop(p)
+
+	acc := &failingAccessor{KernelAccessor: &KernelAccessor{K: k, P: p}}
+	trk, err := NewHashTracker(acc, costmodel.Discard{}, k.CM, 1024, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trk.Close()
+	if err := trk.Arm(); err != nil {
+		t.Fatal(err)
+	}
+	acc.fail = true
+	if rs, err := trk.Collect(); err == nil {
+		t.Fatalf("Collect over unreadable blocks = %v, nil; want an error", rs)
+	}
+}
+
 func TestAdaptiveTrackerShrinksBlocksForSparseWrites(t *testing.T) {
 	prog := workload.PointerChase{MiB: 2, WriteEvery: 32, Seed: 5}
 	k := newMachine("k", prog)

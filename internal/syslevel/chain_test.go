@@ -134,7 +134,7 @@ func TestCRAKDeltaChain(t *testing.T) {
 	workload.SetIterations(p, iters)
 	tgt := remoteTarget()
 
-	trk := checkpoint.NewCarryTracker(checkpoint.NewKernelWPTracker(k, p))
+	trk := checkpoint.NewKernelWPTracker(k, p)
 	if err := trk.Arm(); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,6 @@ func TestCRAKDeltaChain(t *testing.T) {
 		if err := mechanism.WaitTicket(k, tk, simtime.Minute); err != nil {
 			t.Fatal(err)
 		}
-		trk.Commit()
 		return tk
 	}
 
