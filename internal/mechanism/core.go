@@ -266,14 +266,14 @@ func (c *Core) Take(pid proc.PID) *Pending {
 // Hook returns prog modified to call at every `every` iterations (1 when
 // 0) — the compiled-in checkpoint call of the library and syscall
 // systems. Reaching the call registers the process.
-func (c *Core) Hook(prog kernel.Program, every uint64, at func(ctx *kernel.Context) error) kernel.Program {
+func (c *Core) Hook(prog kernel.Program, every uint64, at func(ctx *kernel.Context)) kernel.Program {
 	return workload.Hooked{
 		Inner: prog,
 		Label: c.Name(),
 		Every: max(every, 1),
-		Hook: func(ctx *kernel.Context) error {
+		Hook: func(ctx *kernel.Context) {
 			c.Enroll(ctx.P)
-			return at(ctx)
+			at(ctx)
 		},
 	}
 }

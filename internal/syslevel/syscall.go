@@ -44,13 +44,14 @@ func (m *syscallCore) Prepare(prog kernel.Program) kernel.Program {
 
 // selfCheckpoint runs in process context when the app reaches a
 // checkpoint point: one syscall into the kernel, then a kernel-level
-// capture of `current`.
-func (m *syscallCore) selfCheckpoint(ctx *kernel.Context) error {
+// capture of `current`. A failed capture is the ticket's error, returned
+// from the system call: the application carries on.
+func (m *syscallCore) selfCheckpoint(ctx *kernel.Context) {
 	k := ctx.K
 	req := m.Take(ctx.P.PID)
 	if req == nil {
 		if m.every == 0 || m.defaultTgt == nil {
-			return nil
+			return
 		}
 		req = &mechanism.Pending{Tgt: m.defaultTgt, Env: mechanism.StorageEnvFor(ctx), Ticket: &mechanism.Ticket{RequestedAt: k.Now()}}
 	}
@@ -64,7 +65,6 @@ func (m *syscallCore) selfCheckpoint(ctx *kernel.Context) error {
 		env = &storage.Env{Bill: k, Wait: func(d simtime.Duration, what string) { k.RunWhile(d, nil) }}
 	}
 	captureKernel(&m.Core, k, ctx.P, ctx.P, req.Tgt, env, captureOpts{forkConsistency: fork}, req.Ticket)
-	return req.Ticket.Err
 }
 
 // VMADump models the Virtual Memory Area Dumper [17]: checkpoint/restart

@@ -2,6 +2,7 @@ package syslevel
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -73,6 +74,38 @@ func TestVMADumpRequiresModifiedApplication(t *testing.T) {
 	_, err := m.Request(k, p, localTarget(), nil)
 	if !errors.Is(err, mechanism.ErrUnsupported) {
 		t.Fatalf("err = %v, want ErrUnsupported (no transparency)", err)
+	}
+}
+
+// A self-checkpoint whose write fails returns the error from the
+// checkpoint system call; the application carries on to its end.
+func TestVMADumpFailedSelfCheckpointKeepsRunning(t *testing.T) {
+	m := NewVMADump(0, nil)
+	prog := m.Prepare(workload.Dense{MiB: 1})
+	k := newMachine("k", prog)
+	if err := m.Install(k); err != nil {
+		t.Fatal(err)
+	}
+	p, err := k.Spawn(prog.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload.SetIterations(p, 40)
+	runIterations(k, p, 3)
+	tgt := localTarget()
+	tgt.SetFaults(&storage.FaultPolicy{WriteFault: 1, Rng: rand.New(rand.NewSource(1))})
+	tk, err := m.Request(k, p, tgt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !k.RunUntilExit(p, k.Now().Add(simtime.Minute)) {
+		t.Fatalf("job stuck at iteration %d", p.Regs().PC)
+	}
+	if !tk.Done || tk.Err == nil {
+		t.Fatalf("ticket done=%v err=%v, want the injected write fault", tk.Done, tk.Err)
+	}
+	if p.ExitCode != 0 || p.Regs().PC != 40 {
+		t.Fatalf("job exited %d at iteration %d, want 0 at 40", p.ExitCode, p.Regs().PC)
 	}
 }
 

@@ -158,10 +158,7 @@ func library(m *LibCkpt, f taxonomy.Features, every uint64, defaultTgt storage.T
 // Prepare implements mechanism.Mechanism: relink against the library —
 // checkpoint calls appear at iteration boundaries.
 func (m *LibCkpt) Prepare(prog kernel.Program) kernel.Program {
-	return m.Hook(prog, m.every, func(ctx *kernel.Context) error {
-		m.atPoint(ctx)
-		return nil
-	})
+	return m.Hook(prog, m.every, m.atPoint)
 }
 
 // LibTckpt models libtckpt [10]: libckpt-style library checkpointing that

@@ -44,7 +44,7 @@ type Hooked struct {
 	Label string
 	Every uint64
 	// Hook runs in process context at each checkpoint point.
-	Hook func(ctx *kernel.Context) error
+	Hook func(ctx *kernel.Context)
 }
 
 // Name implements kernel.Program.
@@ -64,9 +64,7 @@ func (h Hooked) Step(ctx *kernel.Context) (kernel.Status, error) {
 	}
 	if r.PC > 0 && r.PC%every == 0 && r.G[7] != r.PC && h.Hook != nil {
 		r.G[7] = r.PC
-		if err := h.Hook(ctx); err != nil {
-			return kernel.StatusExited, err
-		}
+		h.Hook(ctx)
 	}
 	return h.Inner.Step(ctx)
 }

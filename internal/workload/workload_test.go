@@ -174,9 +174,8 @@ func TestHookedFiresAtBoundaries(t *testing.T) {
 		Inner: Dense{MiB: 1, Iterations: 9},
 		Label: "test",
 		Every: 3,
-		Hook: func(ctx *kernel.Context) error {
+		Hook: func(ctx *kernel.Context) {
 			fired = append(fired, ctx.Regs().PC)
-			return nil
 		},
 	}
 	k := runKernel(t, w)
