@@ -39,16 +39,17 @@ type SupervisorConfig struct {
 	Policy policy.Spec
 
 	// UseLocalDisk stores checkpoints on the running node instead of the
-	// server — the E5 contrast.
+	// server — the E5 contrast. Oracle loop only.
 	UseLocalDisk bool
 
 	// LocalFallback writes the round's checkpoint to the node-local disk
 	// when every retry against the remote server fails (ckptRetries
 	// retries, ckptRetryBackoff apart, doubling) — degraded protection
-	// (the image dies with the node) beats none.
+	// (the image dies with the node) beats none. Oracle loop only.
 	LocalFallback bool
 	// UnsafeCommit disables atomic image commit (legacy in-place writes)
-	// — the torn-image contrast for experiments and tests.
+	// — the torn-image contrast for experiments and tests. Oracle loop
+	// only.
 	UnsafeCommit bool
 
 	// Incremental makes the node-local agents ship delta chains: each
@@ -56,7 +57,7 @@ type SupervisorConfig struct {
 	// written since the previous checkpoint, chained onto it. Requires a
 	// mechanism implementing mechanism.DeltaRequester; others fall back
 	// to full images, one agent.full_fallback count per capture.
-	// Autonomic mode only.
+	// Autonomic only.
 	Incremental bool
 	// RebaseEvery bounds the chain when Incremental is set: every Nth
 	// checkpoint is a fresh full image (0 = default 8), bounding both
@@ -91,7 +92,7 @@ type SupervisorConfig struct {
 	Detector FailureDetector
 	// NoFencing disables the fenced target — the split-brain contrast.
 	// Double commits by stale incarnations then succeed and are counted
-	// under fence.double_commits.
+	// under fence.double_commits. Autonomic only.
 	NoFencing bool
 	// ControlNode is where the supervisor (and its status probes)
 	// originate in autonomic mode; it should match the detector's
@@ -139,6 +140,10 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		return nil, errors.New("cluster: NewSupervisor: CompactAfter without Incremental (nothing to fold)")
 	case cfg.LazyRestore && cfg.Detector == nil:
 		return nil, errors.New("cluster: NewSupervisor: LazyRestore requires a Detector (autonomic failover)")
+	case cfg.Detector == nil && (cfg.Incremental || cfg.NoFencing):
+		return nil, errors.New("cluster: NewSupervisor: Incremental and NoFencing require a Detector (only the agents read them)")
+	case cfg.Detector != nil && (cfg.UseLocalDisk || cfg.LocalFallback || cfg.UnsafeCommit):
+		return nil, errors.New("cluster: NewSupervisor: UseLocalDisk, LocalFallback and UnsafeCommit are oracle loop only (no Detector)")
 	}
 	if cfg.Pipeline != nil {
 		if err := cfg.Pipeline.validate(); err != nil {

@@ -64,6 +64,13 @@ func TestNewSupervisorPreservesExplicitChoices(t *testing.T) {
 	}
 }
 
+// stubDetector suspects no node; construction never consults it.
+type stubDetector struct{}
+
+func (stubDetector) Suspected(int) bool  { return false }
+func (stubDetector) PickHealthy(int) int { return -1 }
+func (stubDetector) Failover(int)        {}
+
 func TestNewSupervisorRejectsInvalidConfigs(t *testing.T) {
 	prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 1}
 	c := newCluster(t, 2, prog)
@@ -98,6 +105,17 @@ func TestNewSupervisorRejectsInvalidConfigs(t *testing.T) {
 		{"pipeline negative workers", func(cfg *SupervisorConfig) {
 			cfg.Pipeline = &PipelineConfig{CaptureWorkers: -2}
 		}, "CaptureWorkers"},
+		{"incremental without detector", func(cfg *SupervisorConfig) { cfg.Incremental = true }, "Detector"},
+		{"no fencing without detector", func(cfg *SupervisorConfig) { cfg.NoFencing = true }, "Detector"},
+		{"local disk with detector", func(cfg *SupervisorConfig) {
+			cfg.Detector, cfg.UseLocalDisk = stubDetector{}, true
+		}, "oracle loop only"},
+		{"local fallback with detector", func(cfg *SupervisorConfig) {
+			cfg.Detector, cfg.LocalFallback = stubDetector{}, true
+		}, "oracle loop only"},
+		{"unsafe commit with detector", func(cfg *SupervisorConfig) {
+			cfg.Detector, cfg.UnsafeCommit = stubDetector{}, true
+		}, "oracle loop only"},
 	}
 	for _, tc := range cases {
 		cfg := validConfig(c, prog)
