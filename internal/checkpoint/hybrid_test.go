@@ -117,6 +117,35 @@ func TestHybridRejectsBadBlockSize(t *testing.T) {
 	}
 }
 
+// A hybrid tracker closed and armed again starts over: its first
+// collection reports every resident block, as on first use.
+func TestHybridTrackerRearmsAfterClose(t *testing.T) {
+	prog := workload.Dense{MiB: 1}
+	k := newMachine("h", prog)
+	p, _ := k.Spawn(prog.Name())
+	workload.SetIterations(p, 100)
+	advanceIters(t, k, p, 1)
+	k.Stop(p)
+	trk, err := NewHybridTracker(k, p, costmodel.Discard{}, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trk.Close()
+	for round := 0; round < 2; round++ {
+		if err := trk.Arm(); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := trk.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rangeBytes(rs), len(residentPages(p.AS))*mem.PageSize; got != want {
+			t.Fatalf("round %d: first collection %d bytes, want every resident page (%d)", round, got, want)
+		}
+		trk.Close()
+	}
+}
+
 func TestHybridCaptureRestoreEquivalence(t *testing.T) {
 	prog := workload.PointerChase{MiB: 2, WriteEvery: 16, Seed: 12}
 	const iters = 6000
