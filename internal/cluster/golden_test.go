@@ -13,20 +13,20 @@ import (
 	"repro/internal/workload"
 )
 
-// goldenRow is one fixed-seed supervisor run whose event log is pinned
-// by count and FNV-64 hash, and its counter snapshot by FNV-64 hash.
+// goldenRow is one fixed-seed supervisor run whose whole event log is
+// pinned by count and FNV-64 hash, its counter snapshot by FNV-64 hash,
+// and its ground-truth reads by count.
 type goldenRow struct {
-	name string
-	// oracle rows hash the log without restore/scratch lines: the oracle
-	// loop's restart trail is checked by its own tests, and everything
-	// else it logs must stay byte-identical.
-	oracle bool
+	name   string
 	run    func(t *testing.T) *Supervisor
 	events int
 	hash   uint64
 	// counters is the FNV-64 of the run's counter snapshot, which sees
 	// what the log does not: retries, drops, bytes shipped.
 	counters uint64
+	// oracleReads is the run's Supervisor.OracleReads: the oracle rows'
+	// cost in simulator ground truth, and 0 for every autonomic row.
+	oracleReads int
 	// reaches names a counter the row exists to drive: a commit branch
 	// no other row takes. It must be nonzero, or the row pins nothing.
 	reaches string
@@ -96,6 +96,63 @@ func goldenNoFencing(t *testing.T, mutate func(*SupervisorConfig)) *Supervisor {
 	return sup
 }
 
+// goldenRelaunch runs the relaunch scenario and returns its supervisor
+// with the number of step hooks the cluster held before the first Run.
+func goldenRelaunch(t *testing.T) (sup *Supervisor, hooks int) {
+	t.Helper()
+	// Node 0 is cut off from the control plane and the job fails
+	// over to node 1. Later both workers are cut off, so the next
+	// failover finds every spare suspected and Run gives up; the
+	// caller relaunches it, as the chaos harness does. The relaunch
+	// lands on node 0, whose kernel outlived the first Run.
+	prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 8}
+	c := newCluster(t, 3, prog)
+	np := c.EnableNetFaults(NetFaultConfig{})
+	mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
+		detector.Config{Period: 200 * simtime.Microsecond, Observer: 2}, c.Counters)
+	cuts := []struct {
+		at     simtime.Duration
+		heal   bool
+		island []int
+	}{
+		{7 * simtime.Millisecond, false, []int{0}},
+		{12 * simtime.Millisecond, true, nil},
+		{20 * simtime.Millisecond, false, []int{0, 1}},
+		{26 * simtime.Millisecond, true, nil},
+	}
+	c.OnStep(func() {
+		if len(cuts) == 0 || c.Now() < simtime.Time(cuts[0].at) {
+			return
+		}
+		if cuts[0].heal {
+			np.Heal("island")
+		} else {
+			np.Partition("island", cuts[0].island...)
+		}
+		cuts = cuts[1:]
+	})
+	sup = MustNewSupervisor(SupervisorConfig{
+		C:           c,
+		MkMech:      func() mechanism.Mechanism { return syslevel.NewCRAK() },
+		Prog:        prog,
+		Iterations:  60,
+		Policy:      policy.Fixed(3 * simtime.Millisecond),
+		Detector:    mon,
+		ControlNode: 2,
+	})
+	hooks = len(c.stepHooks)
+	relaunches := 0
+	err := sup.Run(2 * simtime.Second)
+	for ; err != nil && relaunches < 5; relaunches++ {
+		c.RunFor(2 * simtime.Millisecond)
+		err = sup.Run(2 * simtime.Second)
+	}
+	if relaunches == 0 {
+		t.Fatal("Run never gave up: the row no longer exercises a relaunch")
+	}
+	return sup, hooks
+}
+
 var goldenRows = []goldenRow{
 	{name: "eager-full", events: 25, hash: 0xa670aa4ac7cc278c, counters: 0x1d8a1cb73bd732d1, run: func(t *testing.T) *Supervisor {
 		return goldenAutonomic(t, 61, 20*simtime.Millisecond, func(*SupervisorConfig) {})
@@ -138,60 +195,12 @@ var goldenRows = []goldenRow{
 		return goldenNoFencing(t, func(*SupervisorConfig) {})
 	}},
 	{name: "relaunch", events: 16, hash: 0x15040d6ade23a0ef, counters: 0x2c265bfddfc02cf8, run: func(t *testing.T) *Supervisor {
-		// Node 0 is cut off from the control plane and the job fails
-		// over to node 1. Later both workers are cut off, so the next
-		// failover finds every spare suspected and Run gives up; the
-		// caller relaunches it, as the chaos harness does. The relaunch
-		// lands on node 0, whose kernel outlived the first Run.
-		prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 8}
-		c := newCluster(t, 3, prog)
-		np := c.EnableNetFaults(NetFaultConfig{})
-		mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
-			detector.Config{Period: 200 * simtime.Microsecond, Observer: 2}, c.Counters)
-		cuts := []struct {
-			at     simtime.Duration
-			heal   bool
-			island []int
-		}{
-			{7 * simtime.Millisecond, false, []int{0}},
-			{12 * simtime.Millisecond, true, nil},
-			{20 * simtime.Millisecond, false, []int{0, 1}},
-			{26 * simtime.Millisecond, true, nil},
-		}
-		c.OnStep(func() {
-			if len(cuts) == 0 || c.Now() < simtime.Time(cuts[0].at) {
-				return
-			}
-			if cuts[0].heal {
-				np.Heal("island")
-			} else {
-				np.Partition("island", cuts[0].island...)
-			}
-			cuts = cuts[1:]
-		})
-		sup := MustNewSupervisor(SupervisorConfig{
-			C:           c,
-			MkMech:      func() mechanism.Mechanism { return syslevel.NewCRAK() },
-			Prog:        prog,
-			Iterations:  60,
-			Policy:      policy.Fixed(3 * simtime.Millisecond),
-			Detector:    mon,
-			ControlNode: 2,
-		})
-		relaunches := 0
-		err := sup.Run(2 * simtime.Second)
-		for ; err != nil && relaunches < 5; relaunches++ {
-			c.RunFor(2 * simtime.Millisecond)
-			err = sup.Run(2 * simtime.Second)
-		}
-		if relaunches == 0 {
-			t.Fatal("Run never gave up: the row no longer exercises a relaunch")
-		}
+		sup, _ := goldenRelaunch(t)
 		return sup
 	}},
 	// The oracle rows' counters include their checkpoints (ckpt.full_acks,
 	// ckpt.bytes_shipped): both loops count acks in the one ack step.
-	{name: "oracle-remote", oracle: true, events: 12, hash: 0xe69fddd6b8d9919f, counters: 0xce387f4f2e307288, run: func(t *testing.T) *Supervisor {
+	{name: "oracle-remote", events: 17, hash: 0xeaf340e8f543f0b2, oracleReads: 36, counters: 0xce387f4f2e307288, run: func(t *testing.T) *Supervisor {
 		prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 31}
 		c := newCluster(t, 3, prog)
 		c.SetInjector(NewInjector(Exponential{Mean: 15 * simtime.Millisecond}, 2*simtime.Millisecond, 7, 3))
@@ -207,7 +216,7 @@ var goldenRows = []goldenRow{
 		}
 		return sup
 	}},
-	{name: "oracle-local-permanent", oracle: true, events: 21, hash: 0xb1bdf80162ccc401, counters: 0xab1358399dff45bd, run: func(t *testing.T) *Supervisor {
+	{name: "oracle-local-permanent", events: 22, hash: 0x5ef1009bb9a4bfa6, oracleReads: 46, counters: 0xab1358399dff45bd, run: func(t *testing.T) *Supervisor {
 		prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 41}
 		c := newCluster(t, 3, prog)
 		inj := NewInjector(Exponential{Mean: 30 * simtime.Millisecond}, 2*simtime.Millisecond, 3, 3)
@@ -285,14 +294,6 @@ func TestSupervisorEventLogGolden(t *testing.T) {
 				t.Fatalf("%s is 0: the row no longer reaches its commit branch", row.reaches)
 			}
 			evs := sup.Events
-			if row.oracle {
-				evs = nil
-				for _, ev := range sup.Events {
-					if ev.Kind != EvRestore && ev.Kind != EvScratch {
-						evs = append(evs, ev)
-					}
-				}
-			}
 			h := fnv.New64()
 			h.Write([]byte(FormatEvents(evs)))
 			if len(evs) != row.events || h.Sum64() != row.hash {
@@ -303,6 +304,9 @@ func TestSupervisorEventLogGolden(t *testing.T) {
 			ch.Write([]byte(sup.Counters().String()))
 			if ch.Sum64() != row.counters {
 				t.Errorf("counters changed: hash %#x, want %#x\n%s", ch.Sum64(), row.counters, sup.Counters())
+			}
+			if sup.OracleReads != row.oracleReads {
+				t.Errorf("OracleReads = %d, want %d", sup.OracleReads, row.oracleReads)
 			}
 		})
 	}
