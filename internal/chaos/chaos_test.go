@@ -176,22 +176,6 @@ func TestGenerateFitsRow(t *testing.T) {
 	}
 }
 
-// assertMix demands that the sweep width draws every wanted value of one
-// spec field: a value the sweep never draws is a path chaos never tests.
-func assertMix(t *testing.T, field func(*Spec) string, want ...string) {
-	t.Helper()
-	got := map[string]int{}
-	for seed := int64(1); seed <= sweepSeeds; seed++ {
-		got[field(Generate(seed))]++
-	}
-	for _, w := range want {
-		if got[w] == 0 {
-			t.Errorf("generator drew no %q seeds in [1,%d]: %v", w, sweepSeeds, got)
-		}
-	}
-	t.Logf("mix over %d seeds: %v", sweepSeeds, got)
-}
-
 // TestGenerateDeterministic pins the generator itself: one seed, one
 // spec.
 func TestGenerateDeterministic(t *testing.T) {

@@ -11,13 +11,6 @@ import (
 	"repro/internal/storage/erasure"
 )
 
-// TestReplicationGeneratedMix pins that the sweep width draws both
-// placement modes beside the server-only path: the sweep is the
-// replication acceptance gate only if replicated seeds exist in it.
-func TestReplicationGeneratedMix(t *testing.T) {
-	assertMix(t, func(sp *Spec) string { return sp.Replication }, "", "buddy", "erasure")
-}
-
 // TestReplicationSpecValidation rejects the replication knobs the
 // executor cannot run.
 func TestReplicationSpecValidation(t *testing.T) {

@@ -1,19 +1,11 @@
 package chaos
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/simtime"
 )
-
-// TestShardedGeneratedMix pins that the sweep width draws both the flat
-// monitor and the sharded digest path: the sweep exercises aggregator
-// failover only if sharded seeds exist in it.
-func TestShardedGeneratedMix(t *testing.T) {
-	assertMix(t, func(sp *Spec) string { return fmt.Sprint(sp.Shards) }, "0", "2")
-}
 
 // TestShardedAggregatorDeath kills a shard aggregator under the digest
 // path: the observer must probe the dark shard back to life, the job
