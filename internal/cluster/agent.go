@@ -69,9 +69,9 @@ func (s *Supervisor) armAgent(node int, pid proc.PID, epoch uint64) {
 }
 
 // pumpAgents runs every agent once and compacts stopped agents out of
-// the slice; registered as a cluster step hook by runAutonomic. Without
-// the compaction a long run leaks one dead agent per incarnation and
-// scans them all forever.
+// the slice; admit registers it as a cluster step hook, once per
+// supervisor. Without the compaction a long run leaks one dead agent per
+// incarnation and scans them all forever.
 func (s *Supervisor) pumpAgents() {
 	s.pumpLazy()
 	live := s.agents[:0]

@@ -195,3 +195,13 @@ func TestAutonomicPhiUnderLossAndRealFailures(t *testing.T) {
 		t.Fatal("real failures occurred but none was detected")
 	}
 }
+
+// A relaunched Run must not register the supervisor's step hook again:
+// each extra copy would pump the agents, the lazy prefetcher and the
+// repair sweep once more per cluster step.
+func TestRelaunchRegistersOneStepHook(t *testing.T) {
+	sup, before := goldenRelaunch(t)
+	if added := len(sup.C.stepHooks) - before; added != 1 {
+		t.Fatalf("Run and its relaunches added %d step hooks, want 1", added)
+	}
+}

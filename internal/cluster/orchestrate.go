@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/costmodel"
@@ -15,11 +16,12 @@ import (
 	"repro/internal/trace"
 )
 
-// FailureDetector is the suspicion service an autonomic supervisor
-// consults instead of the simulator's fail-stop oracle. It is
-// implemented by detector.Monitor; the interface lives here so cluster
-// does not import detector (which imports nothing of cluster either —
-// both meet at this seam and at detector.Transport).
+// FailureDetector is the suspicion service a supervisor's failover
+// verdicts come from. It is implemented by detector.Monitor, which
+// judges heartbeats over the faulty network, and by groundTruth, the
+// oracle mode's reader of the simulator's fail-stop state. The interface
+// lives here so cluster does not import detector (which imports nothing
+// of cluster either — both meet at this seam and at detector.Transport).
 type FailureDetector interface {
 	// Suspected reports whether node is currently suspected dead.
 	Suspected(node int) bool
@@ -30,9 +32,23 @@ type FailureDetector interface {
 	Failover(node int)
 }
 
-// ErrSuspected is returned by detector-gated operations whose endpoint
-// is currently suspected dead.
-var ErrSuspected = errors.New("cluster: node is suspected by the failure detector")
+// groundTruth is the oracle mode's failure detector: it reads the
+// simulator's fail-stop state, as no real supervisor could, and counts
+// every read in the supervisor's OracleReads.
+type groundTruth struct{ s *Supervisor }
+
+func (g groundTruth) Suspected(node int) bool {
+	g.s.OracleReads++
+	return !g.s.C.Node(node).Alive()
+}
+
+func (g groundTruth) PickHealthy(except int) int {
+	g.s.OracleReads++ // FindSpare scans ground-truth liveness
+	return g.s.C.FindSpare(except)
+}
+
+// Failover has nothing to record: ground truth is never wrong.
+func (groundTruth) Failover(int) {}
 
 // MechPool caches one mechanism instance per node (mechanisms bind to a
 // single kernel, so cross-node operations need one instance per machine).
@@ -74,19 +90,8 @@ func (mp *MechPool) For(node int) (mechanism.Mechanism, error) {
 // CRAK/ZAP/BProc use case): checkpoint on the source, ship the image,
 // kill the original, restart on the destination.
 func Migrate(c *Cluster, pool *MechPool, from, to int, pid proc.PID) (*proc.Process, error) {
-	return MigrateWith(c, pool, from, to, pid, nil)
-}
-
-// MigrateWith is Migrate gated by a failure detector: when det is
-// non-nil a suspected endpoint aborts the migration with ErrSuspected
-// before any capture work, instead of the oracle liveness check.
-func MigrateWith(c *Cluster, pool *MechPool, from, to int, pid proc.PID, det FailureDetector) (*proc.Process, error) {
 	src, dst := c.Node(from), c.Node(to)
-	if det != nil {
-		if det.Suspected(from) || det.Suspected(to) {
-			return nil, fmt.Errorf("cluster: migrate %d->%d: %w", from, to, ErrSuspected)
-		}
-	} else if !src.Alive() || !dst.Alive() {
+	if !src.Alive() || !dst.Alive() {
 		return nil, errors.New("cluster: migration endpoints must be alive")
 	}
 	p, err := src.K.Procs.Lookup(pid)
@@ -143,10 +148,6 @@ type GangMember struct {
 type Gang struct {
 	C       *Cluster
 	Members []GangMember
-	// Det, when set, vetoes preemption/resume touching a suspected node
-	// (ErrSuspected) — the gang controller trusts the detector, not the
-	// simulator's oracle.
-	Det FailureDetector
 
 	mechs  *MechPool
 	images map[int]*checkpoint.Image // keyed by member index
@@ -183,9 +184,6 @@ func (g *Gang) Preempt() error {
 	}
 	caps := make([]captured, len(g.Members))
 	for i, mb := range g.Members {
-		if g.Det != nil && g.Det.Suspected(mb.Node) {
-			return fmt.Errorf("cluster: gang preempt member %d on node %d: %w", i, mb.Node, ErrSuspected)
-		}
 		n := g.C.Node(mb.Node)
 		m, err := g.mechs.For(mb.Node)
 		if err != nil {
@@ -218,9 +216,6 @@ func (g *Gang) Resume() ([]*proc.Process, error) {
 	}
 	out := make([]*proc.Process, 0, len(g.Members))
 	for i, mb := range g.Members {
-		if g.Det != nil && g.Det.Suspected(mb.Node) {
-			return nil, fmt.Errorf("cluster: gang resume member %d on node %d: %w", i, mb.Node, ErrSuspected)
-		}
 		img := g.images[i]
 		if img == nil {
 			return nil, fmt.Errorf("cluster: no image for member %d", i)
@@ -244,8 +239,9 @@ func (g *Gang) Resume() ([]*proc.Process, error) {
 // under fail-stop failures: it checkpoints periodically through a real
 // mechanism to the checkpoint server (or local disk) and restarts the job
 // on a spare node after failures — the whole §1 story end to end.
-// Construct it with NewSupervisor; both the oracle and the autonomic
-// loop restart the job through one path, restartOn.
+// Construct it with NewSupervisor. One lifecycle (Run) and one failover
+// serve both modes; they differ only in where the failure verdicts come
+// from (a Detector, or ground truth) and in who takes checkpoints.
 type Supervisor struct {
 	// SupervisorConfig is the validated configuration with every default
 	// resolved by NewSupervisor. Its fields are the supervisor's own:
@@ -265,13 +261,21 @@ type Supervisor struct {
 	// targets, so it is read-only: reassigning it would split the
 	// supervisor's histograms from theirs.
 	Metrics *trace.Metrics
-	// OracleReads counts decision-path reads of simulator ground truth
-	// (Alive / direct process-table inspection). Autonomic mode performs
-	// none: its tests assert this stays zero.
+	// OracleReads counts decision-path reads of simulator ground truth:
+	// groundTruth's liveness reads and the oracle's process-table
+	// reads. Autonomic mode performs none: its tests assert this stays
+	// zero.
 	OracleReads int
 
 	// Events is the orchestration event log (see events.go).
 	Events []Event
+
+	// det is the failure detector the run's verdicts come from: Detector,
+	// or groundTruth when that is nil.
+	det FailureDetector
+	// pumping is set once pumpAgents is registered as a cluster step
+	// hook, so a relaunched Run does not register it again.
+	pumping bool
 
 	// fence is the job's epoch domain, one per supervisor. Each
 	// incarnation publishes through a target fenced at its admission
@@ -327,9 +331,11 @@ type Supervisor struct {
 }
 
 // Run drives the cluster until the job completes or the budget elapses.
-// With a Detector set it runs autonomically (suspicion-driven, fenced);
-// otherwise it uses the classic oracle loop, whose ground-truth reads
-// are tallied in OracleReads for comparison.
+// It admits the job; each round it then waits the round gap and fails
+// the job over if the detector suspects its node. Otherwise a status
+// read decides: the job is gone or killed (fail over), finished
+// (complete), or running (the oracle checkpoints it; in autonomic mode
+// node-local agents do).
 func (s *Supervisor) Run(budget simtime.Duration) error {
 	if s.Policy == nil {
 		return errors.New("cluster: Supervisor needs a policy engine — construct with NewSupervisor")
@@ -341,66 +347,112 @@ func (s *Supervisor) Run(budget simtime.Duration) error {
 	// instance unbound, so that node's captures fail until it reboots.
 	// Relaunched runs' event logs depend on this.
 	s.mechs = NewMechPool(s.C, s.mechs.Mk)
-	if s.Detector != nil {
-		return s.runAutonomic(budget)
-	}
 	start := s.C.Now()
-	if err := s.start(0); err != nil {
+	if err := s.admit(); err != nil {
 		return err
 	}
-	deadline := s.C.Now().Add(budget)
+	deadline := start.Add(budget)
 	lastObs := s.C.Now()
 	for s.C.Now() < deadline {
-		// The policy engine answers the cadence afresh each round, so a
-		// shrinking MTBF estimate shortens the very next checkpoint gap.
-		s.C.RunFor(s.Policy.Interval())
+		s.C.RunFor(s.roundGap())
 		s.Policy.ObserveUptime(s.C.Now().Sub(lastObs))
 		lastObs = s.C.Now()
 
-		n := s.C.Node(s.node)
-		// Both reads below are simulator ground truth a real supervisor
-		// would not have; the autonomic loop replaces them.
-		s.OracleReads++
-		if !n.Alive() {
-			s.noteFailure()
-			if err := s.recover(); err != nil {
+		if s.det.Suspected(s.node) {
+			// The node is judged dead. A heartbeat detector may be wrong —
+			// we cannot tell, and we do not try: fence, then fail over.
+			s.det.Failover(s.node)
+			if err := s.failover(); err != nil {
 				return err
 			}
 			continue
 		}
-		s.OracleReads++
-		p, err := n.K.Procs.Lookup(s.pid)
-		if err != nil {
-			// The node failed AND rebooted within the interval: the fresh
-			// kernel has no trace of the job.
-			s.noteFailure()
-			if err := s.recover(); err != nil {
+		st, ok := s.status()
+		switch {
+		case !ok:
+			// No reply. Crashed or merely unreachable? The probe cannot
+			// say; arbitration belongs to the detector, next round.
+		case !st.Found || st.State == proc.StateZombie && st.ExitCode != 0:
+			// The node answered and the job is gone — it rebooted under
+			// us faster than suspicion could accrue — or a failure nobody
+			// observed directly killed it.
+			if err := s.failover(); err != nil {
 				return err
 			}
-			continue
-		}
-		if p.State == proc.StateZombie && p.ExitCode != 0 {
-			// Killed by a failure we did not observe directly.
-			s.noteFailure()
-			if err := s.recover(); err != nil {
-				return err
-			}
-			continue
-		}
-		if p.State == proc.StateZombie {
+		case st.State == proc.StateZombie:
 			s.Completed = true
-			s.Fingerprint = p.Regs().G[3]
+			s.Fingerprint = st.Fingerprint
 			s.Makespan = s.C.Now().Sub(start)
-			s.emit(EvComplete, s.node, 0, fmt.Sprintf("%#x", s.Fingerprint))
+			// A lazy restore may still be draining: settle it so the final
+			// latency accounting lands and the run leaves no dangling
+			// demand-fill hook behind.
+			s.settleLazy()
+			// The final checkpoints may have acked between repair sweeps:
+			// flush redundancy so the chain the run leaves behind is fully
+			// replicated, not merely quorum-replicated.
+			s.flushRepair()
+			s.emit(EvComplete, s.node, s.fence.Epoch(), fmt.Sprintf("%#x", s.Fingerprint))
 			return nil
-		}
-		if err := s.checkpoint(p); err != nil {
-			// Storage unavailable mid-failure: retry next round.
-			continue
+		case s.Detector == nil:
+			// The oracle checkpoints the job itself. Storage unavailable
+			// mid-failure: the next round retries.
+			_ = s.checkpoint()
 		}
 	}
 	s.Makespan = s.C.Now().Sub(start)
 	return nil
+}
+
+// admit starts the job's first incarnation. The oracle starts it on node
+// 0. Autonomic mode keeps it off the control node, advances the fence
+// before the start — a writer's epoch is fixed before it can produce
+// bytes — and arms the incarnation's checkpoint agent.
+func (s *Supervisor) admit() error {
+	if s.Detector == nil {
+		return s.start(0)
+	}
+	if !s.pumping {
+		s.C.OnStep(s.pumpAgents)
+		s.pumping = true
+	}
+	first := 0
+	if first == s.ControlNode {
+		first = 1 // the job never shares a machine with the control plane
+	}
+	epoch := s.fence.Advance()
+	if err := s.start(first); err != nil {
+		return err
+	}
+	s.armAgent(first, s.pid, epoch)
+	s.emit(EvAdmit, first, epoch, "")
+	return nil
+}
+
+// roundGap is the simulated time each round waits. The oracle waits the
+// policy's live interval, so a shrinking MTBF estimate shortens the very
+// next checkpoint gap. Autonomic mode polls at a quarter of the base
+// cadence: its rhythm stays anchored to the configured base.
+func (s *Supervisor) roundGap() simtime.Duration {
+	if s.Detector == nil {
+		return s.Policy.Interval()
+	}
+	if poll := s.Policy.Base() / 4; poll > 0 {
+		return poll
+	}
+	return simtime.Millisecond
+}
+
+// status reads the job's process state. In autonomic mode it is a status
+// RPC from the control node, unanswered (ok false) when the network
+// swallows it. The oracle reads the node's own process table, over a
+// loopback that always answers, and counts one OracleReads.
+func (s *Supervisor) status() (ProcStatus, bool) {
+	from := s.ControlNode
+	if s.Detector == nil {
+		s.OracleReads++
+		from = s.node
+	}
+	return s.C.ProbeProcess(from, s.node, s.pid)
 }
 
 // noteFailure feeds one observed failure into the policy engine (moving
@@ -497,7 +549,7 @@ func (s *Supervisor) attempt(p *proc.Process, tgt storage.Target, local bool) er
 	return nil
 }
 
-// recordAck is the one ack step of both loops: obj, a full image or a
+// recordAck is the one ack step of both modes: obj, a full image or a
 // delta of encodedBytes that the incarnation admitted at epoch on node
 // took in ckptDur, is durable (on node's local disk when local), so it
 // is counted, becomes the recovery pointer, feeds the interval policy,
@@ -526,11 +578,16 @@ const (
 	ckptRetryBackoff = simtime.Millisecond
 )
 
-// checkpoint takes the round's checkpoint with retry-with-backoff against
+// checkpoint takes the round's checkpoint of the job's process, which
+// the round's status read found running, with retry-with-backoff against
 // the primary target, then (optionally) one fallback attempt against the
 // node-local disk. Injected storage faults thus cost retries and degraded
 // placement, not lost rounds.
-func (s *Supervisor) checkpoint(p *proc.Process) error {
+func (s *Supervisor) checkpoint() error {
+	p, err := s.C.Node(s.node).K.Procs.Lookup(s.pid)
+	if err != nil {
+		return err
+	}
 	local := s.UseLocalDisk
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -566,30 +623,13 @@ func (s *Supervisor) checkpoint(p *proc.Process) error {
 	return lastErr
 }
 
-// recover is the oracle loop's failover: restart the job on a spare node
-// the simulator reports alive, reading the checkpoint from wherever the
-// last good image went — the server, or a local disk that is unreachable
-// if its node is down.
-func (s *Supervisor) recover() error {
-	s.OracleReads++ // FindSpare scans ground-truth liveness
-	spare := s.C.FindSpare(s.node)
-	if spare < 0 {
-		return errors.New("cluster: no spare node")
-	}
-	var src storage.Target = s.C.Node(spare).Remote()
-	if s.lastLocal {
-		src = s.C.Node(s.lastNode).Disk
-	}
-	return s.restartOn(spare, src, s.chainObjs, 0)
-}
-
-// restartOn is the one restart path both loops share: it restarts the
-// job on node from the newest checkpoint src serves — restart-before-
-// read when LazyRestore is set and its preconditions hold, else an eager
-// restore of the whole chain, else from scratch when nothing is
-// recoverable (the paper's warning about local-only storage). It logs
-// EvRestore or EvScratch under epoch (0 in oracle mode). manifest is the
-// caller's snapshot of the chain's acked object names.
+// restartOn is the one restart path: it restarts the job on node from
+// the newest checkpoint src serves — restart-before-read when
+// LazyRestore is set and its preconditions hold, else an eager restore
+// of the whole chain, else from scratch when nothing is recoverable (the
+// paper's warning about local-only storage). It logs EvRestore or
+// EvScratch under epoch (0 in oracle mode). manifest is the caller's
+// snapshot of the chain's acked object names.
 func (s *Supervisor) restartOn(node int, src storage.Target, manifest []string, epoch uint64) error {
 	s.Restarts++
 	var p *proc.Process
@@ -633,7 +673,7 @@ func (s *Supervisor) restartOn(node int, src storage.Target, manifest []string, 
 // full ancestry of lastLeaf, or — when a mid-chain image is torn or
 // lost — the chain of the last acked full image, the newest intact
 // ancestor the supervisor still holds a name for. manifest is the
-// caller's snapshot of the chain's acked object names (recoverFenced
+// caller's snapshot of the chain's acked object names (failover
 // clears the live bookkeeping before loading, so it must snapshot
 // first). Returns nil when nothing loads (scratch restart). readWait is
 // the simulated storage wait recovery spent reading — accumulated
@@ -682,7 +722,7 @@ func (s *Supervisor) loadRecoveryChain(src storage.Target, manifest []string) (c
 	// before rewinding to lastFull, which would silently discard deltas
 	// that are still perfectly restorable.
 	if live := s.chainObjs; len(live) > 0 && live[len(live)-1] == s.lastLeaf &&
-		!sameManifest(live, manifest) &&
+		!slices.Equal(live, manifest) &&
 		s.fence.Epoch() == fenceEpoch {
 		m := append([]string(nil), live...)
 		if chain, err2 := checkpoint.LoadChainManifest(src, env, m); err2 == nil {
@@ -703,20 +743,6 @@ func (s *Supervisor) loadRecoveryChain(src storage.Target, manifest []string) (c
 	return chain, readWait
 }
 
-// sameManifest reports whether two chain manifests name the same
-// objects in the same order.
-func sameManifest(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // observeRestore records the modeled recovery latency of a successful
 // restart from chain: the measured storage wait of the chain read plus
 // the replay cost at the supervisor's restore width. The replay cost is
@@ -733,105 +759,20 @@ func (s *Supervisor) observeRestore(chain []*checkpoint.Image, replayed int, rea
 	s.Counters().Inc("restore.deltas_replayed", int64(len(chain)-1))
 }
 
-// runAutonomic is the detector-driven main loop: the supervisor sits on
-// ControlNode and learns about the job only through two message-based
-// channels — the failure detector's suspicion verdicts (heartbeats over
-// the faulty network) and status RPCs (ProbeProcess) that can simply go
-// unanswered. It never reads Alive() or a remote process table directly,
-// so a partition looks exactly like a crash, false positives happen, and
-// the fencing epoch is what keeps them safe.
-func (s *Supervisor) runAutonomic(budget simtime.Duration) error {
-	s.C.OnStep(s.pumpAgents)
-
-	start := s.C.Now()
-	first := 0
-	if first == s.ControlNode {
-		first = 1 // the job never shares a machine with the control plane
+// failover restarts the job on a node the detector considers healthy.
+// In autonomic mode it advances the fencing epoch FIRST (from this
+// instant no writer of the old incarnation can commit) and arms the new
+// incarnation's agent last. Note what is absent: any check that the old
+// node is actually dead. If it is not, its agent will be told so by the
+// storage server (ErrFenced) and self-fence. The oracle restarts at
+// epoch 0 with empty chain bookkeeping.
+func (s *Supervisor) failover() error {
+	s.noteFailure()
+	epoch := s.fence.Epoch()
+	if s.Detector != nil {
+		epoch = s.fence.Advance()
+		s.emit(EvFailover, s.node, epoch, "")
 	}
-	// Admit the first incarnation. Advancing before start is the
-	// invariant: a writer's epoch is fixed before it can produce bytes.
-	epoch := s.fence.Advance()
-	if err := s.start(first); err != nil {
-		return err
-	}
-	s.armAgent(first, s.pid, epoch)
-	s.emit(EvAdmit, first, epoch, "")
-
-	// The control loop polls at a quarter of the policy's base cadence:
-	// the live interval may shrink as estimates move, but the loop's own
-	// rhythm stays anchored to the configured base.
-	poll := s.Policy.Base() / 4
-	if poll <= 0 {
-		poll = simtime.Millisecond
-	}
-	deadline := start.Add(budget)
-	lastObs := s.C.Now()
-	for s.C.Now() < deadline {
-		s.C.RunFor(poll)
-		s.Policy.ObserveUptime(s.C.Now().Sub(lastObs))
-		lastObs = s.C.Now()
-
-		if s.Detector.Suspected(s.node) {
-			// The detector says the job's node is dead. It may be wrong —
-			// we cannot tell, and we do not try: fence, then fail over.
-			s.noteFailure()
-			s.Detector.Failover(s.node)
-			if err := s.recoverFenced(); err != nil {
-				return err
-			}
-			continue
-		}
-		st, ok := s.C.ProbeProcess(s.ControlNode, s.node, s.pid)
-		if !ok {
-			// No reply. Crashed or merely unreachable? The probe cannot
-			// say; arbitration belongs to the detector, next round.
-			continue
-		}
-		if !st.Found {
-			// The node answered and the job is gone — it rebooted under
-			// us faster than suspicion could accrue.
-			s.noteFailure()
-			if err := s.recoverFenced(); err != nil {
-				return err
-			}
-			continue
-		}
-		if st.State == proc.StateZombie && st.ExitCode != 0 {
-			s.noteFailure()
-			if err := s.recoverFenced(); err != nil {
-				return err
-			}
-			continue
-		}
-		if st.State == proc.StateZombie {
-			s.Completed = true
-			s.Fingerprint = st.Fingerprint
-			s.Makespan = s.C.Now().Sub(start)
-			// A lazy restore may still be draining: settle it so the final
-			// latency accounting lands and the run leaves no dangling
-			// demand-fill hook behind.
-			s.settleLazy()
-			// The final checkpoints may have acked between repair sweeps:
-			// flush redundancy so the chain the run leaves behind is fully
-			// replicated, not merely quorum-replicated.
-			s.flushRepair()
-			s.emit(EvComplete, s.node, s.fence.Epoch(), fmt.Sprintf("%#x", s.Fingerprint))
-			return nil
-		}
-	}
-	s.Makespan = s.C.Now().Sub(start)
-	return nil
-}
-
-// recoverFenced is the autonomic failover: advance the fencing epoch
-// FIRST (from this instant no writer of the old incarnation can commit),
-// then restart from the newest fenced checkpoint on a node the detector
-// considers healthy. Note what is absent: any check that the old node is
-// actually dead. If it is not, its agent will be told so by the storage
-// server (ErrFenced) and self-fence.
-func (s *Supervisor) recoverFenced() error {
-	epoch := s.fence.Advance()
-	s.emit(EvFailover, s.node, epoch, "")
 	if s.lazy != nil {
 		// A still-draining lazy restore belongs to the incarnation we
 		// just fenced off: poison it so the stale process faults instead
@@ -860,7 +801,9 @@ func (s *Supervisor) recoverFenced() error {
 	if err := s.restartOn(spare, s.recoveryTarget(spare), manifest, epoch); err != nil {
 		return err
 	}
-	s.armAgent(spare, s.pid, epoch)
-	s.emit(EvAdmit, spare, epoch, "")
+	if s.Detector != nil {
+		s.armAgent(spare, s.pid, epoch)
+		s.emit(EvAdmit, spare, epoch, "")
+	}
 	return nil
 }

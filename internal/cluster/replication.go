@@ -129,7 +129,7 @@ func (s *Supervisor) buddyCandidates(owner int) []int {
 		if i == owner || i == s.ControlNode {
 			continue
 		}
-		suspected := s.Detector != nil && s.Detector.Suspected(i)
+		suspected := s.det.Suspected(i)
 		cross := failureDomain(i) != failureDomain(owner)
 		switch {
 		case cross && !suspected:
@@ -247,14 +247,21 @@ func (s *Supervisor) shipTarget(a *ckptAgent) storage.Target {
 	return r
 }
 
-// recoveryTarget is the read side of restore-from-nearest-surviving-
+// recoveryTarget is where a restart on spare reads the last good image.
+// When that image went to a node-local disk it is that disk, unreachable
+// if its node is down (the paper's warning about local-only storage).
+// With replication it is the read side of restore-from-nearest-surviving-
 // replica: the replica set as seen from the restore node, ordered so the
 // ladder tries its own disk first, then the other surviving holders over
 // the wire, then the server. The placement is the one the acked chain was
-// written under — recoverFenced calls this before the new incarnation
+// written under — failover calls this before the new incarnation
 // re-anchors placement at the spare. Reads are unfenced (the fence guards
 // mutations); a mirror set needs any one survivor, an erasure set any k.
+// Otherwise it is the server, reached from spare.
 func (s *Supervisor) recoveryTarget(spare int) storage.Target {
+	if s.lastLocal {
+		return s.C.Node(s.lastNode).Disk
+	}
 	if s.Replication == nil || s.repl == nil || len(s.repl.slots) == 0 {
 		return s.C.Node(spare).Remote()
 	}
@@ -300,12 +307,12 @@ func (s *Supervisor) pickRestoreNode(failed int) int {
 			if sl.node < 0 || sl.node == failed || sl.node == s.ControlNode {
 				continue
 			}
-			if !s.Detector.Suspected(sl.node) {
+			if !s.det.Suspected(sl.node) {
 				return sl.node
 			}
 		}
 	}
-	return s.Detector.PickHealthy(failed)
+	return s.det.PickHealthy(failed)
 }
 
 // repairCadence is how often the background re-replication sweep runs.
@@ -419,7 +426,7 @@ func (s *Supervisor) reassignDeadSlots(now simtime.Time) {
 		if sl.node < 0 || sl.node == s.repl.owner {
 			continue
 		}
-		if !s.Detector.Suspected(sl.node) {
+		if !s.det.Suspected(sl.node) {
 			delete(s.repl.downSince, sl.node)
 			continue
 		}
@@ -453,7 +460,7 @@ func (s *Supervisor) pickReplacement() int {
 		}
 	}
 	for _, cand := range s.buddyCandidates(s.repl.owner) {
-		if !inUse[cand] && !s.Detector.Suspected(cand) {
+		if !inUse[cand] && !s.det.Suspected(cand) {
 			return cand
 		}
 	}

@@ -170,6 +170,10 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		return nil, fmt.Errorf("cluster: NewSupervisor: %w", err)
 	}
 	s.Policy = eng
+	s.det = cfg.Detector
+	if s.det == nil {
+		s.det = groundTruth{s}
+	}
 	s.fence = storage.NewFenceDomain("job", s.Counters())
 	if s.RebaseEvery == 0 {
 		s.RebaseEvery = 8
