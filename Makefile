@@ -18,10 +18,14 @@ test:
 	$(GO) test ./...
 
 # Root-package benchmarks, then the per-layer erasure codec benchmarks
-# (the GF(256) multiply-accumulate kernel over a 4 KiB and a 256 KiB
-# plane; 4 MiB object, 2+1: encode, healthy read, degraded read, and the
-# same two reads as planes: healthy 0.29 ms and 0.8 KB, degraded 0.94–1.05
-# ms and 2.1 MB, against 1.0–1.4 ms and 4.2 MB joined, on a 2-core host), the
+# (the GF(256) kernels on each path the CPU has: mulAdd over 4 KiB, 256
+# KiB and 2 MiB planes, and the fused mulSum over 2 and 4 sources of
+# 256 KiB and 2 MiB, which writes 2 MiB from two sources in 0.27–0.29 ms
+# by GFNI, 0.41–0.46 ms by PSHUFB and 2.1–3.4 ms by the table; 4 MiB
+# object, 2+1: encode, healthy read, degraded read, and the same two
+# reads as planes: healthy 0.16–0.17 ms and 208 B, degraded 0.64–0.72
+# ms and 2.1 MB, against 0.96–1.30 ms and 1.07–1.11 ms and 4.2 MB
+# joined, on a 2-core host), the
 # image CRC-64 and the shard CRC-32 (64 B, 1 KiB, 4 KiB, 64 KiB and
 # 4 MiB; the CRC-32 beside hash/crc32 as reference), the checkpoint
 # benchmarks (4 MiB image: decode, sequential and 2-worker

@@ -132,6 +132,53 @@ func TestMigrateProcessAcrossNodes(t *testing.T) {
 	}
 }
 
+// TestGangResumeRefusesDownNode: a preempted gang whose member's node
+// has failed must not resume onto it. Resume errors, the gang stays
+// frozen with its images, and once the node reboots the same gang
+// resumes and every member runs to completion.
+func TestGangResumeRefusesDownNode(t *testing.T) {
+	prog := workload.Sparse{MiB: 1, WriteFrac: 0.3, Seed: 2, Iterations: 30}
+	c := newCluster(t, 2, prog)
+	var members []GangMember
+	for i := 0; i < 2; i++ {
+		p, err := c.Node(i).K.Spawn(prog.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		members = append(members, GangMember{Node: i, PID: p.PID})
+	}
+	c.RunFor(5 * simtime.Millisecond)
+	g := NewGang(c, func() mechanism.Mechanism { return syslevel.NewCRAK() }, members)
+	if err := g.Preempt(); err != nil {
+		t.Fatal(err)
+	}
+	c.Fail(1)
+	before := len(c.Node(0).K.Procs.All())
+	if procs, err := g.Resume(); err == nil {
+		t.Fatalf("resume with node 1 down reported success (%d processes)", len(procs))
+	}
+	if n := len(c.Node(0).K.Procs.All()); n != before {
+		t.Fatalf("refused resume changed node 0's process count %d -> %d", before, n)
+	}
+	c.Reboot(1)
+	procs, err := g.Resume()
+	if err != nil {
+		t.Fatalf("resume after reboot: %v", err)
+	}
+	if len(procs) != 2 {
+		t.Fatalf("resumed %d members, want 2", len(procs))
+	}
+	for i, p := range procs {
+		p := p
+		if !c.RunUntil(func() bool { return p.State == proc.StateZombie }, simtime.Minute) {
+			t.Fatalf("resumed member %d stuck", i)
+		}
+		if p.ExitCode != 0 {
+			t.Fatalf("member %d exit %d", i, p.ExitCode)
+		}
+	}
+}
+
 func TestGangPreemptResume(t *testing.T) {
 	prog := workload.Sparse{MiB: 1, WriteFrac: 0.3, Seed: 2, Iterations: 30}
 	c := newCluster(t, 3, prog)

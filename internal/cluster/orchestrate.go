@@ -210,9 +210,17 @@ func (g *Gang) Preempt() error {
 
 // Resume restarts every member on its node, returning the new processes
 // in Members order (PIDs are per-node and may repeat across nodes).
+// Like Migrate, it refuses while any member's node is down, and it checks
+// every node before restarting any member: a refused Resume leaves the
+// gang frozen with its images, to resume once the node is back.
 func (g *Gang) Resume() ([]*proc.Process, error) {
 	if !g.frozen {
 		return nil, errors.New("cluster: gang not preempted")
+	}
+	for i, mb := range g.Members {
+		if n := g.C.Node(mb.Node); !n.Alive() {
+			return nil, fmt.Errorf("cluster: gang resume member %d: node %s is down (gang left frozen)", i, n.Name)
+		}
 	}
 	out := make([]*proc.Process, 0, len(g.Members))
 	for i, mb := range g.Members {

@@ -14,7 +14,9 @@ func init() {
 		return
 	}
 	_, ebx7, ecx7, _ := cpuid(7, 0)
-	HasAVX512VPCLMULQDQ = ebx7&(1<<16) != 0 && ecx7&(1<<10) != 0
+	avx512f := ebx7&(1<<16) != 0
+	HasAVX512VPCLMULQDQ = avx512f && ecx7&(1<<10) != 0
+	HasAVX512GFNI = avx512f && ecx7&(1<<8) != 0
 }
 
 // cpuid returns the registers of CPUID leaf eax, subleaf ecx.

@@ -11,11 +11,12 @@ import (
 // TestFlagsMatchProcCPUInfo checks the probe against the kernel's own
 // CPUID reading: on amd64 each flag must agree with the "flags" line of
 // /proc/cpuinfo, and every other GOARCH (386 included) reports none.
-// Linux lists avx512f only when it saves ZMM state, so the ZMM flag must
-// be set exactly when it lists both avx512f and vpclmulqdq.
+// Linux lists avx512f only when it saves ZMM state, so each ZMM flag must
+// be set exactly when it lists avx512f and the flag's extension:
+// vpclmulqdq, or gfni.
 func TestFlagsMatchProcCPUInfo(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
-		if HasPCLMULQDQ || HasSSSE3 || HasAVX512VPCLMULQDQ {
+		if HasPCLMULQDQ || HasSSSE3 || HasAVX512VPCLMULQDQ || HasAVX512GFNI {
 			t.Fatalf("%s reports x86 extensions", runtime.GOARCH)
 		}
 		return
@@ -43,5 +44,9 @@ func TestFlagsMatchProcCPUInfo(t *testing.T) {
 	want := slices.Contains(flags, "avx512f") && slices.Contains(flags, "vpclmulqdq")
 	if HasAVX512VPCLMULQDQ != want {
 		t.Errorf("HasAVX512VPCLMULQDQ = %v, /proc/cpuinfo lists avx512f and vpclmulqdq: %v", HasAVX512VPCLMULQDQ, want)
+	}
+	want = slices.Contains(flags, "avx512f") && slices.Contains(flags, "gfni")
+	if HasAVX512GFNI != want {
+		t.Errorf("HasAVX512GFNI = %v, /proc/cpuinfo lists avx512f and gfni: %v", HasAVX512GFNI, want)
 	}
 }

@@ -359,94 +359,6 @@ func TestEncodeMatchesReference(t *testing.T) {
 	}
 }
 
-// mulAddKernels are the kernel and its Go fallback: mulAdd dispatches
-// to the PSHUFB routine where the CPU has SSSE3, so calling mulAddTable
-// directly is what tests the fallback on such a CPU.
-var mulAddKernels = []struct {
-	name string
-	fn   func(dst, src []byte, c byte)
-}{{"mulAdd", mulAdd}, {"mulAddTable", mulAddTable}}
-
-// checkMulAdd runs fn(dst[at:], src, c) and fails unless every byte of
-// dst at i in [at, at+len(src)) became orig ^ gmul(c, src[i-at]) and
-// every other byte of dst, before at or past len(src), kept its value.
-func checkMulAdd(t testing.TB, name string, fn func(dst, src []byte, c byte), dst []byte, at int, src []byte, c byte) {
-	t.Helper()
-	orig := append([]byte(nil), dst...)
-	fn(dst[at:], src, c)
-	for i := range dst {
-		want := orig[i]
-		if j := i - at; j >= 0 && j < len(src) {
-			want ^= gmul(c, src[j])
-		}
-		if dst[i] != want {
-			t.Fatalf("%s c=%#x len=%d at=%d: byte %d = %#x, want %#x", name, c, len(src), at, i, dst[i], want)
-		}
-	}
-}
-
-// TestMulAddMatchesGmul checks the kernel and its fallback against the
-// log/antilog multiply: every (c, x) product, then every length 0..1100
-// and 4 KiB+5, at every source offset 0..15, for the skip (c=0), XOR
-// (c=1) and multiply paths, into a dst longer than src whose bytes past
-// len(src) must not change.
-func TestMulAddMatchesGmul(t *testing.T) {
-	src := make([]byte, 256)
-	for x := range src {
-		src[x] = byte(x)
-	}
-	for _, k := range mulAddKernels {
-		for c := 0; c < 256; c++ {
-			checkMulAdd(t, k.name, k.fn, make([]byte, 256), 0, src, byte(c))
-		}
-	}
-	rng := rand.New(rand.NewSource(5))
-	buf := make([]byte, 4<<10+5+15)
-	rng.Read(buf)
-	dst := make([]byte, len(buf)+40)
-	lengths := []int{4<<10 + 5}
-	for n := 0; n <= 1100; n++ {
-		lengths = append(lengths, n)
-	}
-	for _, k := range mulAddKernels {
-		for _, c := range []byte{0, 1, 2, 3, 0x8e, 0xff} {
-			for _, n := range lengths {
-				for off := 0; off < 16; off++ {
-					rng.Read(dst[:n+off+8])
-					checkMulAdd(t, k.name, k.fn, dst[:n+off+8], off+3, buf[off:off+n], c)
-				}
-			}
-		}
-	}
-}
-
-// FuzzMulAdd checks both kernels against gmul on arbitrary (c, dst,
-// src), src clipped to dst's length; no byte of dst past len(src) may
-// change.
-func FuzzMulAdd(f *testing.F) {
-	f.Add(byte(0x8e), make([]byte, 40), bytes.Repeat([]byte{0xa5, 3}, 19))
-	f.Add(byte(1), []byte{1, 2, 3}, []byte{4})
-	f.Add(byte(0), []byte{}, []byte{})
-	f.Fuzz(func(t *testing.T, c byte, dst, src []byte) {
-		src = src[:min(len(src), len(dst))]
-		for _, k := range mulAddKernels {
-			checkMulAdd(t, k.name, k.fn, append([]byte(nil), dst...), 0, src, c)
-		}
-	})
-}
-
-// TestMulAddAllocates0 is the kernel's allocation ceiling: multiplying
-// a 4 KiB + 5 plane at any coefficient allocates nothing.
-func TestMulAddAllocates0(t *testing.T) {
-	src := make([]byte, 4<<10+5)
-	dst := make([]byte, len(src))
-	for _, c := range []byte{0, 1, 0x8e} {
-		if n := testing.AllocsPerRun(100, func() { mulAdd(dst, src, c) }); n != 0 {
-			t.Fatalf("mulAdd c=%#x: %v allocs per run, want 0", c, n)
-		}
-	}
-}
-
 // TestDecodeAnyNeverAliases: DecodeAny's output is a fresh buffer at
 // k=1 and k≥2, healthy and degraded. Overwriting every output byte must
 // leave each input blob as encoded and a second decode unchanged — the
@@ -487,11 +399,10 @@ func TestDecodeAnyNeverAliases(t *testing.T) {
 	}
 }
 
-// Codec benchmarks: the multiply-accumulate kernel alone over a 4 KiB
-// plane and a 256 KiB one (about a ckpt-stream delta's shard), then, at
-// the replicated store's default geometry (2+1) and a 4 MiB object,
-// encode, a healthy read (both data shards present, the concatenation
-// fast path), and a degraded read (data shard 0 lost, a parity solve).
+// Codec benchmarks (the kernels alone are in kernel_test.go): at the
+// replicated store's default geometry (2+1) and a 4 MiB object, encode,
+// a healthy read (both data shards present, the concatenation fast
+// path), and a degraded read (data shard 0 lost, a parity solve).
 const benchSize = 4 << 20
 
 func benchData() []byte {
@@ -506,25 +417,6 @@ func benchShards(b *testing.B) [][]byte {
 		b.Fatal(err)
 	}
 	return shards
-}
-
-func BenchmarkMulAdd(b *testing.B) {
-	for _, size := range []struct {
-		name string
-		n    int
-	}{{"4KiB", 4 << 10}, {"256KiB", 256 << 10}} {
-		b.Run(size.name, func(b *testing.B) {
-			src := make([]byte, size.n)
-			rand.New(rand.NewSource(8)).Read(src)
-			dst := make([]byte, size.n)
-			b.SetBytes(int64(size.n))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mulAdd(dst, src, 0x8e)
-			}
-		})
-	}
 }
 
 func BenchmarkEncode(b *testing.B) {

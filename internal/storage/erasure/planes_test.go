@@ -3,7 +3,6 @@ package erasure
 import (
 	"bytes"
 	"math/rand"
-	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -115,16 +114,11 @@ func TestDecodePlanesHealthyAllocatesNoPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
+	if per := bytesPerRun(20, func() {
 		if _, solved, err := DecodePlanes(shards); err != nil || solved {
 			t.Fatalf("healthy DecodePlanes: solved=%v err=%v", solved, err)
 		}
-	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 4<<10 {
+	}); per > 4<<10 {
 		t.Fatalf("healthy DecodePlanes allocates %d bytes per call, want at most 4 KiB", per)
 	}
 }

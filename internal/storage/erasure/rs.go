@@ -73,12 +73,12 @@ func codingMatrix(k, m int) matrix {
 // so a reader holding an arbitrary subset can validate and decode.
 //
 // The shards are built in place: data is copied once into the data
-// shards' payloads, parity is accumulated straight from those payloads
-// into the parity shards', and each header (with its payload CRC) is
+// shards' payloads, each parity payload is written by one mulSum pass
+// over those payloads, and each header (with its payload CRC) is
 // written last. A data shard whose payload lies wholly inside data is
 // allocated by bytes.Join, which skips the zero fill because every byte
-// is copied in; the padded last data shard and the parity shards, which
-// accumulate into zeroed memory, are allocated zeroed.
+// is copied in; the padded last data shard, whose padding must read
+// zero, and the parity shards are allocated by make.
 func EncodeObject(data []byte, k, m int) ([][]byte, error) {
 	if k < 1 || m < 0 || k+m > MaxShards || k+m < 2 {
 		return nil, fmt.Errorf("%w: k=%d m=%d", ErrBadParameters, k, m)
@@ -99,11 +99,12 @@ func EncodeObject(data []byte, k, m int) ([][]byte, error) {
 		shards[i] = b
 	}
 	mat := codingMatrix(k, m)
+	planes := make([][]byte, k)
+	for c := range planes {
+		planes[c] = shards[c][headerLen:]
+	}
 	for r := k; r < k+m; r++ {
-		parity := shards[r][headerLen:]
-		for c := 0; c < k; c++ {
-			mulAdd(parity, shards[c][headerLen:], mat[r][c])
-		}
+		mulSum(shards[r][headerLen:], planes, mat[r])
 	}
 	for i, b := range shards {
 		sealHeader(b, i, k, m, len(data))
@@ -135,6 +136,17 @@ func sealHeader(b []byte, idx, k, m, origLen int) {
 // CRC-failing blob returns ErrBadShard — callers treat that shard as
 // missing, which is what makes a torn replica write harmless.
 func ParseShard(b []byte) (Shard, error) {
+	s, err := parseHeader(b)
+	if err != nil || !payloadIntact(b, s) {
+		return Shard{}, ErrBadShard
+	}
+	return s, nil
+}
+
+// parseHeader is ParseShard without the payload CRC: it checks the
+// magic, version and geometry, and that the payload length matches
+// them.
+func parseHeader(b []byte) (Shard, error) {
 	if len(b) < headerLen || b[0] != shardMagic0 || b[1] != shardMagic1 || b[2] != shardVersion {
 		return Shard{}, ErrBadShard
 	}
@@ -151,10 +163,13 @@ func ParseShard(b []byte) (Shard, error) {
 	if want := (s.OrigLen + s.K - 1) / s.K; len(s.Payload) != want {
 		return Shard{}, ErrBadShard
 	}
-	if crc.ChecksumIEEE(s.Payload) != binary.BigEndian.Uint32(b[10:]) {
-		return Shard{}, ErrBadShard
-	}
 	return s, nil
+}
+
+// payloadIntact reports whether blob b's payload s.Payload matches the
+// CRC-32 in b's header.
+func payloadIntact(b []byte, s Shard) bool {
+	return crc.ChecksumIEEE(s.Payload) == binary.BigEndian.Uint32(b[10:])
 }
 
 // DecodeObject reconstructs the original object from any k valid shards
@@ -215,11 +230,11 @@ func gather(blobs [][]byte) ([]Shard, error) {
 // decodes the encoding BestGroup picks, from the first k distinct shards
 // of it in blob order. Fails only when no group reaches its own k.
 //
-// Every blob is parsed (and CRC-checked) exactly once. solved reports
-// whether a parity shard was among the k used, i.e. whether the decode
-// needed a matrix solve rather than concatenating the data shards. The
-// output is the joined form of DecodePlanes' planes, and never aliases
-// a blob.
+// BestGroup CRC-checks each blob at most once, and only the blobs its
+// verdict depends on. solved reports whether a parity shard was among
+// the k used, i.e. whether the decode needed a matrix solve rather than
+// concatenating the data shards. The output is the joined form of
+// DecodePlanes' planes, and never aliases a blob.
 func DecodeAny(blobs [][]byte) (data []byte, solved bool, err error) {
 	g, err := BestGroup(blobs)
 	if err != nil {
@@ -263,21 +278,82 @@ func DecodePlanes(blobs [][]byte) (planes [][]byte, solved bool, err error) {
 }
 
 // Group is one encoding among a gather's valid shards: the header
-// triple that identifies it, and its distinct shards in blob order.
+// triple that identifies it, and the first K of its distinct shards in
+// blob order, the ones a decode uses.
 type Group struct {
 	K, M, OrigLen int
 	Shards        []Shard
 }
 
-// BestGroup parses and CRC-checks every blob once, partitions the valid
-// shards into encoding groups by header, and returns the group DecodeAny
-// decodes: most distinct shard indices first, ties broken toward the
-// larger original length (re-encodes under one name only ever fold
+// BestGroup returns the encoding DecodeAny decodes among the blobs'
+// valid shards: most distinct shard indices first, ties broken toward
+// the larger original length (re-encodes under one name only ever fold
 // deltas into fuller images), then the larger geometry, all
 // deterministic. It fails with ErrInsufficient unless that group holds
 // at least its own k distinct shards, so a nil error means the object
 // decodes, to OrigLen bytes.
+//
+// It parses every header first. When every header that parses names
+// one encoding, the usual case, the verdict needs no more than the
+// first k distinct shards that pass their CRC-32, so blobs are checked
+// in order until k have, and the rest (on a healthy read, the parity
+// shards) are never checksummed. A gather whose headers name more than
+// one encoding is CRC-checked whole, since a torn shard must not count
+// toward its group's size.
 func BestGroup(blobs [][]byte) (Group, error) {
+	var first Shard
+	found, mixed := false, false
+	for _, b := range blobs {
+		if b == nil {
+			continue
+		}
+		s, err := parseHeader(b)
+		if err != nil {
+			continue
+		}
+		if !found {
+			first, found = s, true
+		} else if s.K != first.K || s.M != first.M || s.OrigLen != first.OrigLen {
+			mixed = true
+			break
+		}
+	}
+	switch {
+	case !found:
+		return Group{}, ErrInsufficient
+	case mixed:
+		return bestOfMixed(blobs)
+	}
+	g := Group{K: first.K, M: first.M, OrigLen: first.OrigLen, Shards: make([]Shard, 0, first.K)}
+	var seen [MaxShards]bool
+	for _, b := range blobs {
+		if len(g.Shards) == g.K {
+			break
+		}
+		if b == nil {
+			continue
+		}
+		s, err := parseHeader(b)
+		if err != nil || seen[s.Index] || !payloadIntact(b, s) {
+			continue
+		}
+		seen[s.Index] = true
+		g.Shards = append(g.Shards, s)
+	}
+	switch have := len(g.Shards); {
+	case have == 0:
+		return Group{}, ErrInsufficient
+	case have < g.K:
+		return Group{}, fmt.Errorf("%w: have %d, need %d", ErrInsufficient, have, g.K)
+	}
+	return g, nil
+}
+
+// bestOfMixed is BestGroup over a gather whose headers name more than
+// one encoding: every blob is parsed and CRC-checked once, the valid
+// shards are partitioned into encoding groups by header, and the best
+// group is chosen by BestGroup's order.
+func bestOfMixed(blobs [][]byte) (Group, error) {
 	type group struct {
 		Group
 		seen [MaxShards]bool
@@ -336,6 +412,7 @@ func BestGroup(blobs [][]byte) (Group, error) {
 	if have, k := len(best.Shards), best.K; have < k {
 		return Group{}, fmt.Errorf("%w: have %d, need %d", ErrInsufficient, have, k)
 	}
+	best.Shards = best.Shards[:best.K]
 	return best.Group, nil
 }
 
@@ -361,6 +438,7 @@ func ReconstructShards(blobs [][]byte) ([][]byte, error) {
 // shards correspond to.
 type system struct {
 	use               []Shard
+	srcs              [][]byte // the payloads in use, when a plane is solved
 	planes            [][]byte // data shard r's payload when it is in use, else nil
 	inv               matrix   // nil when every data plane is in use
 	origLen, planeLen int
@@ -390,6 +468,10 @@ func newSystem(shards []Shard) (system, error) {
 		return system{}, fmt.Errorf("erasure: unsolvable shard set: %w", err)
 	}
 	s.inv = inv
+	s.srcs = make([][]byte, k)
+	for c, sh := range s.use {
+		s.srcs[c] = sh.Payload
+	}
 	return s, nil
 }
 
@@ -400,23 +482,20 @@ func (s *system) span(r int) (lo, hi int) {
 	return lo, min(lo+s.planeLen, s.origLen)
 }
 
-// solve accumulates missing data plane r's first len(dst) bytes into
-// dst, which must be zeroed: row r of the inverse applied to the
-// payloads in use.
+// solve writes missing data plane r's first len(dst) bytes into dst in
+// one pass: row r of the inverse applied to the payloads in use.
 func (s *system) solve(dst []byte, r int) {
-	for c, sh := range s.use {
-		mulAdd(dst, sh.Payload[:len(dst)], s.inv[r][c])
-	}
+	mulSum(dst, s.srcs, s.inv[r])
 }
 
 // decode recovers the object from the first k of shards, joined into
 // one fresh allocation. When they are the k data shards, the output is
 // their payloads joined, clipped to the original length, without a zero
-// fill. Otherwise data shards among them are copied straight into a
-// zeroed output and only the missing data planes are solved, each
-// accumulating into its place in the output. solved reports whether any
-// plane needed the solve. The output is never a payload: callers may
-// hold shared read-only blobs.
+// fill. Otherwise data shards among them are copied straight into the
+// output and only the missing data planes are solved, each written by
+// one mulSum pass into its place in the output. solved reports whether
+// any plane needed the solve. The output is never a payload: callers
+// may hold shared read-only blobs.
 func decode(shards []Shard) (data []byte, solved bool, err error) {
 	s, err := newSystem(shards)
 	if err != nil {
