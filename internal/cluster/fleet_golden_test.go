@@ -50,6 +50,13 @@ var fleetGoldenRows = []fleetGoldenRow{
 		cfg.LazyRestore = true
 		return cfg
 	}(), "8b40a0b46f9922195200d05f703d678332f4627b780d0b9b4fced8569c97f3f7"},
+	// A cadence of 5 ticks does not divide the 16 shards, so each
+	// shard's jobs fall into several cadence slots from the start.
+	{"cadence5", func() FleetConfig {
+		cfg := fleetGoldenCfg(6, 0.05)
+		cfg.CkptEvery = 5
+		return cfg
+	}(), "f904a2e3a5bfc8b33612d7792e96c49493701286681617a5f81bbdd1e49a8cc4"},
 }
 
 // fleetGoldenRun runs one row for 300ms of simulated time under a
