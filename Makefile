@@ -1,13 +1,14 @@
 # Developer entry points. `make check` is the pre-PR gate: it runs the
 # tier-1 build/test pass plus a gofmt gate, vet, the race detector (the
 # cluster and storage layers are concurrency-sensitive; -race is what
-# catches a bad interleaving before it merges), and a short run of each
-# fuzz target so a decoder regression cannot merge unfuzzed.
+# catches a bad interleaving before it merges), a short run of each
+# fuzz target so a decoder regression cannot merge unfuzzed, and one
+# iteration of every benchmark so a broken benchmark cannot either.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test bench bench-gates bench-selftest scenarios check fmt vet cross race fuzz chaos chaos-pairs loc
+.PHONY: all build test bench bench-smoke bench-gates bench-selftest scenarios check fmt vet cross race fuzz chaos chaos-pairs loc
 
 all: build test
 
@@ -45,7 +46,10 @@ test:
 # the simulated job's 4 KiB page fill (one page, and four interleaved
 # lanes), and the fleet control plane (one 157-member digest into a
 # timeout detector; a 10k-node, 64-shard root supervisor run for 100 ms
-# of simulated time), in ns/op, MB/s and allocs/op.
+# of simulated time: 35–37 ms, 0.35–0.37 ms per tick and 10.3 MB per
+# run on a 2-core host, where regrowing the event log and each
+# checkpoint burst's batch took 42–52 ms and 16.2 MB), in ns/op, MB/s
+# and allocs/op.
 bench:
 	$(GO) test -bench=. -benchmem
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/storage/erasure
@@ -55,6 +59,13 @@ bench:
 	$(GO) test -run '^$$' -bench 'PageBuf' -benchmem ./internal/workload
 	$(GO) test -run '^$$' -bench 'DigestIngest' -benchmem ./internal/detector
 	$(GO) test -run '^$$' -bench 'ShardTick' -benchmem ./internal/cluster
+
+# Every benchmark in the module, run once (-benchtime 1x), so that a
+# benchmark that panics or fails its own check cannot merge unnoticed;
+# about 10 s on a 2-core host. The figures it prints are single samples,
+# not measurements.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The gate run at full size: every experiment but E9 (Table 1's
 # categorical restart matrix, which has no records) — the paper's own
@@ -137,4 +148,4 @@ chaos:
 chaos-pairs:
 	$(GO) run ./cmd/crsurvey chaos -seeds 240
 
-check: build fmt vet cross race fuzz scenarios chaos-pairs bench-gates bench-selftest
+check: build fmt vet cross race fuzz scenarios chaos-pairs bench-smoke bench-gates bench-selftest

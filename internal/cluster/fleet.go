@@ -23,7 +23,6 @@ package cluster
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/simtime"
 )
@@ -143,24 +142,18 @@ type fleetReboot struct {
 // gating (a dead machine emits no heartbeat and runs no writer) and for
 // metrics accounting — never for placement or suspicion decisions.
 type Fleet struct {
-	cfg     FleetConfig
 	now     simtime.Time
 	alive   []bool
 	downAt  []simtime.Time
-	perm    []bool
-	rng     *rand.Rand
 	timers  []*fleetTimer
 	faults  []fleetFault
 	reboots []fleetReboot
 }
 
-func newFleet(cfg FleetConfig) *Fleet {
+func newFleet(nodes int) *Fleet {
 	f := &Fleet{
-		cfg:    cfg,
-		alive:  make([]bool, cfg.Nodes),
-		downAt: make([]simtime.Time, cfg.Nodes),
-		perm:   make([]bool, cfg.Nodes),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		alive:  make([]bool, nodes),
+		downAt: make([]simtime.Time, nodes),
 	}
 	for i := range f.alive {
 		f.alive[i] = true

@@ -59,11 +59,13 @@ var fleetGoldenRows = []fleetGoldenRow{
 	}(), "f904a2e3a5bfc8b33612d7792e96c49493701286681617a5f81bbdd1e49a8cc4"},
 }
 
-// fleetGoldenRun runs one row for 300ms of simulated time under a
-// seeded fault schedule (half permanent, half repaired after 40ms, plus
-// one whole-shard outage that forces migrations) and returns the
-// SHA-256 over the event log, the merged counters and the stats.
-func fleetGoldenRun(t *testing.T, cfg FleetConfig) string {
+// fleetGoldenSpan is how much simulated time every golden row runs.
+const fleetGoldenSpan = 300 * simtime.Millisecond
+
+// fleetGoldenSupervisor builds one row's root supervisor under a seeded
+// fault schedule: half of its faults permanent, half repaired after
+// 40ms, plus one whole-shard outage that forces migrations.
+func fleetGoldenSupervisor(t *testing.T, cfg FleetConfig) *RootSupervisor {
 	t.Helper()
 	r := MustNewRootSupervisor(cfg)
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -84,7 +86,15 @@ func fleetGoldenRun(t *testing.T, cfg FleetConfig) string {
 			t.Fatal(err)
 		}
 	}
-	st := r.Run(300 * simtime.Millisecond)
+	return r
+}
+
+// fleetGoldenRun runs one row for fleetGoldenSpan and returns the
+// SHA-256 over the event log, the merged counters and the stats.
+func fleetGoldenRun(t *testing.T, cfg FleetConfig) string {
+	t.Helper()
+	r := fleetGoldenSupervisor(t, cfg)
+	st := r.Run(fleetGoldenSpan)
 	js, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -67,7 +68,7 @@ func NewRootSupervisor(cfg FleetConfig) (*RootSupervisor, error) {
 	}
 	r := &RootSupervisor{
 		cfg:          cfg,
-		f:            newFleet(cfg),
+		f:            newFleet(cfg.Nodes),
 		SC:           trace.NewShardedCounters(cfg.Shards + 1),
 		detectHist:   trace.NewHistogram(),
 		failoverHist: trace.NewHistogram(),
@@ -177,6 +178,7 @@ func (r *RootSupervisor) Run(d simtime.Duration) FleetStats {
 	if ticks < 1 {
 		ticks = 1
 	}
+	r.Events = slices.Grow(r.Events, r.expectedEvents(ticks))
 	for t := 0; t < ticks; t++ {
 		now := r.f.now.Add(r.cfg.Tick)
 		r.f.now = now
@@ -197,6 +199,33 @@ func (r *RootSupervisor) Run(d simtime.Duration) FleetStats {
 	return r.last
 }
 
+// expectedEvents is how many events a run of ticks emits: the admits
+// already queued, one ack per job each time its cadence slot comes
+// round, one retire per ack once its chain is past gcKeep, and four
+// events per scheduled fault. Jobs never outnumber nodes and are
+// spread round-robin, so a failing node typically runs one job, whose
+// failover, admit and restore are three of the four; the fourth is
+// headroom for jobs that fail over onto a node that later fails too. Run reserves the merged log for them once; a run
+// that emits more (false suspicions, ghost writers, migrations) grows
+// it by append.
+func (r *RootSupervisor) expectedEvents(ticks int) int {
+	n := 4 * len(r.f.faults)
+	every := r.cfg.CkptEvery
+	for _, sh := range r.shards {
+		n += len(sh.batch)
+		for _, job := range sh.jobs {
+			// Job j is due on the ticks t >= 1 with (t + j) % every == 0.
+			first := every - job.id%every
+			if first > ticks {
+				continue
+			}
+			acks := (ticks-first)/every + 1
+			n += acks + max(acks-gcKeep, 0)
+		}
+	}
+	return n
+}
+
 // barrier runs between ticks, with every shard loop parked: merge event
 // batches in shard order, place cross-shard migrations, then apply the
 // ground-truth fault schedule for the next tick.
@@ -206,15 +235,7 @@ func (r *RootSupervisor) barrier(now simtime.Time) {
 			continue
 		}
 		r.flush(sh.batch)
-		// The next tick reuses the buffer, unless a burst (a failover
-		// wave, or checkpoints falling due together) grew it past one
-		// flush: kept, every shard would pin its high-water mark for
-		// the rest of the run.
-		if cap(sh.batch) <= fleetEventBatch {
-			sh.batch = sh.batch[:0]
-		} else {
-			sh.batch = nil
-		}
+		sh.releaseBatch()
 	}
 
 	var reqs []migrateReq
@@ -298,6 +319,7 @@ func (r *RootSupervisor) place(req migrateReq, now simtime.Time) []Event {
 	tgt.jobs = append(tgt.jobs, nil)
 	copy(tgt.jobs[pos+1:], tgt.jobs[pos:])
 	tgt.jobs[pos] = job
+	tgt.due = nil
 	r.rootCtr.Inc("fleet.migrations", 1)
 	return evs
 }
@@ -315,7 +337,6 @@ func (r *RootSupervisor) applyFaults(now simtime.Time) {
 		}
 		f.alive[ft.node] = false
 		f.downAt[ft.node] = now
-		f.perm[ft.node] = ft.perm
 		if sh := r.shardOfNode(ft.node); sh != nil {
 			sh.credited[ft.node-sh.base] = false
 		}

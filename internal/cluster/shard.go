@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -83,6 +84,11 @@ type shardSup struct {
 
 	jobs   []*fleetJob // sorted by id
 	ghosts []*ghostWriter
+	// due is the cadence wheel over jobs: due[s] holds the jobs with
+	// id % CkptEvery == s, in id order, so a tick visits only the jobs
+	// whose checkpoint falls due in it. A change to jobs sets it to nil,
+	// and the shard's next checkpoint rebuilds it.
+	due [][]*fleetJob
 
 	batch      []Event
 	askMigrate []*fleetJob
@@ -180,6 +186,28 @@ func appendPad6(b []byte, v int) []byte {
 		b = append(b, '0')
 	}
 	return append(b, d...)
+}
+
+// indexDue builds the cadence wheel from jobs.
+func (sh *shardSup) indexDue() {
+	every := sh.root.cfg.CkptEvery
+	sh.due = make([][]*fleetJob, every)
+	for _, job := range sh.jobs {
+		s := job.id % every
+		sh.due[s] = append(sh.due[s], job)
+	}
+}
+
+// releaseBatch readies the batch for the next tick once the root has
+// flushed it. The buffer is reused unless a burst (a failover wave, or
+// checkpoints falling due together) grew it past one flush: kept, every
+// shard would pin its high-water mark for the rest of the run.
+func (sh *shardSup) releaseBatch() {
+	if cap(sh.batch) <= fleetEventBatch {
+		sh.batch = sh.batch[:0]
+	} else {
+		sh.batch = nil
+	}
 }
 
 // emit appends one orchestration event to the tick's outgoing batch.
@@ -307,6 +335,9 @@ func (sh *shardSup) failover(now simtime.Time) {
 		}
 		kept = append(kept, job)
 	}
+	if len(kept) < len(sh.jobs) {
+		sh.due = nil
+	}
 	sh.jobs = kept
 	if advanced {
 		// Re-admit every surviving writer at the new epoch so the shard
@@ -333,14 +364,21 @@ func (sh *shardSup) pickMember() int {
 }
 
 // checkpoint publishes due jobs' checkpoints through their fenced
-// writer handles and garbage-collects superseded chain entries.
+// writer handles and garbage-collects superseded chain entries. A job
+// is due when (tick + id) % CkptEvery == 0: its cadence slot is
+// (CkptEvery - tick % CkptEvery) % CkptEvery.
 func (sh *shardSup) checkpoint(now simtime.Time) {
 	f := sh.root.f
+	if sh.due == nil {
+		sh.indexDue()
+	}
 	every := sh.root.cfg.CkptEvery
-	for _, job := range sh.jobs {
-		if (sh.tick+job.id)%every != 0 {
-			continue
-		}
+	due := sh.due[(every-sh.tick%every)%every]
+	// Each due job emits at most an ack and a retire: size the batch for
+	// the whole burst once rather than regrowing it along the way.
+	sh.batch = slices.Grow(sh.batch, 2*len(due))
+	acks := 0
+	for _, job := range due {
 		// Node-local code runs only on live machines; a dead node's
 		// writer is silent until failover re-places the job.
 		if !f.alive[job.node] || sh.isSuspected(job.node) {
@@ -359,14 +397,19 @@ func (sh *shardSup) checkpoint(now simtime.Time) {
 			}
 			continue
 		}
-		sh.ctr.Inc("fleet.ckpt_acks", 1)
+		acks++
 		job.last = obj
 		job.objs = append(job.objs, obj)
 		sh.emit(now, EvAck, job.node, job.epoch, obj)
 		for len(job.objs) > gcKeep {
 			sh.retire(now, job, job.objs[0])
-			job.objs = job.objs[1:]
+			// Shift in place: slicing off the head would shrink the
+			// capacity and make every second append reallocate.
+			job.objs = job.objs[:copy(job.objs, job.objs[1:])]
 		}
+	}
+	if acks > 0 {
+		sh.ctr.Inc("fleet.ckpt_acks", int64(acks))
 	}
 }
 
@@ -495,11 +538,20 @@ func (sh *shardSup) schedule(d *detector.Digest, now simtime.Time) {
 	sh.inflight[pos] = in
 }
 
-// ckptPayload is a small deterministic checkpoint body.
-func ckptPayload(job, seq int) []byte {
-	b := make([]byte, 96)
-	for i := range b {
-		b[i] = byte(job + seq + i)
+// ckptPayloadLen is the size of a synthetic fleet checkpoint.
+const ckptPayloadLen = 96
+
+// ckptRamp holds byte(k) at index k, so every payload is one window of it.
+var ckptRamp = func() (r [256 + ckptPayloadLen]byte) {
+	for i := range r {
+		r[i] = byte(i)
 	}
-	return b
+	return r
+}()
+
+// ckptPayload is a small deterministic checkpoint body: byte i is
+// byte(job + seq + i).
+func ckptPayload(job, seq int) []byte {
+	start := int(byte(job + seq))
+	return append([]byte(nil), ckptRamp[start:start+ckptPayloadLen]...)
 }

@@ -25,6 +25,30 @@ func TestObjNameMatchesSprintf(t *testing.T) {
 	}
 }
 
+// ckptPayload's window of the ramp holds the stored bytes the per-byte
+// loop it replaced wrote, byte(job + seq + i), for ghost sequence
+// numbers (-1) and sums past a byte or below zero, and each payload is
+// its own copy.
+func TestCkptPayloadMatchesFormula(t *testing.T) {
+	for _, job := range []int{0, 1, 200, 255, 256, 9999, 1 << 20} {
+		for _, seq := range []int{-1, 0, 1, 55, 300, 1<<20 + 7} {
+			got := ckptPayload(job, seq)
+			if len(got) != 96 {
+				t.Fatalf("ckptPayload(%d, %d) has %d bytes, want 96", job, seq, len(got))
+			}
+			for i, b := range got {
+				if want := byte(job + seq + i); b != want {
+					t.Fatalf("ckptPayload(%d, %d)[%d] = %d, want %d", job, seq, i, b, want)
+				}
+			}
+			got[0]++
+			if again := ckptPayload(job, seq); again[0] != byte(job+seq) {
+				t.Fatalf("ckptPayload(%d, %d) shares its bytes with an earlier payload", job, seq)
+			}
+		}
+	}
+}
+
 // Digests are recycled through a per-shard free list, so ownership must
 // be exclusive: under heavy duplication, loss and reordering jitter, no
 // two in-flight entries share a digest, no in-flight digest sits on the
