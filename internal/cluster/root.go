@@ -205,9 +205,9 @@ func (r *RootSupervisor) Run(d simtime.Duration) FleetStats {
 // events per scheduled fault. Jobs never outnumber nodes and are
 // spread round-robin, so a failing node typically runs one job, whose
 // failover, admit and restore are three of the four; the fourth is
-// headroom for jobs that fail over onto a node that later fails too. Run reserves the merged log for them once; a run
-// that emits more (false suspicions, ghost writers, migrations) grows
-// it by append.
+// headroom for jobs that fail over onto a node that later fails too.
+// Run reserves the merged log for them once; a run that emits more
+// (false suspicions, ghost writers, migrations) grows it by append.
 func (r *RootSupervisor) expectedEvents(ticks int) int {
 	n := 4 * len(r.f.faults)
 	every := r.cfg.CkptEvery
