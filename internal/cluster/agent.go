@@ -1,9 +1,10 @@
-// The node-local checkpoint agent: in autonomic mode the supervisor no
-// longer drives checkpoints synchronously from its control loop (that
-// would require knowing the node is alive — an oracle). Instead each job
-// incarnation gets a small daemon on its own node that checkpoints the
-// process every interval to the remote server, holding the fencing epoch
-// it was started under. The agent is node-local code: it runs only while
+// The node-local checkpoint agent: the supervisor does not drive
+// checkpoints synchronously from its control loop (that would require
+// knowing the node is alive — an oracle). Instead each job incarnation,
+// in both supervisor modes, gets a small daemon on its own node that
+// checkpoints the process every interval to the remote server (or the
+// node's disk, with UseLocalDisk), holding the fencing epoch it was
+// started under. The agent is node-local code: it runs only while
 // its machine does, and it keeps running after a false suspicion — which
 // is exactly how a split brain forms, and exactly what the fenced target
 // defuses.
@@ -170,8 +171,9 @@ func (a *ckptAgent) pump() {
 	// its sequence, so the next round retries on the last durable parent.
 	// With a pipeline the image stays in memory for the ship queue.
 	var tgt storage.Target
+	local := false
 	if pc := a.s.Pipeline; pc == nil {
-		tgt = a.s.shipTarget(a)
+		tgt, local = a.s.shipTarget(a, false)
 	} else {
 		if len(a.ship) >= pc.maxInFlight() {
 			// Backpressure: the wire is behind. Skip the round rather than
@@ -185,14 +187,25 @@ func (a *ckptAgent) pump() {
 		}
 	}
 	tk, err := a.capture(m, n, p, tgt)
-	if err != nil {
-		if errors.Is(err, storage.ErrFenced) {
-			// The server told us another incarnation owns the job now.
-			a.selfFence(n, p)
-			return
-		}
+	if err != nil && !errors.Is(err, storage.ErrFenced) {
 		a.s.Counters().Inc("agent.ckpt_failed", 1)
-		return // transient storage trouble: try again next interval
+		if !a.s.LocalFallback || local {
+			return // transient storage trouble: try again next interval
+		}
+		// Degraded protection beats none: write the round's image to the
+		// node's own disk once, where it dies with the node.
+		tgt, local = a.s.shipTarget(a, true)
+		if tk, err = a.capture(m, n, p, tgt); err == nil {
+			a.s.Counters().Inc("ckpt.fellback", 1)
+		}
+	}
+	if errors.Is(err, storage.ErrFenced) {
+		// The server told us another incarnation owns the job now.
+		a.selfFence(n, p)
+		return
+	}
+	if err != nil {
+		return
 	}
 	// The collected ranges are in the image now; no retry needs them.
 	a.chain.Commit(tk.Img)
@@ -201,14 +214,15 @@ func (a *ckptAgent) pump() {
 		a.enqueueShip(n, tk, full)
 		return
 	}
-	a.landed(tgt, tk.Img.ObjectName(), full, tk.Stats.EncodedBytes, tk.Total())
+	a.landed(tgt, local, tk.Img.ObjectName(), full, tk.Stats.EncodedBytes, tk.Total())
 }
 
-// landed records one image this agent's publish put on the server: an
-// ack for the live incarnation, or a double commit for a stale one.
-func (a *ckptAgent) landed(tgt storage.Target, obj string, full bool, encodedBytes int, ckptDur simtime.Duration) {
+// landed records one image this agent's publish put on tgt (the node's
+// disk when local): an ack for the live incarnation, or a double commit
+// for a stale one.
+func (a *ckptAgent) landed(tgt storage.Target, local bool, obj string, full bool, encodedBytes int, ckptDur simtime.Duration) {
 	if a.epoch == a.s.fence.Epoch() {
-		a.s.noteAck(a, obj, full, encodedBytes, ckptDur, tgt)
+		a.s.noteAck(a, obj, full, encodedBytes, local, ckptDur, tgt)
 		return
 	}
 	// A stale writer slipped a commit past the (disabled) fence: this is
@@ -266,12 +280,15 @@ func (a *ckptAgent) capture(m mechanism.Mechanism, n *Node, p *proc.Process, tgt
 	return t, nil
 }
 
-// noteAck records a current-epoch acknowledged checkpoint in the
-// supervisor's chain and recovery pointers and, when a rebase made the
-// prior history unreachable, garbage-collects it. It takes the image by
-// value: a pipelined image acks long after its ticket completed.
+// noteAck is the one ack step: obj, a full image or a delta of
+// encodedBytes that agent a took in ckptDur, is durable on tgt (on a's
+// node disk when local). It is counted, becomes the recovery pointer,
+// feeds the interval policy, is logged as EvAck and joins the chain
+// bookkeeping; when a rebase made the prior history unreachable, that
+// history is garbage-collected. It takes the image by value: a pipelined
+// image acks long after its ticket completed.
 func (s *Supervisor) noteAck(a *ckptAgent, obj string, full bool,
-	encodedBytes int, ckptDur simtime.Duration, tgt storage.Target) {
+	encodedBytes int, local bool, ckptDur simtime.Duration, tgt storage.Target) {
 	var retire []string
 	if full {
 		// A full image supersedes the job's entire prior history: the
@@ -289,7 +306,19 @@ func (s *Supervisor) noteAck(a *ckptAgent, obj string, full bool,
 		s.chainSizes = make(map[string]int)
 	}
 	s.chainSizes[obj] = encodedBytes
-	s.recordAck(a.node, a.epoch, obj, full, encodedBytes, false, ckptDur)
+	s.Counters().Inc("ckpt.bytes_shipped", int64(encodedBytes))
+	if full {
+		s.Counters().Inc("ckpt.full_acks", 1)
+	} else {
+		s.Counters().Inc("ckpt.delta_acks", 1)
+	}
+	s.Checkpoints++
+	s.lastLeaf = obj
+	s.lastNode = a.node
+	s.lastLocal = local
+	s.Policy.ObserveCaptureCost(ckptDur)
+	s.lastProgressAt = s.C.Now()
+	s.emit(EvAck, a.node, a.epoch, obj)
 	if s.Incremental && len(retire) > 0 {
 		// GC is about to unlink superseded objects a draining lazy
 		// session may still need for its deferred plan read: settle it

@@ -260,17 +260,21 @@ func TestSupervisorSurvivesFailuresWithRemoteStorage(t *testing.T) {
 	assertOracleRestartTrail(t, sup)
 }
 
-// assertOracleRestartTrail checks the oracle loop's restart log: every
-// restart logs exactly one event at epoch 0 — EvRestore naming the
-// newest acked image (the one restored), or EvScratch.
+// assertOracleRestartTrail checks an oracle run's restart log: every
+// restart logs exactly one event under the epoch its failover advanced
+// to — EvRestore naming the newest acked image (the one restored), or
+// EvScratch.
 func assertOracleRestartTrail(t *testing.T, sup *Supervisor) {
 	t.Helper()
 	var restores, scratches int
 	lastAck := ""
+	var failoverEpoch uint64
 	for _, ev := range sup.Events {
 		switch ev.Kind {
 		case EvAck:
 			lastAck = ev.Object
+		case EvFailover:
+			failoverEpoch = ev.Epoch
 		case EvRestore, EvScratch:
 			if ev.Kind == EvRestore {
 				restores++
@@ -280,8 +284,8 @@ func assertOracleRestartTrail(t *testing.T, sup *Supervisor) {
 			} else {
 				scratches++
 			}
-			if ev.Epoch != 0 {
-				t.Errorf("%v: oracle restarts carry epoch 0", ev)
+			if ev.Epoch != failoverEpoch {
+				t.Errorf("%v: restart outside its failover's epoch %d", ev, failoverEpoch)
 			}
 		}
 	}

@@ -156,10 +156,10 @@ func TestGangPreemptPartialFailureLeavesGangRunning(t *testing.T) {
 	}
 }
 
-// TestSupervisorRetriesAndFallsBackToLocalDisk pins the retry/backoff and
-// local-fallback behaviour: with the checkpoint server crashing every
-// write and the node disks healthy, every round must exhaust its remote
-// retries and land the image locally.
+// TestSupervisorRetriesAndFallsBackToLocalDisk pins the local-fallback
+// behaviour: with the checkpoint server crashing every write and the
+// node disks healthy, every round's capture must fail against the server
+// and land the image locally.
 func TestSupervisorRetriesAndFallsBackToLocalDisk(t *testing.T) {
 	prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 31}
 	c := newCluster(t, 2, prog)
@@ -182,8 +182,8 @@ func TestSupervisorRetriesAndFallsBackToLocalDisk(t *testing.T) {
 	if sup.Checkpoints == 0 {
 		t.Fatal("no checkpoints landed despite local fallback")
 	}
-	if got := sup.Counters().Get("ckpt.retried"); got == 0 {
-		t.Fatalf("ckpt.retried = %d, want > 0", got)
+	if got := sup.Counters().Get("agent.ckpt_failed"); got == 0 {
+		t.Fatalf("agent.ckpt_failed = %d, want > 0", got)
 	}
 	if got := sup.Counters().Get("ckpt.fellback"); got == 0 {
 		t.Fatalf("ckpt.fellback = %d, want > 0", got)
@@ -226,8 +226,8 @@ func TestSupervisorWithoutFallbackReportsFailedRounds(t *testing.T) {
 	if sup.Checkpoints != 0 {
 		t.Fatalf("checkpoints %d, want 0 (server unusable, no fallback)", sup.Checkpoints)
 	}
-	if got := sup.Counters().Get("ckpt.failed"); got == 0 {
-		t.Fatalf("ckpt.failed = %d, want > 0", got)
+	if got := sup.Counters().Get("agent.ckpt_failed"); got == 0 {
+		t.Fatalf("agent.ckpt_failed = %d, want > 0", got)
 	}
 }
 
@@ -293,8 +293,8 @@ func TestSupervisorCrashConsistencyUnderStorageFaults(t *testing.T) {
 	if torn, lost := sup.Counters().Get("ckpt.torn"), sup.Counters().Get("ckpt.lost"); torn != 0 || lost != 0 {
 		t.Fatalf("atomic run observed torn=%d lost=%d images at restore", torn, lost)
 	}
-	if sup.Counters().Get("ckpt.retried") == 0 {
-		t.Fatal("atomic run reported no retries at a 10% fault rate")
+	if sup.Counters().Get("agent.ckpt_failed") == 0 {
+		t.Fatal("atomic run reported no failed capture at a 10% fault rate")
 	}
 	// Sweep all storage: no committed image anywhere fails to decode.
 	c.Server.Recover()

@@ -364,25 +364,6 @@ func TestRecoveryRefreshesManifestAfterConcurrentCompaction(t *testing.T) {
 	}
 }
 
-// LazyRestore is an autonomic-failover feature: configuring it without a
-// detector must be rejected up front, not fall over at the first
-// failover.
-func TestLazyRestoreRequiresDetector(t *testing.T) {
-	prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 54}
-	c := newCluster(t, 4, prog)
-	_, err := NewSupervisor(SupervisorConfig{
-		C:           c,
-		MkMech:      func() mechanism.Mechanism { return syslevel.NewCRAK() },
-		Prog:        prog,
-		Iterations:  10,
-		Policy:      policy.Fixed(simtime.Millisecond),
-		LazyRestore: true,
-	})
-	if err == nil {
-		t.Fatal("NewSupervisor accepted LazyRestore without a Detector")
-	}
-}
-
 // plainMech exposes only the mechanism.Mechanism surface of the
 // mechanism it wraps: no delta, lazy-restart or parallel-restore
 // capability, so a supervisor asking for one falls back.

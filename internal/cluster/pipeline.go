@@ -194,7 +194,7 @@ func (a *ckptAgent) advanceShip(n *Node) {
 // queue must stop draining (fence suicide or a dropped chain).
 func (a *ckptAgent) publishUnit(n *Node, u *shipUnit) bool {
 	s := a.s
-	tgt := s.shipTarget(a)
+	tgt, local := s.shipTarget(a, false)
 	var published int
 	var err error
 	if len(u.imgs) == 1 {
@@ -215,7 +215,7 @@ func (a *ckptAgent) publishUnit(n *Node, u *shipUnit) bool {
 		si := &u.imgs[i]
 		s.Counters().Inc("pipe.shipped", 1)
 		s.Metrics.Hist("pipe.publish_latency").Observe(float64(now.Sub(si.capturedAt)))
-		a.landed(tgt, si.obj, si.full, len(si.data), si.captureDur)
+		a.landed(tgt, local, si.obj, si.full, len(si.data), si.captureDur)
 	}
 	if err == nil {
 		return true

@@ -350,20 +350,15 @@ func TestReplicationConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		rc   *ReplicationConfig
-		det  bool // strip the detector
 		frag string
 	}{
-		{"unknown mode", &ReplicationConfig{Mode: "raid"}, false, "unknown Mode"},
-		{"no detector", &ReplicationConfig{Mode: ReplBuddy}, true, "requires a Detector"},
-		{"erasure too wide", &ReplicationConfig{Mode: ReplErasure, DataShards: 3, ParityShards: 2}, false, "worker nodes"},
-		{"negative geometry", &ReplicationConfig{Mode: ReplErasure, DataShards: -1}, false, "negative"},
+		{"unknown mode", &ReplicationConfig{Mode: "raid"}, "unknown Mode"},
+		{"erasure too wide", &ReplicationConfig{Mode: ReplErasure, DataShards: 3, ParityShards: 2}, "worker nodes"},
+		{"negative geometry", &ReplicationConfig{Mode: ReplErasure, DataShards: -1}, "negative"},
 	}
 	for _, tc := range cases {
 		cfg := base
 		cfg.Replication = tc.rc
-		if tc.det {
-			cfg.Detector = nil
-		}
 		_, err := NewSupervisor(cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Fatalf("%s: error %v does not mention %q", tc.name, err, tc.frag)

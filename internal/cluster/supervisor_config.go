@@ -38,18 +38,19 @@ type SupervisorConfig struct {
 	// from Policy.PriorMTBF) and rejects it with policy's typed errors.
 	Policy policy.Spec
 
-	// UseLocalDisk stores checkpoints on the running node instead of the
-	// server — the E5 contrast. Oracle loop only.
+	// UseLocalDisk makes the agents store checkpoints on the running
+	// node's disk instead of the server — the E5 contrast. Not with
+	// Replication, whose placement picks the disks.
 	UseLocalDisk bool
 
-	// LocalFallback writes the round's checkpoint to the node-local disk
-	// when every retry against the remote server fails (ckptRetries
-	// retries, ckptRetryBackoff apart, doubling) — degraded protection
-	// (the image dies with the node) beats none. Oracle loop only.
+	// LocalFallback makes an agent whose round failed against its target
+	// write that round's full image to its node's disk, once — degraded
+	// protection (the image dies with the node) beats none. The next
+	// round tries the target again. Not with Incremental: a chain never
+	// spans two targets.
 	LocalFallback bool
 	// UnsafeCommit disables atomic image commit (legacy in-place writes)
-	// — the torn-image contrast for experiments and tests. Oracle loop
-	// only.
+	// — the torn-image contrast for experiments and tests.
 	UnsafeCommit bool
 
 	// Incremental makes the node-local agents ship delta chains: each
@@ -57,7 +58,6 @@ type SupervisorConfig struct {
 	// written since the previous checkpoint, chained onto it. Requires a
 	// mechanism implementing mechanism.DeltaRequester; others fall back
 	// to full images, one agent.full_fallback count per capture.
-	// Autonomic only.
 	Incremental bool
 	// RebaseEvery bounds the chain when Incremental is set: every Nth
 	// checkpoint is a fresh full image (0 = default 8), bounding both
@@ -72,9 +72,9 @@ type SupervisorConfig struct {
 	// retires the folded deltas. Unlike RebaseEvery — which bounds the
 	// chain by making the agent ship a periodic full — compaction is
 	// server-side: no capture traffic, and restore never replays more
-	// than CompactAfter deltas. Autonomic mode only; 0 disables.
+	// than CompactAfter deltas. 0 disables.
 	CompactAfter int
-	// LazyRestore switches autonomic failover to restart-before-read
+	// LazyRestore switches failover to restart-before-read
 	// (see lazy.go): only the leaf image is read before the job resumes;
 	// the rest of the chain materializes on demand and via a background
 	// prefetcher. Requires a mechanism implementing
@@ -82,17 +82,16 @@ type SupervisorConfig struct {
 	// every failover whose lazy preconditions do not hold (no such
 	// mechanism, no acked chain, an unreadable leaf) counts
 	// restore.lazy_declined. The fully drained memory is byte-identical
-	// to an eager restore. Autonomic mode only.
+	// to an eager restore.
 	LazyRestore bool
 
 	// Detector switches Run into autonomic mode: liveness verdicts come
 	// from heartbeat-driven suspicion instead of the simulator's
-	// fail-stop oracle, checkpoints are taken by node-local agents, and
-	// every failover is fenced through the supervisor's epoch domain.
+	// fail-stop oracle, and status reads are RPCs from ControlNode.
 	Detector FailureDetector
 	// NoFencing disables the fenced target — the split-brain contrast.
 	// Double commits by stale incarnations then succeed and are counted
-	// under fence.double_commits. Autonomic only.
+	// under fence.double_commits.
 	NoFencing bool
 	// ControlNode is where the supervisor (and its status probes)
 	// originate in autonomic mode; it should match the detector's
@@ -102,12 +101,12 @@ type SupervisorConfig struct {
 	// Pipeline, when non-nil, makes the node-local agents capture into
 	// memory and ship asynchronously through a bounded in-flight queue,
 	// overlapping capture of epoch N+1 with the transfer of epoch N (see
-	// pipeline.go). Autonomic mode only.
+	// pipeline.go).
 	Pipeline *PipelineConfig
 	// Replication, when non-nil, fans every checkpoint out to a placement
 	// set (buddy mirrors or erasure shards — see replication.go) instead
 	// of the server alone, and restores from the nearest surviving
-	// replica. Autonomic mode only.
+	// replica.
 	Replication *ReplicationConfig
 
 	// OnEvent, when set, receives each orchestration event as it is
@@ -138,25 +137,17 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		return nil, fmt.Errorf("cluster: NewSupervisor: negative CompactAfter %d", cfg.CompactAfter)
 	case cfg.CompactAfter > 0 && !cfg.Incremental:
 		return nil, errors.New("cluster: NewSupervisor: CompactAfter without Incremental (nothing to fold)")
-	case cfg.LazyRestore && cfg.Detector == nil:
-		return nil, errors.New("cluster: NewSupervisor: LazyRestore requires a Detector (autonomic failover)")
-	case cfg.Detector == nil && (cfg.Incremental || cfg.NoFencing):
-		return nil, errors.New("cluster: NewSupervisor: Incremental and NoFencing require a Detector (only the agents read them)")
-	case cfg.Detector != nil && (cfg.UseLocalDisk || cfg.LocalFallback || cfg.UnsafeCommit):
-		return nil, errors.New("cluster: NewSupervisor: UseLocalDisk, LocalFallback and UnsafeCommit are oracle loop only (no Detector)")
+	case cfg.LocalFallback && cfg.Incremental:
+		return nil, errors.New("cluster: NewSupervisor: LocalFallback with Incremental (a chain never spans two targets)")
+	case cfg.UseLocalDisk && cfg.Replication != nil:
+		return nil, errors.New("cluster: NewSupervisor: UseLocalDisk with Replication (the placement picks the disks)")
 	}
 	if cfg.Pipeline != nil {
 		if err := cfg.Pipeline.validate(); err != nil {
 			return nil, err
 		}
-		if cfg.Detector == nil {
-			return nil, errors.New("cluster: NewSupervisor: Pipeline requires a Detector (autonomic mode)")
-		}
 	}
 	if cfg.Replication != nil {
-		if cfg.Detector == nil {
-			return nil, errors.New("cluster: NewSupervisor: Replication requires a Detector (autonomic mode)")
-		}
 		// Every node except the control node can hold job state.
 		if err := cfg.Replication.validate(cfg.C.NumNodes() - 1); err != nil {
 			return nil, err

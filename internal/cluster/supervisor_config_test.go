@@ -64,13 +64,6 @@ func TestNewSupervisorPreservesExplicitChoices(t *testing.T) {
 	}
 }
 
-// stubDetector suspects no node; construction never consults it.
-type stubDetector struct{}
-
-func (stubDetector) Suspected(int) bool  { return false }
-func (stubDetector) PickHealthy(int) int { return -1 }
-func (stubDetector) Failover(int)        {}
-
 func TestNewSupervisorRejectsInvalidConfigs(t *testing.T) {
 	prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 1}
 	c := newCluster(t, 2, prog)
@@ -96,26 +89,18 @@ func TestNewSupervisorRejectsInvalidConfigs(t *testing.T) {
 		{"control node high", func(cfg *SupervisorConfig) { cfg.ControlNode = 2 }, "ControlNode"},
 		{"control node negative", func(cfg *SupervisorConfig) { cfg.ControlNode = -1 }, "ControlNode"},
 		{"negative rebase", func(cfg *SupervisorConfig) { cfg.RebaseEvery = -1 }, "RebaseEvery"},
-		{"pipeline without detector", func(cfg *SupervisorConfig) {
-			cfg.Pipeline = &PipelineConfig{}
-		}, "Detector"},
 		{"pipeline negative in-flight", func(cfg *SupervisorConfig) {
 			cfg.Pipeline = &PipelineConfig{MaxInFlight: -1}
 		}, "MaxInFlight"},
 		{"pipeline negative workers", func(cfg *SupervisorConfig) {
 			cfg.Pipeline = &PipelineConfig{CaptureWorkers: -2}
 		}, "CaptureWorkers"},
-		{"incremental without detector", func(cfg *SupervisorConfig) { cfg.Incremental = true }, "Detector"},
-		{"no fencing without detector", func(cfg *SupervisorConfig) { cfg.NoFencing = true }, "Detector"},
-		{"local disk with detector", func(cfg *SupervisorConfig) {
-			cfg.Detector, cfg.UseLocalDisk = stubDetector{}, true
-		}, "oracle loop only"},
-		{"local fallback with detector", func(cfg *SupervisorConfig) {
-			cfg.Detector, cfg.LocalFallback = stubDetector{}, true
-		}, "oracle loop only"},
-		{"unsafe commit with detector", func(cfg *SupervisorConfig) {
-			cfg.Detector, cfg.UnsafeCommit = stubDetector{}, true
-		}, "oracle loop only"},
+		{"local fallback with incremental", func(cfg *SupervisorConfig) {
+			cfg.LocalFallback, cfg.Incremental = true, true
+		}, "LocalFallback"},
+		{"local disk with replication", func(cfg *SupervisorConfig) {
+			cfg.UseLocalDisk, cfg.Replication = true, &ReplicationConfig{Mode: ReplBuddy}
+		}, "UseLocalDisk"},
 	}
 	for _, tc := range cases {
 		cfg := validConfig(c, prog)
@@ -125,6 +110,47 @@ func TestNewSupervisorRejectsInvalidConfigs(t *testing.T) {
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestOracleRunsAgentFeatures: the oracle arms the same checkpoint agent
+// as autonomic mode, so every agent feature runs under it too, and the
+// job still ends with the fault-free answer.
+func TestOracleRunsAgentFeatures(t *testing.T) {
+	cases := []struct {
+		name   string
+		mtbf   simtime.Duration
+		mutate func(*SupervisorConfig)
+	}{
+		{"incremental-compact-lazy-buddy", 20 * simtime.Millisecond, func(cfg *SupervisorConfig) {
+			cfg.Incremental = true
+			cfg.CompactAfter = 2
+			cfg.LazyRestore = true
+			cfg.Replication = &ReplicationConfig{Mode: ReplBuddy}
+		}},
+		{"pipeline", 120 * simtime.Millisecond, func(cfg *SupervisorConfig) {
+			cfg.Iterations = 300
+			cfg.Policy = policy.Fixed(1500 * simtime.Microsecond)
+			cfg.Incremental = true
+			cfg.RebaseEvery = 3
+			cfg.Pipeline = &PipelineConfig{}
+		}},
+		{"no-fencing", 20 * simtime.Millisecond, func(cfg *SupervisorConfig) { cfg.NoFencing = true }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sup := goldenOracle(t, 66, tc.mtbf, tc.mutate)
+			want := referenceFingerprint(t, sup.Prog.(workload.Sparse), sup.Iterations)
+			if !sup.Completed || sup.Fingerprint != want {
+				t.Fatalf("completed %v fingerprint %#x, want %#x", sup.Completed, sup.Fingerprint, want)
+			}
+			if sup.Restarts == 0 || sup.Checkpoints == 0 {
+				t.Fatalf("restarts %d checkpoints %d: the run restores no checkpoint", sup.Restarts, sup.Checkpoints)
+			}
+			if sup.OracleReads == 0 {
+				t.Fatal("OracleReads = 0: the run took no oracle verdict")
+			}
+		})
 	}
 }
 

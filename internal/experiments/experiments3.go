@@ -45,9 +45,9 @@ func e11Run(rec *recorder, writeFault float64, unsafeCommit bool) {
 		OutageFrac:   0.25,
 		SilentTear:   writeFault,
 		PublishFault: writeFault / 5,
-		// Outages outlast the retry budget (~7ms of doubling backoff), so
-		// some rounds exhaust their retries and take the local-disk
-		// fallback instead of just waiting the server out.
+		// Outages outlast the 5ms checkpoint interval, so a round that
+		// meets one takes the local-disk fallback instead of just waiting
+		// the server out.
 		ServerRepair: 20 * simtime.Millisecond,
 	})
 	inj := cluster.NewInjector(cluster.Exponential{Mean: 40 * simtime.Millisecond},
@@ -91,7 +91,7 @@ func e11Run(rec *recorder, writeFault float64, unsafeCommit bool) {
 	rec.ms(cs, "makespan_ms", sup.Makespan.Millis())
 	rec.count(cs, "ckpts", int64(sup.Checkpoints))
 	rec.count(cs, "restarts", int64(sup.Restarts))
-	rec.count(cs, "retried", sup.Counters().Get("ckpt.retried"))
+	rec.count(cs, "ckpt_failed", sup.Counters().Get("agent.ckpt_failed"))
 	rec.count(cs, "fellback", sup.Counters().Get("ckpt.fellback"))
 	rec.count(cs, "torn_at_restore", torn)
 	rec.count(cs, "lost", lost)

@@ -108,6 +108,25 @@ func TestSilentTearHitsOnlyNonDurableCommits(t *testing.T) {
 	}
 }
 
+// An unsafe writer holding a fencing epoch writes in place on the store
+// beneath its fence, so the missing durability barrier can tear its
+// commit exactly as it tears an unfenced one.
+func TestSilentTearReachesFencedUnsafeWriter(t *testing.T) {
+	l := NewLocal("d", costmodel.Default2005(), nil)
+	fp := policy(t, 3, func(fp *FaultPolicy) { fp.SilentTear = 1 })
+	l.SetFaults(fp)
+	dom := NewFenceDomain("job", nil)
+	tgt := Unsafe(FencedAt(l, dom, dom.Advance()))
+	data := payload(4096)
+	if err := Write(tgt, "img", data, WriteOptions{Atomic: true, Env: NopEnv()}); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := l.ReadObject("img", NopEnv())
+	if len(got) >= len(data) || fp.Tears != 1 {
+		t.Fatalf("fenced unsafe commit not torn: %d of %d bytes, Tears = %d", len(got), len(data), fp.Tears)
+	}
+}
+
 func TestRemoteWriteCrashCanEscalateToOutage(t *testing.T) {
 	srv := NewServer("srv", costmodel.Default2005())
 	outages := 0

@@ -144,7 +144,11 @@ func putInPlace(t Target, object string, data []byte, env *Env) error {
 	if err := put(t, object, data, env); err != nil {
 		return err
 	}
-	// No durability barrier: the commit may have silently lost its tail.
+	// No durability barrier: the commit may have silently lost its tail,
+	// on the store beneath a fenced writer's wrapper too.
+	if f, ok := t.(fencedTarget); ok {
+		t = f.Target
+	}
 	if s, ok := t.(*Store); ok {
 		if frac, tear := s.policy().tearCommit(); tear {
 			s.store.tear(object, frac)
