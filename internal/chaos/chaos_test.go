@@ -83,9 +83,9 @@ func TestChaosSweep(t *testing.T) {
 // rowDigests pins TestChaosSweep: entry i folds the digests of seeds
 // congruent to i modulo len(featureRows), in seed order.
 var rowDigests = [...]uint64{
-	0xb6db74b3299e2afd, 0xd0843c9698117d60, 0xbe0db8ec379e962d, 0x473d78b0f19b8ebc,
-	0x3d9bc032055918d2, 0x84b25b5d14fb8284, 0x6872ea20b74c1e11, 0x97946ce5a15cd136,
-	0x45739764262f0296, 0x35f89f6cb107b790, 0x3bbe39448c1c606e, 0x1b56dfde210fc1d4,
+	0xf4ff083dcf6ed7b8, 0xd0843c9698117d60, 0xbe0db8ec379e962d, 0x473d78b0f19b8ebc,
+	0x3d9bc032055918d2, 0x84b25b5d14fb8284, 0x6872ea20b74c1e11, 0x01a7a4cf9a2a4054,
+	0x45739764262f0296, 0x35f89f6cb107b790, 0x3d4dccde6f4f758c, 0x1b56dfde210fc1d4,
 }
 
 // knob is one feature dimension of the covering array: its name, every

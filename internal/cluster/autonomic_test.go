@@ -205,3 +205,25 @@ func TestRelaunchRegistersOneStepHook(t *testing.T) {
 		t.Fatalf("Run and its relaunches added %d step hooks, want 1", added)
 	}
 }
+
+// A relaunched Run keeps the supervisor's mechanism pool. The relaunch
+// lands on node 0, whose kernel outlived the first Run: a fresh CRAK
+// instance would find its module already loaded, stay unbound and fail
+// every capture there, so the relaunched incarnation must ack one.
+func TestRelaunchCapturesOnSurvivingKernel(t *testing.T) {
+	sup, _ := goldenRelaunch(t)
+	last := -1
+	for i, ev := range sup.Events {
+		if ev.Kind == EvAdmit {
+			last = i
+		}
+	}
+	admit := sup.Events[last]
+	for _, ev := range sup.Events[last:] {
+		if ev.Kind == EvAck && ev.Epoch == admit.Epoch {
+			return
+		}
+	}
+	t.Fatalf("no ack after the relaunched %v (agent.ckpt_failed = %d)\n%s",
+		admit, sup.Counters().Get("agent.ckpt_failed"), tail(FormatEvents(sup.Events), 6))
+}
