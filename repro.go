@@ -270,8 +270,8 @@ func NewCluster(n int, seed int64, reg *Registry) *Cluster {
 		costmodel.Default2005(), reg)
 }
 
-// NewSupervisor validates cfg, applies defaults (estimator, retry
-// policy, rebase cadence, metrics), and returns a ready Supervisor.
+// NewSupervisor validates cfg, applies defaults (policy engine, rebase
+// cadence, metrics), and returns a ready Supervisor.
 func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) { return cluster.NewSupervisor(cfg) }
 
 // MustNewSupervisor is NewSupervisor that panics on a config error — for
